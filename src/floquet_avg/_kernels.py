@@ -1,14 +1,13 @@
 """Hot numeric kernels: matrix exponential and the RK4 fundamental-matrix
 integrator.
 
-Both are written as plain loops over small dense float64 arrays and are
-compiled with numba when it is importable.  Setting the environment variable
-``FLOQUET_AVG_NO_NUMBA=1`` (before import) forces the pure-numpy fallback,
-which runs the identical code uncompiled.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+``matexp_core`` works on a whole ``(K, n, n)`` stack at once (a single
+``(n, n)`` matrix is the K = 1 case).  Every slice runs the arithmetic of a
+one-matrix scaling-and-squaring exponential -- its own scaling exponent,
+its own Taylor stop, its own number of squarings -- so a slice's result
+does not depend on what else is in the stack.  The RK4 integrator is a
+plain loop over one small dense system.
 """
-
-import os
 
 import numpy as np
 
@@ -16,49 +15,61 @@ _EPS_53 = 2.0 ** -53
 _MAX_TAYLOR_TERMS = 30
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("FLOQUET_AVG_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
-
-
 def _norm1(a):
-    """Matrix 1-norm (maximum absolute column sum)."""
-    n = a.shape[0]
-    best = 0.0
-    for j in range(n):
-        col = 0.0
-        for i in range(n):
-            col += abs(a[i, j])
-        if col > best:
-            best = col
-    return best
+    """1-norm (maximum absolute column sum) of each slice of a (K, n, n) stack.
 
-
-def _matexp_core(a):
-    """exp(a) by scaling and squaring with an adaptive Taylor series.
-
-    The scaled matrix has 1-norm <= 0.5, so the series gains at least one
-    binary digit per term; the term cap is never the binding stop in
-    double precision.
+    Columns are summed top to bottom and NaN columns are skipped, as a
+    scalar ``best = max(best, col)`` loop from 0 would.
     """
-    n = a.shape[0]
+    mag = np.abs(a)
+    col = mag[:, 0, :]
+    for i in range(1, a.shape[1]):
+        col = col + mag[:, i, :]
+    return np.fmax.reduce(col, axis=1, initial=0.0)
+
+
+def matexp_core(a):
+    """exp(a) of an (n, n) matrix or of each slice of a (K, n, n) stack.
+
+    Scaling and squaring with an adaptive Taylor series (Moler & Van Loan,
+    SIAM Review 45(1), 2003).  Each slice is scaled by the smallest power
+    of two that brings its 1-norm to <= 0.5, so its series gains at least
+    one binary digit per term and the term cap is never the binding stop in
+    double precision.  A slice leaves the Taylor loop once its next term
+    drops below 2**-53 of its partial sum, and is then squared back as
+    often as it was halved.
+    """
+    a = np.asarray(a, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    n = a.shape[-1]
     nrm = _norm1(a)
-    s = 0
-    scaled = nrm
-    while scaled > 0.5:
-        scaled *= 0.5
-        s += 1
-    b = a / (2.0 ** s)
-    out = np.eye(n)
-    term = np.eye(n)
+    # halvings until the norm is <= 0.5: nrm = frac * 2**expo, frac in [0.5, 1)
+    frac, expo = np.frexp(nrm)
+    squarings = np.where(nrm > 0.5, expo + (frac > 0.5), 0)
+    b = a / np.ldexp(1.0, squarings)[:, None, None]
+    out = np.repeat(np.eye(n)[None], a.shape[0], axis=0)
+    term = out.copy()
+    result = np.empty_like(a)
+    live = np.arange(a.shape[0])
     for k in range(1, _MAX_TAYLOR_TERMS + 1):
-        term = np.dot(term, b) / k
+        term = np.matmul(term, b) / k
         out = out + term
-        if _norm1(term) <= _EPS_53 * _norm1(out):
-            break
-    for _ in range(s):
-        out = np.dot(out, out)
-    return out
+        done = _norm1(term) <= _EPS_53 * _norm1(out)
+        if k == _MAX_TAYLOR_TERMS:
+            done[:] = True
+        if done.any():
+            result[live[done]] = out[done]
+            keep = ~done
+            live, term, out, b = live[keep], term[keep], out[keep], b[keep]
+            if live.size == 0:
+                break
+    for r in range(int(squarings.max(initial=0))):
+        sel = np.flatnonzero(squarings > r)
+        block = result[sel]
+        result[sel] = np.matmul(block, block)
+    return result[0] if single else result
 
 
 def _poly_eval_into(coeffs, t, out):
@@ -73,7 +84,7 @@ def _poly_eval_into(coeffs, t, out):
             out[i, j] = acc
 
 
-def _rk4_monodromy_core(breaks, coeffs, steps_per_piece):
+def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
     """Integrate dX/dt = J(t) X, X(0) = I, across the polynomial pieces.
 
     Steps are confined to one piece at a time so no RK4 stage ever
@@ -105,22 +116,3 @@ def _rk4_monodromy_core(breaks, coeffs, steps_per_piece):
             carry = (updated - x) - step
             x = updated
     return x
-
-
-USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _jit = njit(cache=True, nogil=True)
-        _norm1 = _jit(_norm1)
-        _matexp_core = _jit(_matexp_core)
-        _poly_eval_into = _jit(_poly_eval_into)
-        _rk4_monodromy_core = _jit(_rk4_monodromy_core)
-        USING_NUMBA = True
-
-matexp_core = _matexp_core
-rk4_monodromy_core = _rk4_monodromy_core
-norm1_core = _norm1

@@ -109,17 +109,17 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     pieces_doc = term.get("pieces")
     if not pieces_doc:
         raise ModelError("each term needs a non-empty 'pieces' list")
-    pieces_doc = sorted(pieces_doc, key=lambda p: float(p["t_start"]))
+    pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
     blocks = []
     for piece in pieces_doc:
-        t_start = float(piece["t_start"])
-        t_end = float(piece["t_end"])
+        t_start = _piece_time(piece, "t_start")
+        t_end = _piece_time(piece, "t_end")
         if abs(t_start - breaks[-1]) > 1e-12 * period:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
-        entries = piece["entries"]
+        entries = _piece_field(piece, "entries")
         n = len(entries)
         dmax = max(len(c) for row in entries for c in row)
         block = np.zeros((n, n, dmax))
@@ -134,6 +134,19 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
     return PiecewisePolyMatrix(period, np.asarray(breaks), tuple(blocks))
+
+
+def _piece_field(piece, key: str):
+    if not isinstance(piece, dict) or key not in piece:
+        raise ModelError(f"each piece needs 't_start', 't_end' and 'entries'; missing {key!r}")
+    return piece[key]
+
+
+def _piece_time(piece, key: str) -> float:
+    try:
+        return float(_piece_field(piece, key))
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"piece {key!r} must be a number: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +221,7 @@ def _write_output(text: str, path):
 def cmd_analyze(args) -> int:
     if not 1 <= args.order <= averaging.MAX_ORDER:
         raise ModelError(f"--order {args.order} exceeds the supported cap {averaging.MAX_ORDER}")
+    stability.check_tolerance(args.tolerance)
     if args.model_file:
         model = load_model_file(args.model_file)
     else:
@@ -421,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--method", default="exact-pc",
                       help="exact-pc, exact-rk, or order1..order6")
     p_sc.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: FLOQUET_AVG_THREADS or all cores)")
+                      help="accepted for compatibility; the scan is single-threaded "
+                           "(default: FLOQUET_AVG_THREADS or all cores)")
     p_sc.add_argument("--tolerance", type=float, default=stability.DEFAULT_TOLERANCE)
     add_common(p_sc)
     p_sc.set_defaults(func=cmd_scan)

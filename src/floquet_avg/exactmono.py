@@ -16,7 +16,7 @@ import numpy as np
 from ._kernels import rk4_monodromy_core
 from .errors import ModelError
 from .ppoly import PiecewisePolyMatrix, to_dense
-from .smallmat import as_matrix, matexp
+from .smallmat import as_matrix, matexp_stack
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,29 @@ def exact_monodromy_pc(sys: PiecewiseConstantSystem) -> np.ndarray:
 
     For two half-period segments this is exp(d2*M2) @ exp(d1*M1) -- the
     order matters and getting it backwards is the classic Floquet sign
-    error, hence the explicit left-multiplication here.
+    error, hence the explicit left-multiplication here.  This is the
+    one-system case of :func:`exact_monodromy_pc_stack`.
     """
-    f = np.eye(sys.dim)
-    for duration, mat in sys.segments:
-        f = matexp(mat, duration) @ f
+    durations = [d for d, _ in sys.segments]
+    mats = np.stack([m for _, m in sys.segments])[None]
+    return exact_monodromy_pc_stack(durations, mats)[0]
+
+
+def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
+    """Monodromies of K piecewise-constant systems that share segment durations.
+
+    ``mats`` is (K, S, n, n): system k holds the matrix ``mats[k, s]`` for
+    ``durations[s]``.  All K*S exponentials run as one stack, system by
+    system and segment by segment, so the first failing exponential is the
+    one a loop over the systems would meet first.
+    """
+    mats = np.asarray(mats, dtype=float)
+    k, s, n = mats.shape[:3]
+    times = np.tile(np.asarray(durations, dtype=float), k)
+    exps = matexp_stack(mats.reshape(k * s, n, n), times).reshape(k, s, n, n)
+    f = np.repeat(np.eye(n)[None], k, axis=0)
+    for seg in range(s):
+        f = np.matmul(np.ascontiguousarray(exps[:, seg]), f)
     return f
 
 

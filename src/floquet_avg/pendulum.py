@@ -29,6 +29,8 @@ from .exactmono import PiecewiseConstantSystem
 from .ppoly import PiecewisePolyMatrix
 
 PERIOD = 2.0 * math.pi
+# durations of the two constant segments, J+ then J-
+HALF_PERIODS = (math.pi, math.pi)
 
 MODEL_NAME = "meissner-damped"
 
@@ -50,11 +52,33 @@ class PendulumParams:
 
 def jacobians(p: PendulumParams) -> PiecewiseConstantSystem:
     """The two half-period Jacobians as a piecewise-constant system."""
-    w2 = p.omega ** 2
-    d = -p.beta * p.omega
-    j_plus = np.array([[0.0, 1.0], [w2 + p.eps, d]])
-    j_minus = np.array([[0.0, 1.0], [w2 - p.eps, d]])
-    return PiecewiseConstantSystem(PERIOD, ((math.pi, j_plus), (math.pi, j_minus)))
+    j_plus, j_minus = jacobian_stack([p.omega], [p.eps], p.beta)[0]
+    return PiecewiseConstantSystem(PERIOD, tuple(zip(HALF_PERIODS, (j_plus, j_minus))))
+
+
+def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
+    """(K, 2, 2, 2) stack of [J+, J-] for K points (omega_k, eps_k) at one beta.
+
+    Parameters are checked point by point; the first invalid point raises
+    what :class:`PendulumParams` raises for it.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    epss = np.asarray(epss, dtype=float)
+    ok = (np.isfinite(omegas) & (omegas >= 0.0) & np.isfinite(epss) & (epss >= 0.0)
+          & bool(np.isfinite(beta) and beta >= 0.0))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        PendulumParams(omegas[k], epss[k], beta)
+    # libm pow, not omega * omega: the two differ in the last bit for about
+    # one omega in a thousand, and the exact charts and boundaries use pow
+    w2 = np.array([w ** 2 for w in omegas.tolist()])
+    d = -beta * omegas
+    out = np.zeros((omegas.size, 2, 2, 2))
+    out[:, :, 0, 1] = 1.0
+    out[:, 0, 1, 0] = w2 + epss
+    out[:, 1, 1, 0] = w2 - epss
+    out[:, :, 1, 1] = d[:, None]
+    return out
 
 
 def series_split(p: PendulumParams) -> SeriesSystem:

@@ -168,12 +168,6 @@ def pp_sub(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatri
     return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
 
 
-def pp_scale(a: PiecewisePolyMatrix, c: float) -> PiecewisePolyMatrix:
-    return PiecewisePolyMatrix(
-        a.period, a.breakpoints.copy(), tuple(c * p for p in a.pieces)
-    )
-
-
 def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
     """Horner evaluation of one (n, n, d+1) block at global time t."""
     acc = piece[:, :, -1].copy()

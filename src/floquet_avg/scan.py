@@ -2,22 +2,24 @@
 
 Stability bitmaps over (omega, eps) grids, boundary extraction by
 bisection on a scalar margin, and exact-versus-approximate boundary
-comparison tables.  Grid cells and omega samples are independent work
-items; they may be evaluated by a thread pool, but results are always
-assembled in index order so output is schedule-independent.
+comparison tables.  Exact (exponential-product) work runs batched: a whole
+exact-pc grid is one stack of matrix exponentials, and the exact boundary
+samples of a curve or table bisect in lockstep, one batched margin call
+per step.  Every point still gets the arithmetic it would get alone, so
+results do not depend on the batch.  Order-K and RK4 cells run one after
+another.  All of it is single-threaded.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import averaging, pendulum, stability
-from .errors import BracketError, ModelError
-from .exactmono import exact_monodromy_pc, exact_monodromy_rk, pc_to_ppoly
+from .errors import BracketError, FloquetError, ModelError
+from .exactmono import exact_monodromy_pc_stack, exact_monodromy_rk, pc_to_ppoly
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
@@ -87,12 +89,23 @@ def _order_report(params: pendulum.PendulumParams, order: int,
     return stability.report_from_trace_det(trace, det, tolerance)
 
 
+def _exact_pc_invariants(omegas, epss, beta: float):
+    """tr F and det F of the exponential-product monodromy at K points."""
+    f = exact_monodromy_pc_stack(pendulum.HALF_PERIODS,
+                                 pendulum.jacobian_stack(omegas, epss, beta))
+    return stability.trace_det(f)
+
+
 def point_report(omega: float, eps: float, beta: float, method: str,
                  tolerance: float = stability.DEFAULT_TOLERANCE) -> StabilityReport:
-    """Classify one parameter point with the requested method."""
+    """Classify one parameter point with the requested method.
+
+    exact-pc is the one-point case of the batched grid evaluation.
+    """
     params = pendulum.PendulumParams(omega, eps, beta)
     if method == "exact-pc":
-        return stability.classify(exact_monodromy_pc(pendulum.jacobians(params)), tolerance)
+        trace, det = _exact_pc_invariants([params.omega], [params.eps], beta)
+        return stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
     if method == "exact-rk":
         j = pc_to_ppoly(pendulum.jacobians(params))
         return stability.classify(exact_monodromy_rk(j, RK_STEPS_PER_PIECE), tolerance)
@@ -105,42 +118,61 @@ def point_report(omega: float, eps: float, beta: float, method: str,
 def scan_region(omega_axis, eps_axis, beta: float, method: str,
                 threads: Optional[int] = None,
                 tolerance: float = stability.DEFAULT_TOLERANCE) -> ScanGrid:
-    """Stability verdict for every grid point, deterministic in any schedule."""
+    """Stability verdict for every grid point.
+
+    exact-pc evaluates the whole grid as one batch; other methods run cell
+    by cell.  ``threads`` is validated for the CLI contract, but the
+    computation is single-threaded, so the result cannot depend on it.
+    """
     omegas = axis_samples(omega_axis)
     epss = axis_samples(eps_axis)
     if method not in EXACT_METHODS and order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
+    _resolve_threads(threads)
     shape = (epss.size, omegas.size)
-    verdicts = np.empty(shape, dtype="<U8")
-    margin_trace = np.empty(shape)
-    margin_det = np.empty(shape)
-
-    def work(flat_index):
-        ie, io = divmod(flat_index, omegas.size)
-        report = point_report(omegas[io], epss[ie], beta, method, tolerance)
-        verdicts[ie, io] = report.verdict.value
-        margin_trace[ie, io] = report.margin_trace
-        margin_det[ie, io] = report.margin_det
-
-    indices = range(epss.size * omegas.size)
-    nthreads = _resolve_threads(threads)
-    if nthreads <= 1:
-        for idx in indices:
-            work(idx)
+    if method == "exact-pc":
+        eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
+        omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
+        try:
+            trace, det = _exact_pc_invariants(omega_flat, eps_flat, beta)
+        except FloquetError:
+            # cells fail independently: raise the first failing cell's own
+            # error, as a cell-by-cell scan would
+            for omega, eps in zip(omega_flat, eps_flat):
+                point_report(omega, eps, beta, method, tolerance)
+            raise
+        margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
+        verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
     else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(work, indices))
+        verdicts = np.empty(shape, dtype="<U8")
+        margin_trace = np.empty(shape)
+        margin_det = np.empty(shape)
+        for ie, eps in enumerate(epss):
+            for io, omega in enumerate(omegas):
+                report = point_report(omega, eps, beta, method, tolerance)
+                verdicts[ie, io] = report.verdict.value
+                margin_trace[ie, io] = report.margin_trace
+                margin_det[ie, io] = report.margin_det
     return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
                     verdicts, margin_trace, margin_det)
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
+    """The requested thread count: ``threads``, else FLOQUET_AVG_THREADS,
+    else the core count; at least 1."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("FLOQUET_AVG_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ModelError(
+                f"FLOQUET_AVG_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+EXACT_BOUNDARY_METHODS = ("exact", "exact-pc", "exact-rk")
 
 
 def boundary_margin(omega: float, beta: float, method: str):
@@ -151,7 +183,7 @@ def boundary_margin(omega: float, beta: float, method: str):
     truncation, so their zeros coincide with the closed-form boundary
     expressions of the same order.
     """
-    if method in ("exact", "exact-pc", "exact-rk"):
+    if method in EXACT_BOUNDARY_METHODS:
         def margin(eps):
             return stability.margin_exact(pendulum.PendulumParams(omega, eps, beta))
         return margin
@@ -166,30 +198,86 @@ def boundary_margin(omega: float, beta: float, method: str):
     return margin
 
 
+def _margin_stack(omegas, beta: float, method: str):
+    """margin(index, eps): the boundary margins of samples ``index`` (at
+    ``omegas[index]``) evaluated at ``eps``; exact margins in one batch."""
+    if method in EXACT_BOUNDARY_METHODS:
+        def margin(index, eps):
+            return stability.margin_exact_stack(omegas[index], eps, beta)
+        return margin
+    scalar = [boundary_margin(float(omega), beta, method) for omega in omegas]
+
+    def margin(index, eps):
+        return np.array([scalar[i](e) for i, e in zip(index.tolist(), eps.tolist())])
+
+    return margin
+
+
+def _check_tol(tol: float, lo, hi):
+    """A bisection tolerance must be positive and resolvable at every bracket."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ModelError(f"tol must be finite and > 0, got {tol!r}")
+    spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    if (tol < spacing).any():
+        k = int(np.argmax(tol < spacing))
+        raise ModelError(f"tol {tol:g} is below the float spacing {spacing[k]:.3g} "
+                         f"at the bracket [{lo[k]:.17g}, {hi[k]:.17g}]")
+
+
+def _bisect(margin, lo, hi, tol: float):
+    """Bisect K brackets in lockstep, with one ``margin(index, eps)`` call per step.
+
+    Each sample takes the steps a one-bracket bisection takes -- a zero
+    margin at an end or a midpoint is the root, otherwise the half whose
+    ends differ in sign is kept until the bracket is no wider than ``tol``
+    or its midpoint equals an end -- so the roots do not depend on which
+    samples share the batch.  Returns the roots, NaN where the end margins
+    have the same sign, and the margins at the lower and upper ends.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    _check_tol(tol, lo, hi)
+    # both ends in one call, in the order a sample-by-sample bisection meets them
+    ends = margin(np.repeat(np.arange(lo.size), 2), np.stack((lo, hi), axis=1).ravel())
+    m_lo, m_hi = ends[0::2].copy(), ends[1::2]
+    root = np.where(m_lo == 0.0, lo, np.where(m_hi == 0.0, hi, np.nan))
+    bisected = np.isnan(root) & ((m_lo < 0.0) != (m_hi < 0.0))
+    live = np.flatnonzero(bisected)
+    while True:
+        live = live[hi[live] - lo[live] > tol]
+        mid = 0.5 * (lo[live] + hi[live])
+        moving = (mid != lo[live]) & (mid != hi[live])
+        live, mid = live[moving], mid[moving]
+        if live.size == 0:
+            break
+        m_mid = margin(live, mid)
+        hit = m_mid == 0.0
+        root[live[hit]] = mid[hit]
+        lower = ~hit & ((m_mid < 0.0) == (m_lo[live] < 0.0))
+        upper = ~hit & ~lower
+        lo[live[lower]] = mid[lower]
+        m_lo[live[lower]] = m_mid[lower]
+        hi[live[upper]] = mid[upper]
+        live = live[~hit]
+    rest = bisected & np.isnan(root)
+    root[rest] = 0.5 * (lo[rest] + hi[rest])
+    return root, ends[0::2], m_hi
+
+
 def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,
                     tol: float = 1e-10) -> float:
-    """Bisection on the scalar margin; the bracket must straddle a sign change."""
+    """Bisection on the scalar margin; the bracket must straddle a sign change.
+
+    The one-sample case of the lockstep bisection.
+    """
     lo, hi = float(eps_bracket[0]), float(eps_bracket[1])
     if not lo < hi:
         raise ModelError(f"bad bracket {eps_bracket!r}")
-    margin = boundary_margin(omega, beta, method)
-    m_lo, m_hi = margin(lo), margin(hi)
-    if m_lo == 0.0:
-        return lo
-    if m_hi == 0.0:
-        return hi
-    if (m_lo < 0.0) == (m_hi < 0.0):
-        raise BracketError(lo, hi, m_lo, m_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        m_mid = margin(mid)
-        if m_mid == 0.0:
-            return mid
-        if (m_mid < 0.0) == (m_lo < 0.0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    margin = _margin_stack(np.array([float(omega)]), beta, method)
+    root, m_lo, m_hi = _bisect(margin, [lo], [hi], tol)
+    if math.isnan(root[0]):
+        raise BracketError(lo, hi, float(m_lo[0]), float(m_hi[0]))
+    return float(root[0])
 
 
 @dataclass(frozen=True)
@@ -225,21 +313,42 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
     """First-domain boundary curve over an omega range.
 
     order2/order4 evaluate their closed forms; exact methods bisect the
-    exact margin inside an order-4-seeded bracket.  Samples whose branch
-    vanishes or whose bracket shows no sign change are omitted.
+    exact margin inside an order-4-seeded bracket, all samples in
+    lockstep.  Samples whose branch vanishes or whose bracket shows no
+    sign change are omitted.
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
     omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
-    points = []
-    omitted = 0
-    for omega in omegas:
-        eps = _boundary_sample(float(omega), beta, branch, method, tol)
-        if eps is None:
-            omitted += 1
-        else:
-            points.append((float(omega), eps))
-    return BoundaryCurve(branch, method, tuple(points), omitted)
+    omegas = [float(omega) for omega in omegas]
+    if method in EXACT_BOUNDARY_METHODS:
+        eps = _exact_samples(omegas, beta, [branch] * len(omegas), tol)
+    else:
+        eps = [_boundary_sample(omega, beta, branch, method, tol) for omega in omegas]
+    points = tuple((omega, e) for omega, e in zip(omegas, eps) if e is not None)
+    return BoundaryCurve(branch, method, points, len(eps) - len(points))
+
+
+def _exact_samples(omegas, beta: float, branches, tol: float) -> list:
+    """Exact first-domain boundary eps per (omega, branch) sample, None
+    where the sample is omitted; the bracketed samples bisect in lockstep."""
+    try:
+        brackets = [_exact_bracket(omega, beta, branch)
+                    for omega, branch in zip(omegas, branches)]
+        held = [i for i, bracket in enumerate(brackets) if bracket is not None]
+        margin = _margin_stack(np.array([omegas[i] for i in held]), beta, "exact")
+        roots = _bisect(margin, [brackets[i][0] for i in held],
+                        [brackets[i][1] for i in held], tol)[0]
+    except FloquetError:
+        # samples fail independently: raise the first failing sample's own
+        # error, as a sample-by-sample trace would
+        for omega, branch in zip(omegas, branches):
+            _boundary_sample(omega, beta, branch, "exact", tol)
+        raise
+    eps = [None] * len(brackets)
+    for i, root in zip(held, roots.tolist()):
+        eps[i] = None if math.isnan(root) else root
+    return eps
 
 
 def _boundary_sample(omega, beta, branch, method, tol) -> Optional[float]:
@@ -248,7 +357,7 @@ def _boundary_sample(omega, beta, branch, method, tol) -> Optional[float]:
         return o2.eps_p if branch == "p" else o2.eps_n
     if method == "order4":
         return pendulum.order4_root(omega, beta, branch)
-    if method in ("exact", "exact-pc", "exact-rk"):
+    if method in EXACT_BOUNDARY_METHODS:
         bracket = _exact_bracket(omega, beta, branch)
         if bracket is None:
             return None
@@ -293,17 +402,18 @@ class ComparisonTable:
 def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> ComparisonTable:
     """Exact vs order-2 vs order-4 first-domain boundaries per branch."""
     omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
+    samples = [(branch, float(omega)) for branch in ("p", "n") for omega in omegas]
+    exact = _exact_samples([omega for _, omega in samples], beta,
+                           [branch for branch, _ in samples], tol)
     rows = []
-    for branch in ("p", "n"):
-        for omega in omegas:
-            omega = float(omega)
-            rows.append(ComparisonRow(
-                omega=omega,
-                branch=branch,
-                eps_exact=_boundary_sample(omega, beta, branch, "exact", tol),
-                eps_order2=_boundary_sample(omega, beta, branch, "order2", tol),
-                eps_order4=_boundary_sample(omega, beta, branch, "order4", tol),
-            ))
+    for (branch, omega), eps_exact in zip(samples, exact):
+        rows.append(ComparisonRow(
+            omega=omega,
+            branch=branch,
+            eps_exact=eps_exact,
+            eps_order2=_boundary_sample(omega, beta, branch, "order2", tol),
+            eps_order4=_boundary_sample(omega, beta, branch, "order4", tol),
+        ))
     summary = {}
     for branch in ("p", "n"):
         for name in ("err2", "err4"):

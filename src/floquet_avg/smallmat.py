@@ -1,8 +1,9 @@
 """Dense real square-matrix arithmetic for small dimensions (n <= 8).
 
-Matrices are plain float64 numpy arrays of shape (n, n).  The two
-operations that matter for Floquet analysis live here: the matrix
-exponential and the eigenvalues of a 2x2 monodromy matrix.
+Matrices are plain float64 numpy arrays of shape (n, n), or (K, n, n)
+stacks of them.  The two operations that matter for Floquet analysis live
+here: the matrix exponential and the eigenvalues of a 2x2 monodromy
+matrix.
 """
 
 import math
@@ -42,6 +43,7 @@ def matexp(m, t: float) -> np.ndarray:
     The argument is scaled so its 1-norm is at most 0.5, the Taylor
     series is summed until the next term drops below 2**-53 of the
     partial sum (at most 30 terms), and the result is squared back.
+    This is the one-matrix case of :func:`matexp_stack`.
 
     Parameters
     ----------
@@ -50,15 +52,37 @@ def matexp(m, t: float) -> np.ndarray:
     t : float
         Time; the exponential of ``m * t`` is returned.
     """
-    m = as_matrix(m)
-    if not math.isfinite(t):
+    return matexp_stack(as_matrix(m)[None], t)[0]
+
+
+def matexp_stack(m, t) -> np.ndarray:
+    """exp(m[k] * t[k]) for every slice of a (K, n, n) stack.
+
+    ``t`` is one time for all slices or one per slice.  Each slice gets
+    exactly the arithmetic :func:`matexp` gives it alone.  Validation runs
+    slice by slice in stack order, so the error raised is the one of the
+    first slice that fails, as a loop of :func:`matexp` calls would raise.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ModelError(f"expected a (K, n, n) stack of square matrices, got shape {m.shape}")
+    if not 1 <= m.shape[1] <= MAX_DIM:
+        raise ModelError(f"dimension {m.shape[1]} outside supported range 1..{MAX_DIM}")
+    t = np.broadcast_to(np.asarray(t, dtype=float), m.shape[:1])
+    if not np.all(np.isfinite(t)):
         raise ModelError("time must be finite")
-    a = m * t
-    if norm1(a) > MATEXP_NORM_GUARD:
+    a = m * t[:, None, None]
+    finite = np.isfinite(m).all(axis=(1, 2))
+    norms = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)
+    bad = ~finite | (norms > MATEXP_NORM_GUARD)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ModelError("matrix entries must be finite")
         raise NumericRangeError(
-            f"||M*t||_1 = {norm1(a):.3g} exceeds the overflow guard {MATEXP_NORM_GUARD:g}"
+            f"||M*t||_1 = {norms[k]:.3g} exceeds the overflow guard {MATEXP_NORM_GUARD:g}"
         )
-    return matexp_core(np.ascontiguousarray(a))
+    return matexp_core(a)
 
 
 def roots_from_trace_det(tr: float, det: float) -> tuple[complex, complex]:

@@ -22,7 +22,7 @@ import numpy as np
 from . import pendulum
 from .averaging import AveragedExpansion, SeriesSystem
 from .errors import ModelError
-from .exactmono import exact_monodromy_pc
+from .exactmono import exact_monodromy_pc_stack
 from .ppoly import pp_average
 from .smallmat import as_matrix, roots_from_trace_det
 
@@ -46,28 +46,54 @@ class StabilityReport:
     tolerance: float
 
 
+def check_tolerance(tolerance: float):
+    """The half-width of the Marginal band must be a finite number >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ModelError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def margins(trace, det):
+    """(margin_trace, margin_det) from tr F and det F, scalars or arrays."""
+    return det + 1.0 - abs(trace), 1.0 - det
+
+
+def verdict_labels(margin_trace, margin_det, tolerance: float = DEFAULT_TOLERANCE):
+    """The verdict rule, elementwise over scalars or arrays of margins.
+
+    Stable when both margins exceed the tolerance, unstable when either
+    falls below -tolerance, marginal otherwise (a NaN margin included).
+    """
+    check_tolerance(tolerance)
+    stable = (margin_trace > tolerance) & (margin_det > tolerance)
+    unstable = (margin_trace < -tolerance) | (margin_det < -tolerance)
+    return np.where(stable, Verdict.STABLE.value,
+                    np.where(unstable, Verdict.UNSTABLE.value, Verdict.MARGINAL.value))
+
+
 def report_from_trace_det(trace: float, det: float,
                           tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
     """Build the full report from the two scalar invariants of F."""
-    if tolerance < 0.0:
-        raise ModelError("tolerance must be >= 0")
-    margin_trace = det + 1.0 - abs(trace)
-    margin_det = 1.0 - det
-    if margin_trace > tolerance and margin_det > tolerance:
-        verdict = Verdict.STABLE
-    elif margin_trace < -tolerance or margin_det < -tolerance:
-        verdict = Verdict.UNSTABLE
-    else:
-        verdict = Verdict.MARGINAL
+    margin_trace, margin_det = margins(trace, det)
     return StabilityReport(
         trace=trace,
         determinant=det,
         multipliers=roots_from_trace_det(trace, det),
         margin_trace=margin_trace,
         margin_det=margin_det,
-        verdict=verdict,
+        verdict=Verdict(str(verdict_labels(margin_trace, margin_det, tolerance))),
         tolerance=tolerance,
     )
+
+
+def trace_det(f):
+    """tr F and det F of a 2x2 monodromy matrix or of each slice of a (K, 2, 2) stack.
+
+    Entries must be finite, as :func:`classify` requires.
+    """
+    if not np.all(np.isfinite(f)):
+        raise ModelError("matrix entries must be finite")
+    return (f[..., 0, 0] + f[..., 1, 1],
+            f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0])
 
 
 def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
@@ -75,9 +101,8 @@ def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
     f = as_matrix(f)
     if f.shape[0] != 2:
         raise ModelError("classification is defined for 2x2 monodromy matrices only")
-    tr = float(f[0, 0] + f[1, 1])
-    det = float(f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
-    return report_from_trace_det(tr, det, tolerance)
+    tr, det = trace_det(f)
+    return report_from_trace_det(float(tr), float(det), tolerance)
 
 
 def margin_exact(params: pendulum.PendulumParams) -> float:
@@ -86,11 +111,20 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     exp(-2*pi*beta*omega) + 1 - |tr(exp(pi J-) exp(pi J+))|: positive
     inside the stability domain, zero on the boundary, negative outside.
     The determinant is the closed form, the trace comes from the
-    exponential-product monodromy.
+    exponential-product monodromy.  This is the one-point case of
+    :func:`margin_exact_stack`.
     """
-    f = exact_monodromy_pc(pendulum.jacobians(params))
-    det = math.exp(-2.0 * math.pi * params.beta * params.omega)
-    return det + 1.0 - abs(float(f[0, 0] + f[1, 1]))
+    return float(margin_exact_stack([params.omega], [params.eps], params.beta)[0])
+
+
+def margin_exact_stack(omegas, epss, beta: float) -> np.ndarray:
+    """:func:`margin_exact` at K points (omega_k, eps_k), in one batch."""
+    f = exact_monodromy_pc_stack(pendulum.HALF_PERIODS,
+                                 pendulum.jacobian_stack(omegas, epss, beta))
+    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit
+    det = np.array([math.exp(-2.0 * math.pi * beta * w)
+                    for w in np.asarray(omegas, dtype=float).tolist()])
+    return margins(f[:, 0, 0] + f[:, 1, 1], det)[0]
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:

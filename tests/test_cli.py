@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from floquet_avg import cli
 
@@ -281,3 +285,82 @@ def test_format_float_17_digits():
     x = 1.0 / 3.0
     assert float(cli.format_float(x)) == x
     assert cli.format_float(2.0) == "2"
+
+
+# -- robustness: every input ends in exit 0, 2, 3 or 4, never a hang or a traceback
+
+def _cli_subprocess(argv, timeout=60):
+    """Run the CLI in a child process, so a hang fails the test instead of the run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "floquet_avg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1", "--branch", "n", "--tol", "0"],
+    ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1", "--branch", "n", "--tol", "1e-20"],
+    ["boundary", "--omega", "0.05:0.3:4", "--branch", "p", "--tol", "nan"],
+    ["compare", "--omega", "0.1:0.2:2", "--tol", "1e-20"],
+    ["compare", "--omega", "0.1:0.2:2", "--tol=-1e-10"],
+])
+def test_unresolvable_tol_exits_2_without_hanging(argv):
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 2
+    assert "tol" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_default_tol_roots_unchanged(capsys):
+    # a tol above the float spacing takes the same bisection steps as before
+    code, out, _ = run_cli(capsys, ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1",
+                                    "--branch", "n", "--method", "exact"])
+    assert code == 0
+    code, out_tight, _ = run_cli(capsys, ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1",
+                                          "--branch", "n", "--method", "exact",
+                                          "--tol", "1e-15"])
+    assert code == 0
+    root, tight = float(out.split("\n")[1].split(",")[1]), float(out_tight.split("\n")[1].split(",")[1])
+    assert abs(root - tight) < 1e-10
+
+
+def test_non_integer_threads_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FLOQUET_AVG_THREADS", "abc")
+    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.4:3", "--eps", "0:1:3"])
+    assert code == 2
+    assert out == ""
+    assert "FLOQUET_AVG_THREADS" in err
+
+
+def test_zero_threads_means_one(capsys):
+    argv = ["scan", "--omega", "0:0.4:4", "--eps", "0:1:4", "--beta", "0.1"]
+    code0, out0, _ = run_cli(capsys, argv + ["--threads", "0"])
+    code1, out1, _ = run_cli(capsys, argv + ["--threads", "1"])
+    assert code0 == code1 == 0
+    assert out0 == out1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-9", "inf"])
+def test_bad_tolerance_exits_2(capsys, value):
+    option = f"--tolerance={value}"
+    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.4:3", "--eps", "0:1:3", option])
+    assert code == 2 and out == "" and "tolerance" in err
+    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.4:3", "--eps", "0:1:3",
+                                      "--method", "order2", option])
+    assert code == 2 and out == "" and "tolerance" in err
+    code, out, err = run_cli(capsys, ["analyze", "--omega", "0.2", "--eps", "0.3",
+                                      "--beta", "0", option])
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("missing", ["t_start", "t_end", "entries"])
+def test_model_file_piece_without_key_exits_2(tmp_path, capsys, missing):
+    piece = {"t_start": 0.0, "t_end": 2.0, "entries": [[[0.0], [0.0]], [[0.3], [0.0]]]}
+    del piece[missing]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "custom", "period": 2.0,
+                                "J0": [[0.0, 1.0], [0.0, 0.0]],
+                                "terms": [{"order": 1, "pieces": [piece]}]}))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path)])
+    assert code == 2 and out == ""
+    assert missing in err

@@ -1,74 +1,76 @@
-"""The numba path and the pure-numpy fallback must compute the same thing."""
+"""The batched matrix exponential: per-slice arithmetic, stack independence,
+and an independent high-precision oracle."""
 
-import json
-import os
-import subprocess
-import sys
-
+import mpmath
 import numpy as np
+import pytest
 
 from floquet_avg import _kernels
-
-WORKER = r"""
-import json
-import numpy as np
-from floquet_avg._kernels import USING_NUMBA
-from floquet_avg import pendulum
-from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_rk, pc_to_ppoly
-from floquet_avg.smallmat import matexp
-
-m = np.array([[0.1, -0.7], [1.2, 0.3]])
-sys = pendulum.jacobians(pendulum.PendulumParams(0.3, 0.4, 0.1))
-print(json.dumps({
-    "numba": USING_NUMBA,
-    "matexp": matexp(m, 1.7).tolist(),
-    "pc": exact_monodromy_pc(sys).tolist(),
-    "rk": exact_monodromy_rk(pc_to_ppoly(sys), 128).tolist(),
-}))
-"""
+from floquet_avg.errors import ModelError, NumericRangeError
+from floquet_avg.smallmat import matexp, matexp_stack
 
 
-def _run_worker(no_numba):
-    env = dict(os.environ)
-    if no_numba:
-        env["FLOQUET_AVG_NO_NUMBA"] = "1"
-    else:
-        env.pop("FLOQUET_AVG_NO_NUMBA", None)
-    out = subprocess.run([sys.executable, "-c", WORKER], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def _scalar_matexp(a):
+    """One-matrix scaling and squaring written as plain loops: the
+    arithmetic every slice of ``matexp_core`` must reproduce bit for bit."""
+    n = a.shape[0]
+
+    def norm1(x):
+        best = 0.0
+        for j in range(n):
+            col = 0.0
+            for i in range(n):
+                col += abs(x[i, j])
+            if col > best:
+                best = col
+        return best
+
+    s = 0
+    scaled = norm1(a)
+    while scaled > 0.5:
+        scaled *= 0.5
+        s += 1
+    b = a / (2.0 ** s)
+    out = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 31):
+        term = np.dot(term, b) / k
+        out = out + term
+        if norm1(term) <= 2.0 ** -53 * norm1(out):
+            break
+    for _ in range(s):
+        out = np.dot(out, out)
+    return out
 
 
-def _numba_importable():
-    # the same test _kernels applies: try the import, treat ImportError as absent
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def _mixed_stack(rng, n, count=24):
+    # norms from 1e-9 to 1e3, so slices need 0 to about 11 squarings and
+    # stop their Taylor series after very different numbers of terms
+    mats = rng.standard_normal((count, n, n))
+    scales = 10.0 ** rng.uniform(-9.0, 3.0, count)
+    return mats * (scales / np.abs(mats).sum(axis=1).max(axis=1))[:, None, None]
 
 
-def test_fallback_flag_disables_numba_and_matches():
-    jit = _run_worker(no_numba=False)
-    plain = _run_worker(no_numba=True)
-    assert plain["numba"] is False
-    # without numba both runs take the numpy path and the comparison below
-    # is the fallback against itself; this records which case was checked
-    assert jit["numba"] is _numba_importable()
-    for key in ("matexp", "pc", "rk"):
-        a, b = np.asarray(jit[key]), np.asarray(plain[key])
-        assert np.abs(a - b).max() < 1e-13
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stack_slices_equal_scalar_arithmetic(n):
+    stack = _mixed_stack(np.random.default_rng(n), n)
+    batched = _kernels.matexp_core(stack)
+    for k in range(stack.shape[0]):
+        assert np.array_equal(batched[k], _scalar_matexp(stack[k]))
 
 
-def test_default_path_reports_numba_state():
-    # both states are legitimate, but the module attribute must reflect the
-    # environment it was imported under: the flag forces the fallback, and
-    # otherwise numba is used exactly when it imports
-    flag = os.environ.get("FLOQUET_AVG_NO_NUMBA", "").strip().lower()
-    if flag in ("1", "true", "yes", "on"):
-        assert _kernels.USING_NUMBA is False
-    else:
-        assert _kernels.USING_NUMBA is _numba_importable()
+@pytest.mark.parametrize("n", [2, 4])
+def test_stack_slices_equal_one_at_a_time_matexp(n):
+    rng = np.random.default_rng(10 + n)
+    stack = _mixed_stack(rng, n)
+    times = rng.uniform(-3.0, 3.0, stack.shape[0])
+    batched = matexp_stack(stack, times)
+    for k in range(stack.shape[0]):
+        assert np.array_equal(batched[k], matexp(stack[k], times[k]))
+    # a slice's result does not depend on its neighbours in the stack
+    order = rng.permutation(stack.shape[0])
+    assert np.array_equal(matexp_stack(stack[order], times[order]), batched[order])
+    assert np.array_equal(matexp_stack(stack[:3], times[:3]), batched[:3])
 
 
 def test_matexp_core_short_series_on_tiny_input():
@@ -76,3 +78,39 @@ def test_matexp_core_short_series_on_tiny_input():
     a = np.array([[0.0, 1e-8], [0.0, 0.0]])
     out = _kernels.matexp_core(a)
     assert out[0, 1] == 1e-8 and out[0, 0] == 1.0
+
+
+def test_matexp_stack_reports_first_failing_slice():
+    good = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    huge = np.array([[0.0, 1.0], [3e6, 0.0]])
+    bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(NumericRangeError, match="3e"):
+        matexp_stack(np.stack([good, huge, bad]), 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        matexp_stack(np.stack([good, bad, huge]), 1.0)
+    with pytest.raises(ModelError):
+        matexp_stack(good, 1.0)  # a single matrix goes through matexp
+
+
+def _mp_expm(m, t):
+    mpmath.mp.dps = 50
+    exact = mpmath.expm(mpmath.matrix(m.tolist()) * mpmath.mpf(float(t)))
+    return np.array([[float(exact[i, j]) for j in range(m.shape[1])]
+                     for i in range(m.shape[0])])
+
+
+@pytest.mark.parametrize("m, t", [
+    # the pendulum's half-period Jacobians (omega = 0.2, eps = 0.3, beta = 0.1)
+    (np.array([[0.0, 1.0], [0.34, -0.02]]), np.pi),
+    (np.array([[0.0, 1.0], [-0.26, -0.02]]), np.pi),
+    (np.array([[0.0, 1.0], [-4.0, 0.0]]), 2.5),  # a rotation, 5 squarings
+    (np.array([[0.1, -0.7], [1.2, 0.3]]), 1.7),
+    (np.array([[0.0, 1.0, 0.0, 0.0], [-2.0, -0.1, 0.5, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, -3.0, -0.2]]), 2.0),
+    (np.array([[-1.0, 0.3, 0.0, 0.2], [0.0, -0.5, 0.8, 0.0],
+               [0.1, 0.0, 0.2, -0.4], [0.0, 0.6, 0.0, -0.9]]), 3.0),
+])
+def test_matexp_against_mpmath_50_digits(m, t):
+    ref = _mp_expm(m, t)
+    got = matexp(m, t)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -6,6 +6,7 @@ import pytest
 from conftest import pendulum_pipeline
 from floquet_avg import pendulum, scan, stability
 from floquet_avg.errors import BracketError, ModelError
+from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.scan import (
     bisect_boundary,
     compare_boundaries,
@@ -159,3 +160,97 @@ def test_point_report_order_method_margins():
     expect_det = stability.det_series_expansion(system, avg, 2)
     assert abs(report.determinant - expect_det) < 1e-14
     assert abs(report.trace - sum(mono.trace_by_order)) < 1e-14
+
+
+# -- the batched exact path: every point gets the arithmetic it gets alone --
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_exact_pc_grid_cells_equal_single_point_paths(beta):
+    grid = scan_region((0.0, 0.4, 7), (0.0, 1.0, 6), beta, "exact-pc")
+    for ie, eps in enumerate(grid.eps_samples):
+        for io, omega in enumerate(grid.omega_samples):
+            report = scan.point_report(omega, eps, beta, "exact-pc")
+            assert grid.verdicts[ie, io] == report.verdict.value
+            assert grid.margin_trace[ie, io] == report.margin_trace
+            assert grid.margin_det[ie, io] == report.margin_det
+            # the monodromy of the one-system oracle, classified on its own
+            params = pendulum.PendulumParams(omega, eps, beta)
+            alone = stability.classify(exact_monodromy_pc(pendulum.jacobians(params)))
+            assert alone.margin_trace == report.margin_trace
+            assert alone.margin_det == report.margin_det
+
+
+def test_exact_pc_cells_do_not_depend_on_the_grid_around_them():
+    fine = scan_region((0.05, 0.45, 9), (0.0, 1.0, 9), 0.1, "exact-pc")
+    corner = scan_region((0.05, 0.1, 2), (0.0, 0.125, 2), 0.1, "exact-pc")
+    assert np.array_equal(corner.margin_trace, fine.margin_trace[:2, :2])
+    assert np.array_equal(corner.margin_det, fine.margin_det[:2, :2])
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_batched_exact_margins_equal_margin_exact(beta):
+    rng = np.random.default_rng(3)
+    omegas = rng.uniform(0.0, 0.4, 12)
+    epss = rng.uniform(0.0, 1.0, 12)
+    batch = stability.margin_exact_stack(omegas, epss, beta)
+    for k in range(omegas.size):
+        params = pendulum.PendulumParams(float(omegas[k]), float(epss[k]), beta)
+        assert batch[k] == stability.margin_exact(params)
+        f = exact_monodromy_pc(pendulum.jacobians(params))
+        det = math.exp(-2.0 * math.pi * beta * float(omegas[k]))
+        assert batch[k] == det + 1.0 - abs(float(f[0, 0] + f[1, 1]))
+
+
+def _serial_bisect(omega, beta, bracket, tol=1e-10):
+    """The one-bracket bisection loop on the scalar margin."""
+    margin = scan.boundary_margin(omega, beta, "exact")
+    lo, hi = bracket
+    m_lo, m_hi = margin(lo), margin(hi)
+    if m_lo == 0.0:
+        return lo
+    if m_hi == 0.0:
+        return hi
+    assert (m_lo < 0.0) != (m_hi < 0.0)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        m_mid = margin(mid)
+        if m_mid == 0.0:
+            return mid
+        if (m_mid < 0.0) == (m_lo < 0.0):
+            lo, m_lo = mid, m_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize("branch", ["p", "n"])
+def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
+    curve = trace_boundary((0.05, 0.3, 9), beta, branch, "exact")
+    assert len(curve.points) == 9
+    for omega, eps in curve.points:
+        bracket = scan._exact_bracket(omega, beta, branch)
+        assert eps == bisect_boundary(omega, beta, bracket, "exact")
+        assert eps == _serial_bisect(omega, beta, bracket)
+    table = compare_boundaries((0.05, 0.3, 9), beta)
+    assert [r.eps_exact for r in table.branch_rows(branch)] == [e for _, e in curve.points]
+
+
+# tol values that made the bisection loop spin forever (0, negative, below
+# the float spacing) are exercised through the CLI in a child process with
+# a timeout (test_cli.py); these two returned at once with a meaningless root
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_bisection_rejects_non_finite_tol(tol):
+    with pytest.raises(ModelError, match="tol"):
+        bisect_boundary(0.2, 0.0, (0.01, 0.3), "exact", tol=tol)
+    with pytest.raises(ModelError, match="tol"):
+        trace_boundary((0.1, 0.2, 3), 0.1, "n", "exact", tol=tol)
+
+
+def test_bisection_at_the_float_spacing_terminates():
+    lo, hi = 0.01, 0.3
+    tol = float(np.spacing(hi))
+    root = bisect_boundary(0.2, 0.0, (lo, hi), "exact", tol=tol)
+    margin = scan.boundary_margin(0.2, 0.0, "exact")
+    below, above = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
+    assert margin(below) * margin(above) <= 0.0 or margin(root) == 0.0
