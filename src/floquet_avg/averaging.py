@@ -11,6 +11,11 @@ monodromy matrix is X0(T) * exp((A_1 + ... + A_N) T) up to order N.
 The graded expansion of that exponential gives the order-by-order monodromy
 terms F_j; partial sums of those are the order-k approximations whose
 convergence rate in the grading parameter is k+1.
+
+Terms may be stacks of K systems over shared breakpoints (see
+:mod:`ppoly`); J0 and the period are shared.  Every step then runs once
+over the whole stack, the A_j, F_j, traces and closure residuals gain a
+leading cell axis, and each cell gets the arithmetic it would get alone.
 """
 
 import math
@@ -34,7 +39,8 @@ class SeriesSystem:
     """Graded T-periodic system: constant nilpotent J0 plus ordered terms.
 
     ``terms[k]`` is the piecewise-polynomial term of order k+1; missing
-    higher orders are implicitly zero.
+    higher orders are implicitly zero.  Terms may be stacks of K cells
+    sharing J0 and the period.
     """
 
     period: float
@@ -72,7 +78,8 @@ class AveragedExpansion:
     A holds A_1..A_N; U holds U_1..U_{N-1} (U_N is never needed to reach
     A_N).  closure_residuals are ||U_j(T)||_1 -- zero up to roundoff when
     each A_j really is the average of its integrand, so they double as the
-    recursion's self-test.
+    recursion's self-test.  For a stack of K systems each A_j is (K, n, n)
+    and each residual a (K,) array.
     """
 
     period: float
@@ -98,7 +105,7 @@ class MonodromyExpansion:
     F0: np.ndarray
     F_terms: tuple
     partial_sums: tuple  # partial_sums[k] = F0 + F_1 + ... + F_k
-    trace_by_order: tuple  # (tr F0, tr F_1, ..., tr F_N)
+    trace_by_order: tuple  # (tr F0, tr F_1, ..., tr F_N), (K,) arrays for a stack
 
     @property
     def order(self) -> int:
@@ -168,17 +175,31 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
             if n < order:
                 u_n = ppoly.pp_antiderivative(ppoly.pp_sub(coll, a_consts[-1]))
                 u_funcs.append(u_n)
-                res = norm1(ppoly.pp_eval(u_n, period))
-                residuals.append(res)
-                if res >= _CLOSURE_TOL * (1.0 + u_n.max_coeff()):
+                res = _norm1(ppoly.pp_eval(u_n, period))
+                residuals.append(float(res) if res.ndim == 0 else res)
+                # checked cell by cell; a stack reports its first failing cell
+                broken = np.atleast_1d(res >= _CLOSURE_TOL * (1.0 + u_n.max_coeff()))
+                if broken.any():
+                    bad = float(np.atleast_1d(res)[np.argmax(broken)])
                     raise FloquetError(
-                        f"closure residual ||U_{n}(T)|| = {res:.3g} indicates a broken recursion"
+                        f"closure residual ||U_{n}(T)|| = {bad:.3g} indicates a broken recursion"
                     )
     except ModelError as exc:
         if "degree" in str(exc):
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
     return AveragedExpansion(period, tuple(a_mats), tuple(u_funcs), tuple(residuals))
+
+
+def _norm1(m) -> np.ndarray:
+    """Matrix 1-norm of an (n, n) matrix, or of each slice of a (K, n, n) stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def _trace(m):
+    """tr m as a float, or a (K,) array for a (K, n, n) stack."""
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    return float(tr) if np.ndim(tr) == 0 else tr
 
 
 def _compositions(total: int):
@@ -196,9 +217,11 @@ def graded_exp_terms(a_list, period: float, order: int):
 
     Z_j(T) = sum over m of (T^m / m!) * sum over ordered compositions
     (k_1..k_m) of j of A_{k_1} @ ... @ A_{k_m}; matrix order is preserved
-    since the A_j do not commute.
+    since the A_j do not commute.  (K, n, n) stacks of A_j give stacks of
+    Z_j; a stacked matmul multiplies each slice as a lone matrix product
+    would.
     """
-    n = a_list[0].shape[0]
+    n = a_list[0].shape[-1]
     z_terms = []
     for j in range(1, order + 1):
         z = np.zeros((n, n))
@@ -227,7 +250,7 @@ def assemble_monodromy(x0: PiecewisePolyMatrix, avg: AveragedExpansion,
     sums = [f0]
     for f in f_terms:
         sums.append(sums[-1] + f)
-    traces = (float(np.trace(f0)),) + tuple(float(np.trace(f)) for f in f_terms)
+    traces = tuple(_trace(f) for f in (f0,) + f_terms)
     return MonodromyExpansion(f0, f_terms, tuple(sums), traces)
 
 

@@ -24,6 +24,8 @@ from .exactmono import exact_monodromy_pc, exact_monodromy_rk, pc_from_ppoly
 from .ppoly import PiecewisePolyMatrix
 
 RK_STEPS_DEFAULT = 512
+# model-file terms fill every order below the highest one, so the highest is capped
+MAX_TERM_ORDER = 64
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,13 +83,18 @@ def load_model_file(path: str) -> ModelSpec:
         raw_terms = doc["terms"]
     except KeyError as exc:
         raise ModelError(f"model file is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise ModelError("'terms' must be a list of term objects")
     by_order = {}
     for term in raw_terms:
+        if not isinstance(term, dict):
+            raise ModelError(f"each term must be a JSON object, got {type(term).__name__}")
         order = term.get("order")
-        if not isinstance(order, int) or order < 1:
-            raise ModelError(f"term order must be a positive integer, got {order!r}")
+        if not isinstance(order, int) or not 1 <= order <= MAX_TERM_ORDER:
+            raise ModelError(
+                f"term order must be an integer from 1 to {MAX_TERM_ORDER}, got {order!r}")
         if order in by_order:
             raise ModelError(f"duplicate term order {order}")
         by_order[order] = _term_to_ppoly(term, period)
@@ -107,7 +114,7 @@ def load_model_file(path: str) -> ModelSpec:
 
 def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     pieces_doc = term.get("pieces")
-    if not pieces_doc:
+    if not isinstance(pieces_doc, list) or not pieces_doc:
         raise ModelError("each term needs a non-empty 'pieces' list")
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
@@ -119,16 +126,7 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
-        entries = _piece_field(piece, "entries")
-        n = len(entries)
-        dmax = max(len(c) for row in entries for c in row)
-        block = np.zeros((n, n, dmax))
-        for i, row in enumerate(entries):
-            if len(row) != n:
-                raise ModelError("entries must form a square matrix of coefficient lists")
-            for j, coeff in enumerate(row):
-                block[i, j, : len(coeff)] = np.asarray(coeff, dtype=float)
-        blocks.append(block)
+        blocks.append(_entries_block(_piece_field(piece, "entries")))
         breaks.append(t_end)
     if abs(breaks[-1] - period) > 1e-12 * period:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
@@ -136,8 +134,32 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     return PiecewisePolyMatrix(period, np.asarray(breaks), tuple(blocks))
 
 
+def _entries_block(entries) -> np.ndarray:
+    """(n, n, d+1) coefficients from a square nested list of coefficient
+    lists (ascending powers of t)."""
+    n = len(entries) if isinstance(entries, list) else 0
+    if n == 0 or not all(isinstance(row, list) and len(row) == n for row in entries):
+        raise ModelError("entries must form a square matrix of coefficient lists")
+    coeffs = [c for row in entries for c in row]
+    if not all(isinstance(c, list) and c and all(_is_number(x) for x in c) for c in coeffs):
+        raise ModelError("each entry must be a non-empty list of numbers")
+    block = np.zeros((n, n, max(len(c) for c in coeffs)))
+    try:
+        for k, c in enumerate(coeffs):
+            block[k // n, k % n, : len(c)] = c
+    except OverflowError as exc:
+        raise ModelError(f"malformed coefficient: {exc}") from None
+    return block
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _piece_field(piece, key: str):
-    if not isinstance(piece, dict) or key not in piece:
+    if not isinstance(piece, dict):
+        raise ModelError(f"each piece must be a JSON object, got {type(piece).__name__}")
+    if key not in piece:
         raise ModelError(f"each piece needs 't_start', 't_end' and 'entries'; missing {key!r}")
     return piece[key]
 
@@ -145,7 +167,7 @@ def _piece_field(piece, key: str):
 def _piece_time(piece, key: str) -> float:
     try:
         return float(_piece_field(piece, key))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"piece {key!r} must be a number: {exc}") from None
 
 
@@ -446,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--beta", type=float, default=0.0)
     p_bd.add_argument("--branch", choices=("p", "n"), required=True)
     p_bd.add_argument("--method", default="exact",
-                      choices=("exact", "exact-pc", "exact-rk", "order2", "order4"))
+                      choices=("exact", "exact-pc", "order2", "order4"))
     p_bd.add_argument("--tol", type=float, default=1e-10)
     add_common(p_bd)
     p_bd.set_defaults(func=cmd_boundary)
@@ -466,7 +488,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericRangeError as exc:
+    except (NumericRangeError, OverflowError) as exc:
+        # OverflowError: a Python float operation (pow, math.exp) left the float range
         print(f"floquet-avg: numeric range error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ModelError as exc:

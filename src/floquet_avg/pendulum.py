@@ -62,16 +62,7 @@ def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
     Parameters are checked point by point; the first invalid point raises
     what :class:`PendulumParams` raises for it.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    epss = np.asarray(epss, dtype=float)
-    ok = (np.isfinite(omegas) & (omegas >= 0.0) & np.isfinite(epss) & (epss >= 0.0)
-          & bool(np.isfinite(beta) and beta >= 0.0))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        PendulumParams(omegas[k], epss[k], beta)
-    # libm pow, not omega * omega: the two differ in the last bit for about
-    # one omega in a thousand, and the exact charts and boundaries use pow
-    w2 = np.array([w ** 2 for w in omegas.tolist()])
+    omegas, epss, w2 = _checked_points(omegas, epss, beta)
     d = -beta * omegas
     out = np.zeros((omegas.size, 2, 2, 2))
     out[:, :, 0, 1] = 1.0
@@ -87,15 +78,46 @@ def series_split(p: PendulumParams) -> SeriesSystem:
     J0 is the free drift, J1 the sign-flipping excitation (order 1), J2
     the constant restoring-plus-damping block (order 2).
     """
+    return _split(p.eps, p.omega ** 2, -p.beta * p.omega)
+
+
+def series_split_stack(omegas, epss, beta: float) -> SeriesSystem:
+    """:func:`series_split` for K points (omega_k, eps_k) at one beta, as one
+    system whose terms are stacks of K cells.
+
+    Parameters are checked as :func:`jacobian_stack` checks them.
+    """
+    omegas, epss, w2 = _checked_points(omegas, epss, beta)
+    return _split(epss, w2, -beta * omegas)
+
+
+def _split(eps, w2, damping) -> SeriesSystem:
+    """The graded series from scalars (one system) or (K,) arrays (a stack)."""
+    eps = np.asarray(eps, dtype=float)
     j0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    breaks = np.array([0.0, math.pi, PERIOD])
-    exc_plus = np.array([[0.0, 0.0], [p.eps, 0.0]])
-    j1 = PiecewisePolyMatrix(
-        PERIOD, breaks, (exc_plus[:, :, None].copy(), -exc_plus[:, :, None])
-    )
-    j2_mat = np.array([[0.0, 0.0], [p.omega ** 2, -p.beta * p.omega]])
+    exc_plus = np.zeros(eps.shape + (2, 2, 1))
+    exc_plus[..., 1, 0, 0] = eps
+    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]), (exc_plus, -exc_plus))
+    j2_mat = np.zeros(eps.shape + (2, 2))
+    j2_mat[..., 1, 0] = w2
+    j2_mat[..., 1, 1] = damping
     j2 = PiecewisePolyMatrix.constant(j2_mat, PERIOD)
     return SeriesSystem(PERIOD, j0, (j1, j2))
+
+
+def _checked_points(omegas, epss, beta: float):
+    """(omegas, epss, omega**2) as float arrays, checked point by point."""
+    omegas = np.asarray(omegas, dtype=float)
+    epss = np.asarray(epss, dtype=float)
+    ok = (np.isfinite(omegas) & (omegas >= 0.0) & np.isfinite(epss) & (epss >= 0.0)
+          & bool(np.isfinite(beta) and beta >= 0.0))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        PendulumParams(omegas[k], epss[k], beta)
+    # libm pow, not omega * omega: the two differ in the last bit for about
+    # one omega in a thousand, and the exact charts and boundaries use pow
+    w2 = np.array([w ** 2 for w in omegas.tolist()])
+    return omegas, epss, w2
 
 
 class Order2Boundary(NamedTuple):

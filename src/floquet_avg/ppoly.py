@@ -6,6 +6,14 @@ plus, per interval, an (n, n, d+1) array of polynomial coefficients in the
 refinement trivial (a piece restricted to a sub-interval reuses the same
 coefficients) and makes antiderivative constants a running-sum fixup.
 
+A stack of K such functions over shared breakpoints -- one per cell of a
+parameter grid -- carries a leading cell axis: each piece is then
+(K, n, n, d+1), and a single function is the case without the axis.  Every
+operation broadcasts over the cell axis (a single function combines with a
+stack as if repeated K times) and computes each coefficient by the same
+elementwise operations in the same order, so a cell's result does not
+depend on the other cells of the batch.
+
 Products, antiderivatives, averages and point evaluation are all closed-form
 polynomial operations, so the averaging integrals downstream carry no
 quadrature error.
@@ -25,7 +33,7 @@ _BREAK_MERGE_REL = 1e-12
 
 @dataclass(frozen=True)
 class PiecewisePolyMatrix:
-    """Piecewise-polynomial n x n matrix function on [0, T].
+    """Piecewise-polynomial n x n matrix function on [0, T], or a stack of K.
 
     Attributes
     ----------
@@ -34,8 +42,9 @@ class PiecewisePolyMatrix:
     breakpoints : np.ndarray
         Strictly increasing, shape (m+1,), first 0, last T.
     pieces : tuple of np.ndarray
-        One (n, n, d_k+1) coefficient block per interval, ascending powers
-        of global t.  Right-continuous at interior breakpoints.
+        One coefficient block per interval, ascending powers of global t:
+        (n, n, d_k+1) for one function, (K, n, n, d_k+1) for a stack of K.
+        Right-continuous at interior breakpoints.
     """
 
     period: float
@@ -48,47 +57,60 @@ class PiecewisePolyMatrix:
         bp = np.asarray(self.breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ModelError("need at least two breakpoints")
+        if not np.isfinite(bp).all():
+            raise ModelError("breakpoints must be finite")
         if abs(bp[0]) > _BREAK_MERGE_REL * self.period:
             raise ModelError("first breakpoint must be 0")
         if abs(bp[-1] - self.period) > _BREAK_MERGE_REL * self.period:
             raise ModelError("last breakpoint must equal the period")
-        if np.any(np.diff(bp) <= 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ModelError("breakpoints must be strictly increasing")
         pieces = tuple(np.asarray(p, dtype=float) for p in self.pieces)
         if len(pieces) != bp.size - 1:
             raise ModelError("number of pieces must match interval count")
-        n = pieces[0].shape[0]
+        shape = pieces[0].shape[:-1]
         for p in pieces:
-            if p.ndim != 3 or p.shape[0] != p.shape[1] or p.shape[0] != n:
-                raise ModelError("all pieces must be (n, n, d+1) with one common n")
-            if p.shape[2] - 1 > DEGREE_CAP:
-                raise ModelError(f"polynomial degree {p.shape[2] - 1} exceeds cap {DEGREE_CAP}")
-            if not np.all(np.isfinite(p)):
+            if (p.ndim not in (3, 4) or p.shape[:-1] != shape or p.shape[-3] != p.shape[-2]
+                    or p.shape[-1] == 0):
+                raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a "
+                                 "stack, with one common n and K")
+            if p.shape[-1] - 1 > DEGREE_CAP:
+                raise ModelError(f"polynomial degree {p.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
+            if not np.isfinite(p).all():
                 raise ModelError("piece coefficients must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
 
     @property
     def dim(self) -> int:
-        return self.pieces[0].shape[0]
+        return self.pieces[0].shape[-2]
+
+    @property
+    def cells(self):
+        """K for a stack of K functions, None for a single function."""
+        return self.pieces[0].shape[0] if self.pieces[0].ndim == 4 else None
 
     @property
     def max_degree(self) -> int:
-        return max(p.shape[2] - 1 for p in self.pieces)
+        return max(p.shape[-1] - 1 for p in self.pieces)
 
     @classmethod
     def constant(cls, m, period: float) -> "PiecewisePolyMatrix":
-        """Degree-0 function equal to the matrix ``m`` on [0, T]."""
+        """Degree-0 function equal to the matrix ``m`` on [0, T]; a (K, n, n)
+        ``m`` gives a stack of K constants."""
         m = np.asarray(m, dtype=float)
-        return cls(period, np.array([0.0, period]), (m[:, :, None].copy(),))
+        return cls(period, np.array([0.0, period]), (m[..., None].copy(),))
 
     @classmethod
     def zero(cls, dim: int, period: float) -> "PiecewisePolyMatrix":
         return cls.constant(np.zeros((dim, dim)), period)
 
-    def max_coeff(self) -> float:
-        """Largest coefficient magnitude over all pieces (scaling reference)."""
-        return max(float(np.abs(p).max()) for p in self.pieces)
+    def max_coeff(self):
+        """Largest coefficient magnitude over all pieces (scaling reference);
+        a (K,) array, one per cell, for a stack."""
+        per_piece = [np.abs(p).max(axis=(-3, -2, -1), initial=0.0) for p in self.pieces]
+        out = np.max(per_piece, axis=0)
+        return float(out) if self.cells is None else out
 
 
 def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
@@ -96,11 +118,19 @@ def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
         raise ModelError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if abs(a.period - b.period) > _BREAK_MERGE_REL * max(a.period, b.period):
         raise ModelError(f"period mismatch: {a.period} vs {b.period}")
+    if None not in (a.cells, b.cells) and a.cells != b.cells:
+        raise ModelError(f"cell count mismatch: {a.cells} vs {b.cells}")
 
 
 def _union_breakpoints(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> np.ndarray:
-    merged = np.union1d(a.breakpoints, b.breakpoints)
     tol = _BREAK_MERGE_REL * a.period
+    for x, y in ((a.breakpoints, b.breakpoints), (b.breakpoints, a.breakpoints)):
+        # y adds no breakpoint to x (the common case in the recursion): the
+        # merge below would return x itself
+        if ((y.size == 2 and y[0] == x[0] and y[-1] == x[-1]) or np.array_equal(x, y)) \
+                and (x[1:] - x[:-1] > tol).all():
+            return x
+    merged = np.union1d(a.breakpoints, b.breakpoints)
     keep = [merged[0]]
     for x in merged[1:]:
         if x - keep[-1] > tol:
@@ -109,75 +139,82 @@ def _union_breakpoints(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> np.nda
     return np.asarray(keep)
 
 
-def _piece_at(a: PiecewisePolyMatrix, t_mid: float) -> np.ndarray:
-    idx = int(np.searchsorted(a.breakpoints, t_mid, side="right")) - 1
-    idx = min(max(idx, 0), len(a.pieces) - 1)
-    return a.pieces[idx]
+def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray):
+    """The piece of ``a`` in force on each interval of ``breaks``."""
+    if a.breakpoints is breaks:
+        return a.pieces
+    if len(a.pieces) == 1:
+        return a.pieces * (breaks.size - 1)
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    idx = np.searchsorted(a.breakpoints, mids, side="right") - 1
+    return [a.pieces[min(max(i, 0), len(a.pieces) - 1)] for i in idx.tolist()]
+
+
+def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op) -> PiecewisePolyMatrix:
+    """``op`` applied piece by piece over the union of the two breakpoint sets."""
+    _check_compatible(a, b)
+    breaks = _union_breakpoints(a, b)
+    pieces = tuple(op(pa, pb) for pa, pb in zip(_pieces_on(a, breaks), _pieces_on(b, breaks)))
+    return PiecewisePolyMatrix(a.period, breaks, pieces)
+
+
+def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Coefficients of the matrix-polynomial product pa(t) @ pb(t).
+
+    A broadcast multiply-accumulate over the degree axis: the loop runs
+    over the contracted index and the degrees of the shorter factor, so
+    every output coefficient sums its products in an order fixed by the
+    shapes alone.
+    """
+    n, da, db = pa.shape[-2], pa.shape[-1], pb.shape[-1]
+    if da + db - 2 > DEGREE_CAP:
+        raise ModelError(f"product degree {da + db - 2} exceeds cap {DEGREE_CAP}")
+    lead = np.broadcast_shapes(pa.shape[:-3], pb.shape[:-3])
+    out = np.zeros(lead + (n, n, da + db - 1))
+    for k in range(n):
+        if da <= db:
+            for s in range(da):
+                out[..., s:s + db] += pa[..., :, k, s, None, None] * pb[..., None, k, :, :]
+        else:
+            for s in range(db):
+                out[..., s:s + da] += pa[..., :, k, None, :] * pb[..., None, k, :, s, None]
+    return out
 
 
 def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """Pointwise matrix product a(t) @ b(t) as a piecewise polynomial."""
-    _check_compatible(a, b)
-    breaks = _union_breakpoints(a, b)
-    n = a.dim
-    pieces = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        pa = _piece_at(a, mid)
-        pb = _piece_at(b, mid)
-        da, db = pa.shape[2], pb.shape[2]
-        dout = da + db - 1
-        if dout - 1 > DEGREE_CAP:
-            raise ModelError(f"product degree {dout - 1} exceeds cap {DEGREE_CAP}")
-        out = np.zeros((n, n, dout))
-        for i in range(n):
-            for j in range(n):
-                acc = np.zeros(dout)
-                for k in range(n):
-                    acc += np.convolve(pa[i, k], pb[k, j])
-                out[i, j] = acc
-        pieces.append(out)
-    return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
+    return _combine(a, b, _poly_matmul)
 
 
 def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
-    d = max(x.shape[2], y.shape[2])
-    out = np.zeros((x.shape[0], x.shape[1], d))
-    out[:, :, : x.shape[2]] = x
-    out[:, :, : y.shape[2]] += sign * y
+    d = max(x.shape[-1], y.shape[-1])
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d,))
+    out[..., : x.shape[-1]] = x
+    out[..., : y.shape[-1]] += sign * y
     return out
 
 
 def pp_add(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    _check_compatible(a, b)
-    breaks = _union_breakpoints(a, b)
-    pieces = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        pieces.append(_pad_add(_piece_at(a, mid), _piece_at(b, mid), 1.0))
-    return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
+    return _combine(a, b, lambda x, y: _pad_add(x, y, 1.0))
 
 
 def pp_sub(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    _check_compatible(a, b)
-    breaks = _union_breakpoints(a, b)
-    pieces = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        pieces.append(_pad_add(_piece_at(a, mid), _piece_at(b, mid), -1.0))
-    return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
+    return _combine(a, b, lambda x, y: _pad_add(x, y, -1.0))
 
 
 def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
-    """Horner evaluation of one (n, n, d+1) block at global time t."""
-    acc = piece[:, :, -1].copy()
-    for k in range(piece.shape[2] - 2, -1, -1):
-        acc = acc * t + piece[:, :, k]
+    """Horner evaluation of one (..., n, n, d+1) block at global time t."""
+    acc = piece[..., -1].copy()
+    for k in range(piece.shape[-1] - 2, -1, -1):
+        acc = acc * t + piece[..., k]
     return acc
 
 
 def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
-    """Value a(t) for 0 <= t <= T; right-continuous at interior breakpoints."""
+    """Value a(t) for 0 <= t <= T; right-continuous at interior breakpoints.
+
+    (n, n) for one function, (K, n, n) for a stack.
+    """
     if not (0.0 <= t <= a.period):
         raise NumericRangeError(f"t = {t:g} outside [0, {a.period:g}]")
     idx = int(np.searchsorted(a.breakpoints, t, side="right")) - 1
@@ -187,17 +224,16 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    n = a.dim
     pieces = []
-    running = np.zeros((n, n))  # cumulative integral at the left breakpoint
+    running = 0.0  # cumulative integral at the left breakpoint
     for k, piece in enumerate(a.pieces):
         lo = a.breakpoints[k]
         hi = a.breakpoints[k + 1]
-        d = piece.shape[2]
-        anti = np.zeros((n, n, d + 1))
-        anti[:, :, 1:] = piece / np.arange(1, d + 1)
+        d = piece.shape[-1]
+        anti = np.zeros(piece.shape[:-1] + (d + 1,))
+        anti[..., 1:] = piece / np.arange(1, d + 1)
         # adjust the constant so the cumulative value matches at lo
-        anti[:, :, 0] = running - _eval_block(anti, lo)
+        anti[..., 0] = running - _eval_block(anti, lo)
         pieces.append(anti)
         running = _eval_block(anti, hi)
     return PiecewisePolyMatrix(a.period, a.breakpoints.copy(), tuple(pieces))
@@ -209,7 +245,8 @@ def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
 
 
 def to_dense(a: PiecewisePolyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Pack into (breaks, coeffs) with coeffs (m, n, n, dmax+1) for kernels."""
+    """Pack one function into (breaks, coeffs) with coeffs (m, n, n, dmax+1)
+    for kernels."""
     n = a.dim
     dmax = a.max_degree
     coeffs = np.zeros((len(a.pieces), n, n, dmax + 1))

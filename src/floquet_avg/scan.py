@@ -2,12 +2,13 @@
 
 Stability bitmaps over (omega, eps) grids, boundary extraction by
 bisection on a scalar margin, and exact-versus-approximate boundary
-comparison tables.  Exact (exponential-product) work runs batched: a whole
-exact-pc grid is one stack of matrix exponentials, and the exact boundary
-samples of a curve or table bisect in lockstep, one batched margin call
-per step.  Every point still gets the arithmetic it would get alone, so
-results do not depend on the batch.  Order-K and RK4 cells run one after
-another.  All of it is single-threaded.
+comparison tables.  Exponential-product and order-K work runs batched: a
+whole exact-pc grid is one stack of matrix exponentials, a whole order-K
+grid is one averaging recursion over a stack of systems, and boundary
+samples bisect in lockstep, one batched margin call per step.  Every point
+still gets the arithmetic it would get alone, so results do not depend on
+the batch.  RK4 (exact-rk) cells run one after another.  All of it is
+single-threaded.
 """
 
 import math
@@ -78,15 +79,14 @@ def order_of_method(method: str) -> Optional[int]:
     return None
 
 
-def _order_report(params: pendulum.PendulumParams, order: int,
-                  tolerance: float) -> StabilityReport:
-    sys = pendulum.series_split(params)
+def _order_invariants(omegas, epss, beta: float, order: int):
+    """Order-K trace partial sum and truncated determinant at K points, in
+    one averaging recursion over the stack of their series."""
+    sys = pendulum.series_split_stack(omegas, epss, beta)
     x0, h_terms = averaging.standard_form(sys)
     avg = averaging.run_recursion(h_terms, sys.period, order)
     mono = averaging.assemble_monodromy(x0, avg, sys.period)
-    trace = float(sum(mono.trace_by_order))
-    det = stability.det_series_expansion(sys, avg, order)
-    return stability.report_from_trace_det(trace, det, tolerance)
+    return sum(mono.trace_by_order), stability.det_series_expansion(sys, avg, order)
 
 
 def _exact_pc_invariants(omegas, epss, beta: float):
@@ -96,23 +96,29 @@ def _exact_pc_invariants(omegas, epss, beta: float):
     return stability.trace_det(f)
 
 
+def _batched_invariants(method: str, omegas, epss, beta: float):
+    """(tr F, det F) at K points for a batched method: exact-pc or order-K."""
+    if method == "exact-pc":
+        return _exact_pc_invariants(omegas, epss, beta)
+    order = order_of_method(method)
+    if order is None:
+        raise ModelError(f"unknown method {method!r}")
+    return _order_invariants(omegas, epss, beta, order)
+
+
 def point_report(omega: float, eps: float, beta: float, method: str,
                  tolerance: float = stability.DEFAULT_TOLERANCE) -> StabilityReport:
     """Classify one parameter point with the requested method.
 
-    exact-pc is the one-point case of the batched grid evaluation.
+    exact-pc and order-K are the one-point case of the batched grid
+    evaluation.
     """
     params = pendulum.PendulumParams(omega, eps, beta)
-    if method == "exact-pc":
-        trace, det = _exact_pc_invariants([params.omega], [params.eps], beta)
-        return stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
     if method == "exact-rk":
         j = pc_to_ppoly(pendulum.jacobians(params))
         return stability.classify(exact_monodromy_rk(j, RK_STEPS_PER_PIECE), tolerance)
-    order = order_of_method(method)
-    if order is None:
-        raise ModelError(f"unknown method {method!r}")
-    return _order_report(params, order, tolerance)
+    trace, det = _batched_invariants(method, [params.omega], [params.eps], beta)
+    return stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
 
 
 def scan_region(omega_axis, eps_axis, beta: float, method: str,
@@ -120,9 +126,9 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
                 tolerance: float = stability.DEFAULT_TOLERANCE) -> ScanGrid:
     """Stability verdict for every grid point.
 
-    exact-pc evaluates the whole grid as one batch; other methods run cell
-    by cell.  ``threads`` is validated for the CLI contract, but the
-    computation is single-threaded, so the result cannot depend on it.
+    exact-pc and order-K evaluate the whole grid as one batch; exact-rk
+    runs cell by cell.  ``threads`` is validated for the CLI contract, but
+    the computation is single-threaded, so the result cannot depend on it.
     """
     omegas = axis_samples(omega_axis)
     epss = axis_samples(eps_axis)
@@ -130,20 +136,7 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
         raise ModelError(f"unknown method {method!r}")
     _resolve_threads(threads)
     shape = (epss.size, omegas.size)
-    if method == "exact-pc":
-        eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
-        omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
-        try:
-            trace, det = _exact_pc_invariants(omega_flat, eps_flat, beta)
-        except FloquetError:
-            # cells fail independently: raise the first failing cell's own
-            # error, as a cell-by-cell scan would
-            for omega, eps in zip(omega_flat, eps_flat):
-                point_report(omega, eps, beta, method, tolerance)
-            raise
-        margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
-        verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
-    else:
+    if method == "exact-rk":
         verdicts = np.empty(shape, dtype="<U8")
         margin_trace = np.empty(shape)
         margin_det = np.empty(shape)
@@ -153,6 +146,19 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
                 verdicts[ie, io] = report.verdict.value
                 margin_trace[ie, io] = report.margin_trace
                 margin_det[ie, io] = report.margin_det
+    else:
+        eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
+        omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
+        try:
+            trace, det = _batched_invariants(method, omega_flat, eps_flat, beta)
+        except FloquetError:
+            # cells fail independently: raise the first failing cell's own
+            # error, as a cell-by-cell scan would
+            for omega, eps in zip(omega_flat, eps_flat):
+                point_report(omega, eps, beta, method, tolerance)
+            raise
+        margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
+        verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
     return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
                     verdicts, margin_trace, margin_det)
 
@@ -172,7 +178,7 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-EXACT_BOUNDARY_METHODS = ("exact", "exact-pc", "exact-rk")
+EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
 
 
 def boundary_margin(omega: float, beta: float, method: str):
@@ -181,34 +187,30 @@ def boundary_margin(omega: float, beta: float, method: str):
     Exact methods bisect the exponential-product margin; order-K methods
     use the order-K trace partial sum against the graded determinant
     truncation, so their zeros coincide with the closed-form boundary
-    expressions of the same order.
+    expressions of the same order.  The one-point case of the batched
+    margins.
     """
+    margin = _margin_stack(np.array([float(omega)]), beta, method)
+
+    def scalar(eps):
+        return float(margin(np.zeros(1, dtype=int), np.array([float(eps)]))[0])
+
+    return scalar
+
+
+def _margin_stack(omegas, beta: float, method: str):
+    """margin(index, eps): the boundary margins of samples ``index`` (at
+    ``omegas[index]``) evaluated at ``eps``, in one batch."""
     if method in EXACT_BOUNDARY_METHODS:
-        def margin(eps):
-            return stability.margin_exact(pendulum.PendulumParams(omega, eps, beta))
+        def margin(index, eps):
+            return stability.margin_exact_stack(omegas[index], eps, beta)
         return margin
     order = order_of_method(method)
     if order is None:
         raise ModelError(f"unknown method {method!r}")
 
-    def margin(eps):
-        report = _order_report(pendulum.PendulumParams(omega, eps, beta), order, 0.0)
-        return report.margin_trace
-
-    return margin
-
-
-def _margin_stack(omegas, beta: float, method: str):
-    """margin(index, eps): the boundary margins of samples ``index`` (at
-    ``omegas[index]``) evaluated at ``eps``; exact margins in one batch."""
-    if method in EXACT_BOUNDARY_METHODS:
-        def margin(index, eps):
-            return stability.margin_exact_stack(omegas[index], eps, beta)
-        return margin
-    scalar = [boundary_margin(float(omega), beta, method) for omega in omegas]
-
     def margin(index, eps):
-        return np.array([scalar[i](e) for i, e in zip(index.tolist(), eps.tolist())])
+        return stability.margins(*_order_invariants(omegas[index], eps, beta, order))[0]
 
     return margin
 

@@ -142,7 +142,7 @@ def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
 
 
 def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion,
-                         order: int | None = None) -> float:
+                         order: int | None = None):
     """Graded truncation of the determinant expansion at the given order.
 
     Expands exp(sum_j tr(A_j) T) as a power series in the grading
@@ -150,31 +150,31 @@ def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion,
     exp(T tr J0) is grade 0 and multiplies the whole truncation.  This is
     the determinant an order-K boundary condition is solved against (the
     trace partial sum is truncated the same way), so approximate-boundary
-    root finding reproduces the closed-form boundary curves.
+    root finding reproduces the closed-form boundary curves.  A float for
+    one system, a (K,) array for a stack of K.
     """
     if order is None:
         order = avg.order
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
     t = sys.period
-    # scalar graded series: coeff[j] = tr(A_j) * T for j >= 1
-    coeff = np.zeros(order + 1)
+    lead = np.shape(avg.A[0])[:-2]
+    # scalar graded series per cell: coeff[..., j] = tr(A_j) * T for j >= 1
+    coeff = np.zeros(lead + (order + 1,))
     for j, a in enumerate(avg.A[:order], start=1):
-        coeff[j] = float(np.trace(a)) * t
-    series = np.zeros(order + 1)
-    series[0] = 1.0
-    power = np.zeros(order + 1)
-    power[0] = 1.0
+        coeff[..., j] = np.trace(a, axis1=-2, axis2=-1) * t
+    series = np.zeros(lead + (order + 1,))
+    series[..., 0] = 1.0
+    power = series.copy()
     for m in range(1, order + 1):
-        nxt = np.zeros(order + 1)
-        for i in range(order + 1):
-            if power[i] == 0.0:
-                continue
-            for j in range(1, order + 1 - i):
-                nxt[i + j] += power[i] * coeff[j]
+        nxt = np.zeros(lead + (order + 1,))
+        for i in range(order):
+            # a zero power[i] adds +-0.0, which leaves each finite sum as it is
+            nxt[..., i + 1:] += power[..., i, None] * coeff[..., 1:order + 1 - i]
         power = nxt
         series += power / math.factorial(m)
-    return math.exp(float(np.trace(sys.J0)) * t) * float(series.sum())
+    det = math.exp(float(np.trace(sys.J0)) * t) * series.sum(axis=-1)
+    return float(det) if det.ndim == 0 else det
 
 
 def trace_identity_residuals(sys: SeriesSystem, avg: AveragedExpansion) -> list[float]:

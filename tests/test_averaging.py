@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_pipeline
-from floquet_avg import averaging, pendulum
+from floquet_avg import averaging, pendulum, stability
 from floquet_avg.averaging import SeriesSystem, graded_exp_terms, monodromy_direct
-from floquet_avg.errors import ModelError
+from floquet_avg.errors import FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.ppoly import PiecewisePolyMatrix, pp_eval
 from floquet_avg.smallmat import norm1
@@ -185,3 +185,84 @@ def test_monodromy_direct_deviation_is_high_order():
     slope2 = np.polyfit(np.log(svals), np.log(errs2), 1)[0]
     assert slope4 >= 4.5  # order-5 deviation from the order-4 partial sum
     assert slope2 >= 2.5  # order-3 deviation from the exact monodromy
+
+
+# -- the averaged path over a stack of systems --------------------------------
+
+def _pipeline_invariants(system, order):
+    """Everything the order-K path computes for a system or a stack of them."""
+    x0, h = averaging.standard_form(system)
+    avg = averaging.run_recursion(h, system.period, order)
+    mono = averaging.assemble_monodromy(x0, avg, system.period)
+    det = stability.det_series_expansion(system, avg, order)
+    arrays = list(avg.A) + [np.asarray(r) for r in avg.closure_residuals]
+    arrays += [np.asarray(t) for t in mono.trace_by_order[1:]] + list(mono.F_terms)
+    arrays += list(mono.partial_sums[1:]) + [np.asarray(det)]
+    arrays += [p for u in avg.U for p in u.pieces]
+    return arrays
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
+    rng = np.random.default_rng(order)
+    omegas, epss = rng.uniform(0.0, 0.4, 8), rng.uniform(0.0, 1.0, 8)
+    full = _pipeline_invariants(pendulum.series_split_stack(omegas, epss, beta), order)
+    permutation = rng.permutation(8)
+    permuted = _pipeline_invariants(
+        pendulum.series_split_stack(omegas[permutation], epss[permutation], beta), order)
+    truncated = _pipeline_invariants(pendulum.series_split_stack(omegas[:3], epss[:3], beta), order)
+    for k in range(8):
+        alone = _pipeline_invariants(pendulum.series_split_stack(omegas[[k]], epss[[k]], beta), order)
+        single = _pipeline_invariants(
+            pendulum.series_split(pendulum.PendulumParams(omegas[k], epss[k], beta)), order)
+        position = int(np.flatnonzero(permutation == k)[0])
+        for x, x_alone, x_single, x_perm in zip(full, alone, single, permuted):
+            assert np.array_equal(x[k], x_alone[0])
+            assert np.array_equal(x[k], x_single)
+            assert np.array_equal(x[k], x_perm[position])
+        if k < 3:
+            assert all(np.array_equal(x[k], y[k]) for x, y in zip(full, truncated))
+
+
+def test_series_split_stack_matches_series_split():
+    omegas, epss, beta = np.array([0.0, 0.137, 0.29]), np.array([0.4, 0.0, 0.93]), 0.2
+    stack = pendulum.series_split_stack(omegas, epss, beta)
+    assert np.array_equal(stack.J0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for k in range(3):
+        single = pendulum.series_split(pendulum.PendulumParams(omegas[k], epss[k], beta))
+        for term_stack, term in zip(stack.terms, single.terms):
+            assert np.array_equal(term_stack.breakpoints, term.breakpoints)
+            for p_stack, p in zip(term_stack.pieces, term.pieces):
+                assert np.array_equal(p_stack[k], p)
+        # omega**2 is libm pow, as in the exact path's Jacobians
+        assert stack.terms[1].pieces[0][k, 1, 0, 0] == float(omegas[k]) ** 2
+
+
+def test_series_split_stack_validates_point_by_point():
+    with pytest.raises(ModelError, match="eps"):
+        pendulum.series_split_stack([0.1, 0.2, 0.3], [0.5, -1.0, math.nan], 0.0)
+    with pytest.raises(ModelError, match="omega"):
+        pendulum.series_split_stack([0.1, math.inf], [0.5, 0.5], 0.0)
+    with pytest.raises(ModelError, match="beta"):
+        pendulum.series_split_stack([0.1], [0.5], -0.1)
+
+
+def test_batched_closure_check_names_a_failing_cell(monkeypatch):
+    # with a threshold of 1e-300 every cell with a nonzero residual fails;
+    # the stack reports the first such cell's residual, as that cell would alone
+    monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
+    omegas, epss = np.array([0.0, 0.2, 0.3]), np.array([0.0, 0.7, 0.4])
+    errors = []
+    for k in range(3):
+        _, h = averaging.standard_form(pendulum.series_split_stack(omegas[[k]], epss[[k]], 0.1))
+        try:
+            averaging.run_recursion(h, TWO_PI, 3)
+            errors.append(None)
+        except FloquetError as exc:
+            errors.append(str(exc))
+    assert errors[0] is None and errors[1] is not None and errors[2] not in (None, errors[1])
+    _, h = averaging.standard_form(pendulum.series_split_stack(omegas, epss, 0.1))
+    with pytest.raises(FloquetError) as excinfo:
+        averaging.run_recursion(h, TWO_PI, 3)
+    assert str(excinfo.value) == errors[1]

@@ -364,3 +364,76 @@ def test_model_file_piece_without_key_exits_2(tmp_path, capsys, missing):
     code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path)])
     assert code == 2 and out == ""
     assert missing in err
+
+
+def _write_model(tmp_path, terms):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "custom", "period": 2.0,
+                                "J0": [[0.0, 1.0], [0.0, 0.0]], "terms": terms}))
+    return str(path)
+
+
+def _piece(entries):
+    return {"t_start": 0.0, "t_end": 2.0, "entries": entries}
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([[1, 2]], "term"),  # a term that is not an object
+    ({"order": 1}, "terms"),  # terms that are not a list
+    ([{"order": 1, "pieces": 5}], "pieces"),
+    ([{"order": 1, "pieces": [[0.0, 2.0]]}], "piece"),  # a piece that is not an object
+    ([{"order": 1, "pieces": [_piece(5)]}], "entries"),
+    ([{"order": 1, "pieces": [_piece([])]}], "entries"),
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[0.3]]])]}], "entries"),  # ragged
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[0.3], 7]])]}], "entry"),
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [["x"], [0.0]]])]}], "entry"),
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[None], [0.0]]])]}], "entry"),
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[], [0.0]]])]}], "entry"),
+    ([{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[10 ** 400], [0.0]]])]}], "coefficient"),
+])
+def test_malformed_model_file_terms_exit_2(tmp_path, capsys, terms, message):
+    path = _write_model(tmp_path, terms)
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", path])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_boundary_rejects_exact_rk(capsys):
+    # exact-rk would bisect the exponential-product margin under another name
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["boundary", "--omega", "0.1:0.2:2", "--branch", "p", "--method", "exact-rk"])
+    assert excinfo.value.code == 2
+    assert "exact-rk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--omega", "0:1e200:2", "--eps", "0:1:2"],
+    ["scan", "--omega", "0:1e200:2", "--eps", "0:1:2", "--method", "order2"],
+    ["analyze", "--omega", "1e200", "--eps", "0", "--beta", "0"],
+    ["boundary", "--omega", "1e200:1e200:1", "--branch", "p"],
+    ["boundary", "--omega", "0.1:0.1:1", "--beta", "1e200", "--branch", "n"],
+])
+def test_float_overflow_is_a_range_error(capsys, argv):
+    # omega**2 (and beta**2 in the closed forms) overflow in float pow, and a
+    # huge period in period**m and math.exp
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert "range" in err and "Traceback" not in err
+
+
+def test_huge_period_is_a_range_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "custom", "period": 1e300, "J0": [[0.0]], "terms": [
+        {"order": 1, "pieces": [{"t_start": 0.0, "t_end": 1e300, "entries": [[[1.0]]]}]}]}))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path), "--order", "2"])
+    assert code == 3 and out == ""
+    assert "range" in err
+
+
+def test_huge_model_file_term_order_exits_2_without_hanging(tmp_path):
+    # every order below the highest one was filled with a zero term
+    path = _write_model(tmp_path, [{"order": 10 ** 12, "pieces": [
+        _piece([[[0.0], [0.0]], [[0.3], [0.0]]])]}])
+    proc = _cli_subprocess(["analyze", "--model-file", path])
+    assert proc.returncode == 2
+    assert "order" in proc.stderr and "Traceback" not in proc.stderr

@@ -175,3 +175,132 @@ def test_breakpoint_validation():
                             tuple(np.zeros((1, 1, 1)) for _ in range(3)))
     with pytest.raises(ModelError):
         PiecewisePolyMatrix(TWO_PI, np.array([0.5, TWO_PI]), (np.zeros((1, 1, 1)),))
+
+
+def test_non_finite_breakpoints_rejected():
+    with pytest.raises(ModelError):
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, math.nan, TWO_PI]),
+                            tuple(np.zeros((1, 1, 1)) for _ in range(2)))
+
+
+# -- the cell axis: a stack of K functions over shared breakpoints ----------
+
+def _convolve_mul(a, b):
+    """The product as an i/j/k loop of np.convolve calls on one function:
+    the reference the broadcast multiply-accumulate must agree with."""
+    breaks = np.union1d(a.breakpoints, b.breakpoints)
+    n = a.dim
+    pieces = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (lo + hi)
+        pa = a.pieces[min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1,
+                          len(a.pieces) - 1)]
+        pb = b.pieces[min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1,
+                          len(b.pieces) - 1)]
+        out = np.zeros((n, n, pa.shape[2] + pb.shape[2] - 1))
+        for i in range(n):
+            for j in range(n):
+                acc = np.zeros(out.shape[2])
+                for k in range(n):
+                    acc += np.convolve(pa[i, k], pb[k, j])
+                out[i, j] = acc
+        pieces.append(out)
+    return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
+
+
+def _random_stack(rng, cells, n, degrees, breaks):
+    return PiecewisePolyMatrix(TWO_PI, np.asarray(breaks), tuple(
+        rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees))
+
+
+def _cell(a, k):
+    """Cell k of a stack as a single function."""
+    return PiecewisePolyMatrix(a.period, a.breakpoints, tuple(p[k] for p in a.pieces))
+
+
+def _take(a, index):
+    """The stack of cells ``index`` of a stack, in that order."""
+    return PiecewisePolyMatrix(a.period, a.breakpoints, tuple(p[index] for p in a.pieces))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_batched_product_agrees_with_convolve_reference(n):
+    rng = np.random.default_rng(40 + n)
+    a = _random_stack(rng, 6, n, (2, 7), [0.0, PI, TWO_PI])
+    b = _random_stack(rng, 6, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
+    prod = pp_mul(a, b)
+    for k in range(6):
+        want = _convolve_mul(_cell(a, k), _cell(b, k))
+        assert np.array_equal(prod.breakpoints, want.breakpoints)
+        for got, ref in zip(prod.pieces, want.pieces):
+            assert got[k].shape == ref.shape
+            assert np.abs(got[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _ops(a, b):
+    """Every ppoly operation on a pair of stacks (or single functions)."""
+    anti = pp_antiderivative(a)
+    return {
+        "mul": pp_mul(a, b).pieces,
+        "add": pp_add(a, b).pieces,
+        "sub": pp_sub(a, b).pieces,
+        "antiderivative": anti.pieces,
+        "eval": (pp_eval(a, 0.0), pp_eval(a, 2.5), pp_eval(anti, TWO_PI)),
+        "average": (pp_average(b),),
+        "max_coeff": (np.asarray(a.max_coeff()),),
+    }
+
+
+def test_every_cell_of_a_batch_equals_its_own_run_bitwise():
+    rng = np.random.default_rng(7)
+    a = _random_stack(rng, 9, 2, (3, 8), [0.0, PI, TWO_PI])
+    b = _random_stack(rng, 9, 2, (11, 1, 4), [0.0, 1.0, 4.0, TWO_PI])
+    full = _ops(a, b)
+    permutation = rng.permutation(9)
+    permuted = _ops(_take(a, permutation), _take(b, permutation))
+    truncated = _ops(_take(a, np.arange(3)), _take(b, np.arange(3)))
+    for k in range(9):
+        alone = _ops(_take(a, [k]), _take(b, [k]))
+        single = _ops(_cell(a, k), _cell(b, k))
+        position = int(np.flatnonzero(permutation == k)[0])
+        for name, arrays in full.items():
+            for x, x_alone, x_single, x_perm in zip(arrays, alone[name], single[name],
+                                                     permuted[name]):
+                assert np.array_equal(x[k], x_alone[0]), name
+                assert np.array_equal(x[k], x_single), name
+                assert np.array_equal(x[k], x_perm[position]), name
+            if k < 3:
+                for x, x_trunc in zip(arrays, truncated[name]):
+                    assert np.array_equal(x[k], x_trunc[k]), name
+
+
+def test_single_function_broadcasts_against_a_stack():
+    rng = np.random.default_rng(8)
+    stack = _random_stack(rng, 5, 3, (2, 6), [0.0, 2.0, TWO_PI])
+    single = PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                 tuple(rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)))
+    assert single.cells is None and stack.cells == 5
+    for op in (pp_mul, pp_add, pp_sub):
+        left, right = op(single, stack), op(stack, single)
+        assert left.cells == right.cells == 5
+        for k in range(5):
+            for got, want in zip(left.pieces, op(single, _cell(stack, k)).pieces):
+                assert np.array_equal(got[k], want)
+            for got, want in zip(right.pieces, op(_cell(stack, k), single).pieces):
+                assert np.array_equal(got[k], want)
+
+
+def test_stack_shape_errors():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ModelError, match="cell count"):
+        pp_mul(_random_stack(rng, 3, 2, (1,), [0.0, TWO_PI]),
+               _random_stack(rng, 4, 2, (1,), [0.0, TWO_PI]))
+    with pytest.raises(ModelError):  # pieces disagree on K
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                            (np.zeros((3, 2, 2, 1)), np.zeros((4, 2, 2, 1))))
+    with pytest.raises(ModelError):  # one stacked piece, one single piece
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                            (np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))))
+    stack = PiecewisePolyMatrix.constant(np.ones((3, 2, 2)), TWO_PI)
+    assert stack.cells == 3 and stack.pieces[0].shape == (3, 2, 2, 1)
+    assert np.array_equal(stack.max_coeff(), np.ones(3))

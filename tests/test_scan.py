@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_pipeline
-from floquet_avg import pendulum, scan, stability
-from floquet_avg.errors import BracketError, ModelError
+from floquet_avg import averaging, pendulum, scan, stability
+from floquet_avg.errors import BracketError, FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.scan import (
     bisect_boundary,
@@ -254,3 +254,69 @@ def test_bisection_at_the_float_spacing_terminates():
     margin = scan.boundary_margin(0.2, 0.0, "exact")
     below, above = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
     assert margin(below) * margin(above) <= 0.0 or margin(root) == 0.0
+
+
+# -- the batched averaged path: one recursion over the whole order-K grid --
+
+@pytest.mark.parametrize("method", ["order1", "order2", "order4", "order6"])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_order_grid_cells_equal_point_report(method, beta):
+    grid = scan_region((0.0, 0.4, 6), (0.0, 1.0, 5), beta, method)
+    for ie, eps in enumerate(grid.eps_samples):
+        for io, omega in enumerate(grid.omega_samples):
+            report = scan.point_report(omega, eps, beta, method)
+            assert grid.verdicts[ie, io] == report.verdict.value
+            assert grid.margin_trace[ie, io] == report.margin_trace
+            assert grid.margin_det[ie, io] == report.margin_det
+
+
+def test_order_cells_do_not_depend_on_the_grid_around_them():
+    fine = scan_region((0.05, 0.45, 9), (0.0, 1.0, 9), 0.1, "order4")
+    corner = scan_region((0.05, 0.1, 2), (0.0, 0.125, 2), 0.1, "order4")
+    assert np.array_equal(corner.margin_trace, fine.margin_trace[:2, :2])
+    assert np.array_equal(corner.margin_det, fine.margin_det[:2, :2])
+    assert (corner.verdicts == fine.verdicts[:2, :2]).all()
+
+
+def test_order_scan_raises_the_first_failing_cells_error(monkeypatch):
+    # a closure threshold of 1e-300 fails every cell with a nonzero residual
+    monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
+    axes = ((0.0, 0.3, 3), (0.0, 0.6, 3))
+    first = None
+    for eps in scan.axis_samples(axes[1]):
+        for omega in scan.axis_samples(axes[0]):
+            try:
+                scan.point_report(omega, eps, 0.1, "order4")
+            except FloquetError as exc:
+                first = first or str(exc)
+    assert first is not None
+    with pytest.raises(FloquetError) as excinfo:
+        scan_region(*axes, 0.1, "order4")
+    assert str(excinfo.value) == first
+
+
+@pytest.mark.parametrize("method", ["order2", "order4"])
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
+    omegas = np.linspace(0.05, 0.3, 4)
+    samples = [(omega, branch) for branch in ("p", "n") for omega in omegas]
+    closed = [scan._boundary_sample(omega, beta, branch, method, 1e-10)
+              for omega, branch in samples]
+    lo = [0.9 * root for root in closed]
+    hi = [1.1 * root for root in closed]
+    margin = scan._margin_stack(np.array([omega for omega, _ in samples]), beta, method)
+    roots = scan._bisect(margin, lo, hi, 1e-10)[0]
+    for i, ((omega, _), root) in enumerate(zip(samples, roots.tolist())):
+        assert root == bisect_boundary(omega, beta, (lo[i], hi[i]), method)
+        assert abs(root - closed[i]) < 1e-9
+        # the scalar margin is the one-point case of the batched one
+        at_root = margin(np.array([i]), np.array([root]))[0]
+        assert scan.boundary_margin(omega, beta, method)(root) == at_root
+
+
+def test_exact_rk_is_not_a_boundary_method():
+    assert "exact-rk" not in scan.EXACT_BOUNDARY_METHODS
+    with pytest.raises(ModelError, match="exact-rk"):
+        bisect_boundary(0.2, 0.0, (0.01, 0.3), "exact-rk")
+    with pytest.raises(ModelError, match="exact-rk"):
+        trace_boundary((0.1, 0.2, 3), 0.0, "p", "exact-rk")
