@@ -1,18 +1,22 @@
 """Hot numeric kernels: matrix exponential and the RK4 fundamental-matrix
 integrator.
 
-``matexp_core`` works on a whole ``(K, n, n)`` stack at once (a single
-``(n, n)`` matrix is the K = 1 case).  Every slice runs the arithmetic of a
-one-matrix scaling-and-squaring exponential -- its own scaling exponent,
-its own Taylor stop, its own number of squarings -- so a slice's result
-does not depend on what else is in the stack.  The RK4 integrator is a
-plain loop over one small dense system.
+Both work on a whole stack at once: ``matexp_core`` on a ``(K, n, n)`` stack
+of matrices, ``rk4_monodromy_core`` on K systems over shared breakpoints (a
+single matrix or system is the case without the stack axis).  Every slice
+runs the arithmetic it would get alone -- for the exponential its own
+scaling exponent, Taylor stop and number of squarings -- so a slice's
+result does not depend on what else is in the stack.
 """
 
 import numpy as np
 
+from .ppoly import _eval_block
+
 _EPS_53 = 2.0 ** -53
 _MAX_TAYLOR_TERMS = 30
+# coefficient values per block of RK4 steps evaluated at once (x3 stages)
+_RK4_BLOCK_VALUES = 1 << 16
 
 
 def _norm1(a):
@@ -72,47 +76,39 @@ def matexp_core(a):
     return result[0] if single else result
 
 
-def _poly_eval_into(coeffs, t, out):
-    """Horner evaluation of an (n, n, d+1) ascending-coefficient block."""
-    n = coeffs.shape[0]
-    d = coeffs.shape[2]
-    for i in range(n):
-        for j in range(n):
-            acc = coeffs[i, j, d - 1]
-            for k in range(d - 2, -1, -1):
-                acc = acc * t + coeffs[i, j, k]
-            out[i, j] = acc
-
-
 def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
     """Integrate dX/dt = J(t) X, X(0) = I, across the polynomial pieces.
 
-    Steps are confined to one piece at a time so no RK4 stage ever
-    straddles a breakpoint.  ``coeffs`` is (pieces, n, n, d+1) in the
-    global time variable.  The state update is Kahan-compensated: without
-    it the accumulation roundoff (steps * eps * ||X||) dominates the
-    determinant identity once ||X(T)|| is large.
+    ``coeffs`` holds ascending powers of global t: (m, n, n, d+1) for one
+    system, (m, K, n, n, d+1) for K systems stepping together, each stage
+    one stacked ``np.matmul``.  Steps are confined to one piece at a time
+    so no RK4 stage ever straddles a breakpoint.  The state update is
+    Kahan-compensated: without it the accumulation roundoff (steps * eps *
+    ||X||) dominates the determinant identity once ||X(T)|| is large.
     """
-    m = coeffs.shape[0]
-    n = coeffs.shape[1]
-    x = np.eye(n)
-    carry = np.zeros((n, n))
-    jmat = np.empty((n, n))
+    single = coeffs.ndim == 4
+    if single:
+        coeffs = coeffs[:, None]
+    m, k, n = coeffs.shape[:3]
+    x = np.repeat(np.eye(n)[None], k, axis=0)
+    carry = np.zeros((k, n, n))
+    # J at the start, middle and end of a block of steps in one Horner pass
+    block = max(1, _RK4_BLOCK_VALUES // x.size)
     for p in range(m):
         t0 = breaks[p]
-        t1 = breaks[p + 1]
-        h = (t1 - t0) / steps_per_piece
-        for k in range(steps_per_piece):
-            t = t0 + k * h
-            _poly_eval_into(coeffs[p], t, jmat)
-            k1 = np.dot(jmat, x)
-            _poly_eval_into(coeffs[p], t + 0.5 * h, jmat)
-            k2 = np.dot(jmat, x + (0.5 * h) * k1)
-            k3 = np.dot(jmat, x + (0.5 * h) * k2)
-            _poly_eval_into(coeffs[p], t + h, jmat)
-            k4 = np.dot(jmat, x + h * k3)
-            step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - carry
-            updated = x + step
-            carry = (updated - x) - step
-            x = updated
-    return x
+        h = (breaks[p + 1] - t0) / steps_per_piece
+        half, sixth = 0.5 * h, h / 6.0
+        for first in range(0, steps_per_piece, block):
+            t = t0 + np.arange(first, min(first + block, steps_per_piece)) * h
+            stages = np.stack((t, t + half, t + h))[..., None, None, None]
+            j = np.broadcast_to(_eval_block(coeffs[p], stages), (3, t.size, k, n, n))
+            for j_start, j_mid, j_end in zip(j[0], j[1], j[2]):
+                k1 = np.matmul(j_start, x)
+                k2 = np.matmul(j_mid, x + half * k1)
+                k3 = np.matmul(j_mid, x + half * k2)
+                k4 = np.matmul(j_end, x + h * k3)
+                step = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - carry
+                updated = x + step
+                carry = (updated - x) - step
+                x = updated
+    return x[0] if single else x

@@ -111,9 +111,6 @@ class MonodromyExpansion:
     def order(self) -> int:
         return len(self.F_terms)
 
-    def partial_sum(self, k: int) -> np.ndarray:
-        return self.partial_sums[k]
-
 
 def standard_form(sys: SeriesSystem):
     """Split off X0(t) = exp(J0 t) and conjugate each term into H_j.
@@ -175,7 +172,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
             if n < order:
                 u_n = ppoly.pp_antiderivative(ppoly.pp_sub(coll, a_consts[-1]))
                 u_funcs.append(u_n)
-                res = _norm1(ppoly.pp_eval(u_n, period))
+                res = norm1(ppoly.pp_eval(u_n, period))
                 residuals.append(float(res) if res.ndim == 0 else res)
                 # checked cell by cell; a stack reports its first failing cell
                 broken = np.atleast_1d(res >= _CLOSURE_TOL * (1.0 + u_n.max_coeff()))
@@ -189,11 +186,6 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
     return AveragedExpansion(period, tuple(a_mats), tuple(u_funcs), tuple(residuals))
-
-
-def _norm1(m) -> np.ndarray:
-    """Matrix 1-norm of an (n, n) matrix, or of each slice of a (K, n, n) stack."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 def _trace(m):

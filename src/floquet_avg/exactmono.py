@@ -18,6 +18,10 @@ from .errors import ModelError
 from .ppoly import PiecewisePolyMatrix, to_dense
 from .smallmat import as_matrix, matexp_stack
 
+# steps per piece of the RK4 oracle; at the cap one system takes about a second per piece
+RK_MIN_STEPS = 16
+RK_MAX_STEPS = 65536
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantSystem:
@@ -86,19 +90,35 @@ def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
 
 
 def exact_monodromy_rk(j: PiecewisePolyMatrix, steps_per_piece: int) -> np.ndarray:
-    """RK4 fundamental matrix at t = T for dX/dt = J(t) X, X(0) = I."""
-    if steps_per_piece < 16:
-        raise ModelError("steps_per_piece must be at least 16")
+    """RK4 fundamental matrix at t = T for dX/dt = J(t) X, X(0) = I.
+
+    (n, n) for one system; a stack of K systems integrates as one stack and
+    gives (K, n, n), each slice equal to the system's own integration.
+    """
+    if not RK_MIN_STEPS <= steps_per_piece <= RK_MAX_STEPS:
+        raise ModelError(f"steps_per_piece must be in {RK_MIN_STEPS}..{RK_MAX_STEPS}, "
+                         f"got {steps_per_piece}")
     breaks, coeffs = to_dense(j)
     return rk4_monodromy_core(breaks, coeffs, steps_per_piece)
 
 
 def pc_to_ppoly(sys: PiecewiseConstantSystem) -> PiecewisePolyMatrix:
     """Degree-0 piecewise-polynomial view of a piecewise-constant system."""
-    breaks = np.concatenate(([0.0], np.cumsum([d for d, _ in sys.segments])))
-    breaks[-1] = sys.period
-    pieces = tuple(mat[:, :, None].copy() for _, mat in sys.segments)
-    return PiecewisePolyMatrix(sys.period, breaks, pieces)
+    return pc_stack_to_ppoly(sys.period, [d for d, _ in sys.segments],
+                             np.stack([m for _, m in sys.segments]))
+
+
+def pc_stack_to_ppoly(period: float, durations, mats) -> PiecewisePolyMatrix:
+    """Degree-0 view of K piecewise-constant systems that share segment durations.
+
+    ``mats`` is (K, S, n, n) as for :func:`exact_monodromy_pc_stack`, or
+    (S, n, n) for one system.
+    """
+    breaks = np.concatenate(([0.0], np.cumsum(durations)))
+    breaks[-1] = period
+    mats = np.asarray(mats, dtype=float)
+    return PiecewisePolyMatrix(period, breaks,
+                               tuple(mats[..., s, :, :, None] for s in range(mats.shape[-3])))
 
 
 def pc_from_ppoly(j: PiecewisePolyMatrix) -> PiecewiseConstantSystem:

@@ -245,11 +245,10 @@ def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
 
 
 def to_dense(a: PiecewisePolyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Pack one function into (breaks, coeffs) with coeffs (m, n, n, dmax+1)
-    for kernels."""
-    n = a.dim
-    dmax = a.max_degree
-    coeffs = np.zeros((len(a.pieces), n, n, dmax + 1))
+    """Pack into (breaks, coeffs) for kernels, every piece zero-padded to the
+    largest degree: coeffs is (m, n, n, dmax+1) for one function and
+    (m, K, n, n, dmax+1) for a stack of K."""
+    coeffs = np.zeros((len(a.pieces),) + a.pieces[0].shape[:-1] + (a.max_degree + 1,))
     for k, p in enumerate(a.pieces):
-        coeffs[k, :, :, : p.shape[2]] = p
+        coeffs[k, ..., : p.shape[-1]] = p
     return a.breakpoints.copy(), coeffs

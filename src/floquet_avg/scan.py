@@ -2,13 +2,13 @@
 
 Stability bitmaps over (omega, eps) grids, boundary extraction by
 bisection on a scalar margin, and exact-versus-approximate boundary
-comparison tables.  Exponential-product and order-K work runs batched: a
-whole exact-pc grid is one stack of matrix exponentials, a whole order-K
-grid is one averaging recursion over a stack of systems, and boundary
-samples bisect in lockstep, one batched margin call per step.  Every point
-still gets the arithmetic it would get alone, so results do not depend on
-the batch.  RK4 (exact-rk) cells run one after another.  All of it is
-single-threaded.
+comparison tables.  Every method runs batched: a whole exact-pc grid is
+one stack of matrix exponentials, a whole exact-rk grid one RK4
+integration of a stack of systems, a whole order-K grid one averaging
+recursion over a stack of systems, and boundary samples bisect in
+lockstep, one batched margin call per step.  Every point still gets the
+arithmetic it would get alone, so results do not depend on the batch.  All
+of it is single-threaded.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import averaging, pendulum, stability
 from .errors import BracketError, FloquetError, ModelError
-from .exactmono import exact_monodromy_pc_stack, exact_monodromy_rk, pc_to_ppoly
+from .exactmono import exact_monodromy_pc_stack, exact_monodromy_rk, pc_stack_to_ppoly
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
@@ -96,10 +96,19 @@ def _exact_pc_invariants(omegas, epss, beta: float):
     return stability.trace_det(f)
 
 
+def _exact_rk_invariants(omegas, epss, beta: float):
+    """tr F and det F of the RK4 monodromy at K points, integrated as one stack."""
+    j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
+                          pendulum.jacobian_stack(omegas, epss, beta))
+    return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_PER_PIECE))
+
+
 def _batched_invariants(method: str, omegas, epss, beta: float):
-    """(tr F, det F) at K points for a batched method: exact-pc or order-K."""
+    """(tr F, det F) at K points for any scan method."""
     if method == "exact-pc":
         return _exact_pc_invariants(omegas, epss, beta)
+    if method == "exact-rk":
+        return _exact_rk_invariants(omegas, epss, beta)
     order = order_of_method(method)
     if order is None:
         raise ModelError(f"unknown method {method!r}")
@@ -108,15 +117,9 @@ def _batched_invariants(method: str, omegas, epss, beta: float):
 
 def point_report(omega: float, eps: float, beta: float, method: str,
                  tolerance: float = stability.DEFAULT_TOLERANCE) -> StabilityReport:
-    """Classify one parameter point with the requested method.
-
-    exact-pc and order-K are the one-point case of the batched grid
-    evaluation.
-    """
+    """Classify one parameter point with the requested method: the
+    one-point case of the batched grid evaluation."""
     params = pendulum.PendulumParams(omega, eps, beta)
-    if method == "exact-rk":
-        j = pc_to_ppoly(pendulum.jacobians(params))
-        return stability.classify(exact_monodromy_rk(j, RK_STEPS_PER_PIECE), tolerance)
     trace, det = _batched_invariants(method, [params.omega], [params.eps], beta)
     return stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
 
@@ -124,11 +127,10 @@ def point_report(omega: float, eps: float, beta: float, method: str,
 def scan_region(omega_axis, eps_axis, beta: float, method: str,
                 threads: Optional[int] = None,
                 tolerance: float = stability.DEFAULT_TOLERANCE) -> ScanGrid:
-    """Stability verdict for every grid point.
+    """Stability verdict for every grid point, the whole grid as one batch.
 
-    exact-pc and order-K evaluate the whole grid as one batch; exact-rk
-    runs cell by cell.  ``threads`` is validated for the CLI contract, but
-    the computation is single-threaded, so the result cannot depend on it.
+    ``threads`` is validated for the CLI contract, but the computation is
+    single-threaded, so the result cannot depend on it.
     """
     omegas = axis_samples(omega_axis)
     epss = axis_samples(eps_axis)
@@ -136,29 +138,18 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
         raise ModelError(f"unknown method {method!r}")
     _resolve_threads(threads)
     shape = (epss.size, omegas.size)
-    if method == "exact-rk":
-        verdicts = np.empty(shape, dtype="<U8")
-        margin_trace = np.empty(shape)
-        margin_det = np.empty(shape)
-        for ie, eps in enumerate(epss):
-            for io, omega in enumerate(omegas):
-                report = point_report(omega, eps, beta, method, tolerance)
-                verdicts[ie, io] = report.verdict.value
-                margin_trace[ie, io] = report.margin_trace
-                margin_det[ie, io] = report.margin_det
-    else:
-        eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
-        omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
-        try:
-            trace, det = _batched_invariants(method, omega_flat, eps_flat, beta)
-        except FloquetError:
-            # cells fail independently: raise the first failing cell's own
-            # error, as a cell-by-cell scan would
-            for omega, eps in zip(omega_flat, eps_flat):
-                point_report(omega, eps, beta, method, tolerance)
-            raise
-        margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
-        verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
+    eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
+    omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
+    try:
+        trace, det = _batched_invariants(method, omega_flat, eps_flat, beta)
+    except FloquetError:
+        # cells fail independently: raise the first failing cell's own
+        # error, as a cell-by-cell scan would
+        for omega, eps in zip(omega_flat, eps_flat):
+            point_report(omega, eps, beta, method, tolerance)
+        raise
+    margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
+    verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
     return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
                     verdicts, margin_trace, margin_det)
 

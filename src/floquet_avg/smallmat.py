@@ -29,12 +29,10 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def norm1(m) -> float:
-    """Matrix 1-norm (maximum absolute column sum)."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(m).sum(axis=0).max())
+def norm1(m):
+    """Matrix 1-norm (maximum absolute column sum) of an (n, n) matrix, or
+    of each slice of a (K, n, n) stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def matexp(m, t: float) -> np.ndarray:
@@ -73,7 +71,7 @@ def matexp_stack(m, t) -> np.ndarray:
         raise ModelError("time must be finite")
     a = m * t[:, None, None]
     finite = np.isfinite(m).all(axis=(1, 2))
-    norms = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)
+    norms = norm1(a)
     bad = ~finite | (norms > MATEXP_NORM_GUARD)
     if bad.any():
         k = int(np.argmax(bad))

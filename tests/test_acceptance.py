@@ -11,7 +11,13 @@ import numpy as np
 
 from conftest import pendulum_pipeline
 from floquet_avg import cli, pendulum, scan, stability
-from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_rk, pc_to_ppoly
+from floquet_avg.exactmono import (
+    exact_monodromy_pc,
+    exact_monodromy_pc_stack,
+    exact_monodromy_rk,
+    pc_stack_to_ppoly,
+    pc_to_ppoly,
+)
 from floquet_avg.smallmat import norm1
 from floquet_avg.stability import trace_identity_residuals
 
@@ -93,19 +99,28 @@ def test_criterion_1_symbolic_fixtures():
     assert not check.failures, check.failures
 
 
+def _criterion_grid():
+    """The (omega, eps, beta) points of BETA_GRID x OMEGA_GRID x EPS_GRID and
+    both oracles' monodromies there, each oracle run as one stack."""
+    omegas, epss = (g.ravel() for g in np.meshgrid(OMEGA_GRID, EPS_GRID, indexing="ij"))
+    points = [(omega, eps, beta) for beta in BETA_GRID for omega, eps in zip(omegas, epss)]
+    jac = np.concatenate([pendulum.jacobian_stack(omegas, epss, beta) for beta in BETA_GRID])
+    f_pc = exact_monodromy_pc_stack(pendulum.HALF_PERIODS, jac)
+    f_rk = exact_monodromy_rk(pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS, jac),
+                              RK_GRID_STEPS)
+    return points, f_pc, f_rk
+
+
 def test_criterion_2_liouville_suite():
     check = Check()
-    for beta in BETA_GRID:
-        for omega in OMEGA_GRID:
-            for eps in EPS_GRID:
-                sys = pendulum.jacobians(pendulum.PendulumParams(omega, eps, beta))
-                expect = math.exp(-TWO_PI * beta * omega)
-                det_pc = np.linalg.det(exact_monodromy_pc(sys))
-                det_rk = np.linalg.det(exact_monodromy_rk(pc_to_ppoly(sys), RK_GRID_STEPS))
-                check.expect(abs(det_pc - expect) <= 1e-10 * expect,
-                             f"pc det ({omega:.2f},{eps:.2f},{beta})")
-                check.expect(abs(det_rk - expect) <= 1e-10 * expect,
-                             f"rk det ({omega:.2f},{eps:.2f},{beta})")
+    points, f_pc, f_rk = _criterion_grid()
+    for (omega, eps, beta), det_pc, det_rk in zip(points, np.linalg.det(f_pc),
+                                                  np.linalg.det(f_rk)):
+        expect = math.exp(-TWO_PI * beta * omega)
+        check.expect(abs(det_pc - expect) <= 1e-10 * expect,
+                     f"pc det ({omega:.2f},{eps:.2f},{beta})")
+        check.expect(abs(det_rk - expect) <= 1e-10 * expect,
+                     f"rk det ({omega:.2f},{eps:.2f},{beta})")
     rng = np.random.default_rng(102)
     for _ in range(5):
         omega, eps, beta = rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 0.5)
@@ -118,14 +133,8 @@ def test_criterion_2_liouville_suite():
 
 def test_criterion_3_oracle_agreement():
     check = Check()
-    worst = 0.0
-    for beta in BETA_GRID:
-        for omega in OMEGA_GRID:
-            for eps in EPS_GRID:
-                sys = pendulum.jacobians(pendulum.PendulumParams(omega, eps, beta))
-                gap = norm1(exact_monodromy_rk(pc_to_ppoly(sys), RK_GRID_STEPS)
-                            - exact_monodromy_pc(sys))
-                worst = max(worst, gap)
+    _, f_pc, f_rk = _criterion_grid()
+    worst = float(norm1(f_rk - f_pc).max())
     check.expect(worst <= 1e-9, f"worst oracle gap {worst:.3e}")
     # observed convergence order from step halving at a representative point
     sys = pendulum.jacobians(pendulum.PendulumParams(0.3, 0.4, 0.1))

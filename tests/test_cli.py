@@ -437,3 +437,12 @@ def test_huge_model_file_term_order_exits_2_without_hanging(tmp_path):
     proc = _cli_subprocess(["analyze", "--model-file", path])
     assert proc.returncode == 2
     assert "order" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("steps", ["65537", "100000000"])
+def test_rk_steps_above_the_cap_exit_2_without_hanging(steps):
+    # 10**8 steps per piece kept the RK4 oracle busy for hours
+    proc = _cli_subprocess(["analyze", "--omega", "0.2", "--eps", "0.3", "--beta", "0",
+                            "--order", "2", "--rk-steps", steps], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "steps_per_piece" in proc.stderr and "Traceback" not in proc.stderr

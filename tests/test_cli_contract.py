@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floquet_avg import cli
+from floquet_avg.exactmono import RK_MAX_STEPS
 
 CONTRACT = (0, 2, 3, 4)
 
@@ -65,6 +66,9 @@ BETA = st.one_of(st.floats(0.0, 0.5).map(repr), st.sampled_from(
 VALUE_TOKEN = st.one_of(st.sampled_from(["-1", "1e200", "1e-300", "nan", "inf", "-inf", "", "x"]),
                         st.floats(allow_nan=True, allow_infinity=True).map(repr))
 COUNT_TOKEN = st.sampled_from(["1", "0", "-1", "", "x", "2.0"])
+PARAM = st.one_of(st.floats(0.0, 1.0).map(repr), VALUE_TOKEN)
+RK_STEPS = st.one_of(st.integers(16, 48), st.integers(-10 ** 9, 15),
+                     st.integers(RK_MAX_STEPS + 1, 10 ** 12)).map(str)
 
 
 @st.composite
@@ -116,4 +120,19 @@ def test_scan_range_exit_codes(capsys, omega, eps, beta, method):
 def test_boundary_range_exit_codes(capsys, omega, beta, branch, method, tol):
     _exit_code(["boundary", f"--omega={omega}", f"--beta={beta}", f"--branch={branch}",
                 f"--method={method}", f"--tol={tol}"])
+    capsys.readouterr()
+
+
+@SETTINGS
+@given(omega=range_specs(), beta=BETA, tol=st.sampled_from(["1e-10", "1e-6", "0", "nan"]))
+def test_compare_range_exit_codes(capsys, omega, beta, tol):
+    _exit_code(["compare", f"--omega={omega}", f"--beta={beta}", f"--tol={tol}"])
+    capsys.readouterr()
+
+
+@SETTINGS
+@given(omega=PARAM, eps=PARAM, beta=BETA, order=st.integers(0, 7), rk_steps=RK_STEPS)
+def test_analyze_pendulum_flag_exit_codes(capsys, omega, eps, beta, order, rk_steps):
+    _exit_code(["analyze", f"--omega={omega}", f"--eps={eps}", f"--beta={beta}",
+                f"--order={order}", f"--rk-steps={rk_steps}"])
     capsys.readouterr()

@@ -8,8 +8,10 @@ from floquet_avg.errors import ModelError
 from floquet_avg.exactmono import (
     PiecewiseConstantSystem,
     exact_monodromy_pc,
+    RK_MAX_STEPS,
     exact_monodromy_rk,
     pc_from_ppoly,
+    pc_stack_to_ppoly,
     pc_to_ppoly,
 )
 from floquet_avg.ppoly import PiecewisePolyMatrix, pp_average
@@ -75,6 +77,37 @@ def test_rk_on_polynomial_solution_is_exact():
 def test_rk_requires_minimum_steps():
     with pytest.raises(ModelError):
         exact_monodromy_rk(PiecewisePolyMatrix.zero(2, TWO_PI), 8)
+
+
+def test_rk_rejects_steps_above_the_cap():
+    # 10**8 steps per piece ran for hours instead of failing
+    for steps in (RK_MAX_STEPS + 1, 10 ** 8):
+        with pytest.raises(ModelError, match="steps_per_piece"):
+            exact_monodromy_rk(PiecewisePolyMatrix.zero(2, TWO_PI), steps)
+
+
+def test_rk_stack_slices_equal_single_systems():
+    # pieces of degree 1 and 0 are padded to one dense block per piece
+    rng = np.random.default_rng(23)
+    linear = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
+    const = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
+    stack = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]), (linear, const))
+    batched = exact_monodromy_rk(stack, 64)
+    for k in range(5):
+        alone = PiecewisePolyMatrix(TWO_PI, stack.breakpoints, (linear[k], const[k]))
+        assert np.array_equal(batched[k], exact_monodromy_rk(alone, 64))
+
+
+def test_pc_stack_view_matches_one_system_views():
+    params = [(0.1, 0.2), (0.3, 0.4), (0.0, 0.9)]
+    jac = pendulum.jacobian_stack([w for w, _ in params], [e for _, e in params], 0.1)
+    stack = pc_stack_to_ppoly(TWO_PI, pendulum.HALF_PERIODS, jac)
+    batched = exact_monodromy_rk(stack, 32)
+    for k, (omega, eps) in enumerate(params):
+        alone = pc_to_ppoly(pendulum.jacobians(pendulum.PendulumParams(omega, eps, 0.1)))
+        assert np.array_equal(stack.breakpoints, alone.breakpoints)
+        assert all(np.array_equal(a[k], b) for a, b in zip(stack.pieces, alone.pieces))
+        assert np.array_equal(batched[k], exact_monodromy_rk(alone, 32))
 
 
 def test_rk_agrees_with_exponential_products():

@@ -1,5 +1,6 @@
-"""The batched matrix exponential: per-slice arithmetic, stack independence,
-and an independent high-precision oracle."""
+"""The batched kernels: per-slice arithmetic and stack independence of the
+matrix exponential and the RK4 integrator, and an independent
+high-precision oracle for the exponential."""
 
 import mpmath
 import numpy as np
@@ -114,3 +115,62 @@ def test_matexp_against_mpmath_50_digits(m, t):
     ref = _mp_expm(m, t)
     got = matexp(m, t)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _scalar_rk4(breaks, coeffs, steps_per_piece):
+    """One-system RK4 written as plain loops with scalar Horner evaluation:
+    the arithmetic every slice of ``rk4_monodromy_core`` must reproduce bit
+    for bit.  ``coeffs`` is (m, n, n, d+1)."""
+    n, d = coeffs.shape[1], coeffs.shape[3]
+
+    def horner(block, t):
+        out = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                acc = block[i, j, d - 1]
+                for k in range(d - 2, -1, -1):
+                    acc = acc * t + block[i, j, k]
+                out[i, j] = acc
+        return out
+
+    x = np.eye(n)
+    carry = np.zeros((n, n))
+    for p in range(coeffs.shape[0]):
+        t0, t1 = breaks[p], breaks[p + 1]
+        h = (t1 - t0) / steps_per_piece
+        for k in range(steps_per_piece):
+            t = t0 + k * h
+            k1 = np.dot(horner(coeffs[p], t), x)
+            jmid = horner(coeffs[p], t + 0.5 * h)
+            k2 = np.dot(jmid, x + (0.5 * h) * k1)
+            k3 = np.dot(jmid, x + (0.5 * h) * k2)
+            k4 = np.dot(horner(coeffs[p], t + h), x + h * k3)
+            step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - carry
+            updated = x + step
+            carry = (updated - x) - step
+            x = updated
+    return x
+
+
+@pytest.mark.parametrize("n, degree", [(2, 0), (2, 1), (4, 0), (4, 2)])
+def test_rk4_stack_slices_equal_scalar_loop(n, degree, monkeypatch):
+    rng = np.random.default_rng(100 + 10 * n + degree)
+    breaks = np.array([0.0, 1.3, np.pi, 2.0 * np.pi])
+    count = 12
+    # (pieces, K, n, n, d+1), with per-system scales from 0.05 to 2
+    coeffs = rng.standard_normal((3, count, n, n, degree + 1))
+    coeffs *= 10.0 ** rng.uniform(-1.3, 0.3, count)[None, :, None, None, None]
+    steps = 20
+    stacked = _kernels.rk4_monodromy_core(breaks, coeffs, steps)
+    assert stacked.shape == (count, n, n)
+    for k in range(count):
+        assert np.array_equal(stacked[k], _scalar_rk4(breaks, coeffs[:, k], steps))
+    # one system without the cell axis, permuted and truncated stacks
+    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, 5], steps), stacked[5])
+    order = rng.permutation(count)
+    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, order], steps),
+                          stacked[order])
+    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, :3], steps), stacked[:3])
+    # J evaluated for a few steps at a time, with a short last block
+    monkeypatch.setattr(_kernels, "_RK4_BLOCK_VALUES", 3 * count * n * n)
+    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs, steps), stacked)

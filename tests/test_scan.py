@@ -256,9 +256,9 @@ def test_bisection_at_the_float_spacing_terminates():
     assert margin(below) * margin(above) <= 0.0 or margin(root) == 0.0
 
 
-# -- the batched averaged path: one recursion over the whole order-K grid --
+# -- the batched order-K and exact-rk paths: one batch over the whole grid --
 
-@pytest.mark.parametrize("method", ["order1", "order2", "order4", "order6"])
+@pytest.mark.parametrize("method", ["order1", "order2", "order4", "order6", "exact-rk"])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_order_grid_cells_equal_point_report(method, beta):
     grid = scan_region((0.0, 0.4, 6), (0.0, 1.0, 5), beta, method)
@@ -270,28 +270,49 @@ def test_order_grid_cells_equal_point_report(method, beta):
             assert grid.margin_det[ie, io] == report.margin_det
 
 
-def test_order_cells_do_not_depend_on_the_grid_around_them():
-    fine = scan_region((0.05, 0.45, 9), (0.0, 1.0, 9), 0.1, "order4")
-    corner = scan_region((0.05, 0.1, 2), (0.0, 0.125, 2), 0.1, "order4")
+@pytest.mark.parametrize("method", ["order4", "exact-rk"])
+def test_order_cells_do_not_depend_on_the_grid_around_them(method):
+    fine = scan_region((0.05, 0.45, 9), (0.0, 1.0, 9), 0.1, method)
+    corner = scan_region((0.05, 0.1, 2), (0.0, 0.125, 2), 0.1, method)
     assert np.array_equal(corner.margin_trace, fine.margin_trace[:2, :2])
     assert np.array_equal(corner.margin_det, fine.margin_det[:2, :2])
     assert (corner.verdicts == fine.verdicts[:2, :2]).all()
 
 
-def test_order_scan_raises_the_first_failing_cells_error(monkeypatch):
+def _fail_closure(monkeypatch):
     # a closure threshold of 1e-300 fails every cell with a nonzero residual
     monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
+
+
+def _fail_large_traces(monkeypatch):
+    # every cell whose |tr F| exceeds 2.5 fails with its own trace in the message
+    trace_det = stability.trace_det
+
+    def checked(f):
+        trace, det = trace_det(f)
+        if (np.abs(trace) > 2.5).any():
+            raise FloquetError(f"trace {trace[np.argmax(np.abs(trace) > 2.5)]!r}")
+        return trace, det
+
+    monkeypatch.setattr(stability, "trace_det", checked)
+
+
+@pytest.mark.parametrize("method, fail", [("order4", _fail_closure),
+                                          ("exact-rk", _fail_large_traces)],
+                         ids=["order4", "exact-rk"])
+def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fail):
+    fail(monkeypatch)
     axes = ((0.0, 0.3, 3), (0.0, 0.6, 3))
     first = None
     for eps in scan.axis_samples(axes[1]):
         for omega in scan.axis_samples(axes[0]):
             try:
-                scan.point_report(omega, eps, 0.1, "order4")
+                scan.point_report(omega, eps, 0.1, method)
             except FloquetError as exc:
                 first = first or str(exc)
     assert first is not None
     with pytest.raises(FloquetError) as excinfo:
-        scan_region(*axes, 0.1, "order4")
+        scan_region(*axes, 0.1, method)
     assert str(excinfo.value) == first
 
 
