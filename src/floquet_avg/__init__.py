@@ -11,11 +11,7 @@ from .averaging import (
     standard_form,
 )
 from .errors import BracketError, FloquetError, ModelError, NumericRangeError
-from .exactmono import (
-    PiecewiseConstantSystem,
-    exact_monodromy_pc,
-    exact_monodromy_rk,
-)
+from .exactmono import exact_monodromy_pc, exact_monodromy_rk
 from .pendulum import (
     PendulumParams,
     boundary_order2,
@@ -59,7 +55,6 @@ __all__ = [
     "MonodromyExpansion",
     "NumericRangeError",
     "PendulumParams",
-    "PiecewiseConstantSystem",
     "PiecewisePolyMatrix",
     "ScanGrid",
     "SeriesSystem",

@@ -20,7 +20,7 @@ import numpy as np
 from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
-from .exactmono import exact_monodromy_pc, exact_monodromy_rk, pc_from_ppoly
+from .exactmono import exact_monodromy_pc, exact_monodromy_rk
 from .ppoly import PiecewisePolyMatrix
 
 RK_STEPS_DEFAULT = 512
@@ -44,7 +44,6 @@ def _build_meissner(args) -> "ModelSpec":
     return ModelSpec(
         name=pendulum.MODEL_NAME,
         series=pendulum.series_split(params),
-        pc=pendulum.jacobians(params),
         params=params,
     )
 
@@ -53,13 +52,12 @@ MODEL_REGISTRY = {pendulum.MODEL_NAME: _build_meissner}
 
 
 class ModelSpec:
-    """A loaded model: graded series plus, when derivable, its
-    piecewise-constant form for the exponential-product oracle."""
+    """A loaded model: its graded series and, for a registered model, its
+    parameters."""
 
-    def __init__(self, name, series: SeriesSystem, pc=None, params=None):
+    def __init__(self, name, series: SeriesSystem, params=None):
         self.name = name
         self.series = series
-        self.pc = pc
         self.params = params
 
 
@@ -106,10 +104,7 @@ def load_model_file(path: str) -> ModelSpec:
         by_order.get(k, PiecewisePolyMatrix.zero(dim, period))
         for k in range(1, top + 1)
     )
-    series = SeriesSystem(period, j0, terms)
-    total = averaging.series_total(series)
-    pc = pc_from_ppoly(total) if total.max_degree == 0 else None
-    return ModelSpec(name="custom", series=series, pc=pc)
+    return ModelSpec(name="custom", series=SeriesSystem(period, j0, terms))
 
 
 def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
@@ -256,12 +251,9 @@ def cmd_analyze(args) -> int:
         model = builder(args)
 
     sys_ = model.series
-    x0, h_terms = averaging.standard_form(sys_)
-    avg = averaging.run_recursion(h_terms, sys_.period, args.order)
-    mono = averaging.assemble_monodromy(x0, avg, sys_.period)
+    avg, mono, det_trunc = stability.order_approximation(sys_, args.order)
     f_approx = mono.partial_sums[-1]
     det_full = stability.det_series(sys_, avg)
-    det_trunc = stability.det_series_expansion(sys_, avg, args.order)
 
     doc = {
         "model": model.name,
@@ -291,19 +283,16 @@ def cmd_analyze(args) -> int:
         doc["multipliers_approx"] = doc["approx"]["multipliers"]
     else:
         doc["approx"] = None
-    doc["exact_pc"] = None
-    doc["exact_rk"] = None
-    if model.pc is not None:
-        f_pc = exact_monodromy_pc(model.pc)
-        doc["exact_pc"] = (
-            _report_dict(stability.classify(f_pc, args.tolerance), f_pc)
-            if sys_.dim == 2 else {"F": _matrix_list(f_pc)}
-        )
-    f_rk = exact_monodromy_rk(averaging.series_total(sys_), args.rk_steps)
-    doc["exact_rk"] = (
-        _report_dict(stability.classify(f_rk, args.tolerance), f_rk)
-        if sys_.dim == 2 else {"F": _matrix_list(f_rk)}
-    )
+
+    def oracle_report(f):
+        if sys_.dim == 2:
+            return _report_dict(stability.classify(f, args.tolerance), f)
+        return {"F": _matrix_list(f)}
+
+    # both oracles integrate the one J(t); the exponential products need degree 0
+    total = averaging.series_total(sys_)
+    doc["exact_pc"] = oracle_report(exact_monodromy_pc(total)) if total.max_degree == 0 else None
+    doc["exact_rk"] = oracle_report(exact_monodromy_rk(total, args.rk_steps))
 
     if args.format == "json":
         _write_output(dumps_json(doc) + "\n", args.output)

@@ -1,74 +1,46 @@
 """Exact monodromy oracles.
 
-Two independent routes to X(T) for a linear T-periodic system:
+Two independent routes to X(T) for a linear T-periodic system whose
+coefficient matrix J(t) is a :class:`PiecewisePolyMatrix` (one system, or
+a stack of K over shared breakpoints):
 
-* closed-form products of matrix exponentials when the coefficient matrix
-  is piecewise constant, and
+* closed-form products of matrix exponentials when every piece of J has
+  degree 0, and
 * a fixed-step classical RK4 integrator of dX/dt = J(t) X for any
   piecewise-polynomial J, with steps confined to each smooth piece so no
   stage straddles a discontinuity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import rk4_monodromy_core
-from .errors import ModelError
+from .errors import ModelError, NumericRangeError
 from .ppoly import PiecewisePolyMatrix, to_dense
-from .smallmat import as_matrix, matexp_stack
+from .smallmat import matexp_stack
 
 # steps per piece of the RK4 oracle; at the cap one system takes about a second per piece
 RK_MIN_STEPS = 16
 RK_MAX_STEPS = 65536
+# steps per system over all pieces: models of up to four pieces keep the whole
+# per-piece range, and a many-piece model file cannot run for minutes
+RK_MAX_TOTAL_STEPS = 4 * RK_MAX_STEPS
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantSystem:
-    """T-periodic system with a constant coefficient matrix per segment."""
+def exact_monodromy_pc(j: PiecewisePolyMatrix) -> np.ndarray:
+    """Product of piece exponentials; later pieces multiply on the left.
 
-    period: float
-    segments: tuple  # ((duration, matrix), ...)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ModelError("period must be positive and finite")
-        segs = []
-        total = 0.0
-        dim = None
-        for duration, mat in self.segments:
-            duration = float(duration)
-            if not (np.isfinite(duration) and duration > 0):
-                raise ModelError("segment durations must be positive")
-            mat = as_matrix(mat)
-            if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
-                raise ModelError("all segment matrices must share one dimension")
-            segs.append((duration, mat))
-            total += duration
-        if abs(total - self.period) > 1e-12 * self.period:
-            raise ModelError(
-                f"segment durations sum to {total:g}, expected the period {self.period:g}"
-            )
-        object.__setattr__(self, "segments", tuple(segs))
-
-    @property
-    def dim(self) -> int:
-        return self.segments[0][1].shape[0]
-
-
-def exact_monodromy_pc(sys: PiecewiseConstantSystem) -> np.ndarray:
-    """Product of segment exponentials; later segments multiply on the left.
-
-    For two half-period segments this is exp(d2*M2) @ exp(d1*M1) -- the
-    order matters and getting it backwards is the classic Floquet sign
-    error, hence the explicit left-multiplication here.  This is the
-    one-system case of :func:`exact_monodromy_pc_stack`.
+    Every piece of ``j`` must have degree 0.  For two half-period pieces
+    this is exp(d2*M2) @ exp(d1*M1) -- the order matters and getting it
+    backwards is the classic Floquet sign error, hence the explicit
+    left-multiplication in :func:`exact_monodromy_pc_stack`, of which this
+    is the front.  (n, n) for one system, (K, n, n) for a stack of K.
     """
-    durations = [d for d, _ in sys.segments]
-    mats = np.stack([m for _, m in sys.segments])[None]
-    return exact_monodromy_pc_stack(durations, mats)[0]
+    if j.max_degree > 0:
+        raise ModelError("system is not piecewise constant (degree > 0 pieces)")
+    mats = np.stack([piece[..., 0] for piece in j.pieces], axis=-3)
+    if j.cells is None:
+        return exact_monodromy_pc_stack(np.diff(j.breakpoints), mats[None])[0]
+    return exact_monodromy_pc_stack(np.diff(j.breakpoints), mats)
 
 
 def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
@@ -81,12 +53,14 @@ def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
     """
     mats = np.asarray(mats, dtype=float)
     k, s, n = mats.shape[:3]
-    times = np.tile(np.asarray(durations, dtype=float), k)
-    exps = matexp_stack(mats.reshape(k * s, n, n), times).reshape(k, s, n, n)
-    f = np.repeat(np.eye(n)[None], k, axis=0)
-    for seg in range(s):
-        f = np.matmul(np.ascontiguousarray(exps[:, seg]), f)
-    return f
+    times = np.broadcast_to(np.asarray(durations, dtype=float), (k, s)).reshape(k * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps = matexp_stack(mats.reshape(k * s, n, n), times).reshape(k, s, n, n)
+        # the first segment's exponential is the product so far: I @ E has E's entries
+        f = np.ascontiguousarray(exps[:, 0])
+        for seg in range(1, s):
+            f = np.matmul(np.ascontiguousarray(exps[:, seg]), f)
+    return _in_range(f)
 
 
 def exact_monodromy_rk(j: PiecewisePolyMatrix, steps_per_piece: int) -> np.ndarray:
@@ -98,35 +72,32 @@ def exact_monodromy_rk(j: PiecewisePolyMatrix, steps_per_piece: int) -> np.ndarr
     if not RK_MIN_STEPS <= steps_per_piece <= RK_MAX_STEPS:
         raise ModelError(f"steps_per_piece must be in {RK_MIN_STEPS}..{RK_MAX_STEPS}, "
                          f"got {steps_per_piece}")
+    total = len(j.pieces) * steps_per_piece
+    if total > RK_MAX_TOTAL_STEPS:
+        raise ModelError(f"steps_per_piece {steps_per_piece} over {len(j.pieces)} pieces makes "
+                         f"{total} RK4 steps per system, above the cap of {RK_MAX_TOTAL_STEPS}")
     breaks, coeffs = to_dense(j)
-    return rk4_monodromy_core(breaks, coeffs, steps_per_piece)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_range(rk4_monodromy_core(breaks, coeffs, steps_per_piece))
 
 
-def pc_to_ppoly(sys: PiecewiseConstantSystem) -> PiecewisePolyMatrix:
-    """Degree-0 piecewise-polynomial view of a piecewise-constant system."""
-    return pc_stack_to_ppoly(sys.period, [d for d, _ in sys.segments],
-                             np.stack([m for _, m in sys.segments]))
+def _in_range(f):
+    """A monodromy of a finite J is finite unless it left the float range."""
+    if not np.isfinite(f).all():
+        raise NumericRangeError("the entries of the monodromy matrix F leave the float range")
+    return f
 
 
 def pc_stack_to_ppoly(period: float, durations, mats) -> PiecewisePolyMatrix:
     """Degree-0 view of K piecewise-constant systems that share segment durations.
 
     ``mats`` is (K, S, n, n) as for :func:`exact_monodromy_pc_stack`, or
-    (S, n, n) for one system.
+    (S, n, n) for one system.  The durations must sum to the period.
     """
     breaks = np.concatenate(([0.0], np.cumsum(durations)))
+    if abs(breaks[-1] - period) > 1e-12 * period:
+        raise ModelError(f"segment durations sum to {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
     mats = np.asarray(mats, dtype=float)
     return PiecewisePolyMatrix(period, breaks,
                                tuple(mats[..., s, :, :, None] for s in range(mats.shape[-3])))
-
-
-def pc_from_ppoly(j: PiecewisePolyMatrix) -> PiecewiseConstantSystem:
-    """Inverse view when every piece has degree 0."""
-    if j.max_degree > 0:
-        raise ModelError("system is not piecewise constant (degree > 0 pieces)")
-    segments = []
-    for k, piece in enumerate(j.pieces):
-        duration = j.breakpoints[k + 1] - j.breakpoints[k]
-        segments.append((float(duration), piece[:, :, 0].copy()))
-    return PiecewiseConstantSystem(j.period, tuple(segments))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .averaging import SeriesSystem
 from .errors import ModelError
-from .exactmono import PiecewiseConstantSystem
+from .exactmono import pc_stack_to_ppoly
 from .ppoly import PiecewisePolyMatrix
 
 PERIOD = 2.0 * math.pi
@@ -46,14 +46,13 @@ class PendulumParams:
     def __post_init__(self):
         for name in ("omega", "eps", "beta"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
+            if not (math.isfinite(v) and v >= 0.0):
                 raise ModelError(f"{name} must be finite and >= 0, got {v!r}")
 
 
-def jacobians(p: PendulumParams) -> PiecewiseConstantSystem:
-    """The two half-period Jacobians as a piecewise-constant system."""
-    j_plus, j_minus = jacobian_stack([p.omega], [p.eps], p.beta)[0]
-    return PiecewiseConstantSystem(PERIOD, tuple(zip(HALF_PERIODS, (j_plus, j_minus))))
+def jacobians(p: PendulumParams) -> PiecewisePolyMatrix:
+    """J(t) as a degree-0 piecewise polynomial: J+ on [0, pi), J- on [pi, 2*pi)."""
+    return pc_stack_to_ppoly(PERIOD, HALF_PERIODS, jacobian_stack([p.omega], [p.eps], p.beta)[0])
 
 
 def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
@@ -134,7 +133,7 @@ def boundary_order2(omega: float, beta: float) -> Order2Boundary:
     A negative radicand (possible only for beta > pi*omega + 1/(pi*omega),
     far outside the expansion's validity) reports the n-boundary as absent.
     """
-    _check_params(omega, beta)
+    PendulumParams(omega, 0.0, beta)
     scale = 2.0 * math.sqrt(3.0) / math.pi
     eps_p = scale * omega
     radicand = omega ** 2 - beta * omega / math.pi + 1.0 / math.pi ** 2
@@ -182,7 +181,7 @@ def boundary_order4(omega: float, beta: float) -> list[BoundaryRoot]:
     the larger the second.  Complex eps^2 roots mean the branch has no
     boundary at this omega.
     """
-    _check_params(omega, beta)
+    PendulumParams(omega, 0.0, beta)
     roots = []
     for branch in ("p", "n"):
         a, b, c = quartic_coefficients(omega, beta, branch)
@@ -207,10 +206,3 @@ def order4_root(omega: float, beta: float, branch: str, domain: str = "first") -
         if root.branch == branch and root.domain == domain:
             return root.eps
     return None
-
-
-def _check_params(omega: float, beta: float):
-    if not (np.isfinite(omega) and omega >= 0.0):
-        raise ModelError(f"omega must be finite and >= 0, got {omega!r}")
-    if not (np.isfinite(beta) and beta >= 0.0):
-        raise ModelError(f"beta must be finite and >= 0, got {beta!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import averaging, pendulum, stability
 from .errors import BracketError, FloquetError, ModelError
-from .exactmono import exact_monodromy_pc_stack, exact_monodromy_rk, pc_stack_to_ppoly
+from .exactmono import exact_monodromy_rk, pc_stack_to_ppoly
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
@@ -83,36 +83,37 @@ def _order_invariants(omegas, epss, beta: float, order: int):
     """Order-K trace partial sum and truncated determinant at K points, in
     one averaging recursion over the stack of their series."""
     sys = pendulum.series_split_stack(omegas, epss, beta)
-    x0, h_terms = averaging.standard_form(sys)
-    avg = averaging.run_recursion(h_terms, sys.period, order)
-    mono = averaging.assemble_monodromy(x0, avg, sys.period)
-    return sum(mono.trace_by_order), stability.det_series_expansion(sys, avg, order)
-
-
-def _exact_pc_invariants(omegas, epss, beta: float):
-    """tr F and det F of the exponential-product monodromy at K points."""
-    f = exact_monodromy_pc_stack(pendulum.HALF_PERIODS,
-                                 pendulum.jacobian_stack(omegas, epss, beta))
-    return stability.trace_det(f)
-
-
-def _exact_rk_invariants(omegas, epss, beta: float):
-    """tr F and det F of the RK4 monodromy at K points, integrated as one stack."""
-    j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
-                          pendulum.jacobian_stack(omegas, epss, beta))
-    return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_PER_PIECE))
+    _, mono, det = stability.order_approximation(sys, order)
+    return sum(mono.trace_by_order), det
 
 
 def _batched_invariants(method: str, omegas, epss, beta: float):
-    """(tr F, det F) at K points for any scan method."""
-    if method == "exact-pc":
-        return _exact_pc_invariants(omegas, epss, beta)
-    if method == "exact-rk":
-        return _exact_rk_invariants(omegas, epss, beta)
+    """(tr F, det F) at K points for any scan method, the K points as one stack."""
+    if method in EXACT_METHODS:
+        jac = pendulum.jacobian_stack(omegas, epss, beta)
+        if method == "exact-pc":
+            return stability.pc_trace_det(pendulum.HALF_PERIODS, jac)
+        j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS, jac)
+        return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_PER_PIECE))
     order = order_of_method(method)
     if order is None:
         raise ModelError(f"unknown method {method!r}")
     return _order_invariants(omegas, epss, beta, order)
+
+
+def _first_error(run, count: int):
+    """``run(index)`` for items 0..count-1 as one batch.
+
+    Items fail independently: when the batch raises, the items rerun one at
+    a time, so the error raised is the first failing item's own, as an
+    item-by-item loop would raise it.
+    """
+    try:
+        return run(np.arange(count))
+    except FloquetError:
+        for k in range(count):
+            run(np.array([k]))
+        raise
 
 
 def point_report(omega: float, eps: float, beta: float, method: str,
@@ -137,17 +138,13 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
     if method not in EXACT_METHODS and order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
     _resolve_threads(threads)
+    stability.check_tolerance(tolerance)
     shape = (epss.size, omegas.size)
     eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
     omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
-    try:
-        trace, det = _batched_invariants(method, omega_flat, eps_flat, beta)
-    except FloquetError:
-        # cells fail independently: raise the first failing cell's own
-        # error, as a cell-by-cell scan would
-        for omega, eps in zip(omega_flat, eps_flat):
-            point_report(omega, eps, beta, method, tolerance)
-        raise
+    trace, det = _first_error(
+        lambda index: _batched_invariants(method, omega_flat[index], eps_flat[index], beta),
+        omega_flat.size)
     margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
     verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
     return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
@@ -191,17 +188,18 @@ def boundary_margin(omega: float, beta: float, method: str):
 
 def _margin_stack(omegas, beta: float, method: str):
     """margin(index, eps): the boundary margins of samples ``index`` (at
-    ``omegas[index]``) evaluated at ``eps``, in one batch."""
+    ``omegas[index]``) evaluated at ``eps``, in one batch.
+
+    The margin is det F + 1 - |tr F| of the method's monodromy invariants;
+    the exact boundary methods use those of exact-pc scan cells.
+    """
     if method in EXACT_BOUNDARY_METHODS:
-        def margin(index, eps):
-            return stability.margin_exact_stack(omegas[index], eps, beta)
-        return margin
-    order = order_of_method(method)
-    if order is None:
+        method = "exact-pc"
+    elif order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
 
     def margin(index, eps):
-        return stability.margins(*_order_invariants(omegas[index], eps, beta, order))[0]
+        return stability.margins(*_batched_invariants(method, omegas[index], eps, beta))[0]
 
     return margin
 
@@ -317,7 +315,7 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
     if method in EXACT_BOUNDARY_METHODS:
         eps = _exact_samples(omegas, beta, [branch] * len(omegas), tol)
     else:
-        eps = [_boundary_sample(omega, beta, branch, method, tol) for omega in omegas]
+        eps = [_boundary_sample(omega, beta, branch, method) for omega in omegas]
     points = tuple((omega, e) for omega, e in zip(omegas, eps) if e is not None)
     return BoundaryCurve(branch, method, points, len(eps) - len(points))
 
@@ -325,39 +323,28 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
 def _exact_samples(omegas, beta: float, branches, tol: float) -> list:
     """Exact first-domain boundary eps per (omega, branch) sample, None
     where the sample is omitted; the bracketed samples bisect in lockstep."""
-    try:
-        brackets = [_exact_bracket(omega, beta, branch)
-                    for omega, branch in zip(omegas, branches)]
-        held = [i for i, bracket in enumerate(brackets) if bracket is not None]
-        margin = _margin_stack(np.array([omegas[i] for i in held]), beta, "exact")
-        roots = _bisect(margin, [brackets[i][0] for i in held],
-                        [brackets[i][1] for i in held], tol)[0]
-    except FloquetError:
-        # samples fail independently: raise the first failing sample's own
-        # error, as a sample-by-sample trace would
-        for omega, branch in zip(omegas, branches):
-            _boundary_sample(omega, beta, branch, "exact", tol)
-        raise
-    eps = [None] * len(brackets)
-    for i, root in zip(held, roots.tolist()):
-        eps[i] = None if math.isnan(root) else root
-    return eps
+
+    def run(index):
+        brackets = [_exact_bracket(omegas[i], beta, branches[i]) for i in index]
+        held = [k for k, bracket in enumerate(brackets) if bracket is not None]
+        margin = _margin_stack(np.array([omegas[index[k]] for k in held]), beta, "exact")
+        roots = _bisect(margin, [brackets[k][0] for k in held],
+                        [brackets[k][1] for k in held], tol)[0]
+        eps = [None] * len(brackets)
+        for k, root in zip(held, roots.tolist()):
+            eps[k] = None if math.isnan(root) else root
+        return eps
+
+    return _first_error(run, len(omegas))
 
 
-def _boundary_sample(omega, beta, branch, method, tol) -> Optional[float]:
+def _boundary_sample(omega, beta, branch, method) -> Optional[float]:
+    """The closed-form order-2 or order-4 boundary eps, None where the branch vanishes."""
     if method == "order2":
         o2 = pendulum.boundary_order2(omega, beta)
         return o2.eps_p if branch == "p" else o2.eps_n
     if method == "order4":
         return pendulum.order4_root(omega, beta, branch)
-    if method in EXACT_BOUNDARY_METHODS:
-        bracket = _exact_bracket(omega, beta, branch)
-        if bracket is None:
-            return None
-        try:
-            return bisect_boundary(omega, beta, bracket, "exact", tol)
-        except BracketError:
-            return None
     raise ModelError(f"unknown boundary method {method!r}")
 
 
@@ -404,8 +391,8 @@ def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> Comparis
             omega=omega,
             branch=branch,
             eps_exact=eps_exact,
-            eps_order2=_boundary_sample(omega, beta, branch, "order2", tol),
-            eps_order4=_boundary_sample(omega, beta, branch, "order4", tol),
+            eps_order2=_boundary_sample(omega, beta, branch, "order2"),
+            eps_order4=_boundary_sample(omega, beta, branch, "order4"),
         ))
     summary = {}
     for branch in ("p", "n"):

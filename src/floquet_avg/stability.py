@@ -20,8 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pendulum
-from .averaging import AveragedExpansion, SeriesSystem
-from .errors import ModelError
+from .averaging import (
+    AveragedExpansion,
+    SeriesSystem,
+    assemble_monodromy,
+    run_recursion,
+    standard_form,
+)
+from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
 from .ppoly import pp_average
 from .smallmat import as_matrix, roots_from_trace_det
@@ -88,12 +94,49 @@ def report_from_trace_det(trace: float, det: float,
 def trace_det(f):
     """tr F and det F of a 2x2 monodromy matrix or of each slice of a (K, 2, 2) stack.
 
-    Entries must be finite, as :func:`classify` requires.
+    Entries must be finite, as :func:`classify` requires.  A finite F whose
+    trace or determinant leaves the float range raises
+    :class:`NumericRangeError`, so no overflowed cell reads as marginal.
     """
     if not np.all(np.isfinite(f)):
         raise ModelError("matrix entries must be finite")
-    return (f[..., 0, 0] + f[..., 1, 1],
-            f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = f[..., 0, 0] + f[..., 1, 1]
+        det = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+    return _in_range(trace, det)
+
+
+def pc_trace_det(durations, mats):
+    """tr F and det F of K piecewise-constant 2x2 systems, ``mats`` (K, S, 2, 2).
+
+    tr F comes from the exponential product of
+    :func:`exact_monodromy_pc_stack`; det F is Liouville's
+    exp(sum_s d_s tr M_s).  The product's own f00 f11 - f01 f10 carries a
+    roundoff of about u ||F||^2, against u ||F|| for the trace, and for the
+    inverted pendulum ||F|| grows like exp(2 pi omega): from omega ~ 6 that
+    roundoff exceeds |tr F| itself.  These are the invariants of every
+    exact-pc scan cell and exact boundary margin.
+    """
+    mats = np.asarray(mats, dtype=float)
+    f = exact_monodromy_pc_stack(durations, mats)
+    traces = mats[..., 0, 0] + mats[..., 1, 1]
+    exponent = durations[0] * traces[:, 0]
+    for s in range(1, len(durations)):
+        exponent += durations[s] * traces[:, s]
+    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit
+    det = np.array([math.exp(x) for x in exponent.tolist()])
+    return _in_range(f[:, 0, 0] + f[:, 1, 1], det)
+
+
+def _in_range(trace, det):
+    """(trace, det), or :class:`NumericRangeError` where either is not finite."""
+    bad = ~(np.isfinite(trace) & np.isfinite(det))
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        raise NumericRangeError(
+            f"the invariants of F leave the float range: tr F = {np.ravel(trace)[k]:.3g}, "
+            f"det F = {np.ravel(det)[k]:.3g}")
+    return trace, det
 
 
 def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
@@ -108,23 +151,25 @@ def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
 def margin_exact(params: pendulum.PendulumParams) -> float:
     """Signed distance to the exact pendulum stability boundary.
 
-    exp(-2*pi*beta*omega) + 1 - |tr(exp(pi J-) exp(pi J+))|: positive
-    inside the stability domain, zero on the boundary, negative outside.
-    The determinant is the closed form, the trace comes from the
-    exponential-product monodromy.  This is the one-point case of
-    :func:`margin_exact_stack`.
+    det F + 1 - |tr F| from :func:`pc_trace_det`: positive inside the
+    stability domain, zero on the boundary, negative outside.  This is the
+    margin the exact boundary methods bisect, at one point.
     """
-    return float(margin_exact_stack([params.omega], [params.eps], params.beta)[0])
+    jac = pendulum.jacobian_stack([params.omega], [params.eps], params.beta)
+    return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])
 
 
-def margin_exact_stack(omegas, epss, beta: float) -> np.ndarray:
-    """:func:`margin_exact` at K points (omega_k, eps_k), in one batch."""
-    f = exact_monodromy_pc_stack(pendulum.HALF_PERIODS,
-                                 pendulum.jacobian_stack(omegas, epss, beta))
-    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit
-    det = np.array([math.exp(-2.0 * math.pi * beta * w)
-                    for w in np.asarray(omegas, dtype=float).tolist()])
-    return margins(f[:, 0, 0] + f[:, 1, 1], det)[0]
+def order_approximation(sys: SeriesSystem, order: int):
+    """The order-K averaged approximation of a series system, or of a stack.
+
+    Standard form, averaging recursion, monodromy assembly and the graded
+    determinant truncation of :func:`det_series_expansion`; returns
+    ``(avg, mono, det)``.  Every order-K margin and report starts here.
+    """
+    x0, h_terms = standard_form(sys)
+    avg = run_recursion(h_terms, sys.period, order)
+    mono = assemble_monodromy(x0, avg, sys.period)
+    return avg, mono, det_series_expansion(sys, avg, order)
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:

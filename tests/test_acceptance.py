@@ -16,7 +16,6 @@ from floquet_avg.exactmono import (
     exact_monodromy_pc_stack,
     exact_monodromy_rk,
     pc_stack_to_ppoly,
-    pc_to_ppoly,
 )
 from floquet_avg.smallmat import norm1
 from floquet_avg.stability import trace_identity_residuals
@@ -137,9 +136,8 @@ def test_criterion_3_oracle_agreement():
     worst = float(norm1(f_rk - f_pc).max())
     check.expect(worst <= 1e-9, f"worst oracle gap {worst:.3e}")
     # observed convergence order from step halving at a representative point
-    sys = pendulum.jacobians(pendulum.PendulumParams(0.3, 0.4, 0.1))
-    ref = exact_monodromy_pc(sys)
-    jpoly = pc_to_ppoly(sys)
+    jpoly = pendulum.jacobians(pendulum.PendulumParams(0.3, 0.4, 0.1))
+    ref = exact_monodromy_pc(jpoly)
     steps = [64, 128, 256]
     errs = [norm1(exact_monodromy_rk(jpoly, s) - ref) for s in steps]
     order = np.polyfit(np.log(steps), np.log(errs), 1)[0] * -1.0

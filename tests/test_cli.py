@@ -446,3 +446,85 @@ def test_rk_steps_above_the_cap_exit_2_without_hanging(steps):
                             "--order", "2", "--rk-steps", steps], timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "steps_per_piece" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_many_piece_model_rk_steps_exit_2_without_hanging(tmp_path):
+    # 100 pieces at 65536 RK4 steps each ran for minutes; the cap is on the
+    # steps over all pieces, and its message names the total and the cap
+    bounds = np.linspace(0.0, 2.0, 101).tolist()
+    pieces = [{"t_start": lo, "t_end": hi, "entries": [[[0.0], [0.0]], [[0.3], [0.0]]]}
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    path = _write_model(tmp_path, [{"order": 1, "pieces": pieces}])
+    proc = _cli_subprocess(["analyze", "--model-file", path, "--order", "1",
+                            "--rk-steps", "65536"], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "6553600" in proc.stderr and "262144" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_omega_exact_pc_cells_are_unstable_with_exact_det(capsys):
+    # tr F reaches 7.5e272 at omega 100; det F = exp(-2 pi beta omega) = 1 comes
+    # from Liouville's formula, where f00 f11 - f01 f10 overflowed to NaN and
+    # the cells printed marginal,NaN,NaN
+    code, out, err = run_cli(capsys, ["scan", "--omega", "10:100:4", "--eps", "0:1:2"])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 8
+    for row in rows:
+        assert row[4] == "unstable"
+        assert float(row[5]) < -1e27 and float(row[6]) == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--omega", "10:300:2", "--eps", "0:1:2"], "F leave the float range"),
+    (["scan", "--omega", "10:300:2", "--eps", "0:1:2", "--method", "exact-rk"],
+     "F leave the float range"),
+    (["boundary", "--omega", "150:150:1", "--branch", "p"], "F leave the float range"),
+    (["analyze", "--omega", "100", "--eps", "0", "--beta", "0", "--order", "2"], "det F = nan"),
+])
+def test_overflowed_monodromy_exits_3(argv, message):
+    # an F that overflows (omega above ~112) ended as the validation error
+    # "matrix entries must be finite" with exit 2 and numpy warnings on
+    # stderr; analyze's det F = f00 f11 - f01 f10 overflows already at omega
+    # 100 and printed a NaN determinant
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "numeric range error" in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("argv, omitted", [
+    (["boundary", "--omega", "6:10:5", "--branch", "p"], "omitted 5 of 5 samples"),
+    (["boundary", "--omega", "6:10:5", "--branch", "n"], "omitted 5 of 5 samples"),
+    (["compare", "--omega", "8:10:3"], "6 of 6 samples lack an exact root"),
+])
+def test_large_omega_exact_samples_stay_omitted(capsys, argv, omitted):
+    # |tr F| ~ 1e27 dwarfs the margin at both bracket ends; a det F taken as
+    # f00 f11 - f01 f10 of that F is roundoff of either sign (+-1.7e38 at
+    # omega 10) and made up sign changes, so roots were reported at omega 10
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and omitted in err
+    if argv[0] == "compare":
+        assert all(row.split(",")[2] == "" for row in out.strip().splitlines()[1:])
+    else:
+        assert out.strip().splitlines() == ["omega,eps,branch,method"]
+
+
+def test_benchmark_hooks_into_the_program_resolve():
+    # the benchmark's tracer wraps program names and its worker reads the
+    # thread rule; a name either needs must fail here, not in the benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join((os.path.join(root, "src"),
+                                         os.path.join(root, "perfbench"),
+                                         env.get("PYTHONPATH", "")))
+    code = ("import floquet_avg.cli\n"
+            "from floquet_avg import scan\n"
+            "import tracer\n"
+            "tracer.Tracer().install()\n"
+            "print(scan._resolve_threads(None))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 1

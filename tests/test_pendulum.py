@@ -23,8 +23,9 @@ TWO_PI = 2.0 * math.pi
 
 def test_jacobians_segments():
     sys = jacobians(PendulumParams(1.0, 2.0, 0.0))
-    (d1, j_plus), (d2, j_minus) = sys.segments
-    assert d1 == PI and d2 == PI and sys.period == TWO_PI
+    assert sys.max_degree == 0 and sys.period == TWO_PI
+    assert np.array_equal(sys.breakpoints, [0.0, PI, TWO_PI])
+    j_plus, j_minus = (piece[..., 0] for piece in sys.pieces)
     assert np.array_equal(j_plus, np.array([[0.0, 1.0], [3.0, 0.0]]))
     assert np.array_equal(j_minus, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -32,7 +33,7 @@ def test_jacobians_segments():
 def test_jacobians_without_excitation():
     # omega = 0.5, beta = 0.25 keep omega^2 and beta*omega exactly representable
     sys = jacobians(PendulumParams(0.5, 0.0, 0.25))
-    (_, j_plus), (_, j_minus) = sys.segments
+    j_plus, j_minus = (piece[..., 0] for piece in sys.pieces)
     assert np.array_equal(j_plus, j_minus)
     assert np.array_equal(j_plus, np.array([[0.0, 1.0], [0.25, -0.125]]))
 
@@ -40,8 +41,8 @@ def test_jacobians_without_excitation():
 def test_jacobian_traces():
     for omega, eps, beta in ((0.3, 0.5, 0.2), (1.0, 2.0, 0.5)):
         sys = jacobians(PendulumParams(omega, eps, beta))
-        for _, mat in sys.segments:
-            assert abs(np.trace(mat) + beta * omega) < 1e-15
+        for piece in sys.pieces:
+            assert abs(np.trace(piece[..., 0]) + beta * omega) < 1e-15
 
 
 def test_params_validation():
@@ -49,6 +50,12 @@ def test_params_validation():
         PendulumParams(-0.1, 0.0, 0.0)
     with pytest.raises(ModelError):
         PendulumParams(0.1, math.nan, 0.0)
+    # the closed-form boundaries check omega and beta the same way
+    for closed_form in (boundary_order2, boundary_order4):
+        with pytest.raises(ModelError, match=r"omega must be finite and >= 0, got -0\.1"):
+            closed_form(-0.1, 0.0)
+        with pytest.raises(ModelError, match="beta must be finite and >= 0, got inf"):
+            closed_form(0.1, math.inf)
 
 
 def test_series_split_reconstructs_jacobians():
@@ -59,7 +66,7 @@ def test_series_split_reconstructs_jacobians():
         total = system.J0.copy()
         for term in system.terms:
             total = total + pp_eval(term, t)
-        assert np.abs(total - pc.segments[segment][1]).max() < 1e-14
+        assert np.abs(total - pc.pieces[segment][..., 0]).max() < 1e-14
 
 
 def test_series_split_reconstruction_everywhere():
@@ -71,7 +78,7 @@ def test_series_split_reconstruction_everywhere():
         total = system.J0.copy()
         for term in system.terms:
             total = total + pp_eval(term, t)
-        assert np.abs(total - pc.segments[segment][1]).max() < 1e-14
+        assert np.abs(total - pc.pieces[segment][..., 0]).max() < 1e-14
 
 
 def test_series_split_zero_excitation():

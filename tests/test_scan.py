@@ -173,11 +173,14 @@ def test_exact_pc_grid_cells_equal_single_point_paths(beta):
             assert grid.verdicts[ie, io] == report.verdict.value
             assert grid.margin_trace[ie, io] == report.margin_trace
             assert grid.margin_det[ie, io] == report.margin_det
-            # the monodromy of the one-system oracle, classified on its own
+            # the monodromy of the one-system oracle, classified on its own:
+            # the same trace; its det f00 f11 - f01 f10 is within the roundoff
+            # u ||F||^2 of the cells' Liouville det
             params = pendulum.PendulumParams(omega, eps, beta)
-            alone = stability.classify(exact_monodromy_pc(pendulum.jacobians(params)))
-            assert alone.margin_trace == report.margin_trace
-            assert alone.margin_det == report.margin_det
+            f = exact_monodromy_pc(pendulum.jacobians(params))
+            alone = stability.classify(f)
+            assert alone.trace == report.trace
+            assert abs(alone.determinant - report.determinant) <= 1e-15 * np.abs(f).sum() ** 2
 
 
 def test_exact_pc_cells_do_not_depend_on_the_grid_around_them():
@@ -192,13 +195,14 @@ def test_batched_exact_margins_equal_margin_exact(beta):
     rng = np.random.default_rng(3)
     omegas = rng.uniform(0.0, 0.4, 12)
     epss = rng.uniform(0.0, 1.0, 12)
-    batch = stability.margin_exact_stack(omegas, epss, beta)
+    batch = scan._margin_stack(omegas, beta, "exact")(np.arange(omegas.size), epss)
     for k in range(omegas.size):
         params = pendulum.PendulumParams(float(omegas[k]), float(epss[k]), beta)
         assert batch[k] == stability.margin_exact(params)
         f = exact_monodromy_pc(pendulum.jacobians(params))
-        det = math.exp(-2.0 * math.pi * beta * float(omegas[k]))
-        assert batch[k] == det + 1.0 - abs(float(f[0, 0] + f[1, 1]))
+        # Liouville's det F = exp(pi tr J+ + pi tr J-), not f00 f11 - f01 f10
+        d = -beta * float(omegas[k])
+        assert batch[k] == math.exp(math.pi * d + math.pi * d) + 1.0 - abs(float(f[0, 0] + f[1, 1]))
 
 
 def _serial_bisect(omega, beta, bracket, tol=1e-10):
@@ -321,7 +325,7 @@ def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fa
 def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
     omegas = np.linspace(0.05, 0.3, 4)
     samples = [(omega, branch) for branch in ("p", "n") for omega in omegas]
-    closed = [scan._boundary_sample(omega, beta, branch, method, 1e-10)
+    closed = [scan._boundary_sample(omega, beta, branch, method)
               for omega, branch in samples]
     lo = [0.9 * root for root in closed]
     hi = [1.1 * root for root in closed]

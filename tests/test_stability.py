@@ -6,13 +6,14 @@ import pytest
 from conftest import pendulum_pipeline
 from floquet_avg import pendulum
 from floquet_avg.errors import ModelError
-from floquet_avg.exactmono import exact_monodromy_pc
+from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
 from floquet_avg.stability import (
     Verdict,
     classify,
     det_series,
     det_series_expansion,
     margin_exact,
+    pc_trace_det,
     report_from_trace_det,
 )
 
@@ -75,6 +76,26 @@ def test_margin_exact_signs():
     assert m0 < 0.0
     assert margin_exact(pendulum.PendulumParams(0.2, 0.3, 0.0)) > 0.0
     assert margin_exact(pendulum.PendulumParams(0.2, 0.6, 0.0)) < 0.0
+
+
+def test_pc_trace_det_takes_det_from_liouville():
+    # unequal durations and traces: det F = exp(0.7 * 0.3 - 1.9 * 0.2)
+    durations = (0.7, 1.9)
+    mats = np.array([[[[0.1, 1.0], [0.5, 0.2]], [[-0.3, 0.4], [-1.0, 0.1]]]])
+    trace, det = pc_trace_det(durations, mats)
+    f = exact_monodromy_pc_stack(durations, mats)[0]
+    assert trace[0] == f[0, 0] + f[1, 1]
+    assert abs(det[0] - math.exp(0.7 * 0.3 - 1.9 * 0.2)) <= 2e-16
+    assert abs(det[0] - np.linalg.det(f)) <= 1e-14
+
+
+def test_pc_det_is_exact_where_the_product_det_is_roundoff():
+    # ||F|| ~ 1e27 at omega 10, so f00 f11 - f01 f10 carries a roundoff of
+    # order 1e38; Liouville's det F = exp(-2 pi beta omega) carries none
+    mats = pendulum.jacobian_stack([10.0], [1.0], 0.01)
+    trace, det = pc_trace_det(pendulum.HALF_PERIODS, mats)
+    assert abs(trace[0]) > 1e26
+    assert abs(det[0] - math.exp(-2.0 * PI * 0.01 * 10.0)) <= 1e-15
 
 
 def test_margin_exact_is_continuous():
