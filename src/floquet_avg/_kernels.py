@@ -3,10 +3,14 @@ integrator.
 
 Both work on a whole stack at once: ``matexp_core`` on a ``(K, n, n)`` stack
 of matrices, ``rk4_monodromy_core`` on K systems over shared breakpoints (a
-single matrix or system is the case without the stack axis).  Every slice
-runs the arithmetic it would get alone -- for the exponential its own
-scaling exponent, Taylor stop and number of squarings -- so a slice's
-result does not depend on what else is in the stack.
+single matrix or system is the case without the stack axis).  The RK4
+integrator multiplies step matrices I + D rather than looping over steps: a
+squaring chain for each constant piece, a pairwise product tree for each
+fixed-size block of steps of a polynomial piece.  Every slice runs the
+arithmetic it would get alone -- for the exponential its own scaling
+exponent, Taylor stop and number of squarings, for RK4 its own route and
+tree shapes -- so a slice's result does not depend on what else is in the
+stack.
 """
 
 import numpy as np
@@ -15,8 +19,8 @@ from .ppoly import _eval_block
 
 _EPS_53 = 2.0 ** -53
 _MAX_TAYLOR_TERMS = 30
-# coefficient values per block of RK4 steps evaluated at once (x3 stages)
-_RK4_BLOCK_VALUES = 1 << 16
+# RK4 steps of a polynomial piece evaluated and multiplied as one block
+_RK4_BLOCK_STEPS = 64
 
 
 def _norm1(a):
@@ -76,39 +80,89 @@ def matexp_core(a):
     return result[0] if single else result
 
 
+def _compose(later, earlier):
+    """(I + later)(I + earlier) - I: a product of near-identity matrices with
+    the identity kept implicit, so the small increments are never rounded
+    against the 1s on the diagonal."""
+    return later + earlier + np.matmul(later, earlier)
+
+
+def _step_increments(j_start, j_mid, j_end, h):
+    """D of one RK4 step X <- (I + D) X of dX/dt = J X, from J at the step's
+    start, middle and end (stacks of them give a stack of D)."""
+    k2 = j_mid + (0.5 * h) * np.matmul(j_mid, j_start)
+    k3 = j_mid + (0.5 * h) * np.matmul(j_mid, k2)
+    k4 = j_end + h * np.matmul(j_end, k3)
+    return (h / 6.0) * (j_start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _power(d, count):
+    """(I + d)**count - I by binary powering, most significant bit first."""
+    out = d
+    for bit in bin(count)[3:]:
+        out = _compose(out, out)
+        if bit == "1":
+            out = _compose(d, out)
+    return out
+
+
+def _product_tree(d):
+    """(I + d[-1]) ... (I + d[0]) - I of a (b, ...) stack, later steps on the
+    left, reduced pairwise: the tree's shape depends only on b."""
+    while d.shape[0] > 1:
+        pairs = d.shape[0] // 2
+        merged = _compose(d[1:2 * pairs:2], d[0:2 * pairs:2])
+        d = np.concatenate((merged, d[2 * pairs:])) if d.shape[0] % 2 else merged
+    return d[0]
+
+
+def _advance_piece(x, coeffs, t0, h, steps):
+    """X at the end of one piece from X at its start, for a (K, n, n, d+1) stack."""
+    if not coeffs[..., 1:].any():
+        j = coeffs[..., 0]
+        d = _power(_step_increments(j, j, j, h), steps)
+        return x + np.matmul(d, x)
+    for first in range(0, steps, _RK4_BLOCK_STEPS):
+        t = t0 + np.arange(first, min(first + _RK4_BLOCK_STEPS, steps)) * h
+        stages = np.stack((t, t + 0.5 * h, t + h))[..., None, None, None]
+        j = _eval_block(coeffs, stages)
+        d = _product_tree(_step_increments(j[0], j[1], j[2], h))
+        x = x + np.matmul(d, x)
+    return x
+
+
 def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
-    """Integrate dX/dt = J(t) X, X(0) = I, across the polynomial pieces.
+    """Classical RK4 for dX/dt = J(t) X, X(0) = I, across the polynomial pieces.
 
     ``coeffs`` holds ascending powers of global t: (m, n, n, d+1) for one
-    system, (m, K, n, n, d+1) for K systems stepping together, each stage
-    one stacked ``np.matmul``.  Steps are confined to one piece at a time
-    so no RK4 stage ever straddles a breakpoint.  The state update is
-    Kahan-compensated: without it the accumulation roundoff (steps * eps *
-    ||X||) dominates the determinant identity once ||X(T)|| is large.
+    system, (m, K, n, n, d+1) for K systems stepping together.  Steps are
+    confined to one piece at a time so no RK4 stage ever straddles a
+    breakpoint.
+
+    For a linear system one RK4 step is X <- (I + D) X, with D built from J
+    at the step's start, middle and end in three stacked matmuls, so the
+    monodromy is the ordered product of the step matrices.  Every product
+    keeps the identity implicit, (I + A)(I + B) = I + (A + B + AB): without
+    that, rounding the tiny increments against the diagonal 1s costs about
+    two digits of the determinant identity at 4096 steps.  A system whose
+    piece is constant has one D there, raised to the step count by binary
+    powering; otherwise the piece's steps are taken in blocks of a fixed
+    ``_RK4_BLOCK_STEPS``, each block's D stack reduced by a pairwise tree
+    with later steps on the left.  Each piece or block then updates the
+    state as X <- X + D X.  Which route a system takes and the shape of
+    every tree depend only on its own coefficients and the step count,
+    never on the stack, so each slice is bitwise what it would be alone.
     """
     single = coeffs.ndim == 4
     if single:
         coeffs = coeffs[:, None]
     m, k, n = coeffs.shape[:3]
     x = np.repeat(np.eye(n)[None], k, axis=0)
-    carry = np.zeros((k, n, n))
-    # J at the start, middle and end of a block of steps in one Horner pass
-    block = max(1, _RK4_BLOCK_VALUES // x.size)
     for p in range(m):
         t0 = breaks[p]
         h = (breaks[p + 1] - t0) / steps_per_piece
-        half, sixth = 0.5 * h, h / 6.0
-        for first in range(0, steps_per_piece, block):
-            t = t0 + np.arange(first, min(first + block, steps_per_piece)) * h
-            stages = np.stack((t, t + half, t + h))[..., None, None, None]
-            j = np.broadcast_to(_eval_block(coeffs[p], stages), (3, t.size, k, n, n))
-            for j_start, j_mid, j_end in zip(j[0], j[1], j[2]):
-                k1 = np.matmul(j_start, x)
-                k2 = np.matmul(j_mid, x + half * k1)
-                k3 = np.matmul(j_mid, x + half * k2)
-                k4 = np.matmul(j_end, x + h * k3)
-                step = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - carry
-                updated = x + step
-                carry = (updated - x) - step
-                x = updated
+        constant = ~coeffs[p, ..., 1:].any(axis=(1, 2, 3))
+        for rows in (np.flatnonzero(constant), np.flatnonzero(~constant)):
+            if rows.size:
+                x[rows] = _advance_piece(x[rows], coeffs[p, rows], t0, h, steps_per_piece)
     return x[0] if single else x

@@ -20,10 +20,9 @@ import numpy as np
 from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
-from .exactmono import exact_monodromy_pc, exact_monodromy_rk
+from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
 from .ppoly import PiecewisePolyMatrix
 
-RK_STEPS_DEFAULT = 512
 # model-file terms fill every order below the highest one, so the highest is capped
 MAX_TERM_ORDER = 64
 

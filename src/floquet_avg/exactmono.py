@@ -18,7 +18,10 @@ from .errors import ModelError, NumericRangeError
 from .ppoly import PiecewisePolyMatrix, to_dense
 from .smallmat import matexp_stack
 
-# steps per piece of the RK4 oracle; at the cap one system takes about a second per piece
+# steps per piece of the RK4 oracle, for `analyze --rk-steps` and exact-rk scans
+RK_STEPS_DEFAULT = 512
+# input guards on the steps per piece: a polynomial piece still evaluates J at
+# every step, so a model file cannot ask for unbounded work
 RK_MIN_STEPS = 16
 RK_MAX_STEPS = 65536
 # steps per system over all pieces: models of up to four pieces keep the whole

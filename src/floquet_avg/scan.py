@@ -20,13 +20,11 @@ import numpy as np
 
 from . import averaging, pendulum, stability
 from .errors import BracketError, FloquetError, ModelError
-from .exactmono import exact_monodromy_rk, pc_stack_to_ppoly
+from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_rk, pc_stack_to_ppoly
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
 ORDER_METHODS = tuple(f"order{k}" for k in range(1, averaging.MAX_ORDER + 1))
-
-RK_STEPS_PER_PIECE = 256
 
 # exact-boundary brackets are seeded from the order-4 prediction +/-30%,
 # clipped at the p/n midpoint so a bracket never straddles the whole band
@@ -94,7 +92,7 @@ def _batched_invariants(method: str, omegas, epss, beta: float):
         if method == "exact-pc":
             return stability.pc_trace_det(pendulum.HALF_PERIODS, jac)
         j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS, jac)
-        return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_PER_PIECE))
+        return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_DEFAULT))
     order = order_of_method(method)
     if order is None:
         raise ModelError(f"unknown method {method!r}")

@@ -118,9 +118,10 @@ def test_matexp_against_mpmath_50_digits(m, t):
 
 
 def _scalar_rk4(breaks, coeffs, steps_per_piece):
-    """One-system RK4 written as plain loops with scalar Horner evaluation:
-    the arithmetic every slice of ``rk4_monodromy_core`` must reproduce bit
-    for bit.  ``coeffs`` is (m, n, n, d+1)."""
+    """One-system RK4 written as plain loops with scalar Horner evaluation
+    and a Kahan-compensated state update: the reference that every slice of
+    ``rk4_monodromy_core``, a product of step matrices, matches to roundoff.
+    ``coeffs`` is (m, n, n, d+1)."""
     n, d = coeffs.shape[1], coeffs.shape[3]
 
     def horner(block, t):
@@ -152,25 +153,69 @@ def _scalar_rk4(breaks, coeffs, steps_per_piece):
     return x
 
 
-@pytest.mark.parametrize("n, degree", [(2, 0), (2, 1), (4, 0), (4, 2)])
-def test_rk4_stack_slices_equal_scalar_loop(n, degree, monkeypatch):
-    rng = np.random.default_rng(100 + 10 * n + degree)
-    breaks = np.array([0.0, 1.3, np.pi, 2.0 * np.pi])
-    count = 12
-    # (pieces, K, n, n, d+1), with per-system scales from 0.05 to 2
+RK4_BREAKS = np.array([0.0, 1.3, np.pi, 2.0 * np.pi])
+
+
+def _random_pieces(rng, n, degree, count):
+    # (3 pieces, K, n, n, d+1), with per-system scales from 0.05 to 2
     coeffs = rng.standard_normal((3, count, n, n, degree + 1))
-    coeffs *= 10.0 ** rng.uniform(-1.3, 0.3, count)[None, :, None, None, None]
-    steps = 20
-    stacked = _kernels.rk4_monodromy_core(breaks, coeffs, steps)
-    assert stacked.shape == (count, n, n)
+    return coeffs * 10.0 ** rng.uniform(-1.3, 0.3, count)[None, :, None, None, None]
+
+
+def _assert_matches_scalar_loop(got, coeffs, steps):
+    ref = _scalar_rk4(RK4_BREAKS, coeffs, steps)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, degree", [(2, 0), (2, 1), (4, 0), (4, 2)])
+def test_rk4_stack_slices_equal_scalar_loop(n, degree):
+    rng = np.random.default_rng(100 + 10 * n + degree)
+    count = 12
+    coeffs = _random_pieces(rng, n, degree, count)
+    # 16, 17 and 1000 steps are not powers of two, so the squaring chain
+    # multiplies in odd bits and the block trees carry odd leftovers;
+    # 1000 steps also end a piece on a short block
+    for steps in (16, 17, 20, 1000):
+        stacked = _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs, steps)
+        assert stacked.shape == (count, n, n)
+        # the scalar loop is slow, so at 1000 steps every fourth system
+        for k in range(0, count, 1 if steps < 100 else 4):
+            _assert_matches_scalar_loop(stacked[k], coeffs[:, k], steps)
+        # one system without the cell axis, permuted and truncated stacks
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, 5], steps),
+                              stacked[5])
+        order = rng.permutation(count)
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, order], steps),
+                              stacked[order])
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, :3], steps),
+                              stacked[:3])
+
+
+def test_rk4_mixed_constant_and_linear_pieces():
+    # a constant piece takes the squaring chain and a linear one the block
+    # trees, decided per system: piece 0 is constant for every system and
+    # piece 2 for the first three only
+    rng = np.random.default_rng(130)
+    coeffs = _random_pieces(rng, 2, 1, 6)
+    coeffs[0, ..., 1] = 0.0
+    coeffs[2, :3, ..., 1] = 0.0
+    for steps in (16, 17, 1000):
+        stacked = _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs, steps)
+        for k in range(6):
+            _assert_matches_scalar_loop(stacked[k], coeffs[:, k], steps)
+            assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, k], steps),
+                                  stacked[k])
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_rk4_slices_do_not_depend_on_the_stack_size(degree):
+    # 600 2x2 systems: blocks of steps sized from the stack (65536 values over
+    # 3 stages of K n x n matrices) would hold 27 steps here and give the
+    # product trees another shape than a lone system's
+    rng = np.random.default_rng(140 + degree)
+    count = 600
+    coeffs = _random_pieces(rng, 2, degree, count)
+    steps = 100
+    stacked = _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs, steps)
     for k in range(count):
-        assert np.array_equal(stacked[k], _scalar_rk4(breaks, coeffs[:, k], steps))
-    # one system without the cell axis, permuted and truncated stacks
-    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, 5], steps), stacked[5])
-    order = rng.permutation(count)
-    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, order], steps),
-                          stacked[order])
-    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs[:, :3], steps), stacked[:3])
-    # J evaluated for a few steps at a time, with a short last block
-    monkeypatch.setattr(_kernels, "_RK4_BLOCK_VALUES", 3 * count * n * n)
-    assert np.array_equal(_kernels.rk4_monodromy_core(breaks, coeffs, steps), stacked)
+        assert np.array_equal(stacked[k], _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, k], steps))
