@@ -107,10 +107,6 @@ class MonodromyExpansion:
     partial_sums: tuple  # partial_sums[k] = F0 + F_1 + ... + F_k
     trace_by_order: tuple  # (tr F0, tr F_1, ..., tr F_N), (K,) arrays for a stack
 
-    @property
-    def order(self) -> int:
-        return len(self.F_terms)
-
 
 def standard_form(sys: SeriesSystem):
     """Split off X0(t) = exp(J0 t) and conjugate each term into H_j.
@@ -150,21 +146,20 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
     if not h_terms:
         raise ModelError("need at least one H term")
-    dim = h_terms[0].dim
-    zero = PiecewisePolyMatrix.zero(dim, period)
-
-    def h(n):
-        return h_terms[n - 1] if n <= len(h_terms) else zero
-
     a_mats = []
     a_consts = []  # A_j embedded as degree-0 pieces for the ppoly algebra
     u_funcs = []
     residuals = []
     try:
         for n in range(1, order + 1):
-            coll = h(n)
+            if n <= len(h_terms):
+                coll = h_terms[n - 1]
+            else:
+                coll = PiecewisePolyMatrix.zero(h_terms[0].dim, period)
             for i in range(1, n):
-                coll = ppoly.pp_add(coll, ppoly.pp_mul(h(n - i), u_funcs[i - 1]))
+                # H_{n-i} is zero above the model's highest order: no product to add
+                if n - i <= len(h_terms):
+                    coll = ppoly.pp_add(coll, ppoly.pp_mul(h_terms[n - i - 1], u_funcs[i - 1]))
                 coll = ppoly.pp_sub(coll, ppoly.pp_mul(u_funcs[i - 1], a_consts[n - i - 1]))
             a_n = ppoly.pp_average(coll)
             a_mats.append(a_n)
@@ -194,50 +189,38 @@ def _trace(m):
     return float(tr) if np.ndim(tr) == 0 else tr
 
 
-def _compositions(total: int):
-    """All ordered tuples of positive integers summing to ``total``."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
 def graded_exp_terms(a_list, period: float, order: int):
     """Grade-j terms Z_j(T) of exp((A_1 + A_2 + ...) T), j = 1..order.
 
-    Z_j(T) = sum over m of (T^m / m!) * sum over ordered compositions
-    (k_1..k_m) of j of A_{k_1} @ ... @ A_{k_m}; matrix order is preserved
-    since the A_j do not commute.  (K, n, n) stacks of A_j give stacks of
-    Z_j; a stacked matmul multiplies each slice as a lone matrix product
-    would.
+    P_m[j], the grade-j part of (A_1 + A_2 + ...)^m, follows the power
+    recurrence P_1[j] = A_j, P_m[j] = sum_k A_k @ P_{m-1}[j-k], and
+    Z_j(T) = sum_m (T^m / m!) P_m[j]; the scale comes last and matrix order
+    is preserved, since the A_j do not commute.  Orders above len(a_list)
+    are zero.  (K, n, n) stacks of A_j give stacks of Z_j, and a
+    (..., 1, 1) stack of scalars gives the scalar series; a stacked matmul
+    multiplies each slice as a lone matrix product would.
     """
-    n = a_list[0].shape[-1]
-    z_terms = []
-    for j in range(1, order + 1):
-        z = np.zeros((n, n))
-        for comp in _compositions(j):
-            if any(k > len(a_list) for k in comp):
-                continue
-            m = len(comp)
-            prod = np.eye(n)
-            for k in comp:
-                prod = prod @ a_list[k - 1]
-            z = z + prod * (period ** m / math.factorial(m))
-        z_terms.append(z)
+    top = min(order, len(a_list))
+    z_terms = [np.zeros_like(a_list[0]) for _ in range(order)]
+    power = {j: a_list[j - 1] for j in range(1, top + 1)}  # P_1, by grade
+    for m in range(1, order + 1):
+        scale = period ** m / math.factorial(m)
+        for j, p in power.items():
+            z_terms[j - 1] = z_terms[j - 1] + p * scale
+        nxt = {}
+        for j in range(m + 1, order + 1):
+            terms = [a_list[k - 1] @ power[j - k] for k in range(1, top + 1) if j - k in power]
+            if terms:
+                nxt[j] = sum(terms[1:], terms[0])
+        power = nxt
     return z_terms
 
 
 def assemble_monodromy(x0: PiecewisePolyMatrix, avg: AveragedExpansion,
-                       period: float, order: int | None = None) -> MonodromyExpansion:
-    """Build F0 and the graded corrections F_j = F0 @ Z_j(T)."""
-    if order is None:
-        order = avg.order
-    if order > avg.order:
-        raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
+                       period: float) -> MonodromyExpansion:
+    """Build F0 and the graded corrections F_j = F0 @ Z_j(T), j = 1..N."""
     f0 = ppoly.pp_eval(x0, period)
-    z_terms = graded_exp_terms(avg.A, period, order)
+    z_terms = graded_exp_terms(avg.A, period, avg.order)
     f_terms = tuple(f0 @ z for z in z_terms)
     sums = [f0]
     for f in f_terms:

@@ -5,12 +5,14 @@ Four subcommands: ``analyze`` (one parameter point, full report),
 and ``compare`` (exact vs approximate boundary table as CSV).
 
 Contract: data goes to stdout (or ``--output``), diagnostics to stderr.
-Exit codes: 0 success, 2 validation failure, 3 numeric range error,
+Exit codes: 0 success, 2 validation failure (an unwritable ``--output``
+included), 3 numeric range error or a range too large to allocate,
 4 boundary tracing with more than 10% of samples omitted.  JSON numbers
 carry 17 significant digits, CSV floats 12.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,34 +35,9 @@ EXIT_PARTIAL = 4
 
 
 # ---------------------------------------------------------------------------
-# model registry
+# model files
 
-def _build_meissner(args) -> "ModelSpec":
-    for name in ("omega", "eps", "beta"):
-        if getattr(args, name) is None:
-            raise ModelError(f"--{name} is required for model '{pendulum.MODEL_NAME}'")
-    params = pendulum.PendulumParams(args.omega, args.eps, args.beta)
-    return ModelSpec(
-        name=pendulum.MODEL_NAME,
-        series=pendulum.series_split(params),
-        params=params,
-    )
-
-
-MODEL_REGISTRY = {pendulum.MODEL_NAME: _build_meissner}
-
-
-class ModelSpec:
-    """A loaded model: its graded series and, for a registered model, its
-    parameters."""
-
-    def __init__(self, name, series: SeriesSystem, params=None):
-        self.name = name
-        self.series = series
-        self.params = params
-
-
-def load_model_file(path: str) -> ModelSpec:
+def load_model_file(path: str) -> SeriesSystem:
     """Custom model from JSON: period, nilpotent J0, graded polynomial terms."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -103,7 +80,7 @@ def load_model_file(path: str) -> ModelSpec:
         by_order.get(k, PiecewisePolyMatrix.zero(dim, period))
         for k in range(1, top + 1)
     )
-    return ModelSpec(name="custom", series=SeriesSystem(period, j0, terms))
+    return SeriesSystem(period, j0, terms)
 
 
 def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
@@ -225,8 +202,11 @@ def _report_dict(report: stability.StabilityReport, f=None) -> dict:
 
 def _write_output(text: str, path):
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -238,24 +218,25 @@ def cmd_analyze(args) -> int:
     if not 1 <= args.order <= averaging.MAX_ORDER:
         raise ModelError(f"--order {args.order} exceeds the supported cap {averaging.MAX_ORDER}")
     stability.check_tolerance(args.tolerance)
+    params = None
     if args.model_file:
-        model = load_model_file(args.model_file)
+        sys_ = load_model_file(args.model_file)
+    elif args.model == pendulum.MODEL_NAME:
+        for name in ("omega", "eps", "beta"):
+            if getattr(args, name) is None:
+                raise ModelError(f"--{name} is required for model '{pendulum.MODEL_NAME}'")
+        params = pendulum.PendulumParams(args.omega, args.eps, args.beta)
+        sys_ = pendulum.series_split(params)
     else:
-        try:
-            builder = MODEL_REGISTRY[args.model]
-        except KeyError:
-            raise ModelError(
-                f"unknown model {args.model!r}; registered: {sorted(MODEL_REGISTRY)}"
-            ) from None
-        model = builder(args)
+        raise ModelError(
+            f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
-    sys_ = model.series
     avg, mono, det_trunc = stability.order_approximation(sys_, args.order)
     f_approx = mono.partial_sums[-1]
     det_full = stability.det_series(sys_, avg)
 
     doc = {
-        "model": model.name,
+        "model": "custom" if args.model_file else pendulum.MODEL_NAME,
         "params": None,
         "order": args.order,
         "period": sys_.period,
@@ -268,12 +249,8 @@ def cmd_analyze(args) -> int:
         "F0": _matrix_list(mono.F0),
         "F_approx": _matrix_list(f_approx),
     }
-    if model.params is not None:
-        doc["params"] = {
-            "omega": model.params.omega,
-            "eps": model.params.eps,
-            "beta": model.params.beta,
-        }
+    if params is not None:
+        doc["params"] = {"omega": params.omega, "eps": params.eps, "beta": params.beta}
     if sys_.dim == 2:
         trace = float(sum(mono.trace_by_order))
         doc["approx"] = _report_dict(
@@ -414,7 +391,9 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="floquet-avg",
         description="Averaged monodromy approximations and stability boundaries "
@@ -436,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--tolerance", type=float, default=stability.DEFAULT_TOLERANCE)
     p_an.add_argument("--rk-steps", type=int, default=RK_STEPS_DEFAULT)
     add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
 
     p_sc = sub.add_parser("scan", help="stability verdict grid as CSV")
     p_sc.add_argument("--omega", required=True, help="min:max:count")
@@ -449,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: FLOQUET_AVG_THREADS or all cores)")
     p_sc.add_argument("--tolerance", type=float, default=stability.DEFAULT_TOLERANCE)
     add_common(p_sc)
-    p_sc.set_defaults(func=cmd_scan)
 
     p_bd = sub.add_parser("boundary", help="one stability-boundary curve as CSV")
     p_bd.add_argument("--omega", required=True, help="min:max:count")
@@ -459,26 +436,29 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("exact", "exact-pc", "order2", "order4"))
     p_bd.add_argument("--tol", type=float, default=1e-10)
     add_common(p_bd)
-    p_bd.set_defaults(func=cmd_boundary)
 
     p_cp = sub.add_parser("compare", help="exact vs approximate boundary table as CSV")
     p_cp.add_argument("--omega", required=True, help="min:max:count")
     p_cp.add_argument("--beta", type=float, default=0.0)
     p_cp.add_argument("--tol", type=float, default=1e-10)
     add_common(p_cp)
-    p_cp.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (NumericRangeError, OverflowError) as exc:
         # OverflowError: a Python float operation (pow, math.exp) left the float range
         print(f"floquet-avg: numeric range error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        # a range too large to allocate, e.g. --omega 0:1:1e14 samples
+        print(f"floquet-avg: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ModelError as exc:
         print(f"floquet-avg: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .averaging import (
     AveragedExpansion,
     SeriesSystem,
     assemble_monodromy,
+    graded_exp_terms,
     run_recursion,
     standard_form,
 )
@@ -190,36 +191,24 @@ def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion,
                          order: int | None = None):
     """Graded truncation of the determinant expansion at the given order.
 
-    Expands exp(sum_j tr(A_j) T) as a power series in the grading
-    parameter and keeps terms of grade <= order; the J0 factor
-    exp(T tr J0) is grade 0 and multiplies the whole truncation.  This is
-    the determinant an order-K boundary condition is solved against (the
-    trace partial sum is truncated the same way), so approximate-boundary
-    root finding reproduces the closed-form boundary curves.  A float for
-    one system, a (K,) array for a stack of K.
+    det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), whose second
+    factor is expanded by grade with :func:`averaging.graded_exp_terms`
+    applied to the 1x1 matrices tr A_j: the same expansion, cut at the same
+    grade, as the trace partial sum an order-K boundary condition is solved
+    against, so approximate-boundary root finding reproduces the
+    closed-form boundary curves.  A float for one system, a (K,) array for
+    a stack of K.
     """
     if order is None:
         order = avg.order
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
-    t = sys.period
-    lead = np.shape(avg.A[0])[:-2]
-    # scalar graded series per cell: coeff[..., j] = tr(A_j) * T for j >= 1
-    coeff = np.zeros(lead + (order + 1,))
-    for j, a in enumerate(avg.A[:order], start=1):
-        coeff[..., j] = np.trace(a, axis1=-2, axis2=-1) * t
-    series = np.zeros(lead + (order + 1,))
-    series[..., 0] = 1.0
-    power = series.copy()
-    for m in range(1, order + 1):
-        nxt = np.zeros(lead + (order + 1,))
-        for i in range(order):
-            # a zero power[i] adds +-0.0, which leaves each finite sum as it is
-            nxt[..., i + 1:] += power[..., i, None] * coeff[..., 1:order + 1 - i]
-        power = nxt
-        series += power / math.factorial(m)
-    det = math.exp(float(np.trace(sys.J0)) * t) * series.sum(axis=-1)
-    return float(det) if det.ndim == 0 else det
+    traces = [np.trace(a, axis1=-2, axis2=-1)[..., None, None] for a in avg.A[:order]]
+    series = 1.0
+    for z in graded_exp_terms(traces, sys.period, order):
+        series = series + z[..., 0, 0]
+    det = math.exp(float(np.trace(sys.J0)) * sys.period) * series
+    return float(det) if np.ndim(det) == 0 else det
 
 
 def trace_identity_residuals(sys: SeriesSystem, avg: AveragedExpansion) -> list[float]:

@@ -13,6 +13,7 @@ from floquet_avg.smallmat import norm1
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 def paper_a1(eps):
@@ -137,31 +138,73 @@ def test_trace_identity_orders_1_to_4():
             assert res < 1e-11
 
 
-def test_graded_exponential_consistency():
-    # independent oracle: exponentiate the matrix polynomial sum_j A_j T s^j
-    # by truncated power-series arithmetic and compare coefficient-wise
-    def poly_exp_terms(a_list, period, order):
-        n = a_list[0].shape[0]
-        m = np.zeros((order + 1, n, n))
-        for j, a in enumerate(a_list[:order], start=1):
-            m[j] = a * period
-        result = np.zeros_like(m)
-        result[0] = np.eye(n)
-        power = result.copy()
-        for k in range(1, order + 1):
-            nxt = np.zeros_like(m)
-            for i in range(order + 1):
-                for j in range(1, order + 1 - i):
-                    nxt[i + j] += power[i] @ m[j]
-            power = nxt
-            result += power / math.factorial(k)
-        return [result[j] for j in range(1, order + 1)]
+def _poly_exp_terms(a_list, period, order):
+    """Z_j by truncated power-series arithmetic on the matrix polynomial
+    sum_j A_j T s^j, compared coefficient-wise."""
+    shape = np.shape(a_list[0])
+    m = np.zeros((order + 1,) + shape)
+    for j, a in enumerate(a_list[:order], start=1):
+        m[j] = a * period
+    result = np.zeros_like(m)
+    result[0] = np.broadcast_to(np.eye(shape[-1]), shape)
+    power = result.copy()
+    for k in range(1, order + 1):
+        nxt = np.zeros_like(m)
+        for i in range(order + 1):
+            for j in range(1, order + 1 - i):
+                nxt[i + j] += power[i] @ m[j]
+        power = nxt
+        result += power / math.factorial(k)
+    return [result[j] for j in range(1, order + 1)]
 
-    _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 4)
-    direct = graded_exp_terms(avg.A, TWO_PI, 4)
-    oracle = poly_exp_terms(avg.A, TWO_PI, 4)
-    for z_direct, z_oracle in zip(direct, oracle):
-        assert np.abs(z_direct - z_oracle).max() < 1e-12 * (1.0 + np.abs(z_oracle).max())
+
+def _compositions(total):
+    """All ordered tuples of positive integers summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _composition_exp_terms(a_list, period, order):
+    """Z_j written out term by term: the sum over ordered compositions
+    (k_1..k_m) of j of (T^m / m!) A_{k_1} @ ... @ A_{k_m}."""
+    z_terms = []
+    for j in range(1, order + 1):
+        z = np.zeros_like(a_list[0])
+        for comp in _compositions(j):
+            if any(k > len(a_list) for k in comp):
+                continue
+            prod = a_list[comp[0] - 1]
+            for k in comp[1:]:
+                prod = prod @ a_list[k - 1]
+            z = z + prod * (period ** len(comp) / math.factorial(len(comp)))
+        z_terms.append(z)
+    return z_terms
+
+
+def test_graded_exponential_consistency():
+    # the power recurrence against two independent oracles at orders 1..6, on
+    # one system, a stack of five and a model whose orders stop at 3
+    _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 6)
+    rng = np.random.default_rng(6)
+    omegas, epss = rng.uniform(0.0, 0.4, 5), rng.uniform(0.0, 1.0, 5)
+    _, h = averaging.standard_form(pendulum.series_split_stack(omegas, epss, 0.3))
+    avg_stack = averaging.run_recursion(h, TWO_PI, 6)
+    for order in range(1, 7):
+        for a_list in (avg.A[:order], avg_stack.A[:order], avg.A[:3]):
+            terms = graded_exp_terms(a_list, TWO_PI, order)
+            assert len(terms) == order
+            # from grade 5 the summands cancel (up to 2e6 for a Z_6 near 2), and the
+            # two oracles already differ by 7e-12: the bound adds u per summand size
+            sizes = _composition_exp_terms([np.abs(a) for a in a_list], TWO_PI, order)
+            for oracle in (_poly_exp_terms, _composition_exp_terms):
+                for z, z_oracle, size in zip(terms, oracle(a_list, TWO_PI, order), sizes):
+                    assert z.shape == z_oracle.shape
+                    bound = 1e-12 * (1.0 + np.abs(z_oracle).max()) + 4 * EPS * size.max()
+                    assert np.abs(z - z_oracle).max() < bound
 
 
 def test_monodromy_direct_reduces_to_f0():

@@ -528,3 +528,51 @@ def test_benchmark_hooks_into_the_program_resolve():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) >= 1
+
+
+_SMALL_COMMANDS = {
+    "analyze": ["analyze", "--omega", "0.2", "--eps", "0.3", "--beta", "0", "--order", "2"],
+    "scan": ["scan", "--omega", "0:0.2:2", "--eps", "0:0.5:2"],
+    "boundary": ["boundary", "--omega", "0.1:0.2:2", "--branch", "p", "--method", "order2"],
+    "compare": ["compare", "--omega", "0.1:0.2:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_COMMANDS))
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    # an --output in a missing directory or naming a directory ended in a
+    # FileNotFoundError or IsADirectoryError traceback with exit 1
+    path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, _SMALL_COMMANDS[command] + ["--output", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("floquet-avg: cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--omega", "0:1:100000000000000", "--eps", "0:1:2"],
+    ["boundary", "--omega", "0:1:99999999999999", "--branch", "p"],
+    ["compare", "--omega", "0:1:100000000000000"],
+])
+def test_unallocatable_range_exits_3(argv):
+    # 1e14 samples cannot be allocated anywhere; numpy's MemoryError ended
+    # in a traceback with exit 1
+    proc = _cli_subprocess(argv, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("floquet-avg: out of memory") and proc.stderr.count("\n") == 1
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    original = cli.cmd_scan
+
+    def wrapped(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_scan", wrapped)
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, _SMALL_COMMANDS["scan"])
+        assert code == 0
+    assert calls == ["scan", "scan"]

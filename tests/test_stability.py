@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_pipeline
-from floquet_avg import pendulum
+from floquet_avg import averaging, pendulum
+from floquet_avg.averaging import SeriesSystem
 from floquet_avg.errors import ModelError
 from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
+from floquet_avg.ppoly import PiecewisePolyMatrix
 from floquet_avg.stability import (
     Verdict,
     classify,
@@ -157,6 +159,45 @@ def test_det_series_expansion_truncations():
     assert abs(det_series_expansion(system, avg, 2) - (1.0 - x)) < 1e-12
     assert abs(det_series_expansion(system, avg, 3) - (1.0 - x)) < 1e-12
     assert abs(det_series_expansion(system, avg, 4) - (1.0 - x + 0.5 * x * x)) < 1e-12
+
+
+def _scalar_det_series(traces, period, order):
+    """sum_{j <= order} [s^j] exp(sum_j tr(A_j) T s^j), by scalar series arithmetic."""
+    poly = np.zeros(order + 1)
+    poly[1:len(traces[:order]) + 1] = np.asarray(traces[:order]) * period
+    power = np.zeros(order + 1)
+    power[0] = 1.0
+    series = power.copy()
+    for m in range(1, order + 1):
+        power = np.convolve(power, poly)[:order + 1]
+        series += power / math.factorial(m)
+    return series.sum()
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_det_series_expansion_matches_a_scalar_power_series(order):
+    # a model with traces at orders 1..3, and a damped pendulum stack
+    rng = np.random.default_rng(order)
+    breaks = np.array([0.0, PI, TWO_PI])
+    terms = tuple(
+        PiecewisePolyMatrix(TWO_PI, breaks, tuple(rng.uniform(-0.3, 0.3, (2, 2, 1)) for _ in range(2)))
+        for _ in range(3))
+    system = SeriesSystem(TWO_PI, np.array([[0.0, 1.0], [0.0, 0.0]]), terms)
+    _, h = averaging.standard_form(system)
+    avg = averaging.run_recursion(h, TWO_PI, 6)
+    traces = [np.trace(a) for a in avg.A]
+    assert abs(traces[0]) > 1e-3
+    expect = _scalar_det_series(traces, TWO_PI, order)
+    assert abs(det_series_expansion(system, avg, order) - expect) < 1e-13 * abs(expect)
+
+    stack = pendulum.series_split_stack(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3)
+    _, h = averaging.standard_form(stack)
+    avg = averaging.run_recursion(h, TWO_PI, order)
+    det = det_series_expansion(stack, avg, order)
+    assert det.shape == (4,)
+    for k in range(4):
+        expect = _scalar_det_series([np.trace(a[k]) for a in avg.A], TWO_PI, order)
+        assert abs(det[k] - expect) < 1e-13 * abs(expect)
 
 
 def test_report_tolerance_band():
