@@ -187,8 +187,7 @@ def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
     return math.exp(total * t)
 
 
-def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion,
-                         order: int | None = None):
+def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion, order: int):
     """Graded truncation of the determinant expansion at the given order.
 
     det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), whose second
@@ -199,15 +198,16 @@ def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion,
     closed-form boundary curves.  A float for one system, a (K,) array for
     a stack of K.
     """
-    if order is None:
-        order = avg.order
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
-    traces = [np.trace(a, axis1=-2, axis2=-1)[..., None, None] for a in avg.A[:order]]
+    # the T is folded into the traces, so the grade-m scale 1/m! is exact
+    # through m = 2 and orders 1 and 2 multiply out as (tr A_1 T)(tr A_1 T) / 2
+    t = sys.period
+    traces = [(np.trace(a, axis1=-2, axis2=-1) * t)[..., None, None] for a in avg.A[:order]]
     series = 1.0
-    for z in graded_exp_terms(traces, sys.period, order):
+    for z in graded_exp_terms(traces, 1.0, order):
         series = series + z[..., 0, 0]
-    det = math.exp(float(np.trace(sys.J0)) * sys.period) * series
+    det = math.exp(float(np.trace(sys.J0)) * t) * series
     return float(det) if np.ndim(det) == 0 else det
 
 
