@@ -1,14 +1,14 @@
 """Parameter-space exploration for the damped-Meissner pendulum.
 
-Stability bitmaps over (omega, eps) grids, boundary extraction by
-bisection on a scalar margin, and exact-versus-approximate boundary
-comparison tables.  Every method runs batched: a whole exact-pc grid is
-one stack of matrix exponentials, a whole exact-rk grid one RK4
-integration of a stack of systems, a whole order-K grid one averaging
-recursion over a stack of systems, and boundary samples bisect in
-lockstep, one batched margin call per step.  Every point still gets the
-arithmetic it would get alone, so results do not depend on the batch.  All
-of it is single-threaded.
+Stability bitmaps over (omega, eps) grids, boundary extraction by a
+bracketing root finder (the Illinois method) on a scalar margin, and
+exact-versus-approximate boundary comparison tables.  Every method runs
+batched: a whole exact-pc grid is one stack of matrix exponentials, a
+whole exact-rk grid one RK4 integration of a stack of systems, a whole
+order-K grid one averaging recursion over a stack of systems, and
+boundary samples find their roots in lockstep, one batched margin call
+per step.  Every point still gets the arithmetic it would get alone, so
+results do not depend on the batch.  All of it is single-threaded.
 """
 
 import math
@@ -170,7 +170,7 @@ EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
 def boundary_margin(omega: float, beta: float, method: str):
     """Scalar margin in eps whose zero is the requested boundary curve.
 
-    Exact methods bisect the exponential-product margin; order-K methods
+    Exact methods use the exponential-product margin; order-K methods
     use the order-K trace partial sum against the graded determinant
     truncation, so their zeros coincide with the closed-form boundary
     expressions of the same order.  The one-point case of the batched
@@ -203,7 +203,7 @@ def _margin_stack(omegas, beta: float, method: str):
 
 
 def _check_tol(tol: float, lo, hi):
-    """A bisection tolerance must be positive and resolvable at every bracket."""
+    """A root tolerance must be positive and resolvable at every bracket."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ModelError(f"tol must be finite and > 0, got {tol!r}")
     spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
@@ -214,50 +214,81 @@ def _check_tol(tol: float, lo, hi):
 
 
 def _bisect(margin, lo, hi, tol: float):
-    """Bisect K brackets in lockstep, with one ``margin(index, eps)`` call per step.
+    """Find K roots in lockstep by the Illinois method, with one
+    ``margin(index, eps)`` call per step.
 
-    Each sample takes the steps a one-bracket bisection takes -- a zero
-    margin at an end or a midpoint is the root, otherwise the half whose
-    ends differ in sign is kept until the bracket is no wider than ``tol``
-    or its midpoint equals an end -- so the roots do not depend on which
-    samples share the batch.  Returns the roots, NaN where the end margins
-    have the same sign, and the margins at the lower and upper ends.
+    Each sample steps to the secant point of its own bracket, clipped to
+    lie at least tol/2 inside it, and keeps the part whose ends differ in
+    sign; an end kept twice in a row has its margin halved in the secant
+    (the Illinois rule; Dowell and Jarratt, BIT 11, 1971).  A sample
+    bisects instead where the secant point is not finite or, clipped, not
+    strictly inside the bracket, and once it has taken the steps bisection
+    would need, so it never takes more than twice as many.  A zero margin
+    at an end or an iterate is the root; otherwise a sample stops when its
+    bracket is no wider than ``tol`` or its midpoint equals an end, and the
+    root is the bracket's midpoint.  The iterates depend only on the
+    sample's own bracket, so the roots do not depend on which samples share
+    the batch.  Returns the roots, NaN where the end margins have the same
+    sign, and the margins at the lower and upper ends.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     _check_tol(tol, lo, hi)
-    # both ends in one call, in the order a sample-by-sample bisection meets them
+    # both ends in one call, in the order a sample-by-sample search meets them
     ends = margin(np.repeat(np.arange(lo.size), 2), np.stack((lo, hi), axis=1).ravel())
-    m_lo, m_hi = ends[0::2].copy(), ends[1::2]
+    m_lo, m_hi = ends[0::2], ends[1::2]
     root = np.where(m_lo == 0.0, lo, np.where(m_hi == 0.0, hi, np.nan))
-    bisected = np.isnan(root) & ((m_lo < 0.0) != (m_hi < 0.0))
-    live = np.flatnonzero(bisected)
+    bracketed = np.isnan(root) & ((m_lo < 0.0) != (m_hi < 0.0))
+    # the end margins the secant uses, halved by the Illinois rule
+    f_lo, f_hi = m_lo.copy(), m_hi.copy()
+    # the end each sample moved last: -1 the lower, +1 the upper, 0 none yet
+    moved = np.zeros(lo.size, dtype=int)
+    # the steps bisection would take, ceil(log2(width / tol)), read off the
+    # binary exponent so that it is exact; past them a sample bisects
+    frac, expo = np.frexp((hi - lo) / tol)
+    budget = np.where(frac == 0.5, expo - 1, expo)
+    steps = 0
+    live = np.flatnonzero(bracketed)
     while True:
         live = live[hi[live] - lo[live] > tol]
-        mid = 0.5 * (lo[live] + hi[live])
-        moving = (mid != lo[live]) & (mid != hi[live])
-        live, mid = live[moving], mid[moving]
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        moving = (mid != a) & (mid != b)
+        live, a, b, mid = live[moving], a[moving], b[moving], mid[moving]
         if live.size == 0:
             break
-        m_mid = margin(live, mid)
-        hit = m_mid == 0.0
-        root[live[hit]] = mid[hit]
-        lower = ~hit & ((m_mid < 0.0) == (m_lo[live] < 0.0))
+        fa, fb = f_lo[live], f_hi[live]
+        with np.errstate(all="ignore"):
+            x = b - fb * (b - a) / (fb - fa)
+        secant = np.isfinite(x) & (steps < budget[live])
+        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
+        x = np.where(secant & (a < x) & (x < b), x, mid)
+        m_x = margin(live, x)
+        steps += 1
+        hit = m_x == 0.0
+        root[live[hit]] = x[hit]
+        lower = ~hit & ((m_x < 0.0) == (m_lo[live] < 0.0))
         upper = ~hit & ~lower
-        lo[live[lower]] = mid[lower]
-        m_lo[live[lower]] = m_mid[lower]
-        hi[live[upper]] = mid[upper]
+        down, up = live[lower], live[upper]
+        # Illinois: the end kept a second time in a row counts half
+        f_hi[down[moved[down] == -1]] *= 0.5
+        f_lo[up[moved[up] == 1]] *= 0.5
+        lo[down], f_lo[down], moved[down] = x[lower], m_x[lower], -1
+        hi[up], f_hi[up], moved[up] = x[upper], m_x[upper], 1
         live = live[~hit]
-    rest = bisected & np.isnan(root)
+    rest = bracketed & np.isnan(root)
     root[rest] = 0.5 * (lo[rest] + hi[rest])
-    return root, ends[0::2], m_hi
+    return root, m_lo, m_hi
 
 
 def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,
                     tol: float = 1e-10) -> float:
-    """Bisection on the scalar margin; the bracket must straddle a sign change.
+    """Root of the scalar margin in a bracket that straddles a sign change.
 
-    The one-sample case of the lockstep bisection.
+    The one-sample case of the lockstep root finder :func:`_bisect`, so
+    its root is bitwise the one a batch gives.  The root finder is the
+    Illinois method, not bisection; the name stays because the benchmark
+    tracer (``perfbench/tracer.py``) looks this function up by it.
     """
     lo, hi = float(eps_bracket[0]), float(eps_bracket[1])
     if not lo < hi:
@@ -277,11 +308,21 @@ class BoundaryCurve:
     omitted: int = 0
 
 
-def _exact_bracket(omega: float, beta: float, branch: str):
-    """Order-4 seeded bracket for the exact first-domain boundary."""
-    eps_p = pendulum.order4_root(omega, beta, "p")
-    eps_n = pendulum.order4_root(omega, beta, "n")
-    seed = eps_p if branch == "p" else eps_n
+def _order4_first(omega: float, beta: float) -> dict:
+    """First-domain order-4 boundary eps per branch ('p', 'n'), None where
+    the branch vanishes; both branches from one quartic solve."""
+    first = {"p": None, "n": None}
+    for root in pendulum.boundary_order4(omega, beta):
+        if root.domain == "first":
+            first[root.branch] = root.eps
+    return first
+
+
+def _exact_bracket(order4: dict, branch: str):
+    """Bracket for the exact first-domain boundary, seeded from the
+    first-domain order-4 roots ``order4`` (see :func:`_order4_first`)."""
+    eps_p, eps_n = order4["p"], order4["n"]
+    seed = order4[branch]
     if seed is None or seed <= 0.0:
         return None
     lo = (1.0 - _BRACKET_REL) * seed
@@ -301,9 +342,9 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
                    tol: float = 1e-10) -> BoundaryCurve:
     """First-domain boundary curve over an omega range.
 
-    order2/order4 evaluate their closed forms; exact methods bisect the
-    exact margin inside an order-4-seeded bracket, all samples in
-    lockstep.  Samples whose branch vanishes or whose bracket shows no
+    order2/order4 evaluate their closed forms; exact methods find the
+    root of the exact margin inside an order-4-seeded bracket, all samples
+    in lockstep.  Samples whose branch vanishes or whose bracket shows no
     sign change are omitted.
     """
     if branch not in ("p", "n"):
@@ -311,19 +352,22 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
     omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
     omegas = [float(omega) for omega in omegas]
     if method in EXACT_BOUNDARY_METHODS:
-        eps = _exact_samples(omegas, beta, [branch] * len(omegas), tol)
+        order4 = [_order4_first(omega, beta) for omega in omegas]
+        eps = _exact_samples(omegas, beta, [branch] * len(omegas), order4, tol)
     else:
         eps = [_boundary_sample(omega, beta, branch, method) for omega in omegas]
     points = tuple((omega, e) for omega, e in zip(omegas, eps) if e is not None)
     return BoundaryCurve(branch, method, points, len(eps) - len(points))
 
 
-def _exact_samples(omegas, beta: float, branches, tol: float) -> list:
+def _exact_samples(omegas, beta: float, branches, order4, tol: float) -> list:
     """Exact first-domain boundary eps per (omega, branch) sample, None
-    where the sample is omitted; the bracketed samples bisect in lockstep."""
+    where the sample is omitted; ``order4`` holds each sample's
+    :func:`_order4_first` roots, and the bracketed samples find their roots
+    in lockstep."""
 
     def run(index):
-        brackets = [_exact_bracket(omegas[i], beta, branches[i]) for i in index]
+        brackets = [_exact_bracket(order4[i], branches[i]) for i in index]
         held = [k for k, bracket in enumerate(brackets) if bracket is not None]
         margin = _margin_stack(np.array([omegas[index[k]] for k in held]), beta, "exact")
         roots = _bisect(margin, [brackets[k][0] for k in held],
@@ -380,17 +424,21 @@ class ComparisonTable:
 def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> ComparisonTable:
     """Exact vs order-2 vs order-4 first-domain boundaries per branch."""
     omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
-    samples = [(branch, float(omega)) for branch in ("p", "n") for omega in omegas]
-    exact = _exact_samples([omega for _, omega in samples], beta,
-                           [branch for branch, _ in samples], tol)
+    # one quartic solve per omega seeds both branches' brackets and fills eps_order4
+    order4 = [_order4_first(float(omega), beta) for omega in omegas]
+    samples = [(branch, float(omega), roots) for branch in ("p", "n")
+               for omega, roots in zip(omegas, order4)]
+    exact = _exact_samples([omega for _, omega, _ in samples], beta,
+                           [branch for branch, _, _ in samples],
+                           [roots for _, _, roots in samples], tol)
     rows = []
-    for (branch, omega), eps_exact in zip(samples, exact):
+    for (branch, omega, roots), eps_exact in zip(samples, exact):
         rows.append(ComparisonRow(
             omega=omega,
             branch=branch,
             eps_exact=eps_exact,
             eps_order2=_boundary_sample(omega, beta, branch, "order2"),
-            eps_order4=_boundary_sample(omega, beta, branch, "order4"),
+            eps_order4=roots[branch],
         ))
     summary = {}
     for branch in ("p", "n"):

@@ -154,7 +154,7 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
 
     det F + 1 - |tr F| from :func:`pc_trace_det`: positive inside the
     stability domain, zero on the boundary, negative outside.  This is the
-    margin the exact boundary methods bisect, at one point.
+    margin whose roots the exact boundary methods find, at one point.
     """
     jac = pendulum.jacobian_stack([params.omega], [params.eps], params.beta)
     return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from floquet_avg import cli
+from floquet_avg import cli, scan
 
 PI = math.pi
 
@@ -312,7 +312,7 @@ def test_unresolvable_tol_exits_2_without_hanging(argv):
 
 
 def test_default_tol_roots_unchanged(capsys):
-    # a tol above the float spacing takes the same bisection steps as before
+    # the default tol gives a root within 1e-10 of the tight-tol root
     code, out, _ = run_cli(capsys, ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1",
                                     "--branch", "n", "--method", "exact"])
     assert code == 0
@@ -322,6 +322,36 @@ def test_default_tol_roots_unchanged(capsys):
     assert code == 0
     root, tight = float(out.split("\n")[1].split(",")[1]), float(out_tight.split("\n")[1].split(",")[1])
     assert abs(root - tight) < 1e-10
+
+
+def test_exact_boundary_at_a_tight_tol_finishes_with_sign_changes():
+    argv = ["boundary", "--omega", "0.05:0.3:6", "--beta", "0.1", "--branch", "n",
+            "--method", "exact", "--tol", "1e-15"]
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        omega, eps = float(row[0]), float(row[1])
+        margin = scan.boundary_margin(omega, 0.1, "exact")
+        # the CSV keeps 12 significant digits, so widen the bracket by that rounding
+        slack = 1e-15 + 1e-11 * eps
+        lo, hi = margin(eps - slack), margin(eps + slack)
+        assert (lo <= 0.0) != (hi <= 0.0) or lo == 0.0 or hi == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--omega", "0.1:0.2:3", "--beta", "0.1", "--branch", "n", "--method", "exact"],
+    ["boundary", "--omega", "0.1:0.2:3", "--branch", "p", "--tol", "0"],
+])
+def test_python_dash_m_package_runs_the_cli(capsys, argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "floquet_avg", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(capsys, argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_non_integer_threads_env_exits_2(capsys, monkeypatch):
@@ -399,7 +429,7 @@ def test_malformed_model_file_terms_exit_2(tmp_path, capsys, terms, message):
 
 
 def test_boundary_rejects_exact_rk(capsys):
-    # exact-rk would bisect the exponential-product margin under another name
+    # exact-rk would find roots of the exponential-product margin under another name
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["boundary", "--omega", "0.1:0.2:2", "--branch", "p", "--method", "exact-rk"])
     assert excinfo.value.code == 2

@@ -206,7 +206,8 @@ def test_batched_exact_margins_equal_margin_exact(beta):
 
 
 def _serial_bisect(omega, beta, bracket, tol=1e-10):
-    """The one-bracket bisection loop on the scalar margin."""
+    """The one-bracket bisection loop on the scalar margin: a reference
+    whose root the Illinois root must match within tol."""
     margin = scan.boundary_margin(omega, beta, "exact")
     lo, hi = bracket
     m_lo, m_hi = margin(lo), margin(hi)
@@ -227,20 +228,161 @@ def _serial_bisect(omega, beta, bracket, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def _serial_illinois(margin, lo, hi, tol=1e-10):
+    """The one-bracket Illinois loop on a scalar margin, step by step."""
+    m_lo, m_hi = margin(lo), margin(hi)
+    if m_lo == 0.0:
+        return lo
+    if m_hi == 0.0:
+        return hi
+    assert (m_lo < 0.0) != (m_hi < 0.0)
+    f_lo, f_hi, moved = m_lo, m_hi, 0
+    budget = 0  # the steps bisection would take: the least n with 2^n >= width / tol
+    while 2.0 ** budget < (hi - lo) / tol:
+        budget += 1
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        x = mid
+        if steps < budget and f_hi != f_lo:
+            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if math.isfinite(secant):
+                secant = min(max(secant, lo + 0.5 * tol), hi - 0.5 * tol)
+                if lo < secant < hi:
+                    x = secant
+        m_x = margin(x)
+        steps += 1
+        if m_x == 0.0:
+            return x
+        if (m_x < 0.0) == (m_lo < 0.0):
+            if moved == -1:
+                f_hi *= 0.5
+            lo, f_lo, moved = x, m_x, -1
+        else:
+            if moved == 1:
+                f_lo *= 0.5
+            hi, f_hi, moved = x, m_x, 1
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.1])
 @pytest.mark.parametrize("branch", ["p", "n"])
 def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
     curve = trace_boundary((0.05, 0.3, 9), beta, branch, "exact")
     assert len(curve.points) == 9
     for omega, eps in curve.points:
-        bracket = scan._exact_bracket(omega, beta, branch)
+        bracket = scan._exact_bracket(scan._order4_first(omega, beta), branch)
         assert eps == bisect_boundary(omega, beta, bracket, "exact")
-        assert eps == _serial_bisect(omega, beta, bracket)
+        assert eps == _serial_illinois(scan.boundary_margin(omega, beta, "exact"), *bracket)
+        assert abs(eps - _serial_bisect(omega, beta, bracket)) < 1e-10
     table = compare_boundaries((0.05, 0.3, 9), beta)
     assert [r.eps_exact for r in table.branch_rows(branch)] == [e for _, e in curve.points]
 
 
-# tol values that made the bisection loop spin forever (0, negative, below
+def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
+    # bisection took 32-33 batched margin calls per command at tol 1e-10
+    calls = []
+    margin_stack = scan._margin_stack
+
+    def counting(*args):
+        margin = margin_stack(*args)
+
+        def counted(index, eps):
+            calls.append(len(index))
+            return margin(index, eps)
+
+        return counted
+
+    monkeypatch.setattr(scan, "_margin_stack", counting)
+    commands = [lambda beta: compare_boundaries((0.02, 0.3, 15), beta)]
+    commands += [lambda beta, branch=branch: trace_boundary((0.05, 0.3, 26), beta, branch, "exact")
+                 for branch in ("p", "n")]
+    for beta in (0.0, 0.1):
+        for command in commands:
+            calls.clear()
+            command(beta)
+            assert 0 < len(calls) <= 12
+
+
+def _synthetic_margin(funcs):
+    """margin(index, eps) of scalar functions, one per sample, and a log of
+    every (sample, eps, margin) it evaluates."""
+    log = []
+
+    def margin(index, eps):
+        out = np.array([funcs[i](e) for i, e in zip(index.tolist(), eps.tolist())])
+        log.extend(zip(index.tolist(), eps.tolist(), out.tolist()))
+        return out
+
+    return margin, log
+
+
+def _cbrt(x):
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+# (margin in x, bracket, tol): hard cases for a secant method, plus smooth ones
+_SYNTHETIC = {
+    "step": (lambda x: -1.0 if x < 0.3183 else 1.0, (0.1, 0.9), 1e-10),
+    "power7": (lambda x: (x - 0.2718) ** 7, (0.1, 0.9), 1e-10),
+    "exp50": (lambda x: math.exp(50.0 * (x - 0.7071)) - 1.0, (0.1, 0.9), 1e-10),
+    "cbrt": (lambda x: _cbrt(x - 0.5772), (0.1, 0.9), 1e-10),
+    "zero_at_lo": (lambda x: x - 0.25, (0.25, 0.9), 1e-10),
+    "zero_at_hi": (lambda x: 0.75 - x, (0.1, 0.75), 1e-10),
+    "smooth": (lambda x: math.sin(3.0 * (x - 0.4142)), (0.1, 0.9), 1e-10),
+    "smooth_tight": (lambda x: x * x - 0.3, (0.1, 0.9), 1e-15),
+    "power7_tight": (lambda x: (0.6931 - x) ** 7, (0.1, 0.9), 1e-15),
+    "step_tight": (lambda x: 1.0 if x < 0.1234 else -1.0, (0.1, 0.9), 1e-15),
+}
+
+
+def _check_synthetic_sample(func, bracket, tol, root, log):
+    lo, hi = bracket
+    m_lo = func(lo)
+    evals = len(log) - 2
+    assert evals <= 2 * math.ceil(math.log2((hi - lo) / tol))
+    if m_lo == 0.0 or func(hi) == 0.0:
+        assert root == (lo if m_lo == 0.0 else hi) and evals == 0
+        return
+    zeros = [x for _, x, m in log if m == 0.0]
+    if zeros:
+        assert root == zeros[-1]
+        return
+    # each margin here is monotone, so the final bracket is the innermost
+    # pair of evaluated points on either side of the sign change
+    below = max(x for _, x, m in log if (m < 0.0) == (m_lo < 0.0))
+    above = min(x for _, x, m in log if (m < 0.0) != (m_lo < 0.0))
+    assert below < above and above - below <= tol
+    assert root == 0.5 * (below + above)
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTHETIC))
+def test_root_finder_terminates_on_hard_margins(name):
+    func, bracket, tol = _SYNTHETIC[name]
+    margin, log = _synthetic_margin([func])
+    root = scan._bisect(margin, [bracket[0]], [bracket[1]], tol)[0][0]
+    _check_synthetic_sample(func, bracket, tol, root, log)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-15])
+def test_mixed_batch_roots_equal_their_own_runs(tol):
+    names = sorted(_SYNTHETIC)
+    funcs = [_SYNTHETIC[name][0] for name in names]
+    lo = [_SYNTHETIC[name][1][0] for name in names]
+    hi = [_SYNTHETIC[name][1][1] for name in names]
+    margin, log = _synthetic_margin(funcs)
+    roots = scan._bisect(margin, lo, hi, tol)[0]
+    for k, func in enumerate(funcs):
+        alone, alone_log = _synthetic_margin([func])
+        assert roots[k] == scan._bisect(alone, [lo[k]], [hi[k]], tol)[0][0]
+        assert [entry[1:] for entry in log if entry[0] == k] == [entry[1:] for entry in alone_log]
+        _check_synthetic_sample(func, (lo[k], hi[k]), tol, roots[k],
+                                [entry for entry in log if entry[0] == k])
+
+
+# tol values that made the root-finding loop spin forever (0, negative, below
 # the float spacing) are exercised through the CLI in a child process with
 # a timeout (test_cli.py); these two returned at once with a meaningless root
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
