@@ -1,9 +1,12 @@
-"""Hot numeric kernels: matrix exponential and the RK4 fundamental-matrix
+"""Hot numeric kernels: matrix exponentials and the RK4 fundamental-matrix
 integrator.
 
-Both work on a whole stack at once: ``matexp_core`` on a ``(K, n, n)`` stack
-of matrices, ``rk4_monodromy_core`` on K systems over shared breakpoints (a
-single matrix or system is the case without the stack axis).  The RK4
+All of them work on a whole stack at once: ``expm2_core`` and
+``matexp_core`` on a ``(K, n, n)`` stack of matrices, ``rk4_monodromy_core``
+on K systems over shared breakpoints (a single matrix or system is the case
+without the stack axis).  ``expm2_core`` is the closed-form exponential of
+2x2 matrices, a handful of elementwise ufuncs; ``matexp_core`` is scaling
+and squaring for any n.  The RK4
 integrator multiplies step matrices I + D rather than looping over steps: a
 squaring chain for each constant piece, a pairwise product tree for each
 fixed-size block of steps of a polynomial piece.  Every slice runs the
@@ -34,6 +37,47 @@ def _norm1(a):
     for i in range(1, a.shape[1]):
         col = col + mag[:, i, :]
     return np.fmax.reduce(col, axis=1, initial=0.0)
+
+
+def expm2_core(a):
+    """exp(a) of a (2, 2) matrix or of each slice of a (K, 2, 2) stack, in
+    closed form (Bernstein & So, IEEE TAC 38(8), 1993).
+
+    With mu = (a00 + a11)/2, b = (a00 - a11)/2 and the traceless part
+    N = a - mu I, N^2 = delta I for delta = b^2 + a01 a10, so
+    exp(a) = C I + S N with, for s = sqrt(|delta|),
+
+    * delta > 0: C = e^mu cosh s and S = e^mu sinh(s)/s, taken from
+      g = e^(mu + s) as C = g (1 + e^(-2s))/2 and S = -g expm1(-2s)/(2s):
+      g is the larger eigenvalue of exp(a), so it overflows only when the
+      result does (to within a factor 2), and expm1 does not cancel for
+      small s;
+    * delta < 0: C = e^mu cos s and S = e^mu sin(s)/s;
+    * s = 0: C = S = e^mu.
+
+    Every operation is elementwise, so a slice's result does not depend on
+    the stack.  Overflow, and the NaN of inf * 0 it can bring, stays silent
+    here and shows as non-finite entries.
+    """
+    a = np.asarray(a, dtype=float)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    with np.errstate(all="ignore"):
+        mu = 0.5 * (a00 + a11)
+        b = 0.5 * (a00 - a11)
+        delta = b * b + a01 * a10
+        s = np.sqrt(np.abs(delta))
+        two_s = 2.0 * s
+        hyper = delta > 0.0
+        g = np.exp(np.where(hyper, mu + s, mu))
+        c = np.where(hyper, 0.5 * g * (1.0 + np.exp(-two_s)), g * np.cos(s))
+        sinc = np.where(hyper, -np.expm1(-two_s) / two_s, np.sin(s) / s)
+        sc = np.where(s == 0.0, g, g * sinc)
+        out = np.empty(a.shape)
+        out[..., 0, 0] = c + sc * b
+        out[..., 0, 1] = sc * a01
+        out[..., 1, 0] = sc * a10
+        out[..., 1, 1] = c - sc * b
+    return out
 
 
 def matexp_core(a):

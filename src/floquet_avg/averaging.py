@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ppoly
-from .errors import FloquetError, ModelError
+from .errors import FloquetError, ModelError, NumericRangeError
 from .ppoly import PiecewisePolyMatrix
 from .smallmat import as_matrix, matexp, norm1
 
@@ -51,9 +51,13 @@ class SeriesSystem:
         j0 = as_matrix(self.J0)
         n = j0.shape[0]
         power = np.eye(n)
-        for _ in range(n):
-            power = power @ j0
-        if norm1(power) >= 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n):
+                power = power @ j0
+                if not np.isfinite(power).all():
+                    raise NumericRangeError("the powers of J0 leave the float range")
+            nilpotent = norm1(power) < 1e-12
+        if not nilpotent:
             raise ModelError("J0 must be nilpotent (J0^n = 0)")
         terms = tuple(self.terms)
         for term in terms:
@@ -241,8 +245,10 @@ def monodromy_direct(x0: PiecewisePolyMatrix, avg: AveragedExpansion,
 
 
 def series_total(sys: SeriesSystem) -> PiecewisePolyMatrix:
-    """J(t) = J0 + J_1(t) + J_2(t) + ... as one piecewise polynomial."""
+    """J(t) = J0 + J_1(t) + J_2(t) + ... as one piecewise polynomial; a sum
+    that leaves the float range raises :class:`NumericRangeError`."""
     total = PiecewisePolyMatrix.constant(sys.J0, sys.period)
-    for term in sys.terms:
-        total = ppoly.pp_add(total, term)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in sys.terms:
+            total = ppoly.pp_add(total, term)
     return total

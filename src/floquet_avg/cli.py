@@ -301,6 +301,9 @@ def parse_range(spec: str, minimum_count: int = 1):
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise ModelError(f"range must be min:max:count, got {spec!r}") from exc
+    # the samples are lo + k * (hi - lo) / (count - 1): every term must be finite
+    if not math.isfinite(hi - lo):
+        raise ModelError(f"range bounds and their span must be finite, got {spec!r}")
     if count < minimum_count:
         raise ModelError(f"range count must be >= {minimum_count}, got {count}")
     if count == 1:
@@ -317,19 +320,16 @@ def cmd_scan(args) -> int:
     grid = scan.scan_region(omega_axis, eps_axis, args.beta, args.method,
                             threads=args.threads, tolerance=args.tolerance)
     lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det"]
-    omegas = grid.omega_samples
-    epss = grid.eps_samples
-    for ie in range(epss.size):
-        for io in range(omegas.size):
-            lines.append(",".join((
-                format_float(omegas[io], 12),
-                format_float(epss[ie], 12),
-                format_float(args.beta, 12),
-                args.method,
-                grid.verdicts[ie, io],
-                format_float(grid.margin_trace[ie, io], 12),
-                format_float(grid.margin_det[ie, io], 12),
-            )))
+    # each axis sample and the beta/method columns are formatted once, and
+    # the cells are read as Python values in one tolist() pass per array
+    omegas = [format_float(x, 12) for x in grid.omega_samples.tolist()]
+    tail = f"{format_float(args.beta, 12)},{args.method}"
+    for eps, verdicts, traces, dets in zip(grid.eps_samples.tolist(), grid.verdicts.tolist(),
+                                           grid.margin_trace.tolist(), grid.margin_det.tolist()):
+        row_tail = f"{format_float(eps, 12)},{tail}"
+        for omega, verdict, trace, det in zip(omegas, verdicts, traces, dets):
+            lines.append(f"{omega},{row_tail},{verdict},"
+                         f"{format_float(trace, 12)},{format_float(det, 12)}")
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

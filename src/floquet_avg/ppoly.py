@@ -150,12 +150,26 @@ def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray):
     return [a.pieces[min(max(i, 0), len(a.pieces) - 1)] for i in idx.tolist()]
 
 
+def _derived(period: float, breaks: np.ndarray, pieces) -> PiecewisePolyMatrix:
+    """The result of an operation on finite functions: a non-finite
+    coefficient there means an intermediate left the float range.  numpy's
+    overflow warning is the caller's to silence (the averaging layer runs
+    under ``np.errstate``)."""
+    try:
+        return PiecewisePolyMatrix(period, breaks, pieces)
+    except ModelError:
+        if all(np.isfinite(p).all() for p in pieces):
+            raise
+        raise NumericRangeError("piecewise-polynomial coefficients leave the float range") \
+            from None
+
+
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op) -> PiecewisePolyMatrix:
     """``op`` applied piece by piece over the union of the two breakpoint sets."""
     _check_compatible(a, b)
     breaks = _union_breakpoints(a, b)
     pieces = tuple(op(pa, pb) for pa, pb in zip(_pieces_on(a, breaks), _pieces_on(b, breaks)))
-    return PiecewisePolyMatrix(a.period, breaks, pieces)
+    return _derived(a.period, breaks, pieces)
 
 
 def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -219,7 +233,10 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
         raise NumericRangeError(f"t = {t:g} outside [0, {a.period:g}]")
     idx = int(np.searchsorted(a.breakpoints, t, side="right")) - 1
     idx = min(max(idx, 0), len(a.pieces) - 1)
-    return _eval_block(a.pieces[idx], t)
+    value = _eval_block(a.pieces[idx], t)
+    if not np.isfinite(value).all():
+        raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
+    return value
 
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
@@ -236,7 +253,7 @@ def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
         anti[..., 0] = running - _eval_block(anti, lo)
         pieces.append(anti)
         running = _eval_block(anti, hi)
-    return PiecewisePolyMatrix(a.period, a.breakpoints.copy(), tuple(pieces))
+    return _derived(a.period, a.breakpoints.copy(), tuple(pieces))
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Matrices are plain float64 numpy arrays of shape (n, n), or (K, n, n)
 stacks of them.  The two operations that matter for Floquet analysis live
-here: the matrix exponential and the eigenvalues of a 2x2 monodromy
-matrix.
+here: the matrix exponential (in closed form for 2x2 matrices, by
+scaling and squaring for larger ones) and the eigenvalues of a 2x2
+monodromy matrix.
 """
 
 import math
 
 import numpy as np
 
-from ._kernels import matexp_core
+from ._kernels import expm2_core, matexp_core
 from .errors import ModelError, NumericRangeError
 
 MAX_DIM = 8
@@ -36,12 +37,16 @@ def norm1(m):
 
 
 def matexp(m, t: float) -> np.ndarray:
-    """exp(m * t) by scaling and squaring.
+    """exp(m * t): in closed form for a 2x2 matrix, by scaling and squaring
+    for a larger one.
 
-    The argument is scaled so its 1-norm is at most 0.5, the Taylor
+    A 2x2 exponential is cosh/sinh or cos/sin of the square root of the
+    discriminant of ``m * t`` (:func:`_kernels.expm2_core`).  For n != 2
+    the argument is scaled so its 1-norm is at most 0.5, the Taylor
     series is summed until the next term drops below 2**-53 of the
-    partial sum (at most 30 terms), and the result is squared back.
-    This is the one-matrix case of :func:`matexp_stack`.
+    partial sum (at most 30 terms), and the result is squared back
+    (:func:`_kernels.matexp_core`).  This is the one-matrix case of
+    :func:`matexp_stack`.
 
     Parameters
     ----------
@@ -60,6 +65,8 @@ def matexp_stack(m, t) -> np.ndarray:
     exactly the arithmetic :func:`matexp` gives it alone.  Validation runs
     slice by slice in stack order, so the error raised is the one of the
     first slice that fails, as a loop of :func:`matexp` calls would raise.
+    The kernel follows the dimension: the closed form for n == 2, scaling
+    and squaring otherwise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -80,7 +87,7 @@ def matexp_stack(m, t) -> np.ndarray:
         raise NumericRangeError(
             f"||M*t||_1 = {norms[k]:.3g} exceeds the overflow guard {MATEXP_NORM_GUARD:g}"
         )
-    return matexp_core(a)
+    return expm2_core(a) if a.shape[1] == 2 else matexp_core(a)
 
 
 def roots_from_trace_det(tr: float, det: float) -> tuple[complex, complex]:

@@ -166,11 +166,20 @@ def order_approximation(sys: SeriesSystem, order: int):
     Standard form, averaging recursion, monodromy assembly and the graded
     determinant truncation of :func:`det_series_expansion`; returns
     ``(avg, mono, det)``.  Every order-K margin and report starts here.
+    A finite system whose approximation of F, of tr F (the sum of
+    ``mono.trace_by_order``) or of det F leaves the float range raises
+    :class:`NumericRangeError`.
     """
-    x0, h_terms = standard_form(sys)
-    avg = run_recursion(h_terms, sys.period, order)
-    mono = assemble_monodromy(x0, avg, sys.period)
-    return avg, mono, det_series_expansion(sys, avg, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0, h_terms = standard_form(sys)
+        avg = run_recursion(h_terms, sys.period, order)
+        mono = assemble_monodromy(x0, avg, sys.period)
+        det = det_series_expansion(sys, avg, order)
+        trace = sum(mono.trace_by_order)
+    if not np.isfinite(mono.partial_sums[-1]).all():
+        raise NumericRangeError(f"the order-{order} approximation of F leaves the float range")
+    _in_range(trace, det)
+    return avg, mono, det
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:

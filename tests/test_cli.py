@@ -524,6 +524,120 @@ def test_overflowed_monodromy_exits_3(argv, message):
     assert "numeric range error" in proc.stderr and message in proc.stderr
 
 
+def _overflowing_models(tmp_path):
+    """Model files with finite entries whose averaging intermediates overflow:
+    a nilpotent J0 whose square has a 1e400 entry, an order-1 term of 1e200
+    whose products with U_1 reach 1e400, and A_1 = 1e100 over T = 1e100,
+    whose grade-2 monodromy term T^2 A_1^2 / 2 does."""
+    j0 = tmp_path / "j0.json"
+    j0.write_text(json.dumps({"name": "custom", "period": 2.0,
+                              "J0": [[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]],
+                              "terms": [{"order": 1, "pieces": [_piece(
+                                  [[[0.0], [0.0], [0.0]], [[0.0], [0.0], [0.0]],
+                                   [[0.3], [0.0], [0.0]]])]}]}))
+    term = _write_model(tmp_path, [{"order": 1, "pieces": [
+        _piece([[[0.0], [0.0]], [[1e200], [0.0]]])]}])
+    grade2 = tmp_path / "grade2.json"
+    grade2.write_text(json.dumps({"name": "custom", "period": 1e100, "J0": [[0.0]], "terms": [
+        {"order": 1, "pieces": [{"t_start": 0.0, "t_end": 1e100, "entries": [[[1e100]]]}]}]}))
+    return [str(j0), term, str(grade2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--omega", "1", "--eps", "0", "--beta", "1e200", "--order", "4"],
+    ["scan", "--omega", "0.1:0.2:2", "--eps", "0:1:2", "--beta", "1e200", "--method", "order4"],
+    ["scan", "--omega", "0.1:0.2:2", "--eps", "0:1e200:2", "--method", "order2"],
+    ["analyze", "--model-file", 0],
+    ["analyze", "--model-file", 1],
+    ["analyze", "--model-file", 2, "--order", "2"],
+])
+def test_overflow_in_the_averaging_layer_exits_3(tmp_path, argv):
+    # a product of finite ppoly coefficients that overflowed printed a numpy
+    # RuntimeWarning and then the validation error "piece coefficients must
+    # be finite" with exit 2, and J0's overflowing powers a RuntimeWarning
+    argv = [_overflowing_models(tmp_path)[a] if isinstance(a, int) else a for a in argv]
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("floquet-avg: numeric range error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["scan", "--omega", "0:0.5:2", "--eps=-inf:0.5:2"], "-inf:0.5:2"),
+    (["scan", "--omega=-1e308:1e308:3", "--eps", "0:1:2"], "-1e308:1e308:3"),
+    (["scan", "--omega", "nan:1:2", "--eps", "0:1:2"], "nan:1:2"),
+    (["boundary", "--omega", "0:inf:3", "--branch", "p"], "0:inf:3"),
+    (["boundary", "--omega", "inf:inf:1", "--branch", "p"], "inf:inf:1"),
+    (["compare", "--omega=-1.5e308:1.5e308:2"], "-1.5e308:1.5e308:2"),
+])
+def test_range_with_non_finite_bounds_or_span_exits_2(argv, spec):
+    # non-finite bounds and spans that overflow reached np.linspace, which
+    # warned and made NaN samples ("omega must be finite ..., got np.float64(nan)")
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+    assert repr(spec) in proc.stderr
+
+
+def _reference_scan_csv(grid):
+    """The scan CSV built cell by cell, every float through format(x, ".12g")."""
+
+    def g12(x):
+        return "NaN" if math.isnan(x) else format(float(x), ".12g")
+
+    lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det"]
+    for ie, eps in enumerate(grid.eps_samples):
+        for io, omega in enumerate(grid.omega_samples):
+            lines.append(",".join((g12(omega), g12(eps), g12(grid.beta), grid.method,
+                                   str(grid.verdicts[ie, io]), g12(grid.margin_trace[ie, io]),
+                                   g12(grid.margin_det[ie, io]))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--omega", "0:0.4:7", "--eps", "0:1:5", "--beta", "0.1"],
+    ["scan", "--omega", "0.05:0.3:4", "--eps", "0:0.9:3", "--beta", "0.07", "--method", "order4"],
+    ["scan", "--omega", "1e-300:3e-300:3", "--eps", "0.123456789012345:2.5:2"],
+])
+def test_scan_csv_equals_cell_by_cell_formatting(capsys, monkeypatch, argv):
+    grids = []
+    original = scan.scan_region
+
+    def recorded(*args, **kwargs):
+        grids.append(original(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(scan, "scan_region", recorded)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == _reference_scan_csv(grids[0])
+
+
+def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys, monkeypatch):
+    # exact and order-K margins are finite; NaN, infinities and -0 reach the
+    # CSV writer only from a grid put together here
+    original = scan.scan_region
+    special = [math.nan, -math.inf, math.inf, -0.0, 5e-324, -1.0 / 3.0]
+    grids = []
+
+    def patched(*args, **kwargs):
+        grid = original(*args, **kwargs)
+        trace = grid.margin_trace.copy()
+        det = grid.margin_det.copy()
+        trace.flat[:len(special)] = special
+        det.flat[-len(special):] = special
+        grids.append(scan.ScanGrid(grid.omega_axis, grid.eps_axis, grid.beta, grid.method,
+                                   grid.verdicts, trace, det))
+        return grids[-1]
+
+    monkeypatch.setattr(scan, "scan_region", patched)
+    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.3:4", "--eps", "0:1:3",
+                                      "--beta", "0.05"])
+    assert code == 0 and err == ""
+    assert out == _reference_scan_csv(grids[0])
+    assert ",NaN," in out and out.count("NaN") == 2
+
+
 @pytest.mark.parametrize("argv, omitted", [
     (["boundary", "--omega", "6:10:5", "--branch", "p"], "omitted 5 of 5 samples"),
     (["boundary", "--omega", "6:10:5", "--branch", "n"], "omitted 5 of 5 samples"),

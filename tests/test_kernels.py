@@ -1,10 +1,12 @@
 """The batched kernels: per-slice arithmetic and stack independence of the
-matrix exponential and the RK4 integrator, and an independent
-high-precision oracle for the exponential."""
+matrix exponentials and the RK4 integrator, and an independent
+high-precision oracle for the exponentials."""
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_avg import _kernels
 from floquet_avg.errors import ModelError, NumericRangeError
@@ -115,6 +117,68 @@ def test_matexp_against_mpmath_50_digits(m, t):
     ref = _mp_expm(m, t)
     got = matexp(m, t)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([-1600.0, 0.0]),  # e^mu cosh(s) is 0 * inf = NaN here
+    np.array([[-700.0, 3.0], [200.0, -900.0]]),  # e^mu underflows to 0, the result does not
+    np.array([[0.0, 1e5], [-1e-5, 0.0]]),  # a rotation through a badly scaled basis
+    np.array([[300.0, 1.0], [1.0, -300.0]]),
+    np.array([[-400.0, 1e3], [-1e3, -400.0]]),  # complex pair, s = 1000
+    np.array([[1.0, 1.0], [-1.0 + 1e-14, -1.0]]),  # near-defective: delta ~ 1e-14
+    np.array([[2.0, -4.0], [1.0, -2.0]]),  # nilpotent: exp = I + m
+    np.zeros((2, 2)),
+])
+def test_closed_form_2x2_against_mpmath(m):
+    ref = _mp_expm(m, 1.0)
+    got = _kernels.expm2_core(m)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(matexp(m, 1.0), got)
+
+
+@pytest.mark.parametrize("seed", [2, 12])
+def test_closed_form_2x2_agrees_with_scaling_and_squaring(seed):
+    # the stacks of the n = 2 stack tests, norms 1e-9 to 1e3; both kernels err
+    # by a few roundoffs times the norm (up to 11 squarings for matexp_core)
+    stack = _mixed_stack(np.random.default_rng(seed), 2)
+    closed = _kernels.expm2_core(stack)
+    series = _kernels.matexp_core(stack)
+    norms = np.maximum(1.0, np.abs(stack).sum(axis=1).max(axis=1))
+    for k in range(stack.shape[0]):
+        bound = 64 * 2.0 ** -53 * norms[k] * np.abs(series[k]).max()
+        assert np.abs(closed[k] - series[k]).max() <= bound
+    # one slice at a time is the same arithmetic
+    for k in range(stack.shape[0]):
+        assert np.array_equal(_kernels.expm2_core(stack[k]), closed[k])
+
+
+_GUARD_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-150, 354.9, 709.0, 710.0,
+                                -745.0, 4.9e5, -4.9e5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(entries=st.lists(st.one_of(st.floats(-1e6, 1e6), _GUARD_EDGES), min_size=4, max_size=4),
+       t=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, np.pi])))
+def test_closed_form_2x2_raises_no_warning_inside_the_guard(entries, t):
+    # overflow (e^(mu + s) beyond the float range, inf * 0 where an entry is
+    # 0), underflow and s = 0 stay inside the kernel's errstate
+    m = np.array(entries).reshape(1, 2, 2)
+    try:
+        out = matexp_stack(m, t)
+    except NumericRangeError:
+        return
+    assert out.shape == (1, 2, 2)
+    assert np.array_equal(out[0], _kernels.expm2_core(m[0] * t), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_2x2_overflow_is_silent_and_non_finite():
+    out = _kernels.expm2_core(np.array([[[710.0, 0.0], [0.0, -710.0]],
+                                        [[1e300, 1e300], [1e300, 1e300]],
+                                        [[-1e300, 1.0], [-1.0, -1e300]]]))
+    assert not np.isfinite(out[0]).all() and not np.isfinite(out[1]).all()
+    assert np.array_equal(out[2], np.zeros((2, 2)))
 
 
 def _scalar_rk4(breaks, coeffs, steps_per_piece):

@@ -151,6 +151,24 @@ def test_eval_outside_period_is_range_error():
     assert np.array_equal(pp_eval(a, TWO_PI), np.eye(2))
 
 
+def test_results_that_leave_the_float_range_are_range_errors():
+    # finite coefficients whose product, value or antiderivative constant
+    # overflows; the constructor's "piece coefficients must be finite" read
+    # as a validation error.  numpy's warning is silenced by the caller, as
+    # the averaging layer does
+    big = PiecewisePolyMatrix(10.0, np.array([0.0, 10.0]),
+                              (np.array([[[0.0, 1e308]]]),))  # 1e308 t on [0, 10]
+    two = PiecewisePolyMatrix(10.0, np.array([0.0, 5.0, 10.0]),
+                              (np.array([[[1e308]]]), np.array([[[1e308]]])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericRangeError, match="float range"):
+            pp_mul(big, big)
+        with pytest.raises(NumericRangeError, match="float range"):
+            pp_eval(big, 10.0)
+        with pytest.raises(NumericRangeError, match="float range"):
+            pp_antiderivative(two)
+
+
 def test_mismatch_errors():
     a = PiecewisePolyMatrix.constant(np.eye(2), TWO_PI)
     b = PiecewisePolyMatrix.constant(np.eye(3), TWO_PI)

@@ -6,7 +6,7 @@ import pytest
 from conftest import pendulum_pipeline
 from floquet_avg import averaging, pendulum
 from floquet_avg.averaging import SeriesSystem
-from floquet_avg.errors import ModelError
+from floquet_avg.errors import ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
 from floquet_avg.ppoly import PiecewisePolyMatrix
 from floquet_avg.stability import (
@@ -15,6 +15,7 @@ from floquet_avg.stability import (
     det_series,
     det_series_expansion,
     margin_exact,
+    order_approximation,
     pc_trace_det,
     report_from_trace_det,
 )
@@ -207,3 +208,18 @@ def test_report_tolerance_band():
     assert r.verdict is Verdict.UNSTABLE
     r = report_from_trace_det(0.5, 0.5, tolerance=1e-9)
     assert r.verdict is Verdict.STABLE
+
+
+@pytest.mark.parametrize("period, entry, message", [
+    # A_1 = 1e100 over T = 1e100: the grade-2 term T^2 A_1^2 / 2 overflows
+    (1e100, [[1e100]], "order-2 approximation of F"),
+    # F = I + T A_1 + T^2 A_1^2 / 2 = 1.125e308 I stays finite, tr F and det F do not
+    (1.5, [[1e154, 0.0], [0.0, 1e154]], "invariants of F"),
+])
+def test_order_approximation_that_overflows_is_a_range_error(period, entry, message):
+    # every ppoly coefficient is finite here: the overflow is in the graded
+    # exponential terms, which gave inf and NaN entries and numpy warnings
+    term = PiecewisePolyMatrix.constant(entry, period)
+    system = SeriesSystem(period, np.zeros_like(term.pieces[0][..., 0]), (term,))
+    with pytest.raises(NumericRangeError, match=message):
+        order_approximation(system, 2)
