@@ -3,17 +3,17 @@ integrator.
 
 All of them work on a whole stack at once: ``expm2_core`` and
 ``matexp_core`` on a ``(K, n, n)`` stack of matrices, ``rk4_monodromy_core``
-on K systems over shared breakpoints (a single matrix or system is the case
-without the stack axis).  ``expm2_core`` is the closed-form exponential of
-2x2 matrices, a handful of elementwise ufuncs; ``matexp_core`` is scaling
-and squaring for any n.  The RK4
-integrator multiplies step matrices I + D rather than looping over steps: a
-squaring chain for each constant piece, a pairwise product tree for each
-fixed-size block of steps of a polynomial piece.  Every slice runs the
-arithmetic it would get alone -- for the exponential its own scaling
-exponent, Taylor stop and number of squarings, for RK4 its own route and
-tree shapes -- so a slice's result does not depend on what else is in the
-stack.
+on K systems given as the ``(K, m, n, n, d+1)`` coefficients of a stacked
+``PiecewisePolyMatrix`` (a single matrix or system is the case without the
+stack axis).  ``expm2_core`` is the closed-form exponential of 2x2
+matrices, a handful of elementwise ufuncs; ``matexp_core`` is scaling and
+squaring for any n.  The RK4 integrator multiplies step matrices I + D
+rather than looping over steps: a squaring chain for each constant piece,
+a pairwise product tree for each fixed-size block of steps of a polynomial
+piece.  Every slice runs the arithmetic it would get alone -- for the
+exponential its own scaling exponent, Taylor stop and number of squarings,
+for RK4 its own route and tree shapes -- so a slice's result does not
+depend on what else is in the stack.
 """
 
 import numpy as np
@@ -178,8 +178,9 @@ def _advance_piece(x, coeffs, t0, h, steps):
 def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
     """Classical RK4 for dX/dt = J(t) X, X(0) = I, across the polynomial pieces.
 
-    ``coeffs`` holds ascending powers of global t: (m, n, n, d+1) for one
-    system, (m, K, n, n, d+1) for K systems stepping together.  Steps are
+    ``coeffs`` holds ascending powers of global t in the layout of
+    ``PiecewisePolyMatrix.coeffs``: (m, n, n, d+1) for one system,
+    (K, m, n, n, d+1) for K systems stepping together.  Steps are
     confined to one piece at a time so no RK4 stage ever straddles a
     breakpoint.
 
@@ -199,14 +200,14 @@ def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
     """
     single = coeffs.ndim == 4
     if single:
-        coeffs = coeffs[:, None]
-    m, k, n = coeffs.shape[:3]
+        coeffs = coeffs[None]
+    k, m, n = coeffs.shape[:3]
     x = np.repeat(np.eye(n)[None], k, axis=0)
     for p in range(m):
         t0 = breaks[p]
         h = (breaks[p + 1] - t0) / steps_per_piece
-        constant = ~coeffs[p, ..., 1:].any(axis=(1, 2, 3))
+        constant = ~coeffs[:, p, ..., 1:].any(axis=(1, 2, 3))
         for rows in (np.flatnonzero(constant), np.flatnonzero(~constant)):
             if rows.size:
-                x[rows] = _advance_piece(x[rows], coeffs[p, rows], t0, h, steps_per_piece)
+                x[rows] = _advance_piece(x[rows], coeffs[rows, p], t0, h, steps_per_piece)
     return x[0] if single else x

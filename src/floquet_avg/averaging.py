@@ -133,8 +133,8 @@ def standard_form(sys: SeriesSystem):
         x0inv_coeff[:, :, k] = power * (scale if k % 2 == 0 else -scale)
         power = power @ sys.J0
     breaks = np.array([0.0, sys.period])
-    x0 = PiecewisePolyMatrix(sys.period, breaks, (x0_coeff,))
-    x0inv = PiecewisePolyMatrix(sys.period, breaks.copy(), (x0inv_coeff,))
+    x0 = PiecewisePolyMatrix(sys.period, breaks, x0_coeff[None])
+    x0inv = PiecewisePolyMatrix(sys.period, breaks.copy(), x0inv_coeff[None])
     h_terms = [ppoly.pp_mul(ppoly.pp_mul(x0inv, term), x0) for term in sys.terms]
     return x0, h_terms
 
@@ -151,7 +151,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     if not h_terms:
         raise ModelError("need at least one H term")
     a_mats = []
-    a_consts = []  # A_j embedded as degree-0 pieces for the ppoly algebra
+    a_consts = []  # A_j embedded as degree-0 functions for the ppoly algebra
     u_funcs = []
     residuals = []
     try:

@@ -23,7 +23,7 @@ from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
-from .ppoly import PiecewisePolyMatrix
+from .ppoly import DEGREE_CAP, PiecewisePolyMatrix
 
 # model-file terms fill every order below the highest one, so the highest is capped
 MAX_TERM_ORDER = 64
@@ -89,7 +89,7 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
         raise ModelError("each term needs a non-empty 'pieces' list")
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
-    blocks = []
+    entries = []  # per piece, its n*n coefficient lists row by row
     for piece in pieces_doc:
         t_start = _piece_time(piece, "t_start")
         t_end = _piece_time(piece, "t_end")
@@ -97,30 +97,39 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
-        blocks.append(_entries_block(_piece_field(piece, "entries")))
+        entries.append(_coefficient_lists(_piece_field(piece, "entries")))
         breaks.append(t_end)
     if abs(breaks[-1] - period) > 1e-12 * period:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
-    return PiecewisePolyMatrix(period, np.asarray(breaks), tuple(blocks))
+    n = math.isqrt(len(entries[0]))
+    if any(len(lists) != n * n for lists in entries):
+        raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a stack, "
+                         "with one common n and K")
+    # one array, every piece zero-padded to the term's top degree
+    coeffs = np.zeros((len(entries), n * n, max(len(c) for lists in entries for c in lists)))
+    try:
+        for k, lists in enumerate(entries):
+            for i, c in enumerate(lists):
+                coeffs[k, i, : len(c)] = c
+    except OverflowError as exc:
+        raise ModelError(f"malformed coefficient: {exc}") from None
+    return PiecewisePolyMatrix(period, np.asarray(breaks), coeffs.reshape(len(entries), n, n, -1))
 
 
-def _entries_block(entries) -> np.ndarray:
-    """(n, n, d+1) coefficients from a square nested list of coefficient
-    lists (ascending powers of t)."""
+def _coefficient_lists(entries) -> list:
+    """The coefficient lists (ascending powers of t) of a square nested list
+    of them, row by row; the degree is capped here, before any padding."""
     n = len(entries) if isinstance(entries, list) else 0
     if n == 0 or not all(isinstance(row, list) and len(row) == n for row in entries):
         raise ModelError("entries must form a square matrix of coefficient lists")
     coeffs = [c for row in entries for c in row]
     if not all(isinstance(c, list) and c and all(_is_number(x) for x in c) for c in coeffs):
         raise ModelError("each entry must be a non-empty list of numbers")
-    block = np.zeros((n, n, max(len(c) for c in coeffs)))
-    try:
-        for k, c in enumerate(coeffs):
-            block[k // n, k % n, : len(c)] = c
-    except OverflowError as exc:
-        raise ModelError(f"malformed coefficient: {exc}") from None
-    return block
+    degree = max(len(c) for c in coeffs) - 1
+    if degree > DEGREE_CAP:
+        raise ModelError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
+    return coeffs
 
 
 def _is_number(x) -> bool:
@@ -216,7 +225,7 @@ def _write_output(text: str, path):
 
 def cmd_analyze(args) -> int:
     if not 1 <= args.order <= averaging.MAX_ORDER:
-        raise ModelError(f"--order {args.order} exceeds the supported cap {averaging.MAX_ORDER}")
+        raise ModelError(f"--order must be from 1 to {averaging.MAX_ORDER}, got {args.order}")
     stability.check_tolerance(args.tolerance)
     params = None
     if args.model_file:
@@ -321,15 +330,17 @@ def cmd_scan(args) -> int:
                             threads=args.threads, tolerance=args.tolerance)
     lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det"]
     # each axis sample and the beta/method columns are formatted once, and
-    # the cells are read as Python values in one tolist() pass per array
+    # the cells are read as Python values in one tolist() pass per array;
+    # the margins are formatted inline, as format_float would, except a NaN
     omegas = [format_float(x, 12) for x in grid.omega_samples.tolist()]
     tail = f"{format_float(args.beta, 12)},{args.method}"
     for eps, verdicts, traces, dets in zip(grid.eps_samples.tolist(), grid.verdicts.tolist(),
                                            grid.margin_trace.tolist(), grid.margin_det.tolist()):
         row_tail = f"{format_float(eps, 12)},{tail}"
         for omega, verdict, trace, det in zip(omegas, verdicts, traces, dets):
-            lines.append(f"{omega},{row_tail},{verdict},"
-                         f"{format_float(trace, 12)},{format_float(det, 12)}")
+            margins = (f"{trace:.12g},{det:.12g}" if trace == trace and det == det
+                       else f"{format_float(trace, 12)},{format_float(det, 12)}")
+            lines.append(f"{omega},{row_tail},{verdict},{margins}")
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -452,9 +463,14 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (NumericRangeError, OverflowError) as exc:
-        # OverflowError: a Python float operation (pow, math.exp) left the float range
+    except NumericRangeError as exc:
         print(f"floquet-avg: numeric range error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError:
+        # a Python float operation (pow, math.exp) left the float range; its own
+        # message is an errno tuple or "math range error"
+        print("floquet-avg: numeric range error: a floating-point result left the float range",
+              file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
         # a range too large to allocate, e.g. --omega 0:1:1e14 samples

@@ -1,8 +1,8 @@
 """Exact monodromy oracles.
 
 Two independent routes to X(T) for a linear T-periodic system whose
-coefficient matrix J(t) is a :class:`PiecewisePolyMatrix` (one system, or
-a stack of K over shared breakpoints):
+coefficient matrix J(t) is a :class:`PiecewisePolyMatrix`, one system or a
+stack of K, read from its one ``([K,] m, n, n, d+1)`` coefficient array:
 
 * closed-form products of matrix exponentials when every piece of J has
   degree 0, and
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import rk4_monodromy_core
 from .errors import ModelError, NumericRangeError
-from .ppoly import PiecewisePolyMatrix, to_dense
+from .ppoly import PiecewisePolyMatrix
 from .smallmat import matexp_stack
 
 # steps per piece of the RK4 oracle, for `analyze --rk-steps` and exact-rk scans
@@ -40,10 +40,9 @@ def exact_monodromy_pc(j: PiecewisePolyMatrix) -> np.ndarray:
     """
     if j.max_degree > 0:
         raise ModelError("system is not piecewise constant (degree > 0 pieces)")
-    mats = np.stack([piece[..., 0] for piece in j.pieces], axis=-3)
-    if j.cells is None:
-        return exact_monodromy_pc_stack(np.diff(j.breakpoints), mats[None])[0]
-    return exact_monodromy_pc_stack(np.diff(j.breakpoints), mats)
+    mats = j.coeffs[..., 0]  # (K, S, n, n), or (S, n, n) for one system
+    f = exact_monodromy_pc_stack(np.diff(j.breakpoints), mats.reshape((-1,) + mats.shape[-3:]))
+    return f[0] if j.cells is None else f
 
 
 def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
@@ -75,13 +74,13 @@ def exact_monodromy_rk(j: PiecewisePolyMatrix, steps_per_piece: int) -> np.ndarr
     if not RK_MIN_STEPS <= steps_per_piece <= RK_MAX_STEPS:
         raise ModelError(f"steps_per_piece must be in {RK_MIN_STEPS}..{RK_MAX_STEPS}, "
                          f"got {steps_per_piece}")
-    total = len(j.pieces) * steps_per_piece
+    pieces = j.coeffs.shape[-4]
+    total = pieces * steps_per_piece
     if total > RK_MAX_TOTAL_STEPS:
-        raise ModelError(f"steps_per_piece {steps_per_piece} over {len(j.pieces)} pieces makes "
+        raise ModelError(f"steps_per_piece {steps_per_piece} over {pieces} pieces makes "
                          f"{total} RK4 steps per system, above the cap of {RK_MAX_TOTAL_STEPS}")
-    breaks, coeffs = to_dense(j)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_range(rk4_monodromy_core(breaks, coeffs, steps_per_piece))
+        return _in_range(rk4_monodromy_core(j.breakpoints, j.coeffs, steps_per_piece))
 
 
 def _in_range(f):
@@ -101,6 +100,4 @@ def pc_stack_to_ppoly(period: float, durations, mats) -> PiecewisePolyMatrix:
     if abs(breaks[-1] - period) > 1e-12 * period:
         raise ModelError(f"segment durations sum to {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
-    mats = np.asarray(mats, dtype=float)
-    return PiecewisePolyMatrix(period, breaks,
-                               tuple(mats[..., s, :, :, None] for s in range(mats.shape[-3])))
+    return PiecewisePolyMatrix(period, breaks, np.asarray(mats, dtype=float)[..., None])

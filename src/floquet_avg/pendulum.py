@@ -96,7 +96,8 @@ def _split(eps, w2, damping) -> SeriesSystem:
     j0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     exc_plus = np.zeros(eps.shape + (2, 2, 1))
     exc_plus[..., 1, 0, 0] = eps
-    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]), (exc_plus, -exc_plus))
+    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]),
+                             np.stack((exc_plus, -exc_plus), axis=-4))
     j2_mat = np.zeros(eps.shape + (2, 2))
     j2_mat[..., 1, 0] = w2
     j2_mat[..., 1, 1] = damping

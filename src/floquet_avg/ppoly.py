@@ -1,18 +1,18 @@
 """Exact calculus on piecewise-polynomial matrix functions of time.
 
 A T-periodic matrix function is stored as breakpoints 0 = t0 < ... < tm = T
-plus, per interval, an (n, n, d+1) array of polynomial coefficients in the
-*global* time variable (ascending degree).  Using the global variable keeps
-refinement trivial (a piece restricted to a sub-interval reuses the same
-coefficients) and makes antiderivative constants a running-sum fixup.
+plus one (m, n, n, d+1) array of polynomial coefficients in the *global*
+time variable (ascending degree), every piece zero-padded to degree d.
+Using the global variable keeps refinement trivial (a piece restricted to a
+sub-interval reuses the same coefficients) and makes antiderivative
+constants a running-sum fixup.
 
 A stack of K such functions over shared breakpoints -- one per cell of a
-parameter grid -- carries a leading cell axis: each piece is then
-(K, n, n, d+1), and a single function is the case without the axis.  Every
-operation broadcasts over the cell axis (a single function combines with a
-stack as if repeated K times) and computes each coefficient by the same
-elementwise operations in the same order, so a cell's result does not
-depend on the other cells of the batch.
+parameter grid -- carries a leading cell axis, (K, m, n, n, d+1).  Every
+operation runs once over all pieces and broadcasts over the cell axis (a
+single function combines with a stack as if repeated K times), computing
+each coefficient by the same elementwise operations in the same order, so
+a cell's result does not depend on the other cells of the batch.
 
 Products, antiderivatives, averages and point evaluation are all closed-form
 polynomial operations, so the averaging integrals downstream carry no
@@ -41,15 +41,15 @@ class PiecewisePolyMatrix:
         The period T.
     breakpoints : np.ndarray
         Strictly increasing, shape (m+1,), first 0, last T.
-    pieces : tuple of np.ndarray
-        One coefficient block per interval, ascending powers of global t:
-        (n, n, d_k+1) for one function, (K, n, n, d_k+1) for a stack of K.
+    coeffs : np.ndarray
+        Ascending powers of global t, every piece padded to one degree d:
+        (m, n, n, d+1) for one function, (K, m, n, n, d+1) for a stack of K.
         Right-continuous at interior breakpoints.
     """
 
     period: float
     breakpoints: np.ndarray
-    pieces: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.period) and self.period > 0):
@@ -65,41 +65,37 @@ class PiecewisePolyMatrix:
             raise ModelError("last breakpoint must equal the period")
         if not (bp[1:] > bp[:-1]).all():
             raise ModelError("breakpoints must be strictly increasing")
-        pieces = tuple(np.asarray(p, dtype=float) for p in self.pieces)
-        if len(pieces) != bp.size - 1:
-            raise ModelError("number of pieces must match interval count")
-        shape = pieces[0].shape[:-1]
-        for p in pieces:
-            if (p.ndim not in (3, 4) or p.shape[:-1] != shape or p.shape[-3] != p.shape[-2]
-                    or p.shape[-1] == 0):
-                raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a "
-                                 "stack, with one common n and K")
-            if p.shape[-1] - 1 > DEGREE_CAP:
-                raise ModelError(f"polynomial degree {p.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
-            if not np.isfinite(p).all():
-                raise ModelError("piece coefficients must be finite")
+        c = np.asarray(self.coeffs, dtype=float)
+        if (c.ndim not in (4, 5) or c.shape[-4] != bp.size - 1 or c.shape[-3] != c.shape[-2]
+                or c.shape[-1] == 0):
+            raise ModelError("coefficients must be (m, n, n, d+1), or (K, m, n, n, d+1) for a "
+                             "stack, with one piece per interval")
+        if c.shape[-1] - 1 > DEGREE_CAP:
+            raise ModelError(f"polynomial degree {c.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
+        if not np.isfinite(c).all():
+            raise ModelError("piece coefficients must be finite")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def dim(self) -> int:
-        return self.pieces[0].shape[-2]
+        return self.coeffs.shape[-2]
 
     @property
     def cells(self):
         """K for a stack of K functions, None for a single function."""
-        return self.pieces[0].shape[0] if self.pieces[0].ndim == 4 else None
+        return self.coeffs.shape[0] if self.coeffs.ndim == 5 else None
 
     @property
     def max_degree(self) -> int:
-        return max(p.shape[-1] - 1 for p in self.pieces)
+        return self.coeffs.shape[-1] - 1
 
     @classmethod
     def constant(cls, m, period: float) -> "PiecewisePolyMatrix":
         """Degree-0 function equal to the matrix ``m`` on [0, T]; a (K, n, n)
         ``m`` gives a stack of K constants."""
         m = np.asarray(m, dtype=float)
-        return cls(period, np.array([0.0, period]), (m[..., None].copy(),))
+        return cls(period, np.array([0.0, period]), m[..., None, :, :, None].copy())
 
     @classmethod
     def zero(cls, dim: int, period: float) -> "PiecewisePolyMatrix":
@@ -108,8 +104,7 @@ class PiecewisePolyMatrix:
     def max_coeff(self):
         """Largest coefficient magnitude over all pieces (scaling reference);
         a (K,) array, one per cell, for a stack."""
-        per_piece = [np.abs(p).max(axis=(-3, -2, -1), initial=0.0) for p in self.pieces]
-        out = np.max(per_piece, axis=0)
+        out = np.abs(self.coeffs).max(axis=(-4, -3, -2, -1))
         return float(out) if self.cells is None else out
 
 
@@ -139,37 +134,36 @@ def _union_breakpoints(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> np.nda
     return np.asarray(keep)
 
 
-def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray):
-    """The piece of ``a`` in force on each interval of ``breaks``."""
-    if a.breakpoints is breaks:
-        return a.pieces
-    if len(a.pieces) == 1:
-        return a.pieces * (breaks.size - 1)
+def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray) -> np.ndarray:
+    """The coefficients of ``a`` in force on each interval of ``breaks``; a
+    single piece is left to broadcast over the intervals."""
+    m = a.coeffs.shape[-4]
+    if a.breakpoints is breaks or m == 1:
+        return a.coeffs
     mids = 0.5 * (breaks[:-1] + breaks[1:])
-    idx = np.searchsorted(a.breakpoints, mids, side="right") - 1
-    return [a.pieces[min(max(i, 0), len(a.pieces) - 1)] for i in idx.tolist()]
+    idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
+    return a.coeffs[..., idx, :, :, :]
 
 
-def _derived(period: float, breaks: np.ndarray, pieces) -> PiecewisePolyMatrix:
+def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray) -> PiecewisePolyMatrix:
     """The result of an operation on finite functions: a non-finite
     coefficient there means an intermediate left the float range.  numpy's
     overflow warning is the caller's to silence (the averaging layer runs
     under ``np.errstate``)."""
     try:
-        return PiecewisePolyMatrix(period, breaks, pieces)
+        return PiecewisePolyMatrix(period, breaks, coeffs)
     except ModelError:
-        if all(np.isfinite(p).all() for p in pieces):
+        if np.isfinite(coeffs).all():
             raise
         raise NumericRangeError("piecewise-polynomial coefficients leave the float range") \
             from None
 
 
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op) -> PiecewisePolyMatrix:
-    """``op`` applied piece by piece over the union of the two breakpoint sets."""
+    """``op`` applied to all pieces at once over the union of the two breakpoint sets."""
     _check_compatible(a, b)
     breaks = _union_breakpoints(a, b)
-    pieces = tuple(op(pa, pb) for pa, pb in zip(_pieces_on(a, breaks), _pieces_on(b, breaks)))
-    return _derived(a.period, breaks, pieces)
+    return _derived(a.period, breaks, op(_pieces_on(a, breaks), _pieces_on(b, breaks)))
 
 
 def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -217,7 +211,7 @@ def pp_sub(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatri
 
 
 def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
-    """Horner evaluation of one (..., n, n, d+1) block at global time t."""
+    """Horner evaluation of (..., n, n, d+1) coefficients at (broadcast) time t."""
     acc = piece[..., -1].copy()
     for k in range(piece.shape[-1] - 2, -1, -1):
         acc = acc * t + piece[..., k]
@@ -232,8 +226,8 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
     if not (0.0 <= t <= a.period):
         raise NumericRangeError(f"t = {t:g} outside [0, {a.period:g}]")
     idx = int(np.searchsorted(a.breakpoints, t, side="right")) - 1
-    idx = min(max(idx, 0), len(a.pieces) - 1)
-    value = _eval_block(a.pieces[idx], t)
+    idx = min(max(idx, 0), a.coeffs.shape[-4] - 1)
+    value = _eval_block(a.coeffs[..., idx, :, :, :], t)
     if not np.isfinite(value).all():
         raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
@@ -241,31 +235,21 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    pieces = []
+    d = a.coeffs.shape[-1]
+    anti = np.zeros(a.coeffs.shape[:-1] + (d + 1,))
+    anti[..., 1:] = a.coeffs / np.arange(1, d + 1)
+    # every piece at both of its ends, before the constants are set
+    at_lo = _eval_block(anti, a.breakpoints[:-1, None, None])
+    at_hi = _eval_block(anti, a.breakpoints[1:, None, None])
     running = 0.0  # cumulative integral at the left breakpoint
-    for k, piece in enumerate(a.pieces):
-        lo = a.breakpoints[k]
-        hi = a.breakpoints[k + 1]
-        d = piece.shape[-1]
-        anti = np.zeros(piece.shape[:-1] + (d + 1,))
-        anti[..., 1:] = piece / np.arange(1, d + 1)
-        # adjust the constant so the cumulative value matches at lo
-        anti[..., 0] = running - _eval_block(anti, lo)
-        pieces.append(anti)
-        running = _eval_block(anti, hi)
-    return _derived(a.period, a.breakpoints.copy(), tuple(pieces))
+    for k in range(anti.shape[-4]):
+        # a loop, not a cumsum of at_hi - at_lo, which would round differently
+        const = running - at_lo[..., k, :, :]
+        anti[..., k, :, :, 0] = const
+        running = at_hi[..., k, :, :] + const
+    return _derived(a.period, a.breakpoints.copy(), anti)
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
     """(1/T) * integral of a over one period, from exact antiderivatives."""
     return pp_eval(pp_antiderivative(a), a.period) / a.period
-
-
-def to_dense(a: PiecewisePolyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Pack into (breaks, coeffs) for kernels, every piece zero-padded to the
-    largest degree: coeffs is (m, n, n, dmax+1) for one function and
-    (m, K, n, n, dmax+1) for a stack of K."""
-    coeffs = np.zeros((len(a.pieces),) + a.pieces[0].shape[:-1] + (a.max_degree + 1,))
-    for k, p in enumerate(a.pieces):
-        coeffs[k, ..., : p.shape[-1]] = p
-    return a.breakpoints.copy(), coeffs

@@ -244,7 +244,7 @@ def _pipeline_invariants(system, order):
     arrays = list(avg.A) + [np.asarray(r) for r in avg.closure_residuals]
     arrays += [np.asarray(t) for t in mono.trace_by_order[1:]] + list(mono.F_terms)
     arrays += list(mono.partial_sums[1:]) + [np.asarray(det)]
-    arrays += [p for u in avg.U for p in u.pieces]
+    arrays += [u.coeffs for u in avg.U]
     return arrays
 
 
@@ -279,10 +279,9 @@ def test_series_split_stack_matches_series_split():
         single = pendulum.series_split(pendulum.PendulumParams(omegas[k], epss[k], beta))
         for term_stack, term in zip(stack.terms, single.terms):
             assert np.array_equal(term_stack.breakpoints, term.breakpoints)
-            for p_stack, p in zip(term_stack.pieces, term.pieces):
-                assert np.array_equal(p_stack[k], p)
+            assert np.array_equal(term_stack.coeffs[k], term.coeffs)
         # omega**2 is libm pow, as in the exact path's Jacobians
-        assert stack.terms[1].pieces[0][k, 1, 0, 0] == float(omegas[k]) ** 2
+        assert stack.terms[1].coeffs[k, 0, 1, 0, 0] == float(omegas[k]) ** 2
 
 
 def test_series_split_stack_validates_point_by_point():

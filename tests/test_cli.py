@@ -66,6 +66,16 @@ def test_analyze_order_cap(capsys):
     assert "6" in err  # message names the cap
 
 
+@pytest.mark.parametrize("order", ["0", "-3", "7"])
+def test_analyze_order_outside_the_range_names_it(capsys, order):
+    # --order 0 and -3 printed "--order 0 exceeds the supported cap 6"
+    code, out, err = run_cli(capsys, [
+        "analyze", "--omega", "0.2", "--eps", "0.3", "--beta", "0", "--order", order,
+    ])
+    assert code == 2 and out == ""
+    assert err == f"floquet-avg: --order must be from 1 to 6, got {order}\n"
+
+
 def test_analyze_unknown_model(capsys):
     code, _, err = run_cli(capsys, ["analyze", "--model", "nope", "--omega", "1",
                                     "--eps", "1", "--beta", "0"])
@@ -522,6 +532,19 @@ def test_overflowed_monodromy_exits_3(argv, message):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "numeric range error" in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--omega", "0:0.3:2", "--beta", "1e300"],
+    ["boundary", "--omega", "0.1:0.2:2", "--branch", "n", "--method", "order4", "--beta", "1e300"],
+])
+def test_python_float_overflow_is_one_plain_range_error(argv):
+    # beta ** 2 in the order-4 quartic raised OverflowError, printed as the
+    # errno tuple "(34, 'Numerical result out of range')"
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("floquet-avg: numeric range error: "
+                           "a floating-point result left the float range\n")
 
 
 def _overflowing_models(tmp_path):

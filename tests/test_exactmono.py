@@ -48,7 +48,7 @@ def test_segment_order_matters():
     p = pendulum.PendulumParams(0.3, 0.8, 0.0)
     sys = pendulum.jacobians(p)
     f = exact_monodromy_pc(sys)
-    swapped = PiecewisePolyMatrix(TWO_PI, sys.breakpoints, sys.pieces[::-1])
+    swapped = PiecewisePolyMatrix(TWO_PI, sys.breakpoints, sys.coeffs[::-1])
     f_swapped = exact_monodromy_pc(swapped)
     assert norm1(f - f_swapped) > 1e-3
     # but the trace is conjugation-invariant
@@ -93,8 +93,7 @@ def test_rk_caps_the_steps_over_all_pieces(monkeypatch):
                         lambda breaks, coeffs, steps: reached.append(breaks.size - 1) or np.eye(2))
 
     def pieces(m):
-        return PiecewisePolyMatrix(TWO_PI, np.linspace(0.0, TWO_PI, m + 1),
-                                   (np.zeros((2, 2, 1)),) * m)
+        return PiecewisePolyMatrix(TWO_PI, np.linspace(0.0, TWO_PI, m + 1), np.zeros((m, 2, 2, 1)))
 
     for m in (1, 4):
         exact_monodromy_rk(pieces(m), RK_MAX_STEPS)
@@ -106,14 +105,15 @@ def test_rk_caps_the_steps_over_all_pieces(monkeypatch):
 
 
 def test_rk_stack_slices_equal_single_systems():
-    # pieces of degree 1 and 0 are padded to one dense block per piece
+    # a piece of degree 1 and one of degree 0, padded to degree 1
     rng = np.random.default_rng(23)
-    linear = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
-    const = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
-    stack = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]), (linear, const))
+    coeffs = np.zeros((5, 2, 2, 2, 2))
+    coeffs[:, 0] = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
+    coeffs[:, 1, ..., :1] = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
+    stack = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]), coeffs)
     batched = exact_monodromy_rk(stack, 64)
     for k in range(5):
-        alone = PiecewisePolyMatrix(TWO_PI, stack.breakpoints, (linear[k], const[k]))
+        alone = PiecewisePolyMatrix(TWO_PI, stack.breakpoints, coeffs[k])
         assert np.array_equal(batched[k], exact_monodromy_rk(alone, 64))
 
 
@@ -126,7 +126,7 @@ def test_pc_stack_view_matches_one_system_views():
     for k, (omega, eps) in enumerate(params):
         alone = pendulum.jacobians(pendulum.PendulumParams(omega, eps, 0.1))
         assert np.array_equal(stack.breakpoints, alone.breakpoints)
-        assert all(np.array_equal(a[k], b) for a, b in zip(stack.pieces, alone.pieces))
+        assert np.array_equal(stack.coeffs[k], alone.coeffs)
         assert np.array_equal(batched[k], exact_monodromy_rk(alone, 32))
         assert np.array_equal(batched_pc[k], exact_monodromy_pc(alone))
 
@@ -156,7 +156,7 @@ def test_rk_time_varying_coefficients():
     block = np.zeros((2, 2, 2))
     block[0, 1, 0] = 1.0
     block[1, 0, 1] = 0.25
-    j = PiecewisePolyMatrix(2.0, np.array([0.0, 2.0]), (block,))
+    j = PiecewisePolyMatrix(2.0, np.array([0.0, 2.0]), block[None])
     coarse = exact_monodromy_rk(j, 128)
     fine = exact_monodromy_rk(j, 1024)
     assert norm1(coarse - fine) < 1e-9
@@ -201,7 +201,7 @@ def test_rk_matches_the_exact_rk4_map():
     for sys in _liouville_set():
         with mpmath.workdps(40):
             f = mpmath.eye(2)
-            for p, piece in enumerate(sys.pieces):
+            for p, piece in enumerate(sys.coeffs):
                 j = mpmath.matrix(piece[..., 0].tolist())
                 h = mpmath.mpf(float(sys.breakpoints[p + 1] - sys.breakpoints[p]) / 4096)
                 k2 = j + h / 2 * j * j
@@ -220,7 +220,7 @@ def test_pc_ppoly_roundtrip():
     sys = pendulum.jacobians(p)
     assert sys.period == TWO_PI
     assert np.array_equal(np.diff(sys.breakpoints), pendulum.HALF_PERIODS)
-    assert all(np.array_equal(piece[..., 0], m) for piece, m in zip(sys.pieces, mats))
+    assert np.array_equal(sys.coeffs[..., 0], mats)
     assert np.array_equal(exact_monodromy_pc(sys),
                           exact_monodromy_pc_stack(pendulum.HALF_PERIODS, mats[None])[0])
 
@@ -229,7 +229,7 @@ def test_exact_pc_rejects_polynomial_pieces():
     block = np.zeros((2, 2, 2))
     block[0, 1, 1] = 1.0
     with pytest.raises(ModelError, match="degree"):
-        exact_monodromy_pc(PiecewisePolyMatrix(2.0, np.array([0.0, 2.0]), (block,)))
+        exact_monodromy_pc(PiecewisePolyMatrix(2.0, np.array([0.0, 2.0]), block[None]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -221,9 +221,9 @@ RK4_BREAKS = np.array([0.0, 1.3, np.pi, 2.0 * np.pi])
 
 
 def _random_pieces(rng, n, degree, count):
-    # (3 pieces, K, n, n, d+1), with per-system scales from 0.05 to 2
-    coeffs = rng.standard_normal((3, count, n, n, degree + 1))
-    return coeffs * 10.0 ** rng.uniform(-1.3, 0.3, count)[None, :, None, None, None]
+    # (K, 3 pieces, n, n, d+1), with per-system scales from 0.05 to 2
+    coeffs = np.moveaxis(rng.standard_normal((3, count, n, n, degree + 1)), 0, 1)
+    return coeffs * 10.0 ** rng.uniform(-1.3, 0.3, count)[:, None, None, None, None]
 
 
 def _assert_matches_scalar_loop(got, coeffs, steps):
@@ -244,14 +244,14 @@ def test_rk4_stack_slices_equal_scalar_loop(n, degree):
         assert stacked.shape == (count, n, n)
         # the scalar loop is slow, so at 1000 steps every fourth system
         for k in range(0, count, 1 if steps < 100 else 4):
-            _assert_matches_scalar_loop(stacked[k], coeffs[:, k], steps)
+            _assert_matches_scalar_loop(stacked[k], coeffs[k], steps)
         # one system without the cell axis, permuted and truncated stacks
-        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, 5], steps),
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[5], steps),
                               stacked[5])
         order = rng.permutation(count)
-        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, order], steps),
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[order], steps),
                               stacked[order])
-        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, :3], steps),
+        assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:3], steps),
                               stacked[:3])
 
 
@@ -261,13 +261,13 @@ def test_rk4_mixed_constant_and_linear_pieces():
     # piece 2 for the first three only
     rng = np.random.default_rng(130)
     coeffs = _random_pieces(rng, 2, 1, 6)
-    coeffs[0, ..., 1] = 0.0
-    coeffs[2, :3, ..., 1] = 0.0
+    coeffs[:, 0, ..., 1] = 0.0
+    coeffs[:3, 2, ..., 1] = 0.0
     for steps in (16, 17, 1000):
         stacked = _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs, steps)
         for k in range(6):
-            _assert_matches_scalar_loop(stacked[k], coeffs[:, k], steps)
-            assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, k], steps),
+            _assert_matches_scalar_loop(stacked[k], coeffs[k], steps)
+            assert np.array_equal(_kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[k], steps),
                                   stacked[k])
 
 
@@ -282,4 +282,4 @@ def test_rk4_slices_do_not_depend_on_the_stack_size(degree):
     steps = 100
     stacked = _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs, steps)
     for k in range(count):
-        assert np.array_equal(stacked[k], _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[:, k], steps))
+        assert np.array_equal(stacked[k], _kernels.rk4_monodromy_core(RK4_BREAKS, coeffs[k], steps))

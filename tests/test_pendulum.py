@@ -25,7 +25,7 @@ def test_jacobians_segments():
     sys = jacobians(PendulumParams(1.0, 2.0, 0.0))
     assert sys.max_degree == 0 and sys.period == TWO_PI
     assert np.array_equal(sys.breakpoints, [0.0, PI, TWO_PI])
-    j_plus, j_minus = (piece[..., 0] for piece in sys.pieces)
+    j_plus, j_minus = sys.coeffs[..., 0]
     assert np.array_equal(j_plus, np.array([[0.0, 1.0], [3.0, 0.0]]))
     assert np.array_equal(j_minus, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -33,7 +33,7 @@ def test_jacobians_segments():
 def test_jacobians_without_excitation():
     # omega = 0.5, beta = 0.25 keep omega^2 and beta*omega exactly representable
     sys = jacobians(PendulumParams(0.5, 0.0, 0.25))
-    j_plus, j_minus = (piece[..., 0] for piece in sys.pieces)
+    j_plus, j_minus = sys.coeffs[..., 0]
     assert np.array_equal(j_plus, j_minus)
     assert np.array_equal(j_plus, np.array([[0.0, 1.0], [0.25, -0.125]]))
 
@@ -41,7 +41,7 @@ def test_jacobians_without_excitation():
 def test_jacobian_traces():
     for omega, eps, beta in ((0.3, 0.5, 0.2), (1.0, 2.0, 0.5)):
         sys = jacobians(PendulumParams(omega, eps, beta))
-        for piece in sys.pieces:
+        for piece in sys.coeffs:
             assert abs(np.trace(piece[..., 0]) + beta * omega) < 1e-15
 
 
@@ -66,7 +66,7 @@ def test_series_split_reconstructs_jacobians():
         total = system.J0.copy()
         for term in system.terms:
             total = total + pp_eval(term, t)
-        assert np.abs(total - pc.pieces[segment][..., 0]).max() < 1e-14
+        assert np.abs(total - pc.coeffs[segment, ..., 0]).max() < 1e-14
 
 
 def test_series_split_reconstruction_everywhere():
@@ -78,12 +78,12 @@ def test_series_split_reconstruction_everywhere():
         total = system.J0.copy()
         for term in system.terms:
             total = total + pp_eval(term, t)
-        assert np.abs(total - pc.pieces[segment][..., 0]).max() < 1e-14
+        assert np.abs(total - pc.coeffs[segment, ..., 0]).max() < 1e-14
 
 
 def test_series_split_zero_excitation():
     system = series_split(PendulumParams(0.3, 0.0, 0.1))
-    assert all(np.abs(piece).max() == 0.0 for piece in system.terms[0].pieces)
+    assert np.abs(system.terms[0].coeffs).max() == 0.0
 
 
 def test_series_split_feeds_recursion_to_paper_a2():

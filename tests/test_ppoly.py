@@ -26,8 +26,16 @@ def pendulum_h1(eps=1.0):
     block[1, 0, 0] = 1.0
     block[1, 1, 1] = 1.0
     return PiecewisePolyMatrix(
-        TWO_PI, np.array([0.0, PI, TWO_PI]), (eps * block, -eps * block)
+        TWO_PI, np.array([0.0, PI, TWO_PI]), np.stack((eps * block, -eps * block))
     )
+
+
+def _padded(blocks):
+    """One coefficient array from per-piece blocks of any degree, each
+    zero-padded to the top degree: (m, ...) for (..., n, n, d_k+1) blocks."""
+    top = max(b.shape[-1] for b in blocks)
+    return np.stack([np.concatenate((b, np.zeros(b.shape[:-1] + (top - b.shape[-1],))), axis=-1)
+                     for b in blocks], axis=-4)
 
 
 def pendulum_a1(eps=1.0):
@@ -45,9 +53,9 @@ def test_identity_times_anything_unchanged():
 def test_nilpotent_square_is_zero():
     block = np.zeros((2, 2, 2))
     block[0, 1, 1] = 1.0  # [[0, t], [0, 0]]
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), (block,))
+    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), block[None])
     sq = pp_mul(a, a)
-    assert all(np.abs(p).max() == 0.0 for p in sq.pieces)
+    assert np.abs(sq.coeffs).max() == 0.0
 
 
 def test_product_matches_pointwise_oracle():
@@ -61,8 +69,8 @@ def test_product_matches_pointwise_oracle():
 def test_product_pointwise_at_random_times():
     rng = np.random.default_rng(11)
     a = pendulum_h1(eps=0.7)
-    blocks = tuple(rng.uniform(-1, 1, size=(2, 2, 4)) for _ in range(2))
-    b = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]), blocks)
+    b = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]),
+                            rng.uniform(-1, 1, size=(2, 2, 2, 4)))
     prod = pp_mul(a, b)
     for lo, hi in zip(prod.breakpoints[:-1], prod.breakpoints[1:]):
         for t in rng.uniform(lo, hi, size=20):
@@ -93,7 +101,7 @@ def test_average_constant_and_ramp():
     assert np.abs(pp_average(PiecewisePolyMatrix.constant(c, TWO_PI)) - c).max() < 1e-15
     ramp = np.zeros((1, 1, 2))
     ramp[0, 0, 1] = 1.0  # entry t on [0, 2*pi]: mean is pi
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), (ramp,))
+    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), ramp[None])
     assert abs(pp_average(a)[0, 0] - PI) < 1e-14
 
 
@@ -119,8 +127,8 @@ def test_u1_vanishes_at_period():
 
 def test_average_same_code_path_as_antiderivative():
     rng = np.random.default_rng(12)
-    blocks = tuple(rng.uniform(-2, 2, size=(3, 3, 5)) for _ in range(3))
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 1.0, 4.0, TWO_PI]), blocks)
+    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 1.0, 4.0, TWO_PI]),
+                            rng.uniform(-2, 2, size=(3, 3, 3, 5)))
     direct = pp_average(a)
     via_anti = pp_eval(pp_antiderivative(a), TWO_PI) / TWO_PI
     assert np.abs(direct - via_anti).max() < 1e-14
@@ -128,14 +136,15 @@ def test_average_same_code_path_as_antiderivative():
 
 def test_antiderivative_is_continuous_at_breakpoints():
     rng = np.random.default_rng(13)
-    blocks = tuple(rng.uniform(-5, 5, size=(2, 2, 6)) for _ in range(4))
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 0.9, PI, 5.0, TWO_PI]), blocks)
+    # pieces of degree 1, 3, 5 and 0, zero-padded to degree 5
+    blocks = [rng.uniform(-5, 5, size=(2, 2, d + 1)) for d in (1, 3, 5, 0)]
+    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 0.9, PI, 5.0, TWO_PI]), _padded(blocks))
     anti = pp_antiderivative(a)
     scale = anti.max_coeff()
     for k in range(1, len(anti.breakpoints) - 1):
         t = anti.breakpoints[k]
-        left = anti.pieces[k - 1]
-        right = anti.pieces[k]
+        left = anti.coeffs[k - 1]
+        right = anti.coeffs[k]
         lv = sum(left[:, :, d] * t ** d for d in range(left.shape[2]))
         rv = sum(right[:, :, d] * t ** d for d in range(right.shape[2]))
         assert np.abs(lv - rv).max() < 1e-12 * scale
@@ -157,9 +166,9 @@ def test_results_that_leave_the_float_range_are_range_errors():
     # as a validation error.  numpy's warning is silenced by the caller, as
     # the averaging layer does
     big = PiecewisePolyMatrix(10.0, np.array([0.0, 10.0]),
-                              (np.array([[[0.0, 1e308]]]),))  # 1e308 t on [0, 10]
+                              np.array([[[[0.0, 1e308]]]]))  # 1e308 t on [0, 10]
     two = PiecewisePolyMatrix(10.0, np.array([0.0, 5.0, 10.0]),
-                              (np.array([[[1e308]]]), np.array([[[1e308]]])))
+                              np.array([[[[1e308]]], [[[1e308]]]]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericRangeError, match="float range"):
             pp_mul(big, big)
@@ -182,23 +191,21 @@ def test_mismatch_errors():
 def test_degree_cap_enforced():
     big = np.zeros((1, 1, 40))
     big[0, 0, -1] = 1.0
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), (big,))
+    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), big[None])
     with pytest.raises(ModelError):
         pp_mul(a, a)  # degree 78 > 64
 
 
 def test_breakpoint_validation():
     with pytest.raises(ModelError):
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, 1.0, 1.0, TWO_PI]),
-                            tuple(np.zeros((1, 1, 1)) for _ in range(3)))
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, 1.0, 1.0, TWO_PI]), np.zeros((3, 1, 1, 1)))
     with pytest.raises(ModelError):
-        PiecewisePolyMatrix(TWO_PI, np.array([0.5, TWO_PI]), (np.zeros((1, 1, 1)),))
+        PiecewisePolyMatrix(TWO_PI, np.array([0.5, TWO_PI]), np.zeros((1, 1, 1, 1)))
 
 
 def test_non_finite_breakpoints_rejected():
     with pytest.raises(ModelError):
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, math.nan, TWO_PI]),
-                            tuple(np.zeros((1, 1, 1)) for _ in range(2)))
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, math.nan, TWO_PI]), np.zeros((2, 1, 1, 1)))
 
 
 # -- the cell axis: a stack of K functions over shared breakpoints ----------
@@ -211,10 +218,10 @@ def _convolve_mul(a, b):
     pieces = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid = 0.5 * (lo + hi)
-        pa = a.pieces[min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1,
-                          len(a.pieces) - 1)]
-        pb = b.pieces[min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1,
-                          len(b.pieces) - 1)]
+        pa = a.coeffs[min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1,
+                          len(a.coeffs) - 1)]
+        pb = b.coeffs[min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1,
+                          len(b.coeffs) - 1)]
         out = np.zeros((n, n, pa.shape[2] + pb.shape[2] - 1))
         for i in range(n):
             for j in range(n):
@@ -223,46 +230,53 @@ def _convolve_mul(a, b):
                     acc += np.convolve(pa[i, k], pb[k, j])
                 out[i, j] = acc
         pieces.append(out)
-    return PiecewisePolyMatrix(a.period, breaks, tuple(pieces))
+    return PiecewisePolyMatrix(a.period, breaks, np.stack(pieces))
 
 
 def _random_stack(rng, cells, n, degrees, breaks):
-    return PiecewisePolyMatrix(TWO_PI, np.asarray(breaks), tuple(
-        rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees))
+    """A stack whose pieces have the given degrees, zero-padded to the top one."""
+    return PiecewisePolyMatrix(TWO_PI, np.asarray(breaks), _padded(
+        [rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees]))
 
 
 def _cell(a, k):
     """Cell k of a stack as a single function."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, tuple(p[k] for p in a.pieces))
+    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[k])
 
 
 def _take(a, index):
     """The stack of cells ``index`` of a stack, in that order."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, tuple(p[index] for p in a.pieces))
+    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[index])
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_batched_product_agrees_with_convolve_reference(n):
     rng = np.random.default_rng(40 + n)
-    a = _random_stack(rng, 6, n, (2, 7), [0.0, PI, TWO_PI])
+    # pieces of unequal degree, each padded to its function's top degree
+    a = _random_stack(rng, 6, n, (1, 3), [0.0, PI, TWO_PI])
     b = _random_stack(rng, 6, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
     prod = pp_mul(a, b)
+    assert prod.max_degree == 8
+    # the true degree on each interval of [0, 1, pi, 4, 2 pi]: above it the
+    # padded coefficients multiply to exact zeros
+    for k, degree in enumerate((6, 1, 3, 6)):
+        assert not prod.coeffs[:, k, ..., degree + 1:].any()
     for k in range(6):
         want = _convolve_mul(_cell(a, k), _cell(b, k))
         assert np.array_equal(prod.breakpoints, want.breakpoints)
-        for got, ref in zip(prod.pieces, want.pieces):
-            assert got[k].shape == ref.shape
-            assert np.abs(got[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+        for got, ref in zip(prod.coeffs[k], want.coeffs):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _ops(a, b):
     """Every ppoly operation on a pair of stacks (or single functions)."""
     anti = pp_antiderivative(a)
     return {
-        "mul": pp_mul(a, b).pieces,
-        "add": pp_add(a, b).pieces,
-        "sub": pp_sub(a, b).pieces,
-        "antiderivative": anti.pieces,
+        "mul": (pp_mul(a, b).coeffs,),
+        "add": (pp_add(a, b).coeffs,),
+        "sub": (pp_sub(a, b).coeffs,),
+        "antiderivative": (anti.coeffs,),
         "eval": (pp_eval(a, 0.0), pp_eval(a, 2.5), pp_eval(anti, TWO_PI)),
         "average": (pp_average(b),),
         "max_coeff": (np.asarray(a.max_coeff()),),
@@ -296,16 +310,14 @@ def test_single_function_broadcasts_against_a_stack():
     rng = np.random.default_rng(8)
     stack = _random_stack(rng, 5, 3, (2, 6), [0.0, 2.0, TWO_PI])
     single = PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                                 tuple(rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)))
+                                 _padded([rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)]))
     assert single.cells is None and stack.cells == 5
     for op in (pp_mul, pp_add, pp_sub):
         left, right = op(single, stack), op(stack, single)
         assert left.cells == right.cells == 5
         for k in range(5):
-            for got, want in zip(left.pieces, op(single, _cell(stack, k)).pieces):
-                assert np.array_equal(got[k], want)
-            for got, want in zip(right.pieces, op(_cell(stack, k), single).pieces):
-                assert np.array_equal(got[k], want)
+            assert np.array_equal(left.coeffs[k], op(single, _cell(stack, k)).coeffs)
+            assert np.array_equal(right.coeffs[k], op(_cell(stack, k), single).coeffs)
 
 
 def test_stack_shape_errors():
@@ -313,12 +325,10 @@ def test_stack_shape_errors():
     with pytest.raises(ModelError, match="cell count"):
         pp_mul(_random_stack(rng, 3, 2, (1,), [0.0, TWO_PI]),
                _random_stack(rng, 4, 2, (1,), [0.0, TWO_PI]))
-    with pytest.raises(ModelError):  # pieces disagree on K
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                            (np.zeros((3, 2, 2, 1)), np.zeros((4, 2, 2, 1))))
-    with pytest.raises(ModelError):  # one stacked piece, one single piece
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                            (np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))))
+    with pytest.raises(ModelError):  # one (n, n, d+1) block without the piece axis
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), np.zeros((2, 2, 1)))
+    with pytest.raises(ModelError):  # a stack of stacks
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((3, 4, 2, 2, 2, 1)))
     stack = PiecewisePolyMatrix.constant(np.ones((3, 2, 2)), TWO_PI)
-    assert stack.cells == 3 and stack.pieces[0].shape == (3, 2, 2, 1)
+    assert stack.cells == 3 and stack.coeffs.shape == (3, 1, 2, 2, 1)
     assert np.array_equal(stack.max_coeff(), np.ones(3))

@@ -181,7 +181,7 @@ def test_det_series_expansion_matches_a_scalar_power_series(order):
     rng = np.random.default_rng(order)
     breaks = np.array([0.0, PI, TWO_PI])
     terms = tuple(
-        PiecewisePolyMatrix(TWO_PI, breaks, tuple(rng.uniform(-0.3, 0.3, (2, 2, 1)) for _ in range(2)))
+        PiecewisePolyMatrix(TWO_PI, breaks, rng.uniform(-0.3, 0.3, (2, 2, 2, 1)))
         for _ in range(3))
     system = SeriesSystem(TWO_PI, np.array([[0.0, 1.0], [0.0, 0.0]]), terms)
     _, h = averaging.standard_form(system)
@@ -220,6 +220,6 @@ def test_order_approximation_that_overflows_is_a_range_error(period, entry, mess
     # every ppoly coefficient is finite here: the overflow is in the graded
     # exponential terms, which gave inf and NaN entries and numpy warnings
     term = PiecewisePolyMatrix.constant(entry, period)
-    system = SeriesSystem(period, np.zeros_like(term.pieces[0][..., 0]), (term,))
+    system = SeriesSystem(period, np.zeros_like(term.coeffs[0, ..., 0]), (term,))
     with pytest.raises(NumericRangeError, match=message):
         order_approximation(system, 2)
