@@ -23,7 +23,7 @@ from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
-from .ppoly import DEGREE_CAP, PiecewisePolyMatrix
+from .ppoly import PiecewisePolyMatrix
 
 # model-file terms fill every order below the highest one, so the highest is capped
 MAX_TERM_ORDER = 64
@@ -89,7 +89,7 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
         raise ModelError("each term needs a non-empty 'pieces' list")
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
-    entries = []  # per piece, its n*n coefficient lists row by row
+    blocks = []
     for piece in pieces_doc:
         t_start = _piece_time(piece, "t_start")
         t_end = _piece_time(piece, "t_end")
@@ -97,39 +97,30 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
-        entries.append(_coefficient_lists(_piece_field(piece, "entries")))
+        blocks.append(_entries_block(_piece_field(piece, "entries")))
         breaks.append(t_end)
     if abs(breaks[-1] - period) > 1e-12 * period:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
-    n = math.isqrt(len(entries[0]))
-    if any(len(lists) != n * n for lists in entries):
-        raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a stack, "
-                         "with one common n and K")
-    # one array, every piece zero-padded to the term's top degree
-    coeffs = np.zeros((len(entries), n * n, max(len(c) for lists in entries for c in lists)))
-    try:
-        for k, lists in enumerate(entries):
-            for i, c in enumerate(lists):
-                coeffs[k, i, : len(c)] = c
-    except OverflowError as exc:
-        raise ModelError(f"malformed coefficient: {exc}") from None
-    return PiecewisePolyMatrix(period, np.asarray(breaks), coeffs.reshape(len(entries), n, n, -1))
+    return PiecewisePolyMatrix.from_blocks(period, np.asarray(breaks), blocks)
 
 
-def _coefficient_lists(entries) -> list:
-    """The coefficient lists (ascending powers of t) of a square nested list
-    of them, row by row; the degree is capped here, before any padding."""
+def _entries_block(entries) -> np.ndarray:
+    """(n, n, d+1) coefficients from a square nested list of coefficient
+    lists (ascending powers of t)."""
     n = len(entries) if isinstance(entries, list) else 0
     if n == 0 or not all(isinstance(row, list) and len(row) == n for row in entries):
         raise ModelError("entries must form a square matrix of coefficient lists")
     coeffs = [c for row in entries for c in row]
     if not all(isinstance(c, list) and c and all(_is_number(x) for x in c) for c in coeffs):
         raise ModelError("each entry must be a non-empty list of numbers")
-    degree = max(len(c) for c in coeffs) - 1
-    if degree > DEGREE_CAP:
-        raise ModelError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
-    return coeffs
+    block = np.zeros((n, n, max(len(c) for c in coeffs)))
+    try:
+        for k, c in enumerate(coeffs):
+            block[k // n, k % n, : len(c)] = c
+    except OverflowError as exc:
+        raise ModelError(f"malformed coefficient: {exc}") from None
+    return block
 
 
 def _is_number(x) -> bool:

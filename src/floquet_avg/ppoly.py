@@ -1,18 +1,19 @@
 """Exact calculus on piecewise-polynomial matrix functions of time.
 
-A T-periodic matrix function is stored as breakpoints 0 = t0 < ... < tm = T
-plus one (m, n, n, d+1) array of polynomial coefficients in the *global*
-time variable (ascending degree), every piece zero-padded to degree d.
-Using the global variable keeps refinement trivial (a piece restricted to a
-sub-interval reuses the same coefficients) and makes antiderivative
-constants a running-sum fixup.
+A T-periodic matrix function is stored as breakpoints 0 = t0 < ... < tm = T,
+the degree of each piece, and one (m, n, n, d+1) array of polynomial
+coefficients in the *global* time variable (ascending degree), every piece
+zero-padded to the top degree d.  Using the global variable keeps
+refinement trivial (a piece restricted to a sub-interval reuses the same
+coefficients) and makes antiderivative constants a running-sum fixup.
 
 A stack of K such functions over shared breakpoints -- one per cell of a
 parameter grid -- carries a leading cell axis, (K, m, n, n, d+1).  Every
-operation runs once over all pieces and broadcasts over the cell axis (a
-single function combines with a stack as if repeated K times), computing
-each coefficient by the same elementwise operations in the same order, so
-a cell's result does not depend on the other cells of the batch.
+operation runs once over all pieces of equal degrees and broadcasts over
+the cell axis (a single function combines with a stack as if repeated K
+times), computing each coefficient of a piece by the same elementwise
+operations in the same order as for that piece alone at its own degree,
+so a cell's result does not depend on the other cells of the batch.
 
 Products, antiderivatives, averages and point evaluation are all closed-form
 polynomial operations, so the averaging integrals downstream carry no
@@ -42,40 +43,64 @@ class PiecewisePolyMatrix:
     breakpoints : np.ndarray
         Strictly increasing, shape (m+1,), first 0, last T.
     coeffs : np.ndarray
-        Ascending powers of global t, every piece padded to one degree d:
+        Ascending powers of global t, every piece padded to the top degree d:
         (m, n, n, d+1) for one function, (K, m, n, n, d+1) for a stack of K.
         Right-continuous at interior breakpoints.
+    degrees : tuple of int, optional
+        The degree of each piece, d for all by default; coefficients above
+        it must be zero, and d is cut to the largest.
     """
 
     period: float
     breakpoints: np.ndarray
     coeffs: np.ndarray
+    degrees: tuple = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ModelError("period must be positive and finite")
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ModelError("need at least two breakpoints")
-        if not np.isfinite(bp).all():
-            raise ModelError("breakpoints must be finite")
-        if abs(bp[0]) > _BREAK_MERGE_REL * self.period:
-            raise ModelError("first breakpoint must be 0")
-        if abs(bp[-1] - self.period) > _BREAK_MERGE_REL * self.period:
-            raise ModelError("last breakpoint must equal the period")
-        if not (bp[1:] > bp[:-1]).all():
-            raise ModelError("breakpoints must be strictly increasing")
+        bp = _checked_breakpoints(self.period, self.breakpoints)
         c = np.asarray(self.coeffs, dtype=float)
         if (c.ndim not in (4, 5) or c.shape[-4] != bp.size - 1 or c.shape[-3] != c.shape[-2]
                 or c.shape[-1] == 0):
             raise ModelError("coefficients must be (m, n, n, d+1), or (K, m, n, n, d+1) for a "
                              "stack, with one piece per interval")
-        if c.shape[-1] - 1 > DEGREE_CAP:
-            raise ModelError(f"polynomial degree {c.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
+        deg = (c.shape[-1] - 1,) * (bp.size - 1) if self.degrees is None \
+            else tuple(map(int, self.degrees))
+        if len(deg) != bp.size - 1 or min(deg) < 0 or max(deg) >= c.shape[-1]:
+            raise ModelError("degrees must give each piece a degree within its coefficients")
+        top = max(deg)
+        if top > DEGREE_CAP:
+            raise ModelError(f"polynomial degree {top} exceeds cap {DEGREE_CAP}")
+        if top + 1 < c.shape[-1]:
+            c = c[..., : top + 1]
         if not np.isfinite(c).all():
             raise ModelError("piece coefficients must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "degrees", deg)
+
+    @classmethod
+    def from_blocks(cls, period: float, breakpoints, blocks) -> "PiecewisePolyMatrix":
+        """One function from per-piece (n, n, d_k+1) coefficient blocks, or
+        (K, n, n, d_k+1) for a stack, checked in piece order, then padded."""
+        bp = _checked_breakpoints(period, breakpoints)
+        blocks = [np.asarray(p, dtype=float) for p in blocks]
+        if len(blocks) != bp.size - 1:
+            raise ModelError("number of pieces must match interval count")
+        for p in blocks:
+            if (p.ndim not in (3, 4) or p.shape[:-1] != blocks[0].shape[:-1]
+                    or p.shape[-3] != p.shape[-2] or p.shape[-1] == 0):
+                raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a "
+                                 "stack, with one common n and K")
+            if p.shape[-1] - 1 > DEGREE_CAP:
+                raise ModelError(f"polynomial degree {p.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
+            if not np.isfinite(p).all():
+                raise ModelError("piece coefficients must be finite")
+        degrees = tuple(p.shape[-1] - 1 for p in blocks)
+        coeffs = np.zeros(blocks[0].shape[:-3] + (len(blocks),) + blocks[0].shape[-3:-1]
+                          + (max(degrees) + 1,))
+        for k, p in enumerate(blocks):
+            coeffs[..., k, :, :, : p.shape[-1]] = p
+        return cls(period, bp, coeffs, degrees)
 
     @property
     def dim(self) -> int:
@@ -108,6 +133,23 @@ class PiecewisePolyMatrix:
         return float(out) if self.cells is None else out
 
 
+def _checked_breakpoints(period: float, breakpoints) -> np.ndarray:
+    if not (np.isfinite(period) and period > 0):
+        raise ModelError("period must be positive and finite")
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1 or bp.size < 2:
+        raise ModelError("need at least two breakpoints")
+    if not np.isfinite(bp).all():
+        raise ModelError("breakpoints must be finite")
+    if abs(bp[0]) > _BREAK_MERGE_REL * period:
+        raise ModelError("first breakpoint must be 0")
+    if abs(bp[-1] - period) > _BREAK_MERGE_REL * period:
+        raise ModelError("last breakpoint must equal the period")
+    if not (bp[1:] > bp[:-1]).all():
+        raise ModelError("breakpoints must be strictly increasing")
+    return bp
+
+
 def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
     if a.dim != b.dim:
         raise ModelError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -134,24 +176,25 @@ def _union_breakpoints(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> np.nda
     return np.asarray(keep)
 
 
-def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray) -> np.ndarray:
-    """The coefficients of ``a`` in force on each interval of ``breaks``; a
-    single piece is left to broadcast over the intervals."""
+def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray):
+    """The coefficients and degrees of ``a`` in force on each interval of
+    ``breaks``; a single piece is left to broadcast over the intervals."""
     m = a.coeffs.shape[-4]
     if a.breakpoints is breaks or m == 1:
-        return a.coeffs
+        return a.coeffs, a.degrees
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
-    return a.coeffs[..., idx, :, :, :]
+    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist())
 
 
-def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray) -> PiecewisePolyMatrix:
+def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray,
+             degrees: tuple) -> PiecewisePolyMatrix:
     """The result of an operation on finite functions: a non-finite
     coefficient there means an intermediate left the float range.  numpy's
     overflow warning is the caller's to silence (the averaging layer runs
     under ``np.errstate``)."""
     try:
-        return PiecewisePolyMatrix(period, breaks, coeffs)
+        return PiecewisePolyMatrix(period, breaks, coeffs, degrees)
     except ModelError:
         if np.isfinite(coeffs).all():
             raise
@@ -159,11 +202,33 @@ def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray) -> Piecewise
             from None
 
 
-def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op) -> PiecewisePolyMatrix:
-    """``op`` applied to all pieces at once over the union of the two breakpoint sets."""
+def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op, out_degree):
+    """``op`` over the union of the two breakpoint sets, called once per class
+    of pieces with equal degrees and cut to them, so each piece is computed
+    at its own degrees; ``out_degree`` maps two pieces' degrees to the
+    result's."""
     _check_compatible(a, b)
     breaks = _union_breakpoints(a, b)
-    return _derived(a.period, breaks, op(_pieces_on(a, breaks), _pieces_on(b, breaks)))
+    (pa, da), (pb, db) = _pieces_on(a, breaks), _pieces_on(b, breaks)
+    m = max(len(da), len(db))  # a single piece stands for every interval
+    da, db = da * (m // len(da)), db * (m // len(db))
+    deg = tuple(map(out_degree, da, db))
+    classes = set(zip(da, db))
+    if len(classes) == 1:  # every piece at the same degrees, the arrays' own
+        return _derived(a.period, breaks, op(pa, pb), deg)
+    out = np.zeros(np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1]) + (max(deg) + 1,))
+    for p, q in sorted(classes):
+        sel = [k for k, pq in enumerate(zip(da, db)) if pq == (p, q)]
+        pieces = [x[..., : d + 1] if x.shape[-4] == 1 else x[..., sel, :, :, : d + 1]
+                  for x, d in ((pa, p), (pb, q))]
+        out[..., sel, :, :, : out_degree(p, q) + 1] = op(*pieces)
+    return _derived(a.period, breaks, out, deg)
+
+
+def _product_degree(p: int, q: int) -> int:
+    if p + q > DEGREE_CAP:
+        raise ModelError(f"product degree {p + q} exceeds cap {DEGREE_CAP}")
+    return p + q
 
 
 def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -172,11 +237,9 @@ def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     A broadcast multiply-accumulate over the degree axis: the loop runs
     over the contracted index and the degrees of the shorter factor, so
     every output coefficient sums its products in an order fixed by the
-    shapes alone.
+    two degrees alone.
     """
     n, da, db = pa.shape[-2], pa.shape[-1], pb.shape[-1]
-    if da + db - 2 > DEGREE_CAP:
-        raise ModelError(f"product degree {da + db - 2} exceeds cap {DEGREE_CAP}")
     lead = np.broadcast_shapes(pa.shape[:-3], pb.shape[:-3])
     out = np.zeros(lead + (n, n, da + db - 1))
     for k in range(n):
@@ -191,7 +254,7 @@ def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 
 def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """Pointwise matrix product a(t) @ b(t) as a piecewise polynomial."""
-    return _combine(a, b, _poly_matmul)
+    return _combine(a, b, _poly_matmul, _product_degree)
 
 
 def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
@@ -203,11 +266,11 @@ def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
 
 
 def pp_add(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    return _combine(a, b, lambda x, y: _pad_add(x, y, 1.0))
+    return _combine(a, b, lambda x, y: _pad_add(x, y, 1.0), max)
 
 
 def pp_sub(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    return _combine(a, b, lambda x, y: _pad_add(x, y, -1.0))
+    return _combine(a, b, lambda x, y: _pad_add(x, y, -1.0), max)
 
 
 def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
@@ -227,7 +290,7 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
         raise NumericRangeError(f"t = {t:g} outside [0, {a.period:g}]")
     idx = int(np.searchsorted(a.breakpoints, t, side="right")) - 1
     idx = min(max(idx, 0), a.coeffs.shape[-4] - 1)
-    value = _eval_block(a.coeffs[..., idx, :, :, :], t)
+    value = _eval_block(a.coeffs[..., idx, :, :, : a.degrees[idx] + 1], t)
     if not np.isfinite(value).all():
         raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
@@ -247,7 +310,7 @@ def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
         const = running - at_lo[..., k, :, :]
         anti[..., k, :, :, 0] = const
         running = at_hi[..., k, :, :] + const
-    return _derived(a.period, a.breakpoints.copy(), anti)
+    return _derived(a.period, a.breakpoints.copy(), anti, tuple(k + 1 for k in a.degrees))
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:

@@ -258,6 +258,47 @@ def test_custom_model_with_polynomial_term_skips_pc_oracle(tmp_path, capsys):
     assert doc["exact_rk"]["F"] is not None
 
 
+def _graded_piece(t0, t1, degree, scale):
+    """A piece on [t0, t1] whose lower row is scale * (0.3, -0.1) * sum (t/2)^k, k <= degree."""
+    return {"t_start": t0, "t_end": t1, "entries": [
+        [[0.0], [0.0]],
+        [[0.3 * scale * 0.5 ** k for k in range(degree + 1)],
+         [-0.1 * scale * 0.5 ** k for k in range(degree + 1)]]]}
+
+
+def test_model_pieces_of_unequal_degree_give_the_pinned_document(tmp_path, capsys):
+    # every piece is computed at its own degrees: padding a piece to the top
+    # degree of its term must not change the order its products are summed
+    # in, so these values, from per-piece arithmetic, are pinned bitwise
+    path = _write_model(tmp_path, [
+        {"order": 1, "pieces": [_graded_piece(0.0, 1.0, 5, 1.0), _graded_piece(1.0, 2.0, 0, -1.0)]},
+        {"order": 2, "pieces": [_graded_piece(0.0, 1.0, 0, 0.5), _graded_piece(1.0, 2.0, 4, 0.5)]},
+    ])
+    code, out, _ = run_cli(capsys, ["analyze", "--model-file", path, "--order", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["A"][2] == [[-0.04500465730390743, -0.0028146585853246683],
+                           [0.06346383688060066, 0.045004657303907514]]
+    assert doc["F_approx"] == [[1.8765745566224643, 2.185251621309882],
+                               [0.7733995231667936, 1.367819733764952]]
+    assert doc["det_series"] == 0.7805875814571114
+
+
+def test_model_pieces_of_unequal_degree_are_capped_piece_by_piece(tmp_path, capsys):
+    # the product cap applies to each interval's own degrees (here at most
+    # 60 at order 3), not to the sum of the two terms' top degrees (65)
+    path = _write_model(tmp_path, [
+        {"order": 1, "pieces": [_graded_piece(0.0, 1.0, 10, 1.0), _graded_piece(1.0, 2.0, 0, 1.0)]},
+        {"order": 2, "pieces": [_graded_piece(0.0, 1.0, 0, 1.0), _graded_piece(1.0, 2.0, 55, 1.0)]},
+    ])
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", path, "--order", "3"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["order"] == 3
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", path, "--order", "4"])
+    assert code == 2 and out == ""
+    assert err == "floquet-avg: order 4 too high: product degree 115 exceeds cap 64\n"
+
+
 def test_custom_model_validation_errors(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "custom", "period": 2.0,

@@ -105,15 +105,15 @@ def test_rk_caps_the_steps_over_all_pieces(monkeypatch):
 
 
 def test_rk_stack_slices_equal_single_systems():
-    # a piece of degree 1 and one of degree 0, padded to degree 1
+    # pieces of degree 1 and 0 are padded to one dense array
     rng = np.random.default_rng(23)
-    coeffs = np.zeros((5, 2, 2, 2, 2))
-    coeffs[:, 0] = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
-    coeffs[:, 1, ..., :1] = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
-    stack = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 2.0, TWO_PI]), coeffs)
+    linear = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
+    const = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
+    stack = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, 2.0, TWO_PI]), (linear, const))
+    assert stack.degrees == (1, 0) and stack.coeffs.shape == (5, 2, 2, 2, 2)
     batched = exact_monodromy_rk(stack, 64)
     for k in range(5):
-        alone = PiecewisePolyMatrix(TWO_PI, stack.breakpoints, coeffs[k])
+        alone = PiecewisePolyMatrix.from_blocks(TWO_PI, stack.breakpoints, (linear[k], const[k]))
         assert np.array_equal(batched[k], exact_monodromy_rk(alone, 64))
 
 

@@ -30,14 +30,6 @@ def pendulum_h1(eps=1.0):
     )
 
 
-def _padded(blocks):
-    """One coefficient array from per-piece blocks of any degree, each
-    zero-padded to the top degree: (m, ...) for (..., n, n, d_k+1) blocks."""
-    top = max(b.shape[-1] for b in blocks)
-    return np.stack([np.concatenate((b, np.zeros(b.shape[:-1] + (top - b.shape[-1],))), axis=-1)
-                     for b in blocks], axis=-4)
-
-
 def pendulum_a1(eps=1.0):
     return (eps / TWO_PI) * np.array([[PI ** 2, 2 * PI ** 3], [0.0, -PI ** 2]])
 
@@ -138,8 +130,10 @@ def test_antiderivative_is_continuous_at_breakpoints():
     rng = np.random.default_rng(13)
     # pieces of degree 1, 3, 5 and 0, zero-padded to degree 5
     blocks = [rng.uniform(-5, 5, size=(2, 2, d + 1)) for d in (1, 3, 5, 0)]
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 0.9, PI, 5.0, TWO_PI]), _padded(blocks))
+    a = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, 0.9, PI, 5.0, TWO_PI]), blocks)
+    assert a.degrees == (1, 3, 5, 0) and a.coeffs.shape == (4, 2, 2, 6)
     anti = pp_antiderivative(a)
+    assert anti.degrees == (2, 4, 6, 1)
     scale = anti.max_coeff()
     for k in range(1, len(anti.breakpoints) - 1):
         t = anti.breakpoints[k]
@@ -194,6 +188,17 @@ def test_degree_cap_enforced():
     a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), big[None])
     with pytest.raises(ModelError):
         pp_mul(a, a)  # degree 78 > 64
+    # the cap is per interval: degree 39 meets degree 0, then 0 meets 39
+    high_low = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                               [big, np.ones((1, 1, 1))])
+    low_high = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                               [np.ones((1, 1, 1)), big])
+    assert pp_mul(high_low, low_high).degrees == (39, 39)
+    with pytest.raises(ModelError, match="product degree 78 exceeds cap 64"):
+        pp_mul(high_low, high_low)
+    with pytest.raises(ModelError, match="polynomial degree 65 exceeds cap 64"):
+        PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                        [np.ones((1, 1, 1)), np.ones((1, 1, 66))])
 
 
 def test_breakpoint_validation():
@@ -218,10 +223,10 @@ def _convolve_mul(a, b):
     pieces = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid = 0.5 * (lo + hi)
-        pa = a.coeffs[min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1,
-                          len(a.coeffs) - 1)]
-        pb = b.coeffs[min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1,
-                          len(b.coeffs) - 1)]
+        ka = min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1, len(a.coeffs) - 1)
+        kb = min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1, len(b.coeffs) - 1)
+        pa = a.coeffs[ka, ..., : a.degrees[ka] + 1]
+        pb = b.coeffs[kb, ..., : b.degrees[kb] + 1]
         out = np.zeros((n, n, pa.shape[2] + pb.shape[2] - 1))
         for i in range(n):
             for j in range(n):
@@ -230,23 +235,23 @@ def _convolve_mul(a, b):
                     acc += np.convolve(pa[i, k], pb[k, j])
                 out[i, j] = acc
         pieces.append(out)
-    return PiecewisePolyMatrix(a.period, breaks, np.stack(pieces))
+    return PiecewisePolyMatrix.from_blocks(a.period, breaks, pieces)
 
 
 def _random_stack(rng, cells, n, degrees, breaks):
     """A stack whose pieces have the given degrees, zero-padded to the top one."""
-    return PiecewisePolyMatrix(TWO_PI, np.asarray(breaks), _padded(
-        [rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees]))
+    return PiecewisePolyMatrix.from_blocks(TWO_PI, np.asarray(breaks), [
+        rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees])
 
 
 def _cell(a, k):
     """Cell k of a stack as a single function."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[k])
+    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[k], a.degrees)
 
 
 def _take(a, index):
     """The stack of cells ``index`` of a stack, in that order."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[index])
+    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[index], a.degrees)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -256,17 +261,45 @@ def test_batched_product_agrees_with_convolve_reference(n):
     a = _random_stack(rng, 6, n, (1, 3), [0.0, PI, TWO_PI])
     b = _random_stack(rng, 6, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
     prod = pp_mul(a, b)
-    assert prod.max_degree == 8
-    # the true degree on each interval of [0, 1, pi, 4, 2 pi]: above it the
-    # padded coefficients multiply to exact zeros
-    for k, degree in enumerate((6, 1, 3, 6)):
+    # each interval of [0, 1, pi, 4, 2 pi] has its own degree, not the sum
+    # of the two top degrees (8); above it the padding stays exact zeros
+    assert prod.degrees == (6, 1, 3, 6) and prod.max_degree == 6
+    for k, degree in enumerate(prod.degrees):
         assert not prod.coeffs[:, k, ..., degree + 1:].any()
     for k in range(6):
         want = _convolve_mul(_cell(a, k), _cell(b, k))
         assert np.array_equal(prod.breakpoints, want.breakpoints)
+        assert prod.degrees == want.degrees
         for got, ref in zip(prod.coeffs[k], want.coeffs):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cells", [None, 4])
+def test_each_piece_equals_its_own_one_piece_run_bitwise(cells):
+    # a product sums in an order fixed by the two pieces' own degrees, and a
+    # sum pads by them: padding a piece to its function's top degree, or
+    # meeting pieces of other degrees, changes none of its bits
+    rng = np.random.default_rng(14)
+    shape = () if cells is None else (cells,)
+    breaks = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
+    a = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, [
+        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (1, 5, 0, 3)])
+    b = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, [
+        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (4, 2, 0, 6)])
+
+    def alone(f, k):
+        block = f.coeffs[..., k:k + 1, :, :, : f.degrees[k] + 1]
+        return PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), block)
+
+    for op in (pp_mul, pp_add, pp_sub):
+        whole = op(a, b)
+        for k in range(4):
+            piece = op(alone(a, k), alone(b, k))
+            assert whole.degrees[k] == piece.max_degree
+            assert np.array_equal(whole.coeffs[..., k:k + 1, :, :, : piece.max_degree + 1],
+                                  piece.coeffs)
+            assert not whole.coeffs[..., k, :, :, piece.max_degree + 1:].any()
 
 
 def _ops(a, b):
@@ -309,8 +342,8 @@ def test_every_cell_of_a_batch_equals_its_own_run_bitwise():
 def test_single_function_broadcasts_against_a_stack():
     rng = np.random.default_rng(8)
     stack = _random_stack(rng, 5, 3, (2, 6), [0.0, 2.0, TWO_PI])
-    single = PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                                 _padded([rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)]))
+    single = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                             [rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)])
     assert single.cells is None and stack.cells == 5
     for op in (pp_mul, pp_add, pp_sub):
         left, right = op(single, stack), op(stack, single)
@@ -329,6 +362,18 @@ def test_stack_shape_errors():
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), np.zeros((2, 2, 1)))
     with pytest.raises(ModelError):  # a stack of stacks
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((3, 4, 2, 2, 2, 1)))
+    for degrees in ((2,), ()):  # one degree, or none, for two pieces
+        with pytest.raises(ModelError):
+            PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)),
+                                degrees)
+    with pytest.raises(ModelError):  # a degree beyond the coefficients
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)), (2, 3))
+    with pytest.raises(ModelError):  # pieces disagree on K
+        PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                        (np.zeros((3, 2, 2, 1)), np.zeros((4, 2, 2, 1))))
+    with pytest.raises(ModelError):  # one stacked piece, one single piece
+        PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                        (np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))))
     stack = PiecewisePolyMatrix.constant(np.ones((3, 2, 2)), TWO_PI)
     assert stack.cells == 3 and stack.coeffs.shape == (3, 1, 2, 2, 1)
     assert np.array_equal(stack.max_coeff(), np.ones(3))
