@@ -260,21 +260,29 @@ def cmd_analyze(args) -> int:
     else:
         doc["approx"] = None
 
-    def oracle_report(f):
-        if sys_.dim == 2:
-            return _report_dict(stability.classify(f, args.tolerance), f)
-        return {"F": _matrix_list(f)}
-
     # both oracles integrate the one J(t); the exponential products need degree 0
     total = averaging.series_total(sys_)
-    doc["exact_pc"] = oracle_report(exact_monodromy_pc(total)) if total.max_degree == 0 else None
-    doc["exact_rk"] = oracle_report(exact_monodromy_rk(total, args.rk_steps))
+    doc["exact_pc"] = _exact_pc_report(total, args.tolerance) if total.max_degree == 0 else None
+    f_rk = exact_monodromy_rk(total, args.rk_steps)
+    doc["exact_rk"] = (_report_dict(stability.classify(f_rk, args.tolerance), f_rk)
+                       if sys_.dim == 2 else {"F": _matrix_list(f_rk)})
 
     if args.format == "json":
         _write_output(dumps_json(doc) + "\n", args.output)
     else:
         _write_output(_render_text(doc), args.output)
     return EXIT_OK
+
+
+def _exact_pc_report(total: PiecewisePolyMatrix, tolerance: float) -> dict:
+    """The exponential-product oracle's report on a degree-0 J(t); a 2x2
+    report takes tr F and Liouville's det F from :func:`stability.pc_monodromy`,
+    as exact-pc scan cells do, not f00 f11 - f01 f10 of the F it prints."""
+    if total.dim != 2:
+        return {"F": _matrix_list(exact_monodromy_pc(total))}
+    f, trace, det = stability.pc_monodromy(np.diff(total.breakpoints), total.coeffs[None, ..., 0])
+    report = stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
+    return _report_dict(report, f[0])
 
 
 def _render_text(doc, prefix="") -> str:

@@ -113,11 +113,19 @@ def _checked_points(omegas, epss, beta: float):
           & bool(np.isfinite(beta) and beta >= 0.0))
     if not ok.all():
         k = int(np.argmin(ok))
-        PendulumParams(omegas[k], epss[k], beta)
-    # libm pow, not omega * omega: the two differ in the last bit for about
-    # one omega in a thousand, and the exact charts and boundaries use pow
-    w2 = np.array([w ** 2 for w in omegas.tolist()])
-    return omegas, epss, w2
+        PendulumParams(float(omegas[k]), float(epss[k]), beta)
+    return omegas, epss, _squares(omegas)
+
+
+def _squares(omega):
+    """omega ** 2 of a float, or of each element of an array, by libm pow.
+
+    Not omega * omega: the two differ in the last bit for about one omega in
+    a thousand, and every scalar formula of this module uses pow.
+    """
+    if isinstance(omega, np.ndarray):
+        return np.array([w ** 2 for w in omega.tolist()])
+    return omega ** 2
 
 
 class Order2Boundary(NamedTuple):
@@ -151,54 +159,66 @@ class BoundaryRoot:
     eps: float
 
 
-def quartic_coefficients(omega: float, beta: float, branch: str):
+def quartic_coefficients(omega, beta: float, branch: str):
     """(a, b, c) of a*x^2 + b*x + c = 0 with x = eps^2 for the branch.
 
     Both branches share a = pi^8/1260 and the middle coefficient
     b = -(pi^4/3)(1 + 4*pi^2*omega^2/15 - pi*beta*omega); they differ in
-    the constant term.
+    the constant term.  ``omega`` is a float, or an array for which b and c
+    are arrays.
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
     pi = math.pi
+    w2 = _squares(omega)
     a = pi ** 8 / 1260.0
-    b = -(pi ** 4 / 3.0) * (1.0 + 4.0 * pi ** 2 * omega ** 2 / 15.0 - pi * beta * omega)
+    b = -(pi ** 4 / 3.0) * (1.0 + 4.0 * pi ** 2 * w2 / 15.0 - pi * beta * omega)
     if branch == "p":
-        c = 4.0 * pi ** 2 * omega ** 2 * (1.0 + pi ** 2 * omega ** 2 / 3.0 - beta * omega * pi)
+        c = 4.0 * pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi)
     else:
         c = 4.0 * (
             1.0
             - beta * pi * omega
-            + pi ** 2 * omega ** 2 * (1.0 + pi ** 2 * omega ** 2 / 3.0 - beta * omega * pi + beta ** 2)
+            + pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi + beta ** 2)
         )
     return a, b, c
 
 
-def boundary_order4(omega: float, beta: float) -> list[BoundaryRoot]:
-    """Fourth-order boundaries: positive roots of the two quartics in eps.
+def order4_roots(omegas, beta: float) -> np.ndarray:
+    """Fourth-order boundaries at K omegas and one beta, in one numpy pass:
+    eps indexed [branch (p, n), domain (first, second), omega], NaN where absent.
 
     Each quartic is a quadratic in eps^2; real roots are labeled by
     magnitude -- the smaller eps^2 root bounds the first stability domain,
     the larger the second.  Complex eps^2 roots mean the branch has no
-    boundary at this omega.
+    boundary at that omega.  Each omega gets the arithmetic it gets alone.
     """
-    PendulumParams(omega, 0.0, beta)
-    roots = []
-    for branch in ("p", "n"):
-        a, b, c = quartic_coefficients(omega, beta, branch)
+    omegas = _checked_points(omegas, np.zeros(np.size(omegas)), beta)[0]
+    a, b, c_p = quartic_coefficients(omegas, beta, "p")
+    c = np.stack((c_p, quartic_coefficients(omegas, beta, "n")[2]))
+    with np.errstate(all="ignore"):
         disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        sq = math.sqrt(disc)
+        sq = np.sqrt(disc)
         # stable quadratic: larger-magnitude root first, mate via c/(a*x1)
-        x1 = (-b + sq) / (2.0 * a) if b <= 0.0 else (-b - sq) / (2.0 * a)
-        x2 = c / (a * x1) if x1 != 0.0 else 0.0
-        lo, hi = sorted((x1, x2))
-        if lo > 0.0:
-            roots.append(BoundaryRoot(branch, "first", math.sqrt(lo)))
-        if hi > 0.0:
-            roots.append(BoundaryRoot(branch, "second", math.sqrt(hi)))
-    return roots
+        x1 = np.where(b <= 0.0, (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
+        x2 = np.where(x1 != 0.0, c / (a * x1), 0.0)
+        # the order sorted((x1, x2)) gives, NaN included
+        swap = x2 < x1
+        lo, hi = np.where(swap, x2, x1), np.where(swap, x1, x2)
+        real = ~(disc < 0.0)
+        first = np.where(real & (lo > 0.0), np.sqrt(lo), np.nan)
+        second = np.where(real & (hi > 0.0), np.sqrt(hi), np.nan)
+    return np.stack((first, second), axis=1)
+
+
+def boundary_order4(omega: float, beta: float) -> list[BoundaryRoot]:
+    """Fourth-order boundaries at one omega: the positive roots of the two
+    quartics in eps, from :func:`order4_roots`."""
+    roots = order4_roots(np.array([omega], dtype=float), beta)[:, :, 0].tolist()
+    return [BoundaryRoot(branch, domain, eps)
+            for branch, per_domain in zip(("p", "n"), roots)
+            for domain, eps in zip(("first", "second"), per_domain)
+            if not math.isnan(eps)]
 
 
 def order4_root(omega: float, beta: float, branch: str, domain: str = "first") -> Optional[float]:

@@ -13,7 +13,7 @@ results do not depend on the batch.  All of it is single-threaded.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,9 +26,10 @@ from .stability import StabilityReport
 EXACT_METHODS = ("exact-pc", "exact-rk")
 ORDER_METHODS = tuple(f"order{k}" for k in range(1, averaging.MAX_ORDER + 1))
 
-# exact-boundary brackets are seeded from the order-4 prediction +/-30%,
-# clipped at the p/n midpoint so a bracket never straddles the whole band
+# exact-boundary brackets are seeded from the order-4 prediction +/-30%
 _BRACKET_REL = 0.30
+# the sign s of the factor 1 + det F + s tr F whose zero is branch p, n
+_BRANCH_SIGNS = np.array([-1.0, 1.0])
 
 
 def axis_samples(axis) -> np.ndarray:
@@ -167,29 +168,14 @@ def _resolve_threads(threads: Optional[int]) -> int:
 EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
 
 
-def boundary_margin(omega: float, beta: float, method: str):
-    """Scalar margin in eps whose zero is the requested boundary curve.
-
-    Exact methods use the exponential-product margin; order-K methods
-    use the order-K trace partial sum against the graded determinant
-    truncation, so their zeros coincide with the closed-form boundary
-    expressions of the same order.  The one-point case of the batched
-    margins.
-    """
-    margin = _margin_stack(np.array([float(omega)]), beta, method)
-
-    def scalar(eps):
-        return float(margin(np.zeros(1, dtype=int), np.array([float(eps)]))[0])
-
-    return scalar
-
-
-def _margin_stack(omegas, beta: float, method: str):
+def _margin_stack(omegas, beta: float, method: str, signs=None):
     """margin(index, eps): the boundary margins of samples ``index`` (at
     ``omegas[index]``) evaluated at ``eps``, in one batch.
 
-    The margin is det F + 1 - |tr F| of the method's monodromy invariants;
-    the exact boundary methods use those of exact-pc scan cells.
+    The margin is det F + 1 - |tr F| of the method's monodromy invariants,
+    a scan cell's margin_trace, or given ``signs`` each sample's
+    :func:`stability.branch_factor`, which equals it near the branch's
+    root.  The exact boundary methods use the invariants of exact-pc cells.
     """
     if method in EXACT_BOUNDARY_METHODS:
         method = "exact-pc"
@@ -197,7 +183,10 @@ def _margin_stack(omegas, beta: float, method: str):
         raise ModelError(f"unknown method {method!r}")
 
     def margin(index, eps):
-        return stability.margins(*_batched_invariants(method, omegas[index], eps, beta))[0]
+        trace, det = _batched_invariants(method, omegas[index], eps, beta)
+        if signs is None:
+            return stability.margins(trace, det)[0]
+        return stability.branch_factor(trace, det, signs[index])
 
     return margin
 
@@ -283,7 +272,8 @@ def _bisect(margin, lo, hi, tol: float):
 
 def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,
                     tol: float = 1e-10) -> float:
-    """Root of the scalar margin in a bracket that straddles a sign change.
+    """Root of the margin det F + 1 - |tr F| in a bracket that straddles a
+    sign change.
 
     The one-sample case of the lockstep root finder :func:`_bisect`, so
     its root is bitwise the one a batch gives.  The root finder is the
@@ -308,76 +298,49 @@ class BoundaryCurve:
     omitted: int = 0
 
 
-def _order4_first(omega: float, beta: float) -> dict:
-    """First-domain order-4 boundary eps per branch ('p', 'n'), None where
-    the branch vanishes; both branches from one quartic solve."""
-    first = {"p": None, "n": None}
-    for root in pendulum.boundary_order4(omega, beta):
-        if root.domain == "first":
-            first[root.branch] = root.eps
-    return first
-
-
-def _exact_bracket(order4: dict, branch: str):
-    """Bracket for the exact first-domain boundary, seeded from the
-    first-domain order-4 roots ``order4`` (see :func:`_order4_first`)."""
-    eps_p, eps_n = order4["p"], order4["n"]
-    seed = order4[branch]
-    if seed is None or seed <= 0.0:
-        return None
-    lo = (1.0 - _BRACKET_REL) * seed
-    hi = (1.0 + _BRACKET_REL) * seed
-    if eps_p is not None and eps_n is not None and eps_p < eps_n:
-        mid = 0.5 * (eps_p + eps_n)
-        if branch == "p":
-            hi = min(hi, mid)
-        else:
-            lo = max(lo, mid)
-    if not lo < hi:
-        return None
-    return lo, hi
-
-
 def trace_boundary(omega_range, beta: float, branch: str, method: str,
                    tol: float = 1e-10) -> BoundaryCurve:
     """First-domain boundary curve over an omega range.
 
-    order2/order4 evaluate their closed forms; exact methods find the
-    root of the exact margin inside an order-4-seeded bracket, all samples
-    in lockstep.  Samples whose branch vanishes or whose bracket shows no
-    sign change are omitted.
+    order2/order4 evaluate their closed forms; exact methods find the root
+    of the branch's exact factor inside an order-4-seeded bracket, all
+    samples in lockstep.  Samples whose branch vanishes or whose bracket
+    shows no sign change are omitted.
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
-    omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
-    omegas = [float(omega) for omega in omegas]
+    omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
+                        else range_samples(omega_range), dtype=float)
     if method in EXACT_BOUNDARY_METHODS:
-        order4 = [_order4_first(omega, beta) for omega in omegas]
-        eps = _exact_samples(omegas, beta, [branch] * len(omegas), order4, tol)
+        k = "pn".index(branch)
+        seeds = pendulum.order4_roots(omegas, beta)[k, 0]
+        eps = _exact_samples(omegas, beta, np.full(omegas.size, _BRANCH_SIGNS[k]), seeds, tol)
     else:
-        eps = [_boundary_sample(omega, beta, branch, method) for omega in omegas]
-    points = tuple((omega, e) for omega, e in zip(omegas, eps) if e is not None)
+        eps = [_boundary_sample(omega, beta, branch, method) for omega in omegas.tolist()]
+    points = tuple((omega, e) for omega, e in zip(omegas.tolist(), eps) if e is not None)
     return BoundaryCurve(branch, method, points, len(eps) - len(points))
 
 
-def _exact_samples(omegas, beta: float, branches, order4, tol: float) -> list:
-    """Exact first-domain boundary eps per (omega, branch) sample, None
-    where the sample is omitted; ``order4`` holds each sample's
-    :func:`_order4_first` roots, and the bracketed samples find their roots
-    in lockstep."""
+def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> list:
+    """Exact first-domain boundary eps per sample, None where it is omitted.
+
+    Sample k at ``omegas[k]`` finds the root of its branch factor, sign
+    ``signs[k]``, inside its order-4 root ``seeds[k]`` +/-30% (NaN where
+    the order-4 branch vanishes); the bracketed samples find their roots in
+    lockstep.  One branch's factor does not vanish on the other branch, so
+    a bracket that reaches past it needs no clip there.
+    """
 
     def run(index):
-        brackets = [_exact_bracket(order4[i], branches[i]) for i in index]
-        held = [k for k, bracket in enumerate(brackets) if bracket is not None]
-        margin = _margin_stack(np.array([omegas[index[k]] for k in held]), beta, "exact")
-        roots = _bisect(margin, [brackets[k][0] for k in held],
-                        [brackets[k][1] for k in held], tol)[0]
-        eps = [None] * len(brackets)
-        for k, root in zip(held, roots.tolist()):
-            eps[k] = None if math.isnan(root) else root
+        lo = (1.0 - _BRACKET_REL) * seeds[index]
+        hi = (1.0 + _BRACKET_REL) * seeds[index]
+        held = lo < hi
+        margin = _margin_stack(omegas[index[held]], beta, "exact", signs[index[held]])
+        eps = np.full(index.size, np.nan)
+        eps[held] = _bisect(margin, lo[held], hi[held], tol)[0]
         return eps
 
-    return _first_error(run, len(omegas))
+    return [None if math.isnan(e) else e for e in _first_error(run, omegas.size).tolist()]
 
 
 def _boundary_sample(omega, beta, branch, method) -> Optional[float]:
@@ -415,7 +378,6 @@ class ComparisonRow:
 class ComparisonTable:
     beta: float
     rows: tuple
-    summary: dict = field(compare=False)
 
     def branch_rows(self, branch: str):
         return [r for r in self.rows if r.branch == branch]
@@ -423,28 +385,21 @@ class ComparisonTable:
 
 def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> ComparisonTable:
     """Exact vs order-2 vs order-4 first-domain boundaries per branch."""
-    omegas = range_samples(omega_range) if not isinstance(omega_range, np.ndarray) else omega_range
-    # one quartic solve per omega seeds both branches' brackets and fills eps_order4
-    order4 = [_order4_first(float(omega), beta) for omega in omegas]
-    samples = [(branch, float(omega), roots) for branch in ("p", "n")
-               for omega, roots in zip(omegas, order4)]
-    exact = _exact_samples([omega for _, omega, _ in samples], beta,
-                           [branch for branch, _, _ in samples],
-                           [roots for _, _, roots in samples], tol)
+    omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
+                        else range_samples(omega_range), dtype=float)
+    # one quartic pass seeds both branches' brackets and fills eps_order4
+    order4 = pendulum.order4_roots(omegas, beta)[:, 0].ravel()
+    branches = ["p"] * omegas.size + ["n"] * omegas.size
+    exact = _exact_samples(np.tile(omegas, 2), beta, np.repeat(_BRANCH_SIGNS, omegas.size),
+                           order4, tol)
     rows = []
-    for (branch, omega, roots), eps_exact in zip(samples, exact):
+    for branch, omega, eps4, eps_exact in zip(branches, np.tile(omegas, 2).tolist(),
+                                              order4.tolist(), exact):
         rows.append(ComparisonRow(
             omega=omega,
             branch=branch,
             eps_exact=eps_exact,
             eps_order2=_boundary_sample(omega, beta, branch, "order2"),
-            eps_order4=roots[branch],
+            eps_order4=None if math.isnan(eps4) else eps4,
         ))
-    summary = {}
-    for branch in ("p", "n"):
-        for name in ("err2", "err4"):
-            errs = [getattr(r, name) for r in rows
-                    if r.branch == branch and getattr(r, name) is not None]
-            summary[f"{branch}_{name}_max"] = max(errs) if errs else math.nan
-            summary[f"{branch}_{name}_mean"] = float(np.mean(errs)) if errs else math.nan
-    return ComparisonTable(beta, tuple(rows), summary)
+    return ComparisonTable(beta, tuple(rows))

@@ -64,6 +64,14 @@ def margins(trace, det):
     return det + 1.0 - abs(trace), 1.0 - det
 
 
+def branch_factor(trace, det, sign):
+    """1 + det F + s tr F, zero where F has the multiplier -s: s = -1 gives
+    the boundary branch p (multiplier +1), s = +1 the branch n (multiplier
+    -1).  Where s tr F <= 0, it is bitwise margin_trace, the smaller of the
+    two factors."""
+    return det + 1.0 + sign * trace
+
+
 def verdict_labels(margin_trace, margin_det, tolerance: float = DEFAULT_TOLERANCE):
     """The verdict rule, elementwise over scalars or arrays of margins.
 
@@ -107,16 +115,15 @@ def trace_det(f):
     return _in_range(trace, det)
 
 
-def pc_trace_det(durations, mats):
-    """tr F and det F of K piecewise-constant 2x2 systems, ``mats`` (K, S, 2, 2).
+def pc_monodromy(durations, mats):
+    """F, tr F and det F of K piecewise-constant 2x2 systems, ``mats`` (K, S, 2, 2).
 
-    tr F comes from the exponential product of
-    :func:`exact_monodromy_pc_stack`; det F is Liouville's
-    exp(sum_s d_s tr M_s).  The product's own f00 f11 - f01 f10 carries a
-    roundoff of about u ||F||^2, against u ||F|| for the trace, and for the
-    inverted pendulum ||F|| grows like exp(2 pi omega): from omega ~ 6 that
-    roundoff exceeds |tr F| itself.  These are the invariants of every
-    exact-pc scan cell and exact boundary margin.
+    F is the exponential product of :func:`exact_monodromy_pc_stack` and
+    tr F its trace; det F is Liouville's exp(sum_s d_s tr M_s).  The
+    product's own f00 f11 - f01 f10 carries a roundoff of about u ||F||^2,
+    against u ||F|| for the trace, and for the inverted pendulum ||F||
+    grows like exp(2 pi omega): from omega ~ 3 that roundoff is as large as
+    det F itself, and from omega ~ 6 it exceeds |tr F|.
     """
     mats = np.asarray(mats, dtype=float)
     f = exact_monodromy_pc_stack(durations, mats)
@@ -126,7 +133,13 @@ def pc_trace_det(durations, mats):
         exponent += durations[s] * traces[:, s]
     # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit
     det = np.array([math.exp(x) for x in exponent.tolist()])
-    return _in_range(f[:, 0, 0] + f[:, 1, 1], det)
+    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det)
+
+
+def pc_trace_det(durations, mats):
+    """tr F and det F of :func:`pc_monodromy`: the invariants of every
+    exact-pc scan cell, exact boundary sample and ``analyze`` exact_pc report."""
+    return pc_monodromy(durations, mats)[1:]
 
 
 def _in_range(trace, det):

@@ -164,17 +164,35 @@ def test_boundary_exact_damping_shift(capsys):
 
 
 def test_boundary_partial_failure_exit_code(capsys):
-    # above omega ~0.55 the first band has closed: brackets find no sign
-    # change, most samples are omitted, and the contract says exit 4
+    # from omega ~1.2 the order-4 seed lies more than 30% below the exact
+    # root: brackets find no sign change, most samples are omitted, and the
+    # contract says exit 4
     code, out, err = run_cli(capsys, [
         "boundary", "--beta", "0", "--branch", "p", "--method", "exact",
-        "--omega", "0.45:0.7:6",
+        "--omega", "1.0:1.5:6",
     ])
     assert code == 4
     assert "omitted" in err
     lines = out.strip().split("\n")
     assert lines[0] == "omega,eps,branch,method"
     assert len(lines) == 3  # 2 surviving samples
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["boundary", "--omega", "0.5:1.0:6", "--branch", "p"], 6),
+    (["boundary", "--omega", "0.5:1.0:6", "--branch", "n"], 6),
+    (["compare", "--omega", "0.02:0.8:15"], 30),
+])
+def test_exact_boundaries_keep_the_first_domain_past_omega_half(capsys, argv, rows):
+    # the order-4 brackets were clipped at the p/n midpoint, which lost every
+    # sample from omega ~ 0.55: the boundaries kept 1 of 6 and compare lacked
+    # 10 of 30 exact roots, each exiting 4
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()[1:]
+    assert len(lines) == rows
+    if argv[0] == "compare":
+        assert all(line.split(",")[2] != "" for line in lines)
 
 
 def test_scan_threads_env_fallback(capsys, monkeypatch):
@@ -384,10 +402,10 @@ def test_exact_boundary_at_a_tight_tol_finishes_with_sign_changes():
     assert len(rows) == 6
     for row in rows:
         omega, eps = float(row[0]), float(row[1])
-        margin = scan.boundary_margin(omega, 0.1, "exact")
         # the CSV keeps 12 significant digits, so widen the bracket by that rounding
         slack = 1e-15 + 1e-11 * eps
-        lo, hi = margin(eps - slack), margin(eps + slack)
+        lo, hi = (scan.point_report(omega, e, 0.1, "exact-pc").margin_trace
+                  for e in (eps - slack, eps + slack))
         assert (lo <= 0.0) != (hi <= 0.0) or lo == 0.0 or hi == 0.0
 
 
@@ -717,6 +735,63 @@ def test_large_omega_exact_samples_stay_omitted(capsys, argv, omitted):
         assert all(row.split(",")[2] == "" for row in out.strip().splitlines()[1:])
     else:
         assert out.strip().splitlines() == ["omega,eps,branch,method"]
+
+
+_ANALYZE_POINTS = [(3.0, 1.0, 0.1)] + [
+    tuple(float(x) for x in point) for point in np.column_stack((
+        np.random.default_rng(12).uniform(0.0, 8.0, 12),
+        np.random.default_rng(13).uniform(0.0, 3.0, 12),
+        np.random.default_rng(14).uniform(0.0, 0.3, 12)))]
+
+
+@pytest.mark.parametrize("omega, eps, beta", _ANALYZE_POINTS)
+def test_analyze_exact_pc_report_is_the_scan_cells(capsys, omega, eps, beta):
+    # analyze took det F = f00 f11 - f01 f10 of the product, 18% off
+    # Liouville's det at (3, 1, 0.1) and 2e5 times it at omega 4, while scan
+    # cells and boundaries take det F from Liouville's formula
+    code, out, err = run_cli(capsys, ["analyze", "--omega", repr(omega), "--eps", repr(eps),
+                                      "--beta", repr(beta), "--order", "2"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)["exact_pc"]
+    cell = scan.point_report(omega, eps, beta, "exact-pc")
+    assert doc["trace"] == cell.trace and doc["determinant"] == cell.determinant
+    assert doc["margin_trace"] == cell.margin_trace and doc["margin_det"] == cell.margin_det
+    assert doc["verdict"] == cell.verdict.value
+    assert [complex(m["re"], m["im"]) for m in doc["multipliers"]] == list(cell.multipliers)
+    assert len(doc["F"]) == 2
+
+
+def _readme_usage_commands():
+    """The command lines of the README's CLI usage block, continuations joined."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("floquet-avg ")]
+
+
+_README_COMMANDS = _readme_usage_commands()
+
+
+def test_readme_usage_block_is_found():
+    assert {argv[0] for argv in _README_COMMANDS} == {"analyze", "scan", "boundary", "compare"}
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{argv[0]}{k}" for k, argv in enumerate(_README_COMMANDS)])
+def test_readme_usage_commands_run_cleanly(tmp_path, capsys, argv):
+    # a documented command that drops samples exits 4 and writes to stderr
+    argv = list(argv)
+    target = str(tmp_path / "out.txt")
+    if "--output" in argv:
+        argv[argv.index("--output") + 1] = target
+    else:
+        argv += ["--output", target]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and out == "" and err == ""
+    with open(target, encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) > 1
 
 
 def test_benchmark_hooks_into_the_program_resolve():

@@ -96,7 +96,10 @@ def test_bisect_reports_bracket_failure():
 def test_bisect_postcondition_sign_change():
     tol = 1e-10
     root = bisect_boundary(0.2, 0.0, (0.01, 0.3), "exact", tol=tol)
-    margin = scan.boundary_margin(0.2, 0.0, "exact")
+
+    def margin(eps):
+        return scan.point_report(0.2, eps, 0.0, "exact-pc").margin_trace
+
     assert margin(root - tol) * margin(root + tol) <= 0.0
     assert abs(margin(root)) < 1e-8  # Lipschitz constant is O(10) here
 
@@ -137,7 +140,7 @@ def test_compare_boundaries_order4_dominates():
     assert len(p_rows) == 8
     for row in p_rows:
         assert row.err4 < row.err2
-    assert table.summary["p_err4_max"] < table.summary["p_err2_max"]
+    assert max(r.err4 for r in p_rows) < max(r.err2 for r in p_rows)
 
 
 def test_compare_boundaries_single_omega():
@@ -208,7 +211,9 @@ def test_batched_exact_margins_equal_margin_exact(beta):
 def _serial_bisect(omega, beta, bracket, tol=1e-10):
     """The one-bracket bisection loop on the scalar margin: a reference
     whose root the Illinois root must match within tol."""
-    margin = scan.boundary_margin(omega, beta, "exact")
+    def margin(eps):
+        return scan.point_report(omega, eps, beta, "exact-pc").margin_trace
+
     lo, hi = bracket
     m_lo, m_hi = margin(lo), margin(hi)
     if m_lo == 0.0:
@@ -272,13 +277,55 @@ def _serial_illinois(margin, lo, hi, tol=1e-10):
 def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
     curve = trace_boundary((0.05, 0.3, 9), beta, branch, "exact")
     assert len(curve.points) == 9
+    sign = -1.0 if branch == "p" else 1.0
     for omega, eps in curve.points:
-        bracket = scan._exact_bracket(scan._order4_first(omega, beta), branch)
-        assert eps == bisect_boundary(omega, beta, bracket, "exact")
-        assert eps == _serial_illinois(scan.boundary_margin(omega, beta, "exact"), *bracket)
-        assert abs(eps - _serial_bisect(omega, beta, bracket)) < 1e-10
+
+        def factor(e, omega=omega):
+            # the branch factor 1 + det F + s tr F of an exact-pc scan cell
+            report = scan.point_report(omega, e, beta, "exact-pc")
+            return report.determinant + 1.0 + sign * report.trace
+
+        seed = pendulum.order4_root(omega, beta, branch)
+        bracket = ((1.0 - scan._BRACKET_REL) * seed, (1.0 + scan._BRACKET_REL) * seed)
+        assert [(omega, eps)] == list(trace_boundary((omega, omega, 1), beta, branch,
+                                                     "exact").points)
+        assert eps == _serial_illinois(factor, *bracket)
+        # the cell margin det F + 1 - |tr F| equals the factor only near the
+        # root, and changes sign at both branches: its bracket stops halfway
+        # to the other branch's order-4 root
+        mid = 0.5 * sum(pendulum.order4_root(omega, beta, b) for b in ("p", "n"))
+        cell = ((bracket[0], min(bracket[1], mid)) if branch == "p"
+                else (max(bracket[0], mid), bracket[1]))
+        assert abs(eps - bisect_boundary(omega, beta, cell, "exact")) <= 1e-10
+        assert abs(eps - _serial_bisect(omega, beta, cell)) < 1e-10
     table = compare_boundaries((0.05, 0.3, 9), beta)
     assert [r.eps_exact for r in table.branch_rows(branch)] == [e for _, e in curve.points]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+@pytest.mark.parametrize("branch", ["p", "n"])
+def test_exact_roots_are_the_first_sign_change_of_their_branch_factor(beta, branch):
+    # brackets clipped at the p/n midpoint lost every sample from omega ~ 0.55;
+    # each root is where a dense exact-pc sweep from eps = 0 first sees its
+    # branch factor 1 + det F + s tr F change sign
+    tol = 1e-10
+    omegas = np.round(np.arange(1, 12) * 0.1, 12)
+    curve = trace_boundary(omegas, beta, branch, "exact", tol)
+    assert [omega for omega, _ in curve.points] == omegas.tolist()
+    sign = -1.0 if branch == "p" else 1.0
+    sweep = np.linspace(0.0, 2.5, 2501)
+
+    def factor(omega, eps):
+        jac = pendulum.jacobian_stack(np.full(eps.size, omega), eps, beta)
+        trace, det = stability.pc_trace_det(pendulum.HALF_PERIODS, jac)
+        return 1.0 + det + sign * trace
+
+    for omega, root in curve.points:
+        below = factor(omega, sweep) < 0.0
+        first = int(np.flatnonzero(below[1:] != below[:-1])[0])
+        assert sweep[first] - tol <= root <= sweep[first + 1] + tol
+        ends = factor(omega, np.array([root - tol, root + tol]))
+        assert (ends[0] <= 0.0) != (ends[1] <= 0.0) or 0.0 in ends
 
 
 def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
@@ -397,7 +444,10 @@ def test_bisection_at_the_float_spacing_terminates():
     lo, hi = 0.01, 0.3
     tol = float(np.spacing(hi))
     root = bisect_boundary(0.2, 0.0, (lo, hi), "exact", tol=tol)
-    margin = scan.boundary_margin(0.2, 0.0, "exact")
+
+    def margin(eps):
+        return scan.point_report(0.2, eps, 0.0, "exact-pc").margin_trace
+
     below, above = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
     assert margin(below) * margin(above) <= 0.0 or margin(root) == 0.0
 
@@ -478,7 +528,7 @@ def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
         assert abs(root - closed[i]) < 1e-9
         # the scalar margin is the one-point case of the batched one
         at_root = margin(np.array([i]), np.array([root]))[0]
-        assert scan.boundary_margin(omega, beta, method)(root) == at_root
+        assert scan.point_report(omega, root, beta, method).margin_trace == at_root
 
 
 def test_exact_rk_is_not_a_boundary_method():
