@@ -12,10 +12,11 @@ The graded expansion of that exponential gives the order-by-order monodromy
 terms F_j; partial sums of those are the order-k approximations whose
 convergence rate in the grading parameter is k+1.
 
-Terms may be stacks of K systems over shared breakpoints (see
-:mod:`ppoly`); J0 and the period are shared.  Every step then runs once
-over the whole stack, the A_j, F_j, traces and closure residuals gain a
-leading cell axis, and each cell gets the arithmetic it would get alone.
+Terms whose coefficients are polynomials in parameters run the recursion
+once, on their monomials' coefficient functions (see :func:`run_recursion`),
+and an expansion at K parameter points evaluates those sums: its A_j and
+closure residuals carry a leading cell axis, the monodromy assembly runs
+once over the stack, and each cell gets the arithmetic it would get alone.
 """
 
 import math
@@ -39,8 +40,7 @@ class SeriesSystem:
     """Graded T-periodic system: constant nilpotent J0 plus ordered terms.
 
     ``terms[k]`` is the piecewise-polynomial term of order k+1; missing
-    higher orders are implicitly zero.  Terms may be stacks of K cells
-    sharing J0 and the period.
+    higher orders are implicitly zero.
     """
 
     period: float
@@ -82,8 +82,9 @@ class AveragedExpansion:
     A holds A_1..A_N; U holds U_1..U_{N-1} (U_N is never needed to reach
     A_N).  closure_residuals are ||U_j(T)||_1 -- zero up to roundoff when
     each A_j really is the average of its integrand, so they double as the
-    recursion's self-test.  For a stack of K systems each A_j is (K, n, n)
-    and each residual a (K,) array.
+    recursion's self-test.  Labelled terms give dicts by monomial label
+    (see :func:`run_recursion`); an expansion evaluated at K parameter
+    points has (K, n, n) A_j, (K,) residuals and no U.
     """
 
     period: float
@@ -145,46 +146,74 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     A_1 is the average of H_1; each following order averages the
     same-order collection H_n + sum_i (H_{n-i} U_i - U_i A_{n-i}), with
     U_n the zero-mean antiderivative of that collection minus A_n.
+
+    Each H term is one function, or a dict from monomial label to function
+    for terms that are polynomials in the parameters: H_n = sum_m v_m H_n^m
+    with v_m a product of parameter powers and the label m the tuple of its
+    exponents.  The recursion is linear in each factor, so it runs on the
+    labelled functions: a product carries the sum of its factors' labels,
+    and A_n, U_n and the closure residual of U_n come back as dicts by
+    label, each the coefficient of its monomial, checked monomial by
+    monomial.  A plain function is the one-monomial case, under the empty
+    label, and gets plain results.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
     if not h_terms:
         raise ModelError("need at least one H term")
+    labelled = isinstance(h_terms[0], dict)
+    terms = [h if labelled else {(): h} for h in h_terms]
+    dim = next(iter(terms[0].values())).dim
     a_mats = []
     a_consts = []  # A_j embedded as degree-0 functions for the ppoly algebra
     u_funcs = []
     residuals = []
     try:
         for n in range(1, order + 1):
-            if n <= len(h_terms):
-                coll = h_terms[n - 1]
-            else:
-                coll = PiecewisePolyMatrix.zero(h_terms[0].dim, period)
+            coll = dict(terms[n - 1]) if n <= len(terms) else {}
+
+            def accumulate(op, label_x, label_y, product):
+                label = tuple(map(sum, zip(label_x, label_y)))
+                start = coll.get(label) or PiecewisePolyMatrix.zero(dim, period)
+                coll[label] = op(start, product)
+
             for i in range(1, n):
                 # H_{n-i} is zero above the model's highest order: no product to add
-                if n - i <= len(h_terms):
-                    coll = ppoly.pp_add(coll, ppoly.pp_mul(h_terms[n - i - 1], u_funcs[i - 1]))
-                coll = ppoly.pp_sub(coll, ppoly.pp_mul(u_funcs[i - 1], a_consts[n - i - 1]))
-            a_n = ppoly.pp_average(coll)
+                if n - i <= len(terms):
+                    for lh, h in terms[n - i - 1].items():
+                        for lu, u in u_funcs[i - 1].items():
+                            accumulate(ppoly.pp_add, lh, lu, ppoly.pp_mul(h, u))
+                for lu, u in u_funcs[i - 1].items():
+                    for la, a in a_consts[n - i - 1].items():
+                        accumulate(ppoly.pp_sub, lu, la, ppoly.pp_mul(u, a))
+            a_n = {label: ppoly.pp_average(f) for label, f in coll.items()}
             a_mats.append(a_n)
-            a_consts.append(PiecewisePolyMatrix.constant(a_n, period))
+            a_consts.append({label: PiecewisePolyMatrix.constant(a, period)
+                             for label, a in a_n.items()})
             if n < order:
-                u_n = ppoly.pp_antiderivative(ppoly.pp_sub(coll, a_consts[-1]))
+                u_n, res_n = {}, {}
+                for label, f in coll.items():
+                    u = ppoly.pp_antiderivative(ppoly.pp_sub(f, a_consts[-1][label]))
+                    res = float(norm1(ppoly.pp_eval(u, period)))
+                    if res >= _CLOSURE_TOL * (1.0 + u.max_coeff()):
+                        raise FloquetError(f"closure residual ||U_{n}{_label_text(label)}(T)|| = "
+                                           f"{res:.3g} indicates a broken recursion")
+                    u_n[label], res_n[label] = u, res
                 u_funcs.append(u_n)
-                res = norm1(ppoly.pp_eval(u_n, period))
-                residuals.append(float(res) if res.ndim == 0 else res)
-                # checked cell by cell; a stack reports its first failing cell
-                broken = np.atleast_1d(res >= _CLOSURE_TOL * (1.0 + u_n.max_coeff()))
-                if broken.any():
-                    bad = float(np.atleast_1d(res)[np.argmax(broken)])
-                    raise FloquetError(
-                        f"closure residual ||U_{n}(T)|| = {bad:.3g} indicates a broken recursion"
-                    )
+                residuals.append(res_n)
     except ModelError as exc:
         if "degree" in str(exc):
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
-    return AveragedExpansion(period, tuple(a_mats), tuple(u_funcs), tuple(residuals))
+    results = (a_mats, u_funcs, residuals)
+    if not labelled:
+        results = ([x[()] for x in xs] for xs in results)
+    return AveragedExpansion(period, *map(tuple, results))
+
+
+def _label_text(label) -> str:
+    """The monomial a closure residual belongs to, empty for the one-monomial case."""
+    return f" of monomial {label}" if label else ""
 
 
 def _trace(m):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import averaging, pendulum, scan, stability
-from .averaging import SeriesSystem
+from .averaging import AveragedExpansion, SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
 from .ppoly import PiecewisePolyMatrix
@@ -231,7 +231,10 @@ def cmd_analyze(args) -> int:
         raise ModelError(
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
-    avg, mono, det_trunc = stability.order_approximation(sys_, args.order)
+    if params is None:
+        avg, mono, det_trunc = stability.order_approximation(sys_, args.order)
+    else:
+        avg, mono, det_trunc = _pendulum_approximation(params, args.order)
     f_approx = mono.partial_sums[-1]
     det_full = stability.det_series(sys_, avg)
 
@@ -272,6 +275,16 @@ def cmd_analyze(args) -> int:
     else:
         _write_output(_render_text(doc), args.output)
     return EXIT_OK
+
+
+def _pendulum_approximation(params: pendulum.PendulumParams, order: int):
+    """``(avg, mono, det)`` at one pendulum point from the coefficient table:
+    the A_j and closure residuals of a one-cell scan, and its monodromy."""
+    cell = pendulum.averaged_expansion([params.omega], [params.eps], params.beta, order)
+    avg = AveragedExpansion(cell.period, tuple(a[0] for a in cell.A), (),
+                            tuple(float(r[0]) for r in cell.closure_residuals))
+    table = pendulum.averaged_table(order)
+    return (avg,) + stability.monodromy_approximation(table.x0, table.system, avg, order)
 
 
 def _exact_pc_report(total: PiecewisePolyMatrix, tolerance: float) -> dict:

@@ -23,10 +23,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .averaging import SeriesSystem
-from .errors import ModelError
+from .averaging import AveragedExpansion, SeriesSystem, run_recursion, standard_form
+from .errors import ModelError, NumericRangeError
 from .exactmono import pc_stack_to_ppoly
-from .ppoly import PiecewisePolyMatrix
+from .ppoly import PiecewisePolyMatrix, pp_eval
+from .smallmat import norm1
 
 PERIOD = 2.0 * math.pi
 # durations of the two constant segments, J+ then J-
@@ -80,29 +81,118 @@ def series_split(p: PendulumParams) -> SeriesSystem:
     return _split(p.eps, p.omega ** 2, -p.beta * p.omega)
 
 
-def series_split_stack(omegas, epss, beta: float) -> SeriesSystem:
-    """:func:`series_split` for K points (omega_k, eps_k) at one beta, as one
-    system whose terms are stacks of K cells.
+def _split(eps, w2, damping) -> SeriesSystem:
+    """The graded series of one parameter point."""
+    j0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    exc_plus = np.zeros((2, 2, 1))
+    exc_plus[1, 0, 0] = eps
+    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]),
+                             np.stack((exc_plus, -exc_plus)))
+    j2 = PiecewisePolyMatrix.constant(np.array([[0.0, 0.0], [w2, damping]]), PERIOD)
+    return SeriesSystem(PERIOD, j0, (j1, j2))
 
-    Parameters are checked as :func:`jacobian_stack` checks them.
+
+@dataclass(frozen=True)
+class AveragedTable:
+    """The pendulum's A_n and U_n(T) as polynomials in its parameters.
+
+    ``labels[n-1]`` holds the exponents (a, b, c) of the monomials
+    eps^a (omega^2)^b (beta*omega)^c with a + 2(b + c) = n, and
+    ``exponents`` all of them, order after order, as an (M, 3) array.
+    ``A[m]`` is the (2, 2) coefficient of monomial m in its order's A_n,
+    and ``U_end[m]`` that in U_n(T), for the monomials of orders n below
+    ``order``.  ``x0`` is the zero-order fundamental matrix and ``system``
+    holds J0 and the period.
+    """
+
+    order: int
+    x0: PiecewisePolyMatrix
+    system: SeriesSystem
+    labels: tuple
+    exponents: np.ndarray
+    A: np.ndarray
+    U_end: np.ndarray
+
+
+# the tables built so far, by order; each depends on no input
+_TABLES = {}
+
+
+def averaged_table(order: int) -> AveragedTable:
+    """The coefficient table up to ``order``, built on first use and kept.
+
+    One averaging recursion runs on the unit-parameter terms, each labelled
+    by its monomial: J1 = eps E(t) with the square wave E, and J2 =
+    omega^2 N + (beta*omega) D.  The recursion is multilinear in them, so
+    A_n and U_n are exact polynomials in the three monomials, and the
+    closure check runs monomial by monomial.
+    """
+    table = _TABLES.get(order)
+    if table is None:
+        unit = _split(1.0, 0.0, 0.0)
+        x0, (h_eps, _) = standard_form(unit)
+        h_w2 = standard_form(_split(0.0, 1.0, 0.0))[1][1]
+        h_bw = standard_form(_split(0.0, 0.0, -1.0))[1][1]
+        avg = run_recursion([{(1, 0, 0): h_eps}, {(0, 1, 0): h_w2, (0, 0, 1): h_bw}],
+                            PERIOD, order)
+        labels = tuple(tuple(sorted(a)) for a in avg.A)
+        table = AveragedTable(
+            order, x0, SeriesSystem(PERIOD, unit.J0, ()), labels,
+            np.array([m for ms in labels for m in ms]),
+            np.array([a[m] for a, ms in zip(avg.A, labels) for m in ms]),
+            np.array([pp_eval(u[m], PERIOD) for u, ms in zip(avg.U, labels)
+                      for m in ms]).reshape(-1, 2, 2))
+        _TABLES[order] = table
+    return table
+
+
+def averaged_expansion(omegas, epss, beta: float, order: int) -> AveragedExpansion:
+    """The order-K averaged expansion at K points (omega_k, eps_k) at one beta,
+    from :func:`averaged_table`: A_n = sum_m v_m A_n^m with v_m the value of
+    monomial m, and the closure residual ||sum_m v_m U_n^m(T)||_1.
+
+    A_n is (K, 2, 2), each residual (K,), and there are no U functions.
+    Each power is a product of repeated factors and each sum adds the
+    monomials one at a time in table order, elementwise, so every point
+    gets the arithmetic it gets alone.  Parameters are checked as
+    :func:`jacobian_stack` checks them; a monomial that leaves the float
+    range raises :class:`NumericRangeError` for the first point it does.
     """
     omegas, epss, w2 = _checked_points(omegas, epss, beta)
-    return _split(epss, w2, -beta * omegas)
+    table = averaged_table(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.ones((3, order + 1, omegas.size))
+        factors = np.array([epss, w2, beta * omegas])
+        for k in range(order):
+            powers[:, k + 1] = powers[:, k] * factors
+        a, b, c = table.exponents.T
+        values = powers[0, a] * powers[1, b] * powers[2, c]
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            a, b, c = table.exponents[np.argmax(bad[:, k])]
+            raise NumericRangeError(
+                f"the monomial eps^{a} (omega^2)^{b} (beta*omega)^{c} leaves the float range "
+                f"at omega = {omegas[k]:g}, eps = {epss[k]:g}, beta = {beta:g}")
+        values = values[:, :, None, None]
+        a_mats = _order_sums(values * table.A[:, None], table.labels)
+        u_ends = _order_sums(values[: table.U_end.shape[0]] * table.U_end[:, None],
+                             table.labels[:-1])
+    return AveragedExpansion(PERIOD, a_mats, (), tuple(norm1(u) for u in u_ends))
 
 
-def _split(eps, w2, damping) -> SeriesSystem:
-    """The graded series from scalars (one system) or (K,) arrays (a stack)."""
-    eps = np.asarray(eps, dtype=float)
-    j0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    exc_plus = np.zeros(eps.shape + (2, 2, 1))
-    exc_plus[..., 1, 0, 0] = eps
-    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]),
-                             np.stack((exc_plus, -exc_plus), axis=-4))
-    j2_mat = np.zeros(eps.shape + (2, 2))
-    j2_mat[..., 1, 0] = w2
-    j2_mat[..., 1, 1] = damping
-    j2 = PiecewisePolyMatrix.constant(j2_mat, PERIOD)
-    return SeriesSystem(PERIOD, j0, (j1, j2))
+def _order_sums(terms, labels) -> tuple:
+    """Per order, the sum of its monomials' (K, 2, 2) terms, added one at a
+    time in table order."""
+    sums = []
+    start = 0
+    for ms in labels:
+        total = terms[start]
+        for term in terms[start + 1: start + len(ms)]:
+            total = total + term
+        sums.append(total)
+        start += len(ms)
+    return tuple(sums)
 
 
 def _checked_points(omegas, epss, beta: float):

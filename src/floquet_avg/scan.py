@@ -5,10 +5,12 @@ bracketing root finder (the Illinois method) on a scalar margin, and
 exact-versus-approximate boundary comparison tables.  Every method runs
 batched: a whole exact-pc grid is one stack of matrix exponentials, a
 whole exact-rk grid one RK4 integration of a stack of systems, a whole
-order-K grid one averaging recursion over a stack of systems, and
-boundary samples find their roots in lockstep, one batched margin call
-per step.  Every point still gets the arithmetic it would get alone, so
-results do not depend on the batch.  All of it is single-threaded.
+order-K grid one evaluation of the pendulum's averaged coefficient table
+(the averaging recursion runs once per order per process, on the
+parameters' monomials), and boundary samples find their roots in
+lockstep, one batched margin call per step.  Every point still gets the
+arithmetic it would get alone, so results do not depend on the batch.
+All of it is single-threaded.
 """
 
 import math
@@ -79,10 +81,11 @@ def order_of_method(method: str) -> Optional[int]:
 
 
 def _order_invariants(omegas, epss, beta: float, order: int):
-    """Order-K trace partial sum and truncated determinant at K points, in
-    one averaging recursion over the stack of their series."""
-    sys = pendulum.series_split_stack(omegas, epss, beta)
-    _, mono, det = stability.order_approximation(sys, order)
+    """Order-K trace partial sum and truncated determinant at K points, from
+    the pendulum's coefficient table, the K points as one stack."""
+    avg = pendulum.averaged_expansion(omegas, epss, beta, order)
+    table = pendulum.averaged_table(order)
+    mono, det = stability.monodromy_approximation(table.x0, table.system, avg, order)
     return sum(mono.trace_by_order), det
 
 

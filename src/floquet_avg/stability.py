@@ -174,25 +174,33 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
 
 
 def order_approximation(sys: SeriesSystem, order: int):
-    """The order-K averaged approximation of a series system, or of a stack.
+    """The order-K averaged approximation of a series system.
 
-    Standard form, averaging recursion, monodromy assembly and the graded
-    determinant truncation of :func:`det_series_expansion`; returns
-    ``(avg, mono, det)``.  Every order-K margin and report starts here.
-    A finite system whose approximation of F, of tr F (the sum of
-    ``mono.trace_by_order``) or of det F leaves the float range raises
-    :class:`NumericRangeError`.
+    Standard form, averaging recursion and :func:`monodromy_approximation`;
+    returns ``(avg, mono, det)``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x0, h_terms = standard_form(sys)
         avg = run_recursion(h_terms, sys.period, order)
+    return (avg,) + monodromy_approximation(x0, sys, avg, order)
+
+
+def monodromy_approximation(x0, sys: SeriesSystem, avg: AveragedExpansion, order: int):
+    """Monodromy assembly and the graded determinant truncation of
+    :func:`det_series_expansion` from an averaged expansion, one system's
+    or K points' (A_j stacked); returns ``(mono, det)``.  Every order-K
+    margin and report ends here.  An approximation of F, of tr F (the sum
+    of ``mono.trace_by_order``) or of det F that leaves the float range
+    raises :class:`NumericRangeError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         mono = assemble_monodromy(x0, avg, sys.period)
         det = det_series_expansion(sys, avg, order)
         trace = sum(mono.trace_by_order)
     if not np.isfinite(mono.partial_sums[-1]).all():
         raise NumericRangeError(f"the order-{order} approximation of F leaves the float range")
     _in_range(trace, det)
-    return avg, mono, det
+    return mono, det
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:

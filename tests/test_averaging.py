@@ -1,12 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import pendulum_pipeline
-from floquet_avg import averaging, pendulum, stability
+from floquet_avg import averaging, cli, pendulum, scan, stability
 from floquet_avg.averaging import SeriesSystem, graded_exp_terms, monodromy_direct
-from floquet_avg.errors import FloquetError, ModelError
+from floquet_avg.errors import FloquetError, ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.ppoly import PiecewisePolyMatrix, pp_eval
 from floquet_avg.smallmat import norm1
@@ -191,8 +194,7 @@ def test_graded_exponential_consistency():
     _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 6)
     rng = np.random.default_rng(6)
     omegas, epss = rng.uniform(0.0, 0.4, 5), rng.uniform(0.0, 1.0, 5)
-    _, h = averaging.standard_form(pendulum.series_split_stack(omegas, epss, 0.3))
-    avg_stack = averaging.run_recursion(h, TWO_PI, 6)
+    avg_stack = pendulum.averaged_expansion(omegas, epss, 0.3, 6)
     for order in range(1, 7):
         for a_list in (avg.A[:order], avg_stack.A[:order], avg.A[:3]):
             terms = graded_exp_terms(a_list, TWO_PI, order)
@@ -233,18 +235,16 @@ def test_monodromy_direct_deviation_is_high_order():
     assert slope2 >= 2.5  # order-3 deviation from the exact monodromy
 
 
-# -- the averaged path over a stack of systems --------------------------------
+# -- the coefficient table and its evaluation at a stack of points ------------
 
-def _pipeline_invariants(system, order):
-    """Everything the order-K path computes for a system or a stack of them."""
-    x0, h = averaging.standard_form(system)
-    avg = averaging.run_recursion(h, system.period, order)
-    mono = averaging.assemble_monodromy(x0, avg, system.period)
-    det = stability.det_series_expansion(system, avg, order)
-    arrays = list(avg.A) + [np.asarray(r) for r in avg.closure_residuals]
-    arrays += [np.asarray(t) for t in mono.trace_by_order[1:]] + list(mono.F_terms)
-    arrays += list(mono.partial_sums[1:]) + [np.asarray(det)]
-    arrays += [u.coeffs for u in avg.U]
+def _expansion_invariants(omegas, epss, beta, order):
+    """Everything the order-K path computes at K pendulum points."""
+    avg = pendulum.averaged_expansion(omegas, epss, beta, order)
+    table = pendulum.averaged_table(order)
+    mono, det = stability.monodromy_approximation(table.x0, table.system, avg, order)
+    arrays = list(avg.A) + list(avg.closure_residuals)
+    arrays += list(mono.trace_by_order[1:]) + list(mono.F_terms)
+    arrays += list(mono.partial_sums[1:]) + [det]
     return arrays
 
 
@@ -253,15 +253,17 @@ def _pipeline_invariants(system, order):
 def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
     rng = np.random.default_rng(order)
     omegas, epss = rng.uniform(0.0, 0.4, 8), rng.uniform(0.0, 1.0, 8)
-    full = _pipeline_invariants(pendulum.series_split_stack(omegas, epss, beta), order)
+    full = _expansion_invariants(omegas, epss, beta, order)
     permutation = rng.permutation(8)
-    permuted = _pipeline_invariants(
-        pendulum.series_split_stack(omegas[permutation], epss[permutation], beta), order)
-    truncated = _pipeline_invariants(pendulum.series_split_stack(omegas[:3], epss[:3], beta), order)
+    permuted = _expansion_invariants(omegas[permutation], epss[permutation], beta, order)
+    truncated = _expansion_invariants(omegas[:3], epss[:3], beta, order)
     for k in range(8):
-        alone = _pipeline_invariants(pendulum.series_split_stack(omegas[[k]], epss[[k]], beta), order)
-        single = _pipeline_invariants(
-            pendulum.series_split(pendulum.PendulumParams(omegas[k], epss[k], beta)), order)
+        alone = _expansion_invariants(omegas[[k]], epss[[k]], beta, order)
+        # analyze's one-point path: the cell's A_j and residuals, unstacked
+        avg, mono, det = cli._pendulum_approximation(
+            pendulum.PendulumParams(omegas[k], epss[k], beta), order)
+        single = list(avg.A) + list(avg.closure_residuals) + list(mono.trace_by_order[1:])
+        single += list(mono.F_terms) + list(mono.partial_sums[1:]) + [det]
         position = int(np.flatnonzero(permutation == k)[0])
         for x, x_alone, x_single, x_perm in zip(full, alone, single, permuted):
             assert np.array_equal(x[k], x_alone[0])
@@ -271,43 +273,91 @@ def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
             assert all(np.array_equal(x[k], y[k]) for x, y in zip(full, truncated))
 
 
-def test_series_split_stack_matches_series_split():
-    omegas, epss, beta = np.array([0.0, 0.137, 0.29]), np.array([0.4, 0.0, 0.93]), 0.2
-    stack = pendulum.series_split_stack(omegas, epss, beta)
-    assert np.array_equal(stack.J0, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    for k in range(3):
-        single = pendulum.series_split(pendulum.PendulumParams(omegas[k], epss[k], beta))
-        for term_stack, term in zip(stack.terms, single.terms):
-            assert np.array_equal(term_stack.breakpoints, term.breakpoints)
-            assert np.array_equal(term_stack.coeffs[k], term.coeffs)
-        # omega**2 is libm pow, as in the exact path's Jacobians
-        assert stack.terms[1].coeffs[k, 0, 1, 0, 0] == float(omegas[k]) ** 2
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+def test_averaged_expansion_matches_the_recursion_on_series_split(beta):
+    # the table's sums against the recursion run on each point's own series,
+    # where omega**2 is libm pow, as in the exact path's Jacobians
+    omegas, epss = np.array([0.0, 0.137, 0.29, 0.45]), np.array([0.4, 0.0, 0.93, 1.2])
+    stack = pendulum.averaged_expansion(omegas, epss, beta, 6)
+    assert all(a.shape == (4, 2, 2) for a in stack.A) and stack.U == ()
+    assert all(r.shape == (4,) for r in stack.closure_residuals)
+    for k in range(4):
+        _, _, _, avg, _ = pendulum_pipeline(omegas[k], epss[k], beta, 6)
+        for a_stack, a in zip(stack.A, avg.A):
+            assert np.abs(a_stack[k] - a).max() <= 1e-12 * (1.0 + np.abs(a).max())
+        for r_stack, r in zip(stack.closure_residuals, avg.closure_residuals):
+            assert r_stack[k] < 1e-9 and r < 1e-9
 
 
-def test_series_split_stack_validates_point_by_point():
+def test_averaged_expansion_validates_point_by_point():
     with pytest.raises(ModelError, match="eps"):
-        pendulum.series_split_stack([0.1, 0.2, 0.3], [0.5, -1.0, math.nan], 0.0)
+        pendulum.averaged_expansion([0.1, 0.2, 0.3], [0.5, -1.0, math.nan], 0.0, 2)
     with pytest.raises(ModelError, match="omega"):
-        pendulum.series_split_stack([0.1, math.inf], [0.5, 0.5], 0.0)
+        pendulum.averaged_expansion([0.1, math.inf], [0.5, 0.5], 0.0, 2)
     with pytest.raises(ModelError, match="beta"):
-        pendulum.series_split_stack([0.1], [0.5], -0.1)
+        pendulum.averaged_expansion([0.1], [0.5], -0.1, 2)
 
 
-def test_batched_closure_check_names_a_failing_cell(monkeypatch):
-    # with a threshold of 1e-300 every cell with a nonzero residual fails;
-    # the stack reports the first such cell's residual, as that cell would alone
+def test_averaged_expansion_names_the_first_overflowing_point():
+    # (omega^2)^2 overflows at the second and third points; the first is named
+    with pytest.raises(NumericRangeError) as excinfo:
+        pendulum.averaged_expansion([0.1, 1e100, 2e100], [0.5, 0.5, 0.5], 0.0, 4)
+    assert str(excinfo.value) == ("the monomial eps^0 (omega^2)^2 (beta*omega)^0 leaves the "
+                                  "float range at omega = 1e+100, eps = 0.5, beta = 0")
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_each_a_n_holds_the_monomials_of_its_grade(order):
+    # eps^a (omega^2)^b (beta*omega)^c with a + 2(b + c) = n: 1, 3, 3, 6, 6, 10
+    table = pendulum.averaged_table(order)
+    counts = (1, 3, 3, 6, 6, 10)[:order]
+    assert tuple(map(len, table.labels)) == counts
+    for n, labels in enumerate(table.labels, start=1):
+        expect = {(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(n + 1)
+                  if a + 2 * (b + c) == n}
+        assert set(labels) == expect
+    assert table.exponents.tolist() == [list(m) for ms in table.labels for m in ms]
+    assert table.A.shape == (sum(counts), 2, 2)
+    assert table.U_end.shape == (sum(counts[:-1]), 2, 2)
+    # A_1 = eps * (1/2pi) [[pi^2, 2 pi^3], [0, -pi^2]]
+    assert np.abs(table.A[0] - paper_a1(1.0)).max() < 1e-13
+
+
+def test_two_scans_of_one_order_build_the_table_once(monkeypatch):
+    orders = []
+    recursion = pendulum.run_recursion
+
+    def counted(h_terms, period, order):
+        orders.append(order)
+        return recursion(h_terms, period, order)
+
+    monkeypatch.setattr(pendulum, "run_recursion", counted)
+    for _ in range(2):
+        scan.scan_region((0.05, 0.3, 3), (0.0, 0.8, 3), 0.1, "order4")
+        scan.point_report(0.2, 0.5, 0.1, "order4")
+    assert orders == [4]
+    scan.scan_region((0.05, 0.3, 3), (0.0, 0.8, 3), 0.1, "order2")
+    assert orders == [4, 2]
+
+
+def test_importing_the_package_builds_no_table():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pendulum.__file__)))
+    code = ("import sys, floquet_avg, floquet_avg.cli; "
+            "sys.exit(len(sys.modules['floquet_avg.pendulum']._TABLES))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closure_check_names_the_first_failing_monomial(monkeypatch):
+    # with a threshold of 1e-300 every monomial with a nonzero residual fails;
+    # the build names the first, and no table is kept
     monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
-    omegas, epss = np.array([0.0, 0.2, 0.3]), np.array([0.0, 0.7, 0.4])
-    errors = []
-    for k in range(3):
-        _, h = averaging.standard_form(pendulum.series_split_stack(omegas[[k]], epss[[k]], 0.1))
-        try:
-            averaging.run_recursion(h, TWO_PI, 3)
-            errors.append(None)
-        except FloquetError as exc:
-            errors.append(str(exc))
-    assert errors[0] is None and errors[1] is not None and errors[2] not in (None, errors[1])
-    _, h = averaging.standard_form(pendulum.series_split_stack(omegas, epss, 0.1))
-    with pytest.raises(FloquetError) as excinfo:
+    with pytest.raises(FloquetError, match=r"closure residual \|\|U_\d of monomial \(\d, \d, \d\)"):
+        pendulum.averaged_table(3)
+    assert 3 not in pendulum._TABLES
+    # a plain model is the one-monomial case: its message names no monomial
+    _, system, _, _, _ = pendulum_pipeline(0.2, 0.7, 0.1, 1)
+    _, h = averaging.standard_form(system)
+    with pytest.raises(FloquetError, match=r"closure residual \|\|U_\d\(T\)\|\| = "):
         averaging.run_recursion(h, TWO_PI, 3)
-    assert str(excinfo.value) == errors[1]

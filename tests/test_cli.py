@@ -358,13 +358,15 @@ def test_format_float_17_digits():
 
 # -- robustness: every input ends in exit 0, 2, 3 or 4, never a hang or a traceback
 
-def _cli_subprocess(argv, timeout=60):
-    """Run the CLI in a child process, so a hang fails the test instead of the run."""
+def _cli_subprocess(*argv, timeout=60):
+    """Run the CLI in a child process, so a hang fails the test instead of the run;
+    with two lists, the first holds options for the interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "floquet_avg.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    python_opts, argv = argv if len(argv) == 2 else ([], argv[0])
+    return subprocess.run([sys.executable, *python_opts, "-m", "floquet_avg.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,6 +646,22 @@ def test_overflow_in_the_averaging_layer_exits_3(tmp_path, argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--method", "order6", "--omega", "0:0.3:2", "--eps", "0:1e80:2"],
+    ["scan", "--method", "order6", "--beta", "1e200", "--omega", "0:0.3:2", "--eps", "0:1:2"],
+    ["scan", "--method", "order4", "--omega", "0:1e100:3", "--eps", "0:1:2"],
+    ["analyze", "--omega", "1e160", "--eps", "0.1", "--beta", "0", "--order", "6"],
+    ["analyze", "--omega", "0.1", "--eps", "1e80", "--beta", "0.1", "--order", "6"],
+])
+def test_overflowing_parameter_monomial_exits_3(argv):
+    # eps^6, (beta omega)^3 or (omega^2)^2 beyond the float range: one
+    # range-error line, no RuntimeWarning and no NaN margin on stdout
+    proc = _cli_subprocess(["-W", "error::RuntimeWarning"], argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("floquet-avg: numeric range error: ")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["scan", "--omega", "0:0.5:2", "--eps=-inf:0.5:2"], "-inf:0.5:2"),
     (["scan", "--omega=-1e308:1e308:3", "--eps", "0:1:2"], "-1e308:1e308:3"),
@@ -759,6 +777,24 @@ def test_analyze_exact_pc_report_is_the_scan_cells(capsys, omega, eps, beta):
     assert doc["verdict"] == cell.verdict.value
     assert [complex(m["re"], m["im"]) for m in doc["multipliers"]] == list(cell.multipliers)
     assert len(doc["F"]) == 2
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+def test_analyze_order_margins_are_the_scan_cells(capsys, order, beta):
+    # both evaluate the one coefficient table at the point, bitwise alike
+    rng = np.random.default_rng(order)
+    method = f"order{order}"
+    for omega, eps in zip(rng.uniform(0.0, 0.5, 4).tolist(), rng.uniform(0.0, 1.2, 4).tolist()):
+        code, out, err = run_cli(capsys, ["analyze", "--omega", repr(omega), "--eps", repr(eps),
+                                          "--beta", repr(beta), "--order", str(order)])
+        assert code == 0 and err == ""
+        doc = json.loads(out)["approx"]
+        grid = scan.scan_region((omega, omega + 0.1, 2), (eps, eps + 0.1, 2), beta, method)
+        cell = scan.point_report(omega, eps, beta, method)
+        assert doc["margin_trace"] == grid.margin_trace[0, 0] == cell.margin_trace
+        assert doc["margin_det"] == grid.margin_det[0, 0] == cell.margin_det
+        assert doc["verdict"] == grid.verdicts[0, 0] == cell.verdict.value
 
 
 def _readme_usage_commands():

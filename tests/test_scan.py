@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pendulum_pipeline
-from floquet_avg import averaging, pendulum, scan, stability
+from floquet_avg import pendulum, scan, stability
 from floquet_avg.errors import BracketError, FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.scan import (
@@ -156,13 +155,26 @@ def test_compare_boundaries_error_shrinks_toward_origin():
         assert rows[0.05].err4 < rows[0.3].err4
 
 
+def _paper_trace_order2(omega, eps, beta):
+    """tr(F0 + F1 + F2) from the paper's F1/F2 formulas."""
+    return 2.0 - PI ** 4 * eps ** 2 / 3.0 + 4.0 * PI ** 2 * omega ** 2 - 2.0 * PI * beta * omega
+
+
 def test_point_report_order_method_margins():
-    # order-K margins use the graded determinant truncation
+    # order-K margins use the graded determinant truncation of the table's expansion
     report = scan.point_report(0.4, 0.9, 0.3, "order2")
-    _, system, _, avg, mono = pendulum_pipeline(0.4, 0.9, 0.3, 2)
-    expect_det = stability.det_series_expansion(system, avg, 2)
-    assert abs(report.determinant - expect_det) < 1e-14
-    assert abs(report.trace - sum(mono.trace_by_order)) < 1e-14
+    avg = pendulum.averaged_expansion([0.4], [0.9], 0.3, 2)
+    table = pendulum.averaged_table(2)
+    mono, expect_det = stability.monodromy_approximation(table.x0, table.system, avg, 2)
+    assert abs(report.determinant - expect_det[0]) < 1e-14
+    assert abs(report.trace - sum(mono.trace_by_order)[0]) < 1e-14
+    # the order-2 trace is the paper's, within 5e-14 over these points (the
+    # recursion run on each point's own series was within 1.6e-13)
+    rng = np.random.default_rng(0)
+    for omega, eps, beta in zip(rng.uniform(0.0, 0.5, 300), rng.uniform(0.0, 1.2, 300),
+                                rng.uniform(0.0, 0.3, 300)):
+        report = scan.point_report(omega, eps, beta, "order2")
+        assert abs(report.trace - _paper_trace_order2(omega, eps, beta)) < 1e-13
 
 
 # -- the batched exact path: every point gets the arithmetic it gets alone --
@@ -475,9 +487,10 @@ def test_order_cells_do_not_depend_on_the_grid_around_them(method):
     assert (corner.verdicts == fine.verdicts[:2, :2]).all()
 
 
-def _fail_closure(monkeypatch):
-    # a closure threshold of 1e-300 fails every cell with a nonzero residual
-    monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
+def _fail_large_omegas(monkeypatch):
+    # (omega^2)^2 leaves the float range at the cells from omega 5e99 on, each
+    # named in its own range error
+    return (0.0, 1e100, 3), (0.0, 0.6, 3)
 
 
 def _fail_large_traces(monkeypatch):
@@ -491,14 +504,14 @@ def _fail_large_traces(monkeypatch):
         return trace, det
 
     monkeypatch.setattr(stability, "trace_det", checked)
+    return (0.0, 0.3, 3), (0.0, 0.6, 3)
 
 
-@pytest.mark.parametrize("method, fail", [("order4", _fail_closure),
+@pytest.mark.parametrize("method, fail", [("order4", _fail_large_omegas),
                                           ("exact-rk", _fail_large_traces)],
                          ids=["order4", "exact-rk"])
 def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fail):
-    fail(monkeypatch)
-    axes = ((0.0, 0.3, 3), (0.0, 0.6, 3))
+    axes = fail(monkeypatch)
     first = None
     for eps in scan.axis_samples(axes[1]):
         for omega in scan.axis_samples(axes[0]):

@@ -191,10 +191,9 @@ def test_det_series_expansion_matches_a_scalar_power_series(order):
     expect = _scalar_det_series(traces, TWO_PI, order)
     assert abs(det_series_expansion(system, avg, order) - expect) < 1e-13 * abs(expect)
 
-    stack = pendulum.series_split_stack(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3)
-    _, h = averaging.standard_form(stack)
-    avg = averaging.run_recursion(h, TWO_PI, order)
-    det = det_series_expansion(stack, avg, order)
+    avg = pendulum.averaged_expansion(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3,
+                                      order)
+    det = det_series_expansion(pendulum.averaged_table(order).system, avg, order)
     assert det.shape == (4,)
     for k in range(4):
         expect = _scalar_det_series([np.trace(a[k]) for a in avg.A], TWO_PI, order)
