@@ -144,8 +144,11 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     """Run the averaging recursion up to the requested order.
 
     A_1 is the average of H_1; each following order averages the
-    same-order collection H_n + sum_i (H_{n-i} U_i - U_i A_{n-i}), with
-    U_n the zero-mean antiderivative of that collection minus A_n.
+    same-order collection H_n + sum_i (H_{n-i} U_i - U_i A_{n-i}).  With W
+    the antiderivative of that collection from 0, A_n = W(T) / T and U_n =
+    W - A_n t, the antiderivative of the collection minus A_n, taken from W
+    without integrating again (:func:`ppoly.pp_minus_ramp`); it closes,
+    U_n(T) = 0, up to roundoff.
 
     Each H term is one function, or a dict from monomial label to function
     for terms that are polynomials in the parameters: H_n = sum_m v_m H_n^m
@@ -186,14 +189,15 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
                         accumulate(ppoly.pp_sub, lu, la, ppoly.pp_mul(u, a))
-            a_n = {label: ppoly.pp_average(f) for label, f in coll.items()}
+            anti = {label: ppoly.pp_antiderivative(f) for label, f in coll.items()}
+            a_n = {label: ppoly.pp_eval(w, period) / period for label, w in anti.items()}
             a_mats.append(a_n)
             a_consts.append({label: PiecewisePolyMatrix.constant(a, period)
                              for label, a in a_n.items()})
             if n < order:
                 u_n, res_n = {}, {}
-                for label, f in coll.items():
-                    u = ppoly.pp_antiderivative(ppoly.pp_sub(f, a_consts[-1][label]))
+                for label, w in anti.items():
+                    u = ppoly.pp_minus_ramp(w, a_n[label])
                     res = float(norm1(ppoly.pp_eval(u, period)))
                     if res >= _CLOSURE_TOL * (1.0 + u.max_coeff()):
                         raise FloquetError(f"closure residual ||U_{n}{_label_text(label)}(T)|| = "

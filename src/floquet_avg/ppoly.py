@@ -301,16 +301,36 @@ def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     d = a.coeffs.shape[-1]
     anti = np.zeros(a.coeffs.shape[:-1] + (d + 1,))
     anti[..., 1:] = a.coeffs / np.arange(1, d + 1)
+    return _joined(a.period, a.breakpoints.copy(), anti, tuple(k + 1 for k in a.degrees))
+
+
+def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
+    """w(t) - slope t for an antiderivative w from 0 and a constant matrix
+    ``slope`` ((K, n, n) for a stack): the antiderivative of w' - slope,
+    bitwise as :func:`pp_antiderivative` gives it, without integrating
+    again.  Each piece's linear coefficient drops by the slope, and the
+    constants are set afresh, so the result is continuous as evaluated."""
+    anti = w.coeffs.copy()
+    anti[..., 1] -= np.asarray(slope)[..., None, :, :]
+    anti[..., 0] = 0.0
+    return _joined(w.period, w.breakpoints.copy(), anti, w.degrees)
+
+
+def _joined(period: float, breaks: np.ndarray, anti: np.ndarray,
+            degrees: tuple) -> PiecewisePolyMatrix:
+    """The function of coefficients ``anti``, whose constant terms are zero,
+    with each piece's constant set so that it is 0 at t = 0 and continuous
+    at every breakpoint."""
     # every piece at both of its ends, before the constants are set
-    at_lo = _eval_block(anti, a.breakpoints[:-1, None, None])
-    at_hi = _eval_block(anti, a.breakpoints[1:, None, None])
+    at_lo = _eval_block(anti, breaks[:-1, None, None])
+    at_hi = _eval_block(anti, breaks[1:, None, None])
     running = 0.0  # cumulative integral at the left breakpoint
     for k in range(anti.shape[-4]):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
         const = running - at_lo[..., k, :, :]
         anti[..., k, :, :, 0] = const
         running = at_hi[..., k, :, :] + const
-    return _derived(a.period, a.breakpoints.copy(), anti, tuple(k + 1 for k in a.degrees))
+    return _derived(period, breaks, anti, degrees)
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:

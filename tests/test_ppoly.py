@@ -10,6 +10,7 @@ from floquet_avg.ppoly import (
     pp_antiderivative,
     pp_average,
     pp_eval,
+    pp_minus_ramp,
     pp_mul,
     pp_sub,
 )
@@ -252,6 +253,23 @@ def _cell(a, k):
 def _take(a, index):
     """The stack of cells ``index`` of a stack, in that order."""
     return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[index], a.degrees)
+
+
+@pytest.mark.parametrize("cells", [None, 3])
+def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise(cells):
+    # U_n = W - A_n t from the antiderivative W that gave A_n, with its
+    # constants set afresh, is bitwise the antiderivative of f - A_n
+    rng = np.random.default_rng(7)
+    f = _random_stack(rng, cells or 1, 2, (3, 0, 5), [0.0, 1.0, PI, TWO_PI])
+    if cells is None:
+        f = _cell(f, 0)
+    w = pp_antiderivative(f)
+    slope = pp_eval(w, TWO_PI) / TWO_PI
+    u = pp_minus_ramp(w, slope)
+    expect = pp_antiderivative(pp_sub(f, PiecewisePolyMatrix.constant(slope, TWO_PI)))
+    assert np.array_equal(u.coeffs, expect.coeffs) and u.degrees == expect.degrees
+    assert np.array_equal(u.breakpoints, expect.breakpoints)
+    assert np.array_equal(w.coeffs[..., 2:], u.coeffs[..., 2:])
 
 
 @pytest.mark.parametrize("n", [2, 4])
