@@ -171,15 +171,16 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     a_consts = []  # A_j embedded as degree-0 functions for the ppoly algebra
     u_funcs = []
     residuals = []
+
+    def accumulate(op, label_x, label_y, product):
+        """coll[label] op= product, under the label of the product's monomial."""
+        label = tuple(map(sum, zip(label_x, label_y)))
+        start = coll[label] if label in coll else PiecewisePolyMatrix.zero(dim, period)
+        coll[label] = op(start, product)
+
     try:
         for n in range(1, order + 1):
             coll = dict(terms[n - 1]) if n <= len(terms) else {}
-
-            def accumulate(op, label_x, label_y, product):
-                label = tuple(map(sum, zip(label_x, label_y)))
-                start = coll.get(label) or PiecewisePolyMatrix.zero(dim, period)
-                coll[label] = op(start, product)
-
             for i in range(1, n):
                 # H_{n-i} is zero above the model's highest order: no product to add
                 if n - i <= len(terms):
