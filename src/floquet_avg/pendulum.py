@@ -100,12 +100,11 @@ class AveragedTable:
     eps^a (omega^2)^b (beta*omega)^c with a + 2(b + c) = n, and
     ``exponents`` all of them, order after order, as an (M, 3) array.
     ``A[m]`` is the (2, 2) coefficient of monomial m in its order's A_n,
-    and ``U_end[m]`` that in U_n(T), for the monomials of orders n below
-    ``order``.  ``x0`` is the zero-order fundamental matrix and ``system``
+    and ``U_end[m]`` that in U_n(T), for the monomials of every order but
+    the last.  ``x0`` is the zero-order fundamental matrix and ``system``
     holds J0 and the period.
     """
 
-    order: int
     x0: PiecewisePolyMatrix
     system: SeriesSystem
     labels: tuple
@@ -137,7 +136,7 @@ def averaged_table(order: int) -> AveragedTable:
                             PERIOD, order)
         labels = tuple(tuple(sorted(a)) for a in avg.A)
         table = AveragedTable(
-            order, x0, SeriesSystem(PERIOD, unit.J0, ()), labels,
+            x0, SeriesSystem(PERIOD, unit.J0, ()), labels,
             np.array([m for ms in labels for m in ms]),
             np.array([a[m] for a, ms in zip(avg.A, labels) for m in ms]),
             np.array([pp_eval(u[m], PERIOD) for u, ms in zip(avg.U, labels)

@@ -349,8 +349,8 @@ def test_importing_the_package_builds_no_table():
 
 
 def test_closure_check_names_the_first_failing_monomial(monkeypatch):
-    # with a threshold of 1e-300 every monomial with a nonzero residual fails;
-    # the build names the first, and no table is kept
+    # with a threshold of 1e-300 every monomial with a nonzero residual fails:
+    # the build names the monomial it stops at, and no table is kept
     monkeypatch.setattr(averaging, "_CLOSURE_TOL", 1e-300)
     with pytest.raises(FloquetError, match=r"closure residual \|\|U_\d of monomial \(\d, \d, \d\)"):
         pendulum.averaged_table(3)
