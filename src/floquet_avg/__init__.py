@@ -15,8 +15,8 @@ from .exactmono import exact_monodromy_pc, exact_monodromy_rk
 from .pendulum import (
     PendulumParams,
     boundary_order2,
-    boundary_order4,
     jacobians,
+    order4_roots,
     series_split,
 )
 from .ppoly import (
@@ -63,7 +63,6 @@ __all__ = [
     "assemble_monodromy",
     "bisect_boundary",
     "boundary_order2",
-    "boundary_order4",
     "char_roots_2x2",
     "classify",
     "compare_boundaries",
@@ -75,6 +74,7 @@ __all__ = [
     "margin_exact",
     "matexp",
     "monodromy_direct",
+    "order4_roots",
     "pp_antiderivative",
     "pp_average",
     "pp_eval",

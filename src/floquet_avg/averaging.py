@@ -12,11 +12,12 @@ The graded expansion of that exponential gives the order-by-order monodromy
 terms F_j; partial sums of those are the order-k approximations whose
 convergence rate in the grading parameter is k+1.
 
-Terms whose coefficients are polynomials in parameters run the recursion
-once, on their monomials' coefficient functions (see :func:`run_recursion`),
-and an expansion at K parameter points evaluates those sums: its A_j and
-closure residuals carry a leading cell axis, the monodromy assembly runs
-once over the stack, and each cell gets the arithmetic it would get alone.
+The recursion runs once per model, on its terms' monomials in the
+parameters (a model without parameters is the one-monomial case), and
+:class:`AveragedTable` keeps what it gives.  An expansion at K parameter
+points evaluates the table: its A_j, U_j(T) and closure residuals carry a
+leading cell axis, the monodromy assembly runs once over the stack, and
+each cell gets the arithmetic it would get alone.
 """
 
 import math
@@ -79,22 +80,28 @@ class SeriesSystem:
 class AveragedExpansion:
     """Output of the averaging recursion.
 
-    A holds A_1..A_N; U holds U_1..U_{N-1} (U_N is never needed to reach
-    A_N).  closure_residuals are ||U_j(T)||_1 -- zero up to roundoff when
-    each A_j really is the average of its integrand, so they double as the
-    recursion's self-test.  Labelled terms give dicts by monomial label
-    (see :func:`run_recursion`); an expansion evaluated at K parameter
-    points has (K, n, n) A_j, (K,) residuals and no U.
+    A holds A_1..A_N; U_end holds U_1(T)..U_{N-1}(T) (U_N is never needed
+    to reach A_N).  closure_residuals are ||U_j(T)||_1 -- zero up to
+    roundoff when each A_j really is the average of its integrand, so they
+    double as the recursion's self-test.  The recursion gives dicts by
+    monomial label (see :func:`run_recursion`); an expansion evaluated at K
+    parameter points has (K, n, n) A_j and U_j(T) and (K,) residuals.
     """
 
     period: float
     A: tuple
-    U: tuple
+    U_end: tuple
     closure_residuals: tuple
 
     @property
     def order(self) -> int:
         return len(self.A)
+
+    def cell(self, k: int) -> "AveragedExpansion":
+        """Point k of an evaluated expansion, as one system's expansion."""
+        return AveragedExpansion(self.period, tuple(a[k] for a in self.A),
+                                 tuple(u[k] for u in self.U_end),
+                                 tuple(float(r[k]) for r in self.closure_residuals))
 
     def a_sum(self) -> np.ndarray:
         total = np.zeros_like(self.A[0])
@@ -150,26 +157,24 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     without integrating again (:func:`ppoly.pp_minus_ramp`); it closes,
     U_n(T) = 0, up to roundoff.
 
-    Each H term is one function, or a dict from monomial label to function
-    for terms that are polynomials in the parameters: H_n = sum_m v_m H_n^m
-    with v_m a product of parameter powers and the label m the tuple of its
-    exponents.  The recursion is linear in each factor, so it runs on the
+    Each H term is a dict from monomial label to function: H_n = sum_m v_m
+    H_n^m with v_m a product of parameter powers and the label m the tuple
+    of its exponents, and a term without parameters is the one monomial ()
+    with v = 1.  The recursion is linear in each factor, so it runs on the
     labelled functions: a product carries the sum of its factors' labels,
-    and A_n, U_n and the closure residual of U_n come back as dicts by
+    and A_n, U_n(T) and the closure residual of U_n come back as dicts by
     label, each the coefficient of its monomial, checked monomial by
-    monomial.  A plain function is the one-monomial case, under the empty
-    label, and gets plain results.
+    monomial.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
     if not h_terms:
         raise ModelError("need at least one H term")
-    labelled = isinstance(h_terms[0], dict)
-    terms = [h if labelled else {(): h} for h in h_terms]
-    dim = next(iter(terms[0].values())).dim
+    dim = next(iter(h_terms[0].values())).dim
     a_mats = []
     a_consts = []  # A_j embedded as degree-0 functions for the ppoly algebra
     u_funcs = []
+    u_ends = []
     residuals = []
 
     def accumulate(op, label_x, label_y, product):
@@ -180,11 +185,11 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
 
     try:
         for n in range(1, order + 1):
-            coll = dict(terms[n - 1]) if n <= len(terms) else {}
+            coll = dict(h_terms[n - 1]) if n <= len(h_terms) else {}
             for i in range(1, n):
                 # H_{n-i} is zero above the model's highest order: no product to add
-                if n - i <= len(terms):
-                    for lh, h in terms[n - i - 1].items():
+                if n - i <= len(h_terms):
+                    for lh, h in h_terms[n - i - 1].items():
                         for lu, u in u_funcs[i - 1].items():
                             accumulate(ppoly.pp_add, lh, lu, ppoly.pp_mul(h, u))
                 for lu, u in u_funcs[i - 1].items():
@@ -196,24 +201,96 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
             a_consts.append({label: PiecewisePolyMatrix.constant(a, period)
                              for label, a in a_n.items()})
             if n < order:
-                u_n, res_n = {}, {}
+                u_n, end_n, res_n = {}, {}, {}
                 for label, w in anti.items():
                     u = ppoly.pp_minus_ramp(w, a_n[label])
-                    res = float(norm1(ppoly.pp_eval(u, period)))
+                    end = ppoly.pp_eval(u, period)
+                    res = float(norm1(end))
                     if res >= _CLOSURE_TOL * (1.0 + u.max_coeff()):
                         raise FloquetError(f"closure residual ||U_{n}{_label_text(label)}(T)|| = "
                                            f"{res:.3g} indicates a broken recursion")
-                    u_n[label], res_n[label] = u, res
+                    u_n[label], end_n[label], res_n[label] = u, end, res
                 u_funcs.append(u_n)
+                u_ends.append(end_n)
                 residuals.append(res_n)
     except ModelError as exc:
         if "degree" in str(exc):
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
-    results = (a_mats, u_funcs, residuals)
-    if not labelled:
-        results = ([x[()] for x in xs] for xs in results)
-    return AveragedExpansion(period, *map(tuple, results))
+    return AveragedExpansion(period, tuple(a_mats), tuple(u_ends), tuple(residuals))
+
+
+@dataclass(frozen=True)
+class AveragedTable:
+    """A model's A_n and U_n(T) as polynomials in its parameters.
+
+    ``labels[n-1]`` holds the exponent tuples of A_n's monomials, and
+    ``exponents`` all of them, order after order, as an (M, p) array.
+    ``A[m]`` is the coefficient of monomial m in its order's A_n, and
+    ``U_end[m]`` that in U_n(T), for every order but the last.  The
+    zero-order fundamental matrix ``x0`` (which carries the period) and
+    tr J0 are what assembly and the determinant truncation read besides.
+    """
+
+    x0: PiecewisePolyMatrix
+    trace_j0: float
+    labels: tuple
+    exponents: np.ndarray
+    A: np.ndarray
+    U_end: np.ndarray
+
+
+def coefficient_table(x0: PiecewisePolyMatrix, h_terms, trace_j0: float,
+                      order: int) -> AveragedTable:
+    """The table of the recursion on labelled H terms up to ``order``, each
+    order's monomials in sorted label order, the order an evaluation adds them."""
+    avg = run_recursion(h_terms, x0.period, order)
+    labels = tuple(tuple(sorted(a)) for a in avg.A)
+    return AveragedTable(
+        x0, trace_j0, labels,
+        np.array([m for ms in labels for m in ms]),
+        np.array([a[m] for a, ms in zip(avg.A, labels) for m in ms]),
+        np.array([u[m] for u, ms in zip(avg.U_end, labels) for m in ms]).reshape(
+            -1, x0.dim, x0.dim))
+
+
+def system_table(sys: SeriesSystem, order: int) -> AveragedTable:
+    """The table of a series system without parameters: standard form, then
+    the recursion on its terms as the one monomial ()."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0, h_terms = standard_form(sys)
+        return coefficient_table(x0, [{(): h} for h in h_terms], float(np.trace(sys.J0)), order)
+
+
+def evaluate_table(table: AveragedTable, values) -> AveragedExpansion:
+    """The expansion at K points from the (M, K) values of the table's monomials.
+
+    A_n = sum_m v_m A_n^m and U_n(T) = sum_m v_m U_n^m(T), (K, n, n), add
+    their monomials one at a time in table order, elementwise, so every
+    point gets the arithmetic it gets alone; the (K,) closure residuals are
+    ||U_n(T)||_1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(values)[:, :, None, None]
+        a_mats = _order_sums(values * table.A[:, None], table.labels)
+        u_ends = _order_sums(values[: len(table.U_end)] * table.U_end[:, None],
+                             table.labels[:-1])
+        residuals = tuple(norm1(u) for u in u_ends)
+    return AveragedExpansion(table.x0.period, a_mats, u_ends, residuals)
+
+
+def _order_sums(terms, labels) -> tuple:
+    """Per order, the sum of its monomials' (K, n, n) terms, added one at a
+    time in table order."""
+    sums = []
+    start = 0
+    for ms in labels:
+        total = terms[start]
+        for term in terms[start + 1: start + len(ms)]:
+            total = total + term
+        sums.append(total)
+        start += len(ms)
+    return tuple(sums)
 
 
 def _label_text(label) -> str:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import averaging, pendulum, scan, stability
-from .averaging import AveragedExpansion, SeriesSystem
+from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
 from .ppoly import PiecewisePolyMatrix
@@ -221,20 +221,23 @@ def cmd_analyze(args) -> int:
     params = None
     if args.model_file:
         sys_ = load_model_file(args.model_file)
+        # a model file has no parameters: its table is built here and not kept
+        table = averaging.system_table(sys_, args.order)
+        values = np.ones((len(table.A), 1))
     elif args.model == pendulum.MODEL_NAME:
         for name in ("omega", "eps", "beta"):
             if getattr(args, name) is None:
                 raise ModelError(f"--{name} is required for model '{pendulum.MODEL_NAME}'")
         params = pendulum.PendulumParams(args.omega, args.eps, args.beta)
         sys_ = pendulum.series_split(params)
+        table = pendulum.averaged_table(args.order)
+        values = pendulum.monomial_values([params.omega], [params.eps], params.beta, args.order)
     else:
         raise ModelError(
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
-    if params is None:
-        avg, mono, det_trunc = stability.order_approximation(sys_, args.order)
-    else:
-        avg, mono, det_trunc = _pendulum_approximation(params, args.order)
+    avg = averaging.evaluate_table(table, values).cell(0)
+    mono, det_trunc = stability.monodromy_approximation(table, avg, args.order)
     f_approx = mono.partial_sums[-1]
     det_full = stability.det_series(sys_, avg)
 
@@ -275,16 +278,6 @@ def cmd_analyze(args) -> int:
     else:
         _write_output(_render_text(doc), args.output)
     return EXIT_OK
-
-
-def _pendulum_approximation(params: pendulum.PendulumParams, order: int):
-    """``(avg, mono, det)`` at one pendulum point from the coefficient table:
-    the A_j and closure residuals of a one-cell scan, and its monodromy."""
-    cell = pendulum.averaged_expansion([params.omega], [params.eps], params.beta, order)
-    avg = AveragedExpansion(cell.period, tuple(a[0] for a in cell.A), (),
-                            tuple(float(r[0]) for r in cell.closure_residuals))
-    table = pendulum.averaged_table(order)
-    return (avg,) + stability.monodromy_approximation(table.x0, table.system, avg, order)
 
 
 def _exact_pc_report(total: PiecewisePolyMatrix, tolerance: float) -> dict:

@@ -23,11 +23,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .averaging import AveragedExpansion, SeriesSystem, run_recursion, standard_form
+from . import averaging
+from .averaging import AveragedTable, SeriesSystem, standard_form
 from .errors import ModelError, NumericRangeError
 from .exactmono import pc_stack_to_ppoly
-from .ppoly import PiecewisePolyMatrix, pp_eval
-from .smallmat import norm1
+from .ppoly import PiecewisePolyMatrix
 
 PERIOD = 2.0 * math.pi
 # durations of the two constant segments, J+ then J-
@@ -92,106 +92,59 @@ def _split(eps, w2, damping) -> SeriesSystem:
     return SeriesSystem(PERIOD, j0, (j1, j2))
 
 
-@dataclass(frozen=True)
-class AveragedTable:
-    """The pendulum's A_n and U_n(T) as polynomials in its parameters.
-
-    ``labels[n-1]`` holds the exponents (a, b, c) of the monomials
-    eps^a (omega^2)^b (beta*omega)^c with a + 2(b + c) = n, and
-    ``exponents`` all of them, order after order, as an (M, 3) array.
-    ``A[m]`` is the (2, 2) coefficient of monomial m in its order's A_n,
-    and ``U_end[m]`` that in U_n(T), for the monomials of every order but
-    the last.  ``x0`` is the zero-order fundamental matrix and ``system``
-    holds J0 and the period.
-    """
-
-    x0: PiecewisePolyMatrix
-    system: SeriesSystem
-    labels: tuple
-    exponents: np.ndarray
-    A: np.ndarray
-    U_end: np.ndarray
-
-
 # the tables built so far, by order; each depends on no input
 _TABLES = {}
 
 
 def averaged_table(order: int) -> AveragedTable:
-    """The coefficient table up to ``order``, built on first use and kept.
+    """The pendulum's coefficient table up to ``order``, built on first use and kept.
 
     One averaging recursion runs on the unit-parameter terms, each labelled
-    by its monomial: J1 = eps E(t) with the square wave E, and J2 =
+    by the exponents (a, b, c) of its monomial eps^a (omega^2)^b
+    (beta*omega)^c: J1 = eps E(t) with the square wave E, and J2 =
     omega^2 N + (beta*omega) D.  The recursion is multilinear in them, so
-    A_n and U_n are exact polynomials in the three monomials, and the
-    closure check runs monomial by monomial.
+    A_n and U_n are exact polynomials in the three monomials, those of A_n
+    with a + 2(b + c) = n, and the closure check runs monomial by monomial.
     """
     table = _TABLES.get(order)
     if table is None:
-        unit = _split(1.0, 0.0, 0.0)
-        x0, (h_eps, _) = standard_form(unit)
+        x0, (h_eps, _) = standard_form(_split(1.0, 0.0, 0.0))
         h_w2 = standard_form(_split(0.0, 1.0, 0.0))[1][1]
         h_bw = standard_form(_split(0.0, 0.0, -1.0))[1][1]
-        avg = run_recursion([{(1, 0, 0): h_eps}, {(0, 1, 0): h_w2, (0, 0, 1): h_bw}],
-                            PERIOD, order)
-        labels = tuple(tuple(sorted(a)) for a in avg.A)
-        table = AveragedTable(
-            x0, SeriesSystem(PERIOD, unit.J0, ()), labels,
-            np.array([m for ms in labels for m in ms]),
-            np.array([a[m] for a, ms in zip(avg.A, labels) for m in ms]),
-            np.array([pp_eval(u[m], PERIOD) for u, ms in zip(avg.U, labels)
-                      for m in ms]).reshape(-1, 2, 2))
+        table = averaging.coefficient_table(
+            x0, [{(1, 0, 0): h_eps}, {(0, 1, 0): h_w2, (0, 0, 1): h_bw}], 0.0, order)
         _TABLES[order] = table
     return table
 
 
-def averaged_expansion(omegas, epss, beta: float, order: int) -> AveragedExpansion:
-    """The order-K averaged expansion at K points (omega_k, eps_k) at one beta,
-    from :func:`averaged_table`: A_n = sum_m v_m A_n^m with v_m the value of
-    monomial m, and the closure residual ||sum_m v_m U_n^m(T)||_1.
+def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
+    """The (M, K) values of the order-K table's monomials at K points
+    (omega_k, eps_k) at one beta, at which :func:`averaging.evaluate_table`
+    gives the averaged expansion.
 
-    A_n is (K, 2, 2), each residual (K,), and there are no U functions.
-    Each power is a product of repeated factors and each sum adds the
-    monomials one at a time in table order, elementwise, so every point
-    gets the arithmetic it gets alone.  Parameters are checked as
+    Each power is a product of repeated factors and each monomial the
+    product of its three powers, elementwise, so every point gets the
+    arithmetic it gets alone.  Parameters are checked as
     :func:`jacobian_stack` checks them; a monomial that leaves the float
     range raises :class:`NumericRangeError` for the first point it does.
     """
     omegas, epss, w2 = _checked_points(omegas, epss, beta)
-    table = averaged_table(order)
+    exponents = averaged_table(order).exponents
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.ones((3, order + 1, omegas.size))
         factors = np.array([epss, w2, beta * omegas])
         for k in range(order):
             powers[:, k + 1] = powers[:, k] * factors
-        a, b, c = table.exponents.T
+        a, b, c = exponents.T
         values = powers[0, a] * powers[1, b] * powers[2, c]
-        bad = ~np.isfinite(values)
-        if bad.any():
-            k = int(np.argmax(bad.any(axis=0)))
-            a, b, c = table.exponents[np.argmax(bad[:, k])]
-            raise NumericRangeError(
-                f"the monomial eps^{a} (omega^2)^{b} (beta*omega)^{c} leaves the float range "
-                f"at omega = {omegas[k]:g}, eps = {epss[k]:g}, beta = {beta:g}")
-        values = values[:, :, None, None]
-        a_mats = _order_sums(values * table.A[:, None], table.labels)
-        u_ends = _order_sums(values[: table.U_end.shape[0]] * table.U_end[:, None],
-                             table.labels[:-1])
-    return AveragedExpansion(PERIOD, a_mats, (), tuple(norm1(u) for u in u_ends))
-
-
-def _order_sums(terms, labels) -> tuple:
-    """Per order, the sum of its monomials' (K, 2, 2) terms, added one at a
-    time in table order."""
-    sums = []
-    start = 0
-    for ms in labels:
-        total = terms[start]
-        for term in terms[start + 1: start + len(ms)]:
-            total = total + term
-        sums.append(total)
-        start += len(ms)
-    return tuple(sums)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        a, b, c = exponents[np.argmax(bad[:, k])]
+        raise NumericRangeError(
+            f"the monomial eps^{a} (omega^2)^{b} (beta*omega)^{c} leaves the float range "
+            f"at omega = {omegas[k]:g}, eps = {epss[k]:g}, beta = {beta:g}")
+    return values
 
 
 def _checked_points(omegas, epss, beta: float):
@@ -222,30 +175,30 @@ class Order2Boundary(NamedTuple):
     eps_n: Optional[float]
 
 
-def boundary_order2(omega: float, beta: float) -> Order2Boundary:
-    """Second-order closed-form boundaries of the first stability domain.
+def order2_roots(omegas, beta: float) -> np.ndarray:
+    """Second-order closed-form boundaries of the first stability domain at
+    K omegas and one beta, in one numpy pass: eps indexed [branch (p, n),
+    omega], NaN where absent.
 
     eps_p = (2*sqrt(3)/pi) * omega
     eps_n = (2*sqrt(3)/pi) * sqrt(omega^2 - beta*omega/pi + 1/pi^2)
 
     A negative radicand (possible only for beta > pi*omega + 1/(pi*omega),
     far outside the expansion's validity) reports the n-boundary as absent.
+    Each omega gets the arithmetic it gets alone.
     """
-    PendulumParams(omega, 0.0, beta)
+    omegas, _, w2 = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
     scale = 2.0 * math.sqrt(3.0) / math.pi
-    eps_p = scale * omega
-    radicand = omega ** 2 - beta * omega / math.pi + 1.0 / math.pi ** 2
-    eps_n = scale * math.sqrt(radicand) if radicand >= 0.0 else None
-    return Order2Boundary(eps_p, eps_n)
+    radicand = w2 - beta * omegas / math.pi + 1.0 / math.pi ** 2
+    with np.errstate(invalid="ignore"):
+        eps_n = np.where(radicand >= 0.0, scale * np.sqrt(radicand), np.nan)
+    return np.stack((scale * omegas, eps_n))
 
 
-@dataclass(frozen=True)
-class BoundaryRoot:
-    """One positive eps root of a fourth-order boundary quartic."""
-
-    branch: str  # 'p' or 'n'
-    domain: str  # 'first' or 'second'
-    eps: float
+def boundary_order2(omega: float, beta: float) -> Order2Boundary:
+    """The one-omega case of :func:`order2_roots`, None where eps_n is absent."""
+    eps_p, eps_n = order2_roots(np.array([omega], dtype=float), beta)[:, 0].tolist()
+    return Order2Boundary(eps_p, None if math.isnan(eps_n) else eps_n)
 
 
 def quartic_coefficients(omega, beta: float, branch: str):
@@ -300,19 +253,8 @@ def order4_roots(omegas, beta: float) -> np.ndarray:
     return np.stack((first, second), axis=1)
 
 
-def boundary_order4(omega: float, beta: float) -> list[BoundaryRoot]:
-    """Fourth-order boundaries at one omega: the positive roots of the two
-    quartics in eps, from :func:`order4_roots`."""
-    roots = order4_roots(np.array([omega], dtype=float), beta)[:, :, 0].tolist()
-    return [BoundaryRoot(branch, domain, eps)
-            for branch, per_domain in zip(("p", "n"), roots)
-            for domain, eps in zip(("first", "second"), per_domain)
-            if not math.isnan(eps)]
-
-
 def order4_root(omega: float, beta: float, branch: str, domain: str = "first") -> Optional[float]:
-    """Convenience lookup into :func:`boundary_order4`."""
-    for root in boundary_order4(omega, beta):
-        if root.branch == branch and root.domain == domain:
-            return root.eps
-    return None
+    """One root of :func:`order4_roots` at one omega, None where it is absent."""
+    eps = order4_roots(np.array([omega], dtype=float), beta)[
+        ("p", "n").index(branch), ("first", "second").index(domain), 0]
+    return None if math.isnan(eps) else float(eps)

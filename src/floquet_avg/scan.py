@@ -83,9 +83,9 @@ def order_of_method(method: str) -> Optional[int]:
 def _order_invariants(omegas, epss, beta: float, order: int):
     """Order-K trace partial sum and truncated determinant at K points, from
     the pendulum's coefficient table, the K points as one stack."""
-    avg = pendulum.averaged_expansion(omegas, epss, beta, order)
     table = pendulum.averaged_table(order)
-    mono, det = stability.monodromy_approximation(table.x0, table.system, avg, order)
+    avg = averaging.evaluate_table(table, pendulum.monomial_values(omegas, epss, beta, order))
+    mono, det = stability.monodromy_approximation(table, avg, order)
     return sum(mono.trace_by_order), det
 
 
@@ -305,27 +305,34 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
                    tol: float = 1e-10) -> BoundaryCurve:
     """First-domain boundary curve over an omega range.
 
-    order2/order4 evaluate their closed forms; exact methods find the root
-    of the branch's exact factor inside an order-4-seeded bracket, all
-    samples in lockstep.  Samples whose branch vanishes or whose bracket
-    shows no sign change are omitted.
+    order2/order4 evaluate their closed forms at every sample in one pass;
+    exact methods find the root of the branch's exact factor inside an
+    order-4-seeded bracket, all samples in lockstep.  Samples whose branch
+    vanishes or whose bracket shows no sign change are omitted.  ``tol``
+    is checked for every method.
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
     omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
                         else range_samples(omega_range), dtype=float)
-    if method in EXACT_BOUNDARY_METHODS:
-        k = "pn".index(branch)
-        seeds = pendulum.order4_roots(omegas, beta)[k, 0]
-        eps = _exact_samples(omegas, beta, np.full(omegas.size, _BRANCH_SIGNS[k]), seeds, tol)
+    k = "pn".index(branch)
+    if method == "order2":
+        eps = pendulum.order2_roots(omegas, beta)[k]
+    elif method == "order4" or method in EXACT_BOUNDARY_METHODS:
+        eps = pendulum.order4_roots(omegas, beta)[k, 0]
     else:
-        eps = [_boundary_sample(omega, beta, branch, method) for omega in omegas.tolist()]
-    points = tuple((omega, e) for omega, e in zip(omegas.tolist(), eps) if e is not None)
-    return BoundaryCurve(branch, method, points, len(eps) - len(points))
+        raise ModelError(f"unknown boundary method {method!r}")
+    if method in EXACT_BOUNDARY_METHODS:  # the order-4 roots seed the exact brackets
+        eps = _exact_samples(omegas, beta, np.full(omegas.size, _BRANCH_SIGNS[k]), eps, tol)
+    else:
+        _check_tol(tol, (), ())  # a closed form has no bracket to resolve
+    points = tuple((omega, e) for omega, e in zip(omegas.tolist(), eps.tolist())
+                   if not math.isnan(e))
+    return BoundaryCurve(branch, method, points, omegas.size - len(points))
 
 
-def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> list:
-    """Exact first-domain boundary eps per sample, None where it is omitted.
+def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> np.ndarray:
+    """Exact first-domain boundary eps per sample, NaN where it is omitted.
 
     Sample k at ``omegas[k]`` finds the root of its branch factor, sign
     ``signs[k]``, inside its order-4 root ``seeds[k]`` +/-30% (NaN where
@@ -343,17 +350,7 @@ def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> list:
         eps[held] = _bisect(margin, lo[held], hi[held], tol)[0]
         return eps
 
-    return [None if math.isnan(e) else e for e in _first_error(run, omegas.size).tolist()]
-
-
-def _boundary_sample(omega, beta, branch, method) -> Optional[float]:
-    """The closed-form order-2 or order-4 boundary eps, None where the branch vanishes."""
-    if method == "order2":
-        o2 = pendulum.boundary_order2(omega, beta)
-        return o2.eps_p if branch == "p" else o2.eps_n
-    if method == "order4":
-        return pendulum.order4_root(omega, beta, branch)
-    raise ModelError(f"unknown boundary method {method!r}")
+    return _first_error(run, omegas.size)
 
 
 @dataclass(frozen=True)
@@ -395,14 +392,16 @@ def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> Comparis
     branches = ["p"] * omegas.size + ["n"] * omegas.size
     exact = _exact_samples(np.tile(omegas, 2), beta, np.repeat(_BRANCH_SIGNS, omegas.size),
                            order4, tol)
+    order2 = pendulum.order2_roots(omegas, beta).ravel()
     rows = []
-    for branch, omega, eps4, eps_exact in zip(branches, np.tile(omegas, 2).tolist(),
-                                              order4.tolist(), exact):
+    for branch, omega, eps2, eps4, eps_exact in zip(branches, np.tile(omegas, 2).tolist(),
+                                                    order2.tolist(), order4.tolist(),
+                                                    exact.tolist()):
         rows.append(ComparisonRow(
             omega=omega,
             branch=branch,
-            eps_exact=eps_exact,
-            eps_order2=_boundary_sample(omega, beta, branch, "order2"),
+            eps_exact=None if math.isnan(eps_exact) else eps_exact,
+            eps_order2=None if math.isnan(eps2) else eps2,
             eps_order4=None if math.isnan(eps4) else eps4,
         ))
     return ComparisonTable(beta, tuple(rows))

@@ -22,11 +22,10 @@ import numpy as np
 from . import pendulum
 from .averaging import (
     AveragedExpansion,
+    AveragedTable,
     SeriesSystem,
     assemble_monodromy,
     graded_exp_terms,
-    run_recursion,
-    standard_form,
 )
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
@@ -173,29 +172,17 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])
 
 
-def order_approximation(sys: SeriesSystem, order: int):
-    """The order-K averaged approximation of a series system.
-
-    Standard form, averaging recursion and :func:`monodromy_approximation`;
-    returns ``(avg, mono, det)``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x0, h_terms = standard_form(sys)
-        avg = run_recursion(h_terms, sys.period, order)
-    return (avg,) + monodromy_approximation(x0, sys, avg, order)
-
-
-def monodromy_approximation(x0, sys: SeriesSystem, avg: AveragedExpansion, order: int):
+def monodromy_approximation(table: AveragedTable, avg: AveragedExpansion, order: int):
     """Monodromy assembly and the graded determinant truncation of
-    :func:`det_series_expansion` from an averaged expansion, one system's
-    or K points' (A_j stacked); returns ``(mono, det)``.  Every order-K
-    margin and report ends here.  An approximation of F, of tr F (the sum
-    of ``mono.trace_by_order``) or of det F that leaves the float range
-    raises :class:`NumericRangeError`.
+    :func:`det_series_expansion` from an expansion of the table's model,
+    one point's or K points' (A_j stacked); returns ``(mono, det)``.  Every
+    order-K margin and report ends here.  An approximation of F, of tr F
+    (the sum of ``mono.trace_by_order``) or of det F that leaves the float
+    range raises :class:`NumericRangeError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mono = assemble_monodromy(x0, avg, sys.period)
-        det = det_series_expansion(sys, avg, order)
+        mono = assemble_monodromy(table.x0, avg, table.x0.period)
+        det = det_series_expansion(table.trace_j0, avg, order)
         trace = sum(mono.trace_by_order)
     if not np.isfinite(mono.partial_sums[-1]).all():
         raise NumericRangeError(f"the order-{order} approximation of F leaves the float range")
@@ -217,27 +204,27 @@ def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
     return math.exp(total * t)
 
 
-def det_series_expansion(sys: SeriesSystem, avg: AveragedExpansion, order: int):
+def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):
     """Graded truncation of the determinant expansion at the given order.
 
-    det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), whose second
-    factor is expanded by grade with :func:`averaging.graded_exp_terms`
-    applied to the 1x1 matrices tr A_j: the same expansion, cut at the same
-    grade, as the trace partial sum an order-K boundary condition is solved
-    against, so approximate-boundary root finding reproduces the
-    closed-form boundary curves.  A float for one system, a (K,) array for
-    a stack of K.
+    det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), T the
+    expansion's period, whose second factor is expanded by grade with
+    :func:`averaging.graded_exp_terms` applied to the 1x1 matrices tr A_j:
+    the same expansion, cut at the same grade, as the trace partial sum an
+    order-K boundary condition is solved against, so approximate-boundary
+    root finding reproduces the closed-form boundary curves.  A float for
+    one system, a (K,) array for a stack of K.
     """
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
     # the T is folded into the traces, so the grade-m scale 1/m! is exact
     # through m = 2 and orders 1 and 2 multiply out as (tr A_1 T)(tr A_1 T) / 2
-    t = sys.period
+    t = avg.period
     traces = [(np.trace(a, axis1=-2, axis2=-1) * t)[..., None, None] for a in avg.A[:order]]
     series = 1.0
     for z in graded_exp_terms(traces, 1.0, order):
         series = series + z[..., 0, 0]
-    det = math.exp(float(np.trace(sys.J0)) * t) * series
+    det = math.exp(trace_j0 * t) * series
     return float(det) if np.ndim(det) == 0 else det
 
 

@@ -10,13 +10,21 @@ def rng():
 
 
 def pendulum_pipeline(omega, eps, beta, order):
-    """series split -> standard form -> recursion -> monodromy expansion."""
+    """series split -> standard form -> recursion -> monodromy expansion, on
+    the point's own series as a model file's analyze runs them: its table,
+    evaluated with its one monomial at 1."""
     params = pendulum.PendulumParams(omega, eps, beta)
     system = pendulum.series_split(params)
-    x0, h_terms = averaging.standard_form(system)
-    avg = averaging.run_recursion(h_terms, system.period, order)
-    mono = averaging.assemble_monodromy(x0, avg, system.period)
-    return params, system, x0, avg, mono
+    table = averaging.system_table(system, order)
+    avg = averaging.evaluate_table(table, np.ones((len(table.A), 1))).cell(0)
+    mono = averaging.assemble_monodromy(table.x0, avg, system.period)
+    return params, system, table.x0, avg, mono
+
+
+def pendulum_expansion(omegas, epss, beta, order):
+    """The pendulum's averaged expansion at K points, as an order-K scan evaluates it."""
+    values = pendulum.monomial_values(omegas, epss, beta, order)
+    return averaging.evaluate_table(pendulum.averaged_table(order), values)
 
 
 @pytest.fixture(autouse=True)

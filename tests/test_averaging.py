@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import pendulum_pipeline
-from floquet_avg import averaging, cli, pendulum, scan, stability
+from conftest import pendulum_expansion, pendulum_pipeline
+from floquet_avg import averaging, pendulum, scan, stability
 from floquet_avg.averaging import SeriesSystem, graded_exp_terms, monodromy_direct
 from floquet_avg.errors import FloquetError, ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc
@@ -60,7 +60,7 @@ def test_standard_form_rejects_non_nilpotent():
 def test_recursion_first_order_average():
     _, _, _, avg, _ = pendulum_pipeline(0.4, 0.9, 0.3, 1)
     assert np.abs(avg.A[0] - paper_a1(0.9)).max() < 1e-13
-    assert len(avg.U) == 0 and len(avg.closure_residuals) == 0
+    assert len(avg.U_end) == 0 and len(avg.closure_residuals) == 0
 
 
 def test_recursion_second_order_matches_closed_form():
@@ -77,10 +77,9 @@ def test_recursion_third_order_trace_vanishes():
 
 def test_recursion_structure_and_closure():
     _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 4)
-    assert len(avg.A) == 4 and len(avg.U) == 3
-    for j, (u, res) in enumerate(zip(avg.U, avg.closure_residuals), start=1):
-        assert res < 1e-9 * (1.0 + u.max_coeff())
-        assert np.abs(pp_eval(u, TWO_PI)).max() < 1e-9
+    assert len(avg.A) == 4 and len(avg.U_end) == 3
+    for u_end, res in zip(avg.U_end, avg.closure_residuals):
+        assert res == norm1(u_end) and res < 1e-9
 
 
 def test_recursion_rejects_bad_order():
@@ -88,17 +87,18 @@ def test_recursion_rejects_bad_order():
     _, h = averaging.standard_form(system)
     for order in (0, 7):
         with pytest.raises(ModelError):
-            averaging.run_recursion(h, TWO_PI, order)
+            averaging.run_recursion([{(): x} for x in h], TWO_PI, order)
 
 
 def test_missing_orders_treated_as_zero():
     # only an order-1 term: A_2 must still pick up the H1*U1 products
     _, system, _, _, _ = pendulum_pipeline(0.0, 0.5, 0.0, 1)
     _, h = averaging.standard_form(system)
+    h = [{(): x} for x in h]
     avg_short = averaging.run_recursion(h[:1], TWO_PI, 2)
     avg_full = averaging.run_recursion(h, TWO_PI, 2)
     # omega = beta = 0 makes H2 vanish, so both routes agree
-    assert np.abs(avg_short.A[1] - avg_full.A[1]).max() < 1e-13
+    assert np.abs(avg_short.A[1][()] - avg_full.A[1][()]).max() < 1e-13
 
 
 def test_assemble_first_order_adjustment():
@@ -194,7 +194,7 @@ def test_graded_exponential_consistency():
     _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 6)
     rng = np.random.default_rng(6)
     omegas, epss = rng.uniform(0.0, 0.4, 5), rng.uniform(0.0, 1.0, 5)
-    avg_stack = pendulum.averaged_expansion(omegas, epss, 0.3, 6)
+    avg_stack = pendulum_expansion(omegas, epss, 0.3, 6)
     for order in range(1, 7):
         for a_list in (avg.A[:order], avg_stack.A[:order], avg.A[:3]):
             terms = graded_exp_terms(a_list, TWO_PI, order)
@@ -239,10 +239,9 @@ def test_monodromy_direct_deviation_is_high_order():
 
 def _expansion_invariants(omegas, epss, beta, order):
     """Everything the order-K path computes at K pendulum points."""
-    avg = pendulum.averaged_expansion(omegas, epss, beta, order)
-    table = pendulum.averaged_table(order)
-    mono, det = stability.monodromy_approximation(table.x0, table.system, avg, order)
-    arrays = list(avg.A) + list(avg.closure_residuals)
+    avg = pendulum_expansion(omegas, epss, beta, order)
+    mono, det = stability.monodromy_approximation(pendulum.averaged_table(order), avg, order)
+    arrays = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
     arrays += list(mono.trace_by_order[1:]) + list(mono.F_terms)
     arrays += list(mono.partial_sums[1:]) + [det]
     return arrays
@@ -259,10 +258,13 @@ def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
     truncated = _expansion_invariants(omegas[:3], epss[:3], beta, order)
     for k in range(8):
         alone = _expansion_invariants(omegas[[k]], epss[[k]], beta, order)
-        # analyze's one-point path: the cell's A_j and residuals, unstacked
-        avg, mono, det = cli._pendulum_approximation(
-            pendulum.PendulumParams(omegas[k], epss[k], beta), order)
-        single = list(avg.A) + list(avg.closure_residuals) + list(mono.trace_by_order[1:])
+        # analyze's one-point path: the cell's A_j, U_j(T) and residuals, unstacked
+        table = pendulum.averaged_table(order)
+        values = pendulum.monomial_values([omegas[k]], [epss[k]], beta, order)
+        avg = averaging.evaluate_table(table, values).cell(0)
+        mono, det = stability.monodromy_approximation(table, avg, order)
+        single = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
+        single += list(mono.trace_by_order[1:])
         single += list(mono.F_terms) + list(mono.partial_sums[1:]) + [det]
         position = int(np.flatnonzero(permutation == k)[0])
         for x, x_alone, x_single, x_perm in zip(full, alone, single, permuted):
@@ -277,8 +279,8 @@ def test_averaged_expansion_matches_the_recursion_on_series_split():
     # the table's sums against the recursion run on each point's own series
     omegas, epss = np.array([0.0, 0.137, 0.29, 0.45]), np.array([0.4, 0.0, 0.93, 1.2])
     for beta in (0.0, 0.2):
-        stack = pendulum.averaged_expansion(omegas, epss, beta, 6)
-        assert all(a.shape == (4, 2, 2) for a in stack.A) and stack.U == ()
+        stack = pendulum_expansion(omegas, epss, beta, 6)
+        assert all(a.shape == (4, 2, 2) for a in stack.A + stack.U_end)
         assert all(r.shape == (4,) for r in stack.closure_residuals)
         for k in range(4):
             _, _, _, avg, _ = pendulum_pipeline(omegas[k], epss[k], beta, 6)
@@ -290,17 +292,17 @@ def test_averaged_expansion_matches_the_recursion_on_series_split():
 
 def test_averaged_expansion_validates_point_by_point():
     with pytest.raises(ModelError, match="eps"):
-        pendulum.averaged_expansion([0.1, 0.2, 0.3], [0.5, -1.0, math.nan], 0.0, 2)
+        pendulum.monomial_values([0.1, 0.2, 0.3], [0.5, -1.0, math.nan], 0.0, 2)
     with pytest.raises(ModelError, match="omega"):
-        pendulum.averaged_expansion([0.1, math.inf], [0.5, 0.5], 0.0, 2)
+        pendulum.monomial_values([0.1, math.inf], [0.5, 0.5], 0.0, 2)
     with pytest.raises(ModelError, match="beta"):
-        pendulum.averaged_expansion([0.1], [0.5], -0.1, 2)
+        pendulum.monomial_values([0.1], [0.5], -0.1, 2)
 
 
 def test_averaged_expansion_names_the_first_overflowing_point():
     # (omega^2)^2 overflows at the second and third points; the first is named
     with pytest.raises(NumericRangeError) as excinfo:
-        pendulum.averaged_expansion([0.1, 1e100, 2e100], [0.5, 0.5, 0.5], 0.0, 4)
+        pendulum.monomial_values([0.1, 1e100, 2e100], [0.5, 0.5, 0.5], 0.0, 4)
     assert str(excinfo.value) == ("the monomial eps^0 (omega^2)^2 (beta*omega)^0 leaves the "
                                   "float range at omega = 1e+100, eps = 0.5, beta = 0")
 
@@ -324,13 +326,13 @@ def test_each_a_n_holds_the_monomials_of_its_grade(order):
 
 def test_two_scans_of_one_order_build_the_table_once(monkeypatch):
     orders = []
-    recursion = pendulum.run_recursion
+    recursion = averaging.run_recursion
 
     def counted(h_terms, period, order):
         orders.append(order)
         return recursion(h_terms, period, order)
 
-    monkeypatch.setattr(pendulum, "run_recursion", counted)
+    monkeypatch.setattr(averaging, "run_recursion", counted)
     for _ in range(2):
         scan.scan_region((0.05, 0.3, 3), (0.0, 0.8, 3), 0.1, "order4")
         scan.point_report(0.2, 0.5, 0.1, "order4")
@@ -359,4 +361,4 @@ def test_closure_check_names_the_first_failing_monomial(monkeypatch):
     _, system, _, _, _ = pendulum_pipeline(0.2, 0.7, 0.1, 1)
     _, h = averaging.standard_form(system)
     with pytest.raises(FloquetError, match=r"closure residual \|\|U_\d\(T\)\|\| = "):
-        averaging.run_recursion(h, TWO_PI, 3)
+        averaging.run_recursion([{(): x} for x in h], TWO_PI, 3)

@@ -380,6 +380,17 @@ def test_unresolvable_tol_exits_2_without_hanging(argv):
     assert "tol" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("method", ["order2", "order4", "exact"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_boundary_tol_is_checked_for_every_method(capsys, method, tol):
+    # the closed forms find no root, but a tol no root finder could meet
+    # exited 0 for them while the exact method exited 2
+    code, out, err = run_cli(capsys, ["boundary", "--omega", "0:0.4:3", "--branch", "p",
+                                      "--method", method, "--tol", tol])
+    assert code == 2 and out == ""
+    assert err == f"floquet-avg: tol must be finite and > 0, got {float(tol)!r}\n"
+
+
 def test_default_tol_roots_unchanged(capsys):
     # the default tol gives a root within 1e-10 of the tight-tol root
     code, out, _ = run_cli(capsys, ["boundary", "--omega", "0.2:0.2:1", "--beta", "0.1",
@@ -845,6 +856,49 @@ def test_benchmark_hooks_into_the_program_resolve():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) >= 1
+
+
+def test_benchmark_tracer_runs_the_averaged_commands_unchanged(tmp_path):
+    # the tracer reads run_recursion's order as its third positional argument:
+    # a signature it cannot read would break traced runs, not name lookups
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join((os.path.join(root, "src"),
+                                         os.path.join(root, "perfbench"),
+                                         env.get("PYTHONPATH", "")))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "name": "custom", "period": 2.0 * PI, "J0": [[0.0, 1.0], [0.0, 0.0]],
+        "terms": [{"order": 1, "pieces": [
+            {"t_start": 0.0, "t_end": PI, "entries": [[[0.0], [0.0]], [[0.4, -0.03], [0.0]]]},
+            {"t_start": PI, "t_end": 2.0 * PI, "entries": [[[0.0], [0.0]], [[-0.4], [0.0]]]},
+        ]}]}), encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from floquet_avg import cli, pendulum\n"
+        "import tracer\n"
+        f"commands = [['analyze', '--model-file', {str(model)!r}, '--order', '4'],\n"
+        "            ['scan', '--omega', '0.05:0.3:3', '--eps', '0:0.8:3', '--beta', '0.1',\n"
+        "             '--method', 'order4']]\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    return out.getvalue()\n"
+        "plain = [run(argv) for argv in commands]\n"
+        "pendulum._TABLES.clear()\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "traced = [run(argv) for argv in commands]\n"
+        "print(json.dumps({'same': plain == traced, 'counters': t.snapshot()['counters']}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["same"]
+    # one recursion for the model file's analyze, one for the order-4 table
+    assert result["counters"]["averaging.run_recursion.o4.calls"] == 2
 
 
 _SMALL_COMMANDS = {

@@ -9,9 +9,10 @@ from floquet_avg.errors import ModelError
 from floquet_avg.pendulum import (
     PendulumParams,
     boundary_order2,
-    boundary_order4,
     jacobians,
+    order2_roots,
     order4_root,
+    order4_roots,
     quartic_coefficients,
     series_split,
 )
@@ -51,7 +52,7 @@ def test_params_validation():
     with pytest.raises(ModelError):
         PendulumParams(0.1, math.nan, 0.0)
     # the closed-form boundaries check omega and beta the same way
-    for closed_form in (boundary_order2, boundary_order4):
+    for closed_form in (boundary_order2, lambda omega, beta: order4_roots([omega], beta)):
         with pytest.raises(ModelError, match=r"omega must be finite and >= 0, got -0\.1"):
             closed_form(-0.1, 0.0)
         with pytest.raises(ModelError, match="beta must be finite and >= 0, got inf"):
@@ -132,20 +133,46 @@ def test_quartic_coefficients_at_reference_point():
 
 
 def test_boundary_order4_roots_at_reference_point():
-    roots = {(r.branch, r.domain): r.eps for r in boundary_order4(0.2, 0.0)}
-    assert abs(roots[("p", "first")] - 0.224329) < 1e-5
-    assert abs(roots[("p", "second")] - 2.171476) < 1e-5
-    assert ("n", "first") in roots and ("n", "second") in roots
+    (p_first, p_second), (n_first, n_second) = order4_roots([0.2], 0.0)[:, :, 0]
+    assert abs(p_first - 0.224329) < 1e-5
+    assert abs(p_second - 2.171476) < 1e-5
+    assert np.isfinite(n_first) and np.isfinite(n_second)
+    assert order4_root(0.2, 0.0, "p", "second") == p_second
+    assert order4_root(0.2, 0.0, "n") == n_first
 
 
 def test_boundary_order4_roots_satisfy_quartic():
     for omega, beta in ((0.2, 0.0), (0.1, 0.1), (0.3, 0.2)):
-        for root in boundary_order4(omega, beta):
-            a, b, c = quartic_coefficients(omega, beta, root.branch)
-            x = root.eps ** 2
-            residual = a * x * x + b * x + c
-            scale = max(abs(a * x * x), abs(b * x), abs(c))
-            assert abs(residual) < 1e-9 * scale
+        for branch, per_domain in zip("pn", order4_roots([omega], beta)[:, :, 0]):
+            a, b, c = quartic_coefficients(omega, beta, branch)
+            for eps in per_domain[np.isfinite(per_domain)]:
+                x = eps ** 2
+                residual = a * x * x + b * x + c
+                scale = max(abs(a * x * x), abs(b * x), abs(c))
+                assert abs(residual) < 1e-9 * scale
+
+
+def _scalar_order2(omega, beta):
+    """The closed-form order-2 boundaries of one omega, one float operation at a time."""
+    scale = 2.0 * math.sqrt(3.0) / math.pi
+    radicand = omega ** 2 - beta * omega / math.pi + 1.0 / math.pi ** 2
+    return scale * omega, scale * math.sqrt(radicand) if radicand >= 0.0 else math.nan
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 5.0, 50.0])
+def test_order2_roots_equal_the_scalar_closed_form_bitwise(beta):
+    # beta 5 and 50 leave the n-branch without a boundary over part of the range
+    omegas = np.concatenate(([0.0], np.random.default_rng(7).uniform(0.0, 20.0, 1000)))
+    roots = order2_roots(omegas, beta)
+    assert roots.shape == (2, omegas.size)
+    for k, omega in enumerate(omegas.tolist()):
+        p, n = _scalar_order2(omega, beta)
+        assert roots[0, k] == p
+        assert roots[1, k] == n or (math.isnan(n) and math.isnan(roots[1, k]))
+        if k < 20:
+            assert boundary_order2(omega, beta) == (p, None if math.isnan(n) else n)
+    if beta >= 5.0:
+        assert np.isnan(roots[1]).any()
 
 
 def test_boundary_order4_n_constant_term_at_zero_omega():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pendulum_expansion
 from floquet_avg import pendulum, scan, stability
 from floquet_avg.errors import BracketError, FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
@@ -163,9 +164,8 @@ def _paper_trace_order2(omega, eps, beta):
 def test_point_report_order_method_margins():
     # order-K margins use the graded determinant truncation of the table's expansion
     report = scan.point_report(0.4, 0.9, 0.3, "order2")
-    avg = pendulum.averaged_expansion([0.4], [0.9], 0.3, 2)
-    table = pendulum.averaged_table(2)
-    mono, expect_det = stability.monodromy_approximation(table.x0, table.system, avg, 2)
+    avg = pendulum_expansion([0.4], [0.9], 0.3, 2)
+    mono, expect_det = stability.monodromy_approximation(pendulum.averaged_table(2), avg, 2)
     assert abs(report.determinant - expect_det[0]) < 1e-14
     assert abs(report.trace - sum(mono.trace_by_order)[0]) < 1e-14
     # the order-2 trace is the paper's, within 5e-14 over these points (the
@@ -530,8 +530,8 @@ def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fa
 def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
     omegas = np.linspace(0.05, 0.3, 4)
     samples = [(omega, branch) for branch in ("p", "n") for omega in omegas]
-    closed = [scan._boundary_sample(omega, beta, branch, method)
-              for omega, branch in samples]
+    roots = pendulum.order2_roots if method == "order2" else pendulum.order4_roots
+    closed = roots(omegas, beta).reshape(2, -1, omegas.size)[:, 0].ravel().tolist()
     lo = [0.9 * root for root in closed]
     hi = [1.1 * root for root in closed]
     margin = scan._margin_stack(np.array([omega for omega, _ in samples]), beta, method)

@@ -1,12 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pendulum_pipeline
-from floquet_avg import averaging, pendulum
+from conftest import pendulum_expansion, pendulum_pipeline
+from floquet_avg import averaging, cli, pendulum
 from floquet_avg.averaging import SeriesSystem
-from floquet_avg.errors import ModelError, NumericRangeError
+from floquet_avg.errors import ModelError
 from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
 from floquet_avg.ppoly import PiecewisePolyMatrix
 from floquet_avg.stability import (
@@ -15,7 +16,6 @@ from floquet_avg.stability import (
     det_series,
     det_series_expansion,
     margin_exact,
-    order_approximation,
     pc_trace_det,
     report_from_trace_det,
 )
@@ -156,10 +156,11 @@ def test_det_series_expansion_truncations():
     omega, eps, beta = 0.4, 0.9, 0.3
     _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, 4)
     x = TWO_PI * beta * omega
-    assert abs(det_series_expansion(system, avg, 1) - 1.0) < 1e-13
-    assert abs(det_series_expansion(system, avg, 2) - (1.0 - x)) < 1e-12
-    assert abs(det_series_expansion(system, avg, 3) - (1.0 - x)) < 1e-12
-    assert abs(det_series_expansion(system, avg, 4) - (1.0 - x + 0.5 * x * x)) < 1e-12
+    assert np.trace(system.J0) == 0.0
+    assert abs(det_series_expansion(0.0, avg, 1) - 1.0) < 1e-13
+    assert abs(det_series_expansion(0.0, avg, 2) - (1.0 - x)) < 1e-12
+    assert abs(det_series_expansion(0.0, avg, 3) - (1.0 - x)) < 1e-12
+    assert abs(det_series_expansion(0.0, avg, 4) - (1.0 - x + 0.5 * x * x)) < 1e-12
 
 
 def _scalar_det_series(traces, period, order):
@@ -184,16 +185,15 @@ def test_det_series_expansion_matches_a_scalar_power_series(order):
         PiecewisePolyMatrix(TWO_PI, breaks, rng.uniform(-0.3, 0.3, (2, 2, 2, 1)))
         for _ in range(3))
     system = SeriesSystem(TWO_PI, np.array([[0.0, 1.0], [0.0, 0.0]]), terms)
-    _, h = averaging.standard_form(system)
-    avg = averaging.run_recursion(h, TWO_PI, 6)
+    table = averaging.system_table(system, 6)
+    avg = averaging.evaluate_table(table, np.ones((len(table.A), 1))).cell(0)
     traces = [np.trace(a) for a in avg.A]
     assert abs(traces[0]) > 1e-3
     expect = _scalar_det_series(traces, TWO_PI, order)
-    assert abs(det_series_expansion(system, avg, order) - expect) < 1e-13 * abs(expect)
+    assert abs(det_series_expansion(table.trace_j0, avg, order) - expect) < 1e-13 * abs(expect)
 
-    avg = pendulum.averaged_expansion(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3,
-                                      order)
-    det = det_series_expansion(pendulum.averaged_table(order).system, avg, order)
+    avg = pendulum_expansion(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3, order)
+    det = det_series_expansion(pendulum.averaged_table(order).trace_j0, avg, order)
     assert det.shape == (4,)
     for k in range(4):
         expect = _scalar_det_series([np.trace(a[k]) for a in avg.A], TWO_PI, order)
@@ -215,10 +215,17 @@ def test_report_tolerance_band():
     # F = I + T A_1 + T^2 A_1^2 / 2 = 1.125e308 I stays finite, tr F and det F do not
     (1.5, [[1e154, 0.0], [0.0, 1e154]], "invariants of F"),
 ])
-def test_order_approximation_that_overflows_is_a_range_error(period, entry, message):
+def test_order_approximation_that_overflows_is_a_range_error(tmp_path, capsys, period, entry,
+                                                             message):
     # every ppoly coefficient is finite here: the overflow is in the graded
     # exponential terms, which gave inf and NaN entries and numpy warnings
-    term = PiecewisePolyMatrix.constant(entry, period)
-    system = SeriesSystem(period, np.zeros_like(term.coeffs[0, ..., 0]), (term,))
-    with pytest.raises(NumericRangeError, match=message):
-        order_approximation(system, 2)
+    model = {"name": "custom", "period": period, "J0": np.zeros_like(entry).tolist(),
+             "terms": [{"order": 1, "pieces": [{"t_start": 0.0, "t_end": period,
+                                                "entries": [[[x] for x in row]
+                                                            for row in entry]}]}]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    assert cli.main(["analyze", "--model-file", str(path), "--order", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("floquet-avg: numeric range error: ")
+    assert message in err and err.count("\n") == 1
