@@ -26,17 +26,23 @@ _MAX_TAYLOR_TERMS = 30
 _RK4_BLOCK_STEPS = 64
 
 
+def column_sums(a):
+    """Absolute column sums of each slice of a (K, n, n) stack, as (n, K).
+
+    The sums run over the leading axis of a contiguous (n, n, K) transpose:
+    top to bottom, as a scalar loop adds them, with every add a ufunc pass
+    over the whole stack rather than over one slice's n entries.
+    """
+    return np.abs(a.transpose(1, 2, 0), order="C").sum(axis=0)
+
+
 def _norm1(a):
     """1-norm (maximum absolute column sum) of each slice of a (K, n, n) stack.
 
     Columns are summed top to bottom and NaN columns are skipped, as a
     scalar ``best = max(best, col)`` loop from 0 would.
     """
-    mag = np.abs(a)
-    col = mag[:, 0, :]
-    for i in range(1, a.shape[1]):
-        col = col + mag[:, i, :]
-    return np.fmax.reduce(col, axis=1, initial=0.0)
+    return np.fmax.reduce(column_sums(a), axis=0, initial=0.0)
 
 
 def expm2_core(a):

@@ -333,21 +333,62 @@ def cmd_scan(args) -> int:
     eps_axis = parse_range(args.eps, minimum_count=2)
     grid = scan.scan_region(omega_axis, eps_axis, args.beta, args.method,
                             threads=args.threads, tolerance=args.tolerance)
-    lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det"]
-    # each axis sample and the beta/method columns are formatted once, and
-    # the cells are read as Python values in one tolist() pass per array;
-    # the margins are formatted inline, as format_float would, except a NaN
-    omegas = [format_float(x, 12) for x in grid.omega_samples.tolist()]
-    tail = f"{format_float(args.beta, 12)},{args.method}"
-    for eps, verdicts, traces, dets in zip(grid.eps_samples.tolist(), grid.verdicts.tolist(),
-                                           grid.margin_trace.tolist(), grid.margin_det.tolist()):
-        row_tail = f"{format_float(eps, 12)},{tail}"
-        for omega, verdict, trace, det in zip(omegas, verdicts, traces, dets):
-            margins = (f"{trace:.12g},{det:.12g}" if trace == trace and det == det
-                       else f"{format_float(trace, 12)},{format_float(det, 12)}")
-            lines.append(f"{omega},{row_tail},{verdict},{margins}")
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(_scan_csv(grid), args.output)
     return EXIT_OK
+
+
+def _scan_csv(grid: scan.ScanGrid) -> str:
+    """The scan CSV, each grid row (one eps, every omega) one ``%`` template.
+
+    A row's template holds its eps and every cell's omega, beta and method,
+    a ``%s`` slot for each verdict and a ``%.12g`` slot for each margin,
+    which prints as :func:`format_float` at 12 digits does.  A margin whose
+    every row is bitwise the row above it is formatted once per omega
+    column, into the template: an exact-pc margin_det depends on omega and
+    beta only.  A NaN margin, which %.12g prints as nan, takes a ``%s``
+    slot in its row's template and the argument "NaN".
+    """
+    omegas = [format_float(x, 12) for x in grid.omega_samples.tolist()]
+    n = len(omegas)
+    head = f",{format_float(grid.beta, 12)},{grid.method},%s,"
+    slots, slotted = [], []
+    for j, m in enumerate((grid.margin_trace, grid.margin_det)):
+        # bitwise: 0.0 and -0.0 print differently
+        if m[1:].tobytes() == m[:-1].tobytes():
+            slots.append([format_float(x, 12) for x in m[0].tolist()])
+        else:
+            slots.append(["%.12g"] * n)
+            slotted.append((j, m))
+
+    def template(slots):
+        """A row's template split at its eps strings, from each margin's
+        per-column text or slot."""
+        cells = [f"{head}{t},{d}\n" for t, d in zip(*slots)]
+        return [omegas[0] + ","] + [c + o + "," for c, o in zip(cells, omegas[1:])] + cells[-1:]
+
+    shared = template(slots)
+    stride = 1 + len(slotted)
+    lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det\n"]
+    for eps, verdicts, *rows in zip(grid.eps_samples.tolist(), grid.verdicts,
+                                    *(m for _, m in slotted)):
+        values = [row.tolist() for row in rows]
+        fragments = shared
+        # a NaN makes the row's sum NaN; so does inf - inf, for which the
+        # rebuilt template is the shared one
+        if math.isnan(sum(map(sum, values))):
+            row_slots = [list(s) for s in slots]
+            for (j, _), vals in zip(slotted, values):
+                for io, x in enumerate(vals):
+                    if math.isnan(x):
+                        row_slots[j][io], vals[io] = "%s", "NaN"
+            fragments = template(row_slots)
+        # per cell its verdict, then its value of each slotted margin
+        args = [None] * (stride * n)
+        args[::stride] = verdicts.tolist()
+        for k, vals in enumerate(values, 1):
+            args[k::stride] = vals
+        lines.append(format_float(eps, 12).join(fragments) % tuple(args))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

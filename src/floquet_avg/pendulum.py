@@ -57,19 +57,20 @@ def jacobians(p: PendulumParams) -> PiecewisePolyMatrix:
 
 
 def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
-    """(K, 2, 2, 2) stack of [J+, J-] for K points (omega_k, eps_k) at one beta.
+    """(K, 2, 2, 2) stack of [J+, J-] for the K points (omega_k, eps_k) at
+    one beta of ``omegas`` and ``epss`` broadcast against each other, in C
+    order: a grid row of omegas against a column of epss is eps-major.
 
     Parameters are checked point by point; the first invalid point raises
     what :class:`PendulumParams` raises for it.
     """
-    omegas, epss, w2 = _checked_points(omegas, epss, beta)
-    d = -beta * omegas
-    out = np.zeros((omegas.size, 2, 2, 2))
-    out[:, :, 0, 1] = 1.0
-    out[:, 0, 1, 0] = w2 + epss
-    out[:, 1, 1, 0] = w2 - epss
-    out[:, :, 1, 1] = d[:, None]
-    return out
+    omegas, epss, w2, shape = _checked_points(omegas, epss, beta)
+    out = np.zeros(shape + (2, 2, 2))
+    out[..., :, 0, 1] = 1.0
+    out[..., 0, 1, 0] = w2 + epss
+    out[..., 1, 1, 0] = w2 - epss
+    out[..., :, 1, 1] = (-beta * omegas)[..., None]
+    return out.reshape(-1, 2, 2, 2)
 
 
 def series_split(p: PendulumParams) -> SeriesSystem:
@@ -118,9 +119,10 @@ def averaged_table(order: int) -> AveragedTable:
 
 
 def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
-    """The (M, K) values of the order-K table's monomials at K points
-    (omega_k, eps_k) at one beta, at which :func:`averaging.evaluate_table`
-    gives the averaged expansion.
+    """The (M, K) values of the order-K table's monomials at the K points
+    (omega_k, eps_k) at one beta of ``omegas`` and ``epss`` broadcast as
+    :func:`jacobian_stack` broadcasts them, at which
+    :func:`averaging.evaluate_table` gives the averaged expansion.
 
     Each power is a product of repeated factors and each monomial the
     product of its three powers, elementwise, so every point gets the
@@ -128,11 +130,13 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     :func:`jacobian_stack` checks them; a monomial that leaves the float
     range raises :class:`NumericRangeError` for the first point it does.
     """
-    omegas, epss, w2 = _checked_points(omegas, epss, beta)
+    omegas, epss, w2, shape = _checked_points(omegas, epss, beta)
     exponents = averaged_table(order).exponents
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.ones((3, order + 1, omegas.size))
-        factors = np.array([epss, w2, beta * omegas])
+        factors = np.empty((3,) + shape)
+        factors[0], factors[1], factors[2] = epss, w2, beta * omegas
+        factors = factors.reshape(3, -1)
+        powers = np.ones((3, order + 1, factors.shape[1]))
         for k in range(order):
             powers[:, k + 1] = powers[:, k] * factors
         a, b, c = exponents.T
@@ -141,22 +145,26 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
         a, b, c = exponents[np.argmax(bad[:, k])]
+        omega, eps = (np.broadcast_to(x, shape).flat[k] for x in (omegas, epss))
         raise NumericRangeError(
             f"the monomial eps^{a} (omega^2)^{b} (beta*omega)^{c} leaves the float range "
-            f"at omega = {omegas[k]:g}, eps = {epss[k]:g}, beta = {beta:g}")
+            f"at omega = {omega:g}, eps = {eps:g}, beta = {beta:g}")
     return values
 
 
 def _checked_points(omegas, epss, beta: float):
-    """(omegas, epss, omega**2) as float arrays, checked point by point."""
+    """(omegas, epss, omega**2, shape): float arrays that broadcast to the
+    points' shape, checked point by point in C order.  omega**2 is taken
+    per element of ``omegas``, so a grid's omega row is squared once."""
     omegas = np.asarray(omegas, dtype=float)
     epss = np.asarray(epss, dtype=float)
     ok = (np.isfinite(omegas) & (omegas >= 0.0) & np.isfinite(epss) & (epss >= 0.0)
           & bool(np.isfinite(beta) and beta >= 0.0))
     if not ok.all():
-        k = int(np.argmin(ok))
-        PendulumParams(float(omegas[k]), float(epss[k]), beta)
-    return omegas, epss, _squares(omegas)
+        k = int(np.argmin(ok.ravel()))
+        omega, eps = (np.broadcast_to(x, ok.shape).flat[k] for x in (omegas, epss))
+        PendulumParams(float(omega), float(eps), beta)
+    return omegas, epss, _squares(omegas), ok.shape
 
 
 def _squares(omega):
@@ -166,7 +174,7 @@ def _squares(omega):
     a thousand, and every scalar formula of this module uses pow.
     """
     if isinstance(omega, np.ndarray):
-        return np.array([w ** 2 for w in omega.tolist()])
+        return np.array([w ** 2 for w in omega.ravel().tolist()]).reshape(omega.shape)
     return omega ** 2
 
 
@@ -187,7 +195,7 @@ def order2_roots(omegas, beta: float) -> np.ndarray:
     far outside the expansion's validity) reports the n-boundary as absent.
     Each omega gets the arithmetic it gets alone.
     """
-    omegas, _, w2 = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
+    omegas, _, w2, _ = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
     scale = 2.0 * math.sqrt(3.0) / math.pi
     radicand = w2 - beta * omegas / math.pi + 1.0 / math.pi ** 2
     with np.errstate(invalid="ignore"):

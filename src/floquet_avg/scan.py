@@ -90,7 +90,9 @@ def _order_invariants(omegas, epss, beta: float, order: int):
 
 
 def _batched_invariants(method: str, omegas, epss, beta: float):
-    """(tr F, det F) at K points for any scan method, the K points as one stack."""
+    """(tr F, det F) at the K points of ``omegas`` and ``epss`` broadcast
+    against each other (:func:`pendulum.jacobian_stack`) for any scan
+    method, the K points as one stack."""
     if method in EXACT_METHODS:
         jac = pendulum.jacobian_stack(omegas, epss, beta)
         if method == "exact-pc":
@@ -103,18 +105,18 @@ def _batched_invariants(method: str, omegas, epss, beta: float):
     return _order_invariants(omegas, epss, beta, order)
 
 
-def _first_error(run, count: int):
-    """``run(index)`` for items 0..count-1 as one batch.
+def _first_error(batch, item, count: int):
+    """``batch()``: items 0..count-1 evaluated as one batch.
 
-    Items fail independently: when the batch raises, the items rerun one at
-    a time, so the error raised is the first failing item's own, as an
-    item-by-item loop would raise it.
+    Items fail independently: when the batch raises, ``item(k)`` reruns the
+    items one at a time, so the error raised is the first failing item's
+    own, as an item-by-item loop would raise it.
     """
     try:
-        return run(np.arange(count))
+        return batch()
     except FloquetError:
         for k in range(count):
-            run(np.array([k]))
+            item(k)
         raise
 
 
@@ -142,11 +144,13 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
     _resolve_threads(threads)
     stability.check_tolerance(tolerance)
     shape = (epss.size, omegas.size)
-    eps_grid, omega_grid = np.meshgrid(epss, omegas, indexing="ij")
-    omega_flat, eps_flat = omega_grid.ravel(), eps_grid.ravel()
+    # the omega row broadcasts against the eps column, cells eps-major, so
+    # per-omega work (omega**2) is done once per omega sample
     trace, det = _first_error(
-        lambda index: _batched_invariants(method, omega_flat[index], eps_flat[index], beta),
-        omega_flat.size)
+        lambda: _batched_invariants(method, omegas, epss[:, None], beta),
+        lambda k: _batched_invariants(method, omegas[k % shape[1], None],
+                                      epss[k // shape[1], None], beta),
+        epss.size * omegas.size)
     margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
     verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
     return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
@@ -350,7 +354,8 @@ def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> np.ndarray:
         eps[held] = _bisect(margin, lo[held], hi[held], tol)[0]
         return eps
 
-    return _first_error(run, omegas.size)
+    return _first_error(lambda: run(np.arange(omegas.size)), lambda k: run(np.array([k])),
+                        omegas.size)
 
 
 @dataclass(frozen=True)

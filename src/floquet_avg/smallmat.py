@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._kernels import expm2_core, matexp_core
+from ._kernels import column_sums, expm2_core, matexp_core
 from .errors import ModelError, NumericRangeError
 
 MAX_DIM = 8
@@ -32,8 +32,10 @@ def as_matrix(entries) -> np.ndarray:
 
 def norm1(m):
     """Matrix 1-norm (maximum absolute column sum) of an (n, n) matrix, or
-    of each slice of a (K, n, n) stack."""
-    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+    of each slice of a (K, n, n) stack; a NaN entry gives NaN."""
+    m = np.asarray(m)
+    sums = np.abs(m).sum(axis=0) if m.ndim == 2 else column_sums(m)
+    return sums.max(axis=0, initial=0.0)
 
 
 def matexp(m, t: float) -> np.ndarray:
@@ -62,9 +64,9 @@ def matexp_stack(m, t) -> np.ndarray:
     """exp(m[k] * t[k]) for every slice of a (K, n, n) stack.
 
     ``t`` is one time for all slices or one per slice.  Each slice gets
-    exactly the arithmetic :func:`matexp` gives it alone.  Validation runs
-    slice by slice in stack order, so the error raised is the one of the
-    first slice that fails, as a loop of :func:`matexp` calls would raise.
+    exactly the arithmetic :func:`matexp` gives it alone.  The error raised
+    is the one of the first slice that fails, as a loop of :func:`matexp`
+    calls would raise.
     The kernel follows the dimension: the closed form for n == 2, scaling
     and squaring otherwise.
     """
@@ -77,12 +79,13 @@ def matexp_stack(m, t) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ModelError("time must be finite")
     a = m * t[:, None, None]
-    finite = np.isfinite(m).all(axis=(1, 2))
     norms = norm1(a)
-    bad = ~finite | (norms > MATEXP_NORM_GUARD)
+    # a slice with a non-finite entry has a NaN or infinite norm, so one
+    # pass over the norms finds the first failing slice of either kind
+    bad = ~(norms <= MATEXP_NORM_GUARD)
     if bad.any():
         k = int(np.argmax(bad))
-        if not finite[k]:
+        if not np.isfinite(m[k]).all():
             raise ModelError("matrix entries must be finite")
         raise NumericRangeError(
             f"||M*t||_1 = {norms[k]:.3g} exceeds the overflow guard {MATEXP_NORM_GUARD:g}"

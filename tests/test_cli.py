@@ -707,6 +707,11 @@ def _reference_scan_csv(grid):
     ["scan", "--omega", "0:0.4:7", "--eps", "0:1:5", "--beta", "0.1"],
     ["scan", "--omega", "0.05:0.3:4", "--eps", "0:0.9:3", "--beta", "0.07", "--method", "order4"],
     ["scan", "--omega", "1e-300:3e-300:3", "--eps", "0.123456789012345:2.5:2"],
+    # exact-pc margin_det is 1 - exp(-2 pi beta omega), the same down each omega column
+    ["scan", "--omega", "0:0.4:50", "--eps", "0:1:50", "--beta", "0.1"],
+    ["scan", "--omega", "0:0.4:50", "--eps", "0:1:50", "--beta", "0"],  # margin_det 0 everywhere
+    # an order-2 margin_det differs from row to row
+    ["scan", "--omega", "0.05:0.3:6", "--eps", "0:0.9:4", "--beta", "0.07", "--method", "order2"],
 ])
 def test_scan_csv_equals_cell_by_cell_formatting(capsys, monkeypatch, argv):
     grids = []
@@ -722,29 +727,53 @@ def test_scan_csv_equals_cell_by_cell_formatting(capsys, monkeypatch, argv):
     assert out == _reference_scan_csv(grids[0])
 
 
-def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys, monkeypatch):
-    # exact and order-K margins are finite; NaN, infinities and -0 reach the
-    # CSV writer only from a grid put together here
+def _patched_scan_csv(capsys, patch):
+    """The scan CSV of a grid whose margins ``patch(trace, det)`` edits in
+    place, and that grid's cell-by-cell reference CSV."""
     original = scan.scan_region
-    special = [math.nan, -math.inf, math.inf, -0.0, 5e-324, -1.0 / 3.0]
     grids = []
 
     def patched(*args, **kwargs):
         grid = original(*args, **kwargs)
         trace = grid.margin_trace.copy()
         det = grid.margin_det.copy()
-        trace.flat[:len(special)] = special
-        det.flat[-len(special):] = special
+        patch(trace, det)
         grids.append(scan.ScanGrid(grid.omega_axis, grid.eps_axis, grid.beta, grid.method,
                                    grid.verdicts, trace, det))
         return grids[-1]
 
-    monkeypatch.setattr(scan, "scan_region", patched)
-    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.3:4", "--eps", "0:1:3",
-                                      "--beta", "0.05"])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(scan, "scan_region", patched)
+        code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.3:4", "--eps", "0:1:3",
+                                          "--beta", "0.05"])
     assert code == 0 and err == ""
-    assert out == _reference_scan_csv(grids[0])
+    return out, _reference_scan_csv(grids[0])
+
+
+def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys):
+    # exact and order-K margins are finite; NaN, infinities and -0 reach the
+    # CSV writer only from a grid put together here
+    special = [math.nan, -math.inf, math.inf, -0.0, 5e-324, -1.0 / 3.0]
+
+    def specials(trace, det):
+        trace.flat[:len(special)] = special
+        det.flat[-len(special):] = special
+
+    out, reference = _patched_scan_csv(capsys, specials)
+    assert out == reference
     assert ",NaN," in out and out.count("NaN") == 2
+
+    # an exact-pc margin_det is the same down each omega column; with one
+    # column 0.0 in every row but one, which holds -0.0, a writer that takes
+    # the column for constant by == prints 0 where -0 belongs
+    def signed_zero(trace, det):
+        det[:, 1] = 0.0
+        det[1, 1] = -0.0
+        trace[2, :2] = math.inf, -math.inf  # a row whose sum is NaN without a NaN
+
+    out, reference = _patched_scan_csv(capsys, signed_zero)
+    assert out == reference
+    assert out.count(",-0\n") == 1 and out.count(",0\n") == 5 and "NaN" not in out
 
 
 @pytest.mark.parametrize("argv, omitted", [

@@ -10,26 +10,29 @@ from hypothesis import strategies as st
 
 from floquet_avg import _kernels
 from floquet_avg.errors import ModelError, NumericRangeError
-from floquet_avg.smallmat import matexp, matexp_stack
+from floquet_avg.smallmat import matexp, matexp_stack, norm1
+
+
+def _loop_norm1(x):
+    """The 1-norm of one matrix as a plain loop: each column summed top to
+    bottom, the largest sum kept by ``col > best``, so a NaN column is skipped."""
+    n = x.shape[0]
+    best = 0.0
+    for j in range(n):
+        col = 0.0
+        for i in range(n):
+            col += abs(x[i, j])
+        if col > best:
+            best = col
+    return best
 
 
 def _scalar_matexp(a):
     """One-matrix scaling and squaring written as plain loops: the
     arithmetic every slice of ``matexp_core`` must reproduce bit for bit."""
     n = a.shape[0]
-
-    def norm1(x):
-        best = 0.0
-        for j in range(n):
-            col = 0.0
-            for i in range(n):
-                col += abs(x[i, j])
-            if col > best:
-                best = col
-        return best
-
     s = 0
-    scaled = norm1(a)
+    scaled = _loop_norm1(a)
     while scaled > 0.5:
         scaled *= 0.5
         s += 1
@@ -39,7 +42,7 @@ def _scalar_matexp(a):
     for k in range(1, 31):
         term = np.dot(term, b) / k
         out = out + term
-        if norm1(term) <= 2.0 ** -53 * norm1(out):
+        if _loop_norm1(term) <= 2.0 ** -53 * _loop_norm1(out):
             break
     for _ in range(s):
         out = np.dot(out, out)
@@ -83,6 +86,22 @@ def test_matexp_core_short_series_on_tiny_input():
     assert out[0, 1] == 1e-8 and out[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("count", [0, 1, 3, 5000])
+def test_stack_norm1_equals_the_column_loop(n, count):
+    # entries over 16 decades, so a column's sum depends on the order of its adds
+    rng = np.random.default_rng(100 * n + count)
+    stack = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (count, n, n))
+    nan = np.arange(count) == count // 2
+    stack[nan, :, n // 2] = np.nan  # one NaN column
+    loop = np.array([_loop_norm1(m) for m in stack])
+    assert np.array_equal(_kernels._norm1(stack), loop)  # skips the NaN column
+    got = norm1(stack)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(got[~nan], loop[~nan])
+    for m, expected in zip(stack[:3], got[:3]):
+        assert np.array_equal(norm1(m), expected, equal_nan=True)  # one matrix alone
+
+
 def test_matexp_stack_reports_first_failing_slice():
     good = np.array([[0.0, 1.0], [-1.0, 0.0]])
     huge = np.array([[0.0, 1.0], [3e6, 0.0]])
@@ -93,6 +112,16 @@ def test_matexp_stack_reports_first_failing_slice():
         matexp_stack(np.stack([good, bad, huge]), 1.0)
     with pytest.raises(ModelError):
         matexp_stack(good, 1.0)  # a single matrix goes through matexp
+    # deep in a large stack, the first failing slice comes before a non-finite one
+    stack = np.repeat(good[None], 4000, axis=0)
+    stack[3217] = huge
+    stack[3218:] = bad
+    with pytest.raises(NumericRangeError, match="3e"):
+        matexp_stack(stack, 1.0)
+    stack[3217] = bad
+    stack[3218] = huge
+    with pytest.raises(ModelError, match="finite"):
+        matexp_stack(stack, 1.0)
 
 
 def _mp_expm(m, t):

@@ -365,6 +365,51 @@ def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
             assert 0 < len(calls) <= 12
 
 
+def _counting_squares(monkeypatch):
+    """The sizes of the arguments pendulum._squares receives, call by call."""
+    sizes = []
+    squares = pendulum._squares
+
+    def counting(omega):
+        sizes.append(np.size(omega))
+        return squares(omega)
+
+    monkeypatch.setattr(pendulum, "_squares", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("method", ["exact-pc", "exact-rk", "order2"])
+def test_scan_grid_squares_each_omega_sample_once(monkeypatch, method):
+    # a 50x50 grid took omega**2 by libm pow for all 2,500 cells
+    sizes = _counting_squares(monkeypatch)
+    count = 50 if method == "exact-pc" else 5
+    scan_region((0.0, 0.4, count), (0.0, 1.0, count), 0.1, method)
+    assert sizes == [count]
+
+
+@pytest.mark.parametrize("branch", ["p", "n"])
+def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
+    # the order-4 seeds square each sample three times (the point check and
+    # both quartics), every lockstep margin call one omega per point it takes
+    sizes = _counting_squares(monkeypatch)
+    points = []
+    margin_stack = scan._margin_stack
+
+    def counting(*args):
+        margin = margin_stack(*args)
+
+        def counted(index, eps):
+            points.append(len(index))
+            return margin(index, eps)
+
+        return counted
+
+    monkeypatch.setattr(scan, "_margin_stack", counting)
+    trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
+    assert sizes[:3] == [26, 26, 26] and sizes[3:] == points
+    assert sum(sizes) == {"p": 337, "n": 336}[branch]
+
+
 def _synthetic_margin(funcs):
     """margin(index, eps) of scalar functions, one per sample, and a log of
     every (sample, eps, margin) it evaluates."""
