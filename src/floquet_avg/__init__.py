@@ -3,7 +3,6 @@ for linear ODE systems with periodic coefficients."""
 
 from .averaging import (
     AveragedExpansion,
-    MonodromyExpansion,
     SeriesSystem,
     assemble_monodromy,
     monodromy_direct,
@@ -52,7 +51,6 @@ __all__ = [
     "BracketError",
     "FloquetError",
     "ModelError",
-    "MonodromyExpansion",
     "NumericRangeError",
     "PendulumParams",
     "PiecewisePolyMatrix",

@@ -13,13 +13,16 @@ terms F_j; partial sums of those are the order-k approximations whose
 convergence rate in the grading parameter is k+1.
 
 The recursion runs once per model, on its terms' monomials in the
-parameters (a model without parameters is the one-monomial case), and
-:class:`AveragedTable` keeps what it gives.  An expansion at K parameter
-points evaluates the table: its A_j, U_j(T) and closure residuals carry a
-leading cell axis, the monodromy assembly runs once over the stack, and
-each cell gets the arithmetic it would get alone.
+parameters (a model without parameters is the one-monomial case), and so
+does the monodromy assembly: the graded expansion runs on the monomials'
+coefficients, a product's monomial the product of its factors', and
+:class:`AveragedTable` keeps the A_n, U_n(T), F_j and determinant
+coefficients it gives.  Evaluating the table at K parameter points is then
+a sum of monomial values times coefficients, elementwise, so each point
+gets the arithmetic it would get alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,16 +113,6 @@ class AveragedExpansion:
         return total
 
 
-@dataclass(frozen=True)
-class MonodromyExpansion:
-    """Zero-order monodromy F0, graded corrections F_1..F_N, partial sums."""
-
-    F0: np.ndarray
-    F_terms: tuple
-    partial_sums: tuple  # partial_sums[k] = F0 + F_1 + ... + F_k
-    trace_by_order: tuple  # (tr F0, tr F_1, ..., tr F_N), (K,) arrays for a stack
-
-
 def standard_form(sys: SeriesSystem):
     """Split off X0(t) = exp(J0 t) and conjugate each term into H_j.
 
@@ -179,7 +172,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
 
     def accumulate(op, label_x, label_y, product):
         """coll[label] op= product, under the label of the product's monomial."""
-        label = tuple(map(sum, zip(label_x, label_y)))
+        label = _label_sum(label_x, label_y)
         start = coll[label] if label in coll else PiecewisePolyMatrix.zero(dim, period)
         coll[label] = op(start, product)
 
@@ -222,14 +215,17 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
 
 @dataclass(frozen=True)
 class AveragedTable:
-    """A model's A_n and U_n(T) as polynomials in its parameters.
+    """A model's averaged expansion as polynomials in its parameters.
 
     ``labels[n-1]`` holds the exponent tuples of A_n's monomials, and
     ``exponents`` all of them, order after order, as an (M, p) array.
     ``A[m]`` is the coefficient of monomial m in its order's A_n, and
-    ``U_end[m]`` that in U_n(T), for every order but the last.  The
-    zero-order fundamental matrix ``x0`` (which carries the period) and
-    tr J0 are what assembly and the determinant truncation read besides.
+    ``U_end[m]`` that in U_n(T), for every order but the last.  The order-j
+    monodromy term F_j = F0 Z_j(T) and the grade-j term of the truncated
+    determinant's series exp((tr A_1 + tr A_2 + ...) T) hold the monomials
+    of A_j too: ``F[m]`` and ``D[m]`` are their coefficients.  The
+    zero-order fundamental matrix ``x0`` carries the period, ``F0`` is
+    X0(T), and tr J0 gives the determinant's factor exp(T tr J0).
     """
 
     x0: PiecewisePolyMatrix
@@ -238,20 +234,42 @@ class AveragedTable:
     exponents: np.ndarray
     A: np.ndarray
     U_end: np.ndarray
+    F0: np.ndarray
+    F: np.ndarray
+    D: np.ndarray
+
+    @functools.cached_property
+    def monodromy_rows(self):
+        """(start, rows): F0's entries, tr F0 and 1, then per monomial F_m's
+        entries, tr F_m and D_m, so that one sum gives F, tr F and the
+        determinant's series together."""
+        n = self.F0.shape[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = np.trace(self.F, axis1=1, axis2=2)
+        rows = np.concatenate((self.F.reshape(-1, n * n), traces[:, None], self.D[:, None]),
+                              axis=1)
+        return np.append(self.F0.ravel(), [np.trace(self.F0), 1.0]), rows
 
 
 def coefficient_table(x0: PiecewisePolyMatrix, h_terms, trace_j0: float,
                       order: int) -> AveragedTable:
     """The table of the recursion on labelled H terms up to ``order``, each
-    order's monomials in sorted label order, the order an evaluation adds them."""
+    order's monomials in sorted label order, the order an evaluation adds
+    them; the monodromy assembly and the determinant's graded expansion run
+    on the A_n's coefficients, labelled the same way."""
     avg = run_recursion(h_terms, x0.period, order)
     labels = tuple(tuple(sorted(a)) for a in avg.A)
+    a_coeffs = [np.array([a[m] for m in ms]) for a, ms in zip(avg.A, labels)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, f_terms = assemble_monodromy(x0, a_coeffs, labels)
+        d_terms = det_series_terms(a_coeffs, x0.period, order, labels)
     return AveragedTable(
         x0, trace_j0, labels,
         np.array([m for ms in labels for m in ms]),
-        np.array([a[m] for a, ms in zip(avg.A, labels) for m in ms]),
+        np.concatenate(a_coeffs),
         np.array([u[m] for u, ms in zip(avg.U_end, labels) for m in ms]).reshape(
-            -1, x0.dim, x0.dim))
+            -1, x0.dim, x0.dim),
+        f0, np.concatenate(f_terms), np.concatenate(d_terms)[:, 0, 0])
 
 
 def system_table(sys: SeriesSystem, order: int) -> AveragedTable:
@@ -272,14 +290,14 @@ def evaluate_table(table: AveragedTable, values) -> AveragedExpansion:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(values)[:, :, None, None]
-        a_mats = _order_sums(values * table.A[:, None], table.labels)
-        u_ends = _order_sums(values[: len(table.U_end)] * table.U_end[:, None],
+        a_mats = order_sums(values * table.A[:, None], table.labels)
+        u_ends = order_sums(values[: len(table.U_end)] * table.U_end[:, None],
                              table.labels[:-1])
         residuals = tuple(norm1(u) for u in u_ends)
     return AveragedExpansion(table.x0.period, a_mats, u_ends, residuals)
 
 
-def _order_sums(terms, labels) -> tuple:
+def order_sums(terms, labels) -> tuple:
     """Per order, the sum of its monomials' (K, n, n) terms, added one at a
     time in table order."""
     sums = []
@@ -293,18 +311,17 @@ def _order_sums(terms, labels) -> tuple:
     return tuple(sums)
 
 
+def _label_sum(label_x, label_y) -> tuple:
+    """The label of a product of two monomials: their exponents added."""
+    return tuple(map(sum, zip(label_x, label_y)))
+
+
 def _label_text(label) -> str:
     """The monomial a closure residual belongs to, empty for the one-monomial case."""
     return f" of monomial {label}" if label else ""
 
 
-def _trace(m):
-    """tr m as a float, or a (K,) array for a (K, n, n) stack."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    return float(tr) if np.ndim(tr) == 0 else tr
-
-
-def graded_exp_terms(a_list, period: float, order: int):
+def graded_exp_terms(a_list, period: float, order: int, labels=None):
     """Grade-j terms Z_j(T) of exp((A_1 + A_2 + ...) T), j = 1..order.
 
     P_m[j], the grade-j part of (A_1 + A_2 + ...)^m, follows the power
@@ -314,9 +331,26 @@ def graded_exp_terms(a_list, period: float, order: int):
     are zero.  (K, n, n) stacks of A_j give stacks of Z_j, and a
     (..., 1, 1) stack of scalars gives the scalar series; a stacked matmul
     multiplies each slice as a lone matrix product would.
+
+    With ``labels``, ``a_list[j-1]`` holds the (L_j, n, n) coefficients of
+    A_j's monomials ``labels[j-1]``, and Z_j comes back as the coefficients
+    of ``labels[j-1]`` too: a product of two monomials is the monomial whose
+    label is the sum of theirs.
     """
     top = min(order, len(a_list))
-    z_terms = [np.zeros_like(a_list[0]) for _ in range(order)]
+
+    def product(k, i):
+        """A_k @ P[i], each coefficient pair landing on its product's monomial."""
+        if labels is None:
+            return a_list[k - 1] @ power[i]
+        x, y = a_list[k - 1], power[i]
+        where = {label: n for n, label in enumerate(labels[k + i - 1])}
+        out = np.zeros((len(where),) + x.shape[1:])
+        np.add.at(out, [where[_label_sum(lx, ly)] for lx in labels[k - 1] for ly in labels[i - 1]],
+                  (x[:, None] @ y[None]).reshape((-1,) + x.shape[1:]))
+        return out
+
+    z_terms = [0.0] * order  # every grade j gets P_j[j], the power of A_1, at least
     power = {j: a_list[j - 1] for j in range(1, top + 1)}  # P_1, by grade
     for m in range(1, order + 1):
         scale = period ** m / math.factorial(m)
@@ -324,24 +358,29 @@ def graded_exp_terms(a_list, period: float, order: int):
             z_terms[j - 1] = z_terms[j - 1] + p * scale
         nxt = {}
         for j in range(m + 1, order + 1):
-            terms = [a_list[k - 1] @ power[j - k] for k in range(1, top + 1) if j - k in power]
+            terms = [product(k, j - k) for k in range(1, top + 1) if j - k in power]
             if terms:
                 nxt[j] = sum(terms[1:], terms[0])
         power = nxt
     return z_terms
 
 
-def assemble_monodromy(x0: PiecewisePolyMatrix, avg: AveragedExpansion,
-                       period: float) -> MonodromyExpansion:
-    """Build F0 and the graded corrections F_j = F0 @ Z_j(T), j = 1..N."""
-    f0 = ppoly.pp_eval(x0, period)
-    z_terms = graded_exp_terms(avg.A, period, avg.order)
-    f_terms = tuple(f0 @ z for z in z_terms)
-    sums = [f0]
-    for f in f_terms:
-        sums.append(sums[-1] + f)
-    traces = tuple(_trace(f) for f in (f0,) + f_terms)
-    return MonodromyExpansion(f0, f_terms, tuple(sums), traces)
+def assemble_monodromy(x0: PiecewisePolyMatrix, a_list, labels=None):
+    """F0 = X0(T) and the graded corrections F_j = F0 @ Z_j(T), j = 1..N, of
+    A_1..A_N as :func:`graded_exp_terms` takes them: ``(F0, (F_1, ..F_N))``."""
+    f0 = ppoly.pp_eval(x0, x0.period)
+    z_terms = graded_exp_terms(a_list, x0.period, len(a_list), labels)
+    return f0, tuple(f0 @ z for z in z_terms)
+
+
+def det_series_terms(a_list, period: float, order: int, labels=None):
+    """Grade-j terms of exp((tr A_1 + tr A_2 + ...) T), j = 1..order, as
+    (..., 1, 1) arrays: :func:`graded_exp_terms` on the 1x1 matrices
+    tr A_j T, labelled as it takes them."""
+    # the T is folded into the traces, so the grade-m scale 1/m! is exact
+    # through m = 2 and orders 1 and 2 multiply out as (tr A_1 T)(tr A_1 T) / 2
+    traces = [(np.trace(a, axis1=-2, axis2=-1) * period)[..., None, None] for a in a_list[:order]]
+    return graded_exp_terms(traces, 1.0, order, labels)
 
 
 def monodromy_direct(x0: PiecewisePolyMatrix, avg: AveragedExpansion,

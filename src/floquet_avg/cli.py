@@ -237,8 +237,7 @@ def cmd_analyze(args) -> int:
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
     avg = averaging.evaluate_table(table, values).cell(0)
-    mono, det_trunc = stability.monodromy_approximation(table, avg, args.order)
-    f_approx = mono.partial_sums[-1]
+    approx = stability.monodromy_approximation(table, values)
     det_full = stability.det_series(sys_, avg)
 
     doc = {
@@ -249,18 +248,18 @@ def cmd_analyze(args) -> int:
         "tolerance": args.tolerance,
         "A": [_matrix_list(a) for a in avg.A],
         "closure_residuals": list(avg.closure_residuals),
-        "trace_by_order": list(mono.trace_by_order),
+        "trace_by_order": [float(t[0]) for t in approx.trace_by_order],
         "det_series": det_full,
-        "det_series_truncated": det_trunc,
-        "F0": _matrix_list(mono.F0),
-        "F_approx": _matrix_list(f_approx),
+        "det_series_truncated": float(approx.det[0]),
+        "F0": _matrix_list(table.F0),
+        "F_approx": _matrix_list(approx.F[0]),
     }
     if params is not None:
         doc["params"] = {"omega": params.omega, "eps": params.eps, "beta": params.beta}
     if sys_.dim == 2:
-        trace = float(sum(mono.trace_by_order))
         doc["approx"] = _report_dict(
-            stability.report_from_trace_det(trace, det_trunc, args.tolerance)
+            stability.report_from_trace_det(float(approx.trace[0]), float(approx.det[0]),
+                                            args.tolerance)
         )
         doc["multipliers_approx"] = doc["approx"]["multipliers"]
     else:

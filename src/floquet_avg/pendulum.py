@@ -106,6 +106,8 @@ def averaged_table(order: int) -> AveragedTable:
     omega^2 N + (beta*omega) D.  The recursion is multilinear in them, so
     A_n and U_n are exact polynomials in the three monomials, those of A_n
     with a + 2(b + c) = n, and the closure check runs monomial by monomial.
+    The monodromy terms F_n and the truncated determinant's grade-n terms
+    are polynomials in the same monomials, tabulated in the same build.
     """
     table = _TABLES.get(order)
     if table is None:
@@ -122,7 +124,8 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     """The (M, K) values of the order-K table's monomials at the K points
     (omega_k, eps_k) at one beta of ``omegas`` and ``epss`` broadcast as
     :func:`jacobian_stack` broadcasts them, at which
-    :func:`averaging.evaluate_table` gives the averaged expansion.
+    :func:`stability.monodromy_approximation` gives the order-K invariants
+    and :func:`averaging.evaluate_table` the averaged expansion.
 
     Each power is a product of repeated factors and each monomial the
     product of its three powers, elementwise, so every point gets the
@@ -219,19 +222,23 @@ def quartic_coefficients(omega, beta: float, branch: str):
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
+    a, b, c_p, c_n = _quartics(omega, _squares(omega), beta)
+    return a, b, c_p if branch == "p" else c_n
+
+
+def _quartics(omega, w2, beta: float):
+    """(a, b, c_p, c_n) of :func:`quartic_coefficients` from omega and its
+    square ``w2``: the shared coefficients and both branches' constant terms."""
     pi = math.pi
-    w2 = _squares(omega)
     a = pi ** 8 / 1260.0
     b = -(pi ** 4 / 3.0) * (1.0 + 4.0 * pi ** 2 * w2 / 15.0 - pi * beta * omega)
-    if branch == "p":
-        c = 4.0 * pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi)
-    else:
-        c = 4.0 * (
-            1.0
-            - beta * pi * omega
-            + pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi + beta ** 2)
-        )
-    return a, b, c
+    c_p = 4.0 * pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi)
+    c_n = 4.0 * (
+        1.0
+        - beta * pi * omega
+        + pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi + beta ** 2)
+    )
+    return a, b, c_p, c_n
 
 
 def order4_roots(omegas, beta: float) -> np.ndarray:
@@ -241,11 +248,12 @@ def order4_roots(omegas, beta: float) -> np.ndarray:
     Each quartic is a quadratic in eps^2; real roots are labeled by
     magnitude -- the smaller eps^2 root bounds the first stability domain,
     the larger the second.  Complex eps^2 roots mean the branch has no
-    boundary at that omega.  Each omega gets the arithmetic it gets alone.
+    boundary at that omega.  Each omega is squared once, and each gets the
+    arithmetic it gets alone.
     """
-    omegas = _checked_points(omegas, np.zeros(np.size(omegas)), beta)[0]
-    a, b, c_p = quartic_coefficients(omegas, beta, "p")
-    c = np.stack((c_p, quartic_coefficients(omegas, beta, "n")[2]))
+    omegas, _, w2, _ = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
+    a, b, c_p, c_n = _quartics(omegas, w2, beta)
+    c = np.stack((c_p, c_n))
     with np.errstate(all="ignore"):
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(disc)

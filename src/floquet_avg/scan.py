@@ -6,11 +6,12 @@ exact-versus-approximate boundary comparison tables.  Every method runs
 batched: a whole exact-pc grid is one stack of matrix exponentials, a
 whole exact-rk grid one RK4 integration of a stack of systems, a whole
 order-K grid one evaluation of the pendulum's averaged coefficient table
-(the averaging recursion runs once per order per process, on the
-parameters' monomials), and boundary samples find their roots in
-lockstep, one batched margin call per step.  Every point still gets the
-arithmetic it would get alone, so results do not depend on the batch.
-All of it is single-threaded.
+(the averaging recursion and the monodromy assembly run once per order per
+process, on the parameters' monomials, so an order-K cell is its monomial
+values times tabulated coefficients), and boundary samples find their
+roots in lockstep, one batched margin call per step.  Every point still
+gets the arithmetic it would get alone, so results do not depend on the
+batch.  All of it is single-threaded.
 """
 
 import math
@@ -81,12 +82,11 @@ def order_of_method(method: str) -> Optional[int]:
 
 
 def _order_invariants(omegas, epss, beta: float, order: int):
-    """Order-K trace partial sum and truncated determinant at K points, from
-    the pendulum's coefficient table, the K points as one stack."""
-    table = pendulum.averaged_table(order)
-    avg = averaging.evaluate_table(table, pendulum.monomial_values(omegas, epss, beta, order))
-    mono, det = stability.monodromy_approximation(table, avg, order)
-    return sum(mono.trace_by_order), det
+    """Order-K tr F and truncated det F at K points: the pendulum's
+    coefficient table at their monomial values, the K points as one stack."""
+    approx = stability.monodromy_approximation(
+        pendulum.averaged_table(order), pendulum.monomial_values(omegas, epss, beta, order))
+    return approx.trace, approx.det
 
 
 def _batched_invariants(method: str, omegas, epss, beta: float):

@@ -16,6 +16,7 @@ carry an explicit Marginal band of half-width ``tolerance``.
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .averaging import (
     AveragedExpansion,
     AveragedTable,
     SeriesSystem,
-    assemble_monodromy,
-    graded_exp_terms,
+    det_series_terms,
+    order_sums,
 )
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
@@ -130,8 +131,11 @@ def pc_monodromy(durations, mats):
     exponent = durations[0] * traces[:, 0]
     for s in range(1, len(durations)):
         exponent += durations[s] * traces[:, s]
-    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit
-    det = np.array([math.exp(x) for x in exponent.tolist()])
+    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit;
+    # once per distinct exponent (for the pendulum, per omega), 0.0 and -0.0
+    # both giving 1.0
+    distinct, inverse = np.unique(exponent, return_inverse=True)
+    det = np.array([math.exp(x) for x in distinct.tolist()])[inverse.ravel()]
     return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det)
 
 
@@ -172,22 +176,44 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])
 
 
-def monodromy_approximation(table: AveragedTable, avg: AveragedExpansion, order: int):
-    """Monodromy assembly and the graded determinant truncation of
-    :func:`det_series_expansion` from an expansion of the table's model,
-    one point's or K points' (A_j stacked); returns ``(mono, det)``.  Every
-    order-K margin and report ends here.  An approximation of F, of tr F
-    (the sum of ``mono.trace_by_order``) or of det F that leaves the float
-    range raises :class:`NumericRangeError`.
+class Approximation(NamedTuple):
+    """The order-N approximation of F at K points, (K, n, n) and (K,) arrays."""
+
+    F: np.ndarray  # F0 + F_1 + ... + F_N
+    F_terms: tuple  # F_1..F_N
+    trace_by_order: tuple  # tr F0, tr F_1, ..., tr F_N
+    trace: np.ndarray  # tr F, the sum of trace_by_order
+    det: np.ndarray  # the graded determinant truncation
+
+
+def monodromy_approximation(table: AveragedTable, values) -> Approximation:
+    """The table's order-N approximation of F at the K points whose (M, K)
+    monomial values are ``values``.  Every order-K margin and report ends here.
+
+    F_j = sum_m v_m F_m over order j's monomials, and tr F_j and the
+    determinant's grade-j term sum_m v_m D_m come from the same sums of
+    tabulated coefficients: det F = exp(T tr J0) (1 + sum_m v_m D_m) is
+    the truncation of :func:`det_series_expansion`.  The monomials are added
+    one at a time in table order, elementwise, so every point gets the
+    arithmetic it gets alone.  An approximation of F, of tr F or of det F
+    that leaves the float range raises :class:`NumericRangeError`.
     """
+    n = table.F0.shape[-1]
+    start, rows = table.monodromy_rows
+    total = start
     with np.errstate(over="ignore", invalid="ignore"):
-        mono = assemble_monodromy(table.x0, avg, table.x0.period)
-        det = det_series_expansion(table.trace_j0, avg, order)
-        trace = sum(mono.trace_by_order)
-    if not np.isfinite(mono.partial_sums[-1]).all():
-        raise NumericRangeError(f"the order-{order} approximation of F leaves the float range")
-    _in_range(trace, det)
-    return mono, det
+        sums = order_sums(np.asarray(values)[:, :, None] * rows[:, None], table.labels)
+        for s in sums:
+            total = total + s
+        f = total[:, :-2].reshape(-1, n, n)
+        det = math.exp(table.trace_j0 * table.x0.period) * total[:, -1]
+    if not np.isfinite(f).all():
+        raise NumericRangeError(
+            f"the order-{len(table.labels)} approximation of F leaves the float range")
+    _in_range(total[:, -2], det)
+    return Approximation(f, tuple(s[:, :-2].reshape(-1, n, n) for s in sums),
+                         (np.full(len(f), start[-2]),) + tuple(s[:, -2] for s in sums),
+                         total[:, -2], det)
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
@@ -208,23 +234,21 @@ def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):
     """Graded truncation of the determinant expansion at the given order.
 
     det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), T the
-    expansion's period, whose second factor is expanded by grade with
-    :func:`averaging.graded_exp_terms` applied to the 1x1 matrices tr A_j:
-    the same expansion, cut at the same grade, as the trace partial sum an
-    order-K boundary condition is solved against, so approximate-boundary
-    root finding reproduces the closed-form boundary curves.  A float for
-    one system, a (K,) array for a stack of K.
+    expansion's period, whose second factor is expanded by grade
+    (:func:`averaging.det_series_terms`): the same expansion, cut at the
+    same grade, as the trace partial sum an order-K boundary condition is
+    solved against, so approximate-boundary root finding reproduces the
+    closed-form boundary curves.  A float for one system, a (K,) array for
+    a stack of K.  Order-K margins read the same terms from the coefficient
+    table (:func:`monodromy_approximation`); this is their evaluation at
+    points' own A_j.
     """
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
-    # the T is folded into the traces, so the grade-m scale 1/m! is exact
-    # through m = 2 and orders 1 and 2 multiply out as (tr A_1 T)(tr A_1 T) / 2
-    t = avg.period
-    traces = [(np.trace(a, axis1=-2, axis2=-1) * t)[..., None, None] for a in avg.A[:order]]
     series = 1.0
-    for z in graded_exp_terms(traces, 1.0, order):
+    for z in det_series_terms(avg.A, avg.period, order):
         series = series + z[..., 0, 0]
-    det = math.exp(trace_j0 * t) * series
+    det = math.exp(trace_j0 * avg.period) * series
     return float(det) if np.ndim(det) == 0 else det
 
 

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from floquet_avg import averaging, pendulum
+from floquet_avg import averaging, pendulum, stability
 
 
 @pytest.fixture
@@ -10,15 +12,31 @@ def rng():
 
 
 def pendulum_pipeline(omega, eps, beta, order):
-    """series split -> standard form -> recursion -> monodromy expansion, on
-    the point's own series as a model file's analyze runs them: its table,
-    evaluated with its one monomial at 1."""
+    """series split -> standard form -> recursion -> coefficient table ->
+    order-N approximation, on the point's own series as a model file's
+    analyze runs them: its table, evaluated with its one monomial at 1.
+    Returns (params, system, x0, avg, mono), ``mono`` the point's
+    :func:`one_point` approximation."""
     params = pendulum.PendulumParams(omega, eps, beta)
     system = pendulum.series_split(params)
     table = averaging.system_table(system, order)
-    avg = averaging.evaluate_table(table, np.ones((len(table.A), 1))).cell(0)
-    mono = averaging.assemble_monodromy(table.x0, avg, system.period)
-    return params, system, table.x0, avg, mono
+    values = np.ones((len(table.A), 1))
+    avg = averaging.evaluate_table(table, values).cell(0)
+    return params, system, table.x0, avg, one_point(table, values)
+
+
+def one_point(table, values):
+    """The approximation of :func:`stability.monodromy_approximation` at one
+    point, unstacked, with F0 and the partial sums F0 + F_1 + ... + F_k
+    added as the approximation adds them."""
+    approx = stability.monodromy_approximation(table, values)
+    f_terms = tuple(f[0] for f in approx.F_terms)
+    sums = [table.F0]
+    for f in f_terms:
+        sums.append(sums[-1] + f)
+    return SimpleNamespace(F0=table.F0, F_terms=f_terms, partial_sums=tuple(sums),
+                           trace_by_order=tuple(float(t[0]) for t in approx.trace_by_order),
+                           trace=float(approx.trace[0]), det=float(approx.det[0]))
 
 
 def pendulum_expansion(omegas, epss, beta, order):

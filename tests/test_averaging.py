@@ -121,9 +121,17 @@ def test_assemble_third_order_trace_vanishes():
 
 
 def test_partial_sums_are_cumulative():
+    # a table's grade-j coefficients do not depend on its order, so the
+    # order-k approximation is bitwise the order-4 one's partial sum F0 + F_1
+    # + ... + F_k, its traces and determinant those of the shorter table
     _, _, _, _, mono = pendulum_pipeline(0.2, 0.4, 0.1, 4)
     assert len(mono.partial_sums) == 5
+    assert np.array_equal(mono.partial_sums[0], np.array([[1.0, TWO_PI], [0.0, 1.0]]))
     for k in range(1, 5):
+        _, _, _, _, short = pendulum_pipeline(0.2, 0.4, 0.1, k)
+        assert np.array_equal(short.partial_sums[-1], mono.partial_sums[k])
+        assert short.trace_by_order == mono.trace_by_order[: k + 1]
+        assert short.trace == sum(mono.trace_by_order[: k + 1])
         diff = mono.partial_sums[k] - mono.partial_sums[k - 1]
         # recovery of the increment is exact up to one rounding of the sum
         bound = 2.0 * np.finfo(float).eps * np.abs(mono.partial_sums[k]).max()
@@ -237,14 +245,14 @@ def test_monodromy_direct_deviation_is_high_order():
 
 # -- the coefficient table and its evaluation at a stack of points ------------
 
-def _expansion_invariants(omegas, epss, beta, order):
-    """Everything the order-K path computes at K pendulum points."""
-    avg = pendulum_expansion(omegas, epss, beta, order)
-    mono, det = stability.monodromy_approximation(pendulum.averaged_table(order), avg, order)
+def _expansion_invariants(table, values):
+    """Everything the order-K path computes at K pendulum points: the
+    expansion analyze prints and the approximation every margin reads."""
+    avg = averaging.evaluate_table(table, values)
+    approx = stability.monodromy_approximation(table, values)
     arrays = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
-    arrays += list(mono.trace_by_order[1:]) + list(mono.F_terms)
-    arrays += list(mono.partial_sums[1:]) + [det]
-    return arrays
+    arrays += list(approx.F_terms) + list(approx.trace_by_order)
+    return arrays + [approx.F, approx.trace, approx.det]
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -252,27 +260,55 @@ def _expansion_invariants(omegas, epss, beta, order):
 def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
     rng = np.random.default_rng(order)
     omegas, epss = rng.uniform(0.0, 0.4, 8), rng.uniform(0.0, 1.0, 8)
-    full = _expansion_invariants(omegas, epss, beta, order)
+    table = pendulum.averaged_table(order)
+
+    def invariants(w, e):
+        return _expansion_invariants(table, pendulum.monomial_values(w, e, beta, order))
+
+    full = invariants(omegas, epss)
     permutation = rng.permutation(8)
-    permuted = _expansion_invariants(omegas[permutation], epss[permutation], beta, order)
-    truncated = _expansion_invariants(omegas[:3], epss[:3], beta, order)
+    permuted = invariants(omegas[permutation], epss[permutation])
+    truncated = invariants(omegas[:3], epss[:3])
     for k in range(8):
-        alone = _expansion_invariants(omegas[[k]], epss[[k]], beta, order)
+        alone = invariants(omegas[[k]], epss[[k]])
         # analyze's one-point path: the cell's A_j, U_j(T) and residuals, unstacked
-        table = pendulum.averaged_table(order)
-        values = pendulum.monomial_values([omegas[k]], [epss[k]], beta, order)
-        avg = averaging.evaluate_table(table, values).cell(0)
-        mono, det = stability.monodromy_approximation(table, avg, order)
+        avg = averaging.evaluate_table(table, pendulum.monomial_values(
+            [omegas[k]], [epss[k]], beta, order)).cell(0)
         single = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
-        single += list(mono.trace_by_order[1:])
-        single += list(mono.F_terms) + list(mono.partial_sums[1:]) + [det]
         position = int(np.flatnonzero(permutation == k)[0])
-        for x, x_alone, x_single, x_perm in zip(full, alone, single, permuted):
+        for x, x_alone, x_perm in zip(full, alone, permuted):
             assert np.array_equal(x[k], x_alone[0])
-            assert np.array_equal(x[k], x_single)
             assert np.array_equal(x[k], x_perm[position])
+        for x, x_single in zip(full, single):
+            assert np.array_equal(x[k], x_single)
         if k < 3:
             assert all(np.array_equal(x[k], y[k]) for x, y in zip(full, truncated))
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_tabulated_monodromy_agrees_with_each_cells_own_assembly(order):
+    # the table's F_j and determinant against the graded expansion run on each
+    # cell's own A_j: they differ by roundoff alone, measured at most 0.67 u of
+    # the summands' size for F_j and 0.19 u for the determinant
+    rng = np.random.default_rng(40 + order)
+    omegas, epss = rng.uniform(0.0, 0.5, 30), rng.uniform(0.0, 1.2, 30)
+    table = pendulum.averaged_table(order)
+    for beta in (0.0, 0.1, 0.3):
+        values = pendulum.monomial_values(omegas, epss, beta, order)
+        approx = stability.monodromy_approximation(table, values)
+        avg = averaging.evaluate_table(table, values)
+        f0, f_terms = averaging.assemble_monodromy(table.x0, avg.A)
+        assert np.array_equal(table.F0, f0)
+        sizes = _composition_exp_terms([np.abs(a) for a in avg.A], TWO_PI, order)
+        for f, f_cell, size in zip(approx.F_terms, f_terms, sizes):
+            scale = (np.abs(f0) @ size).max(axis=(1, 2))[:, None, None]
+            assert (np.abs(f - f_cell) <= 2 * EPS * scale).all()
+        det = stability.det_series_expansion(table.trace_j0, avg, order)
+        diagonals = [(np.abs(a[:, 0, 0]) + np.abs(a[:, 1, 1]))[:, None, None] for a in avg.A]
+        size = sum(_composition_exp_terms(diagonals, TWO_PI, order))[:, 0, 0]
+        assert (np.abs(approx.det - det) <= EPS * size).all()
+        # tr F is summed from the tabulated traces, not read off F's diagonal
+        assert np.abs(approx.trace - np.trace(approx.F, axis1=1, axis2=2)).max() < 1e-13
 
 
 def test_averaged_expansion_matches_the_recursion_on_series_split():

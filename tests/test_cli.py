@@ -906,9 +906,11 @@ def test_benchmark_tracer_runs_the_averaged_commands_unchanged(tmp_path):
         "import contextlib, io, json, sys\n"
         "from floquet_avg import cli, pendulum\n"
         "import tracer\n"
-        f"commands = [['analyze', '--model-file', {str(model)!r}, '--order', '4'],\n"
-        "            ['scan', '--omega', '0.05:0.3:3', '--eps', '0:0.8:3', '--beta', '0.1',\n"
-        "             '--method', 'order4']]\n"
+        f"commands = [['analyze', '--model-file', {str(model)!r}, '--order', '4']]\n"
+        "commands += [['scan', '--omega', '0.05:0.3:3', '--eps', '0:0.8:3', '--beta', '0.1',\n"
+        "              '--method', f'order{k}'] for k in range(1, 7)]\n"
+        "commands += [['analyze', '--omega', '0.2', '--eps', '0.5', '--beta', '0.1',\n"
+        "              '--order', '4']]\n"
         "def run(argv):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
@@ -926,8 +928,30 @@ def test_benchmark_tracer_runs_the_averaged_commands_unchanged(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["same"]
-    # one recursion for the model file's analyze, one for the order-4 table
-    assert result["counters"]["averaging.run_recursion.o4.calls"] == 2
+    # one recursion for the model file's analyze, one for the order-4 table,
+    # which the pendulum analyze reuses; one per order for the other tables
+    counters = result["counters"]
+    assert counters["averaging.run_recursion.o4.calls"] == 2
+    assert counters["averaging.run_recursion.o2.calls"] == 1
+    assert counters["averaging.run_recursion.o6.calls"] == 1
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_scan_cells_and_analyze_approx_margins_are_bitwise_equal(capsys, beta):
+    # one evaluation of the table serves both: analyze's margins at 17 digits
+    # read back as the scan cell's floats
+    grid_omegas, grid_epss = (0.05, 0.45, 3), (0.2, 1.1, 3)
+    for order in range(1, 7):
+        grid = scan.scan_region(grid_omegas, grid_epss, beta, f"order{order}")
+        for ie, eps in enumerate(grid.eps_samples.tolist()):
+            for io, omega in enumerate(grid.omega_samples.tolist()):
+                code, out, _ = run_cli(capsys, [
+                    "analyze", "--omega", repr(omega), "--eps", repr(eps), "--beta", repr(beta),
+                    "--order", str(order)])
+                assert code == 0
+                approx = json.loads(out)["approx"]
+                assert approx["margin_trace"] == grid.margin_trace[ie, io]
+                assert approx["margin_det"] == grid.margin_det[ie, io]
 
 
 _SMALL_COMMANDS = {

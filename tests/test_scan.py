@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_expansion
-from floquet_avg import pendulum, scan, stability
+from floquet_avg import averaging, pendulum, scan, stability
 from floquet_avg.errors import BracketError, FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.scan import (
@@ -162,12 +162,18 @@ def _paper_trace_order2(omega, eps, beta):
 
 
 def test_point_report_order_method_margins():
-    # order-K margins use the graded determinant truncation of the table's expansion
+    # order-K margins use the graded determinant truncation of the table's
+    # expansion: against the cell's own assembly of its A_j, the tabulated
+    # coefficients move tr F by 1.4e-14 (4 ulp of |tr F| = 18.7) and det F by
+    # 3.6e-15 at this point
     report = scan.point_report(0.4, 0.9, 0.3, "order2")
     avg = pendulum_expansion([0.4], [0.9], 0.3, 2)
-    mono, expect_det = stability.monodromy_approximation(pendulum.averaged_table(2), avg, 2)
-    assert abs(report.determinant - expect_det[0]) < 1e-14
-    assert abs(report.trace - sum(mono.trace_by_order)[0]) < 1e-14
+    table = pendulum.averaged_table(2)
+    f0, f_terms = averaging.assemble_monodromy(table.x0, avg.A)
+    expect_trace = sum(np.trace(f, axis1=-2, axis2=-1) for f in (f0,) + f_terms)[0]
+    expect_det = stability.det_series_expansion(table.trace_j0, avg, 2)[0]
+    assert abs(report.determinant - expect_det) <= 4e-15
+    assert abs(report.trace - expect_trace) <= 1.5e-14
     # the order-2 trace is the paper's, within 5e-14 over these points (the
     # recursion run on each point's own series was within 1.6e-13)
     rng = np.random.default_rng(0)
@@ -389,8 +395,9 @@ def test_scan_grid_squares_each_omega_sample_once(monkeypatch, method):
 
 @pytest.mark.parametrize("branch", ["p", "n"])
 def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
-    # the order-4 seeds square each sample three times (the point check and
-    # both quartics), every lockstep margin call one omega per point it takes
+    # the order-4 seeds square each sample once (it squared three times: the
+    # point check and both quartics), every lockstep margin call one omega
+    # per point it takes
     sizes = _counting_squares(monkeypatch)
     points = []
     margin_stack = scan._margin_stack
@@ -406,8 +413,8 @@ def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
 
     monkeypatch.setattr(scan, "_margin_stack", counting)
     trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
-    assert sizes[:3] == [26, 26, 26] and sizes[3:] == points
-    assert sum(sizes) == {"p": 337, "n": 336}[branch]
+    assert sizes[0] == 26 and sizes[1:] == points
+    assert sum(sizes) == {"p": 285, "n": 284}[branch]
 
 
 def _synthetic_margin(funcs):

@@ -92,6 +92,30 @@ def test_pc_trace_det_takes_det_from_liouville():
     assert abs(det[0] - np.linalg.det(f)) <= 1e-14
 
 
+def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
+    # the exponent -2 pi beta omega depends on omega alone: a 50x50 chart
+    # took 2,500 math.exp calls for 50 values
+    omegas, epss = np.linspace(0.0, 0.5, 50), np.linspace(0.0, 1.2, 50)
+    jac = pendulum.jacobian_stack(omegas, epss[:, None], 0.1)
+    exponent = PI * (jac[:, 0, 0, 0] + jac[:, 0, 1, 1]) + PI * (jac[:, 1, 0, 0] + jac[:, 1, 1, 1])
+    expect = [math.exp(x) for x in exponent.tolist()]
+    calls = []
+    exp = math.exp
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    det = pc_trace_det(pendulum.HALF_PERIODS, jac)[1]
+    assert len(calls) == 50
+    assert det.tolist() == expect
+    # 0.0 and -0.0 share one exponential, and both give 1.0
+    mats = np.zeros((2, 2, 2, 2))
+    mats[0, :, 0, 0] = mats[0, :, 1, 1] = -0.0
+    assert pc_trace_det((1.0, 1.0), mats)[1].tolist() == [1.0, 1.0]
+
+
 def test_pc_det_is_exact_where_the_product_det_is_roundoff():
     # ||F|| ~ 1e27 at omega 10, so f00 f11 - f01 f10 carries a roundoff of
     # order 1e38; Liouville's det F = exp(-2 pi beta omega) carries none
