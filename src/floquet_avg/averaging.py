@@ -239,7 +239,7 @@ class AveragedTable:
     D: np.ndarray
 
     @functools.cached_property
-    def monodromy_rows(self):
+    def _monodromy_rows(self):
         """(start, rows): F0's entries, tr F0 and 1, then per monomial F_m's
         entries, tr F_m and D_m, so that one sum gives F, tr F and the
         determinant's series together."""
@@ -290,15 +290,38 @@ def evaluate_table(table: AveragedTable, values) -> AveragedExpansion:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(values)[:, :, None, None]
-        a_mats = order_sums(values * table.A[:, None], table.labels)
-        u_ends = order_sums(values[: len(table.U_end)] * table.U_end[:, None],
+        a_mats = _order_sums(values * table.A[:, None], table.labels)
+        u_ends = _order_sums(values[: len(table.U_end)] * table.U_end[:, None],
                              table.labels[:-1])
         residuals = tuple(norm1(u) for u in u_ends)
     return AveragedExpansion(table.x0.period, a_mats, u_ends, residuals)
 
 
-def order_sums(terms, labels) -> tuple:
-    """Per order, the sum of its monomials' (K, n, n) terms, added one at a
+def evaluate_monodromy(table: AveragedTable, values):
+    """The order-N approximation of F at K points from the (M, K) values
+    of the table's monomials: ``(F, traces, det)``.
+
+    F = F0 + F_1 + ... + F_N with F_j = sum_m v_m F_m over order j's
+    monomials, ``traces`` holds tr F0, tr F_1, ..., tr F_N and their sum
+    tr F, each summed from the tabulated traces, and det is the truncation
+    exp(T tr J0) (1 + sum_m v_m D_m); (K, n, n) and (K,) arrays.  The
+    monomials are added one at a time in table order, elementwise, so every
+    point gets the arithmetic it gets alone.
+    """
+    start, rows = table._monodromy_rows
+    total = start
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _order_sums(np.asarray(values)[:, :, None] * rows[:, None], table.labels)
+        for s in sums:
+            total = total + s
+        det = math.exp(table.trace_j0 * table.x0.period) * total[:, -1]
+    traces = (np.full(len(total), start[-2]),) + tuple(s[:, -2] for s in sums)
+    n = table.F0.shape[-1]
+    return total[:, :-2].reshape(-1, n, n), traces + (total[:, -2],), det
+
+
+def _order_sums(terms, labels) -> tuple:
+    """Per order, the sum of its monomials' (K, ...) terms, added one at a
     time in table order."""
     sums = []
     start = 0

@@ -237,7 +237,7 @@ def cmd_analyze(args) -> int:
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
     avg = averaging.evaluate_table(table, values).cell(0)
-    approx = stability.monodromy_approximation(table, values)
+    f_approx, traces, det_trunc = stability.monodromy_approximation(table, values)
     det_full = stability.det_series(sys_, avg)
 
     doc = {
@@ -248,17 +248,17 @@ def cmd_analyze(args) -> int:
         "tolerance": args.tolerance,
         "A": [_matrix_list(a) for a in avg.A],
         "closure_residuals": list(avg.closure_residuals),
-        "trace_by_order": [float(t[0]) for t in approx.trace_by_order],
+        "trace_by_order": [float(t[0]) for t in traces[:-1]],
         "det_series": det_full,
-        "det_series_truncated": float(approx.det[0]),
+        "det_series_truncated": float(det_trunc[0]),
         "F0": _matrix_list(table.F0),
-        "F_approx": _matrix_list(approx.F[0]),
+        "F_approx": _matrix_list(f_approx[0]),
     }
     if params is not None:
         doc["params"] = {"omega": params.omega, "eps": params.eps, "beta": params.beta}
     if sys_.dim == 2:
         doc["approx"] = _report_dict(
-            stability.report_from_trace_det(float(approx.trace[0]), float(approx.det[0]),
+            stability.report_from_trace_det(float(traces[-1][0]), float(det_trunc[0]),
                                             args.tolerance)
         )
         doc["multipliers_approx"] = doc["approx"]["multipliers"]

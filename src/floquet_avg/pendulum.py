@@ -124,8 +124,8 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     """The (M, K) values of the order-K table's monomials at the K points
     (omega_k, eps_k) at one beta of ``omegas`` and ``epss`` broadcast as
     :func:`jacobian_stack` broadcasts them, at which
-    :func:`stability.monodromy_approximation` gives the order-K invariants
-    and :func:`averaging.evaluate_table` the averaged expansion.
+    :func:`averaging.evaluate_monodromy` gives the order-K invariants and
+    :func:`averaging.evaluate_table` the averaged expansion.
 
     Each power is a product of repeated factors and each monomial the
     product of its three powers, elementwise, so every point gets the

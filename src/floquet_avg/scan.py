@@ -84,9 +84,9 @@ def order_of_method(method: str) -> Optional[int]:
 def _order_invariants(omegas, epss, beta: float, order: int):
     """Order-K tr F and truncated det F at K points: the pendulum's
     coefficient table at their monomial values, the K points as one stack."""
-    approx = stability.monodromy_approximation(
+    _, traces, det = stability.monodromy_approximation(
         pendulum.averaged_table(order), pendulum.monomial_values(omegas, epss, beta, order))
-    return approx.trace, approx.det
+    return traces[-1], det
 
 
 def _batched_invariants(method: str, omegas, epss, beta: float):

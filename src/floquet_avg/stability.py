@@ -16,7 +16,6 @@ carry an explicit Marginal band of half-width ``tolerance``.
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .averaging import (
     AveragedTable,
     SeriesSystem,
     det_series_terms,
-    order_sums,
+    evaluate_monodromy,
 )
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
@@ -176,44 +175,19 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])
 
 
-class Approximation(NamedTuple):
-    """The order-N approximation of F at K points, (K, n, n) and (K,) arrays."""
-
-    F: np.ndarray  # F0 + F_1 + ... + F_N
-    F_terms: tuple  # F_1..F_N
-    trace_by_order: tuple  # tr F0, tr F_1, ..., tr F_N
-    trace: np.ndarray  # tr F, the sum of trace_by_order
-    det: np.ndarray  # the graded determinant truncation
-
-
-def monodromy_approximation(table: AveragedTable, values) -> Approximation:
-    """The table's order-N approximation of F at the K points whose (M, K)
-    monomial values are ``values``.  Every order-K margin and report ends here.
-
-    F_j = sum_m v_m F_m over order j's monomials, and tr F_j and the
-    determinant's grade-j term sum_m v_m D_m come from the same sums of
-    tabulated coefficients: det F = exp(T tr J0) (1 + sum_m v_m D_m) is
-    the truncation of :func:`det_series_expansion`.  The monomials are added
-    one at a time in table order, elementwise, so every point gets the
-    arithmetic it gets alone.  An approximation of F, of tr F or of det F
-    that leaves the float range raises :class:`NumericRangeError`.
+def monodromy_approximation(table: AveragedTable, values):
+    """The order-K approximation of :func:`averaging.evaluate_monodromy`:
+    ``(F, traces, det)`` at the K points whose (M, K) monomial values are
+    ``values``, traces[-1] being tr F.  Every order-K margin and report ends
+    here.  An approximation of F, of tr F or of det F that leaves the float
+    range raises :class:`NumericRangeError`.
     """
-    n = table.F0.shape[-1]
-    start, rows = table.monodromy_rows
-    total = start
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = order_sums(np.asarray(values)[:, :, None] * rows[:, None], table.labels)
-        for s in sums:
-            total = total + s
-        f = total[:, :-2].reshape(-1, n, n)
-        det = math.exp(table.trace_j0 * table.x0.period) * total[:, -1]
+    f, traces, det = evaluate_monodromy(table, values)
     if not np.isfinite(f).all():
         raise NumericRangeError(
             f"the order-{len(table.labels)} approximation of F leaves the float range")
-    _in_range(total[:, -2], det)
-    return Approximation(f, tuple(s[:, :-2].reshape(-1, n, n) for s in sums),
-                         (np.full(len(f), start[-2]),) + tuple(s[:, -2] for s in sums),
-                         total[:, -2], det)
+    _in_range(traces[-1], det)
+    return f, traces, det
 
 
 def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
@@ -240,8 +214,8 @@ def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):
     solved against, so approximate-boundary root finding reproduces the
     closed-form boundary curves.  A float for one system, a (K,) array for
     a stack of K.  Order-K margins read the same terms from the coefficient
-    table (:func:`monodromy_approximation`); this is their evaluation at
-    points' own A_j.
+    table (:func:`averaging.evaluate_monodromy`); this is their evaluation
+    at points' own A_j.
     """
     if order > avg.order:
         raise ModelError(f"requested order {order} exceeds computed order {avg.order}")

@@ -15,28 +15,26 @@ def pendulum_pipeline(omega, eps, beta, order):
     """series split -> standard form -> recursion -> coefficient table ->
     order-N approximation, on the point's own series as a model file's
     analyze runs them: its table, evaluated with its one monomial at 1.
-    Returns (params, system, x0, avg, mono), ``mono`` the point's
-    :func:`one_point` approximation."""
+
+    Returns (params, system, x0, avg, mono).  Each order of the table holds
+    the one monomial, so its coefficients are the point's own F_j, and
+    ``mono`` holds F0, those F_j, the partial sums F0 + F_1 + ... + F_k
+    added as :func:`stability.monodromy_approximation` adds them, and that
+    approximation's traces (tr F0, tr F_1, ..., then tr F) and det F.
+    """
     params = pendulum.PendulumParams(omega, eps, beta)
     system = pendulum.series_split(params)
     table = averaging.system_table(system, order)
     values = np.ones((len(table.A), 1))
     avg = averaging.evaluate_table(table, values).cell(0)
-    return params, system, table.x0, avg, one_point(table, values)
-
-
-def one_point(table, values):
-    """The approximation of :func:`stability.monodromy_approximation` at one
-    point, unstacked, with F0 and the partial sums F0 + F_1 + ... + F_k
-    added as the approximation adds them."""
-    approx = stability.monodromy_approximation(table, values)
-    f_terms = tuple(f[0] for f in approx.F_terms)
+    _, traces, det = stability.monodromy_approximation(table, values)
     sums = [table.F0]
-    for f in f_terms:
+    for f in table.F:
         sums.append(sums[-1] + f)
-    return SimpleNamespace(F0=table.F0, F_terms=f_terms, partial_sums=tuple(sums),
-                           trace_by_order=tuple(float(t[0]) for t in approx.trace_by_order),
-                           trace=float(approx.trace[0]), det=float(approx.det[0]))
+    mono = SimpleNamespace(F0=table.F0, F_terms=tuple(table.F), partial_sums=tuple(sums),
+                           trace_by_order=tuple(float(t[0]) for t in traces[:-1]),
+                           trace=float(traces[-1][0]), det=float(det[0]))
+    return params, system, table.x0, avg, mono
 
 
 def pendulum_expansion(omegas, epss, beta, order):

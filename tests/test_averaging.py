@@ -249,10 +249,9 @@ def _expansion_invariants(table, values):
     """Everything the order-K path computes at K pendulum points: the
     expansion analyze prints and the approximation every margin reads."""
     avg = averaging.evaluate_table(table, values)
-    approx = stability.monodromy_approximation(table, values)
+    f, traces, det = stability.monodromy_approximation(table, values)
     arrays = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
-    arrays += list(approx.F_terms) + list(approx.trace_by_order)
-    return arrays + [approx.F, approx.trace, approx.det]
+    return arrays + [f] + list(traces) + [det]
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -287,28 +286,30 @@ def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
 
 @pytest.mark.parametrize("order", range(1, 7))
 def test_tabulated_monodromy_agrees_with_each_cells_own_assembly(order):
-    # the table's F_j and determinant against the graded expansion run on each
-    # cell's own A_j: they differ by roundoff alone, measured at most 0.67 u of
-    # the summands' size for F_j and 0.19 u for the determinant
+    # the table's F, tr F_j and determinant against the graded expansion run
+    # on each cell's own A_j: they differ by roundoff alone, measured at most
+    # 0.64 u, 2.0 u and 0.19 u of the summands' sizes
     rng = np.random.default_rng(40 + order)
     omegas, epss = rng.uniform(0.0, 0.5, 30), rng.uniform(0.0, 1.2, 30)
     table = pendulum.averaged_table(order)
     for beta in (0.0, 0.1, 0.3):
         values = pendulum.monomial_values(omegas, epss, beta, order)
-        approx = stability.monodromy_approximation(table, values)
+        f, traces, det = stability.monodromy_approximation(table, values)
         avg = averaging.evaluate_table(table, values)
         f0, f_terms = averaging.assemble_monodromy(table.x0, avg.A)
         assert np.array_equal(table.F0, f0)
-        sizes = _composition_exp_terms([np.abs(a) for a in avg.A], TWO_PI, order)
-        for f, f_cell, size in zip(approx.F_terms, f_terms, sizes):
-            scale = (np.abs(f0) @ size).max(axis=(1, 2))[:, None, None]
-            assert (np.abs(f - f_cell) <= 2 * EPS * scale).all()
-        det = stability.det_series_expansion(table.trace_j0, avg, order)
+        sizes = [np.abs(f0) @ z for z in
+                 _composition_exp_terms([np.abs(a) for a in avg.A], TWO_PI, order)]
+        for trace, f_cell, size in zip(traces[1:], f_terms, sizes):
+            bound = 4 * EPS * (size[:, 0, 0] + size[:, 1, 1])
+            assert (np.abs(trace - np.trace(f_cell, axis1=1, axis2=2)) <= bound).all()
+        bound = 2 * EPS * (np.abs(f0) + sum(sizes)).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(f - f0 - sum(f_terms)) <= bound).all()
+        assert traces[-1].tolist() == sum(traces[:-1]).tolist()
+        expect = stability.det_series_expansion(table.trace_j0, avg, order)
         diagonals = [(np.abs(a[:, 0, 0]) + np.abs(a[:, 1, 1]))[:, None, None] for a in avg.A]
         size = sum(_composition_exp_terms(diagonals, TWO_PI, order))[:, 0, 0]
-        assert (np.abs(approx.det - det) <= EPS * size).all()
-        # tr F is summed from the tabulated traces, not read off F's diagonal
-        assert np.abs(approx.trace - np.trace(approx.F, axis1=1, axis2=2)).max() < 1e-13
+        assert (np.abs(det - expect) <= EPS * size).all()
 
 
 def test_averaged_expansion_matches_the_recursion_on_series_split():
