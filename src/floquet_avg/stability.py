@@ -34,6 +34,9 @@ from .smallmat import as_matrix, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
+# the stack size from which pc_monodromy takes one exponential per distinct exponent
+_DISTINCT_EXP_MIN = 256
+
 
 class Verdict(enum.Enum):
     STABLE = "stable"
@@ -130,12 +133,22 @@ def pc_monodromy(durations, mats):
     exponent = durations[0] * traces[:, 0]
     for s in range(1, len(durations)):
         exponent += durations[s] * traces[:, s]
-    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit;
-    # once per distinct exponent (for the pendulum, per omega), 0.0 and -0.0
-    # both giving 1.0
-    distinct, inverse = np.unique(exponent, return_inverse=True)
-    det = np.array([math.exp(x) for x in distinct.tolist()])[inverse.ravel()]
+    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit.
+    # A large stack (a chart, whose exponent depends on omega alone) takes it
+    # once per distinct exponent, 0.0 and -0.0 both giving 1.0: np.unique's
+    # fixed cost of about 25 us is below that of the calls it saves from
+    # about 200 cells on, and above it for a boundary step's few dozen
+    if exponent.size < _DISTINCT_EXP_MIN:
+        det = _exps(exponent)
+    else:
+        distinct, inverse = np.unique(exponent, return_inverse=True)
+        det = _exps(distinct)[inverse.ravel()]
     return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det)
+
+
+def _exps(x):
+    """math.exp of each element of a 1-d array."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def pc_trace_det(durations, mats):

@@ -94,7 +94,7 @@ def test_pc_trace_det_takes_det_from_liouville():
 
 def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
     # the exponent -2 pi beta omega depends on omega alone: a 50x50 chart
-    # took 2,500 math.exp calls for 50 values
+    # took 2,500 math.exp calls for 50 values, bitwise the same
     omegas, epss = np.linspace(0.0, 0.5, 50), np.linspace(0.0, 1.2, 50)
     jac = pendulum.jacobian_stack(omegas, epss[:, None], 0.1)
     exponent = PI * (jac[:, 0, 0, 0] + jac[:, 0, 1, 1]) + PI * (jac[:, 1, 0, 0] + jac[:, 1, 1, 1])
@@ -110,10 +110,16 @@ def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
     det = pc_trace_det(pendulum.HALF_PERIODS, jac)[1]
     assert len(calls) == 50
     assert det.tolist() == expect
+    # a stack below 256 cells, such as a boundary step's, takes one per cell
+    calls.clear()
+    assert pc_trace_det(pendulum.HALF_PERIODS, jac[:255])[1].tolist() == expect[:255]
+    assert len(calls) == 255
     # 0.0 and -0.0 share one exponential, and both give 1.0
-    mats = np.zeros((2, 2, 2, 2))
+    mats = np.zeros((256, 2, 2, 2))
     mats[0, :, 0, 0] = mats[0, :, 1, 1] = -0.0
-    assert pc_trace_det((1.0, 1.0), mats)[1].tolist() == [1.0, 1.0]
+    calls.clear()
+    assert pc_trace_det((1.0, 1.0), mats)[1].tolist() == [1.0] * 256
+    assert calls == [0.0]
 
 
 def test_pc_det_is_exact_where_the_product_det_is_roundoff():
