@@ -361,10 +361,13 @@ def graded_exp_terms(a_list, period: float, order: int, labels=None):
     label is the sum of theirs.
     """
     top = min(order, len(a_list))
+    # with one monomial per order, as a model without parameters has, the
+    # products land on it alone and multiply as unlabelled stacks do
+    fold = labels is not None and any(len(ms) > 1 for ms in labels)
 
     def product(k, i):
         """A_k @ P[i], each coefficient pair landing on its product's monomial."""
-        if labels is None:
+        if not fold:
             return a_list[k - 1] @ power[i]
         x, y = a_list[k - 1], power[i]
         where = {label: n for n, label in enumerate(labels[k + i - 1])}
