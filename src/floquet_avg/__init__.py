@@ -13,9 +13,8 @@ from .errors import BracketError, FloquetError, ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc, exact_monodromy_rk
 from .pendulum import (
     PendulumParams,
-    boundary_order2,
     jacobians,
-    order4_roots,
+    order_roots,
     series_split,
 )
 from .ppoly import (
@@ -60,7 +59,6 @@ __all__ = [
     "Verdict",
     "assemble_monodromy",
     "bisect_boundary",
-    "boundary_order2",
     "char_roots_2x2",
     "classify",
     "compare_boundaries",
@@ -72,7 +70,7 @@ __all__ = [
     "margin_exact",
     "matexp",
     "monodromy_direct",
-    "order4_roots",
+    "order_roots",
     "pp_antiderivative",
     "pp_average",
     "pp_eval",

@@ -250,6 +250,32 @@ class AveragedTable:
                               axis=1)
         return np.append(self.F0.ravel(), [np.trace(self.F0), 1.0]), rows
 
+    @functools.cached_property
+    def _branch_polynomials(self):
+        """The branch factors 1 + det F + s tr F, s = -1 then +1, as
+        polynomials in x = p^2 of the first parameter p, for a model whose
+        tr F and det F are even in p, so the monomials of odd powers of p are
+        left out: ``(start, rows, exponents)``.  The coefficient of x^j is
+        start[:, j] plus, slot by slot, rows[:, j, g] times the monomial of
+        the other parameters with exponents[j * G + g], G slots per power;
+        the slots hold x^j's monomials in table order, then zero rows, and
+        G is the widest power's count, at least 1.
+        """
+        start, rows = self._monodromy_rows
+        scale = math.exp(self.trace_j0 * self.x0.period)
+        signs = np.array([[-1.0], [1.0]])
+        # per monomial its coefficient in each factor, a zero row appended
+        factors = np.append(scale * rows[:, -1] + signs * rows[:, -2], np.zeros((2, 1)), axis=1)
+        others = np.append(self.exponents[:, 1:], np.zeros_like(self.exponents[:1, 1:]), axis=0)
+        groups = [np.flatnonzero(self.exponents[:, 0] == 2 * j)
+                  for j in range(len(self.labels) // 2 + 1)]
+        slots = np.full((len(groups), max(1, *map(len, groups))), len(self.exponents))
+        for j, group in enumerate(groups):
+            slots[j, :len(group)] = group
+        base = np.zeros((2, len(groups)))
+        base[:, 0] = 1.0 + scale * start[-1] + signs[:, 0] * start[-2]
+        return base, factors[:, slots], others[slots.ravel()]
+
 
 def coefficient_table(x0: PiecewisePolyMatrix, h_terms, trace_j0: float,
                       order: int) -> AveragedTable:

@@ -13,13 +13,13 @@ relative excitation acceleration, and beta = b/g the damping coefficient.
 The graded split for the averaging engine puts the excitation at order 1
 and the restoring/damping block at order 2 (omega^2 and beta*omega each
 count as order 2): that is the only assignment under which the constant
-block lands in a single term, and it is what the closed-form second- and
-fourth-order boundary expressions below are derived from.
+block lands in a single term, and the one under which the order-2 and
+order-4 boundaries are the paper's closed forms.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -127,23 +127,14 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     :func:`averaging.evaluate_monodromy` gives the order-K invariants and
     :func:`averaging.evaluate_table` the averaged expansion.
 
-    Each power is a product of repeated factors and each monomial the
-    product of its three powers, elementwise, so every point gets the
+    The values come from :func:`_power_products`, so every point gets the
     arithmetic it gets alone.  Parameters are checked as
     :func:`jacobian_stack` checks them; a monomial that leaves the float
     range raises :class:`NumericRangeError` for the first point it does.
     """
     omegas, epss, w2, shape = _checked_points(omegas, epss, beta)
     exponents = averaged_table(order).exponents
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = np.empty((3,) + shape)
-        factors[0], factors[1], factors[2] = epss, w2, beta * omegas
-        factors = factors.reshape(3, -1)
-        powers = np.ones((3, order + 1, factors.shape[1]))
-        for k in range(order):
-            powers[:, k + 1] = powers[:, k] * factors
-        a, b, c = exponents.T
-        values = powers[0, a] * powers[1, b] * powers[2, c]
+    values = _power_products(exponents, (epss, w2, beta * omegas), shape)
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
@@ -152,6 +143,28 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
         raise NumericRangeError(
             f"the monomial eps^{a} (omega^2)^{b} (beta*omega)^{c} leaves the float range "
             f"at omega = {omega:g}, eps = {eps:g}, beta = {beta:g}")
+    return values
+
+
+def _power_products(exponents, factors, shape) -> np.ndarray:
+    """The (M, K) values of the monomials whose exponents of the ``factors``
+    are the rows of ``exponents``, at the K points of ``shape``, to which
+    the factors broadcast.  Each power is a product of repeated factors and
+    each monomial the product of its powers, elementwise, so every point
+    gets the arithmetic it gets alone; a value that leaves the float range
+    is left inf or NaN for the caller to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.empty((len(factors),) + shape)
+        for row, factor in zip(stacked, factors):
+            row[...] = factor
+        stacked = stacked.reshape(len(factors), -1)
+        powers = np.ones((len(factors), exponents.max(initial=0) + 1, stacked.shape[1]))
+        for k in range(powers.shape[1] - 1):
+            powers[:, k + 1] = powers[:, k] * stacked
+        values = powers[0, exponents[:, 0]]
+        for i in range(1, len(factors)):
+            values = values * powers[i, exponents[:, i]]
     return values
 
 
@@ -170,107 +183,64 @@ def _checked_points(omegas, epss, beta: float):
     return omegas, epss, _squares(omegas), ok.shape
 
 
-def _squares(omega):
-    """omega ** 2 of a float, or of each element of an array, by libm pow.
+def _squares(omegas: np.ndarray) -> np.ndarray:
+    """omega ** 2 of each element, by libm pow.
 
     Not omega * omega: the two differ in the last bit for about one omega in
-    a thousand, and every scalar formula of this module uses pow.
+    a thousand, and the outputs have always taken omega^2 by pow.
     """
-    if isinstance(omega, np.ndarray):
-        return np.array([w ** 2 for w in omega.ravel().tolist()]).reshape(omega.shape)
-    return omega ** 2
+    return np.array([w ** 2 for w in omegas.ravel().tolist()]).reshape(omegas.shape)
 
 
-class Order2Boundary(NamedTuple):
-    eps_p: float
-    eps_n: Optional[float]
+def order_roots(omegas, beta: float, order: int) -> np.ndarray:
+    """Boundaries of the order-K approximation at K omegas and one beta, in
+    one pass: eps indexed [branch (p, n), domain, omega], NaN where absent.
 
-
-def order2_roots(omegas, beta: float) -> np.ndarray:
-    """Second-order closed-form boundaries of the first stability domain at
-    K omegas and one beta, in one numpy pass: eps indexed [branch (p, n),
-    omega], NaN where absent.
-
-    eps_p = (2*sqrt(3)/pi) * omega
-    eps_n = (2*sqrt(3)/pi) * sqrt(omega^2 - beta*omega/pi + 1/pi^2)
-
-    A negative radicand (possible only for beta > pi*omega + 1/(pi*omega),
-    far outside the expansion's validity) reports the n-boundary as absent.
-    Each omega gets the arithmetic it gets alone.
+    At each omega the branch factor 1 + det F + s tr F of the order-K table
+    (s = -1 for p, +1 for n) is a polynomial in eps, its coefficients the
+    table's tr F_m and D_m summed per power of eps.  tr F and det F are even
+    in eps, because eps -> -eps is a half-period shift of time, so the odd
+    powers, which the table holds at roundoff, are dropped, and what is
+    left is a polynomial in x = eps^2 of degree d = K // 2.  Its roots are
+    the eigenvalues of its companion matrix (Edelman and Murakami, Math.
+    Comp. 64(210), 1995), one ``np.linalg.eigvals`` call for both branches
+    and every omega.  Domain j (max(d, 1) of them) is the square root of the
+    j-th real root in ascending order, NaN where that root is negative or
+    absent; the smaller bounds the first stability domain.  Each omega gets
+    the arithmetic it gets alone.  A coefficient that leaves the float
+    range raises :class:`NumericRangeError` for the first omega it does.
     """
-    omegas, _, w2, _ = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
-    scale = 2.0 * math.sqrt(3.0) / math.pi
-    radicand = w2 - beta * omegas / math.pi + 1.0 / math.pi ** 2
-    with np.errstate(invalid="ignore"):
-        eps_n = np.where(radicand >= 0.0, scale * np.sqrt(radicand), np.nan)
-    return np.stack((scale * omegas, eps_n))
-
-
-def boundary_order2(omega: float, beta: float) -> Order2Boundary:
-    """The one-omega case of :func:`order2_roots`, None where eps_n is absent."""
-    eps_p, eps_n = order2_roots(np.array([omega], dtype=float), beta)[:, 0].tolist()
-    return Order2Boundary(eps_p, None if math.isnan(eps_n) else eps_n)
-
-
-def quartic_coefficients(omega, beta: float, branch: str):
-    """(a, b, c) of a*x^2 + b*x + c = 0 with x = eps^2 for the branch.
-
-    Both branches share a = pi^8/1260 and the middle coefficient
-    b = -(pi^4/3)(1 + 4*pi^2*omega^2/15 - pi*beta*omega); they differ in
-    the constant term.  ``omega`` is a float, or an array for which b and c
-    are arrays.
-    """
-    if branch not in ("p", "n"):
-        raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
-    a, b, c_p, c_n = _quartics(omega, _squares(omega), beta)
-    return a, b, c_p if branch == "p" else c_n
-
-
-def _quartics(omega, w2, beta: float):
-    """(a, b, c_p, c_n) of :func:`quartic_coefficients` from omega and its
-    square ``w2``: the shared coefficients and both branches' constant terms."""
-    pi = math.pi
-    a = pi ** 8 / 1260.0
-    b = -(pi ** 4 / 3.0) * (1.0 + 4.0 * pi ** 2 * w2 / 15.0 - pi * beta * omega)
-    c_p = 4.0 * pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi)
-    c_n = 4.0 * (
-        1.0
-        - beta * pi * omega
-        + pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi + beta ** 2)
-    )
-    return a, b, c_p, c_n
-
-
-def order4_roots(omegas, beta: float) -> np.ndarray:
-    """Fourth-order boundaries at K omegas and one beta, in one numpy pass:
-    eps indexed [branch (p, n), domain (first, second), omega], NaN where absent.
-
-    Each quartic is a quadratic in eps^2; real roots are labeled by
-    magnitude -- the smaller eps^2 root bounds the first stability domain,
-    the larger the second.  Complex eps^2 roots mean the branch has no
-    boundary at that omega.  Each omega is squared once, and each gets the
-    arithmetic it gets alone.
-    """
-    omegas, _, w2, _ = _checked_points(omegas, np.zeros(np.size(omegas)), beta)
-    a, b, c_p, c_n = _quartics(omegas, w2, beta)
-    c = np.stack((c_p, c_n))
+    omegas, _, w2, shape = _checked_points(omegas, 0.0, beta)
+    start, rows, exponents = averaged_table(order)._branch_polynomials
+    degree = rows.shape[1] - 1
     with np.errstate(all="ignore"):
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(disc)
-        # stable quadratic: larger-magnitude root first, mate via c/(a*x1)
-        x1 = np.where(b <= 0.0, (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
-        x2 = np.where(x1 != 0.0, c / (a * x1), 0.0)
-        # the order sorted((x1, x2)) gives, NaN included
-        swap = x2 < x1
-        lo, hi = np.where(swap, x2, x1), np.where(swap, x1, x2)
-        real = ~(disc < 0.0)
-        first = np.where(real & (lo > 0.0), np.sqrt(lo), np.nan)
-        second = np.where(real & (hi > 0.0), np.sqrt(hi), np.nan)
-    return np.stack((first, second), axis=1)
+        values = _power_products(exponents, (w2, beta * omegas), shape)
+        terms = rows[..., None] * values.reshape(rows.shape[1:] + (omegas.size,))
+        coeffs = start[..., None]
+        for g in range(terms.shape[2]):
+            coeffs = coeffs + terms[:, :, g]
+        # the first row of each companion matrix: the monic coefficients
+        # below the leading one, negated, in descending powers
+        top = -coeffs[:, -2::-1] / coeffs[:, -1:]
+        bad = ~np.isfinite(top).all(axis=(0, 1))
+        if bad.any():
+            raise NumericRangeError(
+                f"the order-{order} boundary polynomial leaves the float range at "
+                f"omega = {omegas.flat[np.argmax(bad)]:g}, beta = {beta:g}")
+        companion = np.zeros((2, omegas.size, degree, degree))
+        companion[..., :1, :] = top.transpose(0, 2, 1)[..., None, :]
+        companion[..., np.arange(1, degree), np.arange(degree - 1)] = 1.0
+        x = np.linalg.eigvals(companion)
+        x = np.sort(np.where(x.imag == 0.0, x.real, np.nan), axis=-1)
+        roots = np.full((2, max(degree, 1), omegas.size), np.nan)
+        # a negative root gives NaN, and + 0.0 takes the root x = -0.0 of
+        # omega = 0 to eps = 0.0
+        roots[:, :degree] = np.sqrt(x + 0.0).transpose(0, 2, 1)
+    return roots
 
 
 def order4_root(omega: float, beta: float, branch: str, domain: str = "first") -> Optional[float]:
-    """One root of :func:`order4_roots` at one omega, None where it is absent."""
-    eps = order4_roots(np.array([omega], dtype=float), beta)[
+    """One root of the order-4 :func:`order_roots` at one omega, None where it is absent."""
+    eps = order_roots(np.array([omega], dtype=float), beta, 4)[
         ("p", "n").index(branch), ("first", "second").index(domain), 0]
     return None if math.isnan(eps) else float(eps)

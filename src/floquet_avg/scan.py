@@ -54,25 +54,17 @@ def range_samples(rng) -> np.ndarray:
 class ScanGrid:
     """Verdict bitmap plus margins over an (omega, eps) grid.
 
-    Arrays are indexed [eps_index, omega_index] (eps-major, matching the
-    CSV row order).
+    The grid arrays are indexed [eps_index, omega_index] (eps-major,
+    matching the CSV row order), the sample arrays being its axes.
     """
 
-    omega_axis: tuple
-    eps_axis: tuple
+    omega_samples: np.ndarray
+    eps_samples: np.ndarray
     beta: float
     method: str
     verdicts: np.ndarray
     margin_trace: np.ndarray
     margin_det: np.ndarray
-
-    @property
-    def omega_samples(self) -> np.ndarray:
-        return axis_samples(self.omega_axis)
-
-    @property
-    def eps_samples(self) -> np.ndarray:
-        return axis_samples(self.eps_axis)
 
 
 def order_of_method(method: str) -> Optional[int]:
@@ -153,8 +145,7 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
         epss.size * omegas.size)
     margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
     verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
-    return ScanGrid(tuple(omega_axis), tuple(eps_axis), beta, method,
-                    verdicts, margin_trace, margin_det)
+    return ScanGrid(omegas, epss, beta, method, verdicts, margin_trace, margin_det)
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -309,27 +300,27 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
                    tol: float = 1e-10) -> BoundaryCurve:
     """First-domain boundary curve over an omega range.
 
-    order2/order4 evaluate their closed forms at every sample in one pass;
-    exact methods find the root of the branch's exact factor inside an
-    order-4-seeded bracket, all samples in lockstep.  Samples whose branch
-    vanishes or whose bracket shows no sign change are omitted.  ``tol``
-    is checked for every method.
+    An order method takes every sample's root from :func:`pendulum.order_roots`
+    in one pass; exact methods find the root of the branch's exact factor
+    inside a bracket seeded by the order-4 root, all samples in lockstep.
+    Samples whose branch vanishes or whose bracket shows no sign change are
+    omitted.  ``tol`` is checked for every method.
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
     omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
                         else range_samples(omega_range), dtype=float)
-    k = "pn".index(branch)
-    if method == "order2":
-        eps = pendulum.order2_roots(omegas, beta)[k]
-    elif method == "order4" or method in EXACT_BOUNDARY_METHODS:
-        eps = pendulum.order4_roots(omegas, beta)[k, 0]
-    else:
+    exact = method in EXACT_BOUNDARY_METHODS
+    # the order-4 roots seed the exact brackets
+    order = order_of_method("order4" if exact else method)
+    if order is None:
         raise ModelError(f"unknown boundary method {method!r}")
-    if method in EXACT_BOUNDARY_METHODS:  # the order-4 roots seed the exact brackets
+    k = "pn".index(branch)
+    eps = pendulum.order_roots(omegas, beta, order)[k, 0]
+    if exact:
         eps = _exact_samples(omegas, beta, np.full(omegas.size, _BRANCH_SIGNS[k]), eps, tol)
     else:
-        _check_tol(tol, (), ())  # a closed form has no bracket to resolve
+        _check_tol(tol, (), ())  # a polynomial root has no bracket to resolve
     points = tuple((omega, e) for omega, e in zip(omegas.tolist(), eps.tolist())
                    if not math.isnan(e))
     return BoundaryCurve(branch, method, points, omegas.size - len(points))
@@ -392,12 +383,12 @@ def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> Comparis
     """Exact vs order-2 vs order-4 first-domain boundaries per branch."""
     omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
                         else range_samples(omega_range), dtype=float)
-    # one quartic pass seeds both branches' brackets and fills eps_order4
-    order4 = pendulum.order4_roots(omegas, beta)[:, 0].ravel()
+    # one order-4 pass seeds both branches' brackets and fills eps_order4
+    order4 = pendulum.order_roots(omegas, beta, 4)[:, 0].ravel()
     branches = ["p"] * omegas.size + ["n"] * omegas.size
     exact = _exact_samples(np.tile(omegas, 2), beta, np.repeat(_BRANCH_SIGNS, omegas.size),
                            order4, tol)
-    order2 = pendulum.order2_roots(omegas, beta).ravel()
+    order2 = pendulum.order_roots(omegas, beta, 2)[:, 0].ravel()
     rows = []
     for branch, omega, eps2, eps4, eps_exact in zip(branches, np.tile(omegas, 2).tolist(),
                                                     order2.tolist(), order4.tolist(),

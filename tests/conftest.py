@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,48 @@ def pendulum_expansion(omegas, epss, beta, order):
     """The pendulum's averaged expansion at K points, as an order-K scan evaluates it."""
     values = pendulum.monomial_values(omegas, epss, beta, order)
     return averaging.evaluate_table(pendulum.averaged_table(order), values)
+
+
+def paper_order2(omega, beta):
+    """The paper's order-2 first-domain boundaries (eps_p, eps_n), one
+    float operation at a time, eps_n NaN where its radicand is negative:
+
+    eps_p = (2 sqrt(3)/pi) omega
+    eps_n = (2 sqrt(3)/pi) sqrt(omega^2 - beta omega/pi + 1/pi^2)
+    """
+    scale = 2.0 * math.sqrt(3.0) / math.pi
+    radicand = omega ** 2 - beta * omega / math.pi + 1.0 / math.pi ** 2
+    return scale * omega, scale * math.sqrt(radicand) if radicand >= 0.0 else math.nan
+
+
+def paper_quartic(omega, beta, branch):
+    """(a, b, c) of the paper's order-4 quartic a x^2 + b x + c = 0 in x = eps^2.
+
+    Both branches share a = pi^8/1260 and
+    b = -(pi^4/3)(1 + 4 pi^2 omega^2/15 - pi beta omega); c is c_p or c_n.
+    """
+    pi = math.pi
+    w2 = omega ** 2
+    a = pi ** 8 / 1260.0
+    b = -(pi ** 4 / 3.0) * (1.0 + 4.0 * pi ** 2 * w2 / 15.0 - pi * beta * omega)
+    if branch == "p":
+        return a, b, 4.0 * pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi)
+    return a, b, 4.0 * (1.0 - beta * pi * omega
+                        + pi ** 2 * w2 * (1.0 + pi ** 2 * w2 / 3.0 - beta * omega * pi + beta ** 2))
+
+
+def paper_order4(omega, beta, branch):
+    """The paper's order-4 boundaries (first, second) of a branch: the square
+    roots of the quartic's x roots in ascending order, NaN where a root is
+    complex or not positive.  The larger-magnitude x root comes from the
+    quadratic formula and its mate from c / (a x)."""
+    a, b, c = paper_quartic(omega, beta, branch)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return math.nan, math.nan
+    x1 = (-b + math.sqrt(disc) if b <= 0.0 else -b - math.sqrt(disc)) / (2.0 * a)
+    x2 = c / (a * x1) if x1 != 0.0 else 0.0
+    return tuple(math.sqrt(x) if x > 0.0 else math.nan for x in sorted((x1, x2)))
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import pendulum_pipeline
+from conftest import paper_order2, paper_order4, paper_quartic, pendulum_pipeline
 from floquet_avg import cli, pendulum, scan, stability
 from floquet_avg.exactmono import (
     exact_monodromy_pc,
@@ -147,23 +147,29 @@ def test_criterion_3_oracle_agreement():
 
 
 def test_criterion_4_boundary_closed_forms():
+    # the paper's order-2 and order-4 closed forms against the one root path
+    # of every order, and against the roots of the order-2 margin
     check = Check()
     rng = np.random.default_rng(104)
     for _ in range(10):
         omega = rng.uniform(0.05, 0.3)
         beta = rng.uniform(0.0, 0.3)
-        b2 = pendulum.boundary_order2(omega, beta)
-        mid = 0.5 * (b2.eps_p + b2.eps_n)
-        root_p = scan.bisect_boundary(omega, beta, (0.5 * b2.eps_p, mid), "order2")
-        root_n = scan.bisect_boundary(omega, beta, (mid, 1.5 * b2.eps_n), "order2")
-        check.expect(abs(root_p - b2.eps_p) < 1e-8, f"p ({omega:.3f},{beta:.3f})")
-        check.expect(abs(root_n - b2.eps_n) < 1e-8, f"n ({omega:.3f},{beta:.3f})")
-        for branch, per_domain in zip("pn", pendulum.order4_roots([omega], beta)[:, :, 0]):
-            a, b, c = pendulum.quartic_coefficients(omega, beta, branch)
-            for domain, eps in zip(("first", "second"), per_domain.tolist()):
+        eps_p, eps_n = paper_order2(omega, beta)
+        for closed, eps in zip((eps_p, eps_n), pendulum.order_roots([omega], beta, 2)[:, 0, 0]):
+            check.expect(abs(eps - closed) < 1e-14 * closed, f"order 2 ({omega:.3f},{beta:.3f})")
+        mid = 0.5 * (eps_p + eps_n)
+        root_p = scan.bisect_boundary(omega, beta, (0.5 * eps_p, mid), "order2")
+        root_n = scan.bisect_boundary(omega, beta, (mid, 1.5 * eps_n), "order2")
+        check.expect(abs(root_p - eps_p) < 1e-8, f"p ({omega:.3f},{beta:.3f})")
+        check.expect(abs(root_n - eps_n) < 1e-8, f"n ({omega:.3f},{beta:.3f})")
+        for branch, per_domain in zip("pn", pendulum.order_roots([omega], beta, 4)[:, :, 0]):
+            a, b, c = paper_quartic(omega, beta, branch)
+            closed = paper_order4(omega, beta, branch)
+            for domain, eps, want in zip(("first", "second"), per_domain.tolist(), closed):
+                check.expect(abs(eps - want) < 1e-12 * want, f"quartic root {branch}/{domain}")
                 x = eps ** 2
                 scale = max(abs(a * x * x), abs(b * x), abs(c))
-                check.expect(math.isnan(eps) or abs(a * x * x + b * x + c) < 1e-9 * scale,
+                check.expect(abs(a * x * x + b * x + c) < 1e-9 * scale,
                              f"quartic residual {branch}/{domain}")
     _report(4, "boundary-closed-forms", check.ok)
     assert not check.failures, check.failures

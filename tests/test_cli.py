@@ -524,8 +524,8 @@ def test_boundary_rejects_exact_rk(capsys):
     ["boundary", "--omega", "0.1:0.1:1", "--beta", "1e200", "--branch", "n"],
 ])
 def test_float_overflow_is_a_range_error(capsys, argv):
-    # omega**2 (and beta**2 in the closed forms) overflow in float pow, and a
-    # huge period in period**m and math.exp
+    # omega**2 overflows in float pow, (beta*omega)^2 in the boundary
+    # polynomial, and a huge period in period**m and math.exp
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == ""
     assert "range" in err and "Traceback" not in err
@@ -604,17 +604,27 @@ def test_overflowed_monodromy_exits_3(argv, message):
     assert "numeric range error" in proc.stderr and message in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare", "--omega", "0:0.3:2", "--beta", "1e300"],
-    ["boundary", "--omega", "0.1:0.2:2", "--branch", "n", "--method", "order4", "--beta", "1e300"],
+@pytest.mark.parametrize("argv, where", [
+    pytest.param(["compare", "--omega", "0:0.3:2", "--beta", "1e300"],
+                 "order-4 boundary polynomial leaves the float range at omega = 0.3, "
+                 "beta = 1e+300", id="argv0"),
+    pytest.param(["boundary", "--omega", "0.1:0.2:2", "--branch", "n", "--method", "order4",
+                  "--beta", "1e300"],
+                 "order-4 boundary polynomial leaves the float range at omega = 0.1, "
+                 "beta = 1e+300", id="argv1"),
+    # no monomial overflows: beta*omega times the order-2 coefficient does
+    pytest.param(["boundary", "--omega", "0.5:0.5:1", "--branch", "n", "--method", "order2",
+                  "--beta", "1e308"],
+                 "order-2 boundary polynomial leaves the float range at omega = 0.5, "
+                 "beta = 1e+308", id="argv2"),
 ])
-def test_python_float_overflow_is_one_plain_range_error(argv):
+def test_python_float_overflow_is_one_plain_range_error(argv, where):
     # beta ** 2 in the order-4 quartic raised OverflowError, printed as the
-    # errno tuple "(34, 'Numerical result out of range')"
+    # errno tuple "(34, 'Numerical result out of range')"; the boundary
+    # polynomial's range error names the omega and beta it fails at
     proc = _cli_subprocess(argv)
     assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == ("floquet-avg: numeric range error: "
-                           "a floating-point result left the float range\n")
+    assert proc.stderr == f"floquet-avg: numeric range error: the {where}\n"
 
 
 def _overflowing_models(tmp_path):
@@ -727,6 +737,24 @@ def test_scan_csv_equals_cell_by_cell_formatting(capsys, monkeypatch, argv):
     assert out == _reference_scan_csv(grids[0])
 
 
+@pytest.mark.parametrize("method", ["exact-pc", "order4"])
+def test_scan_builds_each_axis_once(capsys, monkeypatch, method):
+    # the grid rebuilt its omega and eps axes with np.linspace on every
+    # access, four linspace calls per scan command
+    calls = []
+    linspace = np.linspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counting)
+    code, _, err = run_cli(capsys, ["scan", "--omega", "0:0.3:4", "--eps", "0:1:3",
+                                    "--method", method])
+    assert code == 0 and err == ""
+    assert calls == [(0.0, 0.3, 4), (0.0, 1.0, 3)]
+
+
 def _patched_scan_csv(capsys, patch):
     """The scan CSV of a grid whose margins ``patch(trace, det)`` edits in
     place, and that grid's cell-by-cell reference CSV."""
@@ -738,7 +766,7 @@ def _patched_scan_csv(capsys, patch):
         trace = grid.margin_trace.copy()
         det = grid.margin_det.copy()
         patch(trace, det)
-        grids.append(scan.ScanGrid(grid.omega_axis, grid.eps_axis, grid.beta, grid.method,
+        grids.append(scan.ScanGrid(grid.omega_samples, grid.eps_samples, grid.beta, grid.method,
                                    grid.verdicts, trace, det))
         return grids[-1]
 

@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pendulum_pipeline
-from floquet_avg import scan
+from conftest import paper_order2, paper_order4, paper_quartic, pendulum_pipeline
+from floquet_avg import pendulum, scan
 from floquet_avg.errors import ModelError
 from floquet_avg.pendulum import (
     PendulumParams,
-    boundary_order2,
     jacobians,
-    order2_roots,
     order4_root,
-    order4_roots,
-    quartic_coefficients,
+    order_roots,
     series_split,
 )
 from floquet_avg.ppoly import pp_eval
@@ -51,12 +48,12 @@ def test_params_validation():
         PendulumParams(-0.1, 0.0, 0.0)
     with pytest.raises(ModelError):
         PendulumParams(0.1, math.nan, 0.0)
-    # the closed-form boundaries check omega and beta the same way
-    for closed_form in (boundary_order2, lambda omega, beta: order4_roots([omega], beta)):
+    # the boundary roots check omega and beta the same way
+    for order in (2, 4):
         with pytest.raises(ModelError, match=r"omega must be finite and >= 0, got -0\.1"):
-            closed_form(-0.1, 0.0)
+            order_roots([0.1, -0.1], 0.0, order)
         with pytest.raises(ModelError, match="beta must be finite and >= 0, got inf"):
-            closed_form(0.1, math.inf)
+            order_roots([0.1], math.inf, order)
 
 
 def test_series_split_reconstructs_jacobians():
@@ -95,45 +92,64 @@ def test_series_split_feeds_recursion_to_paper_a2():
     assert abs(avg.A[1][0, 0] - expect_11) < 1e-11
 
 
+def _order2(omega, beta):
+    """(eps_p, eps_n) of order_roots at order 2 for one omega."""
+    return order_roots([omega], beta, 2)[:, 0, 0].tolist()
+
+
 def test_boundary_order2_values():
-    b = boundary_order2(0.2, 0.0)
-    assert abs(b.eps_p - 2.0 * math.sqrt(3.0) * 0.2 / PI) < 1e-15
-    assert abs(b.eps_p - 0.220532) < 1e-6
-    assert abs(b.eps_n - 0.414519) < 1e-6
+    p, n = _order2(0.2, 0.0)
+    assert abs(p - 2.0 * math.sqrt(3.0) * 0.2 / PI) < 1e-15
+    assert abs(p - 0.220532) < 1e-6
+    assert abs(n - 0.414519) < 1e-6
 
 
 def test_boundary_order2_at_zero_omega():
-    b = boundary_order2(0.0, 0.0)
-    assert b.eps_p == 0.0
-    assert abs(b.eps_n - 2.0 * math.sqrt(3.0) / PI ** 2) < 1e-15
+    p, n = _order2(0.0, 0.0)
+    assert p == 0.0 and math.copysign(1.0, p) == 1.0
+    assert abs(n - 2.0 * math.sqrt(3.0) / PI ** 2) < 1e-15
 
 
 def test_boundary_order2_with_damping_moves_down():
     # the second-order n-formula decreases with beta; the exact boundary
     # moves the other way (see the order-4 and exact comparisons)
-    b = boundary_order2(0.2, 0.1)
+    _, n = _order2(0.2, 0.1)
     expect = (2.0 * math.sqrt(3.0) / PI) * math.sqrt(0.04 - 0.02 / PI + 1.0 / PI ** 2)
-    assert abs(b.eps_n - expect) < 1e-15
-    assert abs(b.eps_n - 0.40507) < 1e-5
-    assert b.eps_n < boundary_order2(0.2, 0.0).eps_n
+    assert abs(n - expect) < 1e-15
+    assert abs(n - 0.40507) < 1e-5
+    assert n < _order2(0.2, 0.0)[1]
 
 
 def test_boundary_order2_no_boundary_on_negative_radicand():
     omega = 0.01
     beta = PI * omega + 1.0 / (PI * omega) + 1.0  # beyond the radicand zero
-    assert boundary_order2(omega, beta).eps_n is None
+    assert math.isnan(paper_order2(omega, beta)[1])
+    assert math.isnan(_order2(omega, beta)[1])
+
+
+def _branch_polynomials(omega, beta, order):
+    """The (2, d+1) coefficients in x = eps^2 of the order-K branch factors
+    at one omega, p then n, as order_roots sums them."""
+    start, rows, exponents = pendulum.averaged_table(order)._branch_polynomials
+    b, c = exponents.reshape(rows.shape[1:] + (2,)).T
+    return start + (rows * ((omega ** 2) ** b * (beta * omega) ** c).T).sum(axis=2)
 
 
 def test_quartic_coefficients_at_reference_point():
-    a, b, c = quartic_coefficients(0.2, 0.0, "p")
+    a, b, c = paper_quartic(0.2, 0.0, "p")
     assert abs(a - PI ** 8 / 1260.0) < 1e-12
     assert abs(a - 7.53058) < 1e-5
     assert abs(b + 35.8880) < 1e-3
     assert abs(c - 1.78694) < 1e-5
+    # the order-4 p factor is minus the p quartic, the n factor the n quartic
+    for omega, beta in ((0.2, 0.0), (0.05, 0.3), (0.45, 0.1), (0.0, 0.0)):
+        for sign, branch, coeffs in zip((-1.0, 1.0), "pn", _branch_polynomials(omega, beta, 4)):
+            quartic = sign * np.array(paper_quartic(omega, beta, branch)[::-1])
+            assert np.abs(coeffs - quartic).max() < 1e-12 * np.abs(quartic).max()
 
 
 def test_boundary_order4_roots_at_reference_point():
-    (p_first, p_second), (n_first, n_second) = order4_roots([0.2], 0.0)[:, :, 0]
+    (p_first, p_second), (n_first, n_second) = order_roots([0.2], 0.0, 4)[:, :, 0]
     assert abs(p_first - 0.224329) < 1e-5
     assert abs(p_second - 2.171476) < 1e-5
     assert np.isfinite(n_first) and np.isfinite(n_second)
@@ -143,43 +159,97 @@ def test_boundary_order4_roots_at_reference_point():
 
 def test_boundary_order4_roots_satisfy_quartic():
     for omega, beta in ((0.2, 0.0), (0.1, 0.1), (0.3, 0.2)):
-        for branch, per_domain in zip("pn", order4_roots([omega], beta)[:, :, 0]):
-            a, b, c = quartic_coefficients(omega, beta, branch)
-            for eps in per_domain[np.isfinite(per_domain)]:
+        for branch, per_domain in zip("pn", order_roots([omega], beta, 4)[:, :, 0]):
+            a, b, c = paper_quartic(omega, beta, branch)
+            assert np.isfinite(per_domain).all()
+            for eps, closed in zip(per_domain.tolist(), paper_order4(omega, beta, branch)):
+                assert abs(eps - closed) < 1e-12 * closed
                 x = eps ** 2
                 residual = a * x * x + b * x + c
                 scale = max(abs(a * x * x), abs(b * x), abs(c))
                 assert abs(residual) < 1e-9 * scale
 
 
-def _scalar_order2(omega, beta):
-    """The closed-form order-2 boundaries of one omega, one float operation at a time."""
-    scale = 2.0 * math.sqrt(3.0) / math.pi
-    radicand = omega ** 2 - beta * omega / math.pi + 1.0 / math.pi ** 2
-    return scale * omega, scale * math.sqrt(radicand) if radicand >= 0.0 else math.nan
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.3, 5.0, 50.0])
-def test_order2_roots_equal_the_scalar_closed_form_bitwise(beta):
+def test_order_roots_of_a_batch_equal_each_omegas_own_call_bitwise(beta):
     # beta 5 and 50 leave the n-branch without a boundary over part of the range
-    omegas = np.concatenate(([0.0], np.random.default_rng(7).uniform(0.0, 20.0, 1000)))
-    roots = order2_roots(omegas, beta)
-    assert roots.shape == (2, omegas.size)
-    for k, omega in enumerate(omegas.tolist()):
-        p, n = _scalar_order2(omega, beta)
-        assert roots[0, k] == p
-        assert roots[1, k] == n or (math.isnan(n) and math.isnan(roots[1, k]))
-        if k < 20:
-            assert boundary_order2(omega, beta) == (p, None if math.isnan(n) else n)
+    omegas = np.concatenate(([0.0], np.random.default_rng(7).uniform(0.0, 20.0, 100)))
+    for order in (2, 4, 6):
+        roots = order_roots(omegas, beta, order)
+        assert roots.shape == (2, order // 2, omegas.size)
+        for k, omega in enumerate(omegas.tolist()):
+            assert order_roots([omega], beta, order)[..., 0].tobytes() == roots[..., k].tobytes()
+        if order == 2:
+            closed = np.array([paper_order2(omega, beta) for omega in omegas.tolist()]).T
+            present = ~np.isnan(closed)
+            assert np.array_equal(~np.isnan(roots[:, 0]), present)
+            # measured 1.4e-14 at eps up to 22
+            assert np.abs(roots[:, 0][present] - closed[present]).max() < 5e-14
+        if order < 6:
+            # the odd order adds only odd powers of eps, which are dropped
+            assert np.array_equal(order_roots(omegas, beta, order + 1), roots, equal_nan=True)
     if beta >= 5.0:
-        assert np.isnan(roots[1]).any()
+        assert np.isnan(order_roots(omegas, beta, 2)[1]).any()
 
 
 def test_boundary_order4_n_constant_term_at_zero_omega():
-    _, _, c = quartic_coefficients(0.0, 0.0, "n")
+    _, _, c = paper_quartic(0.0, 0.0, "n")
     assert c == 4.0
     # the n-boundary persists at omega = 0 (high-frequency stabilization ceiling)
     assert order4_root(0.0, 0.0, "n") is not None
+
+
+def test_order_roots_at_zero_omega_and_order_one():
+    # at omega = 0 the p factors have the root eps = 0, which the quartic's
+    # stable formula reported as absent; order 1 adds tr F_1 = 0 to tr F0 = 2,
+    # so its factors 1 + 1 -+ 2 have no root; neither warns
+    omegas = np.array([0.0, 0.2])
+    for order in (2, 4, 6):
+        roots = order_roots(omegas, 0.1, order)
+        assert roots[0, 0, 0] == 0.0 and math.copysign(1.0, roots[0, 0, 0]) == 1.0
+        assert np.isfinite(roots[:, 0]).all()
+    assert math.isnan(paper_order4(0.0, 0.0, "p")[0])
+    assert order4_root(0.0, 0.0, "p") == 0.0
+    roots = order_roots(omegas, 0.1, 1)
+    assert roots.shape == (2, 1, 2) and np.isnan(roots).all()
+
+
+# the largest odd-power coefficient of the order-K branch factors, about 2.5
+# times the largest measured (0 / 0 / 5.4e-13 / 5.4e-13 / 9.2e-11 / 9.2e-11),
+# against even-power coefficients up to 39 / 39 / 130 / 130 / 408 / 408
+ODD_COEFFICIENT_BOUNDS = (1e-15, 1e-15, 1.4e-12, 1.4e-12, 2.3e-10, 2.3e-10)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_odd_eps_coefficients_are_roundoff(order):
+    # tr F and det F are even in eps (eps -> -eps is a half-period time
+    # shift), so the odd powers order_roots drops carry roundoff only
+    table = pendulum.averaged_table(order)
+    _, rows = table._monodromy_rows
+    factors = np.stack((rows[:, -1] - rows[:, -2], rows[:, -1] + rows[:, -2]))
+    odd = table.exponents[:, 0] % 2 == 1
+    assert np.abs(factors[:, odd]).max() <= ODD_COEFFICIENT_BOUNDS[order - 1]
+    if order > 1:
+        assert np.abs(factors[:, ~odd]).max() > 30.0
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_order_roots_are_sign_changes_of_the_scan_branch_factor(order):
+    # every root, in every domain, is where the branch factor 1 + det F + s tr F
+    # of the order-K cells changes sign, odd powers of eps included
+    omegas = np.linspace(0.0, 0.5, 11)
+    found = 0
+    for beta in (0.0, 0.1, 0.3):
+        roots = order_roots(omegas, beta, order)
+        for branch, sign in enumerate((-1.0, 1.0)):
+            margin = scan._margin_stack(omegas, beta, f"order{order}", np.full(omegas.size, sign))
+            for eps in roots[branch]:
+                k = np.flatnonzero(eps > 0.0)
+                below = margin(k, eps[k] * (1.0 - 1e-9))
+                above = margin(k, eps[k] * (1.0 + 1e-9))
+                assert ((below < 0.0) != (above < 0.0)).all()
+                found += k.size
+    assert found == {1: 0, 2: 63, 3: 63, 4: 129, 5: 129, 6: 195}[order]
 
 
 def test_order4_p_root_close_to_exact_at_small_omega():
@@ -192,7 +262,7 @@ def test_order4_converges_to_order2_as_omega_shrinks():
     omegas = [0.2, 0.1, 0.05, 0.025]
     rel = []
     for omega in omegas:
-        e2 = boundary_order2(omega, 0.0).eps_p
+        e2 = _order2(omega, 0.0)[0]
         e4 = order4_root(omega, 0.0, "p")
         rel.append(abs(e4 - e2) / e2)
     slope = np.polyfit(np.log(omegas), np.log(rel), 1)[0]
@@ -206,11 +276,12 @@ def test_order4_reduces_to_order2_relation():
     # at beta = 0, dropping the omega^2 corrections inside the brackets and
     # the quartic term leaves -(pi^4/3) eps^2 + 4 pi^2 omega^2 = 0
     omega = 0.05
-    _, b, c = quartic_coefficients(omega, 0.0, "p")
+    _, b, c = paper_quartic(omega, 0.0, "p")
     b_reduced = -PI ** 4 / 3.0
     c_reduced = 4.0 * PI ** 2 * omega ** 2
     eps2 = -c_reduced / b_reduced
-    assert abs(math.sqrt(eps2) - boundary_order2(omega, 0.0).eps_p) < 1e-14
+    assert abs(math.sqrt(eps2) - paper_order2(omega, 0.0)[0]) < 1e-14
+    assert abs(math.sqrt(eps2) - _order2(omega, 0.0)[0]) < 1e-14
     # the dropped pieces are O(omega^2) relative corrections
     assert abs(b - b_reduced) / abs(b_reduced) < 2.0 * omega ** 2 * PI ** 2
     assert abs(c - c_reduced) / c_reduced < omega ** 2 * PI ** 2

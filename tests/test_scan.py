@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pendulum_expansion
+from conftest import paper_order2, pendulum_expansion
 from floquet_avg import averaging, pendulum, scan, stability
 from floquet_avg.errors import BracketError, FloquetError, ModelError
 from floquet_avg.exactmono import exact_monodromy_pc
@@ -78,13 +78,13 @@ def test_bisect_exact_boundary():
 
 def test_bisect_order2_equals_closed_form():
     root = bisect_boundary(0.2, 0.0, (0.01, 0.3), "order2")
-    assert abs(root - pendulum.boundary_order2(0.2, 0.0).eps_p) < 1e-9
+    assert abs(root - paper_order2(0.2, 0.0)[0]) < 1e-9
     # with damping, both boundaries of the order-2 margin match the formulas
-    b = pendulum.boundary_order2(0.15, 0.2)
-    root_p = bisect_boundary(0.15, 0.2, (0.5 * b.eps_p, 0.5 * (b.eps_p + b.eps_n)), "order2")
-    root_n = bisect_boundary(0.15, 0.2, (0.5 * (b.eps_p + b.eps_n), 1.4 * b.eps_n), "order2")
-    assert abs(root_p - b.eps_p) < 1e-9
-    assert abs(root_n - b.eps_n) < 1e-9
+    eps_p, eps_n = paper_order2(0.15, 0.2)
+    root_p = bisect_boundary(0.15, 0.2, (0.5 * eps_p, 0.5 * (eps_p + eps_n)), "order2")
+    root_n = bisect_boundary(0.15, 0.2, (0.5 * (eps_p + eps_n), 1.4 * eps_n), "order2")
+    assert abs(root_p - eps_p) < 1e-9
+    assert abs(root_n - eps_n) < 1e-9
 
 
 def test_bisect_reports_bracket_failure():
@@ -414,7 +414,7 @@ def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
     monkeypatch.setattr(scan, "_margin_stack", counting)
     trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
     assert sizes[0] == 26 and sizes[1:] == points
-    assert sum(sizes) == {"p": 285, "n": 284}[branch]
+    assert sum(sizes) == {"p": 284, "n": 283}[branch]
 
 
 def _synthetic_margin(funcs):
@@ -582,15 +582,15 @@ def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fa
 def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
     omegas = np.linspace(0.05, 0.3, 4)
     samples = [(omega, branch) for branch in ("p", "n") for omega in omegas]
-    roots = pendulum.order2_roots if method == "order2" else pendulum.order4_roots
-    closed = roots(omegas, beta).reshape(2, -1, omegas.size)[:, 0].ravel().tolist()
-    lo = [0.9 * root for root in closed]
-    hi = [1.1 * root for root in closed]
+    order = scan.order_of_method(method)
+    expected = pendulum.order_roots(omegas, beta, order)[:, 0].ravel().tolist()
+    lo = [0.9 * root for root in expected]
+    hi = [1.1 * root for root in expected]
     margin = scan._margin_stack(np.array([omega for omega, _ in samples]), beta, method)
     roots = scan._bisect(margin, lo, hi, 1e-10)[0]
     for i, ((omega, _), root) in enumerate(zip(samples, roots.tolist())):
         assert root == bisect_boundary(omega, beta, (lo[i], hi[i]), method)
-        assert abs(root - closed[i]) < 1e-9
+        assert abs(root - expected[i]) < 1e-9
         # the scalar margin is the one-point case of the batched one
         at_root = margin(np.array([i]), np.array([root]))[0]
         assert scan.point_report(omega, root, beta, method).margin_trace == at_root
