@@ -229,9 +229,9 @@ def cmd_analyze(args) -> int:
             if getattr(args, name) is None:
                 raise ModelError(f"--{name} is required for model '{pendulum.MODEL_NAME}'")
         params = pendulum.PendulumParams(args.omega, args.eps, args.beta)
-        sys_ = pendulum.series_split(params)
         table = pendulum.averaged_table(args.order)
         values = pendulum.monomial_values([params.omega], [params.eps], params.beta, args.order)
+        sys_ = pendulum.series_split(params)
     else:
         raise ModelError(
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")

@@ -171,7 +171,9 @@ def _power_products(exponents, factors, shape) -> np.ndarray:
 def _checked_points(omegas, epss, beta: float):
     """(omegas, epss, omega**2, shape): float arrays that broadcast to the
     points' shape, checked point by point in C order.  omega**2 is taken
-    per element of ``omegas``, so a grid's omega row is squared once."""
+    per element of ``omegas``, so a grid's omega row is squared once; a
+    square that leaves the float range raises :class:`NumericRangeError`
+    for the first omega it does, once every point has passed its check."""
     omegas = np.asarray(omegas, dtype=float)
     epss = np.asarray(epss, dtype=float)
     ok = (np.isfinite(omegas) & (omegas >= 0.0) & np.isfinite(epss) & (epss >= 0.0)
@@ -180,21 +182,38 @@ def _checked_points(omegas, epss, beta: float):
         k = int(np.argmin(ok.ravel()))
         omega, eps = (np.broadcast_to(x, ok.shape).flat[k] for x in (omegas, epss))
         PendulumParams(float(omega), float(eps), beta)
-    return omegas, epss, _squares(omegas), ok.shape
+    w2 = _squares(omegas)
+    if not np.isfinite(w2).all():
+        raise NumericRangeError(f"omega^2 leaves the float range at omega = "
+                                f"{omegas.flat[np.argmin(np.isfinite(w2))]:g}, beta = {beta:g}")
+    return omegas, epss, w2, ok.shape
 
 
 def _squares(omegas: np.ndarray) -> np.ndarray:
-    """omega ** 2 of each element, by libm pow.
+    """omega ** 2 of each element, by libm pow, inf where it leaves the float range.
 
     Not omega * omega: the two differ in the last bit for about one omega in
     a thousand, and the outputs have always taken omega^2 by pow.
     """
-    return np.array([w ** 2 for w in omegas.ravel().tolist()]).reshape(omegas.shape)
+    values = omegas.ravel().tolist()
+    try:
+        squares = [w ** 2 for w in values]
+    except OverflowError:
+        squares = [_pow2(w) for w in values]
+    return np.array(squares).reshape(omegas.shape)
 
 
-def order_roots(omegas, beta: float, order: int) -> np.ndarray:
+def _pow2(w: float) -> float:
+    try:
+        return w ** 2
+    except OverflowError:
+        return math.inf
+
+
+def order_roots(omegas, beta: float, order: int, branches: str = "pn") -> np.ndarray:
     """Boundaries of the order-K approximation at K omegas and one beta, in
-    one pass: eps indexed [branch (p, n), domain, omega], NaN where absent.
+    one pass: eps indexed [branch, domain, omega], NaN where absent, for
+    each of ``branches`` ("p", "n" or both) in the order given.
 
     At each omega the branch factor 1 + det F + s tr F of the order-K table
     (s = -1 for p, +1 for n) is a polynomial in eps, its coefficients the
@@ -203,15 +222,20 @@ def order_roots(omegas, beta: float, order: int) -> np.ndarray:
     powers, which the table holds at roundoff, are dropped, and what is
     left is a polynomial in x = eps^2 of degree d = K // 2.  Its roots are
     the eigenvalues of its companion matrix (Edelman and Murakami, Math.
-    Comp. 64(210), 1995), one ``np.linalg.eigvals`` call for both branches
-    and every omega.  Domain j (max(d, 1) of them) is the square root of the
-    j-th real root in ascending order, NaN where that root is negative or
-    absent; the smaller bounds the first stability domain.  Each omega gets
-    the arithmetic it gets alone.  A coefficient that leaves the float
-    range raises :class:`NumericRangeError` for the first omega it does.
+    Comp. 64(210), 1995), one ``np.linalg.eigvals`` call for the branches
+    asked for and every omega.  Domain j (max(d, 1) of them) is the square
+    root of the j-th real root in ascending order, NaN where that root is
+    negative or absent; the smaller bounds the first stability domain.
+    Each omega and each branch gets the arithmetic it gets alone.  A
+    coefficient that leaves the float range raises
+    :class:`NumericRangeError` for the first omega it does.
     """
+    if not (branches and set(branches) <= {"p", "n"}):
+        raise ModelError(f"branches must be drawn from 'p' and 'n', got {branches!r}")
     omegas, _, w2, shape = _checked_points(omegas, 0.0, beta)
     start, rows, exponents = averaged_table(order)._branch_polynomials
+    pick = ["pn".index(b) for b in branches]
+    start, rows = start[pick], rows[pick]
     degree = rows.shape[1] - 1
     with np.errstate(all="ignore"):
         values = _power_products(exponents, (w2, beta * omegas), shape)
@@ -227,12 +251,12 @@ def order_roots(omegas, beta: float, order: int) -> np.ndarray:
             raise NumericRangeError(
                 f"the order-{order} boundary polynomial leaves the float range at "
                 f"omega = {omegas.flat[np.argmax(bad)]:g}, beta = {beta:g}")
-        companion = np.zeros((2, omegas.size, degree, degree))
+        companion = np.zeros((len(pick), omegas.size, degree, degree))
         companion[..., :1, :] = top.transpose(0, 2, 1)[..., None, :]
         companion[..., np.arange(1, degree), np.arange(degree - 1)] = 1.0
         x = np.linalg.eigvals(companion)
         x = np.sort(np.where(x.imag == 0.0, x.real, np.nan), axis=-1)
-        roots = np.full((2, max(degree, 1), omegas.size), np.nan)
+        roots = np.full((len(pick), max(degree, 1), omegas.size), np.nan)
         # a negative root gives NaN, and + 0.0 takes the root x = -0.0 of
         # omega = 0 to eps = 0.0
         roots[:, :degree] = np.sqrt(x + 0.0).transpose(0, 2, 1)
@@ -241,6 +265,6 @@ def order_roots(omegas, beta: float, order: int) -> np.ndarray:
 
 def order4_root(omega: float, beta: float, branch: str, domain: str = "first") -> Optional[float]:
     """One root of the order-4 :func:`order_roots` at one omega, None where it is absent."""
-    eps = order_roots(np.array([omega], dtype=float), beta, 4)[
-        ("p", "n").index(branch), ("first", "second").index(domain), 0]
+    eps = order_roots(np.array([omega], dtype=float), beta, 4, branch)[
+        0, ("first", "second").index(domain), 0]
     return None if math.isnan(eps) else float(eps)

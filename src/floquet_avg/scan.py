@@ -85,11 +85,12 @@ def _batched_invariants(method: str, omegas, epss, beta: float):
     """(tr F, det F) at the K points of ``omegas`` and ``epss`` broadcast
     against each other (:func:`pendulum.jacobian_stack`) for any scan
     method, the K points as one stack."""
-    if method in EXACT_METHODS:
-        jac = pendulum.jacobian_stack(omegas, epss, beta)
-        if method == "exact-pc":
-            return stability.pc_trace_det(pendulum.HALF_PERIODS, jac)
-        j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS, jac)
+    if method == "exact-pc":
+        # the per-omega parts are taken once and broadcast against epss
+        return stability.PendulumPC(omegas, beta)(epss)[1:]
+    if method == "exact-rk":
+        j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
+                              pendulum.jacobian_stack(omegas, epss, beta))
         return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_DEFAULT))
     order = order_of_method(method)
     if order is None:
@@ -173,15 +174,22 @@ def _margin_stack(omegas, beta: float, method: str, signs=None):
     The margin is det F + 1 - |tr F| of the method's monodromy invariants,
     a scan cell's margin_trace, or given ``signs`` each sample's
     :func:`stability.branch_factor`, which equals it near the branch's
-    root.  The exact boundary methods use the invariants of exact-pc cells.
+    root.  The exact boundary methods use the invariants of exact-pc cells,
+    prepared once for ``omegas`` (:class:`stability.PendulumPC`).
     """
     if method in EXACT_BOUNDARY_METHODS:
-        method = "exact-pc"
+        pc = stability.PendulumPC(omegas, beta)
+
+        def invariants(index, eps):
+            return pc(eps, index)[1:]
     elif order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
+    else:
+        def invariants(index, eps):
+            return _batched_invariants(method, omegas[index], eps, beta)
 
     def margin(index, eps):
-        trace, det = _batched_invariants(method, omegas[index], eps, beta)
+        trace, det = invariants(index, eps)
         if signs is None:
             return stability.margins(trace, det)[0]
         return stability.branch_factor(trace, det, signs[index])
@@ -315,10 +323,10 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
     order = order_of_method("order4" if exact else method)
     if order is None:
         raise ModelError(f"unknown boundary method {method!r}")
-    k = "pn".index(branch)
-    eps = pendulum.order_roots(omegas, beta, order)[k, 0]
+    eps = pendulum.order_roots(omegas, beta, order, branch)[0, 0]
     if exact:
-        eps = _exact_samples(omegas, beta, np.full(omegas.size, _BRANCH_SIGNS[k]), eps, tol)
+        sign = _BRANCH_SIGNS["pn".index(branch)]
+        eps = _exact_samples(omegas, beta, np.full(omegas.size, sign), eps, tol)
     else:
         _check_tol(tol, (), ())  # a polynomial root has no bracket to resolve
     points = tuple((omega, e) for omega, e in zip(omegas.tolist(), eps.tolist())

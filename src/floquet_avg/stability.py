@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pendulum
+from . import exactmono, pendulum
 from .averaging import (
     AveragedExpansion,
     AveragedTable,
@@ -27,15 +27,16 @@ from .averaging import (
     det_series_terms,
     evaluate_monodromy,
 )
+from ._kernels import expm2_core
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
 from .ppoly import pp_average
-from .smallmat import as_matrix, roots_from_trace_det
+from .smallmat import MATEXP_NORM_GUARD, as_matrix, check_norms, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
-# the stack size from which pc_monodromy takes one exponential per distinct exponent
-_DISTINCT_EXP_MIN = 256
+# the sign of eps in the pendulum's J+ and J-: J[1, 0] = omega^2 +/- eps
+_SEGMENT_SIGNS = np.array([1.0, -1.0])
 
 
 class Verdict(enum.Enum):
@@ -133,28 +134,82 @@ def pc_monodromy(durations, mats):
     exponent = durations[0] * traces[:, 0]
     for s in range(1, len(durations)):
         exponent += durations[s] * traces[:, s]
-    # math.exp, not np.exp: numpy's vectorised exp can differ in the last bit.
-    # A large stack (a chart, whose exponent depends on omega alone) takes it
-    # once per distinct exponent, 0.0 and -0.0 both giving 1.0: np.unique's
-    # fixed cost of about 25 us is below that of the calls it saves from
-    # about 200 cells on, and above it for a boundary step's few dozen
-    if exponent.size < _DISTINCT_EXP_MIN:
-        det = _exps(exponent)
-    else:
-        distinct, inverse = np.unique(exponent, return_inverse=True)
-        det = _exps(distinct)[inverse.ravel()]
-    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det)
+    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], _exps(exponent))
 
 
 def _exps(x):
-    """math.exp of each element of a 1-d array."""
+    """math.exp of each element of a 1-d array: numpy's vectorised exp can
+    differ in the last bit."""
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def pc_trace_det(durations, mats):
-    """tr F and det F of :func:`pc_monodromy`: the invariants of every
-    exact-pc scan cell, exact boundary sample and ``analyze`` exact_pc report."""
-    return pc_monodromy(durations, mats)[1:]
+class PendulumPC:
+    """The pendulum's exact-pc monodromy at fixed ``omegas`` and ``beta``,
+    prepared once: ``pc(eps, index)`` gives ``(F, tr F, det F)`` at the
+    points (omegas[index], eps) broadcast against each other, in C order,
+    bitwise what :func:`pc_monodromy` gives on their
+    :func:`pendulum.jacobian_stack`.
+
+    What does not depend on eps is taken once per omega: omega^2, the
+    entries of pi J+ and pi J- other than pi (omega^2 +/- eps), the column
+    of their 1-norms that holds no eps, and Liouville's det F =
+    exp(-2 pi beta omega).  An evaluation writes the stack of pi J+/-,
+    applies the overflow guard of :func:`smallmat.matexp_stack`, takes the
+    exponentials in closed form (:func:`_kernels.expm2_core`) and F = E- E+.
+    Its errors are the Jacobian-stack path's, for the same first failing
+    point: a point's parameters are checked before omega is squared, so
+    ``omegas`` and ``beta`` are checked when evaluated, not here.
+    """
+
+    def __init__(self, omegas, beta: float):
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.beta = beta
+        w2 = pendulum._squares(self.omegas)
+        self._prepared = bool(np.isfinite(beta) and beta >= 0.0) and bool(
+            (np.isfinite(self.omegas) & (self.omegas >= 0.0) & np.isfinite(w2)).all())
+        if not self._prepared:
+            return
+        with np.errstate(over="ignore"):
+            damping = -beta * self.omegas
+            scaled = damping * math.pi
+            # pi J+/- but for the entry pi (omega^2 +/- eps): 0, pi and pi J[1, 1]
+            self._template = np.zeros(self.omegas.shape + (2, 2, 2))
+            self._template[..., 0, 1] = math.pi
+            self._template[..., 1, 1] = scaled[..., None]
+            # the 1-norm's second column, |pi| + |pi J[1, 1]|, summed top to bottom
+            self._column_norms = math.pi + np.abs(scaled)
+            # pi tr J+ + pi tr J-, each trace J[0, 0] + J[1, 1]
+            trace = 0.0 + damping
+            exponent = math.pi * trace + math.pi * trace
+        self._w2 = w2
+        self._det = _exps(exponent.ravel()).reshape(self.omegas.shape)
+
+    def __call__(self, eps, index=slice(None)):
+        omegas = self.omegas[index]
+        eps = np.asarray(eps, dtype=float)
+        if not (self._prepared and (eps >= 0.0).all()):
+            # raises for the first point that fails its check or whose omega
+            # leaves the float range when squared
+            pendulum._checked_points(omegas, eps, self.beta)
+            if not self._prepared:
+                return PendulumPC(omegas, self.beta)(eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a10 = (self._w2[index][..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
+            shape = a10.shape[:-1]
+            a = np.empty(shape + (2, 2, 2))
+            a[...] = self._template[index]
+            a[..., 1, 0] = a10
+            # the 1-norm's first column is |0| + |pi J[1, 0]|; an eps of inf
+            # fails the guard, and the Jacobian stack's point check names it
+            norms = np.maximum(np.abs(a10), self._column_norms[index][..., None])
+            if not norms.max(initial=0.0) <= MATEXP_NORM_GUARD:
+                check_norms(norms.ravel(), pendulum.jacobian_stack(omegas, eps, self.beta)
+                            .reshape(-1, 2, 2))
+            e = expm2_core(a).reshape(-1, 2, 2, 2)
+            f = exactmono._in_range(np.matmul(e[:, 1], e[:, 0]))
+        det = np.empty(shape)
+        det[...] = self._det[index]
+        return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det.ravel())
 
 
 def _in_range(trace, det):
@@ -180,12 +235,12 @@ def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
 def margin_exact(params: pendulum.PendulumParams) -> float:
     """Signed distance to the exact pendulum stability boundary.
 
-    det F + 1 - |tr F| from :func:`pc_trace_det`: positive inside the
+    det F + 1 - |tr F| from :class:`PendulumPC`: positive inside the
     stability domain, zero on the boundary, negative outside.  This is the
     margin whose roots the exact boundary methods find, at one point.
     """
-    jac = pendulum.jacobian_stack([params.omega], [params.eps], params.beta)
-    return float(margins(*pc_trace_det(pendulum.HALF_PERIODS, jac))[0][0])
+    _, trace, det = PendulumPC([params.omega], params.beta)([params.eps])
+    return float(margins(trace, det)[0][0])
 
 
 def monodromy_approximation(table: AveragedTable, values):

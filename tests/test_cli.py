@@ -531,6 +531,30 @@ def test_float_overflow_is_a_range_error(capsys, argv):
     assert "range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["boundary", "--omega", "1e200:1e200:1", "--branch", "p"], "omega = 1e+200, beta = 0"),
+    (["scan", "--omega", "0:1e200:2", "--eps", "0:1:2", "--beta", "0.5"],
+     "omega = 1e+200, beta = 0.5"),
+    (["compare", "--omega", "0.1:2e160:3"], "omega = 1e+160, beta = 0"),
+    (["analyze", "--omega", "1e160", "--eps", "0.1", "--beta", "0", "--order", "6"],
+     "omega = 1e+160, beta = 0"),
+])
+def test_overflowing_omega_square_names_omega_and_beta(capsys, argv, where):
+    # omega ** 2 raised a Python OverflowError from omega ~ 1.3e154, printed as
+    # "a floating-point result left the float range" with no omega named
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == f"floquet-avg: numeric range error: omega^2 leaves the float range at {where}\n"
+
+
+def test_invalid_point_is_reported_before_an_overflowing_omega_square(capsys):
+    # every point is checked before omega is squared, so the first point's
+    # negative eps is the error, not the square of the second omega
+    code, out, err = run_cli(capsys, ["scan", "--omega", "1e200:2e200:2", "--eps=-1:1:2"])
+    assert code == 2 and out == ""
+    assert err == "floquet-avg: eps must be finite and >= 0, got -1.0\n"
+
+
 def test_huge_period_is_a_range_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"name": "custom", "period": 1e300, "J0": [[0.0]], "terms": [

@@ -192,6 +192,21 @@ def test_order_roots_of_a_batch_equal_each_omegas_own_call_bitwise(beta):
         assert np.isnan(order_roots(omegas, beta, 2)[1]).any()
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3, 5.0])
+def test_one_branch_roots_equal_their_row_of_both_branches_bitwise(beta):
+    # a boundary command solved both branches' companion matrices and kept one
+    omegas = np.concatenate(([0.0], np.random.default_rng(11).uniform(0.0, 20.0, 60)))
+    for order in range(1, 7):
+        both = order_roots(omegas, beta, order)
+        for k, branch in enumerate("pn"):
+            one = order_roots(omegas, beta, order, branch)
+            assert one.shape == (1,) + both.shape[1:]
+            assert one.tobytes() == both[k:k + 1].tobytes()
+        assert order_roots(omegas, beta, order, "np").tobytes() == both[::-1].tobytes()
+    with pytest.raises(ModelError, match="branches"):
+        order_roots(omegas, beta, 2, "x")
+
+
 def test_boundary_order4_n_constant_term_at_zero_omega():
     _, _, c = paper_quartic(0.0, 0.0, "n")
     assert c == 4.0

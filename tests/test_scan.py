@@ -335,7 +335,7 @@ def test_exact_roots_are_the_first_sign_change_of_their_branch_factor(beta, bran
 
     def factor(omega, eps):
         jac = pendulum.jacobian_stack(np.full(eps.size, omega), eps, beta)
-        trace, det = stability.pc_trace_det(pendulum.HALF_PERIODS, jac)
+        _, trace, det = stability.pc_monodromy(pendulum.HALF_PERIODS, jac)
         return 1.0 + det + sign * trace
 
     for omega, root in curve.points:
@@ -395,26 +395,26 @@ def test_scan_grid_squares_each_omega_sample_once(monkeypatch, method):
 
 @pytest.mark.parametrize("branch", ["p", "n"])
 def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
-    # the order-4 seeds square each sample once (it squared three times: the
-    # point check and both quartics), every lockstep margin call one omega
-    # per point it takes
+    # the order-4 seeds square each sample once, and the exact margins square
+    # it once more when they are prepared: every lockstep margin call squared
+    # one omega per point it took, 284 (p) and 283 (n) in all
     sizes = _counting_squares(monkeypatch)
-    points = []
+    calls = []
     margin_stack = scan._margin_stack
 
     def counting(*args):
         margin = margin_stack(*args)
 
         def counted(index, eps):
-            points.append(len(index))
+            calls.append(len(index))
             return margin(index, eps)
 
         return counted
 
     monkeypatch.setattr(scan, "_margin_stack", counting)
-    trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
-    assert sizes[0] == 26 and sizes[1:] == points
-    assert sum(sizes) == {"p": 284, "n": 283}[branch]
+    curve = trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
+    assert len(curve.points) == 26 and len(calls) > 1
+    assert sizes == [26, 26]
 
 
 def _synthetic_margin(funcs):

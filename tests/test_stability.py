@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_expansion, pendulum_pipeline
-from floquet_avg import averaging, cli, pendulum
+from floquet_avg import averaging, cli, pendulum, scan
 from floquet_avg.averaging import SeriesSystem
-from floquet_avg.errors import ModelError
+from floquet_avg.errors import ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
 from floquet_avg.ppoly import PiecewisePolyMatrix
 from floquet_avg.stability import (
+    PendulumPC,
     Verdict,
     classify,
     det_series,
     det_series_expansion,
     margin_exact,
-    pc_trace_det,
+    pc_monodromy,
     report_from_trace_det,
 )
 
@@ -81,12 +82,13 @@ def test_margin_exact_signs():
     assert margin_exact(pendulum.PendulumParams(0.2, 0.6, 0.0)) < 0.0
 
 
-def test_pc_trace_det_takes_det_from_liouville():
+def test_pc_monodromy_takes_det_from_liouville():
     # unequal durations and traces: det F = exp(0.7 * 0.3 - 1.9 * 0.2)
     durations = (0.7, 1.9)
     mats = np.array([[[[0.1, 1.0], [0.5, 0.2]], [[-0.3, 0.4], [-1.0, 0.1]]]])
-    trace, det = pc_trace_det(durations, mats)
-    f = exact_monodromy_pc_stack(durations, mats)[0]
+    f, trace, det = pc_monodromy(durations, mats)
+    assert np.array_equal(f, exact_monodromy_pc_stack(durations, mats))
+    f = f[0]
     assert trace[0] == f[0, 0] + f[1, 1]
     assert abs(det[0] - math.exp(0.7 * 0.3 - 1.9 * 0.2)) <= 2e-16
     assert abs(det[0] - np.linalg.det(f)) <= 1e-14
@@ -94,11 +96,12 @@ def test_pc_trace_det_takes_det_from_liouville():
 
 def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
     # the exponent -2 pi beta omega depends on omega alone: a 50x50 chart
-    # took 2,500 math.exp calls for 50 values, bitwise the same
+    # took 2,500 math.exp calls for 50 values, and an exact boundary command
+    # one per sample at every lockstep step, bitwise the same
     omegas, epss = np.linspace(0.0, 0.5, 50), np.linspace(0.0, 1.2, 50)
     jac = pendulum.jacobian_stack(omegas, epss[:, None], 0.1)
-    exponent = PI * (jac[:, 0, 0, 0] + jac[:, 0, 1, 1]) + PI * (jac[:, 1, 0, 0] + jac[:, 1, 1, 1])
-    expect = [math.exp(x) for x in exponent.tolist()]
+    expect = pc_monodromy(pendulum.HALF_PERIODS, jac)[2].tolist()
+    scan.trace_boundary((0.05, 0.3, 26), 0.1, "p", "exact")  # builds the order-4 table
     calls = []
     exp = math.exp
 
@@ -107,26 +110,90 @@ def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(math, "exp", counted)
-    det = pc_trace_det(pendulum.HALF_PERIODS, jac)[1]
+    assert PendulumPC(omegas, 0.1)(epss[:, None])[2].tolist() == expect
     assert len(calls) == 50
-    assert det.tolist() == expect
-    # a stack below 256 cells, such as a boundary step's, takes one per cell
     calls.clear()
-    assert pc_trace_det(pendulum.HALF_PERIODS, jac[:255])[1].tolist() == expect[:255]
-    assert len(calls) == 255
-    # 0.0 and -0.0 share one exponential, and both give 1.0
-    mats = np.zeros((256, 2, 2, 2))
-    mats[0, :, 0, 0] = mats[0, :, 1, 1] = -0.0
-    calls.clear()
-    assert pc_trace_det((1.0, 1.0), mats)[1].tolist() == [1.0] * 256
-    assert calls == [0.0]
+    grid = scan.scan_region((0.0, 0.5, 50), (0.0, 1.2, 50), 0.1, "exact-pc")
+    assert len(calls) == 50
+    assert grid.margin_det.ravel().tolist() == [1.0 - d for d in expect]
+    for branch in ("p", "n"):
+        calls.clear()
+        scan.trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
+        assert len(calls) == 26
+
+
+def _pc_outcome(evaluate):
+    """(F, tr F, det F) as bytes, or the type and message of what ``evaluate()`` raises."""
+    try:
+        with np.errstate(over="ignore"):
+            return tuple(x.tobytes() for x in evaluate())
+    except (ModelError, NumericRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_pc(omegas, epss, beta):
+    """pc_monodromy on the Jacobian stack of the points, as exact-pc cells took them."""
+    return lambda: pc_monodromy(pendulum.HALF_PERIODS,
+                                pendulum.jacobian_stack(omegas, epss, beta))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.7])
+def test_prepared_pc_equals_pc_monodromy_bitwise(beta):
+    # beta 0 gives the damping entry -0.0; eps 0 and omega up to 10 included
+    rng = np.random.default_rng(5)
+    omegas = np.concatenate(([0.0, 10.0], rng.uniform(0.0, 10.0, 30), rng.uniform(0.0, 0.5, 30)))
+    epss = np.concatenate(([0.0, 0.0, 0.0], rng.uniform(0.0, 3.0, omegas.size - 3)))
+    pc = PendulumPC(omegas, beta)
+    batch = pc(epss)
+    assert _pc_outcome(lambda: batch) == _pc_outcome(_reference_pc(omegas, epss, beta))
+    # a grid row of omegas against a column of epss, cells eps-major
+    column = np.linspace(0.0, 2.0, 7)[:, None]
+    assert _pc_outcome(lambda: pc(column)) == _pc_outcome(_reference_pc(omegas, column, beta))
+    # samples gathered by index, and one point at a time
+    index = rng.permutation(omegas.size)[:20]
+    assert _pc_outcome(lambda: pc(epss[index], index)) == _pc_outcome(
+        _reference_pc(omegas[index], epss[index], beta))
+    for k in range(omegas.size):
+        alone = PendulumPC([omegas[k]], beta)([epss[k]])
+        assert tuple(x.tobytes() for x in alone) == tuple(x[k:k + 1].tobytes() for x in batch)
+        assert pc(epss[k:k + 1], [k])[1].tobytes() == batch[1][k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("omegas, epss, beta", [
+    # F overflows from omega ~ 112.3
+    ([0.2, 112.4, 150.0], [0.5, 0.0, 0.0], 0.0),
+    # the guard on ||pi J||_1: through omega^2 + eps, eps, and damping
+    ([0.2, 600.0], [0.5, 0.0], 0.1),
+    ([0.2, 0.3], [0.5, 5e5], 0.0),
+    ([0.2, 0.3], [0.5, 0.1], 1e7),
+    # -beta omega leaves the float range: a non-finite J entry
+    ([10.0, 0.2], [0.5, 0.1], 1e308),
+    # the first invalid point, in C order, before any square is taken
+    ([0.2, -1.0], [0.5, 0.1], 0.0),
+    ([0.2, 0.3], [0.5, -0.1], 0.0),
+    ([0.2, 0.3], [0.5, math.inf], 0.0),
+    ([0.2, math.nan], [0.5, 0.1], 0.0),
+    ([0.2, 0.3], [0.5, 0.1], -1.0),
+    ([0.2, 0.3], [-0.5, 0.1], math.inf),
+    ([1e200, 0.3], [0.5, 0.1], 0.0),
+    ([1e200, 0.3], [-0.5, 0.1], 0.0),
+    ([0.2, 1e200], [-0.5, 0.1], 0.0),
+])
+def test_prepared_pc_raises_what_pc_monodromy_raises(omegas, epss, beta):
+    omegas, epss = np.array(omegas), np.array(epss)
+    expect = _pc_outcome(_reference_pc(omegas, epss, beta))
+    assert isinstance(expect[0], type)
+    assert _pc_outcome(lambda: PendulumPC(omegas, beta)(epss)) == expect
+    # the failing point's own error when the evaluation takes it alone
+    k = 1 if expect == _pc_outcome(_reference_pc(omegas[1:], epss[1:], beta)) else 0
+    assert _pc_outcome(lambda: PendulumPC(omegas, beta)(epss[k:k + 1], [k])) == expect
 
 
 def test_pc_det_is_exact_where_the_product_det_is_roundoff():
     # ||F|| ~ 1e27 at omega 10, so f00 f11 - f01 f10 carries a roundoff of
     # order 1e38; Liouville's det F = exp(-2 pi beta omega) carries none
     mats = pendulum.jacobian_stack([10.0], [1.0], 0.01)
-    trace, det = pc_trace_det(pendulum.HALF_PERIODS, mats)
+    _, trace, det = pc_monodromy(pendulum.HALF_PERIODS, mats)
     assert abs(trace[0]) > 1e26
     assert abs(det[0] - math.exp(-2.0 * PI * 0.01 * 10.0)) <= 1e-15
 
