@@ -32,7 +32,7 @@ from .scan import (
     scan_region,
     trace_boundary,
 )
-from .smallmat import char_roots_2x2, matexp
+from .smallmat import matexp
 from .stability import (
     StabilityReport,
     Verdict,
@@ -59,7 +59,6 @@ __all__ = [
     "Verdict",
     "assemble_monodromy",
     "bisect_boundary",
-    "char_roots_2x2",
     "classify",
     "compare_boundaries",
     "det_series",

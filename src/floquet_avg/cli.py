@@ -218,12 +218,14 @@ def cmd_analyze(args) -> int:
     if not 1 <= args.order <= averaging.MAX_ORDER:
         raise ModelError(f"--order must be from 1 to {averaging.MAX_ORDER}, got {args.order}")
     stability.check_tolerance(args.tolerance)
+    # a report's three inputs: the table, its monomials' values and J(t)
     params = None
     if args.model_file:
         sys_ = load_model_file(args.model_file)
         # a model file has no parameters: its table is built here and not kept
         table = averaging.system_table(sys_, args.order)
         values = np.ones((len(table.A), 1))
+        total = averaging.series_total(sys_)
     elif args.model == pendulum.MODEL_NAME:
         for name in ("omega", "eps", "beta"):
             if getattr(args, name) is None:
@@ -231,20 +233,20 @@ def cmd_analyze(args) -> int:
         params = pendulum.PendulumParams(args.omega, args.eps, args.beta)
         table = pendulum.averaged_table(args.order)
         values = pendulum.monomial_values([params.omega], [params.eps], params.beta, args.order)
-        sys_ = pendulum.series_split(params)
+        total = pendulum.jacobians(params)
     else:
         raise ModelError(
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
     avg = averaging.evaluate_table(table, values).cell(0)
     f_approx, traces, det_trunc = stability.monodromy_approximation(table, values)
-    det_full = stability.det_series(sys_, avg)
+    det_full = stability.det_series(table.trace_j0, avg)
 
     doc = {
         "model": "custom" if args.model_file else pendulum.MODEL_NAME,
         "params": None,
         "order": args.order,
-        "period": sys_.period,
+        "period": total.period,
         "tolerance": args.tolerance,
         "A": [_matrix_list(a) for a in avg.A],
         "closure_residuals": list(avg.closure_residuals),
@@ -256,7 +258,7 @@ def cmd_analyze(args) -> int:
     }
     if params is not None:
         doc["params"] = {"omega": params.omega, "eps": params.eps, "beta": params.beta}
-    if sys_.dim == 2:
+    if total.dim == 2:
         doc["approx"] = _report_dict(
             stability.report_from_trace_det(float(traces[-1][0]), float(det_trunc[0]),
                                             args.tolerance)
@@ -265,12 +267,11 @@ def cmd_analyze(args) -> int:
     else:
         doc["approx"] = None
 
-    # both oracles integrate the one J(t); the exponential products need degree 0
-    total = averaging.series_total(sys_)
+    # the exponential products need degree 0
     doc["exact_pc"] = _exact_pc_report(total, args.tolerance) if total.max_degree == 0 else None
     f_rk = exact_monodromy_rk(total, args.rk_steps)
     doc["exact_rk"] = (_report_dict(stability.classify(f_rk, args.tolerance), f_rk)
-                       if sys_.dim == 2 else {"F": _matrix_list(f_rk)})
+                       if total.dim == 2 else {"F": _matrix_list(f_rk)})
 
     if args.format == "json":
         _write_output(dumps_json(doc) + "\n", args.output)
@@ -331,7 +332,7 @@ def cmd_scan(args) -> int:
     omega_axis = parse_range(args.omega, minimum_count=2)
     eps_axis = parse_range(args.eps, minimum_count=2)
     grid = scan.scan_region(omega_axis, eps_axis, args.beta, args.method,
-                            threads=args.threads, tolerance=args.tolerance)
+                            tolerance=args.tolerance)
     _write_output(_scan_csv(grid), args.output)
     return EXIT_OK
 
@@ -478,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--beta", type=float, default=0.0)
     p_sc.add_argument("--method", default="exact-pc",
                       help="exact-pc, exact-rk, or order1..order6")
-    p_sc.add_argument("--threads", type=int, default=None,
-                      help="accepted for compatibility; the scan is single-threaded "
-                           "(default: FLOQUET_AVG_THREADS or all cores)")
     p_sc.add_argument("--tolerance", type=float, default=stability.DEFAULT_TOLERANCE)
     add_common(p_sc)
 

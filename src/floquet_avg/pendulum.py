@@ -28,6 +28,7 @@ from .averaging import AveragedTable, SeriesSystem, standard_form
 from .errors import ModelError, NumericRangeError
 from .exactmono import pc_stack_to_ppoly
 from .ppoly import PiecewisePolyMatrix
+from .smallmat import libm_map
 
 PERIOD = 2.0 * math.pi
 # durations of the two constant segments, J+ then J-
@@ -62,15 +63,24 @@ def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
     order: a grid row of omegas against a column of epss is eps-major.
 
     Parameters are checked point by point; the first invalid point raises
-    what :class:`PendulumParams` raises for it.
+    what :class:`PendulumParams` raises for it, and the first point with an
+    entry that leaves the float range (omega^2 + eps or beta*omega)
+    raises :class:`NumericRangeError`.
     """
     omegas, epss, w2, shape = _checked_points(omegas, epss, beta)
     out = np.zeros(shape + (2, 2, 2))
     out[..., :, 0, 1] = 1.0
-    out[..., 0, 1, 0] = w2 + epss
-    out[..., 1, 1, 0] = w2 - epss
-    out[..., :, 1, 1] = (-beta * omegas)[..., None]
-    return out.reshape(-1, 2, 2, 2)
+    with np.errstate(over="ignore"):
+        out[..., 0, 1, 0] = w2 + epss
+        out[..., 1, 1, 0] = w2 - epss
+        out[..., :, 1, 1] = (-beta * omegas)[..., None]
+    out = out.reshape(-1, 2, 2, 2)
+    bad = ~np.isfinite(out).all(axis=(1, 2, 3))
+    if bad.any():
+        omega, eps = (np.broadcast_to(x, shape).flat[np.argmax(bad)] for x in (omegas, epss))
+        raise NumericRangeError(
+            f"J(t) leaves the float range at omega = {omega:g}, eps = {eps:g}, beta = {beta:g}")
+    return out
 
 
 def series_split(p: PendulumParams) -> SeriesSystem:
@@ -134,7 +144,9 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     """
     omegas, epss, w2, shape = _checked_points(omegas, epss, beta)
     exponents = averaged_table(order).exponents
-    values = _power_products(exponents, (epss, w2, beta * omegas), shape)
+    with np.errstate(over="ignore"):
+        damping = beta * omegas
+    values = _power_products(exponents, (epss, w2, damping), shape)
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
@@ -195,19 +207,7 @@ def _squares(omegas: np.ndarray) -> np.ndarray:
     Not omega * omega: the two differ in the last bit for about one omega in
     a thousand, and the outputs have always taken omega^2 by pow.
     """
-    values = omegas.ravel().tolist()
-    try:
-        squares = [w ** 2 for w in values]
-    except OverflowError:
-        squares = [_pow2(w) for w in values]
-    return np.array(squares).reshape(omegas.shape)
-
-
-def _pow2(w: float) -> float:
-    try:
-        return w ** 2
-    except OverflowError:
-        return math.inf
+    return libm_map(lambda w: w ** 2, omegas)
 
 
 def order_roots(omegas, beta: float, order: int, branches: str = "pn") -> np.ndarray:

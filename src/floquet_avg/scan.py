@@ -15,7 +15,6 @@ batch.  All of it is single-threaded.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +42,10 @@ def axis_samples(axis) -> np.ndarray:
 
 
 def range_samples(rng) -> np.ndarray:
-    """Like axis_samples but a single-point range (count 1) is allowed."""
+    """Like axis_samples but a single-point range (count 1) is allowed; an
+    array is taken as the samples themselves."""
+    if isinstance(rng, np.ndarray):
+        return np.asarray(rng, dtype=float)
     lo, hi, count = rng
     if count == 1 and lo == hi:
         return np.array([float(lo)])
@@ -123,18 +125,12 @@ def point_report(omega: float, eps: float, beta: float, method: str,
 
 
 def scan_region(omega_axis, eps_axis, beta: float, method: str,
-                threads: Optional[int] = None,
                 tolerance: float = stability.DEFAULT_TOLERANCE) -> ScanGrid:
-    """Stability verdict for every grid point, the whole grid as one batch.
-
-    ``threads`` is validated for the CLI contract, but the computation is
-    single-threaded, so the result cannot depend on it.
-    """
+    """Stability verdict for every grid point, the whole grid as one batch."""
     omegas = axis_samples(omega_axis)
     epss = axis_samples(eps_axis)
     if method not in EXACT_METHODS and order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
-    _resolve_threads(threads)
     stability.check_tolerance(tolerance)
     shape = (epss.size, omegas.size)
     # the omega row broadcasts against the eps column, cells eps-major, so
@@ -149,19 +145,11 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
     return ScanGrid(omegas, epss, beta, method, verdicts, margin_trace, margin_det)
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    """The requested thread count: ``threads``, else FLOQUET_AVG_THREADS,
-    else the core count; at least 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FLOQUET_AVG_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ModelError(
-                f"FLOQUET_AVG_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+def _resolve_threads(threads=None) -> int:
+    """The scan's thread count: 1, since it runs single-threaded.  Kept
+    because the benchmark (``perfbench/worker.py`` and ``perfbench/tracer.py``)
+    reads the scan's thread count from this function."""
+    return 1
 
 
 EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
@@ -316,8 +304,7 @@ def trace_boundary(omega_range, beta: float, branch: str, method: str,
     """
     if branch not in ("p", "n"):
         raise ModelError(f"branch must be 'p' or 'n', got {branch!r}")
-    omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
-                        else range_samples(omega_range), dtype=float)
+    omegas = range_samples(omega_range)
     exact = method in EXACT_BOUNDARY_METHODS
     # the order-4 roots seed the exact brackets
     order = order_of_method("order4" if exact else method)
@@ -389,8 +376,7 @@ class ComparisonTable:
 
 def compare_boundaries(omega_range, beta: float, tol: float = 1e-10) -> ComparisonTable:
     """Exact vs order-2 vs order-4 first-domain boundaries per branch."""
-    omegas = np.asarray(omega_range if isinstance(omega_range, np.ndarray)
-                        else range_samples(omega_range), dtype=float)
+    omegas = range_samples(omega_range)
     # one order-4 pass seeds both branches' brackets and fills eps_order4
     order4 = pendulum.order_roots(omegas, beta, 4)[:, 0].ravel()
     branches = ["p"] * omegas.size + ["n"] * omegas.size

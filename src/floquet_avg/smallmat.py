@@ -4,7 +4,7 @@ Matrices are plain float64 numpy arrays of shape (n, n), or (K, n, n)
 stacks of them.  The two operations that matter for Floquet analysis live
 here: the matrix exponential (in closed form for 2x2 matrices, by
 scaling and squaring for larger ones) and the eigenvalues of a 2x2
-monodromy matrix.
+monodromy matrix from its trace and determinant.
 """
 
 import math
@@ -103,6 +103,25 @@ def check_norms(norms, m):
         )
 
 
+def libm_map(f, x) -> np.ndarray:
+    """``f`` of each element of the array ``x`` in Python floats, inf where
+    it raises OverflowError: libm's results, from which numpy's vectorised
+    functions can differ in the last bit."""
+    values = x.ravel().tolist()
+    try:
+        out = [f(v) for v in values]
+    except OverflowError:
+        out = [_inf_on_overflow(f, v) for v in values]
+    return np.array(out).reshape(x.shape)
+
+
+def _inf_on_overflow(f, v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:
+        return math.inf
+
+
 def roots_from_trace_det(tr: float, det: float) -> tuple[complex, complex]:
     """Both roots of rho^2 - tr*rho + det = 0, larger magnitude first.
 
@@ -123,12 +142,3 @@ def roots_from_trace_det(tr: float, det: float) -> tuple[complex, complex]:
     r2 = complex(0.5 * tr, -0.5 * sq)
     return r1, r2
 
-
-def char_roots_2x2(f) -> tuple[complex, complex]:
-    """Floquet multipliers of a 2x2 monodromy matrix."""
-    f = as_matrix(f)
-    if f.shape[0] != 2:
-        raise ModelError(f"char_roots_2x2 needs a 2x2 matrix, got {f.shape[0]}x{f.shape[0]}")
-    tr = float(f[0, 0] + f[1, 1])
-    det = float(f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
-    return roots_from_trace_det(tr, det)

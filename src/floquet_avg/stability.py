@@ -31,7 +31,7 @@ from ._kernels import expm2_core
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
 from .ppoly import pp_average
-from .smallmat import MATEXP_NORM_GUARD, as_matrix, check_norms, roots_from_trace_det
+from .smallmat import MATEXP_NORM_GUARD, as_matrix, check_norms, libm_map, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -134,13 +134,7 @@ def pc_monodromy(durations, mats):
     exponent = durations[0] * traces[:, 0]
     for s in range(1, len(durations)):
         exponent += durations[s] * traces[:, s]
-    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], _exps(exponent))
-
-
-def _exps(x):
-    """math.exp of each element of a 1-d array: numpy's vectorised exp can
-    differ in the last bit."""
-    return np.array([math.exp(v) for v in x.tolist()])
+    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], libm_map(math.exp, exponent))
 
 
 class PendulumPC:
@@ -182,7 +176,7 @@ class PendulumPC:
             trace = 0.0 + damping
             exponent = math.pi * trace + math.pi * trace
         self._w2 = w2
-        self._det = _exps(exponent.ravel()).reshape(self.omegas.shape)
+        self._det = libm_map(math.exp, exponent)
 
     def __call__(self, eps, index=slice(None)):
         omegas = self.omegas[index]
@@ -258,18 +252,23 @@ def monodromy_approximation(table: AveragedTable, values):
     return f, traces, det
 
 
-def det_series(sys: SeriesSystem, avg: AveragedExpansion) -> float:
+def det_series(trace_j0: float, avg: AveragedExpansion) -> float:
     """Liouville-consistent determinant of the order-N approximation.
 
-    exp(T tr J0) * exp((tr A_1 + ... + tr A_N) T).  The A-traces equal the
-    averaged J-term traces, so for systems whose trace content stops at a
-    computed order this is the exact determinant.
+    exp(T tr J0) * exp((tr A_1 + ... + tr A_N) T), T the expansion's
+    period.  The A-traces equal the averaged J-term traces, so for systems
+    whose trace content stops at a computed order this is the exact
+    determinant.  A determinant that leaves the float range raises
+    :class:`NumericRangeError`.
     """
-    t = sys.period
-    total = float(np.trace(sys.J0))
+    total = trace_j0
     for a in avg.A:
         total += float(np.trace(a))
-    return math.exp(total * t)
+    try:
+        return math.exp(total * avg.period)
+    except OverflowError:
+        raise NumericRangeError(
+            f"det_series = exp({total * avg.period:.6g}) leaves the float range") from None
 
 
 def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):

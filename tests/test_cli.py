@@ -108,15 +108,6 @@ def test_scan_smoke_grid(capsys):
     assert eps_col == [0.1, 0.1, 0.4, 0.4]
 
 
-def test_scan_thread_determinism(capsys):
-    argv = ["scan", "--omega", "0:0.4:10", "--eps", "0:1:10", "--beta", "0.05",
-            "--method", "exact-pc"]
-    code1, out1, _ = run_cli(capsys, argv + ["--threads", "1"])
-    code8, out8, _ = run_cli(capsys, argv + ["--threads", "8"])
-    assert code1 == code8 == 0
-    assert out1 == out8
-
-
 def test_scan_bad_range(capsys):
     code, _, err = run_cli(capsys, ["scan", "--omega", "0.4:0.0:10",
                                     "--eps", "0:1:10"])
@@ -193,15 +184,6 @@ def test_exact_boundaries_keep_the_first_domain_past_omega_half(capsys, argv, ro
     assert len(lines) == rows
     if argv[0] == "compare":
         assert all(line.split(",")[2] != "" for line in lines)
-
-
-def test_scan_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FLOQUET_AVG_THREADS", "2")
-    code, out, _ = run_cli(capsys, [
-        "scan", "--omega", "0:0.4:4", "--eps", "0:1:4", "--beta", "0",
-    ])
-    assert code == 0
-    assert len(out.strip().split("\n")) == 17
 
 
 def test_compare_table(capsys):
@@ -434,20 +416,17 @@ def test_python_dash_m_package_runs_the_cli(capsys, argv):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
-def test_non_integer_threads_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("FLOQUET_AVG_THREADS", "abc")
-    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.4:3", "--eps", "0:1:3"])
-    assert code == 2
-    assert out == ""
-    assert "FLOQUET_AVG_THREADS" in err
-
-
-def test_zero_threads_means_one(capsys):
+def test_scan_has_no_thread_option(capsys, monkeypatch):
+    # the scan is single-threaded: --threads is an unknown argument, and the
+    # environment variable that once set the thread count is not read
     argv = ["scan", "--omega", "0:0.4:4", "--eps", "0:1:4", "--beta", "0.1"]
-    code0, out0, _ = run_cli(capsys, argv + ["--threads", "0"])
-    code1, out1, _ = run_cli(capsys, argv + ["--threads", "1"])
-    assert code0 == code1 == 0
-    assert out0 == out1
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--threads", "1"])
+    assert excinfo.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, argv)
+    monkeypatch.setenv("FLOQUET_AVG_THREADS", "abc")
+    assert run_cli(capsys, argv) == (code, out, err) == (0, out, "")
 
 
 @pytest.mark.parametrize("value", ["nan", "-1e-9", "inf"])
@@ -705,6 +684,45 @@ def test_overflowing_parameter_monomial_exits_3(argv):
     assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["analyze", "--omega", "1.34e154", "--eps", "1e307", "--beta", "0", "--order", "1"],
+     "omega = 1.34e+154, eps = 1e+307, beta = 0"),
+    (["analyze", "--omega", "1e150", "--eps", "0.1", "--beta", "1e200", "--order", "1"],
+     "omega = 1e+150, eps = 0.1, beta = 1e+200"),
+    (["scan", "--omega", "1.33e154:1.34e154:2", "--eps", "1e307:2e307:2", "--method",
+      "exact-rk"], "omega = 1.33e+154, eps = 1e+307, beta = 0"),
+    (["scan", "--omega", "1.33e154:1.34e154:2", "--eps", "1e307:2e307:2"],
+     "omega = 1.33e+154, eps = 1e+307, beta = 0"),
+])
+def test_overflowing_jacobian_entry_names_the_point(argv, where):
+    # omega^2 + eps or beta*omega beyond the float range built J(t) with an
+    # infinite entry: the validation error "piece coefficients must be
+    # finite" or "matrix entries must be finite" with exit 2, after a numpy
+    # RuntimeWarning
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("floquet-avg: numeric range error: J(t) leaves the float range "
+                           f"at {where}\n")
+
+
+@pytest.mark.parametrize("order, message", [
+    ("1", "the invariants of F leave the float range: tr F = 1.06e+164, det F = inf"),
+    ("2", "det_series = exp(753.982) leaves the float range"),
+])
+def test_overflowing_liouville_determinant_is_named(tmp_path, capsys, order, message):
+    # tr J = 120 over T = 2 pi: det F = exp(754) leaves the float range while
+    # F's entries do not; math.exp raised OverflowError, printed as "a
+    # floating-point result left the float range" without naming det F
+    piece = {"t_start": 0.0, "t_end": 2.0 * PI, "entries": [[[60.0], [0.0]], [[0.0], [60.0]]]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "custom", "period": 2.0 * PI,
+                                "J0": [[0.0, 1.0], [0.0, 0.0]],
+                                "terms": [{"order": 2, "pieces": [piece]}]}))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path), "--order", order])
+    assert code == 3 and out == ""
+    assert err == f"floquet-avg: numeric range error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["scan", "--omega", "0:0.5:2", "--eps=-inf:0.5:2"], "-inf:0.5:2"),
     (["scan", "--omega=-1e308:1e308:3", "--eps", "0:1:2"], "-1e308:1e308:3"),
@@ -922,21 +940,25 @@ def test_readme_usage_commands_run_cleanly(tmp_path, capsys, argv):
 
 def test_benchmark_hooks_into_the_program_resolve():
     # the benchmark's tracer wraps program names and its worker reads the
-    # thread rule; a name either needs must fail here, not in the benchmark
+    # scan's thread count; a name either needs must fail here, not in the
+    # benchmark
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((os.path.join(root, "src"),
                                          os.path.join(root, "perfbench"),
                                          env.get("PYTHONPATH", "")))
-    code = ("import floquet_avg.cli\n"
+    code = ("import json\n"
+            "import floquet_avg.cli\n"
             "from floquet_avg import scan\n"
-            "import tracer\n"
+            "import tracer, worker\n"
             "tracer.Tracer().install()\n"
-            "print(scan._resolve_threads(None))\n")
+            "print(json.dumps({'threads': scan._resolve_threads(None),\n"
+            "                  'env': worker._env()}))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) >= 1
+    result = json.loads(proc.stdout)
+    assert result["threads"] == result["env"]["scan_threads"] == 1
 
 
 def test_benchmark_tracer_runs_the_averaged_commands_unchanged(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from floquet_avg.errors import ModelError, NumericRangeError
-from floquet_avg.smallmat import as_matrix, char_roots_2x2, matexp, norm1
+from floquet_avg.smallmat import as_matrix, matexp, norm1
+from floquet_avg.stability import classify
 
 J0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 TWO_PI = 2.0 * math.pi
@@ -70,25 +71,29 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix(np.zeros((9, 9)))  # dimension cap
 
 
+# the characteristic roots of a 2x2 monodromy matrix are its multipliers
+# as classify reports them
+
+
 def test_char_roots_identity():
-    r1, r2 = char_roots_2x2(np.eye(2))
+    r1, r2 = classify(np.eye(2)).multipliers
     assert r1 == 1.0 and r2 == 1.0
 
 
 def test_char_roots_unipotent():
-    r1, r2 = char_roots_2x2(np.array([[1.0, TWO_PI], [0.0, 1.0]]))
+    r1, r2 = classify(np.array([[1.0, TWO_PI], [0.0, 1.0]])).multipliers
     assert abs(r1 - 1.0) < 1e-14 and abs(r2 - 1.0) < 1e-14
 
 
 def test_char_roots_diagonal_larger_first():
-    r1, r2 = char_roots_2x2(np.diag([2.0, 0.25]))
+    r1, r2 = classify(np.diag([2.0, 0.25])).multipliers
     assert abs(r1 - 2.0) < 1e-14
     assert abs(r2 - 0.25) < 1e-14
 
 
 def test_char_roots_complex_pair():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # multipliers +/- i
-    r1, r2 = char_roots_2x2(rot)
+    r1, r2 = classify(rot).multipliers
     assert r1 == r2.conjugate()
     assert abs(abs(r1) - 1.0) < 1e-14
 
@@ -98,6 +103,6 @@ def test_char_roots_vieta():
     for _ in range(50):
         f = rng.uniform(-2, 2, size=(2, 2))
         tr, det = np.trace(f), np.linalg.det(f)
-        r1, r2 = char_roots_2x2(f)
+        r1, r2 = classify(f).multipliers
         assert abs(r1 * r2 - det) <= 1e-12 * (1.0 + abs(det))
         assert abs(r1 + r2 - tr) <= 1e-12 * (1.0 + abs(tr))
