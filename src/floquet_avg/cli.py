@@ -345,48 +345,31 @@ def _scan_csv(grid: scan.ScanGrid) -> str:
     which prints as :func:`format_float` at 12 digits does.  A margin whose
     every row is bitwise the row above it is formatted once per omega
     column, into the template: an exact-pc margin_det depends on omega and
-    beta only.  A NaN margin, which %.12g prints as nan, takes a ``%s``
-    slot in its row's template and the argument "NaN".
+    beta only.  Every method range-checks tr F and det F, so a margin is
+    finite or, for margin_trace, -inf, none of them NaN.
     """
     omegas = [format_float(x, 12) for x in grid.omega_samples.tolist()]
     n = len(omegas)
     head = f",{format_float(grid.beta, 12)},{grid.method},%s,"
     slots, slotted = [], []
-    for j, m in enumerate((grid.margin_trace, grid.margin_det)):
+    for m in (grid.margin_trace, grid.margin_det):
         # bitwise: 0.0 and -0.0 print differently
         if m[1:].tobytes() == m[:-1].tobytes():
             slots.append([format_float(x, 12) for x in m[0].tolist()])
         else:
             slots.append(["%.12g"] * n)
-            slotted.append((j, m))
-
-    def template(slots):
-        """A row's template split at its eps strings, from each margin's
-        per-column text or slot."""
-        cells = [f"{head}{t},{d}\n" for t, d in zip(*slots)]
-        return [omegas[0] + ","] + [c + o + "," for c, o in zip(cells, omegas[1:])] + cells[-1:]
-
-    shared = template(slots)
+            slotted.append(m)
+    # a row's template split at its eps strings
+    cells = [f"{head}{t},{d}\n" for t, d in zip(*slots)]
+    fragments = [omegas[0] + ","] + [c + o + "," for c, o in zip(cells, omegas[1:])] + cells[-1:]
     stride = 1 + len(slotted)
     lines = ["omega,eps,beta,method,verdict,margin_trace,margin_det\n"]
-    for eps, verdicts, *rows in zip(grid.eps_samples.tolist(), grid.verdicts,
-                                    *(m for _, m in slotted)):
-        values = [row.tolist() for row in rows]
-        fragments = shared
-        # a NaN makes the row's sum NaN; so does inf - inf, for which the
-        # rebuilt template is the shared one
-        if math.isnan(sum(map(sum, values))):
-            row_slots = [list(s) for s in slots]
-            for (j, _), vals in zip(slotted, values):
-                for io, x in enumerate(vals):
-                    if math.isnan(x):
-                        row_slots[j][io], vals[io] = "%s", "NaN"
-            fragments = template(row_slots)
+    for eps, verdicts, *rows in zip(grid.eps_samples.tolist(), grid.verdicts, *slotted):
         # per cell its verdict, then its value of each slotted margin
         args = [None] * (stride * n)
         args[::stride] = verdicts.tolist()
-        for k, vals in enumerate(values, 1):
-            args[k::stride] = vals
+        for k, row in enumerate(rows, 1):
+            args[k::stride] = row.tolist()
         lines.append(format_float(eps, 12).join(fragments) % tuple(args))
     return "".join(lines)
 

@@ -2,8 +2,9 @@
 
 Stability bitmaps over (omega, eps) grids, boundary extraction by a
 bracketing root finder (the Illinois method) on a scalar margin, and
-exact-versus-approximate boundary comparison tables.  Every method runs
-batched: a whole exact-pc grid is one stack of matrix exponentials, a
+exact-versus-approximate boundary comparison tables.  Every method is
+prepared once per command (:func:`_invariants`) and runs batched: a whole
+exact-pc grid is one stack of matrix exponentials, a
 whole exact-rk grid one RK4 integration of a stack of systems, a whole
 order-K grid one evaluation of the pendulum's averaged coefficient table
 (the averaging recursion and the monodromy assembly run once per order per
@@ -26,6 +27,7 @@ from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_rk, pc_stack_to_ppoly
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
+EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
 ORDER_METHODS = tuple(f"order{k}" for k in range(1, averaging.MAX_ORDER + 1))
 
 # exact-boundary brackets are seeded from the order-4 prediction +/-30%
@@ -75,29 +77,31 @@ def order_of_method(method: str) -> Optional[int]:
     return None
 
 
-def _order_invariants(omegas, epss, beta: float, order: int):
-    """Order-K tr F and truncated det F at K points: the pendulum's
-    coefficient table at their monomial values, the K points as one stack."""
-    _, traces, det = stability.monodromy_approximation(
-        pendulum.averaged_table(order), pendulum.monomial_values(omegas, epss, beta, order))
-    return traces[-1], det
-
-
-def _batched_invariants(method: str, omegas, epss, beta: float):
-    """(tr F, det F) at the K points of ``omegas`` and ``epss`` broadcast
-    against each other (:func:`pendulum.jacobian_stack`) for any scan
-    method, the K points as one stack."""
-    if method == "exact-pc":
-        # the per-omega parts are taken once and broadcast against epss
-        return stability.PendulumPC(omegas, beta)(epss)[1:]
+def _invariants(method: str, omegas, beta: float):
+    """invariants(index, eps): (tr F, det F) at the points (omegas[index],
+    eps), broadcast against each other as :func:`pendulum.jacobian_stack`
+    broadcasts them, in one batch, for a scan method or the boundary name
+    "exact" of exact-pc.  The method is prepared once for ``omegas``:
+    exact-pc as :class:`stability.PendulumPC`, an order method as the
+    pendulum's coefficient table, evaluated at the points' monomial values.
+    """
+    if method in EXACT_BOUNDARY_METHODS:
+        pc = stability.PendulumPC(omegas, beta)
+        return lambda index, eps: pc(eps, index)[1:]
     if method == "exact-rk":
-        j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
-                              pendulum.jacobian_stack(omegas, epss, beta))
-        return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_DEFAULT))
+        def rk(index, eps):
+            j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
+                                  pendulum.jacobian_stack(omegas[index], eps, beta))
+            return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_DEFAULT))
+        return rk
     order = order_of_method(method)
-    if order is None:
-        raise ModelError(f"unknown method {method!r}")
-    return _order_invariants(omegas, epss, beta, order)
+    table = pendulum.averaged_table(order)
+
+    def approximation(index, eps):
+        _, traces, det = stability.monodromy_approximation(
+            table, pendulum.monomial_values(omegas[index], eps, beta, order))
+        return traces[-1], det
+    return approximation
 
 
 def _first_error(batch, item, count: int):
@@ -120,7 +124,9 @@ def point_report(omega: float, eps: float, beta: float, method: str,
     """Classify one parameter point with the requested method: the
     one-point case of the batched grid evaluation."""
     params = pendulum.PendulumParams(omega, eps, beta)
-    trace, det = _batched_invariants(method, [params.omega], [params.eps], beta)
+    if method not in EXACT_METHODS and order_of_method(method) is None:
+        raise ModelError(f"unknown method {method!r}")
+    trace, det = _invariants(method, np.array([params.omega]), beta)([0], [params.eps])
     return stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
 
 
@@ -133,12 +139,12 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
         raise ModelError(f"unknown method {method!r}")
     stability.check_tolerance(tolerance)
     shape = (epss.size, omegas.size)
+    invariants = _invariants(method, omegas, beta)
     # the omega row broadcasts against the eps column, cells eps-major, so
     # per-omega work (omega**2) is done once per omega sample
     trace, det = _first_error(
-        lambda: _batched_invariants(method, omegas, epss[:, None], beta),
-        lambda k: _batched_invariants(method, omegas[k % shape[1], None],
-                                      epss[k // shape[1], None], beta),
+        lambda: invariants(slice(None), epss[:, None]),
+        lambda k: invariants([k % shape[1]], epss[k // shape[1], None]),
         epss.size * omegas.size)
     margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
     verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
@@ -152,29 +158,19 @@ def _resolve_threads(threads=None) -> int:
     return 1
 
 
-EXACT_BOUNDARY_METHODS = ("exact", "exact-pc")
-
-
 def _margin_stack(omegas, beta: float, method: str, signs=None):
     """margin(index, eps): the boundary margins of samples ``index`` (at
     ``omegas[index]``) evaluated at ``eps``, in one batch.
 
-    The margin is det F + 1 - |tr F| of the method's monodromy invariants,
-    a scan cell's margin_trace, or given ``signs`` each sample's
+    The margin is det F + 1 - |tr F| of the method's monodromy invariants
+    (:func:`_invariants`, prepared once for ``omegas``), a scan cell's
+    margin_trace, or given ``signs`` each sample's
     :func:`stability.branch_factor`, which equals it near the branch's
-    root.  The exact boundary methods use the invariants of exact-pc cells,
-    prepared once for ``omegas`` (:class:`stability.PendulumPC`).
+    root.  The exact boundary methods use the invariants of exact-pc cells.
     """
-    if method in EXACT_BOUNDARY_METHODS:
-        pc = stability.PendulumPC(omegas, beta)
-
-        def invariants(index, eps):
-            return pc(eps, index)[1:]
-    elif order_of_method(method) is None:
+    if method not in EXACT_BOUNDARY_METHODS and order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
-    else:
-        def invariants(index, eps):
-            return _batched_invariants(method, omegas[index], eps, beta)
+    invariants = _invariants(method, omegas, beta)
 
     def margin(index, eps):
         trace, det = invariants(index, eps)

@@ -79,20 +79,9 @@ def matexp_stack(m, t) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ModelError("time must be finite")
     a = m * t[:, None, None]
-    check_norms(norm1(a), m)
-    return expm2_core(a) if a.shape[1] == 2 else matexp_core(a)
-
-
-def check_norms(norms, m):
-    """The overflow guard of :func:`matexp_stack`, given the 1-norms
-    ``norms`` of the K slices m[k] * t[k] and the (K, n, n) stack ``m``.
-
-    The first slice whose norm is above :data:`MATEXP_NORM_GUARD` or NaN
-    raises: :class:`ModelError` where m[k] has a non-finite entry,
-    :class:`NumericRangeError` otherwise.  A slice with a non-finite entry
-    has a NaN or infinite norm, so one pass over the norms finds the first
-    failing slice of either kind.
-    """
+    norms = norm1(a)
+    # a slice with a non-finite entry has a NaN or infinite norm, so one
+    # pass over the norms finds the first failing slice of either kind
     bad = ~(norms <= MATEXP_NORM_GUARD)
     if bad.any():
         k = int(np.argmax(bad))
@@ -101,6 +90,7 @@ def check_norms(norms, m):
         raise NumericRangeError(
             f"||M*t||_1 = {norms[k]:.3g} exceeds the overflow guard {MATEXP_NORM_GUARD:g}"
         )
+    return expm2_core(a) if a.shape[1] == 2 else matexp_core(a)
 
 
 def libm_map(f, x) -> np.ndarray:

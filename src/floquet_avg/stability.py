@@ -31,7 +31,7 @@ from ._kernels import expm2_core
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
 from .ppoly import pp_average
-from .smallmat import MATEXP_NORM_GUARD, as_matrix, check_norms, libm_map, roots_from_trace_det
+from .smallmat import MATEXP_NORM_GUARD, as_matrix, libm_map, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -148,11 +148,11 @@ class PendulumPC:
     entries of pi J+ and pi J- other than pi (omega^2 +/- eps), the column
     of their 1-norms that holds no eps, and Liouville's det F =
     exp(-2 pi beta omega).  An evaluation writes the stack of pi J+/-,
-    applies the overflow guard of :func:`smallmat.matexp_stack`, takes the
-    exponentials in closed form (:func:`_kernels.expm2_core`) and F = E- E+.
-    Its errors are the Jacobian-stack path's, for the same first failing
-    point: a point's parameters are checked before omega is squared, so
-    ``omegas`` and ``beta`` are checked when evaluated, not here.
+    and where every point is valid and within the overflow guard of
+    :func:`smallmat.matexp_stack` takes the exponentials in closed form
+    (:func:`_kernels.expm2_core`) and F = E- E+.  Any other evaluation
+    falls back to :func:`pc_monodromy` on the Jacobian stack, which raises
+    the first failing point's own error.
     """
 
     def __init__(self, omegas, beta: float):
@@ -179,31 +179,24 @@ class PendulumPC:
         self._det = libm_map(math.exp, exponent)
 
     def __call__(self, eps, index=slice(None)):
-        omegas = self.omegas[index]
         eps = np.asarray(eps, dtype=float)
-        if not (self._prepared and (eps >= 0.0).all()):
-            # raises for the first point that fails its check or whose omega
-            # leaves the float range when squared
-            pendulum._checked_points(omegas, eps, self.beta)
-            if not self._prepared:
-                return PendulumPC(omegas, self.beta)(eps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a10 = (self._w2[index][..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
-            shape = a10.shape[:-1]
-            a = np.empty(shape + (2, 2, 2))
-            a[...] = self._template[index]
-            a[..., 1, 0] = a10
-            # the 1-norm's first column is |0| + |pi J[1, 0]|; an eps of inf
-            # fails the guard, and the Jacobian stack's point check names it
-            norms = np.maximum(np.abs(a10), self._column_norms[index][..., None])
-            if not norms.max(initial=0.0) <= MATEXP_NORM_GUARD:
-                check_norms(norms.ravel(), pendulum.jacobian_stack(omegas, eps, self.beta)
-                            .reshape(-1, 2, 2))
-            e = expm2_core(a).reshape(-1, 2, 2, 2)
-            f = exactmono._in_range(np.matmul(e[:, 1], e[:, 0]))
-        det = np.empty(shape)
-        det[...] = self._det[index]
-        return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det.ravel())
+        if self._prepared and (eps >= 0.0).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                a10 = (self._w2[index][..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
+                # the 1-norm's first column is |0| + |pi J[1, 0]|
+                norms = np.maximum(np.abs(a10), self._column_norms[index][..., None])
+                if norms.max(initial=0.0) <= MATEXP_NORM_GUARD:
+                    shape = a10.shape[:-1]
+                    a = np.empty(shape + (2, 2, 2))
+                    a[...] = self._template[index]
+                    a[..., 1, 0] = a10
+                    e = expm2_core(a).reshape(-1, 2, 2, 2)
+                    f = exactmono._in_range(np.matmul(e[:, 1], e[:, 0]))
+                    det = np.empty(shape)
+                    det[...] = self._det[index]
+                    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det.ravel())
+        return pc_monodromy(pendulum.HALF_PERIODS,
+                            pendulum.jacobian_stack(self.omegas[index], eps, self.beta))
 
 
 def _in_range(trace, det):

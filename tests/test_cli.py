@@ -362,6 +362,32 @@ def test_unresolvable_tol_exits_2_without_hanging(argv):
     assert "tol" in proc.stderr and "Traceback" not in proc.stderr
 
 
+_F_RANGE = "the entries of the monodromy matrix F leave the float range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # omega 150: F overflows; omega 1000: ||pi J||_1 = 3.14e+06 fails the
+    # exponential's overflow guard, which a whole batch checks first
+    (["scan", "--omega", "150:1000:2", "--eps", "0:1:2"], _F_RANGE),
+    # omega 1e77: the order-4 F overflows; omega 1e80: (omega^2)^2 does
+    (["scan", "--omega", "1e77:1e80:2", "--eps", "0:1:2", "--method", "order4"],
+     "the order-4 approximation of F leaves the float range"),
+    (["compare", "--omega", "150:1000:2"], _F_RANGE),
+    (["boundary", "--omega", "150:1000:2", "--branch", "p"], _F_RANGE),
+])
+def test_batched_commands_name_the_first_failing_points_error(capsys, argv, message):
+    # the batch raises a later point's error; each point rerun alone names
+    # point 0's own, as a point-by-point loop would
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (3, "", f"floquet-avg: numeric range error: {message}\n")
+
+
+def test_scan_rejects_the_boundary_name_exact(capsys):
+    code, out, err = run_cli(capsys, ["scan", "--omega", "0:0.4:3", "--eps", "0:1:3",
+                                      "--method", "exact"])
+    assert (code, out) == (2, "") and "unknown method 'exact'" in err
+
+
 @pytest.mark.parametrize("method", ["order2", "order4", "exact"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_boundary_tol_is_checked_for_every_method(capsys, method, tol):
@@ -821,9 +847,10 @@ def _patched_scan_csv(capsys, patch):
 
 
 def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys):
-    # exact and order-K margins are finite; NaN, infinities and -0 reach the
-    # CSV writer only from a grid put together here
-    special = [math.nan, -math.inf, math.inf, -0.0, 5e-324, -1.0 / 3.0]
+    # exact and order-K margins are finite, or -inf for margin_trace, never
+    # NaN, so no NaN is put in; infinities and -0 reach the CSV writer from
+    # a grid put together here
+    special = [-math.inf, math.inf, -0.0, 5e-324, -1.0 / 3.0]
 
     def specials(trace, det):
         trace.flat[:len(special)] = special
@@ -831,7 +858,7 @@ def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys):
 
     out, reference = _patched_scan_csv(capsys, specials)
     assert out == reference
-    assert ",NaN," in out and out.count("NaN") == 2
+    assert ",-inf," in out and ",inf\n" in out and "NaN" not in out
 
     # an exact-pc margin_det is the same down each omega column; with one
     # column 0.0 in every row but one, which holds -0.0, a writer that takes
@@ -839,7 +866,7 @@ def test_scan_csv_formats_nan_and_signed_margins_cell_by_cell(capsys):
     def signed_zero(trace, det):
         det[:, 1] = 0.0
         det[1, 1] = -0.0
-        trace[2, :2] = math.inf, -math.inf  # a row whose sum is NaN without a NaN
+        trace[2, :2] = math.inf, -math.inf  # both infinities in one row
 
     out, reference = _patched_scan_csv(capsys, signed_zero)
     assert out == reference

@@ -596,6 +596,16 @@ def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
         assert scan.point_report(omega, root, beta, method).margin_trace == at_root
 
 
+def test_exact_is_a_boundary_method_only():
+    # "exact" names the exact-pc invariants for boundaries alone
+    with pytest.raises(ModelError, match="unknown method 'exact'"):
+        scan_region((0.0, 0.4, 3), (0.0, 1.0, 3), 0.0, "exact")
+    with pytest.raises(ModelError, match="unknown method 'exact'"):
+        scan.point_report(0.2, 0.5, 0.0, "exact")
+    with pytest.raises(ModelError, match="unknown method 'exact-rk'"):
+        scan._margin_stack(np.array([0.2]), 0.0, "exact-rk")
+
+
 def test_exact_rk_is_not_a_boundary_method():
     assert "exact-rk" not in scan.EXACT_BOUNDARY_METHODS
     with pytest.raises(ModelError, match="exact-rk"):
