@@ -5,7 +5,6 @@ from .averaging import (
     AveragedExpansion,
     SeriesSystem,
     assemble_monodromy,
-    monodromy_direct,
     run_recursion,
     standard_form,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "jacobians",
     "margin_exact",
     "matexp",
-    "monodromy_direct",
     "order_roots",
     "pp_antiderivative",
     "pp_average",

@@ -45,6 +45,24 @@ def _norm1(a):
     return np.fmax.reduce(column_sums(a), axis=0, initial=0.0)
 
 
+def expm2_scalars(mu, delta):
+    """C and S of exp(a) = C I + S N for 2x2 matrices a, elementwise over
+    arrays of their half-traces ``mu`` and of ``delta``, where N = a - mu I
+    is the traceless part and N^2 = delta I (:func:`expm2_core`).
+
+    Callers run it under ``np.errstate(all="ignore")``: overflow, and the
+    NaN of inf * 0 it can bring, shows as non-finite values.
+    """
+    s = np.sqrt(np.abs(delta))
+    # expm1(-2s) / (-2s) is bitwise -expm1(-2s) / (2s)
+    minus_two_s = -2.0 * s
+    hyper = delta > 0.0
+    g = np.exp(np.where(hyper, mu + s, mu))
+    c = np.where(hyper, 0.5 * g * (1.0 + np.exp(minus_two_s)), g * np.cos(s))
+    sinc = np.where(hyper, np.expm1(minus_two_s) / minus_two_s, np.sin(s) / s)
+    return c, np.where(s == 0.0, g, g * sinc)
+
+
 def expm2_core(a):
     """exp(a) of a (2, 2) matrix or of each slice of a (K, 2, 2) stack, in
     closed form (Bernstein & So, IEEE TAC 38(8), 1993).
@@ -68,16 +86,8 @@ def expm2_core(a):
     a = np.asarray(a, dtype=float)
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     with np.errstate(all="ignore"):
-        mu = 0.5 * (a00 + a11)
         b = 0.5 * (a00 - a11)
-        delta = b * b + a01 * a10
-        s = np.sqrt(np.abs(delta))
-        two_s = 2.0 * s
-        hyper = delta > 0.0
-        g = np.exp(np.where(hyper, mu + s, mu))
-        c = np.where(hyper, 0.5 * g * (1.0 + np.exp(-two_s)), g * np.cos(s))
-        sinc = np.where(hyper, -np.expm1(-two_s) / two_s, np.sin(s) / s)
-        sc = np.where(s == 0.0, g, g * sinc)
+        c, sc = expm2_scalars(0.5 * (a00 + a11), b * b + a01 * a10)
         out = np.empty(a.shape)
         out[..., 0, 0] = c + sc * b
         out[..., 0, 1] = sc * a01

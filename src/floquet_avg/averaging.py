@@ -31,7 +31,7 @@ import numpy as np
 from . import ppoly
 from .errors import FloquetError, ModelError, NumericRangeError
 from .ppoly import PiecewisePolyMatrix
-from .smallmat import as_matrix, matexp, norm1
+from .smallmat import as_matrix, norm1
 
 MAX_ORDER = 6
 
@@ -105,12 +105,6 @@ class AveragedExpansion:
         return AveragedExpansion(self.period, tuple(a[k] for a in self.A),
                                  tuple(u[k] for u in self.U_end),
                                  tuple(float(r[k]) for r in self.closure_residuals))
-
-    def a_sum(self) -> np.ndarray:
-        total = np.zeros_like(self.A[0])
-        for a in self.A:
-            total = total + a
-        return total
 
 
 def standard_form(sys: SeriesSystem):
@@ -433,17 +427,6 @@ def det_series_terms(a_list, period: float, order: int, labels=None):
     # through m = 2 and orders 1 and 2 multiply out as (tr A_1 T)(tr A_1 T) / 2
     traces = [(np.trace(a, axis1=-2, axis2=-1) * period)[..., None, None] for a in a_list[:order]]
     return graded_exp_terms(traces, 1.0, order, labels)
-
-
-def monodromy_direct(x0: PiecewisePolyMatrix, avg: AveragedExpansion,
-                     period: float) -> np.ndarray:
-    """F0 @ exp((A_1 + ... + A_N) T): the un-graded averaged monodromy.
-
-    Agrees with the order-N partial sum of :func:`assemble_monodromy` up
-    to terms of order N+1.
-    """
-    f0 = ppoly.pp_eval(x0, period)
-    return f0 @ matexp(avg.a_sum(), period)
 
 
 def series_total(sys: SeriesSystem) -> PiecewisePolyMatrix:

@@ -268,7 +268,8 @@ def cmd_analyze(args) -> int:
         doc["approx"] = None
 
     # the exponential products need degree 0
-    doc["exact_pc"] = _exact_pc_report(total, args.tolerance) if total.max_degree == 0 else None
+    doc["exact_pc"] = (_exact_pc_report(total, params, args.tolerance)
+                       if total.max_degree == 0 else None)
     f_rk = exact_monodromy_rk(total, args.rk_steps)
     doc["exact_rk"] = (_report_dict(stability.classify(f_rk, args.tolerance), f_rk)
                        if total.dim == 2 else {"F": _matrix_list(f_rk)})
@@ -280,14 +281,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _exact_pc_report(total: PiecewisePolyMatrix, tolerance: float) -> dict:
-    """The exponential-product oracle's report on a degree-0 J(t); a 2x2
-    report takes tr F and Liouville's det F from :func:`stability.pc_monodromy`,
-    as exact-pc scan cells do, not f00 f11 - f01 f10 of the F it prints."""
+def _exact_pc_report(total: PiecewisePolyMatrix, params, tolerance: float) -> dict:
+    """The exponential-product oracle's report on a degree-0 J(t), with F from
+    :func:`stability.pc_monodromy`.  A 2x2 report takes Liouville's det F,
+    not f00 f11 - f01 f10 of that F; at the pendulum's ``params`` it takes
+    tr F and det F from the one-cell exact-pc scan, else from that call."""
     if total.dim != 2:
         return {"F": _matrix_list(exact_monodromy_pc(total))}
     f, trace, det = stability.pc_monodromy(np.diff(total.breakpoints), total.coeffs[None, ..., 0])
-    report = stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
+    if params is None:
+        report = stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
+    else:
+        report = scan.point_report(params.omega, params.eps, params.beta, "exact-pc", tolerance)
     return _report_dict(report, f[0])
 
 

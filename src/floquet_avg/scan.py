@@ -4,12 +4,13 @@ Stability bitmaps over (omega, eps) grids, boundary extraction by a
 bracketing root finder (the Illinois method) on a scalar margin, and
 exact-versus-approximate boundary comparison tables.  Every method is
 prepared once per command (:func:`_invariants`) and runs batched: a whole
-exact-pc grid is one stack of matrix exponentials, a
-whole exact-rk grid one RK4 integration of a stack of systems, a whole
-order-K grid one evaluation of the pendulum's averaged coefficient table
-(the averaging recursion and the monodromy assembly run once per order per
-process, on the parameters' monomials, so an order-K cell is its monomial
-values times tabulated coefficients), and boundary samples find their
+exact-pc grid is one closed-form evaluation of tr F (the Hill
+discriminant of :class:`stability.PendulumPC`), a whole exact-rk grid one
+RK4 integration of a stack of systems, a whole order-K grid one
+evaluation of the pendulum's averaged coefficient table (the averaging
+recursion and the monodromy assembly run once per order per process, on
+the parameters' monomials, so an order-K cell is its monomial values times
+tabulated coefficients), and boundary samples find their
 roots in lockstep, one batched margin call per step.  Every point still
 gets the arithmetic it would get alone, so results do not depend on the
 batch.  All of it is single-threaded.
@@ -86,8 +87,7 @@ def _invariants(method: str, omegas, beta: float):
     pendulum's coefficient table, evaluated at the points' monomial values.
     """
     if method in EXACT_BOUNDARY_METHODS:
-        pc = stability.PendulumPC(omegas, beta)
-        return lambda index, eps: pc(eps, index)[1:]
+        return stability.PendulumPC(omegas, beta)
     if method == "exact-rk":
         def rk(index, eps):
             j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,

@@ -19,24 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exactmono, pendulum
+from . import pendulum
 from .averaging import (
     AveragedExpansion,
     AveragedTable,
-    SeriesSystem,
     det_series_terms,
     evaluate_monodromy,
 )
-from ._kernels import expm2_core
+from ._kernels import expm2_scalars
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
-from .ppoly import pp_average
 from .smallmat import MATEXP_NORM_GUARD, as_matrix, libm_map, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
 # the sign of eps in the pendulum's J+ and J-: J[1, 0] = omega^2 +/- eps
 _SEGMENT_SIGNS = np.array([1.0, -1.0])
+# an exact-pc point takes the closed form of tr F where its bound on the
+# entries of F is at most 2 * _ENTRY_BOUND; every point whose 1-norms of pi J+
+# and pi J- are at most _NORM_BOUND does (see PendulumPC)
+_ENTRY_BOUND = 1e300
+_NORM_BOUND = 600.0
 
 
 class Verdict(enum.Enum):
@@ -138,65 +141,75 @@ def pc_monodromy(durations, mats):
 
 
 class PendulumPC:
-    """The pendulum's exact-pc monodromy at fixed ``omegas`` and ``beta``,
-    prepared once: ``pc(eps, index)`` gives ``(F, tr F, det F)`` at the
-    points (omegas[index], eps) broadcast against each other, in C order,
-    bitwise what :func:`pc_monodromy` gives on their
-    :func:`pendulum.jacobian_stack`.
+    """The pendulum's exact-pc invariants at fixed ``omegas`` and ``beta``,
+    prepared once: ``pc(index, eps)`` gives ``(tr F, det F)`` at the points
+    (omegas[index], eps) broadcast against each other, in C order.
 
-    What does not depend on eps is taken once per omega: omega^2, the
-    entries of pi J+ and pi J- other than pi (omega^2 +/- eps), the column
-    of their 1-norms that holds no eps, and Liouville's det F =
-    exp(-2 pi beta omega).  An evaluation writes the stack of pi J+/-,
-    and where every point is valid and within the overflow guard of
-    :func:`smallmat.matexp_stack` takes the exponentials in closed form
-    (:func:`_kernels.expm2_core`) and F = E- E+.  Any other evaluation
-    falls back to :func:`pc_monodromy` on the Jacobian stack, which raises
-    the first failing point's own error.
+    exp(pi J+/-) = C I + S N with N traceless (:func:`_kernels.expm2_scalars`),
+    so F = E- E+ has tr F = 2 C+ C- + S+ S- tr(N- N+): the damped Meissner
+    equation's Hill discriminant.  What does not depend on eps is taken once
+    per omega: omega^2, the half-trace mu = -pi beta omega / 2 and the
+    square b^2 = mu^2 of pi J's traceless diagonal, the column of the
+    1-norm of pi J+/- that holds no eps, tr(N- N+) = 2 b^2 + 2 pi^2 omega^2
+    and Liouville's det F = exp(-2 pi beta omega).
+
+    A point takes the closed form where it is valid, its 1-norms n+/- of
+    pi J+/- are within the overflow guard of :func:`smallmat.matexp_stack`
+    and |F_ij| <= 2 (|C+| + |S+| n+) (|C-| + |S-| n-) is at most
+    2 ``_ENTRY_BOUND``: there F and tr F are finite.  Every other point
+    takes :func:`pc_monodromy` on its own Jacobian stack, which raises the
+    first failing point's own error, so a point's value depends on that
+    point alone.  A batch whose 1-norms are all at most n = ``_NORM_BOUND``
+    skips the test: there mu <= 0 and sqrt|delta| <= n/2 + pi, so
+    |C| + |S| n <= e^(n/2 + pi) (1 + n) and the bound is below 1e270.
     """
 
     def __init__(self, omegas, beta: float):
         self.omegas = np.asarray(omegas, dtype=float)
         self.beta = beta
         w2 = pendulum._squares(self.omegas)
-        self._prepared = bool(np.isfinite(beta) and beta >= 0.0) and bool(
-            (np.isfinite(self.omegas) & (self.omegas >= 0.0) & np.isfinite(w2)).all())
-        if not self._prepared:
-            return
-        with np.errstate(over="ignore"):
+        valid = (np.isfinite(self.omegas) & (self.omegas >= 0.0) & np.isfinite(w2)
+                 & bool(math.isfinite(beta) and beta >= 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
             damping = -beta * self.omegas
+            # pi J+/- has a00 = 0, a01 = pi, a10 = pi (omega^2 +/- eps), a11 = scaled
             scaled = damping * math.pi
-            # pi J+/- but for the entry pi (omega^2 +/- eps): 0, pi and pi J[1, 1]
-            self._template = np.zeros(self.omegas.shape + (2, 2, 2))
-            self._template[..., 0, 1] = math.pi
-            self._template[..., 1, 1] = scaled[..., None]
-            # the 1-norm's second column, |pi| + |pi J[1, 1]|, summed top to bottom
-            self._column_norms = math.pi + np.abs(scaled)
+            b = 0.5 * (0.0 - scaled)
             # pi tr J+ + pi tr J-, each trace J[0, 0] + J[1, 1]
             trace = 0.0 + damping
             exponent = math.pi * trace + math.pi * trace
-        self._w2 = w2
-        self._det = libm_map(math.exp, exponent)
+            # per omega: omega^2; the 1-norm's second column, |pi| + |pi J[1, 1]|
+            # summed top to bottom, NaN at an invalid point so that the point
+            # fails every bound; mu; b^2; tr(N- N+); and det F
+            self._constants = np.stack((
+                w2, np.where(valid, math.pi + np.abs(scaled), np.nan), 0.5 * (0.0 + scaled),
+                b * b, 2.0 * (b * b) + 2.0 * math.pi * math.pi * w2,
+                libm_map(math.exp, exponent)), axis=-1)
 
-    def __call__(self, eps, index=slice(None)):
+    def __call__(self, index, eps):
         eps = np.asarray(eps, dtype=float)
-        if self._prepared and (eps >= 0.0).all():
-            with np.errstate(over="ignore", invalid="ignore"):
-                a10 = (self._w2[index][..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
-                # the 1-norm's first column is |0| + |pi J[1, 0]|
-                norms = np.maximum(np.abs(a10), self._column_norms[index][..., None])
-                if norms.max(initial=0.0) <= MATEXP_NORM_GUARD:
-                    shape = a10.shape[:-1]
-                    a = np.empty(shape + (2, 2, 2))
-                    a[...] = self._template[index]
-                    a[..., 1, 0] = a10
-                    e = expm2_core(a).reshape(-1, 2, 2, 2)
-                    f = exactmono._in_range(np.matmul(e[:, 1], e[:, 0]))
-                    det = np.empty(shape)
-                    det[...] = self._det[index]
-                    return (f,) + _in_range(f[:, 0, 0] + f[:, 1, 1], det.ravel())
-        return pc_monodromy(pendulum.HALF_PERIODS,
-                            pendulum.jacobian_stack(self.omegas[index], eps, self.beta))
+        w2, column_norms, mu, b2, trace_nn, det_f = self._constants[index].T
+        with np.errstate(all="ignore"):
+            a10 = (w2[..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
+            # the 1-norm's first column is |0| + |pi J[1, 0]|
+            norms = np.maximum(np.abs(a10), column_norms[..., None])
+            c, s = expm2_scalars(mu[..., None], b2[..., None] + math.pi * a10)
+            trace = 2.0 * c[..., 0] * c[..., 1] + s[..., 0] * s[..., 1] * trace_nn
+            det = np.empty(trace.shape)
+            det[...] = det_f
+            if norms.max(initial=0.0) <= _NORM_BOUND and (eps >= 0.0).all():
+                return trace.ravel(), det.ravel()
+            entry = np.abs(c) + np.abs(s) * norms
+            fast = ((norms <= MATEXP_NORM_GUARD).all(axis=-1) & (eps >= 0.0)
+                    & (entry[..., 0] * entry[..., 1] <= _ENTRY_BOUND))
+        trace, det = trace.ravel(), det.ravel()
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            omegas, eps = (np.broadcast_to(x, fast.shape).ravel()[slow]
+                           for x in (self.omegas[index], eps))
+            _, trace[slow], det[slow] = pc_monodromy(
+                pendulum.HALF_PERIODS, pendulum.jacobian_stack(omegas, eps, self.beta))
+        return trace, det
 
 
 def _in_range(trace, det):
@@ -226,7 +239,7 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     stability domain, zero on the boundary, negative outside.  This is the
     margin whose roots the exact boundary methods find, at one point.
     """
-    _, trace, det = PendulumPC([params.omega], params.beta)([params.eps])
+    trace, det = PendulumPC([params.omega], params.beta)(slice(None), [params.eps])
     return float(margins(trace, det)[0][0])
 
 
@@ -284,20 +297,3 @@ def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):
         series = series + z[..., 0, 0]
     det = math.exp(trace_j0 * avg.period) * series
     return float(det) if np.ndim(det) == 0 else det
-
-
-def trace_identity_residuals(sys: SeriesSystem, avg: AveragedExpansion) -> list[float]:
-    """|tr(A_j) - (1/T) integral tr(J_j)| for each computed order.
-
-    The identity holds in any dimension for every j >= 1; a violation
-    points at a broken recursion or a mis-graded input.
-    """
-    out = []
-    for j, a in enumerate(avg.A, start=1):
-        if j <= len(sys.terms):
-            avg_j = pp_average(sys.terms[j - 1])
-            expect = float(np.trace(avg_j))
-        else:
-            expect = 0.0
-        out.append(abs(float(np.trace(a)) - expect))
-    return out

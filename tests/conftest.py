@@ -1,10 +1,23 @@
+import gzip
+import itertools
+import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from floquet_avg import averaging, pendulum, stability
+from floquet_avg import averaging, cli, pendulum, ppoly, stability
+from floquet_avg.smallmat import matexp
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+# the exact-pc Hill discriminant against the trace of pc_monodromy's F:
+# |difference| / max(1, |tr F|) measured at most 3.6e-15 (beta 0.7, omega up
+# to 10, eps up to 3; test_stability's batch-independence test)
+PC_TRACE_REL = 1e-14
 
 
 @pytest.fixture
@@ -36,6 +49,34 @@ def pendulum_pipeline(omega, eps, beta, order):
                            trace_by_order=tuple(float(t[0]) for t in traces[:-1]),
                            trace=float(traces[-1][0]), det=float(det[0]))
     return params, system, table.x0, avg, mono
+
+
+def trace_identity_residuals(sys, avg):
+    """|tr(A_j) - (1/T) integral tr(J_j)| for each order of an averaged
+    expansion of the series system ``sys``.
+
+    The identity holds in any dimension for every j >= 1; a violation
+    points at a broken recursion or a mis-graded input.
+    """
+    out = []
+    for j, a in enumerate(avg.A, start=1):
+        expect = 0.0
+        if j <= len(sys.terms):
+            expect = float(np.trace(ppoly.pp_average(sys.terms[j - 1])))
+        out.append(abs(float(np.trace(a)) - expect))
+    return out
+
+
+def monodromy_direct(x0, avg, period):
+    """F0 @ exp((A_1 + ... + A_N) T): the un-graded averaged monodromy.
+
+    Agrees with the order-N partial sum of the table's monodromy up to
+    terms of order N+1.
+    """
+    a_sum = np.zeros_like(avg.A[0])
+    for a in avg.A:
+        a_sum = a_sum + a
+    return ppoly.pp_eval(x0, period) @ matexp(a_sum, period)
 
 
 def pendulum_expansion(omegas, epss, beta, order):
@@ -94,3 +135,28 @@ def fresh_coefficient_tables():
     pendulum._TABLES.clear()
     yield
     pendulum._TABLES.clear()
+
+
+def recorded(name):
+    """The cases of the byte pin ``data/<name>.json.gz``: each a command's
+    argv and its recorded exit code, stdout and, where recorded, stderr."""
+    with gzip.open(os.path.join(DATA, name + ".json.gz"), "rt", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def assert_prints_recorded(capsys, case):
+    """Run a recorded case through ``cli.main``: the same exit code and
+    stderr, and stdout byte for byte.  A stdout that differs fails with the
+    number of lines that moved and the first of them, recorded and printed."""
+    code = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (case["exit"], case.get("stderr", ""))
+    if out == case["stdout"]:
+        return
+    old, new = case["stdout"].splitlines(True), out.splitlines(True)
+    moved = [k for k, (a, b) in enumerate(itertools.zip_longest(old, new)) if a != b]
+    k = moved[0]
+    first = [lines[k] if k < len(lines) else None for lines in (old, new)]
+    pytest.fail(f"{len(moved)} of {max(len(old), len(new))} lines moved; the first, "
+                f"line {k + 1}:\n  recorded: {first[0]!r}\n  printed:  {first[1]!r}",
+                pytrace=False)

@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 
-from conftest import paper_order2, paper_order4, paper_quartic, pendulum_pipeline
+from conftest import (
+    paper_order2,
+    paper_order4,
+    paper_quartic,
+    pendulum_pipeline,
+    trace_identity_residuals,
+)
 from floquet_avg import cli, pendulum, scan, stability
 from floquet_avg.exactmono import (
     exact_monodromy_pc,
@@ -21,7 +27,6 @@ from floquet_avg.exactmono import (
     pc_stack_to_ppoly,
 )
 from floquet_avg.smallmat import norm1
-from floquet_avg.stability import trace_identity_residuals
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi

@@ -10,29 +10,16 @@ took its determinant series and J(t) from the graded split
 inputs that moves a bit shows here.
 """
 
-import gzip
-import json
-import os
-
 import pytest
 
+from conftest import assert_prints_recorded, recorded
 from floquet_avg import averaging, cli, pendulum
 
-RECORDED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                        "analyze_outputs.json.gz")
 
-
-def _recorded():
-    with gzip.open(RECORDED, "rt", encoding="utf-8") as f:
-        return json.load(f)
-
-
-@pytest.mark.parametrize("case", _recorded(), ids=lambda case: " ".join(case["argv"][1:]))
+@pytest.mark.parametrize("case", recorded("analyze_outputs"),
+                         ids=lambda case: " ".join(case["argv"][1:]))
 def test_pendulum_analyze_prints_the_recorded_output(capsys, case):
-    code = cli.main(case["argv"])
-    out, err = capsys.readouterr()
-    assert (code, err) == (case["exit"], "")
-    assert out == case["stdout"]
+    assert_prints_recorded(capsys, case)
 
 
 def test_pendulum_analyze_builds_no_series_system(capsys, monkeypatch):

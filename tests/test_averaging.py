@@ -6,9 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import pendulum_expansion, pendulum_pipeline
+from conftest import (
+    monodromy_direct,
+    pendulum_expansion,
+    pendulum_pipeline,
+    trace_identity_residuals,
+)
 from floquet_avg import averaging, pendulum, scan, stability
-from floquet_avg.averaging import SeriesSystem, graded_exp_terms, monodromy_direct
+from floquet_avg.averaging import SeriesSystem, graded_exp_terms
 from floquet_avg.errors import FloquetError, ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc
 from floquet_avg.ppoly import PiecewisePolyMatrix, pp_eval
@@ -140,7 +145,6 @@ def test_partial_sums_are_cumulative():
 
 def test_trace_identity_orders_1_to_4():
     # tr(A_j) equals the averaged trace of J_j for every computed order
-    from floquet_avg.stability import trace_identity_residuals
     rng = np.random.default_rng(5)
     for _ in range(5):
         omega, eps, beta = rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 0.5)

@@ -633,6 +633,22 @@ def test_overflowed_monodromy_exits_3(argv, message):
     assert "numeric range error" in proc.stderr and message in proc.stderr
 
 
+def test_exact_pc_cells_where_only_the_entries_of_f_overflow(capsys):
+    # from omega ~ 112.3 at beta 0 tr F ~ exp(2 pi omega) is still finite but
+    # F[1, 0] is not: such a cell is a range error, not a finite margin
+    code, out, err = run_cli(capsys, ["scan", "--omega", "112.5:112.8:2", "--eps", "0:0.1:2",
+                                      "--beta", "0", "--method", "exact-pc"])
+    assert (code, out, err) == (3, "", f"floquet-avg: numeric range error: {_F_RANGE}\n")
+    # just below the band every entry of F is finite
+    code, out, err = run_cli(capsys, ["scan", "--omega", "112:112.2:2", "--eps", "0:0.1:2",
+                                      "--beta", "0", "--method", "exact-pc"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 4 and all(row[4] == "unstable" and row[6] == "0" for row in rows)
+    margins = {(row[0], row[1]): float(row[5]) for row in rows}
+    assert abs(margins["112.2", "0"] / -1.46572941004e+306 - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("argv, where", [
     pytest.param(["compare", "--omega", "0:0.3:2", "--beta", "1e300"],
                  "order-4 boundary polynomial leaves the float range at omega = 0.3, "

@@ -7,26 +7,12 @@ assembled a Jacobian stack per margin call, so any change to how the
 exact-pc invariants are evaluated that moves a bit shows here.
 """
 
-import gzip
-import json
-import os
-
 import pytest
 
-from floquet_avg import cli
-
-RECORDED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                        "exact_pc_outputs.json.gz")
+from conftest import assert_prints_recorded, recorded
 
 
-def _recorded():
-    with gzip.open(RECORDED, "rt", encoding="utf-8") as f:
-        return json.load(f)
-
-
-@pytest.mark.parametrize("case", _recorded(), ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("case", recorded("exact_pc_outputs"),
+                         ids=lambda case: " ".join(case["argv"]))
 def test_exact_pc_commands_print_the_recorded_output(capsys, case):
-    code = cli.main(case["argv"])
-    out, err = capsys.readouterr()
-    assert (code, err) == (case["exit"], "")
-    assert out == case["stdout"]
+    assert_prints_recorded(capsys, case)

@@ -1,4 +1,4 @@
-"""Order-K invariants against a 40-digit reference.
+"""Order-K and exact-pc invariants against a 40-digit reference.
 
 Scaling eps -> mu eps, omega^2 -> mu^2 omega^2 and beta omega -> mu^2 beta
 omega (the grading of ``pendulum.series_split``) makes the averaged
@@ -9,6 +9,8 @@ The reference takes that Taylor polynomial of exp(J- pi) exp(J+ pi) by
 truncated power-series arithmetic in mpmath at 40 digits, so it checks the
 whole averaged layer (recursion, coefficient table, assembly and
 truncation) against the exact monodromy alone, with no second recursion.
+The exact-pc trace, the Hill discriminant 2 C+ C- + S+ S- tr(N- N+), is
+checked against tr(exp(pi J-) exp(pi J+)) from ``mpmath.expm``.
 """
 
 import functools
@@ -99,3 +101,39 @@ def test_order_k_invariants_match_the_40_digit_reference(order):
         report = scan.point_report(omega, eps, beta, f"order{order}")
         assert abs(report.trace - trace[order]) <= TRACE_BOUND[order - 1], (omega, eps, beta)
         assert abs(report.determinant - det[order]) <= DET_BOUND[order - 1], (omega, eps, beta)
+
+
+def exact_pc_points():
+    """24 seeded points: omega in [0, 2], eps in [0, 5], beta 0, 0.1 and 0.3."""
+    rng = np.random.default_rng(2027)
+    omegas, epss = rng.uniform(0.0, 2.0, 24), rng.uniform(0.0, 5.0, 24)
+    return [(float(w), float(e), (0.0, 0.1, 0.3)[k % 3])
+            for k, (w, e) in enumerate(zip(omegas, epss))]
+
+
+def reference_hill(omega, eps, beta):
+    """(tr F, scale) at 40 digits: tr F of exp(pi J-) exp(pi J+) by
+    ``mpmath.expm``, and the size max(1, |C+ C-| + |S+ S-| tr(N- N+)) of the
+    closed form's two terms, with C = tr E / 2 and S = E[0, 1] / pi for
+    E = exp(pi J) = C I + S N."""
+    with mp.workdps(40):
+        w2, bw, pi = mpf(omega) ** 2, mpf(beta) * mpf(omega), mp.pi
+        e = [mp.expm(mp.matrix([[0, pi], [(w2 + sign * mpf(eps)) * pi, -bw * pi]]))
+             for sign in (1, -1)]
+        c = [(m[0, 0] + m[1, 1]) / 2 for m in e]
+        s = [m[0, 1] / pi for m in e]
+        trace_nn = 2 * pi ** 2 * w2 + pi ** 2 * bw ** 2 / 2
+        scale = max(1, abs(c[0] * c[1]) + abs(s[0] * s[1]) * trace_nn)
+        return float((e[1] * e[0])[0, 0] + (e[1] * e[0])[1, 1]), float(scale)
+
+
+# the largest |tr F - reference| / scale over the points: 1.7e-15 measured
+# for the closed form, 1.9e-15 for the trace of pc_monodromy's F
+EXACT_PC_TRACE_BOUND = 4e-15
+
+
+def test_exact_pc_hill_discriminant_matches_the_40_digit_reference():
+    for omega, eps, beta in exact_pc_points():
+        trace, scale = reference_hill(omega, eps, beta)
+        report = scan.point_report(omega, eps, beta, "exact-pc")
+        assert abs(report.trace - trace) <= EXACT_PC_TRACE_BOUND * scale, (omega, eps, beta)

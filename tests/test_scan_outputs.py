@@ -8,26 +8,11 @@ scan method still had its own batched evaluation, so a change to how a
 method's invariants are prepared or dispatched that moves a bit shows here.
 """
 
-import gzip
-import json
-import os
-
 import pytest
 
-from floquet_avg import cli
-
-RECORDED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                        "scan_outputs.json.gz")
+from conftest import assert_prints_recorded, recorded
 
 
-def _recorded():
-    with gzip.open(RECORDED, "rt", encoding="utf-8") as f:
-        return json.load(f)
-
-
-@pytest.mark.parametrize("case", _recorded(), ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("case", recorded("scan_outputs"), ids=lambda case: " ".join(case["argv"]))
 def test_scan_and_boundary_commands_print_the_recorded_output(capsys, case):
-    code = cli.main(case["argv"])
-    out, err = capsys.readouterr()
-    assert (code, err) == (case["exit"], case["stderr"])
-    assert out == case["stdout"]
+    assert_prints_recorded(capsys, case)

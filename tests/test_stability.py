@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pendulum_expansion, pendulum_pipeline
-from floquet_avg import averaging, cli, pendulum, scan
+from conftest import PC_TRACE_REL, pendulum_expansion, pendulum_pipeline
+from floquet_avg import averaging, cli, pendulum, scan, stability
 from floquet_avg.averaging import SeriesSystem
 from floquet_avg.errors import ModelError, NumericRangeError
 from floquet_avg.exactmono import exact_monodromy_pc, exact_monodromy_pc_stack
@@ -110,7 +110,7 @@ def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(math, "exp", counted)
-    assert PendulumPC(omegas, 0.1)(epss[:, None])[2].tolist() == expect
+    assert PendulumPC(omegas, 0.1)(slice(None), epss[:, None])[1].tolist() == expect
     assert len(calls) == 50
     calls.clear()
     grid = scan.scan_region((0.0, 0.5, 50), (0.0, 1.2, 50), 0.1, "exact-pc")
@@ -123,7 +123,8 @@ def test_pc_det_takes_one_exp_per_distinct_exponent(monkeypatch):
 
 
 def _pc_outcome(evaluate):
-    """(F, tr F, det F) as bytes, or the type and message of what ``evaluate()`` raises."""
+    """The arrays ``evaluate()`` returns as bytes, or the type and message of
+    what it raises."""
     try:
         with np.errstate(over="ignore"):
             return tuple(x.tobytes() for x in evaluate())
@@ -137,26 +138,37 @@ def _reference_pc(omegas, epss, beta):
                                 pendulum.jacobian_stack(omegas, epss, beta))
 
 
+def _assert_pc_near_reference(got, omegas, epss, beta):
+    """Liouville's det F bitwise that of :func:`pc_monodromy`, and the Hill
+    discriminant within PC_TRACE_REL of the trace of its F."""
+    _, trace, det = _reference_pc(omegas, epss, beta)()
+    assert got[1].tobytes() == det.tobytes()
+    assert np.all(np.abs(got[0] - trace) <= PC_TRACE_REL * np.maximum(1.0, np.abs(trace)))
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.7])
-def test_prepared_pc_equals_pc_monodromy_bitwise(beta):
+def test_prepared_pc_is_near_pc_monodromy_and_independent_of_the_batch(beta):
     # beta 0 gives the damping entry -0.0; eps 0 and omega up to 10 included
     rng = np.random.default_rng(5)
     omegas = np.concatenate(([0.0, 10.0], rng.uniform(0.0, 10.0, 30), rng.uniform(0.0, 0.5, 30)))
     epss = np.concatenate(([0.0, 0.0, 0.0], rng.uniform(0.0, 3.0, omegas.size - 3)))
     pc = PendulumPC(omegas, beta)
-    batch = pc(epss)
-    assert _pc_outcome(lambda: batch) == _pc_outcome(_reference_pc(omegas, epss, beta))
+    batch = pc(slice(None), epss)
+    _assert_pc_near_reference(batch, omegas, epss, beta)
     # a grid row of omegas against a column of epss, cells eps-major
     column = np.linspace(0.0, 2.0, 7)[:, None]
-    assert _pc_outcome(lambda: pc(column)) == _pc_outcome(_reference_pc(omegas, column, beta))
-    # samples gathered by index, and one point at a time
+    grid = pc(slice(None), column)
+    _assert_pc_near_reference(grid, omegas, column, beta)
+    # samples gathered by index, and one point at a time, bitwise the batch
     index = rng.permutation(omegas.size)[:20]
-    assert _pc_outcome(lambda: pc(epss[index], index)) == _pc_outcome(
-        _reference_pc(omegas[index], epss[index], beta))
+    assert _pc_outcome(lambda: pc(index, epss[index])) == tuple(x[index].tobytes() for x in batch)
+    cells = np.broadcast_to(omegas, (7, omegas.size)).ravel()
+    assert _pc_outcome(lambda: PendulumPC(cells, beta)(slice(None), column.repeat(
+        omegas.size))) == _pc_outcome(lambda: grid)
     for k in range(omegas.size):
-        alone = PendulumPC([omegas[k]], beta)([epss[k]])
+        alone = PendulumPC([omegas[k]], beta)(slice(None), [epss[k]])
         assert tuple(x.tobytes() for x in alone) == tuple(x[k:k + 1].tobytes() for x in batch)
-        assert pc(epss[k:k + 1], [k])[1].tobytes() == batch[1][k:k + 1].tobytes()
+        assert _pc_outcome(lambda: pc([k], epss[k:k + 1])) == _pc_outcome(lambda: alone)
 
 
 @pytest.mark.parametrize("omegas, epss, beta", [
@@ -183,10 +195,29 @@ def test_prepared_pc_raises_what_pc_monodromy_raises(omegas, epss, beta):
     omegas, epss = np.array(omegas), np.array(epss)
     expect = _pc_outcome(_reference_pc(omegas, epss, beta))
     assert isinstance(expect[0], type)
-    assert _pc_outcome(lambda: PendulumPC(omegas, beta)(epss)) == expect
+    assert _pc_outcome(lambda: PendulumPC(omegas, beta)(slice(None), epss)) == expect
     # the failing point's own error when the evaluation takes it alone
     k = 1 if expect == _pc_outcome(_reference_pc(omegas[1:], epss[1:], beta)) else 0
-    assert _pc_outcome(lambda: PendulumPC(omegas, beta)(epss[k:k + 1], [k])) == expect
+    assert _pc_outcome(lambda: PendulumPC(omegas, beta)([k], epss[k:k + 1])) == expect
+
+
+def test_points_near_f_overflow_take_pc_monodromy_alone(monkeypatch):
+    # at omega 112 and beta 0 tr F ~ 4e305 and the bound on the entries of F
+    # leaves the closed form's range: that point takes pc_monodromy, bitwise,
+    # and the points beside it keep the closed form, bitwise as when alone;
+    # eps 1000 has ||pi J+||_1 ~ 3e3 but |F_ij| ~ 1e43, so it keeps it too
+    omegas, epss = np.array([0.2, 112.0, 0.3, 0.3]), np.array([0.5, 0.0, 0.4, 1000.0])
+    reference = _reference_pc(omegas, epss, 0.0)()
+    taken = []
+    monkeypatch.setattr(stability, "pc_monodromy", lambda durations, mats: (
+        taken.append(mats[:, 0, 1, 0]) or pc_monodromy(durations, mats)))
+    trace, det = PendulumPC(omegas, 0.0)(slice(None), epss)
+    assert [m.tolist() for m in taken] == [[112.0 ** 2]]
+    assert abs(trace[1]) > 1e305 and trace[1] == reference[1][1]
+    assert abs(trace[3] - reference[1][3]) <= PC_TRACE_REL * abs(reference[1][3])
+    for k in range(omegas.size):
+        alone = PendulumPC(omegas[k:k + 1], 0.0)(slice(None), epss[k:k + 1])
+        assert (alone[0][0], alone[1][0]) == (trace[k], det[k])
 
 
 def test_pc_det_is_exact_where_the_product_det_is_roundoff():
