@@ -282,17 +282,16 @@ def cmd_analyze(args) -> int:
 
 
 def _exact_pc_report(total: PiecewisePolyMatrix, params, tolerance: float) -> dict:
-    """The exponential-product oracle's report on a degree-0 J(t), with F from
-    :func:`stability.pc_monodromy`.  A 2x2 report takes Liouville's det F,
-    not f00 f11 - f01 f10 of that F; at the pendulum's ``params`` it takes
-    tr F and det F from the one-cell exact-pc scan, else from that call."""
+    """The exponential-product oracle's report on a degree-0 J(t).  A 2x2
+    report takes Liouville's det F, not f00 f11 - f01 f10 of its F; at the
+    pendulum's ``params`` it is ``PendulumPC.monodromy``'s, a one-cell scan's."""
     if total.dim != 2:
         return {"F": _matrix_list(exact_monodromy_pc(total))}
-    f, trace, det = stability.pc_monodromy(np.diff(total.breakpoints), total.coeffs[None, ..., 0])
-    if params is None:
-        report = stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
-    else:
-        report = scan.point_report(params.omega, params.eps, params.beta, "exact-pc", tolerance)
+    f, trace, det = (
+        stability.pc_monodromy(np.diff(total.breakpoints), total.coeffs[None, ..., 0])
+        if params is None else
+        stability.PendulumPC([params.omega], params.beta).monodromy([0], [params.eps]))
+    report = stability.report_from_trace_det(float(trace[0]), float(det[0]), tolerance)
     return _report_dict(report, f[0])
 
 

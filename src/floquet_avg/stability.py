@@ -35,11 +35,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 # the sign of eps in the pendulum's J+ and J-: J[1, 0] = omega^2 +/- eps
 _SEGMENT_SIGNS = np.array([1.0, -1.0])
-# an exact-pc point takes the closed form of tr F where its bound on the
-# entries of F is at most 2 * _ENTRY_BOUND; every point whose 1-norms of pi J+
-# and pi J- are at most _NORM_BOUND does (see PendulumPC)
+# half the bound on |F_ij| up to which an exact-pc point takes the closed form
 _ENTRY_BOUND = 1e300
-_NORM_BOUND = 600.0
 
 
 class Verdict(enum.Enum):
@@ -142,26 +139,25 @@ def pc_monodromy(durations, mats):
 
 class PendulumPC:
     """The pendulum's exact-pc invariants at fixed ``omegas`` and ``beta``,
-    prepared once: ``pc(index, eps)`` gives ``(tr F, det F)`` at the points
+    prepared once: ``pc(index, eps)`` gives ``(tr F, det F)`` and
+    ``pc.monodromy(index, eps)`` ``(F, tr F, det F)`` at the points
     (omegas[index], eps) broadcast against each other, in C order.
 
     exp(pi J+/-) = C I + S N with N traceless (:func:`_kernels.expm2_scalars`),
     so F = E- E+ has tr F = 2 C+ C- + S+ S- tr(N- N+): the damped Meissner
     equation's Hill discriminant.  What does not depend on eps is taken once
-    per omega: omega^2, the half-trace mu = -pi beta omega / 2 and the
-    square b^2 = mu^2 of pi J's traceless diagonal, the column of the
-    1-norm of pi J+/- that holds no eps, tr(N- N+) = 2 b^2 + 2 pi^2 omega^2
-    and Liouville's det F = exp(-2 pi beta omega).
+    per omega: omega^2, the half-trace mu and half-difference b of pi J's
+    diagonal, b^2, the 1-norm column of pi J+/- that holds no eps,
+    tr(N- N+) = 2 b^2 + 2 pi^2 omega^2 and Liouville's det F.  ``monodromy``
+    forms E+/- from C and S as :func:`_kernels.expm2_core` does: its F is
+    bitwise :func:`pc_monodromy`'s.
 
     A point takes the closed form where it is valid, its 1-norms n+/- of
     pi J+/- are within the overflow guard of :func:`smallmat.matexp_stack`
     and |F_ij| <= 2 (|C+| + |S+| n+) (|C-| + |S-| n-) is at most
     2 ``_ENTRY_BOUND``: there F and tr F are finite.  Every other point
     takes :func:`pc_monodromy` on its own Jacobian stack, which raises the
-    first failing point's own error, so a point's value depends on that
-    point alone.  A batch whose 1-norms are all at most n = ``_NORM_BOUND``
-    skips the test: there mu <= 0 and sqrt|delta| <= n/2 + pi, so
-    |C| + |S| n <= e^(n/2 + pi) (1 + n) and the bound is below 1e270.
+    first failing point's own error, so a point's value depends on it alone.
     """
 
     def __init__(self, omegas, beta: float):
@@ -180,36 +176,48 @@ class PendulumPC:
             exponent = math.pi * trace + math.pi * trace
             # per omega: omega^2; the 1-norm's second column, |pi| + |pi J[1, 1]|
             # summed top to bottom, NaN at an invalid point so that the point
-            # fails every bound; mu; b^2; tr(N- N+); and det F
+            # fails every bound; mu; b; b^2; tr(N- N+); and det F
             self._constants = np.stack((
                 w2, np.where(valid, math.pi + np.abs(scaled), np.nan), 0.5 * (0.0 + scaled),
-                b * b, 2.0 * (b * b) + 2.0 * math.pi * math.pi * w2,
+                b, b * b, 2.0 * (b * b) + 2.0 * math.pi * math.pi * w2,
                 libm_map(math.exp, exponent)), axis=-1)
 
     def __call__(self, index, eps):
+        return self._evaluate(index, eps, False)[1:]
+
+    def monodromy(self, index, eps):
+        return self._evaluate(index, eps, True)
+
+    def _evaluate(self, index, eps, matrices: bool):
         eps = np.asarray(eps, dtype=float)
-        w2, column_norms, mu, b2, trace_nn, det_f = self._constants[index].T
+        w2, column_norms, mu, b, b2, trace_nn, det_f = self._constants[index].T
+        f = None
         with np.errstate(all="ignore"):
             a10 = (w2[..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
-            # the 1-norm's first column is |0| + |pi J[1, 0]|
+            # the 1-norm's first column is |0| + |pi J[1, 0]|; for eps >= 0,
+            # |omega^2 - eps| <= omega^2 + eps, so pi J+ has the larger 1-norm
             norms = np.maximum(np.abs(a10), column_norms[..., None])
             c, s = expm2_scalars(mu[..., None], b2[..., None] + math.pi * a10)
             trace = 2.0 * c[..., 0] * c[..., 1] + s[..., 0] * s[..., 1] * trace_nn
-            det = np.empty(trace.shape)
-            det[...] = det_f
-            if norms.max(initial=0.0) <= _NORM_BOUND and (eps >= 0.0).all():
-                return trace.ravel(), det.ravel()
             entry = np.abs(c) + np.abs(s) * norms
-            fast = ((norms <= MATEXP_NORM_GUARD).all(axis=-1) & (eps >= 0.0)
+            fast = ((norms[..., 0] <= MATEXP_NORM_GUARD) & (eps >= 0.0)
                     & (entry[..., 0] * entry[..., 1] <= _ENTRY_BOUND))
+            if matrices:
+                sb = s * b[..., None]
+                e = np.stack((c + sb, s * math.pi, s * a10, c - sb), axis=-1).reshape(-1, 2, 2, 2)
+                f = np.matmul(np.ascontiguousarray(e[:, 1]), np.ascontiguousarray(e[:, 0]))
+        det = np.empty(trace.shape)
+        det[...] = det_f
         trace, det = trace.ravel(), det.ravel()
-        slow = np.flatnonzero(~fast)
+        slow = (~fast).ravel().nonzero()[0]
         if slow.size:
             omegas, eps = (np.broadcast_to(x, fast.shape).ravel()[slow]
                            for x in (self.omegas[index], eps))
-            _, trace[slow], det[slow] = pc_monodromy(
+            f_slow, trace[slow], det[slow] = pc_monodromy(
                 pendulum.HALF_PERIODS, pendulum.jacobian_stack(omegas, eps, self.beta))
-        return trace, det
+            if matrices:
+                f[slow] = f_slow
+        return f, trace, det
 
 
 def _in_range(trace, det):

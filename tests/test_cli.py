@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from floquet_avg import cli, scan
+from floquet_avg import cli, pendulum, scan, stability
 
 PI = math.pi
 
@@ -927,7 +927,9 @@ def test_analyze_exact_pc_report_is_the_scan_cells(capsys, omega, eps, beta):
     assert doc["margin_trace"] == cell.margin_trace and doc["margin_det"] == cell.margin_det
     assert doc["verdict"] == cell.verdict.value
     assert [complex(m["re"], m["im"]) for m in doc["multipliers"]] == list(cell.multipliers)
-    assert len(doc["F"]) == 2
+    # F is the exponential product's, as for a model file
+    f = stability.pc_monodromy(pendulum.HALF_PERIODS, pendulum.jacobian_stack([omega], [eps], beta))
+    assert doc["F"] == f[0][0].tolist()
 
 
 @pytest.mark.parametrize("order", range(1, 7))

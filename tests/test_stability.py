@@ -171,6 +171,24 @@ def test_prepared_pc_is_near_pc_monodromy_and_independent_of_the_batch(beta):
         assert _pc_outcome(lambda: pc([k], epss[k:k + 1])) == _pc_outcome(lambda: alone)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.1, 2.0])
+def test_prepared_pc_monodromy_is_pc_monodromys_f_and_the_calls_invariants(beta):
+    # F = E- E+ from the closed form's C and S is bitwise pc_monodromy's F,
+    # omega 112 among the points taking pc_monodromy itself
+    rng = np.random.default_rng(6)
+    omegas = np.concatenate(([0.0, 10.0, 112.0], rng.uniform(0.0, 10.0, 40), rng.uniform(0.0, 0.5, 40)))
+    epss = np.concatenate(([0.0, 3.0, 0.0], rng.uniform(0.0, 5.0, omegas.size - 3)))
+    pc = PendulumPC(omegas, beta)
+    f, trace, det = pc.monodromy(slice(None), epss)
+    assert f.tobytes() == _reference_pc(omegas, epss, beta)()[0].tobytes()
+    assert _pc_outcome(lambda: (trace, det)) == _pc_outcome(lambda: pc(slice(None), epss))
+    column = np.linspace(0.0, 2.0, 5)[:, None]
+    grid = pc.monodromy(slice(None), column)
+    cells = np.broadcast_to(omegas, (5, omegas.size)).ravel()
+    assert grid[0].tobytes() == _reference_pc(cells, column.repeat(omegas.size), beta)()[0].tobytes()
+    assert _pc_outcome(lambda: grid[1:]) == _pc_outcome(lambda: pc(slice(None), column))
+
+
 @pytest.mark.parametrize("omegas, epss, beta", [
     # F overflows from omega ~ 112.3
     ([0.2, 112.4, 150.0], [0.5, 0.0, 0.0], 0.0),
