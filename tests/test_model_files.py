@@ -1,9 +1,12 @@
-"""Model-file ``analyze`` reports pinned at 17 digits.
+"""Model-file ``analyze`` reports pinned at 17 digits, orders 1 to 6.
 
 Two models shaped like the benchmark's: a 4x4 pair of square-wave pendulums
 coupled through their springs, and a 2x2 model whose pieces are linear in t.
+A third has pieces of mixed degrees on breakpoints its two terms do not
+share, so the recursion's functions live on different breakpoint sets.
 The pinned fields are everything the averaged approximation writes, so any
-change to the model-file path that moves a bit shows here.
+change to the model-file path that moves a bit shows here; the error paths
+of the recursion are pinned by exit code and message.
 """
 
 import json
@@ -48,26 +51,84 @@ def linear_model():
     ]}
 
 
-MODELS = {"coupled": coupled_model, "linear": linear_model}
+def many_piece_model():
+    # term 1 on 0 / 2 / 4.5 / T at degrees 0 / 2 / 1, term 2 on 0 / pi / T:
+    # every product, sum and antiderivative joins pieces the union splits, and
+    # at these values a running constant summed over the split pieces rounds
+    # differently from one summed over the own pieces, from A_2 on
+    a, b, c, w2, d0, d1 = 0.43, 0.071, 0.27, 0.058, 0.064, 0.0071
+    return {"name": "custom", "period": PERIOD, "J0": [[0.0, 1.0], [0.0, 0.0]], "terms": [
+        {"order": 1, "pieces": [
+            {"t_start": 0.0, "t_end": 2.0, "entries": [[[0.0], [0.0]], [[a], [0.0]]]},
+            {"t_start": 2.0, "t_end": 4.5,
+             "entries": [[[c * b], [0.0]], [[-a, b, -0.5 * b], [-c * b]]]},
+            {"t_start": 4.5, "t_end": PERIOD,
+             "entries": [[[0.0], [0.0]], [[-0.6 * a, 0.05], [0.0]]]}]},
+        {"order": 2, "pieces": [
+            {"t_start": 0.0, "t_end": PI, "entries": [[[0.0], [0.0]], [[w2, d1], [-d0]]]},
+            {"t_start": PI, "t_end": PERIOD,
+             "entries": [[[0.0], [0.0]], [[-w2], [-d0 - d1]]]}]},
+    ]}
 
 
-def analyze_order6(tmp_path, capsys, model) -> dict:
+MODELS = {"coupled": coupled_model, "linear": linear_model, "many-piece": many_piece_model}
+
+
+def analyze(tmp_path, capsys, model, order=6) -> dict:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model), encoding="utf-8")
-    code = cli.main(["analyze", "--model-file", str(path), "--order", "6"])
+    code = cli.main(["analyze", "--model-file", str(path), "--order", str(order)])
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     return json.loads(out)
 
 
+def pin_key(name, order):
+    """A model's order-6 report is pinned under its name, the others under name/orderK."""
+    return name if order == 6 else f"{name}/order{order}"
+
+
+@pytest.mark.parametrize("order", range(1, averaging.MAX_ORDER + 1))
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_model_file_analyze_order6_is_pinned(tmp_path, capsys, name):
+def test_model_file_analyze_is_pinned(tmp_path, capsys, name, order):
     with open(PINS, encoding="utf-8") as fh:
-        pinned = json.load(fh)[name]
-    doc = analyze_order6(tmp_path, capsys, MODELS[name]())
+        pinned = json.load(fh)[pin_key(name, order)]
+    doc = analyze(tmp_path, capsys, MODELS[name](), order)
     # floats parsed from 17 significant digits are equal exactly when their texts are
     for field in PINNED_FIELDS:
         assert doc[field] == pinned[field], field
+
+
+def overflowing_model():
+    # finite terms whose order-2 product H_1 U_1 leaves the float range
+    model = linear_model()
+    model["terms"][0]["pieces"][0]["entries"][1][0] = [1e200]
+    return model
+
+
+def high_degree_model():
+    # a degree-12 piece: the order-6 products pass the degree cap
+    model = linear_model()
+    model["terms"][0]["pieces"][0]["entries"][1][0] = [1e-3] * 13
+    return model
+
+
+@pytest.mark.parametrize("model, order, closure_tol, code, err", [
+    (overflowing_model, 2, None, 3,
+     "floquet-avg: numeric range error: piecewise-polynomial coefficients leave the float "
+     "range\n"),
+    (high_degree_model, 6, None, 2, "floquet-avg: order 6 too high: product degree 74 exceeds cap 64\n"),
+    (linear_model, 3, 1e-300, 2, "floquet-avg: closure residual ||U_1(T)|| = 8.88e-16 indicates a broken "
+     "recursion\n"),
+], ids=["overflow", "degree-cap", "closure"])
+def test_model_file_error_paths_are_pinned(tmp_path, capsys, monkeypatch, model, order,
+                                           closure_tol, code, err):
+    if closure_tol is not None:
+        monkeypatch.setattr(averaging, "_CLOSURE_TOL", closure_tol)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model()), encoding="utf-8")
+    assert cli.main(["analyze", "--model-file", str(path), "--order", str(order)]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_a_model_files_table_is_built_per_analyze_and_not_kept(tmp_path, capsys, monkeypatch):
@@ -79,7 +140,7 @@ def test_a_model_files_table_is_built_per_analyze_and_not_kept(tmp_path, capsys,
         return recursion(h_terms, period, order)
 
     monkeypatch.setattr(averaging, "run_recursion", counted)
-    first = analyze_order6(tmp_path, capsys, linear_model())
-    assert analyze_order6(tmp_path, capsys, linear_model()) == first
+    first = analyze(tmp_path, capsys, linear_model())
+    assert analyze(tmp_path, capsys, linear_model()) == first
     # the pendulum's tables depend on no input and are kept; a model's depends on its file
     assert orders == [6, 6] and pendulum._TABLES == {}
