@@ -141,8 +141,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     same-order collection H_n + sum_i (H_{n-i} U_i - U_i A_{n-i}).  With W
     the antiderivative of that collection from 0, A_n = W(T) / T and U_n =
     W - A_n t, the antiderivative of the collection minus A_n, taken from W
-    without integrating again (:func:`ppoly.pp_minus_ramp`); it closes,
-    U_n(T) = 0, up to roundoff.
+    without integrating again; it closes, U_n(T) = 0, up to roundoff.
 
     Each H term is a dict from monomial label to function: H_n = sum_m v_m
     H_n^m with v_m a product of parameter powers and the label m the tuple
@@ -157,18 +156,24 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
     if not h_terms:
         raise ModelError("need at least one H term")
-    dim = next(iter(h_terms[0].values())).dim
-    a_mats = []
-    a_consts = []  # A_j embedded as degree-0 functions for the ppoly algebra
-    u_funcs = []
-    u_ends = []
-    residuals = []
+    # ppoly's kernels run on the union of the terms' breakpoints, a function as
+    # (coeffs, degrees, first), first marking where its own pieces start
+    funcs = [f for term in h_terms for f in term.values()]
+    for f in funcs[1:]:
+        ppoly._check_compatible(funcs[0], f)
+    breaks = functools.reduce(lambda x, y: ppoly._union_breakpoints(funcs[0].period, x, y),
+                              [f.breakpoints for f in funcs])
+    h_terms = [{label: ppoly._refined(f, breaks) for label, f in term.items()} for term in h_terms]
+    zero = ppoly._refined(PiecewisePolyMatrix.zero(funcs[0].dim, period), breaks)
+    a_mats, a_consts, u_funcs, u_ends, residuals = [], [], [], [], []
 
-    def accumulate(op, label_x, label_y, product):
-        """coll[label] op= product, under the label of the product's monomial."""
+    def apply(kernel, x, y, *args):
+        return (*ppoly._checked(*kernel(x[0], x[1], y[0], y[1], *args)), x[2] | y[2])
+
+    def accumulate(sign, label_x, label_y, product):
+        """coll[label] += sign * product, under the label of the product's monomial."""
         label = _label_sum(label_x, label_y)
-        start = coll[label] if label in coll else PiecewisePolyMatrix.zero(dim, period)
-        coll[label] = op(start, product)
+        coll[label] = apply(ppoly._sum, coll.get(label, zero), product, sign)
 
     try:
         for n in range(1, order + 1):
@@ -178,23 +183,28 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                 if n - i <= len(h_terms):
                     for lh, h in h_terms[n - i - 1].items():
                         for lu, u in u_funcs[i - 1].items():
-                            accumulate(ppoly.pp_add, lh, lu, ppoly.pp_mul(h, u))
+                            accumulate(1.0, lh, lu, apply(ppoly._product, h, u))
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
-                        accumulate(ppoly.pp_sub, lu, la, ppoly.pp_mul(u, a))
-            anti = {label: ppoly.pp_antiderivative(f) for label, f in coll.items()}
-            a_n = {label: ppoly.pp_eval(w, period) / period for label, w in anti.items()}
+                        accumulate(-1.0, lu, la, apply(ppoly._product, u, a))
+            anti = {label: (*ppoly._antiderivative(breaks, c, d, first), first)
+                    for label, (c, d, first) in coll.items()}
+            a_n = {label: ppoly._value(funcs[0].period, breaks, w[0], w[1], period) / period
+                   for label, w in anti.items()}
+            if not all(np.isfinite(a).all() for a in a_n.values()):
+                raise ModelError("piece coefficients must be finite")
             a_mats.append(a_n)
-            a_consts.append({label: PiecewisePolyMatrix.constant(a, period)
+            a_consts.append({label: (a[..., None, :, :, None], *zero[1:])
                              for label, a in a_n.items()})
             if n < order:
                 u_n, end_n, res_n = {}, {}, {}
-                for label, w in anti.items():
-                    u = ppoly.pp_minus_ramp(w, a_n[label])
-                    end = ppoly.pp_eval(u, period)
+                for label, (c, d, first) in anti.items():
+                    u = (*ppoly._minus_ramp(breaks, c, d, a_n[label], first), first)
+                    end = ppoly._value(funcs[0].period, breaks, u[0], u[1], period)
                     res = float(norm1(end))
-                    if res >= _CLOSURE_TOL * (1.0 + u.max_coeff()):
-                        raise FloquetError(f"closure residual ||U_{n}{_label_text(label)}(T)|| = "
+                    if res >= _CLOSURE_TOL * (1.0 + float(np.abs(u[0]).max())):
+                        where = f" of monomial {label}" if label else ""  # () for no parameters
+                        raise FloquetError(f"closure residual ||U_{n}{where}(T)|| = "
                                            f"{res:.3g} indicates a broken recursion")
                     u_n[label], end_n[label], res_n[label] = u, end, res
                 u_funcs.append(u_n)
@@ -357,11 +367,6 @@ def _order_sums(terms, labels) -> tuple:
 def _label_sum(label_x, label_y) -> tuple:
     """The label of a product of two monomials: their exponents added."""
     return tuple(map(sum, zip(label_x, label_y)))
-
-
-def _label_text(label) -> str:
-    """The monomial a closure residual belongs to, empty for the one-monomial case."""
-    return f" of monomial {label}" if label else ""
 
 
 def graded_exp_terms(a_list, period: float, order: int, labels=None):

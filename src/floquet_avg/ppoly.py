@@ -5,21 +5,20 @@ the degree of each piece, and one (m, n, n, d+1) array of polynomial
 coefficients in the *global* time variable (ascending degree), every piece
 zero-padded to the top degree d.  Using the global variable keeps
 refinement trivial (a piece restricted to a sub-interval reuses the same
-coefficients) and makes antiderivative constants a running-sum fixup.
+coefficients) and makes antiderivative constants a running-sum fixup.  A
+stack of K such functions over shared breakpoints, one per cell of a
+parameter grid, carries a leading cell axis, (K, m, n, n, d+1).
 
-A stack of K such functions over shared breakpoints -- one per cell of a
-parameter grid -- carries a leading cell axis, (K, m, n, n, d+1).  Every
-operation runs once over all pieces of equal degrees and broadcasts over
-the cell axis (a single function combines with a stack as if repeated K
-times), computing each coefficient of a piece by the same elementwise
-operations in the same order as for that piece alone at its own degree,
-so a cell's result does not depend on the other cells of the batch.
-
-Products, antiderivatives, averages and point evaluation are all closed-form
-polynomial operations, so the averaging integrals downstream carry no
-quadrature error.
+The arithmetic is per-piece kernels on bare (coeffs, degrees) arrays over
+one set of intervals, each run once per class of pieces of equal degrees
+and broadcast over the cell axis, computing each coefficient by the same
+operations in the same order as for its piece alone at its own degree, so
+no result depends on the batch.  The pp_* functions wrap them for
+PiecewisePolyMatrix values; the averaging recursion calls them directly.
+All of it is closed-form, so the averaging integrals carry no quadrature error.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +125,6 @@ class PiecewisePolyMatrix:
     def zero(cls, dim: int, period: float) -> "PiecewisePolyMatrix":
         return cls.constant(np.zeros((dim, dim)), period)
 
-    def max_coeff(self):
-        """Largest coefficient magnitude over all pieces (scaling reference);
-        a (K,) array, one per cell, for a stack."""
-        out = np.abs(self.coeffs).max(axis=(-4, -3, -2, -1))
-        return float(out) if self.cells is None else out
-
 
 def _checked_breakpoints(period: float, breakpoints) -> np.ndarray:
     if not (np.isfinite(period) and period > 0):
@@ -159,70 +152,61 @@ def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
         raise ModelError(f"cell count mismatch: {a.cells} vs {b.cells}")
 
 
-def _union_breakpoints(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> np.ndarray:
-    tol = _BREAK_MERGE_REL * a.period
-    for x, y in ((a.breakpoints, b.breakpoints), (b.breakpoints, a.breakpoints)):
-        # y adds no breakpoint to x (the common case in the recursion): the
-        # merge below would return x itself
-        if ((y.size == 2 and y[0] == x[0] and y[-1] == x[-1]) or np.array_equal(x, y)) \
-                and (x[1:] - x[:-1] > tol).all():
-            return x
-    merged = np.union1d(a.breakpoints, b.breakpoints)
+def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    tol = _BREAK_MERGE_REL * period
+    for p, q in ((x, y), (y, x)):
+        # q adds no breakpoint to p (the common case): the merge below would return p itself
+        if ((q.size == 2 and q[0] == p[0] and q[-1] == p[-1]) or np.array_equal(p, q)) \
+                and (p[1:] - p[:-1] > tol).all():
+            return p
+    merged = np.union1d(x, y)
     keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > tol:
-            keep.append(x)
-    keep[-1] = a.breakpoints[-1]
+    for t in merged[1:]:
+        if t - keep[-1] > tol:
+            keep.append(t)
+    keep[-1] = x[-1]
     return np.asarray(keep)
 
 
-def _pieces_on(a: PiecewisePolyMatrix, breaks: np.ndarray):
-    """The coefficients and degrees of ``a`` in force on each interval of
-    ``breaks``; a single piece is left to broadcast over the intervals."""
-    m = a.coeffs.shape[-4]
+def _refined(a: PiecewisePolyMatrix, breaks: np.ndarray):
+    """``a`` on the intervals of ``breaks``, which refine its breakpoints (one
+    piece broadcasts): ``(coeffs, degrees, first)``, ``first`` marking piece starts."""
+    m = len(a.degrees)
     if a.breakpoints is breaks or m == 1:
-        return a.coeffs, a.degrees
+        return a.coeffs, a.degrees, np.ones(m, bool)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
-    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist())
+    return (a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist()),
+            np.append(True, idx[1:] != idx[:-1]))
 
 
-def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray,
-             degrees: tuple) -> PiecewisePolyMatrix:
-    """The result of an operation on finite functions: a non-finite
-    coefficient there means an intermediate left the float range.  numpy's
-    overflow warning is the caller's to silence (the averaging layer runs
-    under ``np.errstate``)."""
-    try:
-        return PiecewisePolyMatrix(period, breaks, coeffs, degrees)
-    except ModelError:
-        if np.isfinite(coeffs).all():
-            raise
-        raise NumericRangeError("piecewise-polynomial coefficients leave the float range") \
-            from None
+def _checked(coeffs: np.ndarray, degrees: tuple):
+    """An operation's result, checked as the constructor would: a non-finite
+    coefficient left the float range, which comes before the degree cap."""
+    if not np.isfinite(coeffs).all():
+        raise NumericRangeError("piecewise-polynomial coefficients leave the float range")
+    if max(degrees) > DEGREE_CAP:
+        raise ModelError(f"polynomial degree {max(degrees)} exceeds cap {DEGREE_CAP}")
+    return coeffs, degrees
 
 
-def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, op, out_degree):
-    """``op`` over the union of the two breakpoint sets, called once per class
-    of pieces with equal degrees and cut to them, so each piece is computed
-    at its own degrees; ``out_degree`` maps two pieces' degrees to the
-    result's."""
-    _check_compatible(a, b)
-    breaks = _union_breakpoints(a, b)
-    (pa, da), (pb, db) = _pieces_on(a, breaks), _pieces_on(b, breaks)
+def _by_class(op, out_degree, pa, da, pb, db, *args):
+    """``op`` on two functions' pieces on one set of intervals, once per class
+    of equal degrees and cut to them, so each piece is computed at its own
+    degrees: ``(coeffs, degrees)``, ``out_degree`` giving the result's."""
     m = max(len(da), len(db))  # a single piece stands for every interval
     da, db = da * (m // len(da)), db * (m // len(db))
     deg = tuple(map(out_degree, da, db))
     classes = set(zip(da, db))
     if len(classes) == 1:  # every piece at the same degrees, the arrays' own
-        return _derived(a.period, breaks, op(pa, pb), deg)
+        return op(pa, pb, *args), deg
     out = np.zeros(np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1]) + (max(deg) + 1,))
     for p, q in sorted(classes):
         sel = [k for k, pq in enumerate(zip(da, db)) if pq == (p, q)]
         pieces = [x[..., : d + 1] if x.shape[-4] == 1 else x[..., sel, :, :, : d + 1]
                   for x, d in ((pa, p), (pb, q))]
-        out[..., sel, :, :, : out_degree(p, q) + 1] = op(*pieces)
-    return _derived(a.period, breaks, out, deg)
+        out[..., sel, :, :, : out_degree(p, q) + 1] = op(*pieces, *args)
+    return out, deg
 
 
 def _product_degree(p: int, q: int) -> int:
@@ -252,11 +236,6 @@ def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
-def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    """Pointwise matrix product a(t) @ b(t) as a piecewise polynomial."""
-    return _combine(a, b, _poly_matmul, _product_degree)
-
-
 def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
     d = max(x.shape[-1], y.shape[-1])
     out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d,))
@@ -265,12 +244,29 @@ def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
+_product = functools.partial(_by_class, _poly_matmul, _product_degree)
+_sum = functools.partial(_by_class, _pad_add, max)  # pa(t) + sign pb(t) for a further sign
+
+
+def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
+    """``kernel`` on the pieces of ``a`` and ``b`` over their breakpoints' union."""
+    _check_compatible(a, b)
+    breaks = _union_breakpoints(a.period, a.breakpoints, b.breakpoints)
+    pieces = _refined(a, breaks)[:2] + _refined(b, breaks)[:2]
+    return PiecewisePolyMatrix(a.period, breaks, *_checked(*kernel(*pieces, *args)))
+
+
+def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
+    """Pointwise matrix product a(t) @ b(t) as a piecewise polynomial."""
+    return _combine(a, b, _product)
+
+
 def pp_add(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    return _combine(a, b, lambda x, y: _pad_add(x, y, 1.0), max)
+    return _combine(a, b, _sum, 1.0)
 
 
 def pp_sub(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
-    return _combine(a, b, lambda x, y: _pad_add(x, y, -1.0), max)
+    return _combine(a, b, _sum, -1.0)
 
 
 def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
@@ -281,56 +277,72 @@ def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
     return acc
 
 
-def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
-    """Value a(t) for 0 <= t <= T; right-continuous at interior breakpoints.
-
-    (n, n) for one function, (K, n, n) for a stack.
-    """
-    if not (0.0 <= t <= a.period):
-        raise NumericRangeError(f"t = {t:g} outside [0, {a.period:g}]")
-    idx = int(np.searchsorted(a.breakpoints, t, side="right")) - 1
-    idx = min(max(idx, 0), a.coeffs.shape[-4] - 1)
-    value = _eval_block(a.coeffs[..., idx, :, :, : a.degrees[idx] + 1], t)
+def _value(period: float, breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, t: float):
+    """The value at t of the function of pieces ``coeffs`` on ``breaks``."""
+    if not (0.0 <= t <= period):
+        raise NumericRangeError(f"t = {t:g} outside [0, {period:g}]")
+    idx = int(np.searchsorted(breaks, t, side="right")) - 1
+    idx = min(max(idx, 0), coeffs.shape[-4] - 1)
+    value = _eval_block(coeffs[..., idx, :, :, : degrees[idx] + 1], t)
     if not np.isfinite(value).all():
         raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
 
 
+def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
+    """Value a(t) for 0 <= t <= T, right-continuous at interior breakpoints:
+    (n, n) for one function, (K, n, n) for a stack."""
+    return _value(a.period, a.breakpoints, a.coeffs, a.degrees, t)
+
+
+def _antiderivative(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, first=None):
+    """The antiderivative from 0 of the function of pieces ``coeffs``."""
+    d = coeffs.shape[-1]
+    anti = np.zeros(coeffs.shape[:-1] + (d + 1,))
+    anti[..., 1:] = coeffs / np.arange(1, d + 1)
+    return _joined(breaks, anti, tuple(k + 1 for k in degrees), first)
+
+
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    d = a.coeffs.shape[-1]
-    anti = np.zeros(a.coeffs.shape[:-1] + (d + 1,))
-    anti[..., 1:] = a.coeffs / np.arange(1, d + 1)
-    return _joined(a.period, a.breakpoints.copy(), anti, tuple(k + 1 for k in a.degrees))
+    return PiecewisePolyMatrix(a.period, a.breakpoints.copy(),
+                               *_antiderivative(a.breakpoints, a.coeffs, a.degrees))
+
+
+def _minus_ramp(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, slope, first=None):
+    """w(t) - slope t for the antiderivative w from 0 of pieces ``coeffs``: each
+    linear coefficient drops by the slope and the constants are set afresh."""
+    anti = coeffs.copy()
+    anti[..., 1] -= np.asarray(slope)[..., None, :, :]
+    anti[..., 0] = 0.0
+    return _joined(breaks, anti, degrees, first)
 
 
 def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
     """w(t) - slope t for an antiderivative w from 0 and a constant matrix
     ``slope`` ((K, n, n) for a stack): the antiderivative of w' - slope,
-    bitwise as :func:`pp_antiderivative` gives it, without integrating
-    again.  Each piece's linear coefficient drops by the slope, and the
-    constants are set afresh, so the result is continuous as evaluated."""
-    anti = w.coeffs.copy()
-    anti[..., 1] -= np.asarray(slope)[..., None, :, :]
-    anti[..., 0] = 0.0
-    return _joined(w.period, w.breakpoints.copy(), anti, w.degrees)
+    bitwise as :func:`pp_antiderivative` gives it, without integrating again."""
+    return PiecewisePolyMatrix(w.period, w.breakpoints.copy(),
+                               *_minus_ramp(w.breakpoints, w.coeffs, w.degrees, slope))
 
 
-def _joined(period: float, breaks: np.ndarray, anti: np.ndarray,
-            degrees: tuple) -> PiecewisePolyMatrix:
-    """The function of coefficients ``anti``, whose constant terms are zero,
-    with each piece's constant set so that it is 0 at t = 0 and continuous
-    at every breakpoint."""
-    # every piece at both of its ends, before the constants are set
-    at_lo = _eval_block(anti, breaks[:-1, None, None])
-    at_hi = _eval_block(anti, breaks[1:, None, None])
+def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, first=None):
+    """``anti`` with its zero constant terms set in place, so that it is 0 at
+    t = 0 and continuous, checked; intervals not marked by ``first`` share
+    the constant of the piece they continue, as if they were one."""
+    starts = np.arange(breaks.size - 1) if first is None else np.flatnonzero(first)
+    pieces = anti if first is None else anti[..., starts, :, :, :]
+    # every piece at both of its ends in one Horner pass, before the constants are set
+    ends = np.stack((breaks[starts], breaks[np.append(starts[1:], breaks.size - 1)]))
+    at_lo, at_hi = _eval_block(pieces, ends.reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1)))
+    consts = np.empty_like(at_lo)
     running = 0.0  # cumulative integral at the left breakpoint
-    for k in range(anti.shape[-4]):
+    for k in range(starts.size):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
-        const = running - at_lo[..., k, :, :]
-        anti[..., k, :, :, 0] = const
+        const = consts[..., k, :, :] = running - at_lo[..., k, :, :]
         running = at_hi[..., k, :, :] + const
-    return _derived(period, breaks, anti, degrees)
+    anti[..., 0] = consts if first is None else consts[..., np.cumsum(first) - 1, :, :]
+    return _checked(anti, degrees)
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:

@@ -104,18 +104,22 @@ def _invariants(method: str, omegas, beta: float):
     return approximation
 
 
-def _first_error(batch, item, count: int):
-    """``batch()``: items 0..count-1 evaluated as one batch.
-
-    Items fail independently: when the batch raises, ``item(k)`` reruns the
-    items one at a time, so the error raised is the first failing item's
-    own, as an item-by-item loop would raise it.
-    """
+def _first_error(batch, items, count: int):
+    """``batch()``, items 0..count-1 as one batch.  Items fail independently,
+    so when it raises, ``items(ks)`` on doubling blocks, then bisection, find
+    the first failing item in O(log count) batches and rerun it for its error."""
     try:
         return batch()
     except FloquetError:
-        for k in range(count):
-            item(k)
+        lo, hi, size = 0, count, 1  # items before lo are clean; one in [lo, hi) fails
+        while hi - lo > 1:
+            mid = min(lo + size, (lo + hi) // 2)  # a doubling block, or half the rest
+            try:
+                items(np.arange(lo, mid))
+                lo, size = mid, 2 * size
+            except FloquetError:
+                hi = mid
+        items(np.array([lo]))
         raise
 
 
@@ -144,7 +148,7 @@ def scan_region(omega_axis, eps_axis, beta: float, method: str,
     # per-omega work (omega**2) is done once per omega sample
     trace, det = _first_error(
         lambda: invariants(slice(None), epss[:, None]),
-        lambda k: invariants([k % shape[1]], epss[k // shape[1], None]),
+        lambda ks: invariants(ks % shape[1], epss[ks // shape[1]]),
         epss.size * omegas.size)
     margin_trace, margin_det = stability.margins(trace.reshape(shape), det.reshape(shape))
     verdicts = stability.verdict_labels(margin_trace, margin_det, tolerance)
@@ -336,8 +340,7 @@ def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> np.ndarray:
         eps[held] = _bisect(margin, lo[held], hi[held], tol)[0]
         return eps
 
-    return _first_error(lambda: run(np.arange(omegas.size)), lambda k: run(np.array([k])),
-                        omegas.size)
+    return _first_error(lambda: run(np.arange(omegas.size)), run, omegas.size)
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,37 @@ def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fa
     assert str(excinfo.value) == first
 
 
+def test_a_failing_grid_finds_its_first_failing_cell_in_log_many_batches(monkeypatch):
+    # from eps ~ 1e5 on, exact-pc's F leaves the float range; the cells were
+    # rerun one at a time up to the first failing one
+    axes = (0.0, 1.0, 50), (0.0, 3.3e5, 50)
+    first = None
+    for eps in scan.axis_samples(axes[1]):
+        for omega in scan.axis_samples(axes[0]):
+            try:
+                scan.point_report(omega, eps, 0.0, "exact-pc")
+            except FloquetError as exc:
+                first = first or str(exc)
+    assert first is not None
+    prepare = scan._invariants
+    calls = []
+
+    def counted(method, omegas, beta):
+        invariants = prepare(method, omegas, beta)
+
+        def batch(index, eps):
+            calls.append(np.size(eps))
+            return invariants(index, eps)
+        return batch
+
+    monkeypatch.setattr(scan, "_invariants", counted)
+    with pytest.raises(FloquetError) as excinfo:
+        scan_region(*axes, 0.0, "exact-pc")
+    assert str(excinfo.value) == first
+    assert len(calls) <= 2 * math.ceil(math.log2(2500)) + 2
+    assert calls[-1] == 1  # the first failing cell, alone
+
+
 @pytest.mark.parametrize("method", ["order2", "order4"])
 @pytest.mark.parametrize("beta", [0.0, 0.2])
 def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
