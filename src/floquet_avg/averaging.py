@@ -164,7 +164,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     breaks = functools.reduce(lambda x, y: ppoly._union_breakpoints(funcs[0].period, x, y),
                               [f.breakpoints for f in funcs])
     h_terms = [{label: ppoly._refined(f, breaks) for label, f in term.items()} for term in h_terms]
-    zero = ppoly._refined(PiecewisePolyMatrix.zero(funcs[0].dim, period), breaks)
+    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.ones(1, bool))  # one piece
     a_mats, a_consts, u_funcs, u_ends, residuals = [], [], [], [], []
 
     def apply(kernel, x, y, *args):
