@@ -245,7 +245,7 @@ def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
 
 
 _product = functools.partial(_by_class, _poly_matmul, _product_degree)
-_sum = functools.partial(_by_class, _pad_add, max)  # pa(t) + sign pb(t) for a further sign
+_sum = functools.partial(_by_class, _pad_add, max)  # pa(t) + sign pb(t), sign passed last
 
 
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):

@@ -582,8 +582,8 @@ def test_order_scan_raises_the_first_failing_cells_error(monkeypatch, method, fa
 
 
 def test_a_failing_grid_finds_its_first_failing_cell_in_log_many_batches(monkeypatch):
-    # from eps ~ 1e5 on, exact-pc's F leaves the float range; the cells were
-    # rerun one at a time up to the first failing one
+    # exact-pc's F leaves the float range from eps ~ 5.4e4 on: the first
+    # failing cell is cell 400 of 2,500
     axes = (0.0, 1.0, 50), (0.0, 3.3e5, 50)
     first = None
     for eps in scan.axis_samples(axes[1]):
