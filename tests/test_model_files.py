@@ -3,7 +3,8 @@
 Two models shaped like the benchmark's: a 4x4 pair of square-wave pendulums
 coupled through their springs, and a 2x2 model whose pieces are linear in t.
 A third has pieces of mixed degrees on breakpoints its two terms do not
-share, so the recursion's functions live on different breakpoint sets.
+share, so the recursion's functions live on different breakpoint sets, and
+a fourth has terms of orders 1 and 3 only, the later one adding a breakpoint.
 The pinned fields are everything the averaged approximation writes, so any
 change to the model-file path that moves a bit shows here; the error paths
 of the recursion are pinned by exit code and message.
@@ -71,7 +72,24 @@ def many_piece_model():
     ]}
 
 
-MODELS = {"coupled": coupled_model, "linear": linear_model, "many-piece": many_piece_model}
+def late_break_model():
+    # terms of orders 1 and 3 only, on 0 / 2 / T and 0 / pi / T: up to order 2
+    # no function breaks at pi, and sums that start from the zero of order 2,
+    # or from a one-piece A_n, keep the breakpoints of their other operand
+    a, b, c, w = 0.43, 0.071, 0.27, 0.058
+    return {"name": "custom", "period": PERIOD, "J0": [[0.0, 1.0], [0.0, 0.0]], "terms": [
+        {"order": 1, "pieces": [
+            {"t_start": 0.0, "t_end": 2.0, "entries": [[[0.0], [0.0]], [[a], [0.0]]]},
+            {"t_start": 2.0, "t_end": PERIOD,
+             "entries": [[[c * b], [0.0]], [[-a, b], [-c * b]]]}]},
+        {"order": 3, "pieces": [
+            {"t_start": 0.0, "t_end": PI, "entries": [[[0.0], [0.0]], [[w, b], [-c]]]},
+            {"t_start": PI, "t_end": PERIOD, "entries": [[[0.0], [0.0]], [[-w], [-c - b]]]}]},
+    ]}
+
+
+MODELS = {"coupled": coupled_model, "linear": linear_model, "many-piece": many_piece_model,
+          "late-break": late_break_model}
 
 
 def analyze(tmp_path, capsys, model, order=6) -> dict:
