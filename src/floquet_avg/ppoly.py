@@ -170,24 +170,36 @@ def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def _refined(a: PiecewisePolyMatrix, breaks: np.ndarray):
     """``a`` on the intervals of ``breaks``, which refine its breakpoints (one
-    piece broadcasts): ``(coeffs, degrees, first)``, ``first`` marking piece starts."""
+    piece broadcasts): ``(coeffs, degrees, index)``, ``index`` giving each
+    interval's piece of ``a``, or None where ``a`` is already on them or one piece."""
     m = len(a.degrees)
     if a.breakpoints is breaks or m == 1:
-        return a.coeffs, a.degrees, np.ones(m, bool)
+        return a.coeffs, a.degrees, None
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
-    return (a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist()),
-            np.append(True, idx[1:] != idx[:-1]))
+    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist()), idx
 
 
-def _checked(coeffs: np.ndarray, degrees: tuple):
-    """An operation's result, checked as the constructor would: a non-finite
-    coefficient left the float range, which comes before the degree cap."""
+def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
+    """An operation's result, checked as the constructor would, and returned
+    with ``rest``: a non-finite coefficient left the float range, which comes
+    before the degree cap."""
     if not np.isfinite(coeffs).all():
         raise NumericRangeError("piecewise-polynomial coefficients leave the float range")
     if max(degrees) > DEGREE_CAP:
         raise ModelError(f"polynomial degree {max(degrees)} exceeds cap {DEGREE_CAP}")
-    return coeffs, degrees
+    return (coeffs, degrees, *rest)
+
+
+def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray,
+             degrees: tuple) -> PiecewisePolyMatrix:
+    """An operation's result as a function, checked once, by the constructor;
+    a failure is named as :func:`_checked` names it."""
+    try:
+        return PiecewisePolyMatrix(period, breaks, coeffs, degrees)
+    except ModelError:
+        _checked(coeffs, degrees)
+        raise
 
 
 def _by_class(op, out_degree, pa, da, pb, db, *args):
@@ -253,7 +265,7 @@ def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
     _check_compatible(a, b)
     breaks = _union_breakpoints(a.period, a.breakpoints, b.breakpoints)
     pieces = _refined(a, breaks)[:2] + _refined(b, breaks)[:2]
-    return PiecewisePolyMatrix(a.period, breaks, *_checked(*kernel(*pieces, *args)))
+    return _derived(a.period, breaks, *kernel(*pieces, *args))
 
 
 def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
@@ -305,8 +317,8 @@ def _antiderivative(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, firs
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints.copy(),
-                               *_antiderivative(a.breakpoints, a.coeffs, a.degrees))
+    return _derived(a.period, a.breakpoints.copy(),
+                    *_antiderivative(a.breakpoints, a.coeffs, a.degrees))
 
 
 def _minus_ramp(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, slope, first=None):
@@ -322,27 +334,30 @@ def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
     """w(t) - slope t for an antiderivative w from 0 and a constant matrix
     ``slope`` ((K, n, n) for a stack): the antiderivative of w' - slope,
     bitwise as :func:`pp_antiderivative` gives it, without integrating again."""
-    return PiecewisePolyMatrix(w.period, w.breakpoints.copy(),
-                               *_minus_ramp(w.breakpoints, w.coeffs, w.degrees, slope))
+    return _derived(w.period, w.breakpoints.copy(),
+                    *_minus_ramp(w.breakpoints, w.coeffs, w.degrees, slope))
 
 
 def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, first=None):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
-    t = 0 and continuous, checked; intervals not marked by ``first`` share
-    the constant of the piece they continue, as if they were one."""
-    starts = np.arange(breaks.size - 1) if first is None else np.flatnonzero(first)
-    pieces = anti if first is None else anti[..., starts, :, :, :]
+    t = 0 and continuous: ``(anti, degrees)``; intervals not marked by
+    ``first`` share the constant of the piece they continue, as if they were one."""
+    if first is None or first.all():  # every interval its own piece, or one piece for all
+        pieces, edges = anti, breaks if anti.shape[-4] > 1 else breaks[[0, -1]]
+    else:
+        starts = np.flatnonzero(first)
+        pieces, edges = anti[..., starts, :, :, :], breaks[np.append(starts, -1)]
     # every piece at both of its ends in one Horner pass, before the constants are set
-    ends = np.stack((breaks[starts], breaks[np.append(starts[1:], breaks.size - 1)]))
-    at_lo, at_hi = _eval_block(pieces, ends.reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1)))
+    ends = np.array((edges[:-1], edges[1:])).reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1))
+    at_lo, at_hi = _eval_block(pieces, ends)
     consts = np.empty_like(at_lo)
     running = 0.0  # cumulative integral at the left breakpoint
-    for k in range(starts.size):
+    for k in range(consts.shape[-3]):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
         const = consts[..., k, :, :] = running - at_lo[..., k, :, :]
         running = at_hi[..., k, :, :] + const
-    anti[..., 0] = consts if first is None else consts[..., np.cumsum(first) - 1, :, :]
-    return _checked(anti, degrees)
+    anti[..., 0] = consts if pieces is anti else consts[..., np.cumsum(first) - 1, :, :]
+    return anti, degrees
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
