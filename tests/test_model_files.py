@@ -4,7 +4,8 @@ Two models shaped like the benchmark's: a 4x4 pair of square-wave pendulums
 coupled through their springs, and a 2x2 model whose pieces are linear in t.
 A third has pieces of mixed degrees on breakpoints its two terms do not
 share, so the recursion's functions live on different breakpoint sets, and
-a fourth has terms of orders 1 and 3 only, the later one adding a breakpoint.
+a fourth has terms of orders 1 and 3 only, the later one adding a breakpoint;
+in a fifth, two terms break within the merging distance of each other.
 The pinned fields are everything the averaged approximation writes, so any
 change to the model-file path that moves a bit shows here; the error paths
 of the recursion are pinned by exit code and message.
@@ -88,8 +89,24 @@ def late_break_model():
     ]}
 
 
+def near_break_model():
+    # term 2 breaks 3e-12 before term 1, closer than breakpoints merge (1e-12 T):
+    # term 1 alone, and what comes of it alone, keeps its own breakpoint at 2
+    return {"name": "custom", "period": PERIOD, "J0": [[0.0, 1.0], [0.0, 0.0]], "terms": [
+        {"order": 1, "pieces": [
+            {"t_start": 0.0, "t_end": 2.0, "entries": [[[0.0], [0.0]], [[0.43, 0.1], [0.0]]]},
+            {"t_start": 2.0, "t_end": PERIOD,
+             "entries": [[[0.02], [0.0]], [[-0.43, 0.071], [-0.02]]]}]},
+        {"order": 2, "pieces": [
+            {"t_start": 0.0, "t_end": 2.0 - 3e-12,
+             "entries": [[[0.0], [0.0]], [[0.058, 0.01], [-0.27]]]},
+            {"t_start": 2.0 - 3e-12, "t_end": PERIOD,
+             "entries": [[[0.0], [0.0]], [[-0.058], [-0.3]]]}]},
+    ]}
+
+
 MODELS = {"coupled": coupled_model, "linear": linear_model, "many-piece": many_piece_model,
-          "late-break": late_break_model}
+          "late-break": late_break_model, "near-break": near_break_model}
 
 
 def analyze(tmp_path, capsys, model, order=6) -> dict:
