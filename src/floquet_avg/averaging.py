@@ -157,25 +157,21 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     if not h_terms:
         raise ModelError("need at least one H term")
     # ppoly's kernels run on the union of the terms' breakpoints, a function as
-    # (coeffs, degrees, first), first marking where its own pieces start
+    # (coeffs, degrees, own): its pieces on the union's intervals and its own
+    # breakpoints, those of the function-by-function algebra
     funcs = [f for term in h_terms for f in term.values()]
     for f in funcs[1:]:
         ppoly._check_compatible(funcs[0], f)
     breaks = functools.reduce(lambda x, y: ppoly._union_breakpoints(funcs[0].period, x, y),
                               [f.breakpoints for f in funcs])
-
-    def own(f):
-        c, d, idx = ppoly._refined(f, breaks)
-        return c, d, np.ones(len(d), bool) if idx is None else np.append(True, idx[1:] != idx[:-1])
-
-    h_terms = [{label: own(f) for label, f in term.items()} for term in h_terms]
-    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.ones(1, bool))  # one piece
+    h_terms = [{label: (*ppoly._refined(f, breaks), f.breakpoints) for label, f in term.items()}
+               for term in h_terms]
+    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.array([0.0, period]))
     a_mats, a_consts, u_funcs, u_ends, residuals = [], [], [], [], []
 
     def apply(kernel, x, y, *args):
-        # a single piece starts the first interval only: the other operand's marks stand
-        first = y[2] if len(x[2]) == 1 else x[2] if len(y[2]) == 1 else x[2] | y[2]
-        return ppoly._checked(*kernel(x[0], x[1], y[0], y[1], *args), first)
+        own = ppoly._union_breakpoints(funcs[0].period, x[2], y[2])
+        return ppoly._checked(*kernel(x[0], x[1], y[0], y[1], *args), own)
 
     def accumulate(sign, label_x, label_y, product):
         """coll[label] += sign * product, under the label of the product's monomial."""
@@ -194,8 +190,8 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
                         accumulate(-1.0, lu, la, apply(ppoly._product, u, a))
-            anti = {label: ppoly._checked(*ppoly._antiderivative(breaks, c, d, first), first)
-                    for label, (c, d, first) in coll.items()}
+            anti = {label: ppoly._checked(*ppoly._antiderivative(breaks, c, d, own), own)
+                    for label, (c, d, own) in coll.items()}
             a_n = {label: ppoly._value(funcs[0].period, breaks, w[0], w[1], period) / period
                    for label, w in anti.items()}
             if not all(np.isfinite(a).all() for a in a_n.values()):
@@ -205,8 +201,8 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                              for label, a in a_n.items()})
             if n < order:
                 u_n, end_n, res_n = {}, {}, {}
-                for label, (c, d, first) in anti.items():
-                    u = ppoly._checked(*ppoly._minus_ramp(breaks, c, d, a_n[label], first), first)
+                for label, (c, d, own) in anti.items():
+                    u = ppoly._checked(*ppoly._minus_ramp(breaks, c, d, a_n[label], own), own)
                     end = ppoly._value(funcs[0].period, breaks, u[0], u[1], period)
                     res = float(norm1(end))
                     if res >= _CLOSURE_TOL * (1.0 + float(np.abs(u[0]).max())):

@@ -156,7 +156,7 @@ def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
     tol = _BREAK_MERGE_REL * period
     for p, q in ((x, y), (y, x)):
         # q adds no breakpoint to p (the common case): the merge below would return p itself
-        if ((q.size == 2 and q[0] == p[0] and q[-1] == p[-1]) or np.array_equal(p, q)) \
+        if ((q.size == 2 and q[0] == p[0] and q[-1] == p[-1]) or q is p or np.array_equal(p, q)) \
                 and (p[1:] - p[:-1] > tol).all():
             return p
     merged = np.union1d(x, y)
@@ -170,14 +170,13 @@ def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def _refined(a: PiecewisePolyMatrix, breaks: np.ndarray):
     """``a`` on the intervals of ``breaks``, which refine its breakpoints (one
-    piece broadcasts): ``(coeffs, degrees, index)``, ``index`` giving each
-    interval's piece of ``a``, or None where ``a`` is already on them or one piece."""
+    piece broadcasts): ``(coeffs, degrees)``."""
     m = len(a.degrees)
     if a.breakpoints is breaks or m == 1:
-        return a.coeffs, a.degrees, None
+        return a.coeffs, a.degrees
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
-    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist()), idx
+    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist())
 
 
 def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
@@ -264,7 +263,7 @@ def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
     """``kernel`` on the pieces of ``a`` and ``b`` over their breakpoints' union."""
     _check_compatible(a, b)
     breaks = _union_breakpoints(a.period, a.breakpoints, b.breakpoints)
-    pieces = _refined(a, breaks)[:2] + _refined(b, breaks)[:2]
+    pieces = _refined(a, breaks) + _refined(b, breaks)
     return _derived(a.period, breaks, *kernel(*pieces, *args))
 
 
@@ -307,12 +306,12 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
     return _value(a.period, a.breakpoints, a.coeffs, a.degrees, t)
 
 
-def _antiderivative(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, first=None):
+def _antiderivative(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, own=None):
     """The antiderivative from 0 of the function of pieces ``coeffs``."""
     d = coeffs.shape[-1]
     anti = np.zeros(coeffs.shape[:-1] + (d + 1,))
     anti[..., 1:] = coeffs / np.arange(1, d + 1)
-    return _joined(breaks, anti, tuple(k + 1 for k in degrees), first)
+    return _joined(breaks, anti, tuple(k + 1 for k in degrees), own)
 
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
@@ -321,13 +320,13 @@ def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
                     *_antiderivative(a.breakpoints, a.coeffs, a.degrees))
 
 
-def _minus_ramp(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, slope, first=None):
+def _minus_ramp(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, slope, own=None):
     """w(t) - slope t for the antiderivative w from 0 of pieces ``coeffs``: each
     linear coefficient drops by the slope and the constants are set afresh."""
     anti = coeffs.copy()
     anti[..., 1] -= np.asarray(slope)[..., None, :, :]
     anti[..., 0] = 0.0
-    return _joined(breaks, anti, degrees, first)
+    return _joined(breaks, anti, degrees, own)
 
 
 def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
@@ -338,15 +337,16 @@ def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
                     *_minus_ramp(w.breakpoints, w.coeffs, w.degrees, slope))
 
 
-def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, first=None):
+def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, own=None):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
-    t = 0 and continuous: ``(anti, degrees)``; intervals not marked by
-    ``first`` share the constant of the piece they continue, as if they were one."""
-    if first is None or first.all():  # every interval its own piece, or one piece for all
-        pieces, edges = anti, breaks if anti.shape[-4] > 1 else breaks[[0, -1]]
-    else:
-        starts = np.flatnonzero(first)
-        pieces, edges = anti[..., starts, :, :, :], breaks[np.append(starts, -1)]
+    t = 0 and continuous: ``(anti, degrees)``.  Given the function's ``own``
+    breakpoints, which ``breaks`` refine, each own piece is joined at its own
+    ends and the intervals inside it take its constant, as if they were one."""
+    edges = breaks if own is None else own
+    pieces = anti
+    if edges.size - 1 != anti.shape[-4]:  # the intervals, not one piece per own piece
+        idx = np.searchsorted(own, 0.5 * (breaks[:-1] + breaks[1:]), side="right") - 1
+        pieces = anti[..., np.flatnonzero(np.diff(idx, prepend=-1)), :, :, :]
     # every piece at both of its ends in one Horner pass, before the constants are set
     ends = np.array((edges[:-1], edges[1:])).reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1))
     at_lo, at_hi = _eval_block(pieces, ends)
@@ -356,7 +356,7 @@ def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, first=None):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
         const = consts[..., k, :, :] = running - at_lo[..., k, :, :]
         running = at_hi[..., k, :, :] + const
-    anti[..., 0] = consts if pieces is anti else consts[..., np.cumsum(first) - 1, :, :]
+    anti[..., 0] = consts if pieces is anti else consts[..., idx, :, :]
     return anti, degrees
 
 
