@@ -513,6 +513,33 @@ def test_malformed_model_file_terms_exit_2(tmp_path, capsys, terms, message):
     assert message in err
 
 
+def _bool_model(field):
+    """A valid model on [0, 1] with the JSON boolean that Python reads as the
+    same number put in one field."""
+    piece = {"t_start": 0.0, "t_end": 1.0, "entries": [[[0.0], [0.0]], [[0.3], [0.0]]]}
+    doc = {"name": "custom", "period": 1.0, "J0": [[0.0, 1.0], [0.0, 0.0]],
+           "terms": [{"order": 1, "pieces": [piece]}]}
+    if field == "J0":
+        doc["J0"] = [[False, True], [0, 0]]
+    elif field == "order":
+        doc["terms"][0]["order"] = True
+    elif field == "period":
+        doc["period"] = True
+    else:
+        piece[field] = field == "t_end"
+    return doc
+
+
+@pytest.mark.parametrize("field", ["order", "period", "t_start", "t_end", "J0"])
+def test_model_file_boolean_for_a_number_exits_2(tmp_path, capsys, field):
+    # true and false were read as 1 and 0, so each of these files ran to exit 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_bool_model(field)))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and field in err
+
+
 def test_boundary_rejects_exact_rk(capsys):
     # exact-rk would find roots of the exponential-product margin under another name
     with pytest.raises(SystemExit) as excinfo:
