@@ -69,7 +69,7 @@ class SeriesSystem:
                 raise ModelError("series terms must be PiecewisePolyMatrix values")
             if term.dim != n:
                 raise ModelError("series terms must match the J0 dimension")
-            if abs(term.period - self.period) > 1e-12 * self.period:
+            if abs(term.period - self.period) > ppoly._BREAK_MERGE_REL * self.period:
                 raise ModelError("series terms must share the system period")
         object.__setattr__(self, "J0", j0)
         object.__setattr__(self, "terms", terms)
@@ -156,22 +156,17 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
     if not h_terms:
         raise ModelError("need at least one H term")
-    # ppoly's kernels run on the union of the terms' breakpoints, a function as
-    # (coeffs, degrees, own): its pieces on the union's intervals and its own
-    # breakpoints, those of the function-by-function algebra
     funcs = [f for term in h_terms for f in term.values()]
     for f in funcs[1:]:
         ppoly._check_compatible(funcs[0], f)
-    breaks = functools.reduce(lambda x, y: ppoly._union_breakpoints(funcs[0].period, x, y),
-                              [f.breakpoints for f in funcs])
-    h_terms = [{label: (*ppoly._refined(f, breaks), f.breakpoints) for label, f in term.items()}
+    # each function as ppoly's kernels take it, (coeffs, degrees, breakpoints)
+    h_terms = [{label: (f.coeffs, f.degrees, f.breakpoints) for label, f in term.items()}
                for term in h_terms]
     zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.array([0.0, period]))
     a_mats, a_consts, u_funcs, u_ends, residuals = [], [], [], [], []
 
     def apply(kernel, x, y, *args):
-        own = ppoly._union_breakpoints(funcs[0].period, x[2], y[2])
-        return ppoly._checked(*kernel(x[0], x[1], y[0], y[1], *args), own)
+        return ppoly._checked(*ppoly._on_union(funcs[0].period, x, y, kernel, *args))
 
     def accumulate(sign, label_x, label_y, product):
         """coll[label] += sign * product, under the label of the product's monomial."""
@@ -190,9 +185,8 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
                         accumulate(-1.0, lu, la, apply(ppoly._product, u, a))
-            anti = {label: ppoly._checked(*ppoly._antiderivative(breaks, c, d, own), own)
-                    for label, (c, d, own) in coll.items()}
-            a_n = {label: ppoly._value(funcs[0].period, breaks, w[0], w[1], period) / period
+            anti = {label: ppoly._checked(*ppoly._antiderivative(*f)) for label, f in coll.items()}
+            a_n = {label: ppoly._value(funcs[0].period, *w, period) / period
                    for label, w in anti.items()}
             if not all(np.isfinite(a).all() for a in a_n.values()):
                 raise ModelError("piece coefficients must be finite")
@@ -201,9 +195,9 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                              for label, a in a_n.items()})
             if n < order:
                 u_n, end_n, res_n = {}, {}, {}
-                for label, (c, d, own) in anti.items():
-                    u = ppoly._checked(*ppoly._minus_ramp(breaks, c, d, a_n[label], own), own)
-                    end = ppoly._value(funcs[0].period, breaks, u[0], u[1], period)
+                for label, w in anti.items():
+                    u = ppoly._checked(*ppoly._minus_ramp(*w, a_n[label]))
+                    end = ppoly._value(funcs[0].period, *u, period)
                     res = float(norm1(end))
                     if res >= _CLOSURE_TOL * (1.0 + float(np.abs(u[0]).max())):
                         where = f" of monomial {label}" if label else ""  # () for no parameters

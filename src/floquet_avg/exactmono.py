@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import rk4_monodromy_core
 from .errors import ModelError, NumericRangeError
-from .ppoly import PiecewisePolyMatrix
+from .ppoly import _BREAK_MERGE_REL, PiecewisePolyMatrix
 from .smallmat import matexp_stack
 
 # steps per piece of the RK4 oracle, for `analyze --rk-steps` and exact-rk scans
@@ -97,7 +97,7 @@ def pc_stack_to_ppoly(period: float, durations, mats) -> PiecewisePolyMatrix:
     (S, n, n) for one system.  The durations must sum to the period.
     """
     breaks = np.concatenate(([0.0], np.cumsum(durations)))
-    if abs(breaks[-1] - period) > 1e-12 * period:
+    if abs(breaks[-1] - period) > _BREAK_MERGE_REL * period:
         raise ModelError(f"segment durations sum to {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
     return PiecewisePolyMatrix(period, breaks, np.asarray(mats, dtype=float)[..., None])

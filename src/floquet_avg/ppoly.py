@@ -13,9 +13,9 @@ The arithmetic is per-piece kernels on bare (coeffs, degrees) arrays over
 one set of intervals, each run once per class of pieces of equal degrees
 and broadcast over the cell axis, computing each coefficient by the same
 operations in the same order as for its piece alone at its own degree, so
-no result depends on the batch.  The pp_* functions wrap them for
-PiecewisePolyMatrix values; the averaging recursion calls them directly.
-All of it is closed-form, so the averaging integrals carry no quadrature error.
+no result depends on the batch.  _on_union runs one on two functions held
+as (coeffs, degrees, breakpoints) over their breakpoints' union, for the
+pp_* wrappers and the averaging recursion alike; all of it is closed-form.
 """
 
 import functools
@@ -27,7 +27,7 @@ from .errors import ModelError, NumericRangeError
 
 DEGREE_CAP = 64
 
-# breakpoints closer than this (relative to the period) are merged
+# breakpoints (and periods) closer than this, relative to the period, are one
 _BREAK_MERGE_REL = 1e-12
 
 
@@ -168,15 +168,16 @@ def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.asarray(keep)
 
 
-def _refined(a: PiecewisePolyMatrix, breaks: np.ndarray):
-    """``a`` on the intervals of ``breaks``, which refine its breakpoints (one
-    piece broadcasts): ``(coeffs, degrees)``."""
-    m = len(a.degrees)
-    if a.breakpoints is breaks or m == 1:
-        return a.coeffs, a.degrees
+def _refined(f, breaks: np.ndarray):
+    """``f = (coeffs, degrees, breakpoints)`` on the intervals of ``breaks``, which
+    refine its breakpoints (one piece broadcasts): ``(coeffs, degrees)``."""
+    coeffs, degrees, points = f
+    m = len(degrees)
+    if m == 1 or points is breaks or np.array_equal(points, breaks):
+        return coeffs, degrees
     mids = 0.5 * (breaks[:-1] + breaks[1:])
-    idx = np.clip(np.searchsorted(a.breakpoints, mids, side="right") - 1, 0, m - 1)
-    return a.coeffs[..., idx, :, :, :], tuple(a.degrees[i] for i in idx.tolist())
+    idx = np.clip(np.searchsorted(points, mids, side="right") - 1, 0, m - 1)
+    return coeffs[..., idx, :, :, :], tuple(degrees[i] for i in idx.tolist())
 
 
 def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
@@ -190,8 +191,8 @@ def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
     return (coeffs, degrees, *rest)
 
 
-def _derived(period: float, breaks: np.ndarray, coeffs: np.ndarray,
-             degrees: tuple) -> PiecewisePolyMatrix:
+def _derived(period: float, coeffs: np.ndarray, degrees: tuple,
+             breaks: np.ndarray) -> PiecewisePolyMatrix:
     """An operation's result as a function, checked once, by the constructor;
     a failure is named as :func:`_checked` names it."""
     try:
@@ -259,12 +260,18 @@ _product = functools.partial(_by_class, _poly_matmul, _product_degree)
 _sum = functools.partial(_by_class, _pad_add, max)  # pa(t) + sign pb(t), sign passed last
 
 
+def _on_union(period: float, x, y, kernel, *args):
+    """``kernel`` on the pieces of the functions ``x`` and ``y``, each
+    ``(coeffs, degrees, breakpoints)``, over their breakpoints' union: the
+    result as such a function, unchecked."""
+    breaks = _union_breakpoints(period, x[2], y[2])
+    return (*kernel(*_refined(x, breaks), *_refined(y, breaks), *args), breaks)
+
+
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
-    """``kernel`` on the pieces of ``a`` and ``b`` over their breakpoints' union."""
     _check_compatible(a, b)
-    breaks = _union_breakpoints(a.period, a.breakpoints, b.breakpoints)
-    pieces = _refined(a, breaks) + _refined(b, breaks)
-    return _derived(a.period, breaks, *kernel(*pieces, *args))
+    return _derived(a.period, *_on_union(a.period, (a.coeffs, a.degrees, a.breakpoints),
+                                         (b.coeffs, b.degrees, b.breakpoints), kernel, *args))
 
 
 def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
@@ -288,7 +295,7 @@ def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
     return acc
 
 
-def _value(period: float, breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, t: float):
+def _value(period: float, coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, t: float):
     """The value at t of the function of pieces ``coeffs`` on ``breaks``."""
     if not (0.0 <= t <= period):
         raise NumericRangeError(f"t = {t:g} outside [0, {period:g}]")
@@ -303,61 +310,45 @@ def _value(period: float, breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple
 def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
     """Value a(t) for 0 <= t <= T, right-continuous at interior breakpoints:
     (n, n) for one function, (K, n, n) for a stack."""
-    return _value(a.period, a.breakpoints, a.coeffs, a.degrees, t)
+    return _value(a.period, a.coeffs, a.degrees, a.breakpoints, t)
 
 
-def _antiderivative(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, own=None):
+def _antiderivative(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray):
     """The antiderivative from 0 of the function of pieces ``coeffs``."""
     d = coeffs.shape[-1]
     anti = np.zeros(coeffs.shape[:-1] + (d + 1,))
     anti[..., 1:] = coeffs / np.arange(1, d + 1)
-    return _joined(breaks, anti, tuple(k + 1 for k in degrees), own)
+    return _joined(anti, tuple(k + 1 for k in degrees), breaks)
 
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    return _derived(a.period, a.breakpoints.copy(),
-                    *_antiderivative(a.breakpoints, a.coeffs, a.degrees))
+    return _derived(a.period, *_antiderivative(a.coeffs, a.degrees, a.breakpoints.copy()))
 
 
-def _minus_ramp(breaks: np.ndarray, coeffs: np.ndarray, degrees: tuple, slope, own=None):
+def _minus_ramp(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, slope):
     """w(t) - slope t for the antiderivative w from 0 of pieces ``coeffs``: each
     linear coefficient drops by the slope and the constants are set afresh."""
     anti = coeffs.copy()
     anti[..., 1] -= np.asarray(slope)[..., None, :, :]
     anti[..., 0] = 0.0
-    return _joined(breaks, anti, degrees, own)
+    return _joined(anti, degrees, breaks)
 
 
-def pp_minus_ramp(w: PiecewisePolyMatrix, slope) -> PiecewisePolyMatrix:
-    """w(t) - slope t for an antiderivative w from 0 and a constant matrix
-    ``slope`` ((K, n, n) for a stack): the antiderivative of w' - slope,
-    bitwise as :func:`pp_antiderivative` gives it, without integrating again."""
-    return _derived(w.period, w.breakpoints.copy(),
-                    *_minus_ramp(w.breakpoints, w.coeffs, w.degrees, slope))
-
-
-def _joined(breaks: np.ndarray, anti: np.ndarray, degrees: tuple, own=None):
+def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
-    t = 0 and continuous: ``(anti, degrees)``.  Given the function's ``own``
-    breakpoints, which ``breaks`` refine, each own piece is joined at its own
-    ends and the intervals inside it take its constant, as if they were one."""
-    edges = breaks if own is None else own
-    pieces = anti
-    if edges.size - 1 != anti.shape[-4]:  # the intervals, not one piece per own piece
-        idx = np.searchsorted(own, 0.5 * (breaks[:-1] + breaks[1:]), side="right") - 1
-        pieces = anti[..., np.flatnonzero(np.diff(idx, prepend=-1)), :, :, :]
+    t = 0 and continuous: ``(anti, degrees, breaks)``."""
     # every piece at both of its ends in one Horner pass, before the constants are set
-    ends = np.array((edges[:-1], edges[1:])).reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1))
-    at_lo, at_hi = _eval_block(pieces, ends)
+    ends = np.array((breaks[:-1], breaks[1:])).reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1))
+    at_lo, at_hi = _eval_block(anti, ends)
     consts = np.empty_like(at_lo)
     running = 0.0  # cumulative integral at the left breakpoint
     for k in range(consts.shape[-3]):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
         const = consts[..., k, :, :] = running - at_lo[..., k, :, :]
         running = at_hi[..., k, :, :] + const
-    anti[..., 0] = consts if pieces is anti else consts[..., idx, :, :]
-    return anti, degrees
+    anti[..., 0] = consts
+    return anti, degrees, breaks
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from floquet_avg import ppoly
 from floquet_avg.errors import ModelError, NumericRangeError
 from floquet_avg.ppoly import (
     PiecewisePolyMatrix,
@@ -10,7 +11,6 @@ from floquet_avg.ppoly import (
     pp_antiderivative,
     pp_average,
     pp_eval,
-    pp_minus_ramp,
     pp_mul,
     pp_sub,
 )
@@ -265,11 +265,11 @@ def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise(cells)
         f = _cell(f, 0)
     w = pp_antiderivative(f)
     slope = pp_eval(w, TWO_PI) / TWO_PI
-    u = pp_minus_ramp(w, slope)
+    u, degrees, breaks = ppoly._minus_ramp(w.coeffs, w.degrees, w.breakpoints, slope)
     expect = pp_antiderivative(pp_sub(f, PiecewisePolyMatrix.constant(slope, TWO_PI)))
-    assert np.array_equal(u.coeffs, expect.coeffs) and u.degrees == expect.degrees
-    assert np.array_equal(u.breakpoints, expect.breakpoints)
-    assert np.array_equal(w.coeffs[..., 2:], u.coeffs[..., 2:])
+    assert np.array_equal(u, expect.coeffs) and degrees == expect.degrees
+    assert np.array_equal(breaks, expect.breakpoints)
+    assert np.array_equal(w.coeffs[..., 2:], u[..., 2:])
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -293,27 +293,42 @@ def test_batched_product_agrees_with_convolve_reference(n):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+BREAKS = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
+
+
 @pytest.mark.parametrize("cells", [None, 4])
-def test_each_piece_equals_its_own_one_piece_run_bitwise(cells):
+@pytest.mark.parametrize("breaks_a, breaks_b", [
+    (BREAKS, BREAKS),
+    (BREAKS, BREAKS.copy()),
+    # 2 - 3e-12 and 2 are closer than breakpoints merge: one interval edge
+    ([0.0, 1.0, 2.0, 4.0, TWO_PI], [0.0, 1.0, 2.0 - 3e-12, 4.0, TWO_PI]),
+    ([0.0, PI, TWO_PI], BREAKS),
+    # a's piece on [1, 1 + 1e-13] merges away, and b's breakpoint at 2 takes
+    # its place in the count: a's piece on [1 + 1e-13, 4] is in force on [1, 2]
+    ([0.0, 1.0, 1.0 + 1e-13, 4.0, TWO_PI], [0.0, 2.0, 4.0, TWO_PI]),
+], ids=["one-array", "equal-arrays", "near-break", "refined", "short-piece"])
+def test_each_piece_equals_its_own_one_piece_run_bitwise(cells, breaks_a, breaks_b):
     # a product sums in an order fixed by the two pieces' own degrees, and a
     # sum pads by them: padding a piece to its function's top degree, or
     # meeting pieces of other degrees, changes none of its bits
     rng = np.random.default_rng(14)
     shape = () if cells is None else (cells,)
-    breaks = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
-    a = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, [
-        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (1, 5, 0, 3)])
-    b = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, [
-        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (4, 2, 0, 6)])
+    a = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks_a, [
+        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (1, 5, 0, 3)[:len(breaks_a) - 1]])
+    b = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks_b, [
+        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (4, 2, 0, 6)[:len(breaks_b) - 1]])
 
-    def alone(f, k):
+    def alone(f, t):
+        """The piece of f in force at t, as a one-piece function."""
+        k = np.searchsorted(f.breakpoints, t, side="right") - 1
         block = f.coeffs[..., k:k + 1, :, :, : f.degrees[k] + 1]
         return PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), block)
 
     for op in (pp_mul, pp_add, pp_sub):
         whole = op(a, b)
-        for k in range(4):
-            piece = op(alone(a, k), alone(b, k))
+        assert whole.breakpoints.size == 5
+        for k, t in enumerate(0.5 * (whole.breakpoints[:-1] + whole.breakpoints[1:])):
+            piece = op(alone(a, t), alone(b, t))
             assert whole.degrees[k] == piece.max_degree
             assert np.array_equal(whole.coeffs[..., k:k + 1, :, :, : piece.max_degree + 1],
                                   piece.coeffs)
