@@ -23,7 +23,7 @@ from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
-from .ppoly import PiecewisePolyMatrix
+from .ppoly import _BREAK_MERGE_REL, PiecewisePolyMatrix
 
 # model-file terms fill every order below the highest one, so the highest is capped
 MAX_TERM_ORDER = 64
@@ -52,12 +52,17 @@ def load_model_file(path: str) -> SeriesSystem:
     if name != "custom":
         raise ModelError(f"model files must declare name 'custom', got {name!r}")
     try:
-        period = float(doc["period"])
-        j0 = np.asarray(doc["J0"], dtype=float)
-        raw_terms = doc["terms"]
+        period, j0, raw_terms = doc["period"], doc["J0"], doc["terms"]
     except KeyError as exc:
         raise ModelError(f"model file is missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    if not _is_number(period):
+        raise ModelError(f"period must be a number, got {period!r}")
+    if not (isinstance(j0, list) and all(isinstance(row, list) and all(map(_is_number, row))
+                                         for row in j0)):
+        raise ModelError("J0 must be a list of rows of numbers")
+    try:
+        period, j0 = float(period), np.asarray(j0, dtype=float)
+    except (ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
     if not isinstance(raw_terms, list):
         raise ModelError("'terms' must be a list of term objects")
@@ -66,7 +71,7 @@ def load_model_file(path: str) -> SeriesSystem:
         if not isinstance(term, dict):
             raise ModelError(f"each term must be a JSON object, got {type(term).__name__}")
         order = term.get("order")
-        if not isinstance(order, int) or not 1 <= order <= MAX_TERM_ORDER:
+        if not (isinstance(order, int) and _is_number(order) and 1 <= order <= MAX_TERM_ORDER):
             raise ModelError(
                 f"term order must be an integer from 1 to {MAX_TERM_ORDER}, got {order!r}")
         if order in by_order:
@@ -93,13 +98,13 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     for piece in pieces_doc:
         t_start = _piece_time(piece, "t_start")
         t_end = _piece_time(piece, "t_end")
-        if abs(t_start - breaks[-1]) > 1e-12 * period:
+        if abs(t_start - breaks[-1]) > _BREAK_MERGE_REL * period:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
         blocks.append(_entries_block(_piece_field(piece, "entries")))
         breaks.append(t_end)
-    if abs(breaks[-1] - period) > 1e-12 * period:
+    if abs(breaks[-1] - period) > _BREAK_MERGE_REL * period:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
     return PiecewisePolyMatrix.from_blocks(period, np.asarray(breaks), blocks)
@@ -136,9 +141,12 @@ def _piece_field(piece, key: str):
 
 
 def _piece_time(piece, key: str) -> float:
+    value = _piece_field(piece, key)
+    if not _is_number(value):
+        raise ModelError(f"piece {key!r} must be a number, got {value!r}")
     try:
-        return float(_piece_field(piece, key))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return float(value)
+    except OverflowError as exc:
         raise ModelError(f"piece {key!r} must be a number: {exc}") from None
 
 
