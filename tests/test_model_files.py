@@ -105,6 +105,31 @@ def near_break_model():
     ]}
 
 
+def zero_j0_model():
+    # J0 = 0: X0 is the identity, the H terms the J terms themselves
+    a, b, w, d = 0.37, 0.12, 0.049, 0.021
+    return {"name": "custom", "period": PERIOD, "J0": [[0.0, 0.0], [0.0, 0.0]], "terms": [
+        {"order": 1, "pieces": [
+            {"t_start": 0.0, "t_end": PI, "entries": [[[0.0], [1.0]], [[a, -b / PI], [0.0]]]},
+            {"t_start": PI, "t_end": PERIOD,
+             "entries": [[[0.0], [1.0]], [[-a - b, b / PI], [0.0]]]}]},
+        {"order": 2, "pieces": [_const_piece(0.0, PERIOD, [[0.0, 0.0], [w, -d]])]},
+    ]}
+
+
+def jordan3_model():
+    # J0 one 3x3 Jordan block, J0^2 != 0: X0 = I + J0 t + J0^2 t^2 / 2 at its full degree
+    e, c, w, d = 0.29, 0.13, 0.052, 0.017
+    j0 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    exc = [[0.0] * 3, [0.0] * 3, [e, 0.5 * c, 0.0]]
+    rest = [[0.0] * 3, [0.0] * 3, [-w, -c, -d]]
+    neg = [[-x for x in row] for row in exc]
+    return {"name": "custom", "period": PERIOD, "J0": j0, "terms": [
+        {"order": 1, "pieces": [_const_piece(0.0, PI, exc), _const_piece(PI, PERIOD, neg)]},
+        {"order": 2, "pieces": [_const_piece(0.0, PERIOD, rest)]},
+    ]}
+
+
 MODELS = {"coupled": coupled_model, "linear": linear_model, "many-piece": many_piece_model,
           "late-break": late_break_model, "near-break": near_break_model}
 
