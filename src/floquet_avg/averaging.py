@@ -113,20 +113,18 @@ def standard_form(sys: SeriesSystem):
     Returns
     -------
     X0 : PiecewisePolyMatrix
-        The zero-order fundamental matrix, an exact polynomial of degree
-        < n because J0 is nilpotent.
+        The zero-order fundamental matrix, an exact polynomial because J0 is
+        nilpotent: its degree is the last power of J0 that is not exactly
+        zero, J0's nilpotency index less one, at most n - 1.
     H_terms : list of PiecewisePolyMatrix
         H_j(t) = X0(t)^-1 @ J_j(t) @ X0(t), one per input term.
     """
-    n = sys.dim
-    x0_coeff = np.zeros((n, n, n))
-    x0inv_coeff = np.zeros((n, n, n))
-    power = np.eye(n)
-    for k in range(n):
-        scale = 1.0 / math.factorial(k)
-        x0_coeff[:, :, k] = power * scale
-        x0inv_coeff[:, :, k] = power * (scale if k % 2 == 0 else -scale)
-        power = power @ sys.J0
+    powers = [np.eye(sys.dim)]
+    # exactly zero, not within a tolerance: a dropped coefficient is a zero
+    while len(powers) < sys.dim and (power := powers[-1] @ sys.J0).any():
+        powers.append(power)
+    x0_coeff = np.stack([p * (1.0 / math.factorial(k)) for k, p in enumerate(powers)], axis=-1)
+    x0inv_coeff = x0_coeff * (-1.0) ** np.arange(len(powers))
     breaks = np.array([0.0, sys.period])
     x0 = PiecewisePolyMatrix(sys.period, breaks, x0_coeff[None])
     x0inv = PiecewisePolyMatrix(sys.period, breaks.copy(), x0inv_coeff[None])

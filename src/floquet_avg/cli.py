@@ -95,18 +95,25 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
     blocks = []
+    tol = _BREAK_MERGE_REL * period
     for piece in pieces_doc:
         t_start = _piece_time(piece, "t_start")
         t_end = _piece_time(piece, "t_end")
-        if abs(t_start - breaks[-1]) > _BREAK_MERGE_REL * period:
+        if abs(t_start - breaks[-1]) > tol:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
             )
         blocks.append(_entries_block(_piece_field(piece, "entries")))
         breaks.append(t_end)
-    if abs(breaks[-1] - period) > _BREAK_MERGE_REL * period:
+    if abs(breaks[-1] - period) > tol:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
+    for piece, lo, hi in zip(pieces_doc, breaks, breaks[1:]):
+        # the first product or sum would merge its ends and drop the piece
+        if hi - lo <= tol:
+            raise ModelError(f"the order-{term['order']} term's piece on [{piece['t_start']!r}, "
+                             f"{piece['t_end']!r}] spans no more than 1e-12 of the period, "
+                             "where breakpoints merge")
     return PiecewisePolyMatrix.from_blocks(period, np.asarray(breaks), blocks)
 
 
@@ -159,8 +166,17 @@ def format_float(x: float, digits: int = 17) -> str:
     return format(float(x), f".{digits}g")
 
 
+@functools.cache
+def _float_row(count: int) -> str:
+    return "[" + ", ".join(["%.17g"] * count) + "]"
+
+
 def dumps_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (round-trip exact)."""
+    """JSON with floats at 17 significant digits (round-trip exact), NaN as
+    ``NaN``.  A list of floats prints through one cached ``%.17g`` template,
+    as :func:`format_float` prints each float but NaN, which it spells nan."""
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -169,13 +185,12 @@ def dumps_json(obj, indent: int = 0) -> str:
         items = [f'{inner}"{k}": {dumps_json(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps_json(v) for v in seq) + "]"
-        items = [inner + dumps_json(v, indent + 1) for v in seq]
+        # np.float64 is a float and a bool is not; an empty list takes the "[]" template
+        if all(isinstance(v, float) for v in obj):
+            return (_float_row(len(obj)) % tuple(obj)).replace("nan", "NaN")
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
+        items = [inner + dumps_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -183,8 +198,6 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -79,6 +79,58 @@ def monodromy_direct(x0, avg, period):
     return ppoly.pp_eval(x0, period) @ matexp(a_sum, period)
 
 
+def full_degree_standard_form(sys):
+    """:func:`averaging.standard_form` as it was before X0 stopped at J0's
+    last nonzero power: X0 and X0^-1 held at degree n - 1 whatever J0's
+    nilpotency index, the coefficients past it exact zeros."""
+    n = sys.dim
+    x0_coeff = np.zeros((n, n, n))
+    x0inv_coeff = np.zeros((n, n, n))
+    power = np.eye(n)
+    for k in range(n):
+        scale = 1.0 / math.factorial(k)
+        x0_coeff[:, :, k] = power * scale
+        x0inv_coeff[:, :, k] = power * (scale if k % 2 == 0 else -scale)
+        power = power @ sys.J0
+    breaks = np.array([0.0, sys.period])
+    x0 = ppoly.PiecewisePolyMatrix(sys.period, breaks, x0_coeff[None])
+    x0inv = ppoly.PiecewisePolyMatrix(sys.period, breaks.copy(), x0inv_coeff[None])
+    return x0, [ppoly.pp_mul(ppoly.pp_mul(x0inv, term), x0) for term in sys.terms]
+
+
+def reference_dumps_json(obj, indent: int = 0) -> str:
+    """The analyze JSON writer as it was before rows of floats went through
+    one template: every value formatted on its own, floats by
+    :func:`cli.format_float`.  ``cli.dumps_json`` must print its bytes."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{k}": {reference_dumps_json(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        if flat:
+            return "[" + ", ".join(reference_dumps_json(v) for v in seq) + "]"
+        items = [inner + reference_dumps_json(v, indent + 1) for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return cli.format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
 def pendulum_expansion(omegas, epss, beta, order):
     """The pendulum's averaged expansion at K points, as an order-K scan evaluates it."""
     values = pendulum.monomial_values(omegas, epss, beta, order)

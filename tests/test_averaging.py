@@ -5,8 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    full_degree_standard_form,
     monodromy_direct,
     pendulum_expansion,
     pendulum_pipeline,
@@ -55,6 +59,81 @@ def test_standard_form_pendulum_x0_and_h1():
     for t in (0.0, 0.5, 2.0):  # on [0, pi): eps * [[-t, -t^2], [1, t]]
         expect = np.array([[-t, -t * t], [1.0, t]])
         assert np.abs(pp_eval(h[0], t) - expect).max() < 1e-13
+
+
+@st.composite
+def _nilpotent_j0(draw, family):
+    """J0 of one family: strictly upper-triangular (any index, entries that
+    may be zero), two 2x2 Jordan blocks (index 2 in 4x4), zero, or a cyclic
+    shift c N + d E_(n-1,0) with J0^n = c^(n-1) d I below 1e-12 but nonzero,
+    whose powers below n may be tiny (c down to 1e-7) and are all kept."""
+    n = draw(st.integers(2, 4))
+    if family == "upper":
+        entries = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+        return np.triu(draw(arrays(float, (n, n), elements=entries)), 1)
+    if family == "jordan-pairs":
+        j0 = np.zeros((4, 4))
+        j0[0, 1], j0[2, 3] = draw(st.tuples(*[st.floats(0.1, 2.0)] * 2))
+        return j0
+    if family == "zero":
+        return np.zeros((n, n))
+    c = draw(st.floats(1e-7, 1.0))
+    j0 = np.diag(np.full(n - 1, c), 1)
+    j0[n - 1, 0] = draw(st.floats(1e-20, 1e-13)) / c ** (n - 1)
+    return j0
+
+
+@st.composite
+def _terms(draw, dim, max_degree):
+    """One to three terms on 2 pi, each of one to three pieces of degree up to
+    ``max_degree``."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = draw(st.lists(st.sampled_from([0.13, 0.25, 0.5, 0.71]), max_size=2, unique=True))
+        breaks = np.array([0.0, *sorted(inner), 1.0]) * TWO_PI
+        blocks = [draw(arrays(float, (dim, dim, draw(st.integers(1, max_degree + 1))),
+                              elements=st.floats(-1.0, 1.0))) for _ in breaks[1:]]
+        terms.append(PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, blocks))
+    return tuple(terms)
+
+
+def _recursion_or_error(h_terms, order):
+    try:
+        avg = averaging.run_recursion([{(): h} for h in h_terms], TWO_PI, order)
+    except (FloquetError, NumericRangeError) as exc:
+        return repr(exc)
+    return [[m[()].tobytes() for m in group] for group in (avg.A, avg.U_end)], \
+        avg.closure_residuals
+
+
+# piecewise-constant terms sum each product's nonzero terms in one order for
+# any J0; with polynomial terms that holds while no entry of X0 carries two
+# powers of J0 (index 2 with a zero diagonal, or J0 = 0) and the terms' degrees
+# stay within 2.  A strictly upper-triangular J0 of index 3 in 4x4 with
+# polynomial terms flips which factor a product loops over, and the results
+# move by roundoff.
+@pytest.mark.parametrize("family, max_degree", [
+    ("upper", 0), ("jordan-pairs", 0), ("zero", 0), ("near", 0),
+    ("jordan-pairs", 2), ("zero", 2), ("near", 2),
+])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_standard_form_at_j0s_nilpotency_degree_is_the_full_degree_form_bitwise(
+        family, max_degree, data):
+    j0 = data.draw(_nilpotent_j0(family))
+    n = j0.shape[0]
+    system = SeriesSystem(TWO_PI, j0, data.draw(_terms(n, max_degree)))
+    x0, h_terms = averaging.standard_form(system)
+    ref_x0, ref_h = full_degree_standard_form(system)
+    powers = [np.linalg.matrix_power(j0, k) for k in range(n)]
+    degree = n - 1 if family == "near" else max(k for k, p in enumerate(powers) if p.any())
+    assert x0.max_degree == degree
+    for new, ref in ((x0, ref_x0), *zip(h_terms, ref_h)):
+        top = new.max_degree + 1
+        assert np.array_equal(new.breakpoints, ref.breakpoints)
+        assert new.coeffs.tobytes() == np.ascontiguousarray(ref.coeffs[..., :top]).tobytes()
+        assert not ref.coeffs[..., top:].any()
+    assert _recursion_or_error(h_terms, 6) == _recursion_or_error(ref_h, 6)
 
 
 def test_standard_form_rejects_non_nilpotent():

@@ -6,7 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_dumps_json
 from floquet_avg import cli, pendulum, scan, stability
 
 PI = math.pi
@@ -340,6 +343,24 @@ def test_format_float_17_digits():
 
 # -- robustness: every input ends in exit 0, 2, 3 or 4, never a hang or a traceback
 
+_ODD_FLOATS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                -5e-324, 1e308, 0.1, 1.0 / 3.0])
+_FLOATS = _ODD_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = (_FLOATS | _FLOATS.map(np.float64) | st.floats(width=32).map(np.float32) | st.integers()
+            | st.integers(-3, 3).map(np.int64) | st.booleans() | st.none() | st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.recursive(
+    _SCALARS | st.lists(_FLOATS | _FLOATS.map(np.float64), max_size=6),
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=30))
+def test_json_writer_prints_the_reference_writers_bytes(doc):
+    # rows of floats print through one %.17g template; every other value as before
+    assert cli.dumps_json(doc) == reference_dumps_json(doc)
+
+
 def _cli_subprocess(argv, timeout=60):
     """Run the CLI in a child process, so a hang fails the test instead of the run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -511,6 +532,42 @@ def test_malformed_model_file_terms_exit_2(tmp_path, capsys, terms, message):
     code, out, err = run_cli(capsys, ["analyze", "--model-file", path])
     assert code == 2 and out == ""
     assert message in err
+
+
+def _short_piece_model(start, end):
+    """A 2x2 model on [0, 2] whose order-1 term holds 0.1 / (end - start) on
+    [start, end], an impulse of 0.1, and 0.3 elsewhere."""
+    def piece(t0, t1, value):
+        return {"t_start": t0, "t_end": t1, "entries": [[[0.0], [0.0]], [[value], [0.0]]]}
+
+    pieces = [piece(0.0, start, 0.3), piece(start, end, 0.1 / (end - start))]
+    if end < 2.0:
+        pieces.append(piece(end, 2.0, 0.3))
+    return {"name": "custom", "period": 2.0, "J0": [[0.0, 1.0], [0.0, 0.0]],
+            "terms": [{"order": 1, "pieces": pieces}]}
+
+
+@pytest.mark.parametrize("start, end", [(1.0, 1.0 + 1e-13), (1.0, 1.0 + 1.5e-12),
+                                        (2.0 - 1.5e-12, 2.0)])
+def test_model_file_piece_within_the_merging_distance_exits_2(tmp_path, capsys, start, end):
+    # breakpoints closer than 1e-12 T merge, so the first product or sum dropped
+    # such a piece: its impulse was lost and the report was the file's without it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_short_piece_model(start, end)))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path), "--order", "2"])
+    assert (code, out) == (2, "")
+    assert err == (f"floquet-avg: the order-1 term's piece on [{start!r}, {end!r}] "
+                   f"spans no more than 1e-12 of the period, where breakpoints merge\n")
+
+
+def test_model_file_piece_just_past_the_merging_distance_is_kept(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_short_piece_model(1.0, 1.0 + 1e-11)))
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path), "--order", "1"])
+    assert (code, err) == (0, "")
+    # the impulse reaches A_1 = (1/T) integral of J_1, (0.3 (2 - 1e-11) + 0.1) / 2, up to
+    # the cancellation of the piece's 1e10 antiderivative; without it A_1 is 0.3
+    assert json.loads(out)["A"][0][1][0] == pytest.approx(0.35, abs=1e-5)
 
 
 def _bool_model(field):

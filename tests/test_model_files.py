@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from floquet_avg import averaging, cli, pendulum
+from floquet_avg import averaging, cli, pendulum, ppoly
 
 PI = math.pi
 PERIOD = 2.0 * PI
@@ -204,3 +204,24 @@ def test_a_model_files_table_is_built_per_analyze_and_not_kept(tmp_path, capsys,
     assert analyze(tmp_path, capsys, linear_model()) == first
     # the pendulum's tables depend on no input and are kept; a model's depends on its file
     assert orders == [6, 6] and pendulum._TABLES == {}
+
+
+def test_coupled_model_carries_x0_at_the_degree_of_j0s_last_nonzero_power(tmp_path, monkeypatch):
+    # J0^2 = 0: X0 = I + J0 t, so H_j = X0^-1 J_j X0 has degree 2 and the order-6
+    # antiderivative 18, where X0 at degree n - 1 = 3 gave 6 and 42
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(coupled_model()), encoding="utf-8")
+    system = cli.load_model_file(str(path))
+    x0, h_terms = averaging.standard_form(system)
+    assert x0.max_degree == 1 and [h.max_degree for h in h_terms] == [2, 2]
+    degrees = []
+    antiderivative = ppoly._antiderivative
+
+    def recorded(*f):
+        anti = antiderivative(*f)
+        degrees.append(max(anti[1]))
+        return anti
+
+    monkeypatch.setattr(ppoly, "_antiderivative", recorded)
+    averaging.system_table(system, 6)
+    assert max(degrees) == 18
