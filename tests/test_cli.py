@@ -341,8 +341,6 @@ def test_format_float_17_digits():
     assert cli.format_float(2.0) == "2"
 
 
-# -- robustness: every input ends in exit 0, 2, 3 or 4, never a hang or a traceback
-
 _ODD_FLOATS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                 -5e-324, 1e308, 0.1, 1.0 / 3.0])
 _FLOATS = _ODD_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
@@ -360,6 +358,8 @@ def test_json_writer_prints_the_reference_writers_bytes(doc):
     # rows of floats print through one %.17g template; every other value as before
     assert cli.dumps_json(doc) == reference_dumps_json(doc)
 
+
+# -- robustness: every input ends in exit 0, 2, 3 or 4, never a hang or a traceback
 
 def _cli_subprocess(argv, timeout=60):
     """Run the CLI in a child process, so a hang fails the test instead of the run."""
