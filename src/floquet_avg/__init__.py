@@ -2,7 +2,6 @@
 for linear ODE systems with periodic coefficients."""
 
 from .averaging import (
-    AveragedExpansion,
     SeriesSystem,
     assemble_monodromy,
     run_recursion,
@@ -44,7 +43,6 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedExpansion",
     "BoundaryCurve",
     "BracketError",
     "FloquetError",

@@ -176,9 +176,10 @@ def _product_tree(d):
     return d[0]
 
 
-def _advance_piece(x, coeffs, t0, h, steps):
-    """X at the end of one piece from X at its start, for a (K, n, n, d+1) stack."""
-    if not coeffs[..., 1:].any():
+def _advance_piece(x, coeffs, t0, h, steps, constant: bool):
+    """X at the end of one piece from X at its start, for a (K, n, n, d+1)
+    stack whose piece is ``constant`` in every system or in none."""
+    if constant:
         j = coeffs[..., 0]
         d = _power(_step_increments(j, j, j, h), steps)
         return x + np.matmul(d, x)
@@ -223,7 +224,8 @@ def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
         t0 = breaks[p]
         h = (breaks[p + 1] - t0) / steps_per_piece
         constant = ~coeffs[:, p, ..., 1:].any(axis=(1, 2, 3))
-        for rows in (np.flatnonzero(constant), np.flatnonzero(~constant)):
+        for route in (True, False):
+            rows = np.flatnonzero(constant == route)
             if rows.size:
-                x[rows] = _advance_piece(x[rows], coeffs[rows, p], t0, h, steps_per_piece)
+                x[rows] = _advance_piece(x[rows], coeffs[rows, p], t0, h, steps_per_piece, route)
     return x[0] if single else x

@@ -31,7 +31,7 @@ import numpy as np
 from . import ppoly
 from .errors import FloquetError, ModelError, NumericRangeError
 from .ppoly import PiecewisePolyMatrix
-from .smallmat import as_matrix, norm1
+from .smallmat import _in_range, as_matrix, norm1
 
 MAX_ORDER = 6
 
@@ -79,34 +79,6 @@ class SeriesSystem:
         return self.J0.shape[0]
 
 
-@dataclass(frozen=True)
-class AveragedExpansion:
-    """Output of the averaging recursion.
-
-    A holds A_1..A_N; U_end holds U_1(T)..U_{N-1}(T) (U_N is never needed
-    to reach A_N).  closure_residuals are ||U_j(T)||_1 -- zero up to
-    roundoff when each A_j really is the average of its integrand, so they
-    double as the recursion's self-test.  The recursion gives dicts by
-    monomial label (see :func:`run_recursion`); an expansion evaluated at K
-    parameter points has (K, n, n) A_j and U_j(T) and (K,) residuals.
-    """
-
-    period: float
-    A: tuple
-    U_end: tuple
-    closure_residuals: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.A)
-
-    def cell(self, k: int) -> "AveragedExpansion":
-        """Point k of an evaluated expansion, as one system's expansion."""
-        return AveragedExpansion(self.period, tuple(a[k] for a in self.A),
-                                 tuple(u[k] for u in self.U_end),
-                                 tuple(float(r[k]) for r in self.closure_residuals))
-
-
 def standard_form(sys: SeriesSystem):
     """Split off X0(t) = exp(J0 t) and conjugate each term into H_j.
 
@@ -132,8 +104,9 @@ def standard_form(sys: SeriesSystem):
     return x0, h_terms
 
 
-def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
-    """Run the averaging recursion up to the requested order.
+def run_recursion(h_terms, period: float, order: int):
+    """Run the averaging recursion up to the requested order: ``(A, U_end)``,
+    A_1..A_N and U_1(T)..U_{N-1}(T) (U_N is never needed to reach A_N).
 
     A_1 is the average of H_1; each following order averages the
     same-order collection H_n + sum_i (H_{n-i} U_i - U_i A_{n-i}).  With W
@@ -146,9 +119,10 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     of its exponents, and a term without parameters is the one monomial ()
     with v = 1.  The recursion is linear in each factor, so it runs on the
     labelled functions: a product carries the sum of its factors' labels,
-    and A_n, U_n(T) and the closure residual of U_n come back as dicts by
-    label, each the coefficient of its monomial, checked monomial by
-    monomial.
+    and A_n and U_n(T) come back as dicts by label, each the coefficient of
+    its monomial.  Each U_n closes monomial by monomial: its residual
+    ||U_n^m(T)||_1 is zero up to roundoff when A_n is the average of its
+    integrand, so the residuals double as the recursion's self-test.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
@@ -161,7 +135,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
     h_terms = [{label: (f.coeffs, f.degrees, f.breakpoints) for label, f in term.items()}
                for term in h_terms]
     zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.array([0.0, period]))
-    a_mats, a_consts, u_funcs, u_ends, residuals = [], [], [], [], []
+    a_mats, a_consts, u_funcs, u_ends = [], [], [], []
 
     def apply(kernel, x, y, *args):
         return ppoly._checked(*ppoly._on_union(funcs[0].period, x, y, kernel, *args))
@@ -192,7 +166,7 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
             a_consts.append({label: (a[..., None, :, :, None], *zero[1:])
                              for label, a in a_n.items()})
             if n < order:
-                u_n, end_n, res_n = {}, {}, {}
+                u_n, end_n = {}, {}
                 for label, w in anti.items():
                     u = ppoly._checked(*ppoly._minus_ramp(*w, a_n[label]))
                     end = ppoly._value(funcs[0].period, *u, period)
@@ -201,15 +175,14 @@ def run_recursion(h_terms, period: float, order: int) -> AveragedExpansion:
                         where = f" of monomial {label}" if label else ""  # () for no parameters
                         raise FloquetError(f"closure residual ||U_{n}{where}(T)|| = "
                                            f"{res:.3g} indicates a broken recursion")
-                    u_n[label], end_n[label], res_n[label] = u, end, res
+                    u_n[label], end_n[label] = u, end
                 u_funcs.append(u_n)
                 u_ends.append(end_n)
-                residuals.append(res_n)
     except ModelError as exc:
         if "degree" in str(exc):
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
-    return AveragedExpansion(period, tuple(a_mats), tuple(u_ends), tuple(residuals))
+    return tuple(a_mats), tuple(u_ends)
 
 
 @dataclass(frozen=True)
@@ -282,9 +255,9 @@ def coefficient_table(x0: PiecewisePolyMatrix, h_terms, trace_j0: float,
     order's monomials in sorted label order, the order an evaluation adds
     them; the monodromy assembly and the determinant's graded expansion run
     on the A_n's coefficients, labelled the same way."""
-    avg = run_recursion(h_terms, x0.period, order)
-    labels = tuple(tuple(sorted(a)) for a in avg.A)
-    a_coeffs = [np.array([a[m] for m in ms]) for a, ms in zip(avg.A, labels)]
+    a_by_label, u_by_label = run_recursion(h_terms, x0.period, order)
+    labels = tuple(tuple(sorted(a)) for a in a_by_label)
+    a_coeffs = [np.array([a[m] for m in ms]) for a, ms in zip(a_by_label, labels)]
     with np.errstate(over="ignore", invalid="ignore"):
         f0, f_terms = assemble_monodromy(x0, a_coeffs, labels)
         d_terms = det_series_terms(a_coeffs, x0.period, order, labels)
@@ -292,7 +265,7 @@ def coefficient_table(x0: PiecewisePolyMatrix, h_terms, trace_j0: float,
         x0, trace_j0, labels,
         np.array([m for ms in labels for m in ms]),
         np.concatenate(a_coeffs),
-        np.array([u[m] for u, ms in zip(avg.U_end, labels) for m in ms]).reshape(
+        np.array([u[m] for u, ms in zip(u_by_label, labels) for m in ms]).reshape(
             -1, x0.dim, x0.dim),
         f0, np.concatenate(f_terms), np.concatenate(d_terms)[:, 0, 0])
 
@@ -305,21 +278,21 @@ def system_table(sys: SeriesSystem, order: int) -> AveragedTable:
         return coefficient_table(x0, [{(): h} for h in h_terms], float(np.trace(sys.J0)), order)
 
 
-def evaluate_table(table: AveragedTable, values) -> AveragedExpansion:
-    """The expansion at K points from the (M, K) values of the table's monomials.
+def evaluate_table(table: AveragedTable, values):
+    """The averaged expansion at K points from the (M, K) values of the
+    table's monomials: ``(A, residuals)``, per order the (K, n, n) A_n and,
+    for every order but the last, the (K,) closure residuals ||U_n(T)||_1.
 
-    A_n = sum_m v_m A_n^m and U_n(T) = sum_m v_m U_n^m(T), (K, n, n), add
-    their monomials one at a time in table order, elementwise, so every
-    point gets the arithmetic it gets alone; the (K,) closure residuals are
-    ||U_n(T)||_1.
+    A_n = sum_m v_m A_n^m and U_n(T) = sum_m v_m U_n^m(T) add their
+    monomials one at a time in table order, elementwise, so every point
+    gets the arithmetic it gets alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(values)[:, :, None, None]
         a_mats = _order_sums(values * table.A[:, None], table.labels)
         u_ends = _order_sums(values[: len(table.U_end)] * table.U_end[:, None],
                              table.labels[:-1])
-        residuals = tuple(norm1(u) for u in u_ends)
-    return AveragedExpansion(table.x0.period, a_mats, u_ends, residuals)
+        return a_mats, tuple(norm1(u) for u in u_ends)
 
 
 def evaluate_monodromy(table: AveragedTable, values):
@@ -331,7 +304,9 @@ def evaluate_monodromy(table: AveragedTable, values):
     tr F, each summed from the tabulated traces, and det is the truncation
     exp(T tr J0) (1 + sum_m v_m D_m); (K, n, n) and (K,) arrays.  The
     monomials are added one at a time in table order, elementwise, so every
-    point gets the arithmetic it gets alone.
+    point gets the arithmetic it gets alone.  Every order-K margin and
+    report ends here: an F, tr F or det F that leaves the float range
+    raises :class:`NumericRangeError`.
     """
     start, rows = table._monodromy_rows
     total = start
@@ -340,9 +315,14 @@ def evaluate_monodromy(table: AveragedTable, values):
         for s in sums:
             total = total + s
         det = math.exp(table.trace_j0 * table.x0.period) * total[:, -1]
-    traces = (np.full(len(total), start[-2]),) + tuple(s[:, -2] for s in sums)
     n = table.F0.shape[-1]
-    return total[:, :-2].reshape(-1, n, n), traces + (total[:, -2],), det
+    f = total[:, :-2].reshape(-1, n, n)
+    if not np.isfinite(f).all():
+        raise NumericRangeError(
+            f"the order-{len(table.labels)} approximation of F leaves the float range")
+    _in_range(total[:, -2], det)
+    traces = (np.full(len(total), start[-2]),) + tuple(s[:, -2] for s in sums)
+    return f, traces + (total[:, -2],), det
 
 
 def _order_sums(terms, labels) -> tuple:

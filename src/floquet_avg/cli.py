@@ -259,9 +259,9 @@ def cmd_analyze(args) -> int:
         raise ModelError(
             f"unknown model {args.model!r}; the built-in model is {pendulum.MODEL_NAME!r}")
 
-    avg = averaging.evaluate_table(table, values).cell(0)
-    f_approx, traces, det_trunc = stability.monodromy_approximation(table, values)
-    det_full = stability.det_series(table.trace_j0, avg)
+    a_mats, residuals = averaging.evaluate_table(table, values)
+    f_approx, traces, det_trunc = averaging.evaluate_monodromy(table, values)
+    det_full = stability.det_series(table.trace_j0, [a[0] for a in a_mats], table.x0.period)
 
     doc = {
         "model": "custom" if args.model_file else pendulum.MODEL_NAME,
@@ -269,8 +269,8 @@ def cmd_analyze(args) -> int:
         "order": args.order,
         "period": total.period,
         "tolerance": args.tolerance,
-        "A": [_matrix_list(a) for a in avg.A],
-        "closure_residuals": list(avg.closure_residuals),
+        "A": [_matrix_list(a[0]) for a in a_mats],
+        "closure_residuals": [float(r[0]) for r in residuals],
         "trace_by_order": [float(t[0]) for t in traces[:-1]],
         "det_series": det_full,
         "det_series_truncated": float(det_trunc[0]),
@@ -527,9 +527,6 @@ def main(argv=None) -> int:
         # a range too large to allocate, e.g. --omega 0:1:1e14 samples
         print(f"floquet-avg: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ModelError as exc:
-        print(f"floquet-avg: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except FloquetError as exc:
         print(f"floquet-avg: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -135,7 +135,7 @@ def monomial_values(omegas, epss, beta: float, order: int) -> np.ndarray:
     (omega_k, eps_k) at one beta of ``omegas`` and ``epss`` broadcast as
     :func:`jacobian_stack` broadcasts them, at which
     :func:`averaging.evaluate_monodromy` gives the order-K invariants and
-    :func:`averaging.evaluate_table` the averaged expansion.
+    :func:`averaging.evaluate_table` the A_n and closure residuals.
 
     The values come from :func:`_power_products`, so every point gets the
     arithmetic it gets alone.  Parameters are checked as

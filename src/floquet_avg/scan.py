@@ -98,7 +98,7 @@ def _invariants(method: str, omegas, beta: float):
     table = pendulum.averaged_table(order)
 
     def approximation(index, eps):
-        _, traces, det = stability.monodromy_approximation(
+        _, traces, det = averaging.evaluate_monodromy(
             table, pendulum.monomial_values(omegas[index], eps, beta, order))
         return traces[-1], det
     return approximation
@@ -326,7 +326,8 @@ def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> np.ndarray:
 
     Sample k at ``omegas[k]`` finds the root of its branch factor, sign
     ``signs[k]``, inside its order-4 root ``seeds[k]`` +/-30% (NaN where
-    the order-4 branch vanishes); the bracketed samples find their roots in
+    the order-4 branch vanishes; a zero seed's bracket [0, 0] is a root if
+    the factor is zero there); the bracketed samples find their roots in
     lockstep.  One branch's factor does not vanish on the other branch, so
     a bracket that reaches past it needs no clip there.
     """
@@ -334,7 +335,7 @@ def _exact_samples(omegas, beta: float, signs, seeds, tol: float) -> np.ndarray:
     def run(index):
         lo = (1.0 - _BRACKET_REL) * seeds[index]
         hi = (1.0 + _BRACKET_REL) * seeds[index]
-        held = lo < hi
+        held = lo <= hi
         margin = _margin_stack(omegas[index[held]], beta, "exact", signs[index[held]])
         eps = np.full(index.size, np.nan)
         eps[held] = _bisect(margin, lo[held], hi[held], tol)[0]

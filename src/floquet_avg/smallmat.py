@@ -112,6 +112,17 @@ def _inf_on_overflow(f, v: float) -> float:
         return math.inf
 
 
+def _in_range(trace, det):
+    """(trace, det), or :class:`NumericRangeError` where either is not finite."""
+    bad = ~(np.isfinite(trace) & np.isfinite(det))
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        raise NumericRangeError(
+            f"the invariants of F leave the float range: tr F = {np.ravel(trace)[k]:.3g}, "
+            f"det F = {np.ravel(det)[k]:.3g}")
+    return trace, det
+
+
 def roots_from_trace_det(tr: float, det: float) -> tuple[complex, complex]:
     """Both roots of rho^2 - tr*rho + det = 0, larger magnitude first.
 

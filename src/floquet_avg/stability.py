@@ -20,16 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pendulum
-from .averaging import (
-    AveragedExpansion,
-    AveragedTable,
-    det_series_terms,
-    evaluate_monodromy,
-)
+from .averaging import det_series_terms
 from ._kernels import expm2_scalars
 from .errors import ModelError, NumericRangeError
 from .exactmono import exact_monodromy_pc_stack
-from .smallmat import MATEXP_NORM_GUARD, as_matrix, libm_map, roots_from_trace_det
+from .smallmat import MATEXP_NORM_GUARD, _in_range, as_matrix, libm_map, roots_from_trace_det
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -220,17 +215,6 @@ class PendulumPC:
         return f, trace, det
 
 
-def _in_range(trace, det):
-    """(trace, det), or :class:`NumericRangeError` where either is not finite."""
-    bad = ~(np.isfinite(trace) & np.isfinite(det))
-    if bad.any():
-        k = int(np.argmax(bad.ravel()))
-        raise NumericRangeError(
-            f"the invariants of F leave the float range: tr F = {np.ravel(trace)[k]:.3g}, "
-            f"det F = {np.ravel(det)[k]:.3g}")
-    return trace, det
-
-
 def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:
     """Verdict and margins for a 2x2 monodromy matrix."""
     f = as_matrix(f)
@@ -251,57 +235,42 @@ def margin_exact(params: pendulum.PendulumParams) -> float:
     return float(margins(trace, det)[0][0])
 
 
-def monodromy_approximation(table: AveragedTable, values):
-    """The order-K approximation of :func:`averaging.evaluate_monodromy`:
-    ``(F, traces, det)`` at the K points whose (M, K) monomial values are
-    ``values``, traces[-1] being tr F.  Every order-K margin and report ends
-    here.  An approximation of F, of tr F or of det F that leaves the float
-    range raises :class:`NumericRangeError`.
-    """
-    f, traces, det = evaluate_monodromy(table, values)
-    if not np.isfinite(f).all():
-        raise NumericRangeError(
-            f"the order-{len(table.labels)} approximation of F leaves the float range")
-    _in_range(traces[-1], det)
-    return f, traces, det
-
-
-def det_series(trace_j0: float, avg: AveragedExpansion) -> float:
+def det_series(trace_j0: float, a_list, period: float) -> float:
     """Liouville-consistent determinant of the order-N approximation.
 
-    exp(T tr J0) * exp((tr A_1 + ... + tr A_N) T), T the expansion's
-    period.  The A-traces equal the averaged J-term traces, so for systems
-    whose trace content stops at a computed order this is the exact
-    determinant.  A determinant that leaves the float range raises
+    exp(T tr J0) * exp((tr A_1 + ... + tr A_N) T) of the (n, n) A_n in
+    ``a_list``, T the period.  The A-traces equal the averaged J-term
+    traces, so for systems whose trace content stops at a computed order
+    this is the exact determinant.  A determinant that leaves the float range raises
     :class:`NumericRangeError`.
     """
     total = trace_j0
-    for a in avg.A:
+    for a in a_list:
         total += float(np.trace(a))
     try:
-        return math.exp(total * avg.period)
+        return math.exp(total * period)
     except OverflowError:
         raise NumericRangeError(
-            f"det_series = exp({total * avg.period:.6g}) leaves the float range") from None
+            f"det_series = exp({total * period:.6g}) leaves the float range") from None
 
 
-def det_series_expansion(trace_j0: float, avg: AveragedExpansion, order: int):
+def det_series_expansion(trace_j0: float, a_list, period: float, order: int):
     """Graded truncation of the determinant expansion at the given order.
 
-    det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T), T the
-    expansion's period, whose second factor is expanded by grade
+    det F = exp(T tr J0) * exp((tr A_1 + tr A_2 + ...) T) of the A_n in
+    ``a_list``, T the period, whose second factor is expanded by grade
     (:func:`averaging.det_series_terms`): the same expansion, cut at the
     same grade, as the trace partial sum an order-K boundary condition is
     solved against, so approximate-boundary root finding reproduces the
-    closed-form boundary curves.  A float for one system, a (K,) array for
-    a stack of K.  Order-K margins read the same terms from the coefficient
-    table (:func:`averaging.evaluate_monodromy`); this is their evaluation
-    at points' own A_j.
+    closed-form boundary curves.  A float for (n, n) A_n, a (K,) array for
+    (K, n, n) stacks.  Order-K margins read the same terms from the
+    coefficient table (:func:`averaging.evaluate_monodromy`); this is their
+    evaluation at points' own A_j.
     """
-    if order > avg.order:
-        raise ModelError(f"requested order {order} exceeds computed order {avg.order}")
+    if order > len(a_list):
+        raise ModelError(f"requested order {order} exceeds computed order {len(a_list)}")
     series = 1.0
-    for z in det_series_terms(avg.A, avg.period, order):
+    for z in det_series_terms(a_list, period, order):
         series = series + z[..., 0, 0]
-    det = math.exp(trace_j0 * avg.period) * series
+    det = math.exp(trace_j0 * period) * series
     return float(det) if np.ndim(det) == 0 else det

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from floquet_avg import averaging, cli, pendulum, ppoly, stability
+from floquet_avg import averaging, cli, pendulum, ppoly
 from floquet_avg.smallmat import matexp
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -30,36 +30,39 @@ def pendulum_pipeline(omega, eps, beta, order):
     order-N approximation, on the point's own series as a model file's
     analyze runs them: its table, evaluated with its one monomial at 1.
 
-    Returns (params, system, x0, avg, mono).  Each order of the table holds
-    the one monomial, so its coefficients are the point's own F_j, and
-    ``mono`` holds F0, those F_j, the partial sums F0 + F_1 + ... + F_k
-    added as :func:`stability.monodromy_approximation` adds them, and that
-    approximation's traces (tr F0, tr F_1, ..., then tr F) and det F.
+    Returns (params, system, x0, a_list, mono), ``a_list`` the point's
+    (n, n) A_1..A_N.  Each order of the table holds the one monomial, so its
+    coefficients are the point's own F_j, and ``mono`` holds F0, those F_j,
+    the partial sums F0 + F_1 + ... + F_k added as
+    :func:`averaging.evaluate_monodromy` adds them, and that approximation's
+    traces (tr F0, tr F_1, ..., then tr F) and det F, with the closure
+    residuals ||U_1(T)||..||U_{N-1}(T)|| that analyze prints beside them.
     """
     params = pendulum.PendulumParams(omega, eps, beta)
     system = pendulum.series_split(params)
     table = averaging.system_table(system, order)
     values = np.ones((len(table.A), 1))
-    avg = averaging.evaluate_table(table, values).cell(0)
-    _, traces, det = stability.monodromy_approximation(table, values)
+    a_mats, residuals = averaging.evaluate_table(table, values)
+    _, traces, det = averaging.evaluate_monodromy(table, values)
     sums = [table.F0]
     for f in table.F:
         sums.append(sums[-1] + f)
     mono = SimpleNamespace(F0=table.F0, F_terms=tuple(table.F), partial_sums=tuple(sums),
                            trace_by_order=tuple(float(t[0]) for t in traces[:-1]),
-                           trace=float(traces[-1][0]), det=float(det[0]))
-    return params, system, table.x0, avg, mono
+                           trace=float(traces[-1][0]), det=float(det[0]),
+                           closure_residuals=tuple(float(r[0]) for r in residuals))
+    return params, system, table.x0, tuple(a[0] for a in a_mats), mono
 
 
-def trace_identity_residuals(sys, avg):
-    """|tr(A_j) - (1/T) integral tr(J_j)| for each order of an averaged
-    expansion of the series system ``sys``.
+def trace_identity_residuals(sys, a_list):
+    """|tr(A_j) - (1/T) integral tr(J_j)| for each A_j of ``a_list``, an
+    averaged expansion of the series system ``sys``.
 
     The identity holds in any dimension for every j >= 1; a violation
     points at a broken recursion or a mis-graded input.
     """
     out = []
-    for j, a in enumerate(avg.A, start=1):
+    for j, a in enumerate(a_list, start=1):
         expect = 0.0
         if j <= len(sys.terms):
             expect = float(np.trace(ppoly.pp_average(sys.terms[j - 1])))
@@ -67,14 +70,14 @@ def trace_identity_residuals(sys, avg):
     return out
 
 
-def monodromy_direct(x0, avg, period):
+def monodromy_direct(x0, a_list, period):
     """F0 @ exp((A_1 + ... + A_N) T): the un-graded averaged monodromy.
 
     Agrees with the order-N partial sum of the table's monodromy up to
     terms of order N+1.
     """
-    a_sum = np.zeros_like(avg.A[0])
-    for a in avg.A:
+    a_sum = np.zeros_like(a_list[0])
+    for a in a_list:
         a_sum = a_sum + a
     return ppoly.pp_eval(x0, period) @ matexp(a_sum, period)
 
@@ -132,7 +135,8 @@ def reference_dumps_json(obj, indent: int = 0) -> str:
 
 
 def pendulum_expansion(omegas, epss, beta, order):
-    """The pendulum's averaged expansion at K points, as an order-K scan evaluates it."""
+    """The pendulum's A_n and closure residuals at K points, ``(A, residuals)``
+    as :func:`averaging.evaluate_table` gives them from the order-K table."""
     values = pendulum.monomial_values(omegas, epss, beta, order)
     return averaging.evaluate_table(pendulum.averaged_table(order), values)
 

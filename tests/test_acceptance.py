@@ -88,17 +88,17 @@ def test_criterion_1_symbolic_fixtures():
         eps = rng.uniform(0.0, 2.0)
         beta = rng.uniform(0.0, 0.5)
         a1, a2, f0, f1, f2 = _paper_fixtures(omega, eps, beta)
-        _, _, _, avg, mono = pendulum_pipeline(omega, eps, beta, 3)
+        _, _, _, a_list, mono = pendulum_pipeline(omega, eps, beta, 3)
         label = f"({omega:.3f},{eps:.3f},{beta:.3f})"
-        check.expect(np.abs(avg.A[0] - a1).max() < tol, f"A1 {label}")
-        check.expect(np.abs(avg.A[1] - a2).max() < tol, f"A2 {label}")
+        check.expect(np.abs(a_list[0] - a1).max() < tol, f"A1 {label}")
+        check.expect(np.abs(a_list[1] - a2).max() < tol, f"A2 {label}")
         check.expect(np.abs(mono.F0 - f0).max() < tol, f"F0 {label}")
         check.expect(np.abs(mono.F_terms[0] - f1).max() < tol, f"F1 {label}")
         check.expect(np.abs(mono.F_terms[1] - f2).max() < tol, f"F2 {label}")
         # the paper's -2*pi*beta*omega is the order-2 trace scaled by T
-        check.expect(abs(TWO_PI * np.trace(avg.A[1]) + TWO_PI * beta * omega) < tol,
+        check.expect(abs(TWO_PI * np.trace(a_list[1]) + TWO_PI * beta * omega) < tol,
                      f"tr(A2)T {label}")
-        check.expect(abs(np.trace(avg.A[2])) < tol, f"tr(A3) {label}")
+        check.expect(abs(np.trace(a_list[2])) < tol, f"tr(A3) {label}")
         check.expect(abs(mono.trace_by_order[3]) < tol, f"tr(F3) {label}")
     elapsed = time.perf_counter() - start
     check.expect(elapsed < 5.0, f"runtime {elapsed:.2f}s")
@@ -131,8 +131,8 @@ def test_criterion_2_liouville_suite():
     rng = np.random.default_rng(102)
     for _ in range(5):
         omega, eps, beta = rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 0.5)
-        _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, 4)
-        for j, res in enumerate(trace_identity_residuals(system, avg), start=1):
+        _, system, _, a_list, _ = pendulum_pipeline(omega, eps, beta, 4)
+        for j, res in enumerate(trace_identity_residuals(system, a_list), start=1):
             check.expect(res < 1e-11, f"trace identity order {j} at ({omega:.2f},{eps:.2f},{beta:.2f})")
     _report(2, "liouville-suite", check.ok)
     assert not check.failures, check.failures[:5]

@@ -99,11 +99,10 @@ def _terms(draw, dim, max_degree):
 
 def _recursion_or_error(h_terms, order):
     try:
-        avg = averaging.run_recursion([{(): h} for h in h_terms], TWO_PI, order)
+        a, u_end = averaging.run_recursion([{(): h} for h in h_terms], TWO_PI, order)
     except (FloquetError, NumericRangeError) as exc:
         return repr(exc)
-    return [[m[()].tobytes() for m in group] for group in (avg.A, avg.U_end)], \
-        avg.closure_residuals
+    return [[m[()].tobytes() for m in group] for group in (a, u_end)]
 
 
 # piecewise-constant terms sum each product's nonzero terms in one order for
@@ -142,28 +141,31 @@ def test_standard_form_rejects_non_nilpotent():
 
 
 def test_recursion_first_order_average():
-    _, _, _, avg, _ = pendulum_pipeline(0.4, 0.9, 0.3, 1)
-    assert np.abs(avg.A[0] - paper_a1(0.9)).max() < 1e-13
-    assert len(avg.U_end) == 0 and len(avg.closure_residuals) == 0
+    _, _, _, a_list, mono = pendulum_pipeline(0.4, 0.9, 0.3, 1)
+    assert np.abs(a_list[0] - paper_a1(0.9)).max() < 1e-13
+    assert len(a_list) == 1 and len(mono.closure_residuals) == 0
 
 
 def test_recursion_second_order_matches_closed_form():
-    _, _, _, avg, _ = pendulum_pipeline(0.25, 0.6, 0.15, 2)
-    assert np.abs(avg.A[1] - paper_a2(0.25, 0.6, 0.15)).max() < 1e-11
+    _, _, _, a_list, _ = pendulum_pipeline(0.25, 0.6, 0.15, 2)
+    assert np.abs(a_list[1] - paper_a2(0.25, 0.6, 0.15)).max() < 1e-11
     # the order-2 trace times the period is -2*pi*beta*omega
-    assert abs(TWO_PI * np.trace(avg.A[1]) + TWO_PI * 0.15 * 0.25) < 1e-12
+    assert abs(TWO_PI * np.trace(a_list[1]) + TWO_PI * 0.15 * 0.25) < 1e-12
 
 
 def test_recursion_third_order_trace_vanishes():
-    _, _, _, avg, _ = pendulum_pipeline(0.2, 0.5, 0.1, 3)
-    assert abs(np.trace(avg.A[2])) < 1e-12
+    _, _, _, a_list, _ = pendulum_pipeline(0.2, 0.5, 0.1, 3)
+    assert abs(np.trace(a_list[2])) < 1e-12
 
 
 def test_recursion_structure_and_closure():
-    _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 4)
-    assert len(avg.A) == 4 and len(avg.U_end) == 3
-    for u_end, res in zip(avg.U_end, avg.closure_residuals):
-        assert res == norm1(u_end) and res < 1e-9
+    # the residuals analyze prints are the norms of the recursion's U_n(T)
+    _, system, _, a_list, mono = pendulum_pipeline(0.3, 0.8, 0.2, 4)
+    _, h = averaging.standard_form(system)
+    a, u_end = averaging.run_recursion([{(): x} for x in h], TWO_PI, 4)
+    assert len(a) == len(a_list) == 4 and len(u_end) == len(mono.closure_residuals) == 3
+    for u, res in zip(u_end, mono.closure_residuals):
+        assert res == norm1(u[()]) and res < 1e-9
 
 
 def test_recursion_rejects_bad_order():
@@ -179,10 +181,10 @@ def test_missing_orders_treated_as_zero():
     _, system, _, _, _ = pendulum_pipeline(0.0, 0.5, 0.0, 1)
     _, h = averaging.standard_form(system)
     h = [{(): x} for x in h]
-    avg_short = averaging.run_recursion(h[:1], TWO_PI, 2)
-    avg_full = averaging.run_recursion(h, TWO_PI, 2)
+    a_short, _ = averaging.run_recursion(h[:1], TWO_PI, 2)
+    a_full, _ = averaging.run_recursion(h, TWO_PI, 2)
     # omega = beta = 0 makes H2 vanish, so both routes agree
-    assert np.abs(avg_short.A[1][()] - avg_full.A[1][()]).max() < 1e-13
+    assert np.abs(a_short[1][()] - a_full[1][()]).max() < 1e-13
 
 
 def test_assemble_first_order_adjustment():
@@ -227,8 +229,8 @@ def test_trace_identity_orders_1_to_4():
     rng = np.random.default_rng(5)
     for _ in range(5):
         omega, eps, beta = rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 0.5)
-        _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, 4)
-        for res in trace_identity_residuals(system, avg):
+        _, system, _, a_list, _ = pendulum_pipeline(omega, eps, beta, 4)
+        for res in trace_identity_residuals(system, a_list):
             assert res < 1e-11
 
 
@@ -282,12 +284,12 @@ def _composition_exp_terms(a_list, period, order):
 def test_graded_exponential_consistency():
     # the power recurrence against two independent oracles at orders 1..6, on
     # one system, a stack of five and a model whose orders stop at 3
-    _, _, _, avg, _ = pendulum_pipeline(0.3, 0.8, 0.2, 6)
+    _, _, _, a_point, _ = pendulum_pipeline(0.3, 0.8, 0.2, 6)
     rng = np.random.default_rng(6)
     omegas, epss = rng.uniform(0.0, 0.4, 5), rng.uniform(0.0, 1.0, 5)
-    avg_stack = pendulum_expansion(omegas, epss, 0.3, 6)
+    a_stack, _ = pendulum_expansion(omegas, epss, 0.3, 6)
     for order in range(1, 7):
-        for a_list in (avg.A[:order], avg_stack.A[:order], avg.A[:3]):
+        for a_list in (a_point[:order], a_stack[:order], a_point[:3]):
             terms = graded_exp_terms(a_list, TWO_PI, order)
             assert len(terms) == order
             # from grade 5 the summands cancel (up to 2e6 for a Z_6 near 2), and the
@@ -305,9 +307,9 @@ def test_graded_exponential_consistency():
 
 def test_monodromy_direct_reduces_to_f0():
     # eps = 0 kills A_1, so at order 1 the direct exponential is exactly F0
-    _, _, x0, avg, mono = pendulum_pipeline(0.3, 0.0, 0.2, 1)
-    assert norm1(avg.A[0]) < 1e-15
-    assert np.abs(monodromy_direct(x0, avg, TWO_PI) - mono.F0).max() < 1e-14
+    _, _, x0, a_list, mono = pendulum_pipeline(0.3, 0.0, 0.2, 1)
+    assert norm1(a_list[0]) < 1e-15
+    assert np.abs(monodromy_direct(x0, a_list, TWO_PI) - mono.F0).max() < 1e-14
 
 
 def test_monodromy_direct_deviation_is_high_order():
@@ -315,11 +317,11 @@ def test_monodromy_direct_deviation_is_high_order():
     svals = [0.4, 0.2, 0.1, 0.05]
     errs4, errs2 = [], []
     for s in svals:
-        params, system, x0, avg, mono = pendulum_pipeline(0.5 * s, 0.8 * s, 0.2 * s, 4)
-        errs4.append(norm1(monodromy_direct(x0, avg, TWO_PI) - mono.partial_sums[4]))
-        _, _, x0b, avg2, _ = pendulum_pipeline(0.5 * s, 0.8 * s, 0.2 * s, 2)
+        params, system, x0, a_list, mono = pendulum_pipeline(0.5 * s, 0.8 * s, 0.2 * s, 4)
+        errs4.append(norm1(monodromy_direct(x0, a_list, TWO_PI) - mono.partial_sums[4]))
+        _, _, x0b, a_list2, _ = pendulum_pipeline(0.5 * s, 0.8 * s, 0.2 * s, 2)
         f_exact = exact_monodromy_pc(pendulum.jacobians(params))
-        errs2.append(norm1(monodromy_direct(x0b, avg2, TWO_PI) - f_exact))
+        errs2.append(norm1(monodromy_direct(x0b, a_list2, TWO_PI) - f_exact))
     slope4 = np.polyfit(np.log(svals), np.log(errs4), 1)[0]
     slope2 = np.polyfit(np.log(svals), np.log(errs2), 1)[0]
     assert slope4 >= 4.5  # order-5 deviation from the order-4 partial sum
@@ -329,12 +331,11 @@ def test_monodromy_direct_deviation_is_high_order():
 # -- the coefficient table and its evaluation at a stack of points ------------
 
 def _expansion_invariants(table, values):
-    """Everything the order-K path computes at K pendulum points: the
-    expansion analyze prints and the approximation every margin reads."""
-    avg = averaging.evaluate_table(table, values)
-    f, traces, det = stability.monodromy_approximation(table, values)
-    arrays = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
-    return arrays + [f] + list(traces) + [det]
+    """Everything the order-K path computes at K pendulum points: the A_n
+    and residuals analyze prints and the approximation every margin reads."""
+    a_mats, residuals = averaging.evaluate_table(table, values)
+    f, traces, det = averaging.evaluate_monodromy(table, values)
+    return list(a_mats) + list(residuals) + [f] + list(traces) + [det]
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -353,10 +354,10 @@ def test_every_cell_of_a_stack_equals_its_own_run_bitwise(order, beta):
     truncated = invariants(omegas[:3], epss[:3])
     for k in range(8):
         alone = invariants(omegas[[k]], epss[[k]])
-        # analyze's one-point path: the cell's A_j, U_j(T) and residuals, unstacked
-        avg = averaging.evaluate_table(table, pendulum.monomial_values(
-            [omegas[k]], [epss[k]], beta, order)).cell(0)
-        single = list(avg.A) + list(avg.U_end) + list(avg.closure_residuals)
+        # analyze's one-point path: the cell's A_j and residuals, unstacked
+        a_mats, residuals = averaging.evaluate_table(table, pendulum.monomial_values(
+            [omegas[k]], [epss[k]], beta, order))
+        single = [a[0] for a in a_mats] + [float(r[0]) for r in residuals]
         position = int(np.flatnonzero(permutation == k)[0])
         for x, x_alone, x_perm in zip(full, alone, permuted):
             assert np.array_equal(x[k], x_alone[0])
@@ -377,20 +378,20 @@ def test_tabulated_monodromy_agrees_with_each_cells_own_assembly(order):
     table = pendulum.averaged_table(order)
     for beta in (0.0, 0.1, 0.3):
         values = pendulum.monomial_values(omegas, epss, beta, order)
-        f, traces, det = stability.monodromy_approximation(table, values)
-        avg = averaging.evaluate_table(table, values)
-        f0, f_terms = averaging.assemble_monodromy(table.x0, avg.A)
+        f, traces, det = averaging.evaluate_monodromy(table, values)
+        a_mats, _ = averaging.evaluate_table(table, values)
+        f0, f_terms = averaging.assemble_monodromy(table.x0, a_mats)
         assert np.array_equal(table.F0, f0)
         sizes = [np.abs(f0) @ z for z in
-                 _composition_exp_terms([np.abs(a) for a in avg.A], TWO_PI, order)]
+                 _composition_exp_terms([np.abs(a) for a in a_mats], TWO_PI, order)]
         for trace, f_cell, size in zip(traces[1:], f_terms, sizes):
             bound = 4 * EPS * (size[:, 0, 0] + size[:, 1, 1])
             assert (np.abs(trace - np.trace(f_cell, axis1=1, axis2=2)) <= bound).all()
         bound = 2 * EPS * (np.abs(f0) + sum(sizes)).max(axis=(1, 2))[:, None, None]
         assert (np.abs(f - f0 - sum(f_terms)) <= bound).all()
         assert traces[-1].tolist() == sum(traces[:-1]).tolist()
-        expect = stability.det_series_expansion(table.trace_j0, avg, order)
-        diagonals = [(np.abs(a[:, 0, 0]) + np.abs(a[:, 1, 1]))[:, None, None] for a in avg.A]
+        expect = stability.det_series_expansion(table.trace_j0, a_mats, TWO_PI, order)
+        diagonals = [(np.abs(a[:, 0, 0]) + np.abs(a[:, 1, 1]))[:, None, None] for a in a_mats]
         size = sum(_composition_exp_terms(diagonals, TWO_PI, order))[:, 0, 0]
         assert (np.abs(det - expect) <= EPS * size).all()
 
@@ -399,14 +400,14 @@ def test_averaged_expansion_matches_the_recursion_on_series_split():
     # the table's sums against the recursion run on each point's own series
     omegas, epss = np.array([0.0, 0.137, 0.29, 0.45]), np.array([0.4, 0.0, 0.93, 1.2])
     for beta in (0.0, 0.2):
-        stack = pendulum_expansion(omegas, epss, beta, 6)
-        assert all(a.shape == (4, 2, 2) for a in stack.A + stack.U_end)
-        assert all(r.shape == (4,) for r in stack.closure_residuals)
+        a_stacks, residual_stacks = pendulum_expansion(omegas, epss, beta, 6)
+        assert len(a_stacks) == 6 and all(a.shape == (4, 2, 2) for a in a_stacks)
+        assert len(residual_stacks) == 5 and all(r.shape == (4,) for r in residual_stacks)
         for k in range(4):
-            _, _, _, avg, _ = pendulum_pipeline(omegas[k], epss[k], beta, 6)
-            for a_stack, a in zip(stack.A, avg.A):
+            _, _, _, a_list, mono = pendulum_pipeline(omegas[k], epss[k], beta, 6)
+            for a_stack, a in zip(a_stacks, a_list):
                 assert np.abs(a_stack[k] - a).max() <= 1e-12 * (1.0 + np.abs(a).max())
-            for r_stack, r in zip(stack.closure_residuals, avg.closure_residuals):
+            for r_stack, r in zip(residual_stacks, mono.closure_residuals):
                 assert r_stack[k] < 1e-9 and r < 1e-9
 
 

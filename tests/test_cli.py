@@ -189,6 +189,37 @@ def test_exact_boundaries_keep_the_first_domain_past_omega_half(capsys, argv, ro
         assert all(line.split(",")[2] != "" for line in lines)
 
 
+@pytest.mark.parametrize("beta", ["0", "0.1"])
+@pytest.mark.parametrize("branch", ["p", "n"])
+def test_exact_boundary_sample_at_omega_zero_is_kept(capsys, branch, beta):
+    # at omega = 0 the p branch's order-4 seed is 0, so its bracket is [0, 0];
+    # there F = [[1, 2 pi], [0, 1]] and the p factor 1 + det F - tr F is 0
+    code, out, err = run_cli(capsys, ["boundary", "--method", "exact", "--branch", branch,
+                                      "--omega", "0:0:1", "--beta", beta])
+    assert (code, err) == (0, "")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0,")
+    if branch == "p":
+        assert rows[0] == "0,0,p,exact"
+
+
+@pytest.mark.parametrize("beta", ["0", "0.1"])
+def test_compare_at_omega_zero_has_both_exact_roots(capsys, beta):
+    code, out, err = run_cli(capsys, ["compare", "--omega", "0:0:1", "--beta", beta])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["p", "n"]
+    assert rows[0][2] == "0" and float(rows[1][2]) > 0.0
+
+
+@pytest.mark.parametrize("beta", ["0", "0.1"])
+def test_exact_p_boundary_from_omega_zero_omits_no_sample(capsys, beta):
+    code, out, err = run_cli(capsys, ["boundary", "--method", "exact", "--branch", "p",
+                                      "--omega", "0:0.4:41", "--beta", beta])
+    assert (code, err) == (0, "")
+    assert len(out.strip().splitlines()) == 42
+
+
 def test_compare_table(capsys):
     code, out, _ = run_cli(capsys, ["compare", "--beta", "0", "--omega", "0.02:0.3:15"])
     assert code == 0

@@ -86,10 +86,10 @@ def test_series_split_zero_excitation():
 
 def test_series_split_feeds_recursion_to_paper_a2():
     omega, eps, beta = 0.45, 1.1, 0.3
-    _, _, _, avg, _ = pendulum_pipeline(omega, eps, beta, 2)
+    _, _, _, a_list, _ = pendulum_pipeline(omega, eps, beta, 2)
     # spot-check the (1,1) entry of the order-2 average
     expect_11 = (1.0 / TWO_PI) * ((2.0 / 3.0) * eps ** 2 * PI ** 4 - 2 * PI ** 2 * omega ** 2)
-    assert abs(avg.A[1][0, 0] - expect_11) < 1e-11
+    assert abs(a_list[1][0, 0] - expect_11) < 1e-11
 
 
 def _order2(omega, beta):

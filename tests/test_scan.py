@@ -167,11 +167,11 @@ def test_point_report_order_method_margins():
     # coefficients move tr F by 1.4e-14 (4 ulp of |tr F| = 18.7) and det F by
     # 3.6e-15 at this point
     report = scan.point_report(0.4, 0.9, 0.3, "order2")
-    avg = pendulum_expansion([0.4], [0.9], 0.3, 2)
+    a_stacks, _ = pendulum_expansion([0.4], [0.9], 0.3, 2)
     table = pendulum.averaged_table(2)
-    f0, f_terms = averaging.assemble_monodromy(table.x0, avg.A)
+    f0, f_terms = averaging.assemble_monodromy(table.x0, a_stacks)
     expect_trace = sum(np.trace(f, axis1=-2, axis2=-1) for f in (f0,) + f_terms)[0]
-    expect_det = stability.det_series_expansion(table.trace_j0, avg, 2)[0]
+    expect_det = stability.det_series_expansion(table.trace_j0, a_stacks, table.x0.period, 2)[0]
     assert abs(report.determinant - expect_det) <= 4e-15
     assert abs(report.trace - expect_trace) <= 1.5e-14
     # the order-2 trace is the paper's, within 5e-14 over these points (the

@@ -274,8 +274,8 @@ def test_det_condition_never_binding_with_damping():
 
 
 def test_det_series_trivial():
-    _, system, _, avg, _ = pendulum_pipeline(0.0, 0.0, 0.0, 2)
-    assert abs(det_series(np.trace(system.J0), avg) - 1.0) < 1e-15
+    _, system, _, a_list, _ = pendulum_pipeline(0.0, 0.0, 0.0, 2)
+    assert abs(det_series(np.trace(system.J0), a_list, TWO_PI) - 1.0) < 1e-15
 
 
 def test_det_series_matches_closed_form_from_order_two():
@@ -283,30 +283,32 @@ def test_det_series_matches_closed_form_from_order_two():
     # the order-2 truncation is exact: tr A_1 = 0 and tr A_2 = -beta*omega
     for _ in range(5):
         omega, eps, beta = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5)
-        _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, 2)
-        assert abs(det_series(np.trace(system.J0), avg) - math.exp(-TWO_PI * beta * omega)) < 1e-12
+        _, system, _, a_list, _ = pendulum_pipeline(omega, eps, beta, 2)
+        det = det_series(np.trace(system.J0), a_list, TWO_PI)
+        assert abs(det - math.exp(-TWO_PI * beta * omega)) < 1e-12
     # orders 3 and 4 add traces that are zero up to cancellation roundoff,
     # which scales with the A-matrix magnitude (large at eps near 2)
     for order in (3, 4):
         omega, eps, beta = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5)
-        _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, order)
-        assert abs(det_series(np.trace(system.J0), avg) - math.exp(-TWO_PI * beta * omega)) < 1e-10
+        _, system, _, a_list, _ = pendulum_pipeline(omega, eps, beta, order)
+        det = det_series(np.trace(system.J0), a_list, TWO_PI)
+        assert abs(det - math.exp(-TWO_PI * beta * omega)) < 1e-10
 
 
 def test_det_series_value():
-    _, system, _, avg, _ = pendulum_pipeline(0.5, 0.3, 0.1, 2)
-    assert abs(det_series(np.trace(system.J0), avg) - math.exp(-0.1 * PI)) < 1e-12
+    _, system, _, a_list, _ = pendulum_pipeline(0.5, 0.3, 0.1, 2)
+    assert abs(det_series(np.trace(system.J0), a_list, TWO_PI) - math.exp(-0.1 * PI)) < 1e-12
 
 
 def test_det_series_expansion_truncations():
     omega, eps, beta = 0.4, 0.9, 0.3
-    _, system, _, avg, _ = pendulum_pipeline(omega, eps, beta, 4)
+    _, system, _, a_list, _ = pendulum_pipeline(omega, eps, beta, 4)
     x = TWO_PI * beta * omega
     assert np.trace(system.J0) == 0.0
-    assert abs(det_series_expansion(0.0, avg, 1) - 1.0) < 1e-13
-    assert abs(det_series_expansion(0.0, avg, 2) - (1.0 - x)) < 1e-12
-    assert abs(det_series_expansion(0.0, avg, 3) - (1.0 - x)) < 1e-12
-    assert abs(det_series_expansion(0.0, avg, 4) - (1.0 - x + 0.5 * x * x)) < 1e-12
+    assert abs(det_series_expansion(0.0, a_list, TWO_PI, 1) - 1.0) < 1e-13
+    assert abs(det_series_expansion(0.0, a_list, TWO_PI, 2) - (1.0 - x)) < 1e-12
+    assert abs(det_series_expansion(0.0, a_list, TWO_PI, 3) - (1.0 - x)) < 1e-12
+    assert abs(det_series_expansion(0.0, a_list, TWO_PI, 4) - (1.0 - x + 0.5 * x * x)) < 1e-12
 
 
 def _scalar_det_series(traces, period, order):
@@ -332,17 +334,19 @@ def test_det_series_expansion_matches_a_scalar_power_series(order):
         for _ in range(3))
     system = SeriesSystem(TWO_PI, np.array([[0.0, 1.0], [0.0, 0.0]]), terms)
     table = averaging.system_table(system, 6)
-    avg = averaging.evaluate_table(table, np.ones((len(table.A), 1))).cell(0)
-    traces = [np.trace(a) for a in avg.A]
+    a_list = [a[0] for a in averaging.evaluate_table(table, np.ones((len(table.A), 1)))[0]]
+    traces = [np.trace(a) for a in a_list]
     assert abs(traces[0]) > 1e-3
     expect = _scalar_det_series(traces, TWO_PI, order)
-    assert abs(det_series_expansion(table.trace_j0, avg, order) - expect) < 1e-13 * abs(expect)
+    det = det_series_expansion(table.trace_j0, a_list, TWO_PI, order)
+    assert abs(det - expect) < 1e-13 * abs(expect)
 
-    avg = pendulum_expansion(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3, order)
-    det = det_series_expansion(pendulum.averaged_table(order).trace_j0, avg, order)
+    a_stacks, _ = pendulum_expansion(rng.uniform(0.0, 0.4, 4), rng.uniform(0.0, 1.0, 4), 0.3,
+                                     order)
+    det = det_series_expansion(pendulum.averaged_table(order).trace_j0, a_stacks, TWO_PI, order)
     assert det.shape == (4,)
     for k in range(4):
-        expect = _scalar_det_series([np.trace(a[k]) for a in avg.A], TWO_PI, order)
+        expect = _scalar_det_series([np.trace(a[k]) for a in a_stacks], TWO_PI, order)
         assert abs(det[k] - expect) < 1e-13 * abs(expect)
 
 
