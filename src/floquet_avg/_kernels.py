@@ -3,14 +3,14 @@ integrator.
 
 All of them work on a whole stack at once: ``expm2_core`` and
 ``matexp_core`` on a ``(K, n, n)`` stack of matrices, ``rk4_monodromy_core``
-on K systems given as the ``(K, m, n, n, d+1)`` coefficients of a stacked
-``PiecewisePolyMatrix`` (a single matrix or system is the case without the
-stack axis).  ``expm2_core`` is the closed-form exponential of 2x2
-matrices, a handful of elementwise ufuncs; ``matexp_core`` is scaling and
-squaring for any n.  The RK4 integrator multiplies step matrices I + D
-rather than looping over steps: a squaring chain for each constant piece,
-a pairwise product tree for each fixed-size block of steps of a polynomial
-piece.  Every slice runs the arithmetic it would get alone -- for the
+on K systems over shared breakpoints given as one ``(K, m, n, n, d+1)``
+array, each laid out as ``PiecewisePolyMatrix.coeffs`` (a single matrix or
+system is the case without the stack axis).  ``expm2_core`` is the
+closed-form exponential of 2x2 matrices, a handful of elementwise ufuncs;
+``matexp_core`` is scaling and squaring for any n.  The RK4 integrator
+multiplies step matrices I + D rather than looping over steps: a squaring
+chain for each constant piece, a pairwise product tree for each
+fixed-size block of steps of a polynomial piece.  Every slice runs the arithmetic it would get alone -- for the
 exponential its own scaling exponent, Taylor stop and number of squarings,
 for RK4 its own route and tree shapes -- so a slice's result does not
 depend on what else is in the stack.
@@ -197,9 +197,9 @@ def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
 
     ``coeffs`` holds ascending powers of global t in the layout of
     ``PiecewisePolyMatrix.coeffs``: (m, n, n, d+1) for one system,
-    (K, m, n, n, d+1) for K systems stepping together.  Steps are
-    confined to one piece at a time so no RK4 stage ever straddles a
-    breakpoint.
+    (K, m, n, n, d+1) for K systems over ``breaks`` stepping together.
+    Steps are confined to one piece at a time so no RK4 stage ever
+    straddles a breakpoint.
 
     For a linear system one RK4 step is X <- (I + D) X, with D built from J
     at the step's start, middle and end in three stacked matmuls, so the

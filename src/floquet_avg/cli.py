@@ -92,13 +92,27 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     pieces_doc = term.get("pieces")
     if not isinstance(pieces_doc, list) or not pieces_doc:
         raise ModelError("each term needs a non-empty 'pieces' list")
+
+    def named(piece):
+        span = f"[{piece['t_start']!r}, {piece['t_end']!r}]"
+        return f"the order-{term['order']} term's piece on {span}"
+
+    for piece in pieces_doc:
+        if _piece_time(piece, "t_end") < _piece_time(piece, "t_start"):
+            raise ModelError(f"{named(piece)} ends before it starts")
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
     blocks = []
     tol = _BREAK_MERGE_REL * period
+    first = _piece_time(pieces_doc[0], "t_start")
+    if first < -tol:
+        raise ModelError(f"term pieces start at t = {first:g}, expected 0")
     for piece in pieces_doc:
         t_start = _piece_time(piece, "t_start")
         t_end = _piece_time(piece, "t_end")
+        if t_start < breaks[-1] - tol:
+            raise ModelError("term pieces must tile [0, T] contiguously; "
+                             f"overlap on [{t_start:g}, {min(t_end, breaks[-1]):g}]")
         if abs(t_start - breaks[-1]) > tol:
             raise ModelError(
                 f"term pieces must tile [0, T] contiguously; gap at t = {t_start:g}"
@@ -111,8 +125,7 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     for piece, lo, hi in zip(pieces_doc, breaks, breaks[1:]):
         # the first product or sum would merge its ends and drop the piece
         if hi - lo <= tol:
-            raise ModelError(f"the order-{term['order']} term's piece on [{piece['t_start']!r}, "
-                             f"{piece['t_end']!r}] spans no more than 1e-12 of the period, "
+            raise ModelError(f"{named(piece)} spans no more than 1e-12 of the period, "
                              "where breakpoints merge")
     return PiecewisePolyMatrix.from_blocks(period, np.asarray(breaks), blocks)
 

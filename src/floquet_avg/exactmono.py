@@ -1,21 +1,23 @@
 """Exact monodromy oracles.
 
 Two independent routes to X(T) for a linear T-periodic system whose
-coefficient matrix J(t) is a :class:`PiecewisePolyMatrix`, one system or a
-stack of K, read from its one ``([K,] m, n, n, d+1)`` coefficient array:
+coefficient matrix J(t) is a :class:`PiecewisePolyMatrix`:
 
 * closed-form products of matrix exponentials when every piece of J has
   degree 0, and
 * a fixed-step classical RK4 integrator of dX/dt = J(t) X for any
   piecewise-polynomial J, with steps confined to each smooth piece so no
   stage straddles a discontinuity.
+
+Each is a one-system front on a :class:`PiecewisePolyMatrix` over a stack
+entry on bare arrays of K systems that share their pieces' times.
 """
 
 import numpy as np
 
 from ._kernels import rk4_monodromy_core
 from .errors import ModelError, NumericRangeError
-from .ppoly import _BREAK_MERGE_REL, PiecewisePolyMatrix
+from .ppoly import PiecewisePolyMatrix
 from .smallmat import matexp_stack
 
 # steps per piece of the RK4 oracle, for `analyze --rk-steps` and exact-rk scans
@@ -36,13 +38,11 @@ def exact_monodromy_pc(j: PiecewisePolyMatrix) -> np.ndarray:
     this is exp(d2*M2) @ exp(d1*M1) -- the order matters and getting it
     backwards is the classic Floquet sign error, hence the explicit
     left-multiplication in :func:`exact_monodromy_pc_stack`, of which this
-    is the front.  (n, n) for one system, (K, n, n) for a stack of K.
+    is the one-system front.
     """
     if j.max_degree > 0:
         raise ModelError("system is not piecewise constant (degree > 0 pieces)")
-    mats = j.coeffs[..., 0]  # (K, S, n, n), or (S, n, n) for one system
-    f = exact_monodromy_pc_stack(np.diff(j.breakpoints), mats.reshape((-1,) + mats.shape[-3:]))
-    return f[0] if j.cells is None else f
+    return exact_monodromy_pc_stack(np.diff(j.breakpoints), j.coeffs[None, ..., 0])[0]
 
 
 def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
@@ -66,21 +66,28 @@ def exact_monodromy_pc_stack(durations, mats) -> np.ndarray:
 
 
 def exact_monodromy_rk(j: PiecewisePolyMatrix, steps_per_piece: int) -> np.ndarray:
-    """RK4 fundamental matrix at t = T for dX/dt = J(t) X, X(0) = I.
+    """RK4 fundamental matrix at t = T for dX/dt = J(t) X, X(0) = I: the
+    one-system front of :func:`exact_monodromy_rk_stack`."""
+    return exact_monodromy_rk_stack(j.breakpoints, j.coeffs, steps_per_piece)
 
-    (n, n) for one system; a stack of K systems integrates as one stack and
-    gives (K, n, n), each slice equal to the system's own integration.
+
+def exact_monodromy_rk_stack(breakpoints, coeffs, steps_per_piece: int) -> np.ndarray:
+    """RK4 monodromies of the systems whose coefficients ``coeffs`` holds as
+    :func:`rk4_monodromy_core` takes them: one system's (m, n, n, d+1) array
+    gives its (n, n) matrix, and a leading axis of K systems over the shared
+    ``breakpoints`` gives (K, n, n), integrated as one stack, each slice
+    equal to the system's own integration.  The step guards apply per system.
     """
     if not RK_MIN_STEPS <= steps_per_piece <= RK_MAX_STEPS:
         raise ModelError(f"steps_per_piece must be in {RK_MIN_STEPS}..{RK_MAX_STEPS}, "
                          f"got {steps_per_piece}")
-    pieces = j.coeffs.shape[-4]
+    pieces = coeffs.shape[-4]
     total = pieces * steps_per_piece
     if total > RK_MAX_TOTAL_STEPS:
         raise ModelError(f"steps_per_piece {steps_per_piece} over {pieces} pieces makes "
                          f"{total} RK4 steps per system, above the cap of {RK_MAX_TOTAL_STEPS}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_range(rk4_monodromy_core(j.breakpoints, j.coeffs, steps_per_piece))
+        return _in_range(rk4_monodromy_core(breakpoints, coeffs, steps_per_piece))
 
 
 def _in_range(f):
@@ -89,15 +96,3 @@ def _in_range(f):
         raise NumericRangeError("the entries of the monodromy matrix F leave the float range")
     return f
 
-
-def pc_stack_to_ppoly(period: float, durations, mats) -> PiecewisePolyMatrix:
-    """Degree-0 view of K piecewise-constant systems that share segment durations.
-
-    ``mats`` is (K, S, n, n) as for :func:`exact_monodromy_pc_stack`, or
-    (S, n, n) for one system.  The durations must sum to the period.
-    """
-    breaks = np.concatenate(([0.0], np.cumsum(durations)))
-    if abs(breaks[-1] - period) > _BREAK_MERGE_REL * period:
-        raise ModelError(f"segment durations sum to {breaks[-1]:g}, expected the period {period:g}")
-    breaks[-1] = period
-    return PiecewisePolyMatrix(period, breaks, np.asarray(mats, dtype=float)[..., None])

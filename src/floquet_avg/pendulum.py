@@ -26,13 +26,13 @@ import numpy as np
 from . import averaging
 from .averaging import AveragedTable, SeriesSystem, standard_form
 from .errors import ModelError, NumericRangeError
-from .exactmono import pc_stack_to_ppoly
 from .ppoly import PiecewisePolyMatrix
 from .smallmat import libm_map
 
 PERIOD = 2.0 * math.pi
-# durations of the two constant segments, J+ then J-
+# durations of the two constant segments, J+ then J-, and their ends
 HALF_PERIODS = (math.pi, math.pi)
+BREAKPOINTS = (0.0, math.pi, PERIOD)
 
 MODEL_NAME = "meissner-damped"
 
@@ -54,7 +54,8 @@ class PendulumParams:
 
 def jacobians(p: PendulumParams) -> PiecewisePolyMatrix:
     """J(t) as a degree-0 piecewise polynomial: J+ on [0, pi), J- on [pi, 2*pi)."""
-    return pc_stack_to_ppoly(PERIOD, HALF_PERIODS, jacobian_stack([p.omega], [p.eps], p.beta)[0])
+    return PiecewisePolyMatrix(PERIOD, np.array(BREAKPOINTS),
+                               jacobian_stack([p.omega], [p.eps], p.beta)[0, ..., None])
 
 
 def jacobian_stack(omegas, epss, beta: float) -> np.ndarray:
@@ -97,7 +98,7 @@ def _split(eps, w2, damping) -> SeriesSystem:
     j0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     exc_plus = np.zeros((2, 2, 1))
     exc_plus[1, 0, 0] = eps
-    j1 = PiecewisePolyMatrix(PERIOD, np.array([0.0, math.pi, PERIOD]),
+    j1 = PiecewisePolyMatrix(PERIOD, np.array(BREAKPOINTS),
                              np.stack((exc_plus, -exc_plus)))
     j2 = PiecewisePolyMatrix.constant(np.array([[0.0, 0.0], [w2, damping]]), PERIOD)
     return SeriesSystem(PERIOD, j0, (j1, j2))

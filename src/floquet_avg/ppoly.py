@@ -5,17 +5,15 @@ the degree of each piece, and one (m, n, n, d+1) array of polynomial
 coefficients in the *global* time variable (ascending degree), every piece
 zero-padded to the top degree d.  Using the global variable keeps
 refinement trivial (a piece restricted to a sub-interval reuses the same
-coefficients) and makes antiderivative constants a running-sum fixup.  A
-stack of K such functions over shared breakpoints, one per cell of a
-parameter grid, carries a leading cell axis, (K, m, n, n, d+1).
+coefficients) and makes antiderivative constants a running-sum fixup.
 
 The arithmetic is per-piece kernels on bare (coeffs, degrees) arrays over
-one set of intervals, each run once per class of pieces of equal degrees
-and broadcast over the cell axis, computing each coefficient by the same
-operations in the same order as for its piece alone at its own degree, so
-no result depends on the batch.  _on_union runs one on two functions held
-as (coeffs, degrees, breakpoints) over their breakpoints' union, for the
-pp_* wrappers and the averaging recursion alike; all of it is closed-form.
+one set of intervals, each run once per class of pieces of equal degrees,
+computing each coefficient by the same operations in the same order as for
+its piece alone at its own degree, so no result depends on the other
+pieces.  _on_union runs one on two functions held as (coeffs, degrees,
+breakpoints) over their breakpoints' union, for the pp_* wrappers and the
+averaging recursion alike; all of it is closed-form.
 """
 
 import functools
@@ -33,7 +31,7 @@ _BREAK_MERGE_REL = 1e-12
 
 @dataclass(frozen=True)
 class PiecewisePolyMatrix:
-    """Piecewise-polynomial n x n matrix function on [0, T], or a stack of K.
+    """Piecewise-polynomial n x n matrix function on [0, T].
 
     Attributes
     ----------
@@ -42,9 +40,8 @@ class PiecewisePolyMatrix:
     breakpoints : np.ndarray
         Strictly increasing, shape (m+1,), first 0, last T.
     coeffs : np.ndarray
-        Ascending powers of global t, every piece padded to the top degree d:
-        (m, n, n, d+1) for one function, (K, m, n, n, d+1) for a stack of K.
-        Right-continuous at interior breakpoints.
+        Ascending powers of global t, shape (m, n, n, d+1), every piece
+        padded to the top degree d.  Right-continuous at interior breakpoints.
     degrees : tuple of int, optional
         The degree of each piece, d for all by default; coefficients above
         it must be zero, and d is cut to the largest.
@@ -58,10 +55,8 @@ class PiecewisePolyMatrix:
     def __post_init__(self):
         bp = _checked_breakpoints(self.period, self.breakpoints)
         c = np.asarray(self.coeffs, dtype=float)
-        if (c.ndim not in (4, 5) or c.shape[-4] != bp.size - 1 or c.shape[-3] != c.shape[-2]
-                or c.shape[-1] == 0):
-            raise ModelError("coefficients must be (m, n, n, d+1), or (K, m, n, n, d+1) for a "
-                             "stack, with one piece per interval")
+        if c.ndim != 4 or c.shape[0] != bp.size - 1 or c.shape[1] != c.shape[2] or c.shape[3] == 0:
+            raise ModelError("coefficients must be (m, n, n, d+1), with one piece per interval")
         deg = (c.shape[-1] - 1,) * (bp.size - 1) if self.degrees is None \
             else tuple(map(int, self.degrees))
         if len(deg) != bp.size - 1 or min(deg) < 0 or max(deg) >= c.shape[-1]:
@@ -79,26 +74,24 @@ class PiecewisePolyMatrix:
 
     @classmethod
     def from_blocks(cls, period: float, breakpoints, blocks) -> "PiecewisePolyMatrix":
-        """One function from per-piece (n, n, d_k+1) coefficient blocks, or
-        (K, n, n, d_k+1) for a stack, checked in piece order, then padded."""
+        """One function from per-piece (n, n, d_k+1) coefficient blocks,
+        checked in piece order, then padded."""
         bp = _checked_breakpoints(period, breakpoints)
         blocks = [np.asarray(p, dtype=float) for p in blocks]
         if len(blocks) != bp.size - 1:
             raise ModelError("number of pieces must match interval count")
         for p in blocks:
-            if (p.ndim not in (3, 4) or p.shape[:-1] != blocks[0].shape[:-1]
-                    or p.shape[-3] != p.shape[-2] or p.shape[-1] == 0):
-                raise ModelError("all pieces must be (n, n, d+1), or (K, n, n, d+1) for a "
-                                 "stack, with one common n and K")
+            if (p.ndim != 3 or p.shape[:-1] != blocks[0].shape[:-1] or p.shape[0] != p.shape[1]
+                    or p.shape[2] == 0):
+                raise ModelError("all pieces must be (n, n, d+1), with one common n")
             if p.shape[-1] - 1 > DEGREE_CAP:
                 raise ModelError(f"polynomial degree {p.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
             if not np.isfinite(p).all():
                 raise ModelError("piece coefficients must be finite")
         degrees = tuple(p.shape[-1] - 1 for p in blocks)
-        coeffs = np.zeros(blocks[0].shape[:-3] + (len(blocks),) + blocks[0].shape[-3:-1]
-                          + (max(degrees) + 1,))
+        coeffs = np.zeros((len(blocks),) + blocks[0].shape[:-1] + (max(degrees) + 1,))
         for k, p in enumerate(blocks):
-            coeffs[..., k, :, :, : p.shape[-1]] = p
+            coeffs[k, :, :, : p.shape[-1]] = p
         return cls(period, bp, coeffs, degrees)
 
     @property
@@ -106,20 +99,13 @@ class PiecewisePolyMatrix:
         return self.coeffs.shape[-2]
 
     @property
-    def cells(self):
-        """K for a stack of K functions, None for a single function."""
-        return self.coeffs.shape[0] if self.coeffs.ndim == 5 else None
-
-    @property
     def max_degree(self) -> int:
         return self.coeffs.shape[-1] - 1
 
     @classmethod
     def constant(cls, m, period: float) -> "PiecewisePolyMatrix":
-        """Degree-0 function equal to the matrix ``m`` on [0, T]; a (K, n, n)
-        ``m`` gives a stack of K constants."""
-        m = np.asarray(m, dtype=float)
-        return cls(period, np.array([0.0, period]), m[..., None, :, :, None].copy())
+        """Degree-0 function equal to the matrix ``m`` on [0, T]."""
+        return cls(period, np.array([0.0, period]), np.array(m, dtype=float)[None, :, :, None])
 
     @classmethod
     def zero(cls, dim: int, period: float) -> "PiecewisePolyMatrix":
@@ -148,8 +134,6 @@ def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
         raise ModelError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if abs(a.period - b.period) > _BREAK_MERGE_REL * max(a.period, b.period):
         raise ModelError(f"period mismatch: {a.period} vs {b.period}")
-    if None not in (a.cells, b.cells) and a.cells != b.cells:
-        raise ModelError(f"cell count mismatch: {a.cells} vs {b.cells}")
 
 
 def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,7 +161,7 @@ def _refined(f, breaks: np.ndarray):
         return coeffs, degrees
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     idx = np.clip(np.searchsorted(points, mids, side="right") - 1, 0, m - 1)
-    return coeffs[..., idx, :, :, :], tuple(degrees[i] for i in idx.tolist())
+    return coeffs[idx], tuple(degrees[i] for i in idx.tolist())
 
 
 def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
@@ -215,9 +199,9 @@ def _by_class(op, out_degree, pa, da, pb, db, *args):
     out = np.zeros(np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1]) + (max(deg) + 1,))
     for p, q in sorted(classes):
         sel = [k for k, pq in enumerate(zip(da, db)) if pq == (p, q)]
-        pieces = [x[..., : d + 1] if x.shape[-4] == 1 else x[..., sel, :, :, : d + 1]
+        pieces = [x[..., : d + 1] if len(x) == 1 else x[sel, ..., : d + 1]
                   for x, d in ((pa, p), (pb, q))]
-        out[..., sel, :, :, : out_degree(p, q) + 1] = op(*pieces, *args)
+        out[sel, ..., : out_degree(p, q) + 1] = op(*pieces, *args)
     return out, deg
 
 
@@ -300,16 +284,15 @@ def _value(period: float, coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray
     if not (0.0 <= t <= period):
         raise NumericRangeError(f"t = {t:g} outside [0, {period:g}]")
     idx = int(np.searchsorted(breaks, t, side="right")) - 1
-    idx = min(max(idx, 0), coeffs.shape[-4] - 1)
-    value = _eval_block(coeffs[..., idx, :, :, : degrees[idx] + 1], t)
+    idx = min(max(idx, 0), len(coeffs) - 1)
+    value = _eval_block(coeffs[idx, ..., : degrees[idx] + 1], t)
     if not np.isfinite(value).all():
         raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
 
 
 def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
-    """Value a(t) for 0 <= t <= T, right-continuous at interior breakpoints:
-    (n, n) for one function, (K, n, n) for a stack."""
+    """Value a(t), (n, n), for 0 <= t <= T, right-continuous at interior breakpoints."""
     return _value(a.period, a.coeffs, a.degrees, a.breakpoints, t)
 
 
@@ -330,7 +313,7 @@ def _minus_ramp(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, slope):
     """w(t) - slope t for the antiderivative w from 0 of pieces ``coeffs``: each
     linear coefficient drops by the slope and the constants are set afresh."""
     anti = coeffs.copy()
-    anti[..., 1] -= np.asarray(slope)[..., None, :, :]
+    anti[..., 1] -= slope
     anti[..., 0] = 0.0
     return _joined(anti, degrees, breaks)
 
@@ -339,14 +322,13 @@ def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
     t = 0 and continuous: ``(anti, degrees, breaks)``."""
     # every piece at both of its ends in one Horner pass, before the constants are set
-    ends = np.array((breaks[:-1], breaks[1:])).reshape((2,) + (1,) * (anti.ndim - 4) + (-1, 1, 1))
-    at_lo, at_hi = _eval_block(anti, ends)
+    at_lo, at_hi = _eval_block(anti, np.array((breaks[:-1], breaks[1:]))[..., None, None])
     consts = np.empty_like(at_lo)
     running = 0.0  # cumulative integral at the left breakpoint
-    for k in range(consts.shape[-3]):
+    for k in range(len(consts)):
         # a loop, not a cumsum of at_hi - at_lo, which would round differently
-        const = consts[..., k, :, :] = running - at_lo[..., k, :, :]
-        running = at_hi[..., k, :, :] + const
+        const = consts[k] = running - at_lo[k]
+        running = at_hi[k] + const
     anti[..., 0] = consts
     return anti, degrees, breaks
 

@@ -6,7 +6,8 @@ exact-versus-approximate boundary comparison tables.  Every method is
 prepared once per command (:func:`_invariants`) and runs batched: a whole
 exact-pc grid is one closed-form evaluation of tr F (the Hill
 discriminant of :class:`stability.PendulumPC`), a whole exact-rk grid one
-RK4 integration of a stack of systems, a whole order-K grid one
+RK4 integration of the cells' Jacobians as one bare coefficient stack
+(:func:`exactmono.exact_monodromy_rk_stack`), a whole order-K grid one
 evaluation of the pendulum's averaged coefficient table (the averaging
 recursion and the monodromy assembly run once per order per process, on
 the parameters' monomials, so an order-K cell is its monomial values times
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import averaging, pendulum, stability
 from .errors import BracketError, FloquetError, ModelError
-from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_rk, pc_stack_to_ppoly
+from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_rk_stack
 from .stability import StabilityReport
 
 EXACT_METHODS = ("exact-pc", "exact-rk")
@@ -90,9 +91,9 @@ def _invariants(method: str, omegas, beta: float):
         return stability.PendulumPC(omegas, beta)
     if method == "exact-rk":
         def rk(index, eps):
-            j = pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS,
-                                  pendulum.jacobian_stack(omegas[index], eps, beta))
-            return stability.trace_det(exact_monodromy_rk(j, RK_STEPS_DEFAULT))
+            coeffs = pendulum.jacobian_stack(omegas[index], eps, beta)[..., None]
+            return stability.trace_det(
+                exact_monodromy_rk_stack(pendulum.BREAKPOINTS, coeffs, RK_STEPS_DEFAULT))
         return rk
     order = order_of_method(method)
     table = pendulum.averaged_table(order)

@@ -24,7 +24,7 @@ from floquet_avg.exactmono import (
     exact_monodromy_pc,
     exact_monodromy_pc_stack,
     exact_monodromy_rk,
-    pc_stack_to_ppoly,
+    exact_monodromy_rk_stack,
 )
 from floquet_avg.smallmat import norm1
 
@@ -113,8 +113,7 @@ def _criterion_grid():
     points = [(omega, eps, beta) for beta in BETA_GRID for omega, eps in zip(omegas, epss)]
     jac = np.concatenate([pendulum.jacobian_stack(omegas, epss, beta) for beta in BETA_GRID])
     f_pc = exact_monodromy_pc_stack(pendulum.HALF_PERIODS, jac)
-    f_rk = exact_monodromy_rk(pc_stack_to_ppoly(pendulum.PERIOD, pendulum.HALF_PERIODS, jac),
-                              RK_GRID_STEPS)
+    f_rk = exact_monodromy_rk_stack(pendulum.BREAKPOINTS, jac[..., None], RK_GRID_STEPS)
     return points, f_pc, f_rk
 
 

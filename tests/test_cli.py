@@ -591,6 +591,26 @@ def test_model_file_piece_within_the_merging_distance_exits_2(tmp_path, capsys, 
                    f"spans no more than 1e-12 of the period, where breakpoints merge\n")
 
 
+@pytest.mark.parametrize("spans, message", [
+    # a piece that ends before it starts read as a piece within the merging
+    # distance, or as a gap; overlapping pieces, and a piece that starts
+    # before 0, as a gap
+    ([(0, 3), (3, 2)], "the order-1 term's piece on [3, 2] ends before it starts"),
+    ([(0, 1), (1, 0.5), (0.5, 2)], "the order-1 term's piece on [1, 0.5] ends before it starts"),
+    ([(0, 1.5), (1, 2)], "term pieces must tile [0, T] contiguously; overlap on [1, 1.5]"),
+    ([(0, 2), (0.5, 1)], "term pieces must tile [0, T] contiguously; overlap on [0.5, 1]"),
+    ([(0, 1), (1.5, 2)], "term pieces must tile [0, T] contiguously; gap at t = 1.5"),
+    ([(-1, 2)], "term pieces start at t = -1, expected 0"),
+])
+def test_model_file_pieces_that_do_not_tile_the_period_are_named(tmp_path, capsys, spans,
+                                                                 message):
+    pieces = [{"t_start": t0, "t_end": t1, "entries": [[[0.0], [0.0]], [[0.3], [0.0]]]}
+              for t0, t1 in spans]
+    path = _write_model(tmp_path, [{"order": 1, "pieces": pieces}])
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", path])
+    assert (code, out, err) == (2, "", f"floquet-avg: {message}\n")
+
+
 def test_model_file_piece_just_past_the_merging_distance_is_kept(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_short_piece_model(1.0, 1.0 + 1e-11)))

@@ -12,7 +12,7 @@ from floquet_avg.exactmono import (
     exact_monodromy_pc,
     exact_monodromy_pc_stack,
     exact_monodromy_rk,
-    pc_stack_to_ppoly,
+    exact_monodromy_rk_stack,
 )
 from floquet_avg.ppoly import PiecewisePolyMatrix, pp_average
 from floquet_avg.smallmat import norm1
@@ -55,13 +55,6 @@ def test_segment_order_matters():
     assert abs(np.trace(f) - np.trace(f_swapped)) < 1e-12
 
 
-def test_durations_must_sum_to_period():
-    with pytest.raises(ModelError, match="sum"):
-        pc_stack_to_ppoly(TWO_PI, (PI, PI / 2), [J0, J0])
-    with pytest.raises(ModelError):
-        pc_stack_to_ppoly(TWO_PI, (TWO_PI, -1.0), [J0, J0])
-
-
 def test_rk_zero_system_is_identity():
     j = PiecewisePolyMatrix.zero(2, TWO_PI)
     assert np.array_equal(exact_monodromy_rk(j, 64), np.eye(2))
@@ -79,54 +72,69 @@ def test_rk_requires_minimum_steps():
         exact_monodromy_rk(PiecewisePolyMatrix.zero(2, TWO_PI), 8)
 
 
-def test_rk_rejects_steps_above_the_cap():
+def _zero_pieces(m):
+    return PiecewisePolyMatrix(TWO_PI, np.linspace(0.0, TWO_PI, m + 1), np.zeros((m, 2, 2, 1)))
+
+
+# the one-system front and the stack entry, on a system of m zero pieces
+RK_ENTRIES = {
+    "one-system": lambda m, steps: exact_monodromy_rk(_zero_pieces(m), steps),
+    "stack": lambda m, steps: exact_monodromy_rk_stack(
+        _zero_pieces(m).breakpoints, np.zeros((3, m, 2, 2, 1)), steps),
+}
+
+
+@pytest.mark.parametrize("entry", RK_ENTRIES)
+def test_rk_rejects_steps_above_the_cap(entry):
     # 10**8 steps per piece ran for hours instead of failing
     for steps in (RK_MAX_STEPS + 1, 10 ** 8):
         with pytest.raises(ModelError, match="steps_per_piece"):
-            exact_monodromy_rk(PiecewisePolyMatrix.zero(2, TWO_PI), steps)
+            RK_ENTRIES[entry](1, steps)
 
 
-def test_rk_caps_the_steps_over_all_pieces(monkeypatch):
+@pytest.mark.parametrize("entry", RK_ENTRIES)
+def test_rk_caps_the_steps_over_all_pieces(monkeypatch, entry):
     # a 100-piece model file at 65536 steps per piece ran for minutes
     reached = []
-    monkeypatch.setattr(exactmono, "rk4_monodromy_core",
-                        lambda breaks, coeffs, steps: reached.append(breaks.size - 1) or np.eye(2))
-
-    def pieces(m):
-        return PiecewisePolyMatrix(TWO_PI, np.linspace(0.0, TWO_PI, m + 1), np.zeros((m, 2, 2, 1)))
-
+    monkeypatch.setattr(exactmono, "rk4_monodromy_core", lambda breaks, coeffs, steps: (
+        reached.append((breaks.size - 1, coeffs.ndim)) or np.eye(2)))
+    run = RK_ENTRIES[entry]
     for m in (1, 4):
-        exact_monodromy_rk(pieces(m), RK_MAX_STEPS)
-    exact_monodromy_rk(pieces(100), RK_MAX_TOTAL_STEPS // 100)
-    assert reached == [1, 4, 100]
+        run(m, RK_MAX_STEPS)
+    run(100, RK_MAX_TOTAL_STEPS // 100)
+    # one system reaches the kernel as its own (m, n, n, d+1) array, which
+    # the benchmark's RK4 step counter reads the piece count from
+    ndim = 4 if entry == "one-system" else 5
+    assert reached == [(1, ndim), (4, ndim), (100, ndim)]
     for m, steps in ((5, RK_MAX_STEPS), (100, RK_MAX_TOTAL_STEPS // 100 + 1)):
         with pytest.raises(ModelError, match=f"{m * steps}.*{RK_MAX_TOTAL_STEPS}"):
-            exact_monodromy_rk(pieces(m), steps)
+            run(m, steps)
 
 
 def test_rk_stack_slices_equal_single_systems():
-    # pieces of degree 1 and 0 are padded to one dense array
+    # a degree-1 piece and a degree-0 piece padded to it, in five systems
     rng = np.random.default_rng(23)
     linear = rng.uniform(-0.3, 0.3, (5, 2, 2, 2))
     const = rng.uniform(-0.5, 0.5, (5, 2, 2, 1))
-    stack = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, 2.0, TWO_PI]), (linear, const))
-    assert stack.degrees == (1, 0) and stack.coeffs.shape == (5, 2, 2, 2, 2)
-    batched = exact_monodromy_rk(stack, 64)
+    breaks = np.array([0.0, 2.0, TWO_PI])
+    coeffs = np.zeros((5, 2, 2, 2, 2))
+    coeffs[:, 0], coeffs[:, 1, ..., :1] = linear, const
+    batched = exact_monodromy_rk_stack(breaks, coeffs, 64)
     for k in range(5):
-        alone = PiecewisePolyMatrix.from_blocks(TWO_PI, stack.breakpoints, (linear[k], const[k]))
+        alone = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, (linear[k], const[k]))
+        assert alone.degrees == (1, 0) and np.array_equal(alone.coeffs, coeffs[k])
         assert np.array_equal(batched[k], exact_monodromy_rk(alone, 64))
 
 
 def test_pc_stack_view_matches_one_system_views():
     params = [(0.1, 0.2), (0.3, 0.4), (0.0, 0.9)]
     jac = pendulum.jacobian_stack([w for w, _ in params], [e for _, e in params], 0.1)
-    stack = pc_stack_to_ppoly(TWO_PI, pendulum.HALF_PERIODS, jac)
-    batched = exact_monodromy_rk(stack, 32)
-    batched_pc = exact_monodromy_pc(stack)
+    batched = exact_monodromy_rk_stack(pendulum.BREAKPOINTS, jac[..., None], 32)
+    batched_pc = exact_monodromy_pc_stack(pendulum.HALF_PERIODS, jac)
     for k, (omega, eps) in enumerate(params):
         alone = pendulum.jacobians(pendulum.PendulumParams(omega, eps, 0.1))
-        assert np.array_equal(stack.breakpoints, alone.breakpoints)
-        assert np.array_equal(stack.coeffs[k], alone.coeffs)
+        assert np.array_equal(alone.breakpoints, pendulum.BREAKPOINTS)
+        assert np.array_equal(alone.coeffs, jac[k, ..., None])
         assert np.array_equal(batched[k], exact_monodromy_rk(alone, 32))
         assert np.array_equal(batched_pc[k], exact_monodromy_pc(alone))
 
@@ -241,4 +249,4 @@ def test_overflowed_monodromy_is_a_range_error():
     with pytest.raises(NumericRangeError, match="float range"):
         exact_monodromy_pc_stack(pendulum.HALF_PERIODS, mats)
     with pytest.raises(NumericRangeError, match="float range"):
-        exact_monodromy_rk(pc_stack_to_ppoly(TWO_PI, pendulum.HALF_PERIODS, mats[1:]), 1024)
+        exact_monodromy_rk_stack(pendulum.BREAKPOINTS, mats[1:, ..., None], 1024)

@@ -214,7 +214,7 @@ def test_non_finite_breakpoints_rejected():
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, math.nan, TWO_PI]), np.zeros((2, 1, 1, 1)))
 
 
-# -- the cell axis: a stack of K functions over shared breakpoints ----------
+# -- each piece at its own degree ------------------------------------------
 
 def _convolve_mul(a, b):
     """The product as an i/j/k loop of np.convolve calls on one function:
@@ -239,30 +239,17 @@ def _convolve_mul(a, b):
     return PiecewisePolyMatrix.from_blocks(a.period, breaks, pieces)
 
 
-def _random_stack(rng, cells, n, degrees, breaks):
-    """A stack whose pieces have the given degrees, zero-padded to the top one."""
+def _random_function(rng, n, degrees, breaks):
+    """A function whose pieces have the given degrees, zero-padded to the top one."""
     return PiecewisePolyMatrix.from_blocks(TWO_PI, np.asarray(breaks), [
-        rng.uniform(-2.0, 2.0, size=(cells, n, n, d + 1)) for d in degrees])
+        rng.uniform(-2.0, 2.0, size=(n, n, d + 1)) for d in degrees])
 
 
-def _cell(a, k):
-    """Cell k of a stack as a single function."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[k], a.degrees)
-
-
-def _take(a, index):
-    """The stack of cells ``index`` of a stack, in that order."""
-    return PiecewisePolyMatrix(a.period, a.breakpoints, a.coeffs[index], a.degrees)
-
-
-@pytest.mark.parametrize("cells", [None, 3])
-def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise(cells):
+def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise():
     # U_n = W - A_n t from the antiderivative W that gave A_n, with its
     # constants set afresh, is bitwise the antiderivative of f - A_n
     rng = np.random.default_rng(7)
-    f = _random_stack(rng, cells or 1, 2, (3, 0, 5), [0.0, 1.0, PI, TWO_PI])
-    if cells is None:
-        f = _cell(f, 0)
+    f = _random_function(rng, 2, (3, 0, 5), [0.0, 1.0, PI, TWO_PI])
     w = pp_antiderivative(f)
     slope = pp_eval(w, TWO_PI) / TWO_PI
     u, degrees, breaks = ppoly._minus_ramp(w.coeffs, w.degrees, w.breakpoints, slope)
@@ -273,22 +260,22 @@ def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise(cells)
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_batched_product_agrees_with_convolve_reference(n):
+def test_product_agrees_with_convolve_reference(n):
     rng = np.random.default_rng(40 + n)
-    # pieces of unequal degree, each padded to its function's top degree
-    a = _random_stack(rng, 6, n, (1, 3), [0.0, PI, TWO_PI])
-    b = _random_stack(rng, 6, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
-    prod = pp_mul(a, b)
-    # each interval of [0, 1, pi, 4, 2 pi] has its own degree, not the sum
-    # of the two top degrees (8); above it the padding stays exact zeros
-    assert prod.degrees == (6, 1, 3, 6) and prod.max_degree == 6
-    for k, degree in enumerate(prod.degrees):
-        assert not prod.coeffs[:, k, ..., degree + 1:].any()
-    for k in range(6):
-        want = _convolve_mul(_cell(a, k), _cell(b, k))
+    for _ in range(6):
+        # pieces of unequal degree, each padded to its function's top degree
+        a = _random_function(rng, n, (1, 3), [0.0, PI, TWO_PI])
+        b = _random_function(rng, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
+        prod = pp_mul(a, b)
+        # each interval of [0, 1, pi, 4, 2 pi] has its own degree, not the sum
+        # of the two top degrees (8); above it the padding stays exact zeros
+        assert prod.degrees == (6, 1, 3, 6) and prod.max_degree == 6
+        for k, degree in enumerate(prod.degrees):
+            assert not prod.coeffs[k, ..., degree + 1:].any()
+        want = _convolve_mul(a, b)
         assert np.array_equal(prod.breakpoints, want.breakpoints)
         assert prod.degrees == want.degrees
-        for got, ref in zip(prod.coeffs[k], want.coeffs):
+        for got, ref in zip(prod.coeffs, want.coeffs):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -296,7 +283,6 @@ def test_batched_product_agrees_with_convolve_reference(n):
 BREAKS = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
 
 
-@pytest.mark.parametrize("cells", [None, 4])
 @pytest.mark.parametrize("breaks_a, breaks_b", [
     (BREAKS, BREAKS),
     (BREAKS, BREAKS.copy()),
@@ -307,21 +293,18 @@ BREAKS = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
     # its place in the count: a's piece on [1 + 1e-13, 4] is in force on [1, 2]
     ([0.0, 1.0, 1.0 + 1e-13, 4.0, TWO_PI], [0.0, 2.0, 4.0, TWO_PI]),
 ], ids=["one-array", "equal-arrays", "near-break", "refined", "short-piece"])
-def test_each_piece_equals_its_own_one_piece_run_bitwise(cells, breaks_a, breaks_b):
+def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b):
     # a product sums in an order fixed by the two pieces' own degrees, and a
     # sum pads by them: padding a piece to its function's top degree, or
     # meeting pieces of other degrees, changes none of its bits
     rng = np.random.default_rng(14)
-    shape = () if cells is None else (cells,)
-    a = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks_a, [
-        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (1, 5, 0, 3)[:len(breaks_a) - 1]])
-    b = PiecewisePolyMatrix.from_blocks(TWO_PI, breaks_b, [
-        rng.uniform(-2.0, 2.0, size=shape + (3, 3, d + 1)) for d in (4, 2, 0, 6)[:len(breaks_b) - 1]])
+    a = _random_function(rng, 3, (1, 5, 0, 3)[:len(breaks_a) - 1], breaks_a)
+    b = _random_function(rng, 3, (4, 2, 0, 6)[:len(breaks_b) - 1], breaks_b)
 
     def alone(f, t):
         """The piece of f in force at t, as a one-piece function."""
         k = np.searchsorted(f.breakpoints, t, side="right") - 1
-        block = f.coeffs[..., k:k + 1, :, :, : f.degrees[k] + 1]
+        block = f.coeffs[k:k + 1, ..., : f.degrees[k] + 1]
         return PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), block)
 
     for op in (pp_mul, pp_add, pp_sub):
@@ -330,81 +313,31 @@ def test_each_piece_equals_its_own_one_piece_run_bitwise(cells, breaks_a, breaks
         for k, t in enumerate(0.5 * (whole.breakpoints[:-1] + whole.breakpoints[1:])):
             piece = op(alone(a, t), alone(b, t))
             assert whole.degrees[k] == piece.max_degree
-            assert np.array_equal(whole.coeffs[..., k:k + 1, :, :, : piece.max_degree + 1],
+            assert np.array_equal(whole.coeffs[k:k + 1, ..., : piece.max_degree + 1],
                                   piece.coeffs)
-            assert not whole.coeffs[..., k, :, :, piece.max_degree + 1:].any()
+            assert not whole.coeffs[k, ..., piece.max_degree + 1:].any()
 
 
-def _ops(a, b):
-    """Every ppoly operation on a pair of stacks (or single functions)."""
-    anti = pp_antiderivative(a)
-    return {
-        "mul": (pp_mul(a, b).coeffs,),
-        "add": (pp_add(a, b).coeffs,),
-        "sub": (pp_sub(a, b).coeffs,),
-        "antiderivative": (anti.coeffs,),
-        "eval": (pp_eval(a, 0.0), pp_eval(a, 2.5), pp_eval(anti, TWO_PI)),
-        "average": (pp_average(b),),
-    }
-
-
-def test_every_cell_of_a_batch_equals_its_own_run_bitwise():
-    rng = np.random.default_rng(7)
-    a = _random_stack(rng, 9, 2, (3, 8), [0.0, PI, TWO_PI])
-    b = _random_stack(rng, 9, 2, (11, 1, 4), [0.0, 1.0, 4.0, TWO_PI])
-    full = _ops(a, b)
-    permutation = rng.permutation(9)
-    permuted = _ops(_take(a, permutation), _take(b, permutation))
-    truncated = _ops(_take(a, np.arange(3)), _take(b, np.arange(3)))
-    for k in range(9):
-        alone = _ops(_take(a, [k]), _take(b, [k]))
-        single = _ops(_cell(a, k), _cell(b, k))
-        position = int(np.flatnonzero(permutation == k)[0])
-        for name, arrays in full.items():
-            for x, x_alone, x_single, x_perm in zip(arrays, alone[name], single[name],
-                                                     permuted[name]):
-                assert np.array_equal(x[k], x_alone[0]), name
-                assert np.array_equal(x[k], x_single), name
-                assert np.array_equal(x[k], x_perm[position]), name
-            if k < 3:
-                for x, x_trunc in zip(arrays, truncated[name]):
-                    assert np.array_equal(x[k], x_trunc[k]), name
-
-
-def test_single_function_broadcasts_against_a_stack():
-    rng = np.random.default_rng(8)
-    stack = _random_stack(rng, 5, 3, (2, 6), [0.0, 2.0, TWO_PI])
-    single = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                                             [rng.uniform(-1, 1, size=(3, 3, d + 1)) for d in (4, 1)])
-    assert single.cells is None and stack.cells == 5
-    for op in (pp_mul, pp_add, pp_sub):
-        left, right = op(single, stack), op(stack, single)
-        assert left.cells == right.cells == 5
-        for k in range(5):
-            assert np.array_equal(left.coeffs[k], op(single, _cell(stack, k)).coeffs)
-            assert np.array_equal(right.coeffs[k], op(_cell(stack, k), single).coeffs)
-
-
-def test_stack_shape_errors():
-    rng = np.random.default_rng(9)
-    with pytest.raises(ModelError, match="cell count"):
-        pp_mul(_random_stack(rng, 3, 2, (1,), [0.0, TWO_PI]),
-               _random_stack(rng, 4, 2, (1,), [0.0, TWO_PI]))
+def test_shape_errors():
     with pytest.raises(ModelError):  # one (n, n, d+1) block without the piece axis
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), np.zeros((2, 2, 1)))
-    with pytest.raises(ModelError):  # a stack of stacks
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((3, 4, 2, 2, 2, 1)))
+    with pytest.raises(ModelError):  # pieces that are not square
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 3, 1)))
     for degrees in ((2,), ()):  # one degree, or none, for two pieces
         with pytest.raises(ModelError):
             PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)),
                                 degrees)
     with pytest.raises(ModelError):  # a degree beyond the coefficients
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)), (2, 3))
-    with pytest.raises(ModelError):  # pieces disagree on K
+    with pytest.raises(ModelError):  # pieces disagree on n
         PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                                        (np.zeros((3, 2, 2, 1)), np.zeros((4, 2, 2, 1))))
-    with pytest.raises(ModelError):  # one stacked piece, one single piece
+                                        (np.zeros((2, 2, 1)), np.zeros((3, 3, 1))))
+
+
+def test_a_stack_of_functions_is_rejected():
+    # one function per object: a leading axis of K functions is a shape error
+    with pytest.raises(ModelError, match=r"\(m, n, n, d\+1\)"):
+        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((3, 2, 2, 2, 1)))
+    with pytest.raises(ModelError, match=r"\(n, n, d\+1\)"):
         PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
-                                        (np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))))
-    stack = PiecewisePolyMatrix.constant(np.ones((3, 2, 2)), TWO_PI)
-    assert stack.cells == 3 and stack.coeffs.shape == (3, 1, 2, 2, 1)
+                                        (np.zeros((3, 2, 2, 1)), np.zeros((3, 2, 2, 1))))
