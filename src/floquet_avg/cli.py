@@ -255,12 +255,15 @@ def cmd_analyze(args) -> int:
     # a report's three inputs: the table, its monomials' values and J(t)
     params = None
     if args.model_file:
+        for name in ("model", "omega", "eps", "beta"):
+            if getattr(args, name) is not None:
+                raise ModelError(f"--{name} cannot be given with --model-file")
         sys_ = load_model_file(args.model_file)
         # a model file has no parameters: its table is built here and not kept
         table = averaging.system_table(sys_, args.order)
         values = np.ones((len(table.A), 1))
         total = averaging.series_total(sys_)
-    elif args.model == pendulum.MODEL_NAME:
+    elif args.model in (None, pendulum.MODEL_NAME):
         for name in ("omega", "eps", "beta"):
             if getattr(args, name) is None:
                 raise ModelError(f"--{name} is required for model '{pendulum.MODEL_NAME}'")
@@ -483,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the document here instead of stdout")
 
     p_an = sub.add_parser("analyze", help="full report for one parameter point")
-    p_an.add_argument("--model", default=pendulum.MODEL_NAME)
+    p_an.add_argument("--model")  # the built-in pendulum when omitted
     p_an.add_argument("--model-file", help="JSON file with a custom graded model")
     p_an.add_argument("--omega", type=float)
     p_an.add_argument("--eps", type=float)

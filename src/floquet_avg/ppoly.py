@@ -7,16 +7,16 @@ zero-padded to the top degree d.  Using the global variable keeps
 refinement trivial (a piece restricted to a sub-interval reuses the same
 coefficients) and makes antiderivative constants a running-sum fixup.
 
-The arithmetic is per-piece kernels on bare (coeffs, degrees) arrays over
-one set of intervals, each run once per class of pieces of equal degrees,
-computing each coefficient by the same operations in the same order as for
-its piece alone at its own degree, so no result depends on the other
-pieces.  _on_union runs one on two functions held as (coeffs, degrees,
-breakpoints) over their breakpoints' union, for the pp_* wrappers and the
-averaging recursion alike; all of it is closed-form.
+The arithmetic is kernels on bare (coeffs, degrees) arrays over one set of
+intervals, each run once on the whole arrays.  A product adds each
+coefficient's terms in one order fixed by that coefficient alone, so zero
+padding adds only exact zeros and no piece's result depends on the degrees
+of the others.  _on_union runs a kernel on two functions held as (coeffs,
+degrees, breakpoints) over their breakpoints' union, for the pp_* wrappers
+and the averaging recursion alike; all of it is closed-form.
 """
 
-import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,38 +186,14 @@ def _derived(period: float, coeffs: np.ndarray, degrees: tuple,
         raise
 
 
-def _by_class(op, out_degree, pa, da, pb, db, *args):
-    """``op`` on two functions' pieces on one set of intervals, once per class
-    of equal degrees and cut to them, so each piece is computed at its own
-    degrees: ``(coeffs, degrees)``, ``out_degree`` giving the result's."""
-    m = max(len(da), len(db))  # a single piece stands for every interval
-    da, db = da * (m // len(da)), db * (m // len(db))
-    deg = tuple(map(out_degree, da, db))
-    classes = set(zip(da, db))
-    if len(classes) == 1:  # every piece at the same degrees, the arrays' own
-        return op(pa, pb, *args), deg
-    out = np.zeros(np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1]) + (max(deg) + 1,))
-    for p, q in sorted(classes):
-        sel = [k for k, pq in enumerate(zip(da, db)) if pq == (p, q)]
-        pieces = [x[..., : d + 1] if len(x) == 1 else x[sel, ..., : d + 1]
-                  for x, d in ((pa, p), (pb, q))]
-        out[sel, ..., : out_degree(p, q) + 1] = op(*pieces, *args)
-    return out, deg
-
-
-def _product_degree(p: int, q: int) -> int:
-    if p + q > DEGREE_CAP:
-        raise ModelError(f"product degree {p + q} exceeds cap {DEGREE_CAP}")
-    return p + q
-
-
 def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Coefficients of the matrix-polynomial product pa(t) @ pb(t).
 
-    A broadcast multiply-accumulate over the degree axis: the loop runs
-    over the contracted index and the degrees of the shorter factor, so
-    every output coefficient sums its products in an order fixed by the
-    two degrees alone.
+    A broadcast multiply-accumulate over the degree axis, looping over the
+    contracted index and the powers of the shorter factor.  Every output
+    coefficient adds its products in one order, the contracted index
+    outermost and then pa's power ascending, so a zero-padded coefficient
+    adds only exact zeros and padding changes no bit.
     """
     n, da, db = pa.shape[-2], pa.shape[-1], pb.shape[-1]
     lead = np.broadcast_shapes(pa.shape[:-3], pb.shape[:-3])
@@ -227,7 +203,7 @@ def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
             for s in range(da):
                 out[..., s:s + db] += pa[..., :, k, s, None, None] * pb[..., None, k, :, :]
         else:
-            for s in range(db):
+            for s in reversed(range(db)):  # pb's power descending: pa's ascending
                 out[..., s:s + da] += pa[..., :, k, None, :] * pb[..., None, k, :, s, None]
     return out
 
@@ -240,8 +216,25 @@ def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
-_product = functools.partial(_by_class, _poly_matmul, _product_degree)
-_sum = functools.partial(_by_class, _pad_add, max)  # pa(t) + sign pb(t), sign passed last
+def _paired(da: tuple, db: tuple, out_degree) -> tuple:
+    """The result's degree on each interval; a single piece stands for every interval."""
+    m = max(len(da), len(db))
+    return tuple(map(out_degree, da * (m // len(da)), db * (m // len(db))))
+
+
+def _product(pa, da, pb, db):
+    """pa(t) @ pb(t) on one set of intervals: ``(coeffs, degrees)``, capped per piece."""
+    deg = _paired(da, db, operator.add)
+    for d in deg:
+        if d > DEGREE_CAP:
+            raise ModelError(f"product degree {d} exceeds cap {DEGREE_CAP}")
+    return _poly_matmul(pa, pb)[..., : max(deg) + 1], deg
+
+
+def _sum(pa, da, pb, db, sign):
+    """pa(t) + sign pb(t) on one set of intervals: ``(coeffs, degrees)``."""
+    deg = _paired(da, db, max)
+    return _pad_add(pa, pb, sign)[..., : max(deg) + 1], deg
 
 
 def _on_union(period: float, x, y, kernel, *args):

@@ -86,6 +86,21 @@ def test_analyze_unknown_model(capsys):
     assert "unknown model" in err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--model", "bogus", "--omega", "5", "--eps", "9", "--beta", "1"], "--model"),
+    (["--model", "meissner-damped"], "--model"),
+    (["--omega", "5"], "--omega"),
+    (["--eps", "9"], "--eps"),
+    (["--beta", "1"], "--beta"),
+])
+def test_analyze_model_file_rejects_the_pendulums_flags(tmp_path, capsys, flags, name):
+    # a model file has no parameters: a pendulum flag next to it would be ignored
+    path = _write_model(tmp_path, [{"order": 1, "pieces": [_piece([[[0.0], [0.0]], [[0.3], [0.0]]])]}])
+    code, out, err = run_cli(capsys, ["analyze", "--model-file", path, *flags])
+    assert code == 2 and out == ""
+    assert err == f"floquet-avg: {name} cannot be given with --model-file\n"
+
+
 def test_analyze_text_format(capsys):
     code, out, _ = run_cli(capsys, [
         "analyze", "--omega", "0.2", "--eps", "0.3", "--beta", "0.1", "--format", "text",
@@ -301,9 +316,9 @@ def _graded_piece(t0, t1, degree, scale):
 
 
 def test_model_pieces_of_unequal_degree_give_the_pinned_document(tmp_path, capsys):
-    # every piece is computed at its own degrees: padding a piece to the top
-    # degree of its term must not change the order its products are summed
-    # in, so these values, from per-piece arithmetic, are pinned bitwise
+    # a product adds each coefficient's terms in one order fixed by that
+    # coefficient alone, so padding a piece to the top degree of its term
+    # changes no bit of these values, which are pinned bitwise
     path = _write_model(tmp_path, [
         {"order": 1, "pieces": [_graded_piece(0.0, 1.0, 5, 1.0), _graded_piece(1.0, 2.0, 0, -1.0)]},
         {"order": 2, "pieces": [_graded_piece(0.0, 1.0, 0, 0.5), _graded_piece(1.0, 2.0, 4, 0.5)]},
@@ -312,10 +327,10 @@ def test_model_pieces_of_unequal_degree_give_the_pinned_document(tmp_path, capsy
     assert code == 0
     doc = json.loads(out)
     assert doc["A"][2] == [[-0.04500465730390743, -0.0028146585853246683],
-                           [0.06346383688060066, 0.045004657303907514]]
-    assert doc["F_approx"] == [[1.8765745566224643, 2.185251621309882],
-                               [0.7733995231667936, 1.367819733764952]]
-    assert doc["det_series"] == 0.7805875814571114
+                           [0.06346383688060066, 0.04500465730390746]]
+    assert doc["F_approx"] == [[1.8765745566224643, 2.1852516213098814],
+                               [0.7733995231667936, 1.3678197337649518]]
+    assert doc["det_series"] == 0.7805875814571113
 
 
 def test_model_pieces_of_unequal_degree_are_capped_piece_by_piece(tmp_path, capsys):

@@ -294,9 +294,10 @@ BREAKS = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
     ([0.0, 1.0, 1.0 + 1e-13, 4.0, TWO_PI], [0.0, 2.0, 4.0, TWO_PI]),
 ], ids=["one-array", "equal-arrays", "near-break", "refined", "short-piece"])
 def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b):
-    # a product sums in an order fixed by the two pieces' own degrees, and a
-    # sum pads by them: padding a piece to its function's top degree, or
-    # meeting pieces of other degrees, changes none of its bits
+    # a product adds each coefficient's terms in one order fixed by that
+    # coefficient alone, and padding adds only exact zeros: padding a piece
+    # to its function's top degree, or meeting pieces of other degrees,
+    # changes none of its bits
     rng = np.random.default_rng(14)
     a = _random_function(rng, 3, (1, 5, 0, 3)[:len(breaks_a) - 1], breaks_a)
     b = _random_function(rng, 3, (4, 2, 0, 6)[:len(breaks_b) - 1], breaks_b)
@@ -341,3 +342,61 @@ def test_a_stack_of_functions_is_rejected():
     with pytest.raises(ModelError, match=r"\(n, n, d\+1\)"):
         PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
                                         (np.zeros((3, 2, 2, 1)), np.zeros((3, 2, 2, 1))))
+
+
+# -- one summation order per coefficient ------------------------------------
+
+def _matmul_by_coefficient(pa, pb):
+    """pa(t) @ pb(t) piece by piece, one output coefficient at a time, in
+    Python floats: the contracted index outermost, then pa's power ascending."""
+    m, n, da, db = pa.shape[0], pa.shape[1], pa.shape[-1], pb.shape[-1]
+    out = np.zeros((m, n, n, da + db - 1))
+    for p, i, j, r in np.ndindex(out.shape):
+        acc = 0.0
+        for k in range(n):
+            for s in range(max(0, r - db + 1), min(da, r + 1)):
+                acc += float(pa[p, i, k, s]) * float(pb[p, k, j, r - s])
+        out[p, i, j, r] = acc
+    return out
+
+
+@pytest.mark.parametrize("da, db", [(2, 5), (4, 4), (6, 3)])
+def test_poly_matmul_sums_each_coefficient_in_one_fixed_order(da, db):
+    rng = np.random.default_rng(da * 10 + db)
+    pa = rng.uniform(-2.0, 2.0, size=(2, 3, 3, da))
+    pb = rng.uniform(-2.0, 2.0, size=(2, 3, 3, db))
+    assert ppoly._poly_matmul(pa, pb).tobytes() == _matmul_by_coefficient(pa, pb).tobytes()
+
+
+def _padded(x, extra):
+    """``x`` with ``extra`` zero coefficients appended to every piece."""
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (extra,))], axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_zero_padding_one_factor_changes_no_bit_of_a_product_or_sum(seed):
+    # the padded factor goes from the shorter to the longer of the two, its
+    # degrees unchanged: a padded coefficient adds only exact zeros.  Even
+    # seeds hold every piece at its factor's top degree, odd ones mix degrees
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 5)), 3
+    widths = [int(w) for w in rng.choice(np.arange(2, 7), size=2, replace=False)]
+
+    def factor(width, pieces):
+        low = width - 1 if seed % 2 == 0 else 0
+        degrees = tuple(int(d) for d in rng.integers(low, width, pieces - 1)) + (width - 1,)
+        coeffs = rng.uniform(-2.0, 2.0, size=(pieces, n, n, width))
+        for k, d in enumerate(degrees):
+            coeffs[k, ..., d + 1:] = 0.0
+        return coeffs, degrees
+
+    (pa, da), (pb, db) = factor(widths[0], m), factor(widths[1], int(rng.choice((1, m))))
+    extra = abs(widths[0] - widths[1]) + int(rng.integers(1, 4))
+    cases = ((_padded(pa, extra), da, pb, db) if widths[0] < widths[1]
+             else (pa, da, _padded(pb, extra), db))
+    for kernel, args in ((ppoly._product, ()), (ppoly._sum, (1.0,)), (ppoly._sum, (-1.0,))):
+        want, want_degrees = kernel(pa, da, pb, db, *args)
+        got, got_degrees = kernel(*cases, *args)
+        assert got_degrees == want_degrees
+        assert got[..., : want.shape[-1]].tobytes() == want.tobytes()
+        assert got.shape == want.shape
