@@ -1,7 +1,7 @@
 """Parameter-space exploration for the damped-Meissner pendulum.
 
 Stability bitmaps over (omega, eps) grids, boundary extraction by a
-bracketing root finder (the Illinois method) on a scalar margin, and
+safeguarded Newton method on a scalar margin and its slope, and
 exact-versus-approximate boundary comparison tables.  Every method is
 prepared once per command (:func:`_invariants`) and runs batched: a whole
 exact-pc grid is one closed-form evaluation of tr F (the Hill
@@ -165,23 +165,33 @@ def _resolve_threads(threads=None) -> int:
 
 def _margin_stack(omegas, beta: float, method: str, signs=None):
     """margin(index, eps): the boundary margins of samples ``index`` (at
-    ``omegas[index]``) evaluated at ``eps``, in one batch.
+    ``omegas[index]``) evaluated at ``eps``, and their slopes d/d eps, in
+    one batch.
 
     The margin is det F + 1 - |tr F| of the method's monodromy invariants
     (:func:`_invariants`, prepared once for ``omegas``), a scan cell's
     margin_trace, or given ``signs`` each sample's
     :func:`stability.branch_factor`, which equals it near the branch's
-    root.  The exact boundary methods use the invariants of exact-pc cells.
+    root.  The exact boundary methods use the invariants of exact-pc cells
+    and the closed-form slope of :meth:`stability.PendulumPC.with_slope`;
+    the order methods' slopes are NaN.
     """
     if method not in EXACT_BOUNDARY_METHODS and order_of_method(method) is None:
         raise ModelError(f"unknown method {method!r}")
     invariants = _invariants(method, omegas, beta)
+    exact = method in EXACT_BOUNDARY_METHODS
 
     def margin(index, eps):
-        trace, det = invariants(index, eps)
+        if exact:
+            trace, det, slope = invariants.with_slope(index, eps)
+        else:
+            trace, det = invariants(index, eps)
+            slope = np.full(trace.shape, np.nan)
         if signs is None:
-            return stability.margins(trace, det)[0]
-        return stability.branch_factor(trace, det, signs[index])
+            # det F does not depend on eps
+            return stability.margins(trace, det)[0], -np.sign(trace) * slope
+        sign = signs[index]
+        return stability.branch_factor(trace, det, sign), sign * slope
 
     return margin
 
@@ -198,71 +208,97 @@ def _check_tol(tol: float, lo, hi):
 
 
 def _bisect(margin, lo, hi, tol: float):
-    """Find K roots in lockstep by the Illinois method, with one
-    ``margin(index, eps)`` call per step.
+    """Find K roots in lockstep by a safeguarded Newton method, with one
+    ``margin(index, eps)`` call, which gives margins and their slopes, per
+    step.
 
-    Each sample steps to the secant point of its own bracket, clipped to
-    lie at least tol/2 inside it, and keeps the part whose ends differ in
-    sign; an end kept twice in a row has its margin halved in the secant
-    (the Illinois rule; Dowell and Jarratt, BIT 11, 1971).  A sample
-    bisects instead where the secant point is not finite or, clipped, not
-    strictly inside the bracket, and once it has taken the steps bisection
-    would need, so it never takes more than twice as many.  A zero margin
-    at an end or an iterate is the root; otherwise a sample stops when its
-    bracket is no wider than ``tol`` or its midpoint equals an end, and the
-    root is the bracket's midpoint.  The iterates depend only on the
-    sample's own bracket, so the roots do not depend on which samples share
+    The first call evaluates each bracket's ends and midpoint.  From then on
+    each sample steps from its latest iterate x to x - f/f' where that point
+    is finite and strictly inside its bracket, and bisects otherwise (Press
+    et al., *Numerical Recipes* 3rd ed., 9.4, ``rtsafe``).  Where
+    |f/f'| <= tol/4 it evaluates instead the pair x - f/f' +/- tol/2,
+    clipped into the bracket: a pair whose ends differ in sign is a final
+    bracket.  Every evaluated point strictly inside the bracket replaces the
+    end whose margin has its sign.  A sample counts its evaluations, a pair
+    as two, and once it has made the steps bisection would need it
+    bisects, so it never makes more than twice as many.  A zero margin at
+    an end or an evaluated point is the root; otherwise a sample stops when
+    its bracket is no wider than ``tol`` or its midpoint equals an end, and
+    the root is the bracket's midpoint.  The steps depend only on the
+    sample's own margins, so the roots do not depend on which samples share
     the batch.  Returns the roots, NaN where the end margins have the same
     sign, and the margins at the lower and upper ends.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     _check_tol(tol, lo, hi)
-    # both ends in one call, in the order a sample-by-sample search meets them
-    ends = margin(np.repeat(np.arange(lo.size), 2), np.stack((lo, hi), axis=1).ravel())
-    m_lo, m_hi = ends[0::2], ends[1::2]
+    mid = 0.5 * (lo + hi)
+    k = lo.size
+    # the ends and the midpoint in one call; each sample meets them in the
+    # order a sample-by-sample search does
+    f, slope = margin(np.tile(np.arange(k), 3), np.concatenate((lo, hi, mid)))
+    m_lo, m_hi, m_mid, slope_mid = f[:k], f[k:2 * k], f[2 * k:], slope[2 * k:]
     root = np.where(m_lo == 0.0, lo, np.where(m_hi == 0.0, hi, np.nan))
-    bracketed = np.isnan(root) & ((m_lo < 0.0) != (m_hi < 0.0))
-    # the end margins the secant uses, halved by the Illinois rule
-    f_lo, f_hi = m_lo.copy(), m_hi.copy()
-    # the end each sample moved last: -1 the lower, +1 the upper, 0 none yet
-    moved = np.zeros(lo.size, dtype=int)
+    live = np.flatnonzero(np.isnan(root) & ((m_lo < 0.0) != (m_hi < 0.0)))
     # the steps bisection would take, ceil(log2(width / tol)), read off the
-    # binary exponent so that it is exact; past them a sample bisects
-    frac, expo = np.frexp((hi - lo) / tol)
-    budget = np.where(frac == 0.5, expo - 1, expo)
-    steps = 0
-    live = np.flatnonzero(bracketed)
+    # binary exponent so that it is exact; past them a sample bisects; the
+    # midpoint was the first
+    frac, expo = np.frexp((hi[live] - lo[live]) / tol)
+    left = np.where(frac == 0.5, expo - 1, expo) - 1
+    # per live sample: the bracket [a, b], the sign of the margin at a, the
+    # latest iterate x with its Newton step f/f', and the points of a step,
+    # each as its (eps, margin, Newton step)
+    a, b, negative = lo[live], hi[live], m_lo[live] < 0.0
+    x = step = np.full(live.size, np.nan)
+    with np.errstate(all="ignore"):
+        points = [(mid[live], m_mid[live], m_mid[live] / slope_mid[live])]
     while True:
-        live = live[hi[live] - lo[live] > tol]
-        a, b = lo[live], hi[live]
+        # each point inside the bracket moves the end whose margin has its
+        # sign and becomes the iterate; a zero ends the search as the
+        # iterate, the later one where both of a pair are zeros
+        hit = False
+        for eps, m_eps, step_eps in points:
+            zero = m_eps == 0.0
+            hit = hit | zero
+            inside = ~hit & (a < eps) & (eps < b)
+            lower = inside & ((m_eps < 0.0) == negative)
+            a = np.where(lower, eps, a)
+            b = np.where(inside ^ lower, eps, b)
+            taken = inside | zero
+            x = np.where(taken, eps, x)
+            step = np.where(taken, step_eps, step)
         mid = 0.5 * (a + b)
-        moving = (mid != a) & (mid != b)
-        live, a, b, mid = live[moving], a[moving], b[moving], mid[moving]
+        going = ~hit & (b - a > tol) & (mid != a) & (mid != b)
+        if not going.all():
+            done = ~going
+            root[live[done]] = np.where(hit, x, mid)[done]
+            live, a, b, negative, left, x, step, mid = (
+                v[going] for v in (live, a, b, negative, left, x, step, mid))
         if live.size == 0:
-            break
-        fa, fb = f_lo[live], f_hi[live]
-        with np.errstate(all="ignore"):
-            x = b - fb * (b - a) / (fb - fa)
-        secant = np.isfinite(x) & (steps < budget[live])
-        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
-        x = np.where(secant & (a < x) & (x < b), x, mid)
-        m_x = margin(live, x)
-        steps += 1
-        hit = m_x == 0.0
-        root[live[hit]] = x[hit]
-        lower = ~hit & ((m_x < 0.0) == (m_lo[live] < 0.0))
-        upper = ~hit & ~lower
-        down, up = live[lower], live[upper]
-        # Illinois: the end kept a second time in a row counts half
-        f_hi[down[moved[down] == -1]] *= 0.5
-        f_lo[up[moved[up] == 1]] *= 0.5
-        lo[down], f_lo[down], moved[down] = x[lower], m_x[lower], -1
-        hi[up], f_hi[up], moved[up] = x[upper], m_x[upper], 1
-        live = live[~hit]
-    rest = bracketed & np.isnan(root)
-    root[rest] = 0.5 * (lo[rest] + hi[rest])
-    return root, m_lo, m_hi
+            return root, m_lo, m_hi
+        newton = x - step
+        pair = (np.abs(step) <= 0.25 * tol) & (left >= 2)
+        # a point strictly inside the bracket is finite
+        single = np.where((a < newton) & (newton < b) & (left > 0), newton, mid)
+        if pair.any():
+            below = np.maximum(newton - 0.5 * tol, a)
+            above = np.minimum(newton + 0.5 * tol, b)
+            # rounding can widen the pair past tol by an ulp
+            above = np.where(above - below > tol, np.nextafter(above, below), above)[pair]
+            first = np.where(pair, below, single)
+            m_new, slope_new = margin(np.concatenate((live, live[pair])),
+                                      np.concatenate((first, above)))
+            with np.errstate(all="ignore"):
+                steps_new = m_new / slope_new
+            n = live.size
+            second = np.full((3, n), np.nan)
+            second[:, pair] = above, m_new[n:], steps_new[n:]
+            points = [(first, m_new[:n], steps_new[:n]), second]
+        else:
+            m_new, slope_new = margin(live, single)
+            with np.errstate(all="ignore"):
+                points = [(single, m_new, m_new / slope_new)]
+        left -= 1 + pair
 
 
 def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,
@@ -271,9 +307,10 @@ def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,
     sign change.
 
     The one-sample case of the lockstep root finder :func:`_bisect`, so
-    its root is bitwise the one a batch gives.  The root finder is the
-    Illinois method, not bisection; the name stays because the benchmark
-    tracer (``perfbench/tracer.py``) looks this function up by it.
+    its root is bitwise the one a batch gives.  The root finder is a
+    safeguarded Newton method, which bisects only where a Newton step
+    fails; the name stays because the benchmark tracer
+    (``perfbench/tracer.py``) looks this function up by it.
     """
     lo, hi = float(eps_bracket[0]), float(eps_bracket[1])
     if not lo < hi:

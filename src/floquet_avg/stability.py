@@ -134,9 +134,10 @@ def pc_monodromy(durations, mats):
 
 class PendulumPC:
     """The pendulum's exact-pc invariants at fixed ``omegas`` and ``beta``,
-    prepared once: ``pc(index, eps)`` gives ``(tr F, det F)`` and
-    ``pc.monodromy(index, eps)`` ``(F, tr F, det F)`` at the points
-    (omegas[index], eps) broadcast against each other, in C order.
+    prepared once: ``pc(index, eps)`` gives ``(tr F, det F)``,
+    ``pc.monodromy(index, eps)`` ``(F, tr F, det F)`` and
+    ``pc.with_slope(index, eps)`` ``(tr F, det F, d tr F / d eps)`` at the
+    points (omegas[index], eps) broadcast against each other, in C order.
 
     exp(pi J+/-) = C I + S N with N traceless (:func:`_kernels.expm2_scalars`),
     so F = E- E+ has tr F = 2 C+ C- + S+ S- tr(N- N+): the damped Meissner
@@ -145,7 +146,9 @@ class PendulumPC:
     diagonal, b^2, the 1-norm column of pi J+/- that holds no eps,
     tr(N- N+) = 2 b^2 + 2 pi^2 omega^2 and Liouville's det F.  ``monodromy``
     forms E+/- from C and S as :func:`_kernels.expm2_core` does: its F is
-    bitwise :func:`pc_monodromy`'s.
+    bitwise :func:`pc_monodromy`'s.  det F does not depend on eps, and
+    delta+/- = b^2 + pi^2 (omega^2 +/- eps) enters C and S alone, so the
+    slope of tr F is closed form in the same C and S.
 
     A point takes the closed form where it is valid, its 1-norms n+/- of
     pi J+/- are within the overflow guard of :func:`smallmat.matexp_stack`
@@ -178,25 +181,39 @@ class PendulumPC:
                 libm_map(math.exp, exponent)), axis=-1)
 
     def __call__(self, index, eps):
-        return self._evaluate(index, eps, False)[1:]
+        return self._evaluate(index, eps)[1:3]
 
     def monodromy(self, index, eps):
-        return self._evaluate(index, eps, True)
+        return self._evaluate(index, eps, matrices=True)[:3]
 
-    def _evaluate(self, index, eps, matrices: bool):
+    def with_slope(self, index, eps):
+        """``(tr F, det F, d tr F / d eps)``; the slope is NaN at a point off
+        the closed form and where pi^2 (omega^2 +/- eps) + b^2 is zero."""
+        return self._evaluate(index, eps, slopes=True)[1:]
+
+    def _evaluate(self, index, eps, matrices: bool = False, slopes: bool = False):
         eps = np.asarray(eps, dtype=float)
         w2, column_norms, mu, b, b2, trace_nn, det_f = self._constants[index].T
-        f = None
+        f = slope = None
         with np.errstate(all="ignore"):
             a10 = (w2[..., None] + eps[..., None] * _SEGMENT_SIGNS) * math.pi
             # the 1-norm's first column is |0| + |pi J[1, 0]|; for eps >= 0,
             # |omega^2 - eps| <= omega^2 + eps, so pi J+ has the larger 1-norm
             norms = np.maximum(np.abs(a10), column_norms[..., None])
-            c, s = expm2_scalars(mu[..., None], b2[..., None] + math.pi * a10)
+            delta = b2[..., None] + math.pi * a10
+            c, s = expm2_scalars(mu[..., None], delta)
             trace = 2.0 * c[..., 0] * c[..., 1] + s[..., 0] * s[..., 1] * trace_nn
             entry = np.abs(c) + np.abs(s) * norms
             fast = ((norms[..., 0] <= MATEXP_NORM_GUARD) & (eps >= 0.0)
                     & (entry[..., 0] * entry[..., 1] <= _ENTRY_BOUND))
+            if slopes:
+                # d delta+/- / d eps = +/- pi^2, dC / d delta = S / 2 and
+                # dS / d delta = q / 2 with q = (C - S) / delta, 0 / 0 at
+                # delta = 0, so d tr F / d eps is pi^2 / 2 times
+                # 2 (S+ C- - C+ S-) + tr(N- N+) (q+ S- - S+ q-)
+                w = (2.0 * s * c[..., ::-1]
+                     + trace_nn[..., None] * (s[..., ::-1] * ((c - s) / delta)))
+                slope = (0.5 * math.pi * math.pi) * (w[..., 0] - w[..., 1]).ravel()
             if matrices:
                 sb = s * b[..., None]
                 e = np.stack((c + sb, s * math.pi, s * a10, c - sb), axis=-1).reshape(-1, 2, 2, 2)
@@ -206,13 +223,15 @@ class PendulumPC:
         trace, det = trace.ravel(), det.ravel()
         slow = (~fast).ravel().nonzero()[0]
         if slow.size:
+            if slopes:
+                slope[slow] = np.nan
             omegas, eps = (np.broadcast_to(x, fast.shape).ravel()[slow]
                            for x in (self.omegas[index], eps))
             f_slow, trace[slow], det[slow] = pc_monodromy(
                 pendulum.HALF_PERIODS, pendulum.jacobian_stack(omegas, eps, self.beta))
             if matrices:
                 f[slow] = f_slow
-        return f, trace, det
+        return f, trace, det, slope
 
 
 def classify(f, tolerance: float = DEFAULT_TOLERANCE) -> StabilityReport:

@@ -260,8 +260,8 @@ def test_order_roots_are_sign_changes_of_the_scan_branch_factor(order):
             margin = scan._margin_stack(omegas, beta, f"order{order}", np.full(omegas.size, sign))
             for eps in roots[branch]:
                 k = np.flatnonzero(eps > 0.0)
-                below = margin(k, eps[k] * (1.0 - 1e-9))
-                above = margin(k, eps[k] * (1.0 + 1e-9))
+                below = margin(k, eps[k] * (1.0 - 1e-9))[0]
+                above = margin(k, eps[k] * (1.0 + 1e-9))[0]
                 assert ((below < 0.0) != (above < 0.0)).all()
                 found += k.size
     assert found == {1: 0, 2: 63, 3: 63, 4: 129, 5: 129, 6: 195}[order]

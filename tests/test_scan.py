@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import PC_TRACE_REL, paper_order2, pendulum_expansion
 from floquet_avg import averaging, pendulum, scan, stability
@@ -93,6 +94,19 @@ def test_bisect_reports_bracket_failure():
     assert excinfo.value.margin_lo > 0 and excinfo.value.margin_hi > 0
 
 
+def _expm_margin(omega, eps, beta):
+    """exp(-2 pi beta omega) + 1 - |tr F| with F = expm(pi J-) expm(pi J+)
+    from scipy: the benchmark's reference margin."""
+    w2, d = omega * omega, -beta * omega
+    f = (expm(PI * np.array([[0.0, 1.0], [w2 - eps, d]]))
+         @ expm(PI * np.array([[0.0, 1.0], [w2 + eps, d]])))
+    return math.exp(-2.0 * PI * beta * omega) + 1.0 - abs(f[0, 0] + f[1, 1])
+
+
+def _changes_sign(below, above):
+    return (below <= 0.0) != (above <= 0.0) or 0.0 in (below, above)
+
+
 def test_bisect_postcondition_sign_change():
     tol = 1e-10
     root = bisect_boundary(0.2, 0.0, (0.01, 0.3), "exact", tol=tol)
@@ -102,6 +116,22 @@ def test_bisect_postcondition_sign_change():
 
     assert margin(root - tol) * margin(root + tol) <= 0.0
     assert abs(margin(root)) < 1e-8  # Lipschitz constant is O(10) here
+    # compare's rows and both branches' curves: each root's branch factor
+    # changes sign across root +/- tol, and so does the margin of scipy's
+    # expm, the exp(pi J) products that the benchmark checks roots with
+    for beta in (0.0, 0.1, 0.3):
+        roots = [(row.omega, row.branch, row.eps_exact)
+                 for row in compare_boundaries((0.02, 0.3, 15), beta, tol).rows]
+        for branch in ("p", "n"):
+            curve = trace_boundary((0.05, 0.3, 26), beta, branch, "exact", tol)
+            roots += [(omega, branch, eps) for omega, eps in curve.points]
+        assert len(roots) == 82 and None not in [eps for _, _, eps in roots]
+        for omega, branch, eps in roots:
+            sign = -1.0 if branch == "p" else 1.0
+            trace, det = stability.PendulumPC([omega], beta)([0, 0], [eps - tol, eps + tol])
+            assert _changes_sign(*(1.0 + det + sign * trace))
+            assert _changes_sign(_expm_margin(omega, eps - tol, beta),
+                                 _expm_margin(omega, eps + tol, beta))
 
 
 def test_trace_boundary_order2_line():
@@ -217,7 +247,7 @@ def test_batched_exact_margins_equal_margin_exact(beta):
     rng = np.random.default_rng(3)
     omegas = rng.uniform(0.0, 0.4, 12)
     epss = rng.uniform(0.0, 1.0, 12)
-    batch = scan._margin_stack(omegas, beta, "exact")(np.arange(omegas.size), epss)
+    batch = scan._margin_stack(omegas, beta, "exact")(np.arange(omegas.size), epss)[0]
     for k in range(omegas.size):
         params = pendulum.PendulumParams(float(omegas[k]), float(epss[k]), beta)
         assert batch[k] == stability.margin_exact(params)
@@ -232,7 +262,7 @@ def test_batched_exact_margins_equal_margin_exact(beta):
 
 def _serial_bisect(omega, beta, bracket, tol=1e-10):
     """The one-bracket bisection loop on the scalar margin: a reference
-    whose root the Illinois root must match within tol."""
+    whose root the Newton root must match within tol."""
     def margin(eps):
         return scan.point_report(omega, eps, beta, "exact-pc").margin_trace
 
@@ -255,43 +285,51 @@ def _serial_bisect(omega, beta, bracket, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def _serial_illinois(margin, lo, hi, tol=1e-10):
-    """The one-bracket Illinois loop on a scalar margin, step by step."""
-    m_lo, m_hi = margin(lo), margin(hi)
+def _serial_newton(margin, lo, hi, tol=1e-10):
+    """The one-bracket safeguarded Newton loop on a scalar margin, which
+    gives ``(f, f')``, step by step."""
+    x = 0.5 * (lo + hi)
+    (m_lo, _), (m_hi, _) = margin(lo), margin(hi)
+    points = [(x, *margin(x))]
     if m_lo == 0.0:
         return lo
     if m_hi == 0.0:
         return hi
     assert (m_lo < 0.0) != (m_hi < 0.0)
-    f_lo, f_hi, moved = m_lo, m_hi, 0
     budget = 0  # the steps bisection would take: the least n with 2^n >= width / tol
     while 2.0 ** budget < (hi - lo) / tol:
         budget += 1
-    steps = 0
-    while hi - lo > tol:
+    steps = 1
+    while True:
+        zero = None
+        for p, m_p, slope_p in points:
+            if m_p == 0.0:
+                zero = p
+            elif lo < p < hi:
+                if (m_p < 0.0) == (m_lo < 0.0):
+                    lo = p
+                else:
+                    hi = p
+                x, f, slope = p, m_p, slope_p
+        if zero is not None:
+            return zero
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        x = mid
-        if steps < budget and f_hi != f_lo:
-            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if math.isfinite(secant):
-                secant = min(max(secant, lo + 0.5 * tol), hi - 0.5 * tol)
-                if lo < secant < hi:
-                    x = secant
-        m_x = margin(x)
-        steps += 1
-        if m_x == 0.0:
-            return x
-        if (m_x < 0.0) == (m_lo < 0.0):
-            if moved == -1:
-                f_hi *= 0.5
-            lo, f_lo, moved = x, m_x, -1
+        if hi - lo <= tol or mid == lo or mid == hi:
+            return mid
+        with np.errstate(all="ignore"):
+            step = float(np.float64(f) / slope)
+        newton = x - step
+        if abs(step) <= 0.25 * tol and steps + 2 <= budget:
+            below, above = max(newton - 0.5 * tol, lo), min(newton + 0.5 * tol, hi)
+            if above - below > tol:
+                above = math.nextafter(above, below)
+            points = [(below, *margin(below)), (above, *margin(above))]
+            steps += 2
         else:
-            if moved == 1:
-                f_lo *= 0.5
-            hi, f_hi, moved = x, m_x, 1
-    return 0.5 * (lo + hi)
+            if not (math.isfinite(newton) and lo < newton < hi and steps < budget):
+                newton = mid
+            points = [(newton, *margin(newton))]
+            steps += 1
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1])
@@ -303,15 +341,17 @@ def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
     for omega, eps in curve.points:
 
         def factor(e, omega=omega):
-            # the branch factor 1 + det F + s tr F of an exact-pc scan cell
+            # the branch factor 1 + det F + s tr F of an exact-pc scan cell,
+            # and its slope s d(tr F)/d eps
             report = scan.point_report(omega, e, beta, "exact-pc")
-            return report.determinant + 1.0 + sign * report.trace
+            slope = stability.PendulumPC([omega], beta).with_slope([0], [e])[2][0]
+            return report.determinant + 1.0 + sign * report.trace, sign * slope
 
         seed = pendulum.order4_root(omega, beta, branch)
         bracket = ((1.0 - scan._BRACKET_REL) * seed, (1.0 + scan._BRACKET_REL) * seed)
         assert [(omega, eps)] == list(trace_boundary((omega, omega, 1), beta, branch,
                                                      "exact").points)
-        assert eps == _serial_illinois(factor, *bracket)
+        assert eps == _serial_newton(factor, *bracket)
         # the cell margin det F + 1 - |tr F| equals the factor only near the
         # root, and changes sign at both branches: its bracket stops halfway
         # to the other branch's order-4 root
@@ -351,7 +391,8 @@ def test_exact_roots_are_the_first_sign_change_of_their_branch_factor(beta, bran
 
 
 def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
-    # bisection took 32-33 batched margin calls per command at tol 1e-10
+    # bisection took 32-33 batched margin calls per command at tol 1e-10,
+    # the Illinois method 9, and the safeguarded Newton steps take 4-5
     calls = []
     margin_stack = scan._margin_stack
 
@@ -372,7 +413,7 @@ def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
         for command in commands:
             calls.clear()
             command(beta)
-            assert 0 < len(calls) <= 12
+            assert 0 < len(calls) <= 6
 
 
 def _counting_squares(monkeypatch):
@@ -421,15 +462,16 @@ def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
     assert sizes == [26, 26]
 
 
-def _synthetic_margin(funcs):
-    """margin(index, eps) of scalar functions, one per sample, and a log of
-    every (sample, eps, margin) it evaluates."""
+def _synthetic_margin(cases):
+    """margin(index, eps) of (function, slope) pairs of scalar functions,
+    one per sample, and a log of every (sample, eps, margin) it evaluates."""
     log = []
 
     def margin(index, eps):
-        out = np.array([funcs[i](e) for i, e in zip(index.tolist(), eps.tolist())])
+        out = np.array([cases[i][0](e) for i, e in zip(index.tolist(), eps.tolist())])
+        slopes = np.array([cases[i][1](e) for i, e in zip(index.tolist(), eps.tolist())])
         log.extend(zip(index.tolist(), eps.tolist(), out.tolist()))
-        return out
+        return out, slopes
 
     return margin, log
 
@@ -438,18 +480,30 @@ def _cbrt(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-# (margin in x, bracket, tol): hard cases for a secant method, plus smooth ones
+def _nan(x):
+    return math.nan
+
+
+# (margin in x, its slope, bracket, tol): hard cases for a Newton method,
+# with slopes that are missing, wrong or, for cbrt_exact, exact but sending
+# Newton away from the root (x - r -> -2 (x - r)), plus smooth ones with
+# exact slopes
 _SYNTHETIC = {
-    "step": (lambda x: -1.0 if x < 0.3183 else 1.0, (0.1, 0.9), 1e-10),
-    "power7": (lambda x: (x - 0.2718) ** 7, (0.1, 0.9), 1e-10),
-    "exp50": (lambda x: math.exp(50.0 * (x - 0.7071)) - 1.0, (0.1, 0.9), 1e-10),
-    "cbrt": (lambda x: _cbrt(x - 0.5772), (0.1, 0.9), 1e-10),
-    "zero_at_lo": (lambda x: x - 0.25, (0.25, 0.9), 1e-10),
-    "zero_at_hi": (lambda x: 0.75 - x, (0.1, 0.75), 1e-10),
-    "smooth": (lambda x: math.sin(3.0 * (x - 0.4142)), (0.1, 0.9), 1e-10),
-    "smooth_tight": (lambda x: x * x - 0.3, (0.1, 0.9), 1e-15),
-    "power7_tight": (lambda x: (0.6931 - x) ** 7, (0.1, 0.9), 1e-15),
-    "step_tight": (lambda x: 1.0 if x < 0.1234 else -1.0, (0.1, 0.9), 1e-15),
+    "step": (lambda x: -1.0 if x < 0.3183 else 1.0, _nan, (0.1, 0.9), 1e-10),
+    "power7": (lambda x: (x - 0.2718) ** 7, lambda x: -7.0 * (x - 0.2718) ** 6,
+               (0.1, 0.9), 1e-10),
+    "exp50": (lambda x: math.exp(50.0 * (x - 0.7071)) - 1.0,
+              lambda x: 50.0 * math.exp(50.0 * (x - 0.7071)), (0.1, 0.9), 1e-10),
+    "cbrt": (lambda x: _cbrt(x - 0.5772), lambda x: 30.0, (0.1, 0.9), 1e-10),
+    "cbrt_exact": (lambda x: _cbrt(x - 0.5772), lambda x: abs(x - 0.5772) ** (-2.0 / 3.0) / 3.0,
+                   (0.1, 0.9), 1e-10),
+    "zero_at_lo": (lambda x: x - 0.25, lambda x: 1.0, (0.25, 0.9), 1e-10),
+    "zero_at_hi": (lambda x: 0.75 - x, lambda x: -1.0, (0.1, 0.75), 1e-10),
+    "smooth": (lambda x: math.sin(3.0 * (x - 0.4142)), lambda x: 3.0 * math.cos(3.0 * (x - 0.4142)),
+               (0.1, 0.9), 1e-10),
+    "smooth_tight": (lambda x: x * x - 0.3, lambda x: 2.0 * x, (0.1, 0.9), 1e-15),
+    "power7_tight": (lambda x: (0.6931 - x) ** 7, _nan, (0.1, 0.9), 1e-15),
+    "step_tight": (lambda x: 1.0 if x < 0.1234 else -1.0, lambda x: -10.0, (0.1, 0.9), 1e-15),
 }
 
 
@@ -459,7 +513,8 @@ def _check_synthetic_sample(func, bracket, tol, root, log):
     evals = len(log) - 2
     assert evals <= 2 * math.ceil(math.log2((hi - lo) / tol))
     if m_lo == 0.0 or func(hi) == 0.0:
-        assert root == (lo if m_lo == 0.0 else hi) and evals == 0
+        # the midpoint shares the ends' call and is all that is evaluated
+        assert root == (lo if m_lo == 0.0 else hi) and evals == 1
         return
     zeros = [x for _, x, m in log if m == 0.0]
     if zeros:
@@ -475,8 +530,8 @@ def _check_synthetic_sample(func, bracket, tol, root, log):
 
 @pytest.mark.parametrize("name", sorted(_SYNTHETIC))
 def test_root_finder_terminates_on_hard_margins(name):
-    func, bracket, tol = _SYNTHETIC[name]
-    margin, log = _synthetic_margin([func])
+    func, slope, bracket, tol = _SYNTHETIC[name]
+    margin, log = _synthetic_margin([(func, slope)])
     root = scan._bisect(margin, [bracket[0]], [bracket[1]], tol)[0][0]
     _check_synthetic_sample(func, bracket, tol, root, log)
 
@@ -484,16 +539,16 @@ def test_root_finder_terminates_on_hard_margins(name):
 @pytest.mark.parametrize("tol", [1e-10, 1e-15])
 def test_mixed_batch_roots_equal_their_own_runs(tol):
     names = sorted(_SYNTHETIC)
-    funcs = [_SYNTHETIC[name][0] for name in names]
-    lo = [_SYNTHETIC[name][1][0] for name in names]
-    hi = [_SYNTHETIC[name][1][1] for name in names]
-    margin, log = _synthetic_margin(funcs)
+    cases = [_SYNTHETIC[name][:2] for name in names]
+    lo = [_SYNTHETIC[name][2][0] for name in names]
+    hi = [_SYNTHETIC[name][2][1] for name in names]
+    margin, log = _synthetic_margin(cases)
     roots = scan._bisect(margin, lo, hi, tol)[0]
-    for k, func in enumerate(funcs):
-        alone, alone_log = _synthetic_margin([func])
+    for k, case in enumerate(cases):
+        alone, alone_log = _synthetic_margin([case])
         assert roots[k] == scan._bisect(alone, [lo[k]], [hi[k]], tol)[0][0]
         assert [entry[1:] for entry in log if entry[0] == k] == [entry[1:] for entry in alone_log]
-        _check_synthetic_sample(func, (lo[k], hi[k]), tol, roots[k],
+        _check_synthetic_sample(case[0], (lo[k], hi[k]), tol, roots[k],
                                 [entry for entry in log if entry[0] == k])
 
 
@@ -627,7 +682,7 @@ def test_lockstep_order_roots_equal_single_sample_bisection(method, beta):
         assert root == bisect_boundary(omega, beta, (lo[i], hi[i]), method)
         assert abs(root - expected[i]) < 1e-9
         # the scalar margin is the one-point case of the batched one
-        at_root = margin(np.array([i]), np.array([root]))[0]
+        at_root = margin(np.array([i]), np.array([root]))[0][0]
         assert scan.point_report(omega, root, beta, method).margin_trace == at_root
 
 

@@ -238,6 +238,35 @@ def test_points_near_f_overflow_take_pc_monodromy_alone(monkeypatch):
         assert (alone[0][0], alone[1][0]) == (trace[k], det[k])
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.3])
+def test_pc_slope_is_the_derivative_of_the_hill_discriminant(beta):
+    # d tr F / d eps in closed form from C and S, against a central
+    # difference of the closed-form tr F, over omega 0.02-0.5 and eps 0-1.2
+    # (measured within 1.4e-9 of max(1, |slope|))
+    rng = np.random.default_rng(8)
+    omegas, epss = rng.uniform(0.02, 0.5, 200), rng.uniform(0.0, 1.2, 200)
+    pc = PendulumPC(omegas, beta)
+    trace, det, slope = pc.with_slope(slice(None), epss)
+    assert _pc_outcome(lambda: (trace, det)) == _pc_outcome(lambda: pc(slice(None), epss))
+    h = 1e-6
+    central = (pc(slice(None), epss + h)[0] - pc(slice(None), epss - h)[0]) / (2.0 * h)
+    assert np.all(np.abs(slope - central) <= 1e-8 * np.maximum(1.0, np.abs(slope)))
+    # each point's slope is the one it gets alone
+    for k in range(0, omegas.size, 20):
+        alone = PendulumPC(omegas[k:k + 1], beta).with_slope(slice(None), epss[k:k + 1])
+        assert _pc_outcome(lambda: alone) == tuple(x[k:k + 1].tobytes() for x in (trace, det, slope))
+
+
+def test_pc_slope_is_nan_off_the_closed_form_and_where_delta_vanishes():
+    # omega 112 takes pc_monodromy; at beta 0 and eps = omega^2, pi J- has
+    # delta = 0, where dS / d delta = (C - S) / (2 delta) is 0 / 0
+    omegas, epss = np.array([112.0, 0.3, 0.3]), np.array([0.0, 0.3 ** 2, 0.5])
+    trace, det, slope = PendulumPC(omegas, 0.0).with_slope(slice(None), epss)
+    assert np.isnan(slope[:2]).all() and np.isfinite(slope[2])
+    assert _pc_outcome(lambda: (trace, det)) == _pc_outcome(
+        lambda: PendulumPC(omegas, 0.0)(slice(None), epss))
+
+
 def test_pc_det_is_exact_where_the_product_det_is_roundoff():
     # ||F|| ~ 1e27 at omega 10, so f00 f11 - f01 f10 carries a roundoff of
     # order 1e38; Liouville's det F = exp(-2 pi beta omega) carries none
