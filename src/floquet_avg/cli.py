@@ -418,6 +418,14 @@ def _scan_csv(grid: scan.ScanGrid) -> str:
 # ---------------------------------------------------------------------------
 # boundary / compare
 
+def _missing_exit(missing: int, total: int, message: str) -> int:
+    """Count the missing samples on stderr with ``message``; more than 10%
+    of ``total`` missing is a partial result."""
+    if missing:
+        print(message.format(missing=missing, total=total), file=sys.stderr)
+    return EXIT_PARTIAL if missing > 0.1 * total else EXIT_OK
+
+
 def cmd_boundary(args) -> int:
     omega_range = parse_range(args.omega)
     curve = scan.trace_boundary(omega_range, args.beta, args.branch, args.method,
@@ -431,12 +439,8 @@ def cmd_boundary(args) -> int:
             curve.method,
         )))
     _write_output("\n".join(lines) + "\n", args.output)
-    total = omega_range[2]
-    if curve.omitted:
-        print(f"boundary: omitted {curve.omitted} of {total} samples", file=sys.stderr)
-    if curve.omitted > 0.1 * total:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _missing_exit(curve.omitted, omega_range[2],
+                         "boundary: omitted {missing} of {total} samples")
 
 
 def cmd_compare(args) -> int:
@@ -461,12 +465,8 @@ def cmd_compare(args) -> int:
             cell(row.err4),
         )))
     _write_output("\n".join(lines) + "\n", args.output)
-    if failures:
-        print(f"compare: {failures} of {len(table.rows)} samples lack an exact root",
-              file=sys.stderr)
-    if failures > 0.1 * len(table.rows):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _missing_exit(failures, len(table.rows),
+                         "compare: {missing} of {total} samples lack an exact root")
 
 
 # ---------------------------------------------------------------------------

@@ -213,21 +213,21 @@ def _bisect(margin, lo, hi, tol: float):
     step.
 
     The first call evaluates each bracket's ends and midpoint.  From then on
-    each sample steps from its latest iterate x to x - f/f' where that point
-    is finite and strictly inside its bracket, and bisects otherwise (Press
-    et al., *Numerical Recipes* 3rd ed., 9.4, ``rtsafe``).  Where
-    |f/f'| <= tol/4 it evaluates instead the pair x - f/f' +/- tol/2,
-    clipped into the bracket: a pair whose ends differ in sign is a final
-    bracket.  Every evaluated point strictly inside the bracket replaces the
-    end whose margin has its sign.  A sample counts its evaluations, a pair
-    as two, and once it has made the steps bisection would need it
-    bisects, so it never makes more than twice as many.  A zero margin at
-    an end or an evaluated point is the root; otherwise a sample stops when
-    its bracket is no wider than ``tol`` or its midpoint equals an end, and
-    the root is the bracket's midpoint.  The steps depend only on the
-    sample's own margins, so the roots do not depend on which samples share
-    the batch.  Returns the roots, NaN where the end margins have the same
-    sign, and the margins at the lower and upper ends.
+    each sample steps from its latest iterate x, always the end its last
+    point moved, to x - f/f' where that point is finite and strictly inside
+    its bracket, and bisects otherwise (Press et al., *Numerical Recipes*
+    3rd ed., 9.4, ``rtsafe``).  Where |f/f'| <= tol/4 it steps instead to
+    the closing point tol/2 past x - f/f' on the side away from x: where
+    the margin there has the other sign, the bracket is at most tol wide.
+    Every evaluated point replaces the end whose margin has its sign.  A
+    sample counts its evaluations, and once it has made the steps bisection
+    would need it bisects, so it never makes more than twice as many.  A
+    zero margin at an end or an evaluated point is the root; otherwise a
+    sample stops when its bracket is no wider than ``tol`` or its midpoint
+    equals an end, and the root is the bracket's midpoint.  The steps depend
+    only on the sample's own margins, so the roots do not depend on which
+    samples share the batch.  Returns the roots, NaN where the end margins
+    have the same sign, and the margins at the lower and upper ends.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -245,60 +245,39 @@ def _bisect(margin, lo, hi, tol: float):
     # midpoint was the first
     frac, expo = np.frexp((hi[live] - lo[live]) / tol)
     left = np.where(frac == 0.5, expo - 1, expo) - 1
-    # per live sample: the bracket [a, b], the sign of the margin at a, the
-    # latest iterate x with its Newton step f/f', and the points of a step,
-    # each as its (eps, margin, Newton step)
+    # per live sample: the bracket [a, b], the sign of the margin at a, and
+    # the latest iterate x with its margin and slope
     a, b, negative = lo[live], hi[live], m_lo[live] < 0.0
-    x = step = np.full(live.size, np.nan)
-    with np.errstate(all="ignore"):
-        points = [(mid[live], m_mid[live], m_mid[live] / slope_mid[live])]
+    x, f, slope = mid[live], m_mid[live], slope_mid[live]
     while True:
-        # each point inside the bracket moves the end whose margin has its
-        # sign and becomes the iterate; a zero ends the search as the
-        # iterate, the later one where both of a pair are zeros
-        hit = False
-        for eps, m_eps, step_eps in points:
-            zero = m_eps == 0.0
-            hit = hit | zero
-            inside = ~hit & (a < eps) & (eps < b)
-            lower = inside & ((m_eps < 0.0) == negative)
-            a = np.where(lower, eps, a)
-            b = np.where(inside ^ lower, eps, b)
-            taken = inside | zero
-            x = np.where(taken, eps, x)
-            step = np.where(taken, step_eps, step)
+        # the iterate moves the end whose margin has its sign, and a zero
+        # ends the search; every iterate is strictly inside the bracket,
+        # except a first midpoint equal to an end, whose margin is that
+        # end's, so that it leaves the bracket as it is
+        zero = f == 0.0
+        lower = (f < 0.0) == negative
+        a = np.where(lower, x, a)
+        b = np.where(lower, b, x)
         mid = 0.5 * (a + b)
-        going = ~hit & (b - a > tol) & (mid != a) & (mid != b)
+        going = ~zero & (b - a > tol) & (mid != a) & (mid != b)
         if not going.all():
             done = ~going
-            root[live[done]] = np.where(hit, x, mid)[done]
-            live, a, b, negative, left, x, step, mid = (
-                v[going] for v in (live, a, b, negative, left, x, step, mid))
+            root[live[done]] = np.where(zero, x, mid)[done]
+            live, a, b, negative, left, x, f, slope, mid = (
+                v[going] for v in (live, a, b, negative, left, x, f, slope, mid))
         if live.size == 0:
             return root, m_lo, m_hi
+        with np.errstate(all="ignore"):
+            step = f / slope
         newton = x - step
-        pair = (np.abs(step) <= 0.25 * tol) & (left >= 2)
+        # near the root, the closing point: tol/2 past the Newton point, on
+        # the side away from the end x
+        newton = np.where(np.abs(step) <= 0.25 * tol,
+                          newton + np.where(x == a, 0.5, -0.5) * tol, newton)
         # a point strictly inside the bracket is finite
-        single = np.where((a < newton) & (newton < b) & (left > 0), newton, mid)
-        if pair.any():
-            below = np.maximum(newton - 0.5 * tol, a)
-            above = np.minimum(newton + 0.5 * tol, b)
-            # rounding can widen the pair past tol by an ulp
-            above = np.where(above - below > tol, np.nextafter(above, below), above)[pair]
-            first = np.where(pair, below, single)
-            m_new, slope_new = margin(np.concatenate((live, live[pair])),
-                                      np.concatenate((first, above)))
-            with np.errstate(all="ignore"):
-                steps_new = m_new / slope_new
-            n = live.size
-            second = np.full((3, n), np.nan)
-            second[:, pair] = above, m_new[n:], steps_new[n:]
-            points = [(first, m_new[:n], steps_new[:n]), second]
-        else:
-            m_new, slope_new = margin(live, single)
-            with np.errstate(all="ignore"):
-                points = [(single, m_new, m_new / slope_new)]
-        left -= 1 + pair
+        x = np.where((a < newton) & (newton < b) & (left > 0), newton, mid)
+        f, slope = margin(live, x)
+        left -= 1
 
 
 def bisect_boundary(omega: float, beta: float, eps_bracket, method: str,

@@ -332,10 +332,13 @@ def _serial_newton(margin, lo, hi, tol=1e-10):
             steps += 1
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 @pytest.mark.parametrize("beta", [0.0, 0.1])
 @pytest.mark.parametrize("branch", ["p", "n"])
-def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
-    curve = trace_boundary((0.05, 0.3, 9), beta, branch, "exact")
+def test_lockstep_roots_equal_single_sample_bisection(beta, branch, tol):
+    # _serial_newton closes on a pair of points tol apart, one of which is
+    # always the iterate; the lockstep search evaluates only the other
+    curve = trace_boundary((0.05, 0.3, 9), beta, branch, "exact", tol)
     assert len(curve.points) == 9
     sign = -1.0 if branch == "p" else 1.0
     for omega, eps in curve.points:
@@ -350,17 +353,17 @@ def test_lockstep_roots_equal_single_sample_bisection(beta, branch):
         seed = pendulum.order4_root(omega, beta, branch)
         bracket = ((1.0 - scan._BRACKET_REL) * seed, (1.0 + scan._BRACKET_REL) * seed)
         assert [(omega, eps)] == list(trace_boundary((omega, omega, 1), beta, branch,
-                                                     "exact").points)
-        assert eps == _serial_newton(factor, *bracket)
+                                                     "exact", tol).points)
+        assert eps == _serial_newton(factor, *bracket, tol)
         # the cell margin det F + 1 - |tr F| equals the factor only near the
         # root, and changes sign at both branches: its bracket stops halfway
         # to the other branch's order-4 root
         mid = 0.5 * sum(pendulum.order4_root(omega, beta, b) for b in ("p", "n"))
         cell = ((bracket[0], min(bracket[1], mid)) if branch == "p"
                 else (max(bracket[0], mid), bracket[1]))
-        assert abs(eps - bisect_boundary(omega, beta, cell, "exact")) <= 1e-10
-        assert abs(eps - _serial_bisect(omega, beta, cell)) < 1e-10
-    table = compare_boundaries((0.05, 0.3, 9), beta)
+        assert abs(eps - bisect_boundary(omega, beta, cell, "exact", tol)) <= tol
+        assert abs(eps - _serial_bisect(omega, beta, cell, tol)) < tol
+    table = compare_boundaries((0.05, 0.3, 9), beta, tol)
     assert [r.eps_exact for r in table.branch_rows(branch)] == [e for _, e in curve.points]
 
 
@@ -390,30 +393,51 @@ def test_exact_roots_are_the_first_sign_change_of_their_branch_factor(beta, bran
         assert (ends[0] <= 0.0) != (ends[1] <= 0.0) or 0.0 in ends
 
 
-def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
-    # bisection took 32-33 batched margin calls per command at tol 1e-10,
-    # the Illinois method 9, and the safeguarded Newton steps take 4-5
+def _logging_margin_calls(monkeypatch):
+    """The ``(index, eps)`` arguments of every call of a margin that
+    scan._margin_stack makes, call by call."""
     calls = []
     margin_stack = scan._margin_stack
 
-    def counting(*args):
+    def logging(*args):
         margin = margin_stack(*args)
 
-        def counted(index, eps):
-            calls.append(len(index))
+        def logged(index, eps):
+            calls.append((np.array(index), np.array(eps)))
             return margin(index, eps)
 
-        return counted
+        return logged
 
-    monkeypatch.setattr(scan, "_margin_stack", counting)
-    commands = [lambda beta: compare_boundaries((0.02, 0.3, 15), beta)]
-    commands += [lambda beta, branch=branch: trace_boundary((0.05, 0.3, 26), beta, branch, "exact")
-                 for branch in ("p", "n")]
+    monkeypatch.setattr(scan, "_margin_stack", logging)
+    return calls
+
+
+# the documented compare and exact boundary commands, each one margin stack
+_EXACT_COMMANDS = [lambda beta: compare_boundaries((0.02, 0.3, 15), beta)] + [
+    lambda beta, branch=branch: trace_boundary((0.05, 0.3, 26), beta, branch, "exact")
+    for branch in ("p", "n")]
+
+
+def test_exact_boundaries_take_few_lockstep_margin_calls(monkeypatch):
+    # bisection took 32-33 batched margin calls per command at tol 1e-10,
+    # the Illinois method 9, and the safeguarded Newton steps take 4-5
+    calls = _logging_margin_calls(monkeypatch)
     for beta in (0.0, 0.1):
-        for command in commands:
+        for command in _EXACT_COMMANDS:
             calls.clear()
             command(beta)
             assert 0 < len(calls) <= 6
+
+
+def test_exact_boundaries_evaluate_no_sample_twice_at_one_eps(monkeypatch):
+    # a closing pair of points tol apart evaluated the iterate a second time
+    calls = _logging_margin_calls(monkeypatch)
+    for beta in (0.0, 0.1):
+        for command in _EXACT_COMMANDS:
+            calls.clear()
+            command(beta)
+            points = [p for index, eps in calls for p in zip(index.tolist(), eps.tolist())]
+            assert len(calls) > 1 and len(set(points)) == len(points)
 
 
 def _counting_squares(monkeypatch):
@@ -444,19 +468,7 @@ def test_exact_boundary_squares_one_omega_per_margin_point(monkeypatch, branch):
     # it once more when they are prepared: every lockstep margin call squared
     # one omega per point it took, 284 (p) and 283 (n) in all
     sizes = _counting_squares(monkeypatch)
-    calls = []
-    margin_stack = scan._margin_stack
-
-    def counting(*args):
-        margin = margin_stack(*args)
-
-        def counted(index, eps):
-            calls.append(len(index))
-            return margin(index, eps)
-
-        return counted
-
-    monkeypatch.setattr(scan, "_margin_stack", counting)
+    calls = _logging_margin_calls(monkeypatch)
     curve = trace_boundary((0.05, 0.3, 26), 0.1, branch, "exact")
     assert len(curve.points) == 26 and len(calls) > 1
     assert sizes == [26, 26]
@@ -512,6 +524,8 @@ def _check_synthetic_sample(func, bracket, tol, root, log):
     m_lo = func(lo)
     evals = len(log) - 2
     assert evals <= 2 * math.ceil(math.log2((hi - lo) / tol))
+    # no point is evaluated twice
+    assert len({x for _, x, _ in log}) == len(log)
     if m_lo == 0.0 or func(hi) == 0.0:
         # the midpoint shares the ends' call and is all that is evaluated
         assert root == (lo if m_lo == 0.0 else hi) and evals == 1
