@@ -10,10 +10,11 @@ closed-form exponential of 2x2 matrices, a handful of elementwise ufuncs;
 ``matexp_core`` is scaling and squaring for any n.  The RK4 integrator
 multiplies step matrices I + D rather than looping over steps: a squaring
 chain for each constant piece, a pairwise product tree for each
-fixed-size block of steps of a polynomial piece.  Every slice runs the arithmetic it would get alone -- for the
-exponential its own scaling exponent, Taylor stop and number of squarings,
-for RK4 its own route and tree shapes -- so a slice's result does not
-depend on what else is in the stack.
+fixed-size block of steps of a polynomial piece, all blocks of a pass
+evaluated and multiplied together.  Every slice runs the arithmetic it
+would get alone -- for the exponential its own scaling exponent, Taylor
+stop and number of squarings, for RK4 its own route and tree shapes -- so
+a slice's result does not depend on what else is in the stack.
 """
 
 import numpy as np
@@ -22,8 +23,11 @@ from .ppoly import _eval_block
 
 _EPS_53 = 2.0 ** -53
 _MAX_TAYLOR_TERMS = 30
-# RK4 steps of a polynomial piece evaluated and multiplied as one block
+# RK4 steps of a polynomial piece multiplied as one block, by a pairwise tree
 _RK4_BLOCK_STEPS = 64
+# step matrices (steps times systems) a pass over a polynomial piece holds at
+# once: the whole blocks it evaluates and multiplies together
+_RK4_PASS_MATRICES = 2048
 
 
 def column_sums(a):
@@ -166,14 +170,15 @@ def _power(d, count):
     return out
 
 
-def _product_tree(d):
-    """(I + d[-1]) ... (I + d[0]) - I of a (b, ...) stack, later steps on the
-    left, reduced pairwise: the tree's shape depends only on b."""
-    while d.shape[0] > 1:
-        pairs = d.shape[0] // 2
-        merged = _compose(d[1:2 * pairs:2], d[0:2 * pairs:2])
-        d = np.concatenate((merged, d[2 * pairs:])) if d.shape[0] % 2 else merged
-    return d[0]
+def _product_trees(d):
+    """(I + d[:, -1]) ... (I + d[:, 0]) - I of each block of a (blocks, b, ...)
+    stack, later steps on the left, reduced pairwise: the tree's shape
+    depends only on b."""
+    while d.shape[1] > 1:
+        pairs = d.shape[1] // 2
+        merged = _compose(d[:, 1:2 * pairs:2], d[:, 0:2 * pairs:2])
+        d = np.concatenate((merged, d[:, 2 * pairs:]), axis=1) if d.shape[1] % 2 else merged
+    return d[:, 0]
 
 
 def _advance_piece(x, coeffs, t0, h, steps, constant: bool):
@@ -183,12 +188,19 @@ def _advance_piece(x, coeffs, t0, h, steps, constant: bool):
         j = coeffs[..., 0]
         d = _power(_step_increments(j, j, j, h), steps)
         return x + np.matmul(d, x)
-    for first in range(0, steps, _RK4_BLOCK_STEPS):
-        t = t0 + np.arange(first, min(first + _RK4_BLOCK_STEPS, steps)) * h
+    # whole blocks per pass, as many as the cap on step matrices lets in
+    size = _RK4_BLOCK_STEPS * max(1, _RK4_PASS_MATRICES // (_RK4_BLOCK_STEPS * len(x)))
+    for first in range(0, steps, size):
+        t = t0 + np.arange(first, min(first + size, steps)) * h
         stages = np.stack((t, t + 0.5 * h, t + h))[..., None, None, None]
         j = _eval_block(coeffs, stages)
-        d = _product_tree(_step_increments(j[0], j[1], j[2], h))
-        x = x + np.matmul(d, x)
+        d = _step_increments(j[0], j[1], j[2], h)
+        full = len(t) - len(t) % _RK4_BLOCK_STEPS
+        blocks = [_product_trees(d[:full].reshape((-1, _RK4_BLOCK_STEPS) + d.shape[1:]))]
+        if full < len(t):  # the piece's last, short block
+            blocks.append(_product_trees(d[None, full:]))
+        for block in np.concatenate(blocks):
+            x = x + np.matmul(block, x)
     return x
 
 
@@ -210,10 +222,14 @@ def rk4_monodromy_core(breaks, coeffs, steps_per_piece):
     piece is constant has one D there, raised to the step count by binary
     powering; otherwise the piece's steps are taken in blocks of a fixed
     ``_RK4_BLOCK_STEPS``, each block's D stack reduced by a pairwise tree
-    with later steps on the left.  Each piece or block then updates the
-    state as X <- X + D X.  Which route a system takes and the shape of
-    every tree depend only on its own coefficients and the step count,
-    never on the stack, so each slice is bitwise what it would be alone.
+    with later steps on the left.  One pass evaluates J and D for as many
+    whole blocks as ``_RK4_PASS_MATRICES`` step matrices (steps times
+    systems) allow, at least one, and reduces all their trees together, so
+    memory stays bounded at any step count.  Each piece or block then
+    updates the state in order as X <- X + D X.  Which route a system takes
+    and the shape of every tree depend only on its own coefficients and the
+    step count, never on the stack or the pass, so each slice is bitwise
+    what it would be alone, one block at a time.
     """
     single = coeffs.ndim == 4
     if single:

@@ -123,6 +123,14 @@ def run_recursion(h_terms, period: float, order: int):
     its monomial.  Each U_n closes monomial by monomial: its residual
     ||U_n^m(T)||_1 is zero up to roundoff when A_n is the average of its
     integrand, so the residuals double as the recursion's self-test.
+
+    Each order runs as one pass (:func:`_collection`): its H U products in
+    one stack and its U A products in another, then one ordered sum per
+    label.  W(T) and U_n(T) are the running totals of the joins that set
+    the antiderivatives' constants, and U_n's join starts from W's Horner
+    partial.  Every A_n and U_n(T) is bitwise what one product and one sum
+    at a time, each through ``ppoly._on_union``, and Horner at T give, and
+    a failing input raises the error that order meets first.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ModelError(f"order {order} outside supported range 1..{MAX_ORDER}")
@@ -131,35 +139,29 @@ def run_recursion(h_terms, period: float, order: int):
     funcs = [f for term in h_terms for f in term.values()]
     for f in funcs[1:]:
         ppoly._check_compatible(funcs[0], f)
+    span = funcs[0].period
     # each function as ppoly's kernels take it, (coeffs, degrees, breakpoints)
     h_terms = [{label: (f.coeffs, f.degrees, f.breakpoints) for label, f in term.items()}
                for term in h_terms]
     zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.array([0.0, period]))
     a_mats, a_consts, u_funcs, u_ends = [], [], [], []
-
-    def apply(kernel, x, y, *args):
-        return ppoly._checked(*ppoly._on_union(funcs[0].period, x, y, kernel, *args))
-
-    def accumulate(sign, label_x, label_y, product):
-        """coll[label] += sign * product, under the label of the product's monomial."""
-        label = _label_sum(label_x, label_y)
-        coll[label] = apply(ppoly._sum, coll.get(label, zero), product, sign)
-
     try:
         for n in range(1, order + 1):
-            coll = dict(h_terms[n - 1]) if n <= len(h_terms) else {}
+            steps = []  # (sign, factor, factor), each factor a (label, function) pair
             for i in range(1, n):
                 # H_{n-i} is zero above the model's highest order: no product to add
                 if n - i <= len(h_terms):
-                    for lh, h in h_terms[n - i - 1].items():
-                        for lu, u in u_funcs[i - 1].items():
-                            accumulate(1.0, lh, lu, apply(ppoly._product, h, u))
-                for lu, u in u_funcs[i - 1].items():
-                    for la, a in a_consts[n - i - 1].items():
-                        accumulate(-1.0, lu, la, apply(ppoly._product, u, a))
-            anti = {label: ppoly._checked(*ppoly._antiderivative(*f)) for label, f in coll.items()}
-            a_n = {label: ppoly._value(funcs[0].period, *w, period) / period
-                   for label, w in anti.items()}
+                    steps += [(1.0, h, u) for h in h_terms[n - i - 1].items()
+                              for u in u_funcs[i - 1].items()]
+                steps += [(-1.0, u, a) for u in u_funcs[i - 1].items()
+                          for a in a_consts[n - i - 1].items()]
+            start = h_terms[n - 1] if n <= len(h_terms) else {}
+            anti = {}
+            for label, f in _collection(span, start, steps, zero).items():
+                w, total, partial = ppoly._antiderivative(*f, period)
+                anti[label] = (ppoly._checked(*w), total, partial)
+            a_n = {label: ppoly._end_value(span, total, period) / period
+                   for label, (_, total, _) in anti.items()}
             if not all(np.isfinite(a).all() for a in a_n.values()):
                 raise ModelError("piece coefficients must be finite")
             a_mats.append(a_n)
@@ -167,9 +169,10 @@ def run_recursion(h_terms, period: float, order: int):
                              for label, a in a_n.items()})
             if n < order:
                 u_n, end_n = {}, {}
-                for label, w in anti.items():
-                    u = ppoly._checked(*ppoly._minus_ramp(*w, a_n[label]))
-                    end = ppoly._value(funcs[0].period, *u, period)
+                for label, (w, _, partial) in anti.items():
+                    u, end = ppoly._minus_ramp(w, a_n[label], period, partial)
+                    u = ppoly._checked(*u)
+                    end = ppoly._end_value(span, end, period)
                     res = float(norm1(end))
                     if res >= _CLOSURE_TOL * (1.0 + float(np.abs(u[0]).max())):
                         where = f" of monomial {label}" if label else ""  # () for no parameters
@@ -183,6 +186,38 @@ def run_recursion(h_terms, period: float, order: int):
             raise ModelError(f"order {order} too high: {exc}") from exc
         raise
     return tuple(a_mats), tuple(u_ends)
+
+
+def _collection(period: float, start: dict, steps: list, zero) -> dict:
+    """One order's collection by label: ``start`` (H_n) plus sign times the
+    product of each step's factors, added under the label of the product's
+    monomial in step order, labels in the order they first appear.
+
+    The products of each sign (the H U pairs, then the U A pairs) run as
+    stacks (``ppoly._products``) and each label sums its terms in one
+    ordered pass (``ppoly._ordered_sum``).  When either meets a product
+    over the degree cap or a value out of the float range, the order runs
+    again one product and one sum at a time, so that the first failure in
+    that sequence raises its error.
+    """
+    made = {sign: ppoly._products(period, [(x[1], y[1]) for s, x, y in steps if s == sign])
+            for sign in (1.0, -1.0)}
+    if None not in made.values():
+        made = {sign: iter(products) for sign, products in made.items()}
+        terms = {label: (f, []) for label, f in start.items()}
+        for sign, (label_x, _), (label_y, _) in steps:
+            terms.setdefault(_label_sum(label_x, label_y), (zero, []))[1].append(
+                (sign, next(made[sign])))
+        coll = {label: ppoly._ordered_sum(period, *t) for label, t in terms.items()}
+        if None not in coll.values():
+            return coll
+    coll = dict(start)
+    for sign, (label_x, x), (label_y, y) in steps:
+        product = ppoly._checked(*ppoly._on_union(period, x, y, ppoly._product))
+        label = _label_sum(label_x, label_y)
+        coll[label] = ppoly._checked(*ppoly._on_union(
+            period, coll.get(label, zero), product, ppoly._sum, sign))
+    return coll
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,13 @@ intervals, each run once on the whole arrays.  A product adds each
 coefficient's terms in one order fixed by that coefficient alone, so zero
 padding adds only exact zeros and no piece's result depends on the degrees
 of the others.  _on_union runs a kernel on two functions held as (coeffs,
-degrees, breakpoints) over their breakpoints' union, for the pp_* wrappers
-and the averaging recursion alike; all of it is closed-form.
+degrees, breakpoints) over their breakpoints' union, for the pp_* wrappers.
+The averaging recursion takes many at once: _products multiplies the
+pairs whose unions share breakpoints as one stack, and _ordered_sum adds a
+sequence of terms in one reduce, each bitwise what _on_union one pair at a
+time gives.  An antiderivative's join, the Horner pass that sets its
+constants, also gives its value at the period, from which pp_average and
+the recursion take it.  All of it is closed-form.
 """
 
 import operator
@@ -152,6 +157,17 @@ def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.asarray(keep)
 
 
+def _piece_index(points: np.ndarray, m: int, breaks: np.ndarray) -> np.ndarray:
+    """For each interval of ``breaks``, the piece of a function of ``m`` pieces
+    on ``points`` that holds the interval's midpoint."""
+    if m == 1:
+        return np.zeros(len(breaks) - 1, dtype=np.intp)
+    if points is breaks or np.array_equal(points, breaks):
+        return np.arange(m)
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    return np.clip(np.searchsorted(points, mids, side="right") - 1, 0, m - 1)
+
+
 def _refined(f, breaks: np.ndarray):
     """``f = (coeffs, degrees, breakpoints)`` on the intervals of ``breaks``, which
     refine its breakpoints (one piece broadcasts): ``(coeffs, degrees)``."""
@@ -159,8 +175,7 @@ def _refined(f, breaks: np.ndarray):
     m = len(degrees)
     if m == 1 or points is breaks or np.array_equal(points, breaks):
         return coeffs, degrees
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    idx = np.clip(np.searchsorted(points, mids, side="right") - 1, 0, m - 1)
+    idx = _piece_index(points, m, breaks)
     return coeffs[idx], tuple(degrees[i] for i in idx.tolist())
 
 
@@ -245,6 +260,88 @@ def _on_union(period: float, x, y, kernel, *args):
     return (*kernel(*_refined(x, breaks), *_refined(y, breaks), *args), breaks)
 
 
+def _products(period: float, pairs):
+    """x(t) @ y(t) for each pair of functions ``(x, y)``, each held as
+    ``(coeffs, degrees, breakpoints)``, over their breakpoints' union: a list
+    of such functions, each bitwise what ``_on_union(period, x, y, _product)``
+    gives, or None when a product passes the degree cap or leaves the float
+    range.
+
+    The pairs whose unions are the same breakpoints multiply as one stack in
+    one :func:`_poly_matmul`, their factors zero-padded to the stack's widest,
+    which changes no bit; each product keeps the width of its own degrees.
+    """
+    groups, slots = {}, []
+    for x, y in pairs:
+        breaks = _union_breakpoints(period, x[2], y[2])
+        (cx, dx), (cy, dy) = _refined(x, breaks), _refined(y, breaks)
+        degrees = _paired(dx, dy, operator.add)
+        if max(degrees) > DEGREE_CAP:
+            return None
+        key = breaks.tobytes()
+        members = groups.setdefault(key, (breaks, []))[1]
+        slots.append((key, len(members)))
+        members.append((cx, cy, degrees))
+    made = {}
+    for key, (breaks, members) in groups.items():
+        if len(members) == 1:
+            out = _poly_matmul(*members[0][:2])[None]
+        else:
+            shape = (len(members), len(breaks) - 1) + members[0][0].shape[1:-1]
+            pa = np.zeros(shape + (max(cx.shape[-1] for cx, _, _ in members),))
+            pb = np.zeros(shape + (max(cy.shape[-1] for _, cy, _ in members),))
+            for g, (cx, cy, _) in enumerate(members):
+                pa[g, ..., : cx.shape[-1]] = cx
+                pb[g, ..., : cy.shape[-1]] = cy
+            out = _poly_matmul(pa, pb)
+        if not np.isfinite(out).all():
+            return None
+        made[key] = [(out[g, ..., : max(degrees) + 1], degrees, breaks)
+                     for g, (_, _, degrees) in enumerate(members)]
+    return [made[key][g] for key, g in slots]
+
+
+def _ordered_sum(period: float, first, terms):
+    """first + s_1 f_1 + s_2 f_2 + ... for ``terms`` of signs and functions,
+    each function held as ``(coeffs, degrees, breakpoints)``: such a function,
+    bitwise what adding the terms one at a time with ``_on_union(period, ...,
+    _sum, s_k)`` gives, or None when the sum leaves the float range or a
+    piece of a partial sum would be dropped by a later merge.
+
+    The breakpoints merge one term at a time, as that loop merges them, and
+    each term's pieces are traced through every merge onto the last one.
+    Every term then lands in one row of a stack and one ``np.add.reduce``
+    over it adds each coefficient's terms in their order.  A term pads its
+    missing top coefficients with -0.0, the identity of addition, where the
+    loop adds nothing; the first pads with 0.0, where the loop starts.
+    """
+    if not terms:
+        return first
+    breaks, index = first[2], [np.arange(len(first[1]))]
+    for _, (_, degrees, points) in terms:
+        merged = _union_breakpoints(period, breaks, points)
+        if merged is not breaks:
+            back = _piece_index(breaks, len(breaks) - 1, merged)
+            # a piece of the partial sum that the merge drops: only the loop checks its range
+            if back[0] != 0 or back[-1] != len(breaks) - 2 or (np.diff(back) > 1).any():
+                return None
+            index = [i[back] for i in index]
+            breaks = merged
+        index.append(_piece_index(points, len(degrees), breaks))
+    rows = [(1.0, first)] + list(terms)
+    width = max(f[0].shape[-1] for _, f in rows)
+    stack = np.full((len(rows), len(breaks) - 1) + first[0].shape[1:-1] + (width,), -0.0)
+    stack[0] = 0.0
+    stack[0, ..., : first[0].shape[-1]] = first[0][index[0]]
+    for row, idx, (sign, (coeffs, _, _)) in zip(stack[1:], index[1:], terms):
+        row[..., : coeffs.shape[-1]] = sign * coeffs[idx]
+    pieces = zip(*(map(f[1].__getitem__, idx.tolist()) for idx, (_, f) in zip(index, rows)))
+    degrees = tuple(map(max, pieces))
+    # -0.0, not the default 0.0, starts the reduce, so the first row is added exactly
+    total = np.add.reduce(stack, axis=0, initial=-0.0)[..., : max(degrees) + 1]
+    return (total, degrees, breaks) if np.isfinite(total).all() else None
+
+
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
     _check_compatible(a, b)
     return _derived(a.period, *_on_union(a.period, (a.coeffs, a.degrees, a.breakpoints),
@@ -272,16 +369,33 @@ def _eval_block(piece: np.ndarray, t: float) -> np.ndarray:
     return acc
 
 
+def _piece_at(breaks: np.ndarray, t: float) -> int:
+    """The piece that holds t, the first or the last one for a t beyond the ends."""
+    return min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(breaks) - 2)
+
+
 def _value(period: float, coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, t: float):
     """The value at t of the function of pieces ``coeffs`` on ``breaks``."""
+    _check_time(period, t)
+    idx = _piece_at(breaks, t)
+    return _finite_value(_eval_block(coeffs[idx, ..., : degrees[idx] + 1], t), t)
+
+
+def _check_time(period: float, t: float):
     if not (0.0 <= t <= period):
         raise NumericRangeError(f"t = {t:g} outside [0, {period:g}]")
-    idx = int(np.searchsorted(breaks, t, side="right")) - 1
-    idx = min(max(idx, 0), len(coeffs) - 1)
-    value = _eval_block(coeffs[idx, ..., : degrees[idx] + 1], t)
+
+
+def _finite_value(value: np.ndarray, t: float) -> np.ndarray:
     if not np.isfinite(value).all():
         raise NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
+
+
+def _end_value(period: float, value: np.ndarray, t: float) -> np.ndarray:
+    """``value``, a function's value at t from its join, checked as :func:`_value` checks it."""
+    _check_time(period, t)
+    return _finite_value(value, t)
 
 
 def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
@@ -289,33 +403,60 @@ def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
     return _value(a.period, a.coeffs, a.degrees, a.breakpoints, t)
 
 
-def _antiderivative(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray):
-    """The antiderivative from 0 of the function of pieces ``coeffs``."""
+def _antiderivative(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, end: float):
+    """The antiderivative w from 0 of the function of pieces ``coeffs``:
+    ``(w, w(end), partial)``, w as ``(coeffs, degrees, breaks)``, its value
+    at ``end`` from :func:`_joined`, and ``partial`` that join's times and
+    Horner partial, which w's ramp-shifted copies (:func:`_minus_ramp`) share."""
     d = coeffs.shape[-1]
     anti = np.zeros(coeffs.shape[:-1] + (d + 1,))
     anti[..., 1:] = coeffs / np.arange(1, d + 1)
-    return _joined(anti, tuple(k + 1 for k in degrees), breaks)
+    # Horner from the top coefficient down to degree 2, the part no ramp changes
+    times = _end_times(breaks, end)
+    partial = times, (_eval_block(anti[..., 2:], times) if d > 1 else None)
+    return (*_joined(anti, tuple(k + 1 for k in degrees), breaks, end, partial), partial)
 
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    return _derived(a.period, *_antiderivative(a.coeffs, a.degrees, a.breakpoints.copy()))
+    return _derived(a.period, *_antiderivative(a.coeffs, a.degrees, a.breakpoints.copy(),
+                                               a.period)[0])
 
 
-def _minus_ramp(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, slope):
-    """w(t) - slope t for the antiderivative w from 0 of pieces ``coeffs``: each
-    linear coefficient drops by the slope and the constants are set afresh."""
+def _minus_ramp(w, slope, end: float, partial):
+    """w(t) - slope t for the antiderivative ``w = (coeffs, degrees, breaks)``
+    from 0, with ``end`` and ``partial`` as :func:`_antiderivative` gave them:
+    ``(w - slope t, its value at end)``.  Each linear coefficient drops by
+    the slope and the constants are set afresh."""
+    coeffs, degrees, breaks = w
     anti = coeffs.copy()
     anti[..., 1] -= slope
     anti[..., 0] = 0.0
-    return _joined(anti, degrees, breaks)
+    return _joined(anti, degrees, breaks, end, partial)
 
 
-def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray):
+def _end_times(breaks: np.ndarray, end: float) -> np.ndarray:
+    """Both ends of every piece, the last piece's right end moved to ``end``:
+    (2, m, 1, 1), the times :func:`_joined` evaluates at."""
+    right = breaks[1:].copy()
+    right[-1] = end
+    return np.array((breaks[:-1], right))[..., None, None]
+
+
+def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray, end: float, partial):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
-    t = 0 and continuous: ``(anti, degrees, breaks)``."""
-    # every piece at both of its ends in one Horner pass, before the constants are set
-    at_lo, at_hi = _eval_block(anti, np.array((breaks[:-1], breaks[1:]))[..., None, None])
+    t = 0 and continuous: ``((anti, degrees, breaks), its value at end)``.
+
+    One Horner pass evaluates every piece at both of its ends before the
+    constants are set, finishing ``partial = (times, upper)``: the times
+    :func:`_end_times` gives and the pass's partial over the coefficients
+    of degree 2 and up (None for degree 1).  The running total at the last
+    piece's right end, ``end``, is then the value there, bitwise what
+    Horner on the piece with its constant gives.
+    """
+    times, upper = partial
+    acc = anti[..., 1] if upper is None else upper * times + anti[..., 1]
+    at_lo, at_hi = acc * times + anti[..., 0]
     consts = np.empty_like(at_lo)
     running = 0.0  # cumulative integral at the left breakpoint
     for k in range(len(consts)):
@@ -323,9 +464,14 @@ def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray):
         const = consts[k] = running - at_lo[k]
         running = at_hi[k] + const
     anti[..., 0] = consts
-    return anti, degrees, breaks
+    if breaks[-2] > end:  # a last piece beyond the end: the value on the piece holding it
+        idx = _piece_at(breaks, end)
+        running = _eval_block(anti[idx, ..., : degrees[idx] + 1], end)
+    return (anti, degrees, breaks), running
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
     """(1/T) * integral of a over one period, from exact antiderivatives."""
-    return pp_eval(pp_antiderivative(a), a.period) / a.period
+    w, total, _ = _antiderivative(a.coeffs, a.degrees, a.breakpoints, a.period)
+    _checked(*w)
+    return _end_value(a.period, total, a.period) / a.period

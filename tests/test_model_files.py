@@ -173,14 +173,62 @@ def high_degree_model():
     return model
 
 
+def huge_period_model():
+    # T = 1e300: the order-2 antiderivative 1e10 t has finite coefficients, its value at T not
+    return {"name": "custom", "period": 1e300, "J0": [[0.0, 0.0], [0.0, 0.0]], "terms": [
+        {"order": 2, "pieces": [_const_piece(0.0, 1e300, [[1e10, 0.0], [0.0, 0.0]])]}]}
+
+
+def degree_31_model():
+    # a degree-31 entry: H_1 has degree 33, and H_1 U_1 at order 2 degree 67
+    model = linear_model()
+    model["terms"][0]["pieces"][0]["entries"][1][0] = [1e-3] * 32
+    return model
+
+
+def huge_entry_model():
+    model = linear_model()
+    model["terms"][0]["pieces"][0]["entries"][1][0] = [1e300]
+    return model
+
+
+def sum_before_degree_cap_model():
+    # J0 = 0, so H_j = J_j.  At order 3 the sum H_3 + H_2 U_1 overflows, both
+    # finite (1.75e308 t^2 and 2e307 times U_1's t^2 coefficient 5), two
+    # products before H_1 U_2 (degree 22 + 46) passes the degree cap
+    return {"name": "custom", "period": 1.0, "J0": [[0.0, 0.0], [0.0, 0.0]], "terms": [
+        {"order": 1, "pieces": [{"t_start": 0.0, "t_end": 1.0,
+                                 "entries": [[[0.0, 10.0] + [0.1] * 21, [0.0]], [[0.3], [0.0]]]}]},
+        {"order": 2, "pieces": [_const_piece(0.0, 1.0, [[2e307, 0.0], [0.0, 0.0]])]},
+        {"order": 3, "pieces": [{"t_start": 0.0, "t_end": 1.0,
+                                 "entries": [[[0.0, 0.0, 1.75e308], [0.0]], [[0.0], [0.0]]]}]},
+    ]}
+
+
+def degree_cap_without_h3_model():
+    # the same without H_3: nothing overflows, and H_1 U_2 stops order 3
+    model = sum_before_degree_cap_model()
+    del model["terms"][2]
+    return model
+
+
+RANGE_ERROR = "floquet-avg: numeric range error: "
+COEFFS_OUT = RANGE_ERROR + "piecewise-polynomial coefficients leave the float range\n"
+
+
 @pytest.mark.parametrize("model, order, closure_tol, code, err", [
-    (overflowing_model, 2, None, 3,
-     "floquet-avg: numeric range error: piecewise-polynomial coefficients leave the float "
-     "range\n"),
+    (overflowing_model, 2, None, 3, COEFFS_OUT),
     (high_degree_model, 6, None, 2, "floquet-avg: order 6 too high: product degree 74 exceeds cap 64\n"),
     (linear_model, 3, 1e-300, 2, "floquet-avg: closure residual ||U_1(T)|| = 8.88e-16 indicates a broken "
      "recursion\n"),
-], ids=["overflow", "degree-cap", "closure"])
+    (huge_period_model, 2, None, 3, RANGE_ERROR + "the value at t = 1e+300 leaves the float range\n"),
+    (degree_31_model, 3, None, 2, "floquet-avg: order 3 too high: product degree 67 exceeds cap 64\n"),
+    (huge_entry_model, 2, None, 3, COEFFS_OUT),
+    (sum_before_degree_cap_model, 3, None, 3, COEFFS_OUT),
+    (degree_cap_without_h3_model, 3, None, 2,
+     "floquet-avg: order 3 too high: product degree 68 exceeds cap 64\n"),
+], ids=["overflow", "degree-cap", "closure", "value-at-T", "degree-31", "huge-entry",
+        "sum-before-degree-cap", "degree-cap-without-h3"])
 def test_model_file_error_paths_are_pinned(tmp_path, capsys, monkeypatch, model, order,
                                            closure_tol, code, err):
     if closure_tol is not None:
@@ -217,11 +265,13 @@ def test_coupled_model_carries_x0_at_the_degree_of_j0s_last_nonzero_power(tmp_pa
     degrees = []
     antiderivative = ppoly._antiderivative
 
-    def recorded(*f):
-        anti = antiderivative(*f)
-        degrees.append(max(anti[1]))
+    def recorded(*args):
+        # each order's antiderivative: ((coeffs, degrees, breakpoints), value at T, partial)
+        anti = antiderivative(*args)
+        degrees.append(max(anti[0][1]))
         return anti
 
     monkeypatch.setattr(ppoly, "_antiderivative", recorded)
     averaging.system_table(system, 6)
+    assert degrees, "the recursion no longer integrates through ppoly._antiderivative"
     assert max(degrees) == 18

@@ -118,13 +118,19 @@ def test_u1_vanishes_at_period():
     assert np.abs(pp_eval(u1, TWO_PI)).max() < 1e-12
 
 
-def test_average_same_code_path_as_antiderivative():
+@pytest.mark.parametrize("breaks", [
+    [0.0, 1.0, 4.0, TWO_PI],
+    [0.0, 1.0, 4.0, TWO_PI * (1.0 - 5e-13)],
+    [0.0, 1.0, 4.0, TWO_PI * (1.0 + 5e-13)],
+    # a last piece that starts beyond the period: T lies in the one before it
+    [0.0, 1.0, TWO_PI * (1.0 + 2e-13), TWO_PI * (1.0 + 5e-13)],
+], ids=["at-T", "short-of-T", "past-T", "last-piece-past-T"])
+def test_average_same_code_path_as_antiderivative(breaks):
+    # pp_average takes the value at T from the join that sets the constants
     rng = np.random.default_rng(12)
-    a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, 1.0, 4.0, TWO_PI]),
-                            rng.uniform(-2, 2, size=(3, 3, 3, 5)))
-    direct = pp_average(a)
+    a = PiecewisePolyMatrix(TWO_PI, np.array(breaks), rng.uniform(-2, 2, size=(3, 3, 3, 5)))
     via_anti = pp_eval(pp_antiderivative(a), TWO_PI) / TWO_PI
-    assert np.abs(direct - via_anti).max() < 1e-14
+    assert pp_average(a).tobytes() == via_anti.tobytes()
 
 
 def test_antiderivative_is_continuous_at_breakpoints():
@@ -250,13 +256,17 @@ def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise():
     # constants set afresh, is bitwise the antiderivative of f - A_n
     rng = np.random.default_rng(7)
     f = _random_function(rng, 2, (3, 0, 5), [0.0, 1.0, PI, TWO_PI])
-    w = pp_antiderivative(f)
-    slope = pp_eval(w, TWO_PI) / TWO_PI
-    u, degrees, breaks = ppoly._minus_ramp(w.coeffs, w.degrees, w.breakpoints, slope)
+    w, w_end, partial = ppoly._antiderivative(f.coeffs, f.degrees, f.breakpoints.copy(), TWO_PI)
+    slope = w_end / TWO_PI
+    assert np.array_equal(slope, pp_average(f))
+    (u, degrees, breaks), u_end = ppoly._minus_ramp(w, slope, TWO_PI, partial)
     expect = pp_antiderivative(pp_sub(f, PiecewisePolyMatrix.constant(slope, TWO_PI)))
     assert np.array_equal(u, expect.coeffs) and degrees == expect.degrees
     assert np.array_equal(breaks, expect.breakpoints)
-    assert np.array_equal(w.coeffs[..., 2:], u[..., 2:])
+    assert np.array_equal(w[0][..., 2:], u[..., 2:])
+    # each join's total at T is the value Horner gives there
+    assert np.array_equal(w_end, pp_eval(pp_antiderivative(f), TWO_PI))
+    assert np.array_equal(u_end, pp_eval(expect, TWO_PI))
 
 
 @pytest.mark.parametrize("n", [2, 4])
