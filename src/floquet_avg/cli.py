@@ -23,7 +23,7 @@ from . import averaging, pendulum, scan, stability
 from .averaging import SeriesSystem
 from .errors import FloquetError, ModelError, NumericRangeError
 from .exactmono import RK_STEPS_DEFAULT, exact_monodromy_pc, exact_monodromy_rk
-from .ppoly import _BREAK_MERGE_REL, PiecewisePolyMatrix
+from .ppoly import _PERIOD_END_TOL, PiecewisePolyMatrix
 
 # model-file terms fill every order below the highest one, so the highest is capped
 MAX_TERM_ORDER = 64
@@ -103,7 +103,7 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
     pieces_doc = sorted(pieces_doc, key=lambda p: _piece_time(p, "t_start"))
     breaks = [0.0]
     blocks = []
-    tol = _BREAK_MERGE_REL * period
+    tol = _PERIOD_END_TOL * period
     first = _piece_time(pieces_doc[0], "t_start")
     if first < -tol:
         raise ModelError(f"term pieces start at t = {first:g}, expected 0")
@@ -123,10 +123,11 @@ def _term_to_ppoly(term, period: float) -> PiecewisePolyMatrix:
         raise ModelError(f"term pieces end at t = {breaks[-1]:g}, expected the period {period:g}")
     breaks[-1] = period
     for piece, lo, hi in zip(pieces_doc, breaks, breaks[1:]):
-        # the first product or sum would merge its ends and drop the piece
+        # coefficients are in the global t: the piece's integral, the difference
+        # of its antiderivative's values at two such close ends, would cancel
         if hi - lo <= tol:
             raise ModelError(f"{named(piece)} spans no more than 1e-12 of the period, "
-                             "where breakpoints merge")
+                             "too short to integrate accurately in the global time variable")
     return PiecewisePolyMatrix.from_blocks(period, np.asarray(breaks), blocks)
 
 

@@ -8,17 +8,17 @@ refinement trivial (a piece restricted to a sub-interval reuses the same
 coefficients) and makes antiderivative constants a running-sum fixup.
 
 The arithmetic is kernels on bare (coeffs, degrees) arrays over one set of
-intervals, each run once on the whole arrays.  A product adds each
+intervals, each run once on the whole arrays, a one-piece operand
+broadcasting against the pieces of the other.  A product adds each
 coefficient's terms in one order fixed by that coefficient alone, so zero
 padding adds only exact zeros and no piece's result depends on the degrees
-of the others.  _on_union runs a kernel on two functions held as (coeffs,
-degrees, breakpoints) over their breakpoints' union, for the pp_* wrappers.
-The averaging recursion takes many at once: _products multiplies the
-pairs whose unions share breakpoints as one stack, and _ordered_sum adds a
-sequence of terms in one reduce, each bitwise what _on_union one pair at a
-time gives.  An antiderivative's join, the Horner pass that sets its
-constants, also gives its value at the period, from which pp_average and
-the recursion take it.  All of it is closed-form.
+of the others.  Breakpoints never merge, however close: _on_union runs a
+kernel on two functions held as (coeffs, degrees, breakpoints) over the
+exact union of their breakpoints, for the pp_* wrappers, and the averaging
+recursion refines its terms onto one such union once and runs every kernel
+on it.  An antiderivative's join, the Horner pass that sets its constants,
+also gives its value at the period, from which pp_average and the
+recursion take it.  All of it is closed-form.
 """
 
 import operator
@@ -30,8 +30,9 @@ from .errors import ModelError, NumericRangeError
 
 DEGREE_CAP = 64
 
-# breakpoints (and periods) closer than this, relative to the period, are one
-_BREAK_MERGE_REL = 1e-12
+# two periods, or an end breakpoint and 0 or the period, that differ by no
+# more than this relative to the period count as equal
+_PERIOD_END_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ def _checked_breakpoints(period: float, breakpoints) -> np.ndarray:
         raise ModelError("need at least two breakpoints")
     if not np.isfinite(bp).all():
         raise ModelError("breakpoints must be finite")
-    if abs(bp[0]) > _BREAK_MERGE_REL * period:
+    if abs(bp[0]) > _PERIOD_END_TOL * period:
         raise ModelError("first breakpoint must be 0")
-    if abs(bp[-1] - period) > _BREAK_MERGE_REL * period:
+    if abs(bp[-1] - period) > _PERIOD_END_TOL * period:
         raise ModelError("last breakpoint must equal the period")
     if not (bp[1:] > bp[:-1]).all():
         raise ModelError("breakpoints must be strictly increasing")
@@ -137,45 +138,30 @@ def _checked_breakpoints(period: float, breakpoints) -> np.ndarray:
 def _check_compatible(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix):
     if a.dim != b.dim:
         raise ModelError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if abs(a.period - b.period) > _BREAK_MERGE_REL * max(a.period, b.period):
+    if abs(a.period - b.period) > _PERIOD_END_TOL * max(a.period, b.period):
         raise ModelError(f"period mismatch: {a.period} vs {b.period}")
 
 
-def _union_breakpoints(period: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    tol = _BREAK_MERGE_REL * period
-    for p, q in ((x, y), (y, x)):
-        # q adds no breakpoint to p (the common case): the merge below would return p itself
-        if ((q.size == 2 and q[0] == p[0] and q[-1] == p[-1]) or q is p or np.array_equal(p, q)) \
-                and (p[1:] - p[:-1] > tol).all():
-            return p
-    merged = np.union1d(x, y)
-    keep = [merged[0]]
-    for t in merged[1:]:
-        if t - keep[-1] > tol:
-            keep.append(t)
-    keep[-1] = x[-1]
-    return np.asarray(keep)
-
-
-def _piece_index(points: np.ndarray, m: int, breaks: np.ndarray) -> np.ndarray:
-    """For each interval of ``breaks``, the piece of a function of ``m`` pieces
-    on ``points`` that holds the interval's midpoint."""
-    if m == 1:
-        return np.zeros(len(breaks) - 1, dtype=np.intp)
-    if points is breaks or np.array_equal(points, breaks):
-        return np.arange(m)
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    return np.clip(np.searchsorted(points, mids, side="right") - 1, 0, m - 1)
+def _union_breakpoints(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every breakpoint of ``x`` and ``y``, however close, between ``x``'s
+    own ends: the ends of ``y`` may differ from those only within
+    :data:`_PERIOD_END_TOL`, and are dropped."""
+    if y.size == 2 or np.array_equal(x, y):
+        return x
+    if x.size == 2 and x[0] == y[0] and x[-1] == y[-1]:
+        return y
+    inner = np.union1d(x[1:-1], y[1:-1])
+    return np.concatenate((x[:1], inner[(inner > x[0]) & (inner < x[-1])], x[-1:]))
 
 
 def _refined(f, breaks: np.ndarray):
     """``f = (coeffs, degrees, breakpoints)`` on the intervals of ``breaks``, which
-    refine its breakpoints (one piece broadcasts): ``(coeffs, degrees)``."""
+    refine its breakpoints (one piece broadcasts): ``(coeffs, degrees)``.  Each
+    interval takes the piece in force at its left end."""
     coeffs, degrees, points = f
-    m = len(degrees)
-    if m == 1 or points is breaks or np.array_equal(points, breaks):
+    if len(degrees) == 1 or np.array_equal(points, breaks):
         return coeffs, degrees
-    idx = _piece_index(points, m, breaks)
+    idx = np.clip(np.searchsorted(points, breaks[:-1], side="right") - 1, 0, len(degrees) - 1)
     return coeffs[idx], tuple(degrees[i] for i in idx.tolist())
 
 
@@ -252,99 +238,17 @@ def _sum(pa, da, pb, db, sign):
     return _pad_add(pa, pb, sign)[..., : max(deg) + 1], deg
 
 
-def _on_union(period: float, x, y, kernel, *args):
+def _on_union(x, y, kernel, *args):
     """``kernel`` on the pieces of the functions ``x`` and ``y``, each
-    ``(coeffs, degrees, breakpoints)``, over their breakpoints' union: the
-    result as such a function, unchecked."""
-    breaks = _union_breakpoints(period, x[2], y[2])
+    ``(coeffs, degrees, breakpoints)``, over the exact union of their
+    breakpoints: the result as such a function, unchecked."""
+    breaks = _union_breakpoints(x[2], y[2])
     return (*kernel(*_refined(x, breaks), *_refined(y, breaks), *args), breaks)
-
-
-def _products(period: float, pairs):
-    """x(t) @ y(t) for each pair of functions ``(x, y)``, each held as
-    ``(coeffs, degrees, breakpoints)``, over their breakpoints' union: a list
-    of such functions, each bitwise what ``_on_union(period, x, y, _product)``
-    gives, or None when a product passes the degree cap or leaves the float
-    range.
-
-    The pairs whose unions are the same breakpoints multiply as one stack in
-    one :func:`_poly_matmul`, their factors zero-padded to the stack's widest,
-    which changes no bit; each product keeps the width of its own degrees.
-    """
-    groups, slots = {}, []
-    for x, y in pairs:
-        breaks = _union_breakpoints(period, x[2], y[2])
-        (cx, dx), (cy, dy) = _refined(x, breaks), _refined(y, breaks)
-        degrees = _paired(dx, dy, operator.add)
-        if max(degrees) > DEGREE_CAP:
-            return None
-        key = breaks.tobytes()
-        members = groups.setdefault(key, (breaks, []))[1]
-        slots.append((key, len(members)))
-        members.append((cx, cy, degrees))
-    made = {}
-    for key, (breaks, members) in groups.items():
-        if len(members) == 1:
-            out = _poly_matmul(*members[0][:2])[None]
-        else:
-            shape = (len(members), len(breaks) - 1) + members[0][0].shape[1:-1]
-            pa = np.zeros(shape + (max(cx.shape[-1] for cx, _, _ in members),))
-            pb = np.zeros(shape + (max(cy.shape[-1] for _, cy, _ in members),))
-            for g, (cx, cy, _) in enumerate(members):
-                pa[g, ..., : cx.shape[-1]] = cx
-                pb[g, ..., : cy.shape[-1]] = cy
-            out = _poly_matmul(pa, pb)
-        if not np.isfinite(out).all():
-            return None
-        made[key] = [(out[g, ..., : max(degrees) + 1], degrees, breaks)
-                     for g, (_, _, degrees) in enumerate(members)]
-    return [made[key][g] for key, g in slots]
-
-
-def _ordered_sum(period: float, first, terms):
-    """first + s_1 f_1 + s_2 f_2 + ... for ``terms`` of signs and functions,
-    each function held as ``(coeffs, degrees, breakpoints)``: such a function,
-    bitwise what adding the terms one at a time with ``_on_union(period, ...,
-    _sum, s_k)`` gives, or None when the sum leaves the float range or a
-    piece of a partial sum would be dropped by a later merge.
-
-    The breakpoints merge one term at a time, as that loop merges them, and
-    each term's pieces are traced through every merge onto the last one.
-    Every term then lands in one row of a stack and one ``np.add.reduce``
-    over it adds each coefficient's terms in their order.  A term pads its
-    missing top coefficients with -0.0, the identity of addition, where the
-    loop adds nothing; the first pads with 0.0, where the loop starts.
-    """
-    if not terms:
-        return first
-    breaks, index = first[2], [np.arange(len(first[1]))]
-    for _, (_, degrees, points) in terms:
-        merged = _union_breakpoints(period, breaks, points)
-        if merged is not breaks:
-            back = _piece_index(breaks, len(breaks) - 1, merged)
-            # a piece of the partial sum that the merge drops: only the loop checks its range
-            if back[0] != 0 or back[-1] != len(breaks) - 2 or (np.diff(back) > 1).any():
-                return None
-            index = [i[back] for i in index]
-            breaks = merged
-        index.append(_piece_index(points, len(degrees), breaks))
-    rows = [(1.0, first)] + list(terms)
-    width = max(f[0].shape[-1] for _, f in rows)
-    stack = np.full((len(rows), len(breaks) - 1) + first[0].shape[1:-1] + (width,), -0.0)
-    stack[0] = 0.0
-    stack[0, ..., : first[0].shape[-1]] = first[0][index[0]]
-    for row, idx, (sign, (coeffs, _, _)) in zip(stack[1:], index[1:], terms):
-        row[..., : coeffs.shape[-1]] = sign * coeffs[idx]
-    pieces = zip(*(map(f[1].__getitem__, idx.tolist()) for idx, (_, f) in zip(index, rows)))
-    degrees = tuple(map(max, pieces))
-    # -0.0, not the default 0.0, starts the reduce, so the first row is added exactly
-    total = np.add.reduce(stack, axis=0, initial=-0.0)[..., : max(degrees) + 1]
-    return (total, degrees, breaks) if np.isfinite(total).all() else None
 
 
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
     _check_compatible(a, b)
-    return _derived(a.period, *_on_union(a.period, (a.coeffs, a.degrees, a.breakpoints),
+    return _derived(a.period, *_on_union((a.coeffs, a.degrees, a.breakpoints),
                                          (b.coeffs, b.degrees, b.breakpoints), kernel, *args))
 
 

@@ -16,6 +16,12 @@ column, or the dotted keys that enclose a JSON or text line.
 
 Files are rewritten only under ``--write``, in the layout they were read in.
 A contract change is measured by running it before the pins are rewritten.
+
+The report opens with the host's fingerprint: the numpy version, the CPU
+targets its SIMD loops run (the baseline it was built for and the dispatch
+targets enabled on this CPU), the BLAS it calls, and the environment
+variables that switch either, when set.  The pinned floats were recorded
+on one host; a move seen on another starts from what differs here.
 """
 
 import argparse
@@ -37,9 +43,27 @@ MODEL_PINS = "model_file_pins"
 MODEL_SLOT = "MODEL"  # a model-file case's --model-file argument
 CSV_COMMANDS = ("scan", "compare", "boundary")
 
+HOST_ENV = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
                      r"|(?<![\w.])[-+]?(?:inf|nan|NaN)(?![\w.])")
 _KEY = re.compile(r'\s*"?([A-Za-z_][\w ]*)"?:')
+
+
+def host_fingerprint():
+    """The report's header lines: numpy's version and BLAS, its enabled CPU
+    targets, and the variables of :data:`HOST_ENV` that are set."""
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    lines = [f"host: numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
+             f"{blas.get('version', 'unknown')}"]
+    for label, key in (("baseline", "baseline"), ("dispatch", "found")):
+        lines.append(f"  CPU {label}: {' '.join(simd.get(key, [])) or 'none'}")
+    lines += [f"  {name}={os.environ[name]}" for name in HOST_ENV if name in os.environ]
+    return lines
 
 
 @dataclass
@@ -279,6 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.write and not args.names:
         parser.error("--write needs the names of the files to rewrite")
+    print("\n".join(host_fingerprint()))
     moved = False
     for name in args.names or pin_names(args.data):
         report, fresh = measure(name, args.data)

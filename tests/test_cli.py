@@ -596,19 +596,20 @@ def _short_piece_model(start, end):
 @pytest.mark.parametrize("start, end", [(1.0, 1.0 + 1e-13), (1.0, 1.0 + 1.5e-12),
                                         (2.0 - 1.5e-12, 2.0)])
 def test_model_file_piece_within_the_merging_distance_exits_2(tmp_path, capsys, start, end):
-    # breakpoints closer than 1e-12 T merge, so the first product or sum dropped
-    # such a piece: its impulse was lost and the report was the file's without it
+    # coefficients in the global t: such a piece's integral, the difference of
+    # its antiderivative's values at two ends this close, is lost to cancellation
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_short_piece_model(start, end)))
     code, out, err = run_cli(capsys, ["analyze", "--model-file", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert err == (f"floquet-avg: the order-1 term's piece on [{start!r}, {end!r}] "
-                   f"spans no more than 1e-12 of the period, where breakpoints merge\n")
+                   f"spans no more than 1e-12 of the period, too short to integrate "
+                   f"accurately in the global time variable\n")
 
 
 @pytest.mark.parametrize("spans, message", [
-    # a piece that ends before it starts read as a piece within the merging
-    # distance, or as a gap; overlapping pieces, and a piece that starts
+    # a piece that ends before it starts read as a piece shorter than 1e-12
+    # of the period, or as a gap; overlapping pieces, and a piece that starts
     # before 0, as a gap
     ([(0, 3), (3, 2)], "the order-1 term's piece on [3, 2] ends before it starts"),
     ([(0, 1), (1, 0.5), (0.5, 2)], "the order-1 term's piece on [1, 0.5] ends before it starts"),

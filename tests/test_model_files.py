@@ -3,9 +3,9 @@
 Two models shaped like the benchmark's: a 4x4 pair of square-wave pendulums
 coupled through their springs, and a 2x2 model whose pieces are linear in t.
 A third has pieces of mixed degrees on breakpoints its two terms do not
-share, so the recursion's functions live on different breakpoint sets, and
+share, which the recursion refines onto the union of both, and
 a fourth has terms of orders 1 and 3 only, the later one adding a breakpoint;
-in a fifth, two terms break within the merging distance of each other.
+in a fifth, two terms break 3e-12 apart, closer than 1e-12 of the period.
 The pinned fields are everything the averaged approximation writes, so any
 change to the model-file path that moves a bit shows here; the error paths
 of the recursion are pinned by exit code and message.
@@ -90,8 +90,8 @@ def late_break_model():
 
 
 def near_break_model():
-    # term 2 breaks 3e-12 before term 1, closer than breakpoints merge (1e-12 T):
-    # term 1 alone, and what comes of it alone, keeps its own breakpoint at 2
+    # term 2 breaks 3e-12 before term 1, closer than 1e-12 of the period: the
+    # recursion's one array keeps both breakpoints and the interval between
     return {"name": "custom", "period": PERIOD, "J0": [[0.0, 1.0], [0.0, 0.0]], "terms": [
         {"order": 1, "pieces": [
             {"t_start": 0.0, "t_end": 2.0, "entries": [[[0.0], [0.0]], [[0.43, 0.1], [0.0]]]},

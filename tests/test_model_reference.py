@@ -15,9 +15,10 @@ took 0.4 us per multiply-add on a 2-core Xeon host, mpmath's pure-Python
 floats 3.3 us, too slow for the 4x4 models.  tr F_k is ``analyze``'s
 ``trace_by_order[k]`` and F0 + F_1 + ... + F_K its order-K ``F_approx``,
 so this checks the model-file path (standard form, recursion, table and
-assembly) against nothing the program computed itself.  Models whose pieces break closer than the
-merging distance, or carry short pieces of large magnitude, are left out:
-their cancellation is a property of the global time variable.
+assembly) against nothing the program computed itself.  Near-break's
+terms break 3e-12 apart, and the recursion keeps both breakpoints.  Models
+with short pieces of large magnitude are left out: their cancellation is a
+property of the global time variable.
 """
 
 import decimal
@@ -68,7 +69,8 @@ def random_model(seed):
 
 
 REFERENCE_MODELS = (
-    {name: MODELS[name] for name in ("coupled", "linear", "many-piece", "late-break")}
+    {name: MODELS[name] for name in ("coupled", "linear", "many-piece", "late-break",
+                                     "near-break")}
     | {"unequal-degree": unequal_degree_model}
     | {f"random-{seed}": functools.partial(random_model, seed) for seed in range(8)})
 

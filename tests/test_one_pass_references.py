@@ -1,14 +1,16 @@
-"""The one-pass recursion and RK4 against the loops they replaced, bit for bit.
+"""The recursion and RK4 against reference loops, bit for bit.
 
-``averaging.run_recursion`` computes each order's products as stacks and
-adds each label's terms in one ordered pass, and takes A_n and U_n(T) from
-the joins that set its antiderivatives' constants.  ``_serial_recursion``
-below is the loop it replaced: one ``ppoly._on_union`` product and one
-``_pad_add`` sum per term, and Horner at T for every value there.
+``averaging.run_recursion`` refines its H terms onto one exact union of
+their breakpoints once, runs one product and one sum at a time on it, and
+takes A_n and U_n(T) from the joins that set its antiderivatives'
+constants.  ``_serial_recursion`` below carries every function on its own
+breakpoints instead: one ``ppoly._on_union`` product and sum per term, and
+Horner at T for every value there.  On terms that share one breakpoint
+array both run the same arithmetic, so they must agree in every bit, and
+on failing inputs the recursion must raise what the loop raises first.
 ``_kernels.rk4_monodromy_core`` evaluates and multiplies all blocks of
 steps of a polynomial piece in one pass; ``_blockwise_rk4`` takes one block
-at a time.  Each pair must agree in every bit, and on failing inputs the
-recursion must raise what the loop raises first.
+at a time, and the two must agree in every bit too.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from floquet_avg.ppoly import PiecewisePolyMatrix
 from floquet_avg.smallmat import norm1
 
 TWO_PI = 2.0 * math.pi
-MERGE = ppoly._BREAK_MERGE_REL * TWO_PI  # breakpoints closer than this are one
+CLOSE = ppoly._PERIOD_END_TOL * TWO_PI  # the end-point tolerance, as a distance
 
 
 def _value(period, coeffs, degrees, breaks, t):
@@ -78,7 +80,7 @@ def _serial_recursion(h_terms, period, order):
     a_mats, a_consts, u_funcs, u_ends = [], [], [], []
 
     def apply(kernel, x, y, *args):
-        return ppoly._checked(*ppoly._on_union(span, x, y, kernel, *args))
+        return ppoly._checked(*ppoly._on_union(x, y, kernel, *args))
 
     def accumulate(sign, label_x, label_y, product):
         label = averaging._label_sum(label_x, label_y)
@@ -144,15 +146,31 @@ def _table_bits(table):
     return [x.tobytes() for x in (table.A, table.U_end, table.F0, table.F, table.D)]
 
 
+def _on_one_array(h_terms, period, order):
+    """The serial recursion on the H terms refined onto the exact union of
+    their breakpoints, the one array the recursion itself runs on."""
+    funcs = [f for term in h_terms for f in term.values()]
+    breaks = np.unique(np.concatenate([f.breakpoints for f in funcs]))
+
+    def refined(f):
+        if len(f.degrees) == 1:
+            return f
+        idx = np.searchsorted(f.breakpoints, breaks[:-1], side="right") - 1
+        return PiecewisePolyMatrix(f.period, breaks, f.coeffs[idx], [f.degrees[i] for i in idx])
+
+    return _serial_recursion([{label: refined(f) for label, f in term.items()}
+                              for term in h_terms], period, order)
+
+
 def _assert_tables_equal(build, monkeypatch):
     """A table built by ``build`` equals, in A, U_end, F and D, the one the
-    serial recursion gives."""
-    one_pass = build()
+    serial recursion gives on the same terms on one breakpoint array."""
+    one_array = build()
     with monkeypatch.context() as m:
-        m.setattr(averaging, "run_recursion", _serial_recursion)
+        m.setattr(averaging, "run_recursion", _on_one_array)
         serial = build()
-    assert one_pass.labels == serial.labels
-    assert _table_bits(one_pass) == _table_bits(serial)
+    assert one_array.labels == serial.labels
+    assert _table_bits(one_array) == _table_bits(serial)
 
 
 @pytest.mark.parametrize("order", range(1, averaging.MAX_ORDER + 1))
@@ -170,6 +188,8 @@ def test_pendulum_tables_equal_the_serial_recursion_bitwise(order, monkeypatch):
 @pytest.mark.parametrize("order", range(1, averaging.MAX_ORDER + 1))
 @pytest.mark.parametrize("name", sorted(test_model_files.MODELS))
 def test_model_file_tables_equal_the_serial_recursion_bitwise(tmp_path, name, order, monkeypatch):
+    # coupled and linear share one array as written; the others break on
+    # arrays of their own, which the reference refines onto their union
     path = tmp_path / "model.json"
     path.write_text(json.dumps(test_model_files.MODELS[name]()), encoding="utf-8")
     system = cli.load_model_file(str(path))
@@ -179,19 +199,21 @@ def test_model_file_tables_equal_the_serial_recursion_bitwise(tmp_path, name, or
 @st.composite
 def _systems(draw, scales):
     """A graded system of dimension 2 to 4: a strictly upper-triangular J0 and
-    one to three terms of one to six pieces of degree 0 to 2, the pieces'
-    entries drawn from ``scales`` times [-1, 1]."""
+    one to three terms of degree 0 to 2 per piece, each term of one piece or
+    of the one to six pieces of a breakpoint array all terms share, the
+    pieces' entries drawn from ``scales`` times [-1, 1]."""
     n = draw(st.integers(2, 4))
     j0 = np.triu(np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 0.3]),
                                         min_size=n * n, max_size=n * n))).reshape(n, n), 1)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces = draw(st.integers(1, 6))
+    inner = np.sort(rng.choice(np.arange(1, 40), size=pieces - 1, replace=False)) / 40.0
+    shared = np.concatenate(([0.0], inner, [1.0])) * TWO_PI
     terms = []
     for _ in range(draw(st.integers(1, 3))):
-        pieces = draw(st.integers(1, 6))
-        inner = np.sort(rng.choice(np.arange(1, 40), size=pieces - 1, replace=False)) / 40.0
-        breaks = np.concatenate(([0.0], inner, [1.0])) * TWO_PI
+        breaks = shared if draw(st.booleans()) else np.array([0.0, TWO_PI])
         blocks = [rng.uniform(-1.0, 1.0, (n, n, int(rng.integers(1, 4))))
-                  * draw(st.sampled_from(scales)) for _ in range(pieces)]
+                  * draw(st.sampled_from(scales)) for _ in range(len(breaks) - 1)]
         terms.append(PiecewisePolyMatrix.from_blocks(TWO_PI, breaks, blocks))
     return SeriesSystem(TWO_PI, j0, tuple(terms)), draw(st.integers(1, averaging.MAX_ORDER))
 
@@ -206,8 +228,8 @@ def _h_terms(system):
 @given(case=_systems([1.0]))
 def test_random_systems_equal_the_serial_recursion_bitwise(case):
     system, order = case
-    one_pass, serial = _both(_h_terms(system), order)
-    assert one_pass == serial
+    one_array, serial = _both(_h_terms(system), order)
+    assert one_array == serial
 
 
 @seed(20261022)
@@ -221,8 +243,8 @@ def test_random_failing_systems_raise_the_serial_recursions_first_error(case):
         h_terms = _h_terms(system)
     except FloquetError:
         return
-    one_pass, serial = _both(h_terms, order)
-    assert one_pass == serial
+    one_array, serial = _both(h_terms, order)
+    assert one_array == serial
 
 
 def test_a_sum_that_overflows_raises_the_serial_recursions_error(tmp_path):
@@ -233,88 +255,42 @@ def test_a_sum_that_overflows_raises_the_serial_recursions_error(tmp_path):
     path.write_text(json.dumps(model), encoding="utf-8")
     system = cli.load_model_file(str(path))
     h_terms = [{(): h} for h in averaging.standard_form(system)[1]]
-    one_pass, serial = [], []
+    one_array, serial = [], []
     for order in (2, 3):
-        one_pass, serial = _both(h_terms, order, system.period)
-        assert one_pass == serial
-    assert one_pass == ("NumericRangeError: piecewise-polynomial coefficients leave the "
-                        "float range")
+        one_array, serial = _both(h_terms, order, system.period)
+        assert one_array == serial
+    assert one_array == ("NumericRangeError: piecewise-polynomial coefficients leave the "
+                         "float range")
 
 
-def _chain_terms():
+CHAIN = [2.0, 2.0 + 0.6 * CLOSE, 2.0 + 1.2 * CLOSE]
+
+
+@pytest.mark.parametrize("permutation", list(itertools.permutations(range(3))))
+def test_each_breakpoint_of_a_close_chain_survives_in_any_term_order(permutation, monkeypatch):
     # the order-1, 2 and 3 terms break at 2, 2 + 0.6 d and 2 + 1.2 d, d the
-    # merging distance: merged one at a time in the sums' order, the first two
-    # become one breakpoint and the third stays apart, or the last two merge
-    # and the first then absorbs them, depending on which comes first
+    # end-point tolerance as a distance: every antiderivative of more than one
+    # piece runs on all five breakpoints, whichever term comes first
     rng = np.random.default_rng(31)
-    return [PiecewisePolyMatrix.from_blocks(
-        TWO_PI, [0.0, 2.0 + shift * MERGE, TWO_PI],
+    terms = [PiecewisePolyMatrix.from_blocks(
+        TWO_PI, [0.0, CHAIN[k], TWO_PI],
         [rng.uniform(-1.0, 1.0, (2, 2, 2)), rng.uniform(-1.0, 1.0, (2, 2, 3))])
-        for shift in (0.0, 0.6, 1.2)]
-
-
-@pytest.mark.parametrize("permutation", [(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
-def test_a_chain_of_near_breakpoints_equals_the_serial_recursion_bitwise(permutation):
-    terms = [_chain_terms()[k] for k in permutation]
+        for k in permutation]
     system = SeriesSystem(TWO_PI, np.array([[0.0, 1.0], [0.0, 0.0]]), tuple(terms))
-    for order in range(1, averaging.MAX_ORDER + 1):
-        one_pass, serial = _both(_h_terms(system), order)
-        assert one_pass == serial
+    arrays = []
+    antiderivative = ppoly._antiderivative
 
+    def recorded(coeffs, degrees, breaks, end):
+        arrays.append(breaks)
+        return antiderivative(coeffs, degrees, breaks, end)
 
-def _loop_sum(first, terms):
-    for sign, f in terms:
-        first = ppoly._on_union(TWO_PI, first, f, ppoly._sum, sign)
-    return first
-
-
-def _assert_same_function(got, want):
-    assert got is not None and got[1] == want[1]
-    assert got[2].tobytes() == want[2].tobytes() and got[0].tobytes() == want[0].tobytes()
-
-
-def test_an_ordered_sum_ends_on_the_loops_breakpoints_and_bits():
-    fs = [(f.coeffs, f.degrees, f.breakpoints) for f in _chain_terms()]
-    counts = set()
-    for permutation in itertools.permutations(range(3)):
-        first, *rest = (fs[k] for k in permutation)
-        terms = list(zip((1.0, -1.0), rest))
-        got = ppoly._ordered_sum(TWO_PI, first, terms)
-        _assert_same_function(got, _loop_sum(first, terms))
-        counts.add(len(got[2]))
-    # the order of the merges decides whether the chain leaves one breakpoint or two
-    assert counts == {3, 4}
-
-
-def test_an_ordered_sum_keeps_the_loops_signed_zeros():
-    # where a term is too short to reach a coefficient the loop adds nothing,
-    # so a -0.0 there stays; where the sum so far is too short, the loop adds
-    # to 0.0, so a term's -0.0 becomes 0.0
-    breaks = np.array([0.0, 1.0, TWO_PI])
-    wide = np.full((2, 2, 2, 4), -0.0)
-    wide[..., :2] = 0.5
-    narrow = np.full((2, 2, 2, 2), -0.0)
-    for first, term in ((wide, narrow), (narrow, wide)):
-        f, g = (first, (3, 3) if first is wide else (1, 1), breaks), (term, (1, 1), breaks)
-        for sign in (1.0, -1.0):
-            _assert_same_function(ppoly._ordered_sum(TWO_PI, f, [(sign, g), (sign, g)]),
-                                  _loop_sum(f, [(sign, g), (sign, g)]))
-
-
-@pytest.mark.parametrize("shape", [(2,), (3, 2, 2, 5), (1, 2, 2, 2), (4, 3, 3, 1)])
-def test_a_reduce_over_the_leading_axis_adds_in_order(shape):
-    # terms over 30 decades, so a coefficient's sum depends on the order of its
-    # adds, and signed zeros, which a reduce from 0.0 rather than -0.0 would flip
-    rng = np.random.default_rng(len(shape))
-    for count in (2, 3, 9, 40):
-        size = (count,) + shape
-        stack = rng.standard_normal(size) * 10.0 ** rng.uniform(-15, 15, size)
-        stack[rng.uniform(size=size) < 0.2] = -0.0
-        stack[:, ..., 0] = -0.0
-        total = stack[0]
-        for row in stack[1:]:
-            total = total + row
-        assert np.add.reduce(stack, axis=0, initial=-0.0).tobytes() == total.tobytes()
+    monkeypatch.setattr(ppoly, "_antiderivative", recorded)
+    h_terms = _h_terms(system)
+    result = averaging.run_recursion(h_terms, TWO_PI, averaging.MAX_ORDER)
+    assert _bits(result) == _bits(_on_one_array(h_terms, TWO_PI, averaging.MAX_ORDER))
+    assert len(arrays) == averaging.MAX_ORDER
+    for breaks in arrays:
+        assert breaks.tolist() == [0.0] + CHAIN + [TWO_PI]
 
 
 def _blockwise_piece(x, coeffs, t0, h, steps, constant):

@@ -136,3 +136,25 @@ def test_model_file_pins_report_the_moved_report_and_field(tmp_path):
 def test_write_needs_the_files_named():
     with pytest.raises(SystemExit):
         pin_recorder.main(["--write"])
+
+
+def test_the_report_opens_with_the_host_fingerprint(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
+    header = [f"host: numpy {np.__version__}, BLAS {blas['name']} {blas['version']}",
+              f"  CPU baseline: {' '.join(simd['baseline'])}",
+              f"  CPU dispatch: {' '.join(simd['found'])}",
+              "  OPENBLAS_CORETYPE=Haswell"]
+    assert pin_recorder.host_fingerprint() == header
+    _copy_cases(tmp_path, "scan_outputs", _order2_boundaries)
+    assert pin_recorder.main(["scan_outputs", "--data", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == header and lines[4].startswith("scan_outputs: 8 cases")
+    # a variable that is set is named, one that is not is left out
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "")
+    monkeypatch.delenv("OPENBLAS_CORETYPE")
+    assert pin_recorder.host_fingerprint() == header[:3] + ["  NPY_DISABLE_CPU_FEATURES="]

@@ -293,17 +293,17 @@ def test_product_agrees_with_convolve_reference(n):
 BREAKS = np.array([0.0, 1.0, PI, 4.0, TWO_PI])
 
 
-@pytest.mark.parametrize("breaks_a, breaks_b", [
-    (BREAKS, BREAKS),
-    (BREAKS, BREAKS.copy()),
-    # 2 - 3e-12 and 2 are closer than breakpoints merge: one interval edge
-    ([0.0, 1.0, 2.0, 4.0, TWO_PI], [0.0, 1.0, 2.0 - 3e-12, 4.0, TWO_PI]),
-    ([0.0, PI, TWO_PI], BREAKS),
-    # a's piece on [1, 1 + 1e-13] merges away, and b's breakpoint at 2 takes
-    # its place in the count: a's piece on [1 + 1e-13, 4] is in force on [1, 2]
-    ([0.0, 1.0, 1.0 + 1e-13, 4.0, TWO_PI], [0.0, 2.0, 4.0, TWO_PI]),
+@pytest.mark.parametrize("breaks_a, breaks_b, count", [
+    (BREAKS, BREAKS, 5),
+    (BREAKS, BREAKS.copy(), 5),
+    # breakpoints never merge: 2 - 3e-12 and 2 are two, with an interval between
+    ([0.0, 1.0, 2.0, 4.0, TWO_PI], [0.0, 1.0, 2.0 - 3e-12, 4.0, TWO_PI], 6),
+    ([0.0, PI, TWO_PI], BREAKS, 5),
+    # a's piece on [1, 1 + 1e-13] stays a piece of the union, next to b's
+    # breakpoint at 2
+    ([0.0, 1.0, 1.0 + 1e-13, 4.0, TWO_PI], [0.0, 2.0, 4.0, TWO_PI], 6),
 ], ids=["one-array", "equal-arrays", "near-break", "refined", "short-piece"])
-def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b):
+def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b, count):
     # a product adds each coefficient's terms in one order fixed by that
     # coefficient alone, and padding adds only exact zeros: padding a piece
     # to its function's top degree, or meeting pieces of other degrees,
@@ -320,13 +320,29 @@ def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b):
 
     for op in (pp_mul, pp_add, pp_sub):
         whole = op(a, b)
-        assert whole.breakpoints.size == 5
+        assert whole.breakpoints.size == count
         for k, t in enumerate(0.5 * (whole.breakpoints[:-1] + whole.breakpoints[1:])):
             piece = op(alone(a, t), alone(b, t))
             assert whole.degrees[k] == piece.max_degree
             assert np.array_equal(whole.coeffs[k:k + 1, ..., : piece.max_degree + 1],
                                   piece.coeffs)
             assert not whole.coeffs[k, ..., piece.max_degree + 1:].any()
+
+
+@pytest.mark.parametrize("x, y, union", [
+    ([0.0, 2.0, TWO_PI], [0.0, 2.0 - 3e-12, TWO_PI], [0.0, 2.0 - 3e-12, 2.0, TWO_PI]),
+    ([0.0, PI, TWO_PI], [0.0, TWO_PI], [0.0, PI, TWO_PI]),
+    ([0.0, TWO_PI], [0.0, PI, TWO_PI], [0.0, PI, TWO_PI]),
+    # ends within the end-point tolerance of the period: the first operand's
+    ([0.0, PI, TWO_PI], [1e-13, 1.0, TWO_PI + 1e-12], [0.0, 1.0, PI, TWO_PI]),
+], ids=["near-break", "one-piece-second", "one-piece-first", "near-ends"])
+def test_functions_combine_on_the_exact_union_of_their_breakpoints(x, y, union):
+    rng = np.random.default_rng(len(x) + len(y))
+    a = _random_function(rng, 2, (1,) * (len(x) - 1), x)
+    b = _random_function(rng, 2, (2,) * (len(y) - 1), y)
+    assert ppoly._union_breakpoints(a.breakpoints, b.breakpoints).tolist() == union
+    for op in (pp_mul, pp_add, pp_sub):
+        assert op(a, b).breakpoints.tolist() == union
 
 
 def test_shape_errors():
