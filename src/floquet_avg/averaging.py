@@ -145,16 +145,16 @@ def run_recursion(h_terms, period: float, order: int):
     span = funcs[0].period
     breaks = functools.reduce(ppoly._union_breakpoints, [f.breakpoints for f in funcs])
     ends = breaks[[0, -1]]
-    # each function as ppoly's kernels take it, (coeffs, degrees) on breaks or, one piece, on ends
-    h_terms = [{label: ppoly._refined((f.coeffs, f.degrees, f.breakpoints), breaks)
+    # each function as ppoly's kernels take it, its coefficients on breaks or, one piece, on ends
+    h_terms = [{label: ppoly._refined((f.coeffs, f.breakpoints), breaks)
                 for label, f in term.items()} for term in h_terms]
-    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,))
+    zero = np.zeros((1, funcs[0].dim, funcs[0].dim, 1))
     a_mats, a_consts, u_funcs, u_ends = [], [], [], []
 
     def accumulate(sign, label_x, label_y, product):
         """coll[label] += sign * product, under the label of the product's monomial."""
         label = _label_sum(label_x, label_y)
-        coll[label] = ppoly._checked(*ppoly._sum(*coll.get(label, zero), *product, sign))
+        coll[label] = ppoly._checked(ppoly._sum(coll.get(label, zero), product, sign))
 
     try:
         for n in range(1, order + 1):
@@ -164,34 +164,33 @@ def run_recursion(h_terms, period: float, order: int):
                 if n - i <= len(h_terms):
                     for lh, h in h_terms[n - i - 1].items():
                         for lu, u in u_funcs[i - 1].items():
-                            accumulate(1.0, lh, lu, ppoly._checked(*ppoly._product(*h, *u)))
+                            accumulate(1.0, lh, lu, ppoly._checked(ppoly._product(h, u)))
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
-                        accumulate(-1.0, lu, la, ppoly._checked(*ppoly._product(*u, *a)))
+                        accumulate(-1.0, lu, la, ppoly._checked(ppoly._product(u, a)))
             anti = {}
-            for label, (coeffs, degrees) in coll.items():
-                w, total, partial = ppoly._antiderivative(
-                    coeffs, degrees, breaks if len(degrees) > 1 else ends, period)
-                anti[label] = (ppoly._checked(*w), total, partial)
+            for label, coeffs in coll.items():
+                (w, points), total, partial = ppoly._antiderivative(
+                    coeffs, breaks if len(coeffs) > 1 else ends, period)
+                anti[label] = ((ppoly._checked(w), points), total, partial)
             a_n = {label: ppoly._end_value(span, total, period) / period
                    for label, (_, total, _) in anti.items()}
             if not all(np.isfinite(a).all() for a in a_n.values()):
                 raise ModelError("piece coefficients must be finite")
             a_mats.append(a_n)
-            a_consts.append({label: (a[..., None, :, :, None], (0,))
-                             for label, a in a_n.items()})
+            a_consts.append({label: a[..., None, :, :, None] for label, a in a_n.items()})
             if n < order:
                 u_n, end_n = {}, {}
                 for label, (w, _, partial) in anti.items():
-                    (coeffs, degrees, _), end = ppoly._minus_ramp(w, a_n[label], period, partial)
-                    ppoly._checked(coeffs, degrees)
+                    (coeffs, _), end = ppoly._minus_ramp(w, a_n[label], period, partial)
+                    coeffs = ppoly._checked(coeffs)
                     end = ppoly._end_value(span, end, period)
                     res = float(norm1(end))
                     if res >= _CLOSURE_TOL * (1.0 + float(np.abs(coeffs).max())):
                         where = f" of monomial {label}" if label else ""  # () for no parameters
                         raise FloquetError(f"closure residual ||U_{n}{where}(T)|| = "
                                            f"{res:.3g} indicates a broken recursion")
-                    u_n[label], end_n[label] = (coeffs, degrees), end
+                    u_n[label], end_n[label] = coeffs, end
                 u_funcs.append(u_n)
                 u_ends.append(end_n)
     except ModelError as exc:

@@ -1,27 +1,30 @@
 """Exact calculus on piecewise-polynomial matrix functions of time.
 
-A T-periodic matrix function is stored as breakpoints 0 = t0 < ... < tm = T,
-the degree of each piece, and one (m, n, n, d+1) array of polynomial
-coefficients in the *global* time variable (ascending degree), every piece
-zero-padded to the top degree d.  Using the global variable keeps
-refinement trivial (a piece restricted to a sub-interval reuses the same
-coefficients) and makes antiderivative constants a running-sum fixup.
+A T-periodic matrix function is stored as breakpoints 0 = t0 < ... < tm = T
+and one (m, n, n, d+1) array of polynomial coefficients in the *global*
+time variable (ascending degree), one degree d for every piece, a piece of
+lower degree zero-padded to it (de Boor's pp-form).  Using the global
+variable keeps refinement trivial (a piece restricted to a sub-interval
+reuses the same coefficients) and makes antiderivative constants a
+running-sum fixup.
 
-The arithmetic is kernels on bare (coeffs, degrees) arrays over one set of
+The arithmetic is kernels on bare coefficient arrays over one set of
 intervals, each run once on the whole arrays, a one-piece operand
 broadcasting against the pieces of the other.  A product adds each
 coefficient's terms in one order fixed by that coefficient alone, so zero
-padding adds only exact zeros and no piece's result depends on the degrees
-of the others.  Breakpoints never merge, however close: _on_union runs a
-kernel on two functions held as (coeffs, degrees, breakpoints) over the
-exact union of their breakpoints, for the pp_* wrappers, and the averaging
-recursion refines its terms onto one such union once and runs every kernel
-on it.  An antiderivative's join, the Horner pass that sets its constants,
-also gives its value at the period, from which pp_average and the
-recursion take it.  All of it is closed-form.
+padding adds only exact zeros and no piece's result depends on the degree
+of another.  The degree cap reads the coefficients: an array past it is
+cut to its highest column that is non-zero on some piece, and only a
+non-zero coefficient past the cap fails.  Breakpoints never merge, however
+close: _on_union runs a kernel on two functions held as (coeffs,
+breakpoints) over the exact union of their breakpoints, for the pp_*
+wrappers, and the averaging recursion refines its terms onto one such
+union once and runs every kernel on it.  An antiderivative's join, the
+Horner pass that sets its constants, also gives its value at the period,
+from which pp_average and the recursion take it.  All of it is
+closed-form.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,42 +49,32 @@ class PiecewisePolyMatrix:
     breakpoints : np.ndarray
         Strictly increasing, shape (m+1,), first 0, last T.
     coeffs : np.ndarray
-        Ascending powers of global t, shape (m, n, n, d+1), every piece
-        padded to the top degree d.  Right-continuous at interior breakpoints.
-    degrees : tuple of int, optional
-        The degree of each piece, d for all by default; coefficients above
-        it must be zero, and d is cut to the largest.
+        Ascending powers of global t, shape (m, n, n, d+1), one degree d at
+        most :data:`DEGREE_CAP` for every piece, a piece of lower degree
+        zero-padded to it.  Right-continuous at interior breakpoints.
     """
 
     period: float
     breakpoints: np.ndarray
     coeffs: np.ndarray
-    degrees: tuple = None
 
     def __post_init__(self):
         bp = _checked_breakpoints(self.period, self.breakpoints)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 4 or c.shape[0] != bp.size - 1 or c.shape[1] != c.shape[2] or c.shape[3] == 0:
             raise ModelError("coefficients must be (m, n, n, d+1), with one piece per interval")
-        deg = (c.shape[-1] - 1,) * (bp.size - 1) if self.degrees is None \
-            else tuple(map(int, self.degrees))
-        if len(deg) != bp.size - 1 or min(deg) < 0 or max(deg) >= c.shape[-1]:
-            raise ModelError("degrees must give each piece a degree within its coefficients")
-        top = max(deg)
-        if top > DEGREE_CAP:
-            raise ModelError(f"polynomial degree {top} exceeds cap {DEGREE_CAP}")
-        if top + 1 < c.shape[-1]:
-            c = c[..., : top + 1]
+        if c.shape[-1] - 1 > DEGREE_CAP:
+            raise ModelError(f"polynomial degree {c.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
         if not np.isfinite(c).all():
             raise ModelError("piece coefficients must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "degrees", deg)
 
     @classmethod
     def from_blocks(cls, period: float, breakpoints, blocks) -> "PiecewisePolyMatrix":
         """One function from per-piece (n, n, d_k+1) coefficient blocks,
-        checked in piece order, then padded."""
+        their shapes checked in piece order, padded to the top degree; the
+        constructor then checks the degree cap and finiteness."""
         bp = _checked_breakpoints(period, breakpoints)
         blocks = [np.asarray(p, dtype=float) for p in blocks]
         if len(blocks) != bp.size - 1:
@@ -90,15 +83,11 @@ class PiecewisePolyMatrix:
             if (p.ndim != 3 or p.shape[:-1] != blocks[0].shape[:-1] or p.shape[0] != p.shape[1]
                     or p.shape[2] == 0):
                 raise ModelError("all pieces must be (n, n, d+1), with one common n")
-            if p.shape[-1] - 1 > DEGREE_CAP:
-                raise ModelError(f"polynomial degree {p.shape[-1] - 1} exceeds cap {DEGREE_CAP}")
-            if not np.isfinite(p).all():
-                raise ModelError("piece coefficients must be finite")
-        degrees = tuple(p.shape[-1] - 1 for p in blocks)
-        coeffs = np.zeros((len(blocks),) + blocks[0].shape[:-1] + (max(degrees) + 1,))
+        coeffs = np.zeros((len(blocks),) + blocks[0].shape[:-1]
+                          + (max(p.shape[-1] for p in blocks),))
         for k, p in enumerate(blocks):
             coeffs[k, :, :, : p.shape[-1]] = p
-        return cls(period, bp, coeffs, degrees)
+        return cls(period, bp, coeffs)
 
     @property
     def dim(self) -> int:
@@ -150,41 +139,48 @@ def _union_breakpoints(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x
     if x.size == 2 and x[0] == y[0] and x[-1] == y[-1]:
         return y
-    inner = np.union1d(x[1:-1], y[1:-1])
+    # a sort and a drop of repeats, which np.union1d is, without the
+    # numpy.ma import np.unique makes on its first call
+    inner = np.sort(np.concatenate((x[1:-1], y[1:-1])))
+    inner = inner[np.append(True, inner[1:] != inner[:-1])]
     return np.concatenate((x[:1], inner[(inner > x[0]) & (inner < x[-1])], x[-1:]))
 
 
-def _refined(f, breaks: np.ndarray):
-    """``f = (coeffs, degrees, breakpoints)`` on the intervals of ``breaks``, which
-    refine its breakpoints (one piece broadcasts): ``(coeffs, degrees)``.  Each
+def _refined(f, breaks: np.ndarray) -> np.ndarray:
+    """The coefficients of ``f = (coeffs, breakpoints)`` on the intervals of
+    ``breaks``, which refine its breakpoints (one piece broadcasts).  Each
     interval takes the piece in force at its left end."""
-    coeffs, degrees, points = f
-    if len(degrees) == 1 or np.array_equal(points, breaks):
-        return coeffs, degrees
-    idx = np.clip(np.searchsorted(points, breaks[:-1], side="right") - 1, 0, len(degrees) - 1)
-    return coeffs[idx], tuple(degrees[i] for i in idx.tolist())
+    coeffs, points = f
+    if len(coeffs) == 1 or np.array_equal(points, breaks):
+        return coeffs
+    return coeffs[np.clip(np.searchsorted(points, breaks[:-1], side="right") - 1,
+                          0, len(coeffs) - 1)]
 
 
-def _checked(coeffs: np.ndarray, degrees: tuple, *rest):
-    """An operation's result, checked as the constructor would, and returned
-    with ``rest``: a non-finite coefficient left the float range, which comes
-    before the degree cap."""
+def _capped(coeffs: np.ndarray, what: str) -> np.ndarray:
+    """``coeffs`` within the degree cap: an array past it is cut to its
+    highest column that is non-zero on some piece, the degree of its
+    highest piece, and fails only if that column is still past the cap."""
+    if coeffs.shape[-1] - 1 <= DEGREE_CAP:
+        return coeffs
+    nonzero = np.flatnonzero(coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0))
+    degree = int(nonzero[-1]) if nonzero.size else 0
+    if degree > DEGREE_CAP:
+        raise ModelError(f"{what} degree {degree} exceeds cap {DEGREE_CAP}")
+    return coeffs[..., : degree + 1]
+
+
+def _checked(coeffs: np.ndarray) -> np.ndarray:
+    """An operation's result, checked as the constructor would: a non-finite
+    coefficient left the float range, which comes before the degree cap."""
     if not np.isfinite(coeffs).all():
         raise NumericRangeError("piecewise-polynomial coefficients leave the float range")
-    if max(degrees) > DEGREE_CAP:
-        raise ModelError(f"polynomial degree {max(degrees)} exceeds cap {DEGREE_CAP}")
-    return (coeffs, degrees, *rest)
+    return _capped(coeffs, "polynomial")
 
 
-def _derived(period: float, coeffs: np.ndarray, degrees: tuple,
-             breaks: np.ndarray) -> PiecewisePolyMatrix:
-    """An operation's result as a function, checked once, by the constructor;
-    a failure is named as :func:`_checked` names it."""
-    try:
-        return PiecewisePolyMatrix(period, breaks, coeffs, degrees)
-    except ModelError:
-        _checked(coeffs, degrees)
-        raise
+def _derived(period: float, coeffs: np.ndarray, breaks: np.ndarray) -> PiecewisePolyMatrix:
+    """An operation's result as a function, checked by :func:`_checked`."""
+    return PiecewisePolyMatrix(period, breaks, _checked(coeffs))
 
 
 def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -209,47 +205,32 @@ def _poly_matmul(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pad_add(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
-    d = max(x.shape[-1], y.shape[-1])
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d,))
-    out[..., : x.shape[-1]] = x
-    out[..., : y.shape[-1]] += sign * y
+def _product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """pa(t) @ pb(t) on one set of intervals, within the degree cap."""
+    return _capped(_poly_matmul(pa, pb), "product")
+
+
+def _sum(pa: np.ndarray, pb: np.ndarray, sign: float) -> np.ndarray:
+    """pa(t) + sign pb(t) on one set of intervals, at the higher degree of the two."""
+    out = np.zeros(np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1])
+                   + (max(pa.shape[-1], pb.shape[-1]),))
+    out[..., : pa.shape[-1]] = pa
+    out[..., : pb.shape[-1]] += sign * pb
     return out
-
-
-def _paired(da: tuple, db: tuple, out_degree) -> tuple:
-    """The result's degree on each interval; a single piece stands for every interval."""
-    m = max(len(da), len(db))
-    return tuple(map(out_degree, da * (m // len(da)), db * (m // len(db))))
-
-
-def _product(pa, da, pb, db):
-    """pa(t) @ pb(t) on one set of intervals: ``(coeffs, degrees)``, capped per piece."""
-    deg = _paired(da, db, operator.add)
-    for d in deg:
-        if d > DEGREE_CAP:
-            raise ModelError(f"product degree {d} exceeds cap {DEGREE_CAP}")
-    return _poly_matmul(pa, pb)[..., : max(deg) + 1], deg
-
-
-def _sum(pa, da, pb, db, sign):
-    """pa(t) + sign pb(t) on one set of intervals: ``(coeffs, degrees)``."""
-    deg = _paired(da, db, max)
-    return _pad_add(pa, pb, sign)[..., : max(deg) + 1], deg
 
 
 def _on_union(x, y, kernel, *args):
     """``kernel`` on the pieces of the functions ``x`` and ``y``, each
-    ``(coeffs, degrees, breakpoints)``, over the exact union of their
-    breakpoints: the result as such a function, unchecked."""
-    breaks = _union_breakpoints(x[2], y[2])
-    return (*kernel(*_refined(x, breaks), *_refined(y, breaks), *args), breaks)
+    ``(coeffs, breakpoints)``, over the exact union of their breakpoints:
+    the result as such a function, unchecked."""
+    breaks = _union_breakpoints(x[1], y[1])
+    return kernel(_refined(x, breaks), _refined(y, breaks), *args), breaks
 
 
 def _combine(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix, kernel, *args):
     _check_compatible(a, b)
-    return _derived(a.period, *_on_union((a.coeffs, a.degrees, a.breakpoints),
-                                         (b.coeffs, b.degrees, b.breakpoints), kernel, *args))
+    return _derived(a.period, *_on_union((a.coeffs, a.breakpoints), (b.coeffs, b.breakpoints),
+                                         kernel, *args))
 
 
 def pp_mul(a: PiecewisePolyMatrix, b: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
@@ -278,11 +259,10 @@ def _piece_at(breaks: np.ndarray, t: float) -> int:
     return min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(breaks) - 2)
 
 
-def _value(period: float, coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, t: float):
+def _value(period: float, coeffs: np.ndarray, breaks: np.ndarray, t: float):
     """The value at t of the function of pieces ``coeffs`` on ``breaks``."""
     _check_time(period, t)
-    idx = _piece_at(breaks, t)
-    return _finite_value(_eval_block(coeffs[idx, ..., : degrees[idx] + 1], t), t)
+    return _finite_value(_eval_block(coeffs[_piece_at(breaks, t)], t), t)
 
 
 def _check_time(period: float, t: float):
@@ -304,12 +284,12 @@ def _end_value(period: float, value: np.ndarray, t: float) -> np.ndarray:
 
 def pp_eval(a: PiecewisePolyMatrix, t: float) -> np.ndarray:
     """Value a(t), (n, n), for 0 <= t <= T, right-continuous at interior breakpoints."""
-    return _value(a.period, a.coeffs, a.degrees, a.breakpoints, t)
+    return _value(a.period, a.coeffs, a.breakpoints, t)
 
 
-def _antiderivative(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, end: float):
+def _antiderivative(coeffs: np.ndarray, breaks: np.ndarray, end: float):
     """The antiderivative w from 0 of the function of pieces ``coeffs``:
-    ``(w, w(end), partial)``, w as ``(coeffs, degrees, breaks)``, its value
+    ``(w, w(end), partial)``, w as ``(coeffs, breaks)``, its value
     at ``end`` from :func:`_joined`, and ``partial`` that join's times and
     Horner partial, which w's ramp-shifted copies (:func:`_minus_ramp`) share."""
     d = coeffs.shape[-1]
@@ -318,25 +298,24 @@ def _antiderivative(coeffs: np.ndarray, degrees: tuple, breaks: np.ndarray, end:
     # Horner from the top coefficient down to degree 2, the part no ramp changes
     times = _end_times(breaks, end)
     partial = times, (_eval_block(anti[..., 2:], times) if d > 1 else None)
-    return (*_joined(anti, tuple(k + 1 for k in degrees), breaks, end, partial), partial)
+    return (*_joined(anti, breaks, end, partial), partial)
 
 
 def pp_antiderivative(a: PiecewisePolyMatrix) -> PiecewisePolyMatrix:
     """t -> integral of a from 0 to t, continuous across breakpoints."""
-    return _derived(a.period, *_antiderivative(a.coeffs, a.degrees, a.breakpoints.copy(),
-                                               a.period)[0])
+    return _derived(a.period, *_antiderivative(a.coeffs, a.breakpoints.copy(), a.period)[0])
 
 
 def _minus_ramp(w, slope, end: float, partial):
-    """w(t) - slope t for the antiderivative ``w = (coeffs, degrees, breaks)``
+    """w(t) - slope t for the antiderivative ``w = (coeffs, breaks)``
     from 0, with ``end`` and ``partial`` as :func:`_antiderivative` gave them:
     ``(w - slope t, its value at end)``.  Each linear coefficient drops by
     the slope and the constants are set afresh."""
-    coeffs, degrees, breaks = w
+    coeffs, breaks = w
     anti = coeffs.copy()
     anti[..., 1] -= slope
     anti[..., 0] = 0.0
-    return _joined(anti, degrees, breaks, end, partial)
+    return _joined(anti, breaks, end, partial)
 
 
 def _end_times(breaks: np.ndarray, end: float) -> np.ndarray:
@@ -347,9 +326,9 @@ def _end_times(breaks: np.ndarray, end: float) -> np.ndarray:
     return np.array((breaks[:-1], right))[..., None, None]
 
 
-def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray, end: float, partial):
+def _joined(anti: np.ndarray, breaks: np.ndarray, end: float, partial):
     """``anti`` with its zero constant terms set in place, so that it is 0 at
-    t = 0 and continuous: ``((anti, degrees, breaks), its value at end)``.
+    t = 0 and continuous: ``((anti, breaks), its value at end)``.
 
     One Horner pass evaluates every piece at both of its ends before the
     constants are set, finishing ``partial = (times, upper)``: the times
@@ -369,13 +348,12 @@ def _joined(anti: np.ndarray, degrees: tuple, breaks: np.ndarray, end: float, pa
         running = at_hi[k] + const
     anti[..., 0] = consts
     if breaks[-2] > end:  # a last piece beyond the end: the value on the piece holding it
-        idx = _piece_at(breaks, end)
-        running = _eval_block(anti[idx, ..., : degrees[idx] + 1], end)
-    return (anti, degrees, breaks), running
+        running = _eval_block(anti[_piece_at(breaks, end)], end)
+    return (anti, breaks), running
 
 
 def pp_average(a: PiecewisePolyMatrix) -> np.ndarray:
     """(1/T) * integral of a over one period, from exact antiderivatives."""
-    w, total, _ = _antiderivative(a.coeffs, a.degrees, a.breakpoints, a.period)
-    _checked(*w)
+    w, total, _ = _antiderivative(a.coeffs, a.breakpoints, a.period)
+    _checked(w[0])
     return _end_value(a.period, total, a.period) / a.period

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_model_files
 from conftest import reference_dumps_json
 from floquet_avg import cli, pendulum, scan, stability
 
@@ -334,8 +335,10 @@ def test_model_pieces_of_unequal_degree_give_the_pinned_document(tmp_path, capsy
 
 
 def test_model_pieces_of_unequal_degree_are_capped_piece_by_piece(tmp_path, capsys):
-    # the product cap applies to each interval's own degrees (here at most
-    # 60 at order 3), not to the sum of the two terms' top degrees (65)
+    # the product cap reads the coefficients: at order 3, H_2 U_1 and H_1 U_2
+    # are as wide as the sum of their factors' top degrees (70), but each
+    # interval has its own degree (here at most 59), and the columns above
+    # that are exact zeros
     path = _write_model(tmp_path, [
         {"order": 1, "pieces": [_graded_piece(0.0, 1.0, 10, 1.0), _graded_piece(1.0, 2.0, 0, 1.0)]},
         {"order": 2, "pieces": [_graded_piece(0.0, 1.0, 0, 1.0), _graded_piece(1.0, 2.0, 55, 1.0)]},
@@ -345,7 +348,7 @@ def test_model_pieces_of_unequal_degree_are_capped_piece_by_piece(tmp_path, caps
     assert json.loads(out)["order"] == 3
     code, out, err = run_cli(capsys, ["analyze", "--model-file", path, "--order", "4"])
     assert code == 2 and out == ""
-    assert err == "floquet-avg: order 4 too high: product degree 115 exceeds cap 64\n"
+    assert err == "floquet-avg: order 4 too high: product degree 114 exceeds cap 64\n"
 
 
 def test_custom_model_validation_errors(tmp_path, capsys):
@@ -750,6 +753,35 @@ def test_many_piece_model_rk_steps_exit_2_without_hanging(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "6553600" in proc.stderr and "262144" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma takes milliseconds of CPU to import, and np.unique imports it
+    # on its first call in a process; no command needs it, the union of the
+    # many-piece model's breakpoints included
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(test_model_files.many_piece_model()), encoding="utf-8")
+    grid = ["--omega", "0.1:0.5:2", "--eps", "0.1:0.3:2"]
+    commands = [
+        ["analyze", "--omega", "0.2", "--eps", "0.3", "--beta", "0.1", "--order", "2"],
+        ["analyze", "--model-file", str(path), "--order", "2"],
+        ["scan", *grid, "--method", "order4"],
+        ["scan", *grid, "--method", "exact-rk"],
+        ["boundary", "--omega", "0.1:0.5:2", "--branch", "p"],
+        ["compare", "--omega", "0.1:0.5:2"],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from floquet_avg import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(argv[0], code, 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in commands]
 
 
 @pytest.mark.filterwarnings("error")

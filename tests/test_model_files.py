@@ -180,9 +180,19 @@ def huge_period_model():
 
 
 def degree_31_model():
-    # a degree-31 entry: H_1 has degree 33, and H_1 U_1 at order 2 degree 67
+    # a degree-31 entry: H_1 has degree 33 and U_1 34, and H_1 U_1 at order 2
+    # degree 66, not 67: the top coefficients of both are multiples of J0,
+    # and J0^2 = 0
     model = linear_model()
     model["terms"][0]["pieces"][0]["entries"][1][0] = [1e-3] * 32
+    return model
+
+
+def degree_30_model():
+    # a degree-30 entry: H_1 U_1 at order 2 has degree 64, within the cap,
+    # and its antiderivative, the order-2 U_2, degree 65
+    model = linear_model()
+    model["terms"][0]["pieces"][0]["entries"][1][0] = [1e-3] * 31
     return model
 
 
@@ -218,16 +228,18 @@ COEFFS_OUT = RANGE_ERROR + "piecewise-polynomial coefficients leave the float ra
 
 @pytest.mark.parametrize("model, order, closure_tol, code, err", [
     (overflowing_model, 2, None, 3, COEFFS_OUT),
-    (high_degree_model, 6, None, 2, "floquet-avg: order 6 too high: product degree 74 exceeds cap 64\n"),
+    (high_degree_model, 6, None, 2, "floquet-avg: order 6 too high: product degree 70 exceeds cap 64\n"),
     (linear_model, 3, 1e-300, 2, "floquet-avg: closure residual ||U_1(T)|| = 8.88e-16 indicates a broken "
      "recursion\n"),
     (huge_period_model, 2, None, 3, RANGE_ERROR + "the value at t = 1e+300 leaves the float range\n"),
-    (degree_31_model, 3, None, 2, "floquet-avg: order 3 too high: product degree 67 exceeds cap 64\n"),
+    (degree_31_model, 3, None, 2, "floquet-avg: order 3 too high: product degree 66 exceeds cap 64\n"),
+    (degree_30_model, 2, None, 2,
+     "floquet-avg: order 2 too high: polynomial degree 65 exceeds cap 64\n"),
     (huge_entry_model, 2, None, 3, COEFFS_OUT),
     (sum_before_degree_cap_model, 3, None, 3, COEFFS_OUT),
     (degree_cap_without_h3_model, 3, None, 2,
      "floquet-avg: order 3 too high: product degree 68 exceeds cap 64\n"),
-], ids=["overflow", "degree-cap", "closure", "value-at-T", "degree-31", "huge-entry",
+], ids=["overflow", "degree-cap", "closure", "value-at-T", "degree-31", "degree-30", "huge-entry",
         "sum-before-degree-cap", "degree-cap-without-h3"])
 def test_model_file_error_paths_are_pinned(tmp_path, capsys, monkeypatch, model, order,
                                            closure_tol, code, err):
@@ -266,9 +278,9 @@ def test_coupled_model_carries_x0_at_the_degree_of_j0s_last_nonzero_power(tmp_pa
     antiderivative = ppoly._antiderivative
 
     def recorded(*args):
-        # each order's antiderivative: ((coeffs, degrees, breakpoints), value at T, partial)
+        # each order's antiderivative: ((coeffs, breakpoints), value at T, partial)
         anti = antiderivative(*args)
-        degrees.append(max(anti[0][1]))
+        degrees.append(anti[0][0].shape[-1] - 1)
         return anti
 
     monkeypatch.setattr(ppoly, "_antiderivative", recorded)

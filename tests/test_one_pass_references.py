@@ -34,18 +34,18 @@ TWO_PI = 2.0 * math.pi
 CLOSE = ppoly._PERIOD_END_TOL * TWO_PI  # the end-point tolerance, as a distance
 
 
-def _value(period, coeffs, degrees, breaks, t):
+def _value(period, coeffs, breaks, t):
     if not (0.0 <= t <= period):
         raise ppoly.NumericRangeError(f"t = {t:g} outside [0, {period:g}]")
     idx = int(np.searchsorted(breaks, t, side="right")) - 1
     idx = min(max(idx, 0), len(coeffs) - 1)
-    value = ppoly._eval_block(coeffs[idx, ..., : degrees[idx] + 1], t)
+    value = ppoly._eval_block(coeffs[idx], t)
     if not np.isfinite(value).all():
         raise ppoly.NumericRangeError(f"the value at t = {t:g} leaves the float range")
     return value
 
 
-def _joined(anti, degrees, breaks):
+def _joined(anti, breaks):
     at_lo, at_hi = ppoly._eval_block(anti, np.array((breaks[:-1], breaks[1:]))[..., None, None])
     consts = np.empty_like(at_lo)
     running = 0.0
@@ -53,34 +53,39 @@ def _joined(anti, degrees, breaks):
         const = consts[k] = running - at_lo[k]
         running = at_hi[k] + const
     anti[..., 0] = consts
-    return anti, degrees, breaks
+    return anti, breaks
 
 
-def _antiderivative(coeffs, degrees, breaks):
+def _antiderivative(coeffs, breaks):
     d = coeffs.shape[-1]
     anti = np.zeros(coeffs.shape[:-1] + (d + 1,))
     anti[..., 1:] = coeffs / np.arange(1, d + 1)
-    return _joined(anti, tuple(k + 1 for k in degrees), breaks)
+    return _joined(anti, breaks)
 
 
-def _minus_ramp(coeffs, degrees, breaks, slope):
+def _minus_ramp(coeffs, breaks, slope):
     anti = coeffs.copy()
     anti[..., 1] -= slope
     anti[..., 0] = 0.0
-    return _joined(anti, degrees, breaks)
+    return _joined(anti, breaks)
+
+
+def _checked(f):
+    """A function ``(coeffs, breakpoints)`` with its coefficients checked."""
+    return ppoly._checked(f[0]), f[1]
 
 
 def _serial_recursion(h_terms, period, order):
     """The recursion one product and one sum at a time, Horner at T for A_n and U_n(T)."""
     funcs = [f for term in h_terms for f in term.values()]
     span = funcs[0].period
-    h_terms = [{label: (f.coeffs, f.degrees, f.breakpoints) for label, f in term.items()}
+    h_terms = [{label: (f.coeffs, f.breakpoints) for label, f in term.items()}
                for term in h_terms]
-    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), (0,), np.array([0.0, period]))
+    zero = (np.zeros((1, funcs[0].dim, funcs[0].dim, 1)), np.array([0.0, period]))
     a_mats, a_consts, u_funcs, u_ends = [], [], [], []
 
     def apply(kernel, x, y, *args):
-        return ppoly._checked(*ppoly._on_union(x, y, kernel, *args))
+        return _checked(ppoly._on_union(x, y, kernel, *args))
 
     def accumulate(sign, label_x, label_y, product):
         label = averaging._label_sum(label_x, label_y)
@@ -97,17 +102,17 @@ def _serial_recursion(h_terms, period, order):
                 for lu, u in u_funcs[i - 1].items():
                     for la, a in a_consts[n - i - 1].items():
                         accumulate(-1.0, lu, la, apply(ppoly._product, u, a))
-            anti = {label: ppoly._checked(*_antiderivative(*f)) for label, f in coll.items()}
+            anti = {label: _checked(_antiderivative(*f)) for label, f in coll.items()}
             a_n = {label: _value(span, *w, period) / period for label, w in anti.items()}
             if not all(np.isfinite(a).all() for a in a_n.values()):
                 raise ModelError("piece coefficients must be finite")
             a_mats.append(a_n)
-            a_consts.append({label: (a[..., None, :, :, None], *zero[1:])
+            a_consts.append({label: (a[..., None, :, :, None], zero[1])
                              for label, a in a_n.items()})
             if n < order:
                 u_n, end_n = {}, {}
                 for label, w in anti.items():
-                    u = ppoly._checked(*_minus_ramp(*w, a_n[label]))
+                    u = _checked(_minus_ramp(*w, a_n[label]))
                     end = _value(span, *u, period)
                     res = float(norm1(end))
                     if res >= averaging._CLOSURE_TOL * (1.0 + float(np.abs(u[0]).max())):
@@ -153,10 +158,10 @@ def _on_one_array(h_terms, period, order):
     breaks = np.unique(np.concatenate([f.breakpoints for f in funcs]))
 
     def refined(f):
-        if len(f.degrees) == 1:
+        if len(f.coeffs) == 1:
             return f
         idx = np.searchsorted(f.breakpoints, breaks[:-1], side="right") - 1
-        return PiecewisePolyMatrix(f.period, breaks, f.coeffs[idx], [f.degrees[i] for i in idx])
+        return PiecewisePolyMatrix(f.period, breaks, f.coeffs[idx])
 
     return _serial_recursion([{label: refined(f) for label, f in term.items()}
                               for term in h_terms], period, order)
@@ -280,9 +285,9 @@ def test_each_breakpoint_of_a_close_chain_survives_in_any_term_order(permutation
     arrays = []
     antiderivative = ppoly._antiderivative
 
-    def recorded(coeffs, degrees, breaks, end):
+    def recorded(coeffs, breaks, end):
         arrays.append(breaks)
-        return antiderivative(coeffs, degrees, breaks, end)
+        return antiderivative(coeffs, breaks, end)
 
     monkeypatch.setattr(ppoly, "_antiderivative", recorded)
     h_terms = _h_terms(system)

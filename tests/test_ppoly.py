@@ -31,6 +31,13 @@ def pendulum_h1(eps=1.0):
     )
 
 
+def own_degrees(f):
+    """Each piece's own degree, its highest power with a non-zero coefficient:
+    the coefficients above it are exact zeros."""
+    return tuple(int(np.flatnonzero(piece.reshape(-1, piece.shape[-1]).any(axis=0))[-1])
+                 for piece in f.coeffs)
+
+
 def pendulum_a1(eps=1.0):
     return (eps / TWO_PI) * np.array([[PI ** 2, 2 * PI ** 3], [0.0, -PI ** 2]])
 
@@ -138,9 +145,9 @@ def test_antiderivative_is_continuous_at_breakpoints():
     # pieces of degree 1, 3, 5 and 0, zero-padded to degree 5
     blocks = [rng.uniform(-5, 5, size=(2, 2, d + 1)) for d in (1, 3, 5, 0)]
     a = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, 0.9, PI, 5.0, TWO_PI]), blocks)
-    assert a.degrees == (1, 3, 5, 0) and a.coeffs.shape == (4, 2, 2, 6)
+    assert own_degrees(a) == (1, 3, 5, 0) and a.coeffs.shape == (4, 2, 2, 6)
     anti = pp_antiderivative(a)
-    assert anti.degrees == (2, 4, 6, 1)
+    assert own_degrees(anti) == (2, 4, 6, 1) and anti.max_degree == 6
     scale = np.abs(anti.coeffs).max()
     for k in range(1, len(anti.breakpoints) - 1):
         t = anti.breakpoints[k]
@@ -195,17 +202,28 @@ def test_degree_cap_enforced():
     a = PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), big[None])
     with pytest.raises(ModelError):
         pp_mul(a, a)  # degree 78 > 64
-    # the cap is per interval: degree 39 meets degree 0, then 0 meets 39
+    # the cap reads the coefficients: degree 39 meets degree 0, then 0 meets
+    # 39, so the product's columns past 39 are exact zeros and are cut
     high_low = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
                                                [big, np.ones((1, 1, 1))])
     low_high = PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
                                                [np.ones((1, 1, 1)), big])
-    assert pp_mul(high_low, low_high).degrees == (39, 39)
+    prod = pp_mul(high_low, low_high)
+    assert prod.coeffs.shape[-1] == 40 and own_degrees(prod) == (39, 39)
     with pytest.raises(ModelError, match="product degree 78 exceeds cap 64"):
         pp_mul(high_low, high_low)
     with pytest.raises(ModelError, match="polynomial degree 65 exceeds cap 64"):
         PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
                                         [np.ones((1, 1, 1)), np.ones((1, 1, 66))])
+    # an antiderivative one column past the cap passes when that column is
+    # zero on every piece, and is cut to the cap
+    top = np.zeros((2, 1, 1, 65))
+    top[0, ..., 63] = top[1, ..., 0] = 1.0
+    anti = pp_antiderivative(PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), top))
+    assert anti.max_degree == 64 and own_degrees(anti) == (64, 1)
+    top[1, ..., 64] = 1.0
+    with pytest.raises(ModelError, match="polynomial degree 65 exceeds cap 64"):
+        pp_antiderivative(PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), top))
 
 
 def test_breakpoint_validation():
@@ -223,8 +241,9 @@ def test_non_finite_breakpoints_rejected():
 # -- each piece at its own degree ------------------------------------------
 
 def _convolve_mul(a, b):
-    """The product as an i/j/k loop of np.convolve calls on one function:
-    the reference the broadcast multiply-accumulate must agree with."""
+    """The product as an i/j/k loop of np.convolve calls on one function,
+    each piece at its own degree: the reference the broadcast
+    multiply-accumulate must agree with."""
     breaks = np.union1d(a.breakpoints, b.breakpoints)
     n = a.dim
     pieces = []
@@ -232,8 +251,8 @@ def _convolve_mul(a, b):
         mid = 0.5 * (lo + hi)
         ka = min(int(np.searchsorted(a.breakpoints, mid, side="right")) - 1, len(a.coeffs) - 1)
         kb = min(int(np.searchsorted(b.breakpoints, mid, side="right")) - 1, len(b.coeffs) - 1)
-        pa = a.coeffs[ka, ..., : a.degrees[ka] + 1]
-        pb = b.coeffs[kb, ..., : b.degrees[kb] + 1]
+        pa = a.coeffs[ka, ..., : own_degrees(a)[ka] + 1]
+        pb = b.coeffs[kb, ..., : own_degrees(b)[kb] + 1]
         out = np.zeros((n, n, pa.shape[2] + pb.shape[2] - 1))
         for i in range(n):
             for j in range(n):
@@ -256,12 +275,12 @@ def test_minus_ramp_is_the_antiderivative_of_the_shifted_function_bitwise():
     # constants set afresh, is bitwise the antiderivative of f - A_n
     rng = np.random.default_rng(7)
     f = _random_function(rng, 2, (3, 0, 5), [0.0, 1.0, PI, TWO_PI])
-    w, w_end, partial = ppoly._antiderivative(f.coeffs, f.degrees, f.breakpoints.copy(), TWO_PI)
+    w, w_end, partial = ppoly._antiderivative(f.coeffs, f.breakpoints.copy(), TWO_PI)
     slope = w_end / TWO_PI
     assert np.array_equal(slope, pp_average(f))
-    (u, degrees, breaks), u_end = ppoly._minus_ramp(w, slope, TWO_PI, partial)
+    (u, breaks), u_end = ppoly._minus_ramp(w, slope, TWO_PI, partial)
     expect = pp_antiderivative(pp_sub(f, PiecewisePolyMatrix.constant(slope, TWO_PI)))
-    assert np.array_equal(u, expect.coeffs) and degrees == expect.degrees
+    assert np.array_equal(u, expect.coeffs)
     assert np.array_equal(breaks, expect.breakpoints)
     assert np.array_equal(w[0][..., 2:], u[..., 2:])
     # each join's total at T is the value Horner gives there
@@ -277,16 +296,16 @@ def test_product_agrees_with_convolve_reference(n):
         a = _random_function(rng, n, (1, 3), [0.0, PI, TWO_PI])
         b = _random_function(rng, n, (5, 0, 3), [0.0, 1.0, 4.0, TWO_PI])
         prod = pp_mul(a, b)
-        # each interval of [0, 1, pi, 4, 2 pi] has its own degree, not the sum
-        # of the two top degrees (8); above it the padding stays exact zeros
-        assert prod.degrees == (6, 1, 3, 6) and prod.max_degree == 6
-        for k, degree in enumerate(prod.degrees):
-            assert not prod.coeffs[k, ..., degree + 1:].any()
+        # the product is as wide as the sum of the two top degrees (8), and
+        # each interval of [0, 1, pi, 4, 2 pi] has its own degree, above
+        # which the padding stays exact zeros
+        assert prod.max_degree == 8 and own_degrees(prod) == (6, 1, 3, 6)
         want = _convolve_mul(a, b)
         assert np.array_equal(prod.breakpoints, want.breakpoints)
-        assert prod.degrees == want.degrees
+        assert own_degrees(prod) == own_degrees(want)
         for got, ref in zip(prod.coeffs, want.coeffs):
-            assert got.shape == ref.shape
+            assert not got[..., ref.shape[-1]:].any()
+            got = got[..., : ref.shape[-1]]
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -315,7 +334,7 @@ def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b, cou
     def alone(f, t):
         """The piece of f in force at t, as a one-piece function."""
         k = np.searchsorted(f.breakpoints, t, side="right") - 1
-        block = f.coeffs[k:k + 1, ..., : f.degrees[k] + 1]
+        block = f.coeffs[k:k + 1, ..., : own_degrees(f)[k] + 1]
         return PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), block)
 
     for op in (pp_mul, pp_add, pp_sub):
@@ -323,7 +342,7 @@ def test_each_piece_equals_its_own_one_piece_run_bitwise(breaks_a, breaks_b, cou
         assert whole.breakpoints.size == count
         for k, t in enumerate(0.5 * (whole.breakpoints[:-1] + whole.breakpoints[1:])):
             piece = op(alone(a, t), alone(b, t))
-            assert whole.degrees[k] == piece.max_degree
+            assert own_degrees(whole)[k] == piece.max_degree
             assert np.array_equal(whole.coeffs[k:k + 1, ..., : piece.max_degree + 1],
                                   piece.coeffs)
             assert not whole.coeffs[k, ..., piece.max_degree + 1:].any()
@@ -350,15 +369,17 @@ def test_shape_errors():
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, TWO_PI]), np.zeros((2, 2, 1)))
     with pytest.raises(ModelError):  # pieces that are not square
         PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 3, 1)))
-    for degrees in ((2,), ()):  # one degree, or none, for two pieces
-        with pytest.raises(ModelError):
-            PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)),
-                                degrees)
-    with pytest.raises(ModelError):  # a degree beyond the coefficients
-        PiecewisePolyMatrix(TWO_PI, np.array([0.0, PI, TWO_PI]), np.zeros((2, 2, 2, 3)), (2, 3))
     with pytest.raises(ModelError):  # pieces disagree on n
         PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
                                         (np.zeros((2, 2, 1)), np.zeros((3, 3, 1))))
+    # every block's shape is checked before the constructor checks the cap
+    # and finiteness of the padded array
+    with pytest.raises(ModelError, match="with one common n"):
+        PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                        (np.full((2, 2, 66), np.nan), np.zeros((3, 3, 1))))
+    with pytest.raises(ModelError, match="polynomial degree 65"):
+        PiecewisePolyMatrix.from_blocks(TWO_PI, np.array([0.0, PI, TWO_PI]),
+                                        (np.full((2, 2, 1), np.nan), np.zeros((2, 2, 66))))
 
 
 def test_a_stack_of_functions_is_rejected():
@@ -402,8 +423,10 @@ def _padded(x, extra):
 @pytest.mark.parametrize("seed", range(12))
 def test_zero_padding_one_factor_changes_no_bit_of_a_product_or_sum(seed):
     # the padded factor goes from the shorter to the longer of the two, its
-    # degrees unchanged: a padded coefficient adds only exact zeros.  Even
-    # seeds hold every piece at its factor's top degree, odd ones mix degrees
+    # pieces' own degrees unchanged: a padded coefficient adds only exact
+    # zeros, so the columns both results have agree bitwise and the padded
+    # result's others are zero.  Even seeds hold every piece at its
+    # factor's top degree, odd ones mix degrees
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(2, 5)), 3
     widths = [int(w) for w in rng.choice(np.arange(2, 7), size=2, replace=False)]
@@ -414,15 +437,13 @@ def test_zero_padding_one_factor_changes_no_bit_of_a_product_or_sum(seed):
         coeffs = rng.uniform(-2.0, 2.0, size=(pieces, n, n, width))
         for k, d in enumerate(degrees):
             coeffs[k, ..., d + 1:] = 0.0
-        return coeffs, degrees
+        return coeffs
 
-    (pa, da), (pb, db) = factor(widths[0], m), factor(widths[1], int(rng.choice((1, m))))
+    pa, pb = factor(widths[0], m), factor(widths[1], int(rng.choice((1, m))))
     extra = abs(widths[0] - widths[1]) + int(rng.integers(1, 4))
-    cases = ((_padded(pa, extra), da, pb, db) if widths[0] < widths[1]
-             else (pa, da, _padded(pb, extra), db))
+    cases = (_padded(pa, extra), pb) if widths[0] < widths[1] else (pa, _padded(pb, extra))
     for kernel, args in ((ppoly._product, ()), (ppoly._sum, (1.0,)), (ppoly._sum, (-1.0,))):
-        want, want_degrees = kernel(pa, da, pb, db, *args)
-        got, got_degrees = kernel(*cases, *args)
-        assert got_degrees == want_degrees
+        want = kernel(pa, pb, *args)
+        got = kernel(*cases, *args)
         assert got[..., : want.shape[-1]].tobytes() == want.tobytes()
-        assert got.shape == want.shape
+        assert got.shape[:-1] == want.shape[:-1] and not got[..., want.shape[-1]:].any()
